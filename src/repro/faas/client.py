@@ -66,7 +66,7 @@ from repro.net.defaults import (
 )
 from repro.net.context import SiteThread, current_site
 from repro.net.topology import Site
-from repro.observe import TraceContext, counter_inc, trace_span
+from repro.observe import TraceContext, counter_inc, observe, record_span, trace_span
 from repro.resilience.hedge import HedgePolicy, LatencyReservoir
 from repro.serialize import (
     Payload,
@@ -77,6 +77,13 @@ from repro.serialize import (
 )
 
 __all__ = ["FaasClient", "FaasExecutor"]
+
+#: How many completions for ids nobody has registered (yet) a client keeps:
+#: a result can outrun the return of the submit call that mints its task id,
+#: and registration looks here before anyone waits on the future.  Oldest
+#: first out — ids that are never registered (a cancelled task, a hedge
+#: loser's wasted execution, a duplicate delivery) age out of the window.
+_EARLY_ARRIVALS_MAX = 1024
 
 
 @dataclass
@@ -189,6 +196,9 @@ class FaasClient:
         # In-flight work by task id; a retried attempt re-registers the same
         # _PendingTask (same future) under the new task id.
         self._pending: dict[str, _PendingTask] = {}
+        # Completions that found no pending entry, insertion-ordered and
+        # bounded by ``_EARLY_ARRIVALS_MAX``; ``_register`` drains it.
+        self._early: dict[str, None] = {}
         self._futures_lock = threading.Lock()
         # Completion latencies (submit -> result, successful legs only):
         # the sample the hedge delay's p95 quantile is derived from.
@@ -393,9 +403,26 @@ class FaasClient:
             hedge_policy=_hedge,
             attempt_at=self._clock.now(),
         )
-        with self._futures_lock:
-            self._pending[task_id] = pending
+        self._register([(task_id, pending)])
         return future
+
+    def _register(self, entries: list[tuple[str, _PendingTask]]) -> None:
+        """Bind pending records to the task ids the cloud just minted.
+
+        The id only exists once the cloud call returns, and by then the
+        task may already have run and its completion been consumed by the
+        notifier, which parked it in ``_early``.  Such a completion is
+        delivered here, on the registering thread, so no future is ever
+        stranded behind a doorbell that was already acked.
+        """
+        with self._futures_lock:
+            self._pending.update(entries)
+            early = [task_id for task_id, _ in entries if task_id in self._early]
+            for task_id in early:
+                del self._early[task_id]
+        if early:
+            counter_inc("client.early_completions", len(early))
+            self._handle_completions(early)
 
     def run(
         self,
@@ -520,9 +547,7 @@ class FaasClient:
                 accepted.append((outcome, pending))
             else:
                 rejected.append((pending, outcome))
-        with self._futures_lock:
-            for task_id, pending in accepted:
-                self._pending[task_id] = pending
+        self._register(accepted)
         for pending, exc in rejected:
             counter_inc("client.batch_splits", endpoint=pending.endpoint_id)
             self._finish_attempt(pending, repr(exc), None)
@@ -597,8 +622,9 @@ class FaasClient:
         endpoint) and forget them; returns how many were cancelled.
 
         A cancelled task may still execute remotely — its notification
-        arrives to find no pending entry and is dropped, the same dead-letter
-        path an already-retried task id takes.
+        arrives to find no pending entry and is parked until it ages out of
+        the early-arrival window, the same dead-letter path an
+        already-retried task id takes.
         """
         cancelled = 0
         with self._futures_lock:
@@ -701,14 +727,14 @@ class FaasClient:
         counter_inc("client.attached", endpoint=endpoint_id)
         # The crash window: the task may have completed (and its doorbell
         # may have been acked) before the predecessor died.  The ledger is
-        # ground truth — deliver terminal tasks inline; `_handle_completion`
+        # ground truth — deliver terminal tasks inline; `_handle_completions`
         # pops the pending entry, so a late duplicate doorbell is a no-op.
         try:
             record = self.cloud.task(task_id)
         except WorkflowError:
             record = None
         if record is not None and record.status.terminal:
-            self._handle_completion(task_id)
+            self._handle_completions([task_id])
         return future
 
     # -- result delivery -----------------------------------------------------------
@@ -726,33 +752,30 @@ class FaasClient:
                     self._fallback = True
                     counter_inc("bus.fallback_engaged", role="client")
                     continue
-                for envelope in envelopes:
-                    # A coalesced doorbell carries a comma-joined id list;
-                    # singles have no comma and take the unbatched path.
-                    self._handle_completions(envelope.payload.split(","))
-                    consumer.done(envelope)
+                if envelopes:
+                    # One round, one download: a doorbell carries one id or
+                    # a comma-joined list, and every id the round announced
+                    # shares the same streamed response.  The envelopes are
+                    # acked only once all their ids have been settled, so a
+                    # crash anywhere before that redelivers the lot.
+                    self._handle_completions(
+                        [
+                            task_id
+                            for envelope in envelopes
+                            for task_id in envelope.payload.split(",")
+                        ]
+                    )
+                    for envelope in envelopes:
+                        consumer.done(envelope)
                 continue
             # Poll fallback (and the only path when the bus is disabled):
             # the completed queue is the ground truth the bus doorbells over.
-            # A batching client drains multi-task leases in one call; the
-            # unbatched client keeps the exact one-at-a-time legacy path.
-            fetch_batch = (
-                getattr(self.cloud, "next_completed_batch", None)
-                if self._batcher is not None
-                else None
+            task_ids = self.cloud.next_completed_batch(
+                self.client_id, timeout=self._poll_interval
             )
-            if fetch_batch is not None:
-                task_ids = fetch_batch(self.client_id, timeout=self._poll_interval)
-                if task_ids:
-                    self._handle_completions(task_ids)
-                    continue
-            else:
-                task_id = self.cloud.next_completed(
-                    self.client_id, timeout=self._poll_interval
-                )
-                if task_id is not None:
-                    self._handle_completion(task_id)
-                    continue  # keep draining until the queue is confirmed empty
+            if task_ids:
+                self._handle_completions(task_ids)
+                continue  # keep draining until the queue is confirmed empty
             if consumer is not None and self._fallback:
                 # Hand back to the bus only after an empty drain: completions
                 # whose notifications were trimmed from the redelivery window
@@ -928,51 +951,81 @@ class FaasClient:
         self._finish_attempt(group.primary, group.last_error, group.last_traceback)
 
     def _handle_completions(self, task_ids: list[str]) -> None:
-        """Resolve a coalesced completion notification.
+        """Download and settle every announced completion as one batch.
 
-        A single id takes the unbatched path unchanged.  A multi-id
-        doorbell downloads every result behind *one* notification-push
-        latency, then reads, transfers, and settles each task
-        individually — per-task dedupe, retry, and hedge reconciliation
-        are untouched.
+        The ids of a delivery round — however many doorbells announced them
+        — pay *one* notification-push latency, one ``get_result_payloads``
+        call, and one streamed response (a WAN latency plus the summed
+        bytes), then each task is deserialized and settled on its own:
+        dedupe, retry, and hedge reconciliation are per task, and a member
+        whose read fails burns only its own attempt.  A round of one
+        charges exactly what a lone completion always has.
+
+        An id nobody registered is parked (see ``_early``): its submit may
+        simply not have returned yet.
         """
-        if len(task_ids) == 1:
-            self._handle_completion(task_ids[0])
-            return
         entries: list[tuple[str, _PendingTask]] = []
         with self._futures_lock:
             for task_id in task_ids:
                 pending = self._pending.pop(task_id, None)
                 if pending is not None:
                     entries.append((task_id, pending))
+                else:
+                    self._early[task_id] = None
+                    if len(self._early) > _EARLY_ARRIVALS_MAX:
+                        del self._early[next(iter(self._early))]
         if not entries:
             return
         site = self._home_site()
-        self._clock.sleep(self.cloud.network.latency(self.cloud.site, site))
-        counter_inc("client.batched_downloads", len(entries))
-        for task_id, pending in entries:
-            try:
-                with trace_span("result.download", parent=pending.trace_ctx):
-                    status, payload = self.cloud.get_result_payload(
-                        self.token, task_id
-                    )
-                    self._clock.sleep(
-                        self.cloud.network.transfer_time(
-                            self.cloud.site, site, payload.nominal_size
-                        )
-                    )
-                    emit(
-                        "data_transfer",
-                        resource=site.name,
-                        bytes=payload.nominal_size,
-                        via="faas-cloud",
-                    )
-                    self._clock.sleep(deserialize_cost(payload.nominal_size))
+        network = self.cloud.network
+        size = len(entries)
+        observe("client.download_batch_size", size)
+        started = self._clock.now()
+        # Notification push + result download, charged to the client.
+        self._clock.sleep(network.latency(self.cloud.site, site))
+        try:
+            outcomes = self.cloud.get_result_payloads(
+                self.token, [task_id for task_id, _ in entries]
+            )
+        except ReproError as exc:
+            outcomes = [exc] * size
+        delivered = [
+            outcome[1].nominal_size
+            for outcome in outcomes
+            if not isinstance(outcome, Exception)
+        ]
+        if delivered:
+            self._clock.sleep(
+                network.transfer_time(self.cloud.site, site, sum(delivered))
+            )
+        for (task_id, pending), outcome in zip(entries, outcomes):
+            # A failed download (e.g. the cloud store returned corrupt data)
+            # consumes an attempt of its own task like a remote failure.
+            failure = outcome if isinstance(outcome, Exception) else None
+            if failure is None:
+                status, payload = outcome
+                emit(
+                    "data_transfer",
+                    resource=site.name,
+                    bytes=payload.nominal_size,
+                    via="faas-cloud",
+                )
+                self._clock.sleep(deserialize_cost(payload.nominal_size))
+                try:
                     body = deserialize(payload)
-            except ReproError as exc:
-                self._settle_leg(task_id, pending, False, None, repr(exc), None)
-                continue
-            if status is TaskStatus.SUCCESS and body.get("success"):
+                except ReproError as exc:
+                    failure = exc
+            record_span(
+                "result.download",
+                start=started,
+                end=self._clock.now(),
+                parent=pending.trace_ctx,
+                batch_size=size,
+                **({} if failure is None else {"error": repr(failure)}),
+            )
+            if failure is not None:
+                self._settle_leg(task_id, pending, False, None, repr(failure), None)
+            elif status is TaskStatus.SUCCESS and body.get("success"):
                 self._settle_leg(task_id, pending, True, body["value"], "", None)
             else:
                 self._settle_leg(
@@ -983,53 +1036,6 @@ class FaasClient:
                     body.get("error", "remote task failed"),
                     body.get("traceback"),
                 )
-
-    def _handle_completion(self, task_id: str) -> None:
-        with self._futures_lock:
-            pending = self._pending.pop(task_id, None)
-        if pending is None:
-            return  # e.g. a cancelled/unknown/already-handled task
-        try:
-            status, body = self._download(task_id, pending.trace_ctx)
-        except ReproError as exc:
-            # The download itself failed (e.g. the cloud store returned
-            # corrupt data): consumes an attempt like a remote failure.
-            self._settle_leg(task_id, pending, False, None, repr(exc), None)
-            return
-        if status is TaskStatus.SUCCESS and body.get("success"):
-            self._settle_leg(task_id, pending, True, body["value"], "", None)
-        else:
-            self._settle_leg(
-                task_id,
-                pending,
-                False,
-                None,
-                body.get("error", "remote task failed"),
-                body.get("traceback"),
-            )
-
-    def _download(
-        self, task_id: str, trace_ctx: TraceContext | None
-    ) -> tuple[TaskStatus, dict]:
-        # Notification push + result download, charged to the client.
-        with trace_span("result.download", parent=trace_ctx):
-            site = self._home_site()
-            self._clock.sleep(self.cloud.network.latency(self.cloud.site, site))
-            status, payload = self.cloud.get_result_payload(self.token, task_id)
-            self._clock.sleep(
-                self.cloud.network.transfer_time(
-                    self.cloud.site, site, payload.nominal_size
-                )
-            )
-            emit(
-                "data_transfer",
-                resource=site.name,
-                bytes=payload.nominal_size,
-                via="faas-cloud",
-            )
-            self._clock.sleep(deserialize_cost(payload.nominal_size))
-            body = deserialize(payload)
-        return status, body
 
     def _finish_attempt(
         self, pending: _PendingTask, error: str, traceback_text: str | None
@@ -1132,8 +1138,7 @@ class FaasClient:
         pending.hedge = None
         pending.leg = 0
         pending.attempt_at = self._clock.now()
-        with self._futures_lock:
-            self._pending[task_id] = pending
+        self._register([(task_id, pending)])
 
     def __enter__(self) -> "FaasClient":
         return self

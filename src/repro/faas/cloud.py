@@ -1212,16 +1212,42 @@ class FaasCloud:
         with self._queue_cond:
             return list(self._tasks.values())
 
-    def get_result_payload(self, token: Token, task_id: str) -> tuple[TaskStatus, Payload]:
+    def get_result_payloads(self, token: Token, task_ids: list[str]) -> list:
+        """Collect the results of several tasks in one API call.
+
+        One auth check covers the call; everything else is per task — the
+        store read (tier charge, ``cloud.store.read`` fault hook) and the
+        outcome.  Returns a list aligned with ``task_ids``, shaped like
+        :meth:`submit_batch`'s: ``(status, payload)`` where the read
+        succeeded, the raising :class:`ReproError` (unknown id, no result
+        yet, corrupt read) where it did not, so one bad member never fails
+        its batch-mates.
+        """
         self.auth.validate(token, SCOPE_COMPUTE)
-        record = self.task(task_id)
-        if not record.status.terminal or record.result_locator is None:
-            raise WorkflowError(f"task {task_id} has no result yet")
-        # The result is being collected: retire its poll-fallback entry so a
-        # client that was notified over the bus never re-sees it while
-        # draining the completed queue in fallback mode.
-        self._completed.retire(record.client_id, task_id)
-        return record.status, self.store.read(record.result_locator)
+        outcomes: list = []
+        for task_id in task_ids:
+            try:
+                record = self.task(task_id)
+                if not record.status.terminal or record.result_locator is None:
+                    raise WorkflowError(f"task {task_id} has no result yet")
+                # The result is being collected: retire its poll-fallback
+                # entry so a client that was notified over the bus never
+                # re-sees it while draining the completed queue in fallback
+                # mode.
+                self._completed.retire(record.client_id, task_id)
+                outcomes.append(
+                    (record.status, self.store.read(record.result_locator))
+                )
+            except ReproError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    def get_result_payload(self, token: Token, task_id: str) -> tuple[TaskStatus, Payload]:
+        """The batch of one: same call, the member's error raised."""
+        (outcome,) = self.get_result_payloads(token, [task_id])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def next_completed(self, client_id: str, timeout: float | None) -> str | None:
         """Block until some task of ``client_id`` completes; returns its id.
@@ -1556,8 +1582,14 @@ class FaasCloud:
         task_id = record.task_id
         # A requeued copy of this task may still sit in a queue (report
         # racing a reclaim): drop it so the work is not executed again.
+        # Only the task's current owner may do that: once a failover or a
+        # breaker shed has re-homed the task, the queued copy *is* the live
+        # task and this reporter a stale lease (the re-check below refuses
+        # it) — dropping the copy would leave the task WAITING in no queue.
         with self._queue_cond:
-            queue = self._queues.get(record.endpoint_id, {}).get(record.tenant)
+            queue = None
+            if record.endpoint_id == endpoint_id:
+                queue = self._queues.get(endpoint_id, {}).get(record.tenant)
             removed = False
             if queue is not None:
                 try:

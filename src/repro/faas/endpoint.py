@@ -33,7 +33,14 @@ from repro.faas.cloud import FaasCloud, TaskDispatch, task_topic
 from repro.net.clock import Clock, get_clock
 from repro.net.context import SiteThread
 from repro.net.topology import Site
-from repro.observe import TraceContext, counter_inc, gauge_set, trace_span
+from repro.observe import (
+    TraceContext,
+    counter_inc,
+    gauge_set,
+    observe,
+    record_span,
+    trace_span,
+)
 from repro.proxystore.prefetch import apply_prefetch_hints
 from repro.resources.worker import WorkerPool
 from repro.serialize import (
@@ -348,19 +355,7 @@ class FaasEndpoint:
             if chaos_check("endpoint.crash", self.name, endpoint=self.name):
                 self.simulate_crash()
                 return
-            for dispatch in dispatches:
-                try:
-                    self._dispatch(dispatch)
-                except Exception as exc:  # noqa: BLE001 - report, don't drop
-                    counter_inc("endpoint.dispatch_errors", endpoint=self.name)
-                    body = {
-                        "success": False,
-                        "error": repr(exc),
-                        "traceback": traceback.format_exc(),
-                    }
-                    self._outbox.put(
-                        (dispatch.task_id, False, serialize(body), dispatch.trace_ctx)
-                    )
+            self._dispatch(dispatches)
 
     def _next_dispatches(self) -> list[TaskDispatch]:
         """One delivery round: bus doorbells when subscribed, the long-poll
@@ -470,43 +465,102 @@ class FaasEndpoint:
                 self._fetched_tasks.add(dispatch.task_id)
         return dispatches
 
-    def _dispatch(self, dispatch: TaskDispatch) -> None:
-        # Fire the advisory cache warm first: the weights transfer toward
-        # the *worker* site overlaps the argument download and the pool's
-        # queueing delay, so the task's first proxy resolve lands hot.
-        if dispatch.prefetch:
-            fired = apply_prefetch_hints(
-                dispatch.prefetch, self.pool.site, via=f"endpoint:{self.name}"
-            )
-            if fired:
-                counter_inc("endpoint.prefetches", endpoint=self.name)
-        # Pull the argument payload down from the cloud store (charged to
-        # this thread: the endpoint is the one blocked on the download).
-        with trace_span(
-            "endpoint.fetch", parent=dispatch.trace_ctx, endpoint=self.name
-        ):
-            args_payload = self.cloud.store.read(dispatch.args_locator)
+    def _dispatch(self, dispatches: list[TaskDispatch]) -> None:
+        """Download one delivery round's arguments and hand it to the pool.
+
+        The cloud streams every argument payload of the round back in one
+        response, so the round pays *one* WAN latency plus the summed bytes
+        over the link — not one latency per task — and only then do the
+        tasks reach the pool.  Everything else stays per member: the store
+        read (tier charge, ``cloud.store.read`` fault hook), the
+        ``endpoint.fetch`` span and ``data_transfer`` event in the task's
+        own trace, and failure — a member whose read or function lookup
+        fails is reported failed alone.  A round of one charges exactly
+        what a lone task always has.
+        """
+        started = self._clock.now()
+        size = len(dispatches)
+        observe("endpoint.fetch_batch_size", size, endpoint=self.name)
+        fetched: list[tuple[TaskDispatch, Payload]] = []
+        for dispatch in dispatches:
+            try:
+                # Fire the advisory cache warm first: the weights transfer
+                # toward the *worker* site overlaps the argument download
+                # and the pool's queueing delay, so the task's first proxy
+                # resolve lands hot.
+                if dispatch.prefetch and apply_prefetch_hints(
+                    dispatch.prefetch, self.pool.site, via=f"endpoint:{self.name}"
+                ):
+                    counter_inc("endpoint.prefetches", endpoint=self.name)
+                # Pull the argument payload down from the cloud store
+                # (charged to this thread: the endpoint is the one blocked
+                # on the download).
+                fetched.append((dispatch, self.cloud.store.read(dispatch.args_locator)))
+            except Exception as exc:  # noqa: BLE001 - report, don't drop
+                self._fail_dispatch(dispatch, exc, started, size)
+        if fetched:
             self._clock.sleep(
                 self.cloud.network.transfer_time(
-                    self.cloud.site, self.site, args_payload.nominal_size
+                    self.cloud.site,
+                    self.site,
+                    sum(payload.nominal_size for _, payload in fetched),
                 )
             )
+        for dispatch, args_payload in fetched:
             emit(
                 "data_transfer",
                 resource=self.site.name,
                 bytes=args_payload.nominal_size,
                 via="faas-cloud",
             )
-            fn = self._function(dispatch.func_id, dispatch.tenant)
-        self.pool.submit(
-            self._make_work(
-                dispatch.task_id,
-                fn,
-                args_payload,
-                dispatch.trace_ctx,
-                chaos_key=dispatch.chaos_key,
-                deadline_at=dispatch.deadline_at,
+            try:
+                fn = self._function(dispatch.func_id, dispatch.tenant)
+                in_hand = self._clock.now()
+                self.pool.submit(
+                    self._make_work(
+                        dispatch.task_id,
+                        fn,
+                        args_payload,
+                        dispatch.trace_ctx,
+                        chaos_key=dispatch.chaos_key,
+                        deadline_at=dispatch.deadline_at,
+                    )
+                )
+            except Exception as exc:  # noqa: BLE001 - report, don't drop
+                self._fail_dispatch(dispatch, exc, started, size)
+                continue
+            record_span(
+                "endpoint.fetch",
+                start=started,
+                end=in_hand,
+                parent=dispatch.trace_ctx,
+                endpoint=self.name,
+                batch_size=size,
             )
+
+    def _fail_dispatch(
+        self, dispatch: TaskDispatch, exc: Exception, started: float, size: int
+    ) -> None:
+        """Report one member's dispatch failure as that task's result.
+
+        Called from the ``except`` block, so the traceback is the live one."""
+        counter_inc("endpoint.dispatch_errors", endpoint=self.name)
+        record_span(
+            "endpoint.fetch",
+            start=started,
+            end=self._clock.now(),
+            parent=dispatch.trace_ctx,
+            endpoint=self.name,
+            batch_size=size,
+            error=repr(exc),
+        )
+        body = {
+            "success": False,
+            "error": repr(exc),
+            "traceback": traceback.format_exc(),
+        }
+        self._outbox.put(
+            (dispatch.task_id, False, serialize(body), dispatch.trace_ctx)
         )
 
     def _make_work(

@@ -44,8 +44,10 @@ class FileSystem:
         self.read_bandwidth = read_bandwidth
         self.op_latency = op_latency
         self._clock = clock or get_clock()
-        # path -> (real bytes, nominal size charged for I/O and transfers)
-        self._files: dict[str, tuple[bytes, int]] = {}
+        # path -> (real bytes, nominal size charged for I/O and transfers).
+        # A file that has been appended to holds a growable ``bytearray``
+        # (see ``append``); ``read``/``raw`` hand out immutable bytes.
+        self._files: dict[str, tuple[bytes | bytearray, int]] = {}
         self._lock = threading.Lock()
 
     def _charge(self, nbytes: int, bandwidth: float) -> None:
@@ -71,16 +73,21 @@ class FileSystem:
 
         Only the appended bytes are charged — this is the journal fsync
         primitive: a write-ahead log grows by one record at a time and must
-        not pay for rewriting its whole history on every append.
+        not pay for rewriting its whole history on every append.  The same
+        holds for the real bytes: the file becomes a growable buffer on its
+        first append, so an append costs its own length, not the log's.
         """
         if not isinstance(data, bytes):
             raise TypeError(f"file data must be bytes, got {type(data).__name__}")
         nominal = len(data) if nominal_size is None else int(nominal_size)
         self._charge(nominal, self.write_bandwidth)
         with self._lock:
-            old, old_nominal = self._files.get(path, (b"", 0))
+            buffer, old_nominal = self._files.get(path, (b"", 0))
+            if not isinstance(buffer, bytearray):
+                buffer = bytearray(buffer)
+            buffer += data
             new_nominal = old_nominal + nominal
-            self._files[path] = (old + data, new_nominal)
+            self._files[path] = (buffer, new_nominal)
             return new_nominal
 
     def read(self, path: str) -> bytes:
@@ -89,6 +96,7 @@ class FileSystem:
                 data, nominal = self._files[path]
             except KeyError:
                 raise FileSystemError(f"{self.name}:{path}: no such file") from None
+            data = bytes(data)  # snapshot: later appends must not show through
         self._charge(nominal, self.read_bandwidth)
         return data
 
@@ -100,9 +108,10 @@ class FileSystem:
         """
         with self._lock:
             try:
-                return self._files[path]
+                data, nominal = self._files[path]
             except KeyError:
                 raise FileSystemError(f"{self.name}:{path}: no such file") from None
+            return bytes(data), nominal
 
     def write_raw(self, path: str, data: bytes, nominal_size: int) -> None:
         """Store without charging I/O time (see :meth:`raw`)."""

@@ -622,11 +622,40 @@ class CloudRouter:
                 merged[tenant] = merged.get(tenant, 0) + depth
         return merged
 
+    def get_result_payloads(self, token: Token, task_ids: list[str]) -> list:
+        """Batched result read: scatter the ids to their owning shards (one
+        shard call, hence one auth check, per group) and merge the per-task
+        outcomes back into a list aligned with ``task_ids``, like
+        :meth:`FaasCloud.get_result_payloads`.  An id no shard owns, or a
+        shard whose call fails, fails only its own members.
+
+        Never gated on outages: results live in durable shard state — the
+        write-ahead journal holds every result's bytes, so even a
+        state-destroying crash rebuilds them (see ``crash_shard``) — and
+        the data plane stays up while the admission tier restarts.
+        """
+        outcomes: list = [None] * len(task_ids)
+        groups: dict[str, list[int]] = {}
+        for i, task_id in enumerate(task_ids):
+            try:
+                shard = self._shard_for_task(task_id)
+            except WorkflowError as exc:
+                outcomes[i] = exc
+                continue
+            groups.setdefault(shard.shard_id, []).append(i)
+        for shard_id in sorted(groups):
+            indexes = groups[shard_id]
+            try:
+                shard_outcomes = self.shard(shard_id).get_result_payloads(
+                    token, [task_ids[i] for i in indexes]
+                )
+            except ReproError as exc:
+                shard_outcomes = [exc] * len(indexes)
+            for i, outcome in zip(indexes, shard_outcomes):
+                outcomes[i] = outcome
+        return outcomes
+
     def get_result_payload(self, token: Token, task_id: str) -> tuple[TaskStatus, Payload]:
-        # Never gated on outages: results live in durable shard state — the
-        # write-ahead journal holds every result's bytes, so even a
-        # state-destroying crash rebuilds them (see ``crash_shard``) — and
-        # the data plane stays up while the admission tier restarts.
         return self._shard_for_task(task_id).get_result_payload(token, task_id)
 
     def next_completed(self, client_id: str, timeout: float | None) -> str | None:

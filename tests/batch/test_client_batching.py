@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import BatchPolicy
+from repro.batch import BatchPolicy, get_reactor
 from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
 from repro.chaos.policy import RetryPolicy
 from repro.exceptions import PayloadTooLargeError
@@ -17,7 +17,6 @@ from repro.faas import (
     FaasCloud,
     FaasEndpoint,
 )
-from repro.net.clock import get_clock
 from repro.net.context import at_site
 from repro.observe import MetricsRegistry, set_metrics
 from repro.resilience.hedge import HedgePolicy
@@ -71,34 +70,52 @@ def test_batched_storm_amortizes_round_trips(rig):
     assert metrics.counter_total("cloud.submits") == 24
 
 
-def test_lone_task_latency_stays_bounded(rig):
+class _HoldRecorder:
+    """The process reactor, remembering every hold the client arms on it."""
+
+    def __init__(self) -> None:
+        self._reactor = get_reactor()
+        self.holds: list[float] = []
+
+    def call_later(self, delay, callback):
+        self.holds.append(delay)
+        return self._reactor.call_later(delay, callback)
+
+
+def test_lone_task_latency_stays_bounded(rig, recording_clock, monkeypatch):
     """Regression for the adaptive hold: a single task under an idle
-    batcher must not be parked for the full flush deadline — it completes
-    within ``flush_deadline`` + epsilon of the unbatched baseline."""
+    batcher must not be parked for the full flush deadline — it is held for
+    ``min_hold`` only, and what the client is charged for it stays within
+    ``flush_deadline`` + epsilon of the unbatched baseline.
+
+    The comparison is between *modelled* seconds (the client's charges plus
+    the hold it armed), not elapsed nominal time: at the test time scale
+    a few milliseconds of host noise read as seconds of latency."""
     testbed, cloud, token, endpoint = rig
-    clock = get_clock()
     policy = BatchPolicy(max_batch=64, flush_deadline=0.05, min_hold=0.002)
+    reactor = _HoldRecorder()
+    monkeypatch.setattr("repro.faas.client.get_reactor", lambda: reactor)
 
-    plain = FaasClient(cloud, token, site=testbed.theta_login)
-    try:
-        with at_site(testbed.theta_login):
-            start = clock.now()
-            plain.run(_add, endpoint.endpoint_id, 1, b=1).result(timeout=60)
-            baseline = clock.now() - start
-    finally:
-        plain.close()
+    def lone_task_charge(**client_kwargs):
+        del recording_clock.charges[:]
+        client = FaasClient(
+            cloud, token, site=testbed.theta_login, clock=recording_clock, **client_kwargs
+        )
+        try:
+            with at_site(testbed.theta_login):
+                assert client.run(_add, endpoint.endpoint_id, 2, b=2).result(timeout=60) == 4
+        finally:
+            client.close()
+        return sum(recording_clock.charged())
 
-    batched = _batched_client(testbed, cloud, token, policy=policy)
-    try:
-        with at_site(testbed.theta_login):
-            start = clock.now()
-            batched.run(_add, endpoint.endpoint_id, 2, b=2).result(timeout=60)
-            lone = clock.now() - start
-    finally:
-        batched.close()
-    # Epsilon absorbs the sampled network latencies; the bound it protects
-    # is the adaptive hold collapsing to min_hold when the batcher is idle.
-    assert lone <= baseline + policy.flush_deadline + 0.25
+    baseline = lone_task_charge()
+    assert reactor.holds == []
+    lone = lone_task_charge(batch=policy)
+    # The idle batcher's hold collapsed to min_hold ...
+    assert reactor.holds == [policy.min_hold]
+    # ... and batching charged the lone task nothing beyond it; epsilon
+    # absorbs the sampled network latencies of two separate runs.
+    assert lone + sum(reactor.holds) <= baseline + policy.flush_deadline + 0.25
 
 
 def test_rejected_members_split_back_into_singles(rig):

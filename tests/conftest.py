@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -9,7 +11,7 @@ from repro.apps.environment import clear_software
 from repro.batch.reactor import reset_reactor
 from repro.bench.recording import set_global_log
 from repro.chaos.plan import set_injector
-from repro.net.clock import reset_clock
+from repro.net.clock import get_clock, reset_clock
 from repro.net.defaults import build_paper_testbed
 from repro.observe import set_metrics, set_tracer
 from repro.proxystore.store import clear_store_registry
@@ -52,3 +54,36 @@ def clean_state():
 @pytest.fixture
 def testbed():
     return build_paper_testbed(seed=42)
+
+
+class RecordingClock:
+    """The process clock plus a log of every modelled charge paid through it.
+
+    Hand it to a component as ``clock=`` and each ``sleep`` that component
+    makes is recorded as ``(thread name, nominal seconds)`` before it is
+    paid.  Timestamps, scale and timeouts are the process clock's, so
+    recorded and unrecorded components still agree on what time it is.
+    Tests compare these *modelled* charges instead of wall-derived elapsed
+    time, which host load magnifies by ``1 / time_scale``.
+    """
+
+    def __init__(self) -> None:
+        self._clock = get_clock()
+        self.charges: list[tuple[str, float]] = []
+
+    def sleep(self, nominal_seconds: float) -> None:
+        if nominal_seconds > 0:
+            self.charges.append((threading.current_thread().name, nominal_seconds))
+        self._clock.sleep(nominal_seconds)
+
+    def __getattr__(self, name: str):
+        return getattr(self._clock, name)
+
+    def charged(self, thread: str | None = None) -> list[float]:
+        """The charges so far, optionally only those one thread paid."""
+        return [s for name, s in list(self.charges) if thread in (None, name)]
+
+
+@pytest.fixture
+def recording_clock(clean_state):
+    return RecordingClock()

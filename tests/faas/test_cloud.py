@@ -96,6 +96,27 @@ def test_task_lifecycle(rig):
     assert deserialize(payload)["value"] == 4
 
 
+def test_batched_result_read_fails_per_member(rig):
+    """One call, outcomes aligned with the ids: a finished task yields its
+    payload; an unfinished or unknown one yields its own error and does not
+    fail its batch-mates."""
+    cloud, token, endpoint_id = rig
+    func_id = cloud.register_function(token, serialize(_square))
+    done, waiting = (
+        cloud.submit(token, "c", func_id, endpoint_id, serialize(((n,), {})))
+        for n in (2, 3)
+    )
+    cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
+    cloud.report_result(token, endpoint_id, done, True, serialize({"value": 4}))
+
+    outcomes = cloud.get_result_payloads(token, [waiting, done, "task-ghost", done])
+    assert [type(o) for o in outcomes] == [WorkflowError, tuple, WorkflowError, tuple]
+    assert outcomes[1][0] is TaskStatus.SUCCESS
+    assert outcomes[1] == cloud.get_result_payload(token, done)
+    with pytest.raises(AuthenticationError):
+        cloud.get_result_payloads(None, [done])  # auth covers the whole call
+
+
 def test_result_before_completion_rejected(rig):
     cloud, token, endpoint_id = rig
     func_id = cloud.register_function(token, serialize(_square))

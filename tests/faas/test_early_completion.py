@@ -1,0 +1,100 @@
+"""A completion may beat the registration of its own future.
+
+The task id a future is registered under only exists once the cloud's
+submit call returns.  With a fast enough fabric the task has by then run
+and its result doorbell has been consumed — and acked — by the notifier,
+which found nobody waiting for that id.  The client parks such ids and
+``_register`` delivers them, so the future still resolves.
+"""
+
+from __future__ import annotations
+
+import time
+
+import pytest
+
+from repro.batch import BatchPolicy
+from repro.faas import SCOPE_COMPUTE, AuthServer, FaasClient, FaasCloud
+from repro.faas.client import _EARLY_ARRIVALS_MAX
+from repro.faas.cloud import result_topic
+from repro.net.context import at_site
+from repro.observe import MetricsRegistry, set_metrics
+from repro.serialize import serialize
+
+
+def _noop():
+    return None
+
+
+class _InstantCloud(FaasCloud):
+    """Every task completes — and the client's notifier consumes and acks
+    its result doorbell — *inside* the submit call that mints its id."""
+
+    def _complete_before_returning(self, token, client_id, endpoint_id, task_ids):
+        self.fetch_tasks(token, endpoint_id, len(task_ids), 0.0)
+        for task_id in task_ids:
+            self.report_result(
+                token,
+                endpoint_id,
+                task_id,
+                True,
+                serialize({"success": True, "value": f"early:{task_id}"}),
+            )
+        deadline = time.monotonic() + 30
+        while self.bus.unacked(result_topic(client_id), client_id):
+            assert time.monotonic() < deadline, "the notifier never took the doorbell"
+            time.sleep(0.001)
+
+    def submit(self, token, client_id, func_id, endpoint_id, args_payload, **kwargs):
+        task_id = super().submit(
+            token, client_id, func_id, endpoint_id, args_payload, **kwargs
+        )
+        self._complete_before_returning(token, client_id, endpoint_id, [task_id])
+        return task_id
+
+    def submit_batch(self, token, client_id, items, **kwargs):
+        outcomes = super().submit_batch(token, client_id, items, **kwargs)
+        self._complete_before_returning(
+            token, client_id, items[0].endpoint_id, outcomes
+        )
+        return outcomes
+
+
+@pytest.fixture
+def rig(testbed):
+    metrics = MetricsRegistry()
+    set_metrics(metrics)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = _InstantCloud(testbed.faas_cloud, testbed.network, auth, testbed.constants)
+    endpoint_id = cloud.register_endpoint(token, "theta", testbed.theta_compute)
+    return testbed, cloud, token, endpoint_id, metrics
+
+
+@pytest.mark.parametrize(
+    "batch", [None, BatchPolicy(max_batch=3)], ids=["single", "batched"]
+)
+def test_completion_published_inside_submit_still_resolves_the_future(rig, batch):
+    testbed, cloud, token, endpoint_id, metrics = rig
+    client = FaasClient(cloud, token, site=testbed.theta_login, batch=batch)
+    try:
+        with at_site(testbed.theta_login):
+            futures = [client.run(_noop, endpoint_id) for _ in range(3)]
+        for future in futures:
+            assert future.result(timeout=30) == f"early:{future.task_id}"
+    finally:
+        client.close()
+    assert metrics.counter_total("client.early_completions") == 3
+    assert client._early == {}
+
+
+def test_early_arrival_window_is_bounded(rig):
+    testbed, cloud, token, _endpoint_id, _metrics = rig
+    client = FaasClient(cloud, token, site=testbed.theta_login)
+    try:
+        strangers = [f"task-{i:08d}" for i in range(_EARLY_ARRIVALS_MAX + 10)]
+        client._handle_completions(strangers)
+        # Oldest first out: ids nobody ever registers cannot pile up.
+        assert list(client._early) == strangers[10:]
+    finally:
+        client.close()

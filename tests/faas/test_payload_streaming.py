@@ -1,0 +1,433 @@
+"""Payloads follow the batch: one WAN latency per fetched round and per
+downloaded round, everything else per task.
+
+The hops under test are the endpoint's argument download
+(``FaasEndpoint._dispatch``) and the client's result download
+(``FaasClient._handle_completions``).  Latencies are fixed, so every
+modelled charge is an exact number and the tests compare charge lists, not
+elapsed time.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+
+import pytest
+
+from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
+from repro.chaos.policy import RetryPolicy
+from repro.faas import (
+    SCOPE_COMPUTE,
+    AuthServer,
+    FaasClient,
+    FaasCloud,
+    FaasEndpoint,
+)
+from repro.faas.cloud import result_topic
+from repro.net.context import at_site
+from repro.net.defaults import PaperConstants, build_paper_testbed
+from repro.net.topology import FixedLatency
+from repro.observe import (
+    MetricsRegistry,
+    Tracer,
+    find_orphans,
+    set_metrics,
+    set_tracer,
+)
+from repro.resources import WorkerPool
+from repro.serialize import Blob, deserialize_cost, serialize
+
+WAN = 0.028
+REDIS = 0.25
+API = 0.012
+FIXED = PaperConstants(
+    cloud_latency=FixedLatency(WAN),
+    faas_api_latency=FixedLatency(API),
+    faas_redis_latency=FixedLatency(REDIS),
+    intra_facility_latency=FixedLatency(0.0002),
+    # Generous: lease expiry is not under test and 15 s is 30 ms of wall.
+    endpoint_lease_ttl=600.0,
+)
+#: Lands every argument and result payload in the redis tier (4 kB..20 kB).
+PAD = 10_000
+
+
+def _echo(index, pad):
+    return index, pad
+
+
+class Rig:
+    """A cloud plus one endpoint and one client, all charging through the
+    recording clock.  ``run_endpoint=False`` leaves the agent unstarted so a
+    test can drive the cloud's endpoint-side API by hand."""
+
+    def __init__(self, clock, *, run_endpoint=True, cloud_cls=FaasCloud, **client_kwargs):
+        self.clock = clock
+        self.metrics = MetricsRegistry()
+        set_metrics(self.metrics)
+        self.testbed = build_paper_testbed(seed=5, constants=FIXED)
+        auth = AuthServer()
+        self.token = auth.issue_token(
+            auth.register_identity("u", "anl"), {SCOPE_COMPUTE}
+        )
+        self.cloud = cloud_cls(
+            self.testbed.faas_cloud, self.testbed.network, auth, FIXED, clock
+        )
+        self.pool = WorkerPool(self.testbed.theta_compute, 4, name="stream-pool")
+        self.endpoint = FaasEndpoint(
+            "theta",
+            self.cloud,
+            self.token,
+            self.testbed.theta_login,
+            self.pool,
+            clock=clock,
+        )
+        if run_endpoint:
+            self.endpoint.start()
+        else:
+            self.pool.start()
+        self.ep_id = self.endpoint.endpoint_id
+        self.client_kwargs = client_kwargs
+        self.client = self.new_client()
+        with at_site(self.testbed.theta_login):
+            self.func_id = self.client.register_function(_echo)
+
+    def new_client(self, **kwargs):
+        return FaasClient(
+            self.cloud,
+            self.token,
+            site=self.testbed.theta_login,
+            clock=self.clock,
+            **{**self.client_kwargs, **kwargs},
+        )
+
+    def submit(self, index):
+        with at_site(self.testbed.theta_login):
+            return self.client.submit(self.func_id, self.ep_id, index, Blob(PAD))
+
+    def transfer(self, nbytes):
+        """One streamed response over the cloud link: a latency plus bytes."""
+        return WAN + nbytes / FIXED.cloud_bandwidth
+
+    def args_size(self, task_id):
+        record = self.cloud.task(task_id)
+        return self.cloud.store.raw(record.args_locator).payload.nominal_size
+
+    def result_size(self, task_id):
+        record = self.cloud.task(task_id)
+        return self.cloud.store.raw(record.result_locator).payload.nominal_size
+
+    # -- the endpoint side of the cloud API, by hand -------------------------
+    def fetch(self):
+        return self.cloud.fetch_tasks(self.token, self.ep_id, 32, 0.0)
+
+    def report(self, *task_ids, value="done", coalesced=True):
+        """Report results as the endpoint would: in ONE batched uplink (one
+        coalesced doorbell; sub-20 kB results ride it inline), or one call
+        and one doorbell per task (results land in the redis tier)."""
+        results = [
+            (task_id, True, serialize({"success": True, "value": (value, Blob(PAD))}))
+            for task_id in task_ids
+        ]
+        if coalesced:
+            self.cloud.report_results(self.token, self.ep_id, results)
+        else:
+            for result in results:
+                self.cloud.report_result(self.token, self.ep_id, *result)
+
+    def histogram(self, name):
+        return [
+            value
+            for hist_name, _labels, hist in self.metrics.histograms()
+            if hist_name == name
+            for value in hist.values()
+        ]
+
+    def close(self):
+        if self.client._running:  # neither closed nor killed by the test
+            self.client.close()
+        self.endpoint.stop()
+        self.pool.stop()
+        set_injector(None)
+
+
+@pytest.fixture
+def make_rig(recording_clock):
+    rigs = []
+
+    def make(**kwargs):
+        rigs.append(Rig(recording_clock, **kwargs))
+        return rigs[-1]
+
+    yield make
+    for rig in rigs:
+        rig.close()
+
+
+def _wait_for(predicate, wall_seconds=30.0):
+    deadline = time.monotonic() + wall_seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def _hold_notifier(rig):
+    """Park the client's notifier thread inside a done-callback; returns the
+    event that releases it.  Whatever completes meanwhile is announced by
+    doorbells the notifier picks up together, in one round."""
+    gate, parked = threading.Event(), threading.Event()
+
+    def park(_future):
+        parked.set()
+        gate.wait(30)
+
+    live = rig.endpoint._running
+    if live:
+        rig.endpoint.pause()  # the callback must be on before the result is
+    sentinel = rig.submit(-1)
+    sentinel.add_done_callback(park)
+    if live:
+        rig.endpoint.resume()
+    else:
+        (dispatch,) = rig.fetch()
+        rig.report(dispatch.task_id)
+    assert parked.wait(30)
+    return gate
+
+
+def _all_terminal(rig, futures):
+    return all(rig.cloud.task(f.task_id).status.terminal for f in futures)
+
+
+# -- a round of one is the single path ---------------------------------------------
+def test_lone_task_charges_what_the_single_path_always_has(make_rig):
+    """k=1 on both hops, in the real loops: the poll thread's and the
+    notifier thread's charge lists are the unbatched path's, number for
+    number (this test passes unchanged on the commit before streaming)."""
+    rig = make_rig()
+    rig.submit(0).result(timeout=60)  # warm-up: the endpoint caches the function
+    del rig.clock.charges[:]
+    future = rig.submit(1)
+    assert future.result(timeout=60)[0] == 1
+    task_id = future.task_id
+
+    fetched = [
+        WAN,  # fetch request
+        WAN,  # fetch response
+        REDIS,  # argument read
+        rig.transfer(rig.args_size(task_id)),
+    ]
+    assert rig.clock.charged("faas-ep-theta-poll") == fetched
+    size = rig.result_size(task_id)
+    downloaded = [
+        WAN,  # notification push
+        REDIS,  # result read
+        rig.transfer(size),
+        deserialize_cost(size),
+    ]
+    assert rig.clock.charged("faas-client-notify") == downloaded
+
+
+# -- the fetched round -------------------------------------------------------------
+def test_fetched_round_pays_one_latency_for_all_arguments(make_rig):
+    rig = make_rig(run_endpoint=False)
+    futures = [rig.submit(i) for i in range(3)]
+    dispatches = rig.fetch()
+    assert len(dispatches) == 3
+    rig.endpoint._functions[rig.func_id] = _echo  # keep the function fetch out
+    del rig.clock.charges[:]
+    rig.endpoint._dispatch(dispatches)
+
+    sizes = [rig.args_size(f.task_id) for f in futures]
+    me = threading.current_thread().name
+    assert rig.clock.charged(me) == [REDIS, REDIS, REDIS, rig.transfer(sum(sizes))]
+    assert rig.histogram("endpoint.fetch_batch_size") == [3]
+
+
+def test_store_fault_on_a_fetched_member_fails_only_that_member(make_rig):
+    rig = make_rig(retry_policy=RetryPolicy(max_attempts=3, base_delay=0.05))
+    rig.submit(-1).result(timeout=60)  # warm-up
+    rig.endpoint.pause()
+    futures = [rig.submit(i) for i in range(3)]
+    injector = FaultInjector(
+        FaultPlan.build(0, [FaultSpec("cloud.store.read", "store_corrupt", max_fires=1)])
+    )
+    set_injector(injector)
+    rig.endpoint.resume()
+    assert [f.result(timeout=60)[0] for f in futures] == [0, 1, 2]
+
+    assert 3 in rig.histogram("endpoint.fetch_batch_size")
+    assert injector.fire_count(hook="cloud.store.read") == 1
+    # One member's download failed: one dispatch error, one burned attempt,
+    # and nobody else in the round was touched or re-executed.
+    assert rig.metrics.counter_total("endpoint.dispatch_errors") == 1
+    assert rig.metrics.counter_total("client.retries") == 1
+    assert rig.metrics.counter_total("endpoint.executions") == 4  # warm-up + 3
+
+
+# -- the downloaded round ----------------------------------------------------------
+def test_downloaded_round_pays_one_latency_for_all_results(make_rig):
+    """Three doorbells of one id each, picked up in one round: one push
+    latency and one streamed response, three reads and deserializations."""
+    rig = make_rig(run_endpoint=False)
+    gate = _hold_notifier(rig)
+    futures = [rig.submit(i) for i in range(3)]
+    task_ids = [d.task_id for d in rig.fetch()]
+    rig.report(*task_ids, coalesced=False)
+    del rig.clock.charges[:]
+    gate.set()
+    assert [f.result(timeout=60)[0] for f in futures] == ["done"] * 3
+
+    sizes = [rig.result_size(task_id) for task_id in task_ids]
+    assert rig.clock.charged("faas-client-notify") == [
+        WAN,  # ONE notification push
+        REDIS,
+        REDIS,
+        REDIS,
+        rig.transfer(sum(sizes)),  # ONE streamed response
+        *[deserialize_cost(size) for size in sizes],
+    ]
+    assert rig.histogram("client.download_batch_size") == [1, 3]
+    # Every envelope was acked once its ids had been settled.
+    topic = result_topic(rig.client.client_id)
+    rig.client.close()
+    assert rig.cloud.bus.unacked(topic, rig.client.client_id) == []
+
+
+def test_coalesced_doorbell_is_one_round(make_rig):
+    rig = make_rig(run_endpoint=False)
+    futures = [rig.submit(i) for i in range(3)]
+    task_ids = [d.task_id for d in rig.fetch()]
+    del rig.clock.charges[:]
+    rig.report(*task_ids)
+    assert [f.result(timeout=60)[0] for f in futures] == ["done"] * 3
+
+    sizes = [rig.result_size(task_id) for task_id in task_ids]
+    # The batched uplink carried the results inline: no store-tier charge.
+    assert rig.clock.charged("faas-client-notify") == [
+        WAN,
+        rig.transfer(sum(sizes)),
+        *[deserialize_cost(size) for size in sizes],
+    ]
+    assert rig.histogram("client.download_batch_size") == [3]
+
+
+def test_store_fault_on_a_downloaded_member_fails_only_that_member(make_rig):
+    rig = make_rig(retry_policy=RetryPolicy(max_attempts=3, base_delay=0.05))
+    gate = _hold_notifier(rig)
+    futures = [rig.submit(i) for i in range(3)]
+    _wait_for(lambda: _all_terminal(rig, futures))
+    executed = rig.metrics.counter_total("endpoint.executions")
+    injector = FaultInjector(
+        FaultPlan.build(0, [FaultSpec("cloud.store.read", "store_corrupt", max_fires=1)])
+    )
+    set_injector(injector)
+    gate.set()
+    assert [f.result(timeout=60)[0] for f in futures] == [0, 1, 2]
+
+    assert 3 in rig.histogram("client.download_batch_size")
+    assert injector.fire_count(hook="cloud.store.read") == 1
+    assert rig.metrics.counter_total("client.retries") == 1
+    # The two healthy members settled from the one download: only the
+    # corrupt one ran again.
+    assert rig.metrics.counter_total("endpoint.executions") == executed + 1
+
+
+# -- delivery guarantees across the merged round ------------------------------------
+class _DiesAfterDownload(FaasCloud):
+    """The client process dies with a round downloaded: nothing settled,
+    nothing acked.  (``SystemExit`` ends the notifier thread silently, the
+    way a dead process takes its threads with it.)"""
+
+    die = False
+
+    def get_result_payloads(self, token, task_ids):
+        outcomes = super().get_result_payloads(token, task_ids)
+        if self.die:
+            raise SystemExit
+        return outcomes
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_kill_between_download_and_ack_redelivers_every_unsettled_id(make_rig):
+    rig = make_rig(run_endpoint=False, cloud_cls=_DiesAfterDownload, client_id="campaign")
+    doomed = [rig.submit(i) for i in range(3)]
+    task_ids = [d.task_id for d in rig.fetch()]
+    rig.cloud.die = True
+    rig.report(*task_ids)
+    rig.client._notifier.join(30)
+    assert not rig.client._notifier.is_alive()
+    rig.client.kill()
+    rig.cloud.die = False
+    assert not any(f.done() for f in doomed)
+    # The round's envelope was never acked: the broker still owes it.
+    topic = result_topic("campaign")
+    assert rig.cloud.bus.unacked(topic, "campaign") != []
+
+    successor = rig.new_client()
+    try:
+        adopted = [successor.attach(task_id, endpoint_id=rig.ep_id) for task_id in task_ids]
+        assert [f.result(timeout=60)[0] for f in adopted] == ["done"] * 3
+    finally:
+        successor.close()
+    assert rig.cloud.bus.unacked(topic, "campaign") == []
+
+
+def test_hedge_winner_and_loser_in_one_round_resolve_the_future_once(make_rig):
+    from repro.resilience import HedgePolicy
+
+    rig = make_rig(run_endpoint=False)
+    other = rig.cloud.register_endpoint(rig.token, "spare", rig.testbed.theta_compute)
+    with at_site(rig.testbed.theta_login):
+        future = rig.client.submit(
+            rig.func_id,
+            rig.ep_id,
+            7,
+            Blob(PAD),
+            _hedge=HedgePolicy(endpoints=(other,), delay=0.5),
+        )
+    _wait_for(lambda: rig.metrics.counter_total("client.hedges_launched") == 1)
+    (primary,) = rig.fetch()
+    (hedge,) = rig.cloud.fetch_tasks(rig.token, other, 32, 0.0)
+    gate = _hold_notifier(rig)
+    # Both legs finish while the notifier is away; the hedge reports first.
+    rig.cloud.report_result(
+        rig.token, other, hedge.task_id, True, serialize({"success": True, "value": "hedge"})
+    )
+    rig.report(primary.task_id, value="primary")
+    gate.set()
+
+    assert future.result(timeout=60) == "hedge"
+    assert 2 in rig.histogram("client.download_batch_size")
+    assert rig.metrics.counter_total("client.hedges") == 1  # won, once
+    # The notifier survived settling both legs (a second set_result would
+    # have killed it) and still delivers.
+    follow_up = rig.submit(8)
+    (dispatch,) = rig.fetch()
+    rig.report(dispatch.task_id)
+    assert follow_up.result(timeout=60)[0] == "done"
+
+
+# -- observability -------------------------------------------------------------------
+def test_every_task_keeps_its_own_fetch_and_download_span(make_rig):
+    tracer = Tracer()
+    set_tracer(tracer)
+    rig = make_rig()
+    gate = _hold_notifier(rig)
+    rig.endpoint.pause()
+    futures = [rig.submit(i) for i in range(3)]
+    rig.endpoint.resume()  # one fetched round of three ...
+    _wait_for(lambda: _all_terminal(rig, futures))
+    gate.set()  # ... and one downloaded round of three
+    assert [f.result(timeout=60)[0] for f in futures] == [0, 1, 2]
+
+    spans = tracer.spans()
+    assert find_orphans(spans) == []
+    for future in futures:
+        trace_id = rig.cloud.task(future.task_id).trace_ctx[0]
+        mine = [s for s in spans if s.trace_id == trace_id]
+        for name in ("endpoint.fetch", "result.download"):
+            (span,) = [s for s in mine if s.name == name]
+            assert span.tags["batch_size"] == 3
+            assert span.parent_id is not None and span.end >= span.start

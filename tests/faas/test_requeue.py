@@ -142,3 +142,64 @@ def test_endpoint_resume_with_reclaim_end_to_end(testbed):
     finally:
         client.close()
         endpoint.stop()
+
+
+class _ManualClock:
+    """Time moves only when a modelled charge (or the test) moves it."""
+
+    time_scale = 1.0
+
+    def __init__(self):
+        self._now = 0.0
+
+    def now(self):
+        return self._now
+
+    def sleep(self, nominal_seconds):
+        self._now += max(nominal_seconds, 0.0)
+
+    def wall_timeout(self, nominal_seconds):
+        return None if nominal_seconds is None else 0.0
+
+
+def test_stale_report_racing_a_failover_leaves_the_rehomed_task_queued(testbed):
+    """The old owner's report is mid-flight (result written, not yet
+    finalized) when its lease lapses and the task fails over.  The report
+    must be refused as a stale lease *without* pulling the task's queued
+    copy out from under its new owner — that left the record WAITING in no
+    queue, lost for good."""
+    from repro.exceptions import LeaseExpiredError
+
+    clock = _ManualClock()
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = FaasCloud(
+        testbed.faas_cloud, testbed.network, auth, testbed.constants, clock
+    )
+    old, new = (
+        cloud.register_endpoint(token, name, testbed.theta_compute, failover_group="pair")
+        for name in ("old", "new")
+    )
+    func_id = cloud.register_function(token, serialize(_fn))
+    cloud.heartbeat(token, old)
+    task_id = cloud.submit(token, "c", func_id, old, serialize(((1,), {})))
+    assert [d.task_id for d in cloud.fetch_tasks(token, old, 1, timeout=0.0)] == [task_id]
+
+    write = cloud.store.write
+
+    def write_then_lose_the_lease(payload, **kwargs):
+        locator = write(payload, **kwargs)
+        clock.sleep(cloud.constants.endpoint_lease_ttl + 1.0)
+        cloud.heartbeat(token, new)  # the survivor's beat reaps `old`
+        return locator
+
+    cloud.store.write = write_then_lose_the_lease
+    with pytest.raises(LeaseExpiredError):
+        cloud.report_result(
+            token, old, task_id, True, serialize({"success": True, "value": 1})
+        )
+    cloud.store.write = write
+
+    record = cloud.task(task_id)
+    assert (record.status, record.endpoint_id) == (TaskStatus.WAITING, new)
+    assert [d.task_id for d in cloud.fetch_tasks(token, new, 1, timeout=0.0)] == [task_id]

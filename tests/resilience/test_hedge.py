@@ -45,7 +45,7 @@ def _count(metrics, name, **labels):
 class HedgeRig:
     """Two-endpoint fabric with an optional gray (slow) primary."""
 
-    def __init__(self, seed=11, specs=(), retry_policy=None):
+    def __init__(self, seed=11, specs=(), retry_policy=None, failover_group="pair"):
         self.metrics = MetricsRegistry()
         set_metrics(self.metrics)
         self.injector = FaultInjector(FaultPlan.build(seed, specs))
@@ -65,7 +65,7 @@ class HedgeRig:
                 self.token,
                 self.testbed.theta_login,
                 WorkerPool(self.testbed.theta_compute, 2, name=f"{name}-pool"),
-                failover_group="pair",
+                failover_group=failover_group,
             ).start()
             for name in ("ep-a", "ep-b")
         ]
@@ -117,7 +117,13 @@ def test_hedge_wins_against_a_gray_primary():
 
 
 def test_hedge_loses_while_still_queued():
-    rig = HedgeRig(specs=[_gray("ep-a", 4.0)])
+    # No failover group here: a paused endpoint stops heartbeating, and its
+    # 30 s lease is only ~60 ms of wall time at the test scale.  On a loaded
+    # host the lease lapsed before the primary finished, the group failed
+    # the parked duplicate over to ep-a, it executed there, and the loss
+    # was (correctly) counted as ``wasted`` instead of ``lost``.  Without a
+    # group a lapsed lease leaves the queued leg where it is.
+    rig = HedgeRig(specs=[_gray("ep-a", 4.0)], failover_group=None)
     try:
         ep_a, ep_b = (e.endpoint_id for e in rig.endpoints)
         rig.endpoints[1].pause()  # the hedge target parks the duplicate

@@ -11,7 +11,7 @@ from repro.exceptions import (
 from repro.faas import SCOPE_COMPUTE, AuthServer, FaasClient, FaasEndpoint
 from repro.net.context import at_site
 from repro.resources import WorkerPool
-from repro.serialize import serialize
+from repro.serialize import deserialize, serialize
 from repro.tenancy import CloudRouter, tenant_scope
 
 
@@ -185,3 +185,61 @@ def test_function_name_derived_and_sanitized(rig):
         finally:
             weird.__name__ = "_mul"
         assert anonymous.startswith("fn-") and "<" not in anonymous
+
+
+def test_batched_result_read_scatters_by_shard_and_survives_a_dark_one(testbed):
+    """``get_result_payloads`` across two shards: outcomes come back in the
+    order the ids went in, a shard inside an outage window still serves its
+    results (reads are never gated), and a shard whose call fails outright
+    fails only its own members."""
+    from repro.exceptions import ShardUnavailableError
+    from repro.faas.cloud import TaskStatus
+
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    router = CloudRouter(
+        testbed.faas_cloud, testbed.network, auth, testbed.constants, n_shards=2
+    )
+    endpoint_id = router.register_endpoint(token, "theta", testbed.theta_compute)
+    # Functions hash to shards: register until both shards own one.
+    owners: dict[str, str] = {}
+    while len(owners) < 2:
+        func_id = router.register_function(token, serialize(_add))
+        owners.setdefault(router._shard_for_partition("default", func_id), func_id)
+    task_ids = [
+        router.submit(token, "c", owners[shard_id], endpoint_id, serialize(((n, n), {})))
+        for n, shard_id in enumerate(["s0", "s1", "s0", "s1"])
+    ]
+    for dispatch in router.fetch_tasks(token, endpoint_id, 10, timeout=1.0):
+        router.report_result(
+            token, endpoint_id, dispatch.task_id, True, serialize({"id": dispatch.task_id})
+        )
+
+    def ids_read(outcomes):
+        return [
+            deserialize(o[1])["id"] if isinstance(o, tuple) else type(o)
+            for o in outcomes
+        ]
+
+    asked = [task_ids[3], task_ids[0], "task-s9-00000000", task_ids[1], task_ids[2]]
+    aligned = [task_ids[3], task_ids[0], WorkflowError, task_ids[1], task_ids[2]]
+    outcomes = router.get_result_payloads(token, asked)
+    assert ids_read(outcomes) == aligned
+    assert all(o[0] is TaskStatus.SUCCESS for o in outcomes if isinstance(o, tuple))
+
+    router._begin_outage("s1")  # admission is dark; the data plane is not
+    assert ids_read(router.get_result_payloads(token, asked)) == aligned
+
+    def down(_token, _task_ids):
+        raise ShardUnavailableError("shard s1 is gone", retry_after=1.0)
+
+    router.shard("s1").get_result_payloads = down
+    assert ids_read(router.get_result_payloads(token, asked)) == [
+        ShardUnavailableError,
+        task_ids[0],
+        WorkflowError,
+        ShardUnavailableError,
+        task_ids[2],
+    ]
+    with pytest.raises(ShardUnavailableError):
+        router.get_result_payload(token, task_ids[1])
