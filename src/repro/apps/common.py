@@ -150,7 +150,6 @@ def build_workflow(
     faas_cloud: object | None = None,
     tenant: str = "default",
     elastic: bool = False,
-    task_batching: object | None = None,
 ) -> WorkflowHandle:
     """Assemble one of the three §V-B workflow stacks on ``testbed``.
 
@@ -173,12 +172,6 @@ def build_workflow(
     :class:`~repro.elastic.ElasticWorkerPool`\\ s (same initial sizes), so a
     :class:`~repro.elastic.SteeringPolicy` or :class:`~repro.elastic.Autoscaler`
     can resize them mid-campaign.
-
-    ``task_batching`` turns on the :mod:`repro.batch` hot path for the
-    FuncX stack: ``True`` uses the default :class:`~repro.batch.BatchPolicy`,
-    or pass a policy instance to tune it.  The client coalesces submits per
-    endpoint and both endpoints batch their result uplinks.  Ignored for
-    the Parsl configurations, which bypass the cloud entirely.
     """
     if config not in WORKFLOW_CONFIGS:
         raise WorkflowError(f"unknown workflow config {config!r}; pick from {WORKFLOW_CONFIGS}")
@@ -344,30 +337,11 @@ def build_workflow(
         if tenant != DEFAULT_TENANT:
             scopes.add(tenant_scope(tenant))
         token = auth.issue_token(identity, scopes)
-        batch_policy = None
-        if task_batching:
-            from repro.batch import BatchPolicy
-
-            batch_policy = (
-                task_batching
-                if isinstance(task_batching, BatchPolicy)
-                else BatchPolicy()
-            )
         ep_cpu = FaasEndpoint(
-            f"{run_id}-theta",
-            cloud,
-            token,
-            testbed.theta_login,
-            cpu_pool,
-            uplink_batching=batch_policy is not None,
+            f"{run_id}-theta", cloud, token, testbed.theta_login, cpu_pool
         ).start()
         ep_gpu = FaasEndpoint(
-            f"{run_id}-venti",
-            cloud,
-            token,
-            testbed.venti,
-            gpu_pool,
-            uplink_batching=batch_policy is not None,
+            f"{run_id}-venti", cloud, token, testbed.venti, gpu_pool
         ).start()
         endpoints = [ep_cpu, ep_gpu]
         faas_client = FaasClient(
@@ -376,7 +350,6 @@ def build_workflow(
             site=testbed.theta_login,
             retry_policy=faas_retry_policy,
             tenant=tenant,
-            batch=batch_policy,
         )
         targets = {"cpu": ep_cpu.endpoint_id, "gpu": ep_gpu.endpoint_id}
         task_server = FuncXTaskServer(

@@ -167,7 +167,6 @@ def run_finetuning_campaign(
         faas_cloud=faas_cloud,
         tenant=tenant,
         elastic=config.elastic_steering,
-        task_batching=config.task_batching,
     )
     steering = None
     if config.elastic_steering:

@@ -71,11 +71,6 @@ class FineTuneConfig:
     #: models land.  Off reproduces the static-pool seed behavior.
     elastic_steering: bool = False
 
-    #: Route submits and result uplinks through the :mod:`repro.batch`
-    #: adaptive-batching hot path (FuncX configurations only) — sampling
-    #: and inference storms pay one cloud round trip per batch instead of
-    #: per task.  Off reproduces the per-task seed behavior.
-    task_batching: bool = False
     #: (cpu, gpu) worker weights at the retrain trigger / after the batch.
     steer_train_weights: tuple[float, float] = (1.0, 2.0)
     steer_sim_weights: tuple[float, float] = (3.0, 1.0)

@@ -130,7 +130,6 @@ def run_moldesign_campaign(
         faas_cloud=faas_cloud,
         tenant=tenant,
         elastic=config.elastic_steering,
-        task_batching=config.task_batching,
     )
     steering = None
     if config.elastic_steering:

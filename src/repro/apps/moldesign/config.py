@@ -72,11 +72,6 @@ class MolDesignConfig:
     #: Off reproduces the static-pool seed behavior.
     elastic_steering: bool = False
 
-    #: Route submits and result uplinks through the :mod:`repro.batch`
-    #: adaptive-batching hot path (FuncX configurations only) — inference
-    #: storms pay one cloud round trip per batch instead of per task.  Off
-    #: reproduces the per-task seed behavior.
-    task_batching: bool = False
     #: (cpu, gpu) worker weights applied at the learning threshold
     #: (retrain triggered) and after the batch completes, respectively.
     steer_train_weights: tuple[float, float] = (1.0, 2.0)

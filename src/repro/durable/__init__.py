@@ -4,8 +4,8 @@ The paper's thesis leans on cloud services *outliving* any single process
 or allocation.  This package makes that literal for the reproduction:
 
 * :class:`Journal` — append-only JSONL write-ahead log with snapshot
-  compaction over a simulated durable medium (``repro.net.fs`` volume or
-  ``repro.net.kvstore`` server), charged I/O as the fsync;
+  compaction over a simulated durable medium (a ``repro.net.fs``
+  volume), charged I/O as the fsync;
 * :func:`recover_cloud` — rebuild a discarded
   :class:`~repro.faas.cloud.FaasCloud`/shard from snapshot + log replay
   with exactly-once semantics (ledger dedupe, in-flight re-lease,
@@ -18,7 +18,6 @@ from repro.durable.checkpoint import CampaignCheckpoint
 from repro.durable.journal import (
     FileJournalBackend,
     Journal,
-    KVJournalBackend,
     decode_payload,
     encode_payload,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "CampaignCheckpoint",
     "FileJournalBackend",
     "Journal",
-    "KVJournalBackend",
     "RecoveryReport",
     "ResumeReport",
     "decode_payload",

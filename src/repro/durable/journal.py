@@ -5,17 +5,21 @@ single allocation because its state is durable: a crashed service instance
 is replaced and the replacement reads queues and task records back from
 storage.  :class:`Journal` reproduces that property for the simulated
 control plane: an append-only JSONL log over a simulated durable medium
-(:class:`repro.net.fs.FileSystem` or :class:`repro.net.kvstore.KVServer`),
-with *fsync points* — each :meth:`Journal.append` charges the medium's
-write cost before returning, so the journal entry is on "disk" before the
-in-memory mutation it guards becomes visible.
+(:class:`repro.net.fs.FileSystem`), with *fsync points* — each
+:meth:`Journal.append` charges the medium's write cost before returning, so
+the journal entry is on "disk" before the in-memory mutation it guards
+becomes visible.
 
 Record format
 -------------
 One JSON object per line, ``sort_keys=True`` so byte content is
 deterministic::
 
-    {"type": "submit", "task_id": "task-s0-00000001", ...}
+    {"type": "submit", "client_id": ..., "tenant": ..., "tasks": [{...}]}
+
+The cloud writes one ``submit`` record per admission call and one
+``result`` record per uplink call, each carrying a list of per-task docs
+— a call that carried one task writes a list of one.
 
 Payload bytes ride inside records base64-encoded, alongside their nominal
 size (``repro.serialize.Blob`` padding makes nominal != len(data)).
@@ -45,7 +49,6 @@ __all__ = [
     "FileJournalBackend",
     "Journal",
     "JournalBackend",
-    "KVJournalBackend",
     "decode_payload",
     "encode_payload",
 ]
@@ -120,63 +123,6 @@ class FileJournalBackend:
             return self.fs.size(self.log_path)
         except FileSystemError:
             return 0
-
-
-class KVJournalBackend:
-    """Journal segments as numbered keys in a :class:`KVServer`/``KVClient``.
-
-    Each append allocates a monotonically increasing index via ``incr`` and
-    stores the record under ``{prefix}:log:{index}``; the snapshot lives at
-    ``{prefix}:snap``.  Works against either a raw :class:`KVServer` (no
-    charged latency; the server is passive) or a ``KVClient`` (the caller
-    pays the network round trips, the cloud-Redis shape).
-    """
-
-    def __init__(self, kv, prefix: str) -> None:
-        self.kv = kv
-        self.prefix = prefix
-        self._count_key = f"{prefix}:count"
-        self._snap_key = f"{prefix}:snap"
-        self._floor_key = f"{prefix}:floor"
-
-    def append(self, data: bytes) -> None:
-        index = self.kv.incr(self._count_key)
-        self.kv.set(f"{self.prefix}:log:{index}", data)
-
-    def _bounds(self) -> tuple[int, int]:
-        floor = self.kv.get(self._floor_key) or 0
-        count = self.kv.get(self._count_key) or 0
-        return int(floor), int(count)
-
-    def read_log(self) -> bytes:
-        floor, count = self._bounds()
-        parts = []
-        for index in range(floor + 1, count + 1):
-            data = self.kv.get(f"{self.prefix}:log:{index}")
-            if data is not None:
-                parts.append(data)
-        return b"".join(parts)
-
-    def save_snapshot(self, data: bytes) -> None:
-        self.kv.set(self._snap_key, data)
-
-    def load_snapshot(self) -> bytes | None:
-        return self.kv.get(self._snap_key)
-
-    def truncate_log(self) -> None:
-        floor, count = self._bounds()
-        for index in range(floor + 1, count + 1):
-            self.kv.delete(f"{self.prefix}:log:{index}")
-        self.kv.set(self._floor_key, count)
-
-    def log_bytes(self) -> int:
-        floor, count = self._bounds()
-        total = 0
-        for index in range(floor + 1, count + 1):
-            data = self.kv.get(f"{self.prefix}:log:{index}")
-            if data is not None:
-                total += len(data)
-        return total
 
 
 class Journal:

@@ -12,14 +12,18 @@ The recovery contract (funcX's "the cloud outlives the process" property):
   report that lost the in-memory re-check just before the crash, or a
   double-replayed segment) are dropped and counted in ``durable.deduped``.
   Re-executed re-leased tasks are deduped *post*-recovery by the existing
-  ``report_result`` terminal re-check.
+  ``report_results`` terminal re-check.
 * **Notifications are re-established at the acked frontier** — the bus is
   shared fabric that survives the shard crash, so unacked envelopes keep
   redelivering on their own; replay additionally re-pushes every journaled
   terminal result into the completed feed and re-publishes its result
   notification (``durable.renotified``), closing the window where a crash
   fell between the result fsync and the bus publish.  Clients drop
-  duplicates via their pending-table pop.
+  duplicates via their pending-table pop.  A report that was already
+  inside the discarded instance appends after replay's read and still
+  rings its doorbell; the rebuilt instance answers that download with
+  :class:`~repro.exceptions.ResultNotReadyError`, which clients take as
+  "still in flight", and the re-leased task completes normally.
 
 Replay pays the journal backend's read charges, so recovery time is a real
 function of journal length — ``durable.recovery_s`` is the histogram the
@@ -71,27 +75,28 @@ def _snapshot_records(state: dict):
         yield {"type": "deadletter", "op": "add", "entry": doc}
 
 
-def _expand_batches(stream):
-    """Fan a batched WAL record out into its per-task records.
+def _expand(stream):
+    """Fan ``submit`` and ``result`` WAL records out into per-task rows.
 
-    ``submit_batch``/``result_batch`` amortize the fsync but each task doc
-    inside them is a complete admission/outcome record — expanding here
-    means a mid-batch crash replays every member through the exact same
-    dedupe logic as its singular form, exactly once."""
+    One record amortizes the fsync over every task of an API call, but each
+    doc inside it is a complete admission/outcome — expanding here means a
+    crash after the append replays every member, of a batch or of a call
+    that carried one task, through the same dedupe logic exactly once.  A
+    ``submit`` member is the same row a snapshot writes for a task."""
     for record in stream:
         rtype = record["type"]
-        if rtype == "submit_batch":
+        if rtype == "submit":
             for doc in record["tasks"]:
                 yield {
-                    "type": "submit",
+                    "type": "task",
                     "client_id": record["client_id"],
                     "tenant": record["tenant"],
                     **doc,
                 }
-        elif rtype == "result_batch":
+        elif rtype == "result":
             for doc in record["results"]:
                 yield {
-                    "type": "result",
+                    "type": "task_result",
                     "endpoint_id": record["endpoint_id"],
                     **doc,
                 }
@@ -123,13 +128,12 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     snapshot, log = journal.records()  # charges the full log read: the axis
     stream = list(_snapshot_records(snapshot)) if snapshot else []
     stream.extend(log)
-    stream = list(_expand_batches(stream))
 
     next_id = int(snapshot.get("next_id", 0)) if snapshot else 0
     releases: list[TaskRecord] = []
     renotify: list[TaskRecord] = []
 
-    for record in stream:
+    for record in _expand(stream):
         rtype = record["type"]
         if rtype == "func":
             payload = _decode(record["payload"])
@@ -144,7 +148,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
                 cloud._endpoint_online.setdefault(endpoint_id, False)
                 cloud._queues.setdefault(endpoint_id, {})
                 cloud._failover_groups[endpoint_id] = record["failover_group"]
-        elif rtype in ("task", "submit"):
+        elif rtype == "task":
             task_id = record["task_id"]
             next_id = max(next_id, cloud.task_id_index(task_id) + 1)
             with cloud._queue_cond:
@@ -199,7 +203,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
                             pass
                     task.status = TaskStatus.DISPATCHED
                     task.fetched_at = record.get("at")
-        elif rtype == "result":
+        elif rtype == "task_result":
             with cloud._queue_cond:
                 task = cloud._tasks.get(record["task_id"])
                 if task is None or task.status.terminal:

@@ -163,3 +163,13 @@ class SchedulerError(ReproError):
 
 class WorkflowError(ReproError):
     """Generic workflow-engine failure (double shutdown, bad method, ...)."""
+
+
+class ResultNotReadyError(WorkflowError):
+    """A result was asked for before the task reached a terminal state.
+
+    Not a failed attempt: the task is still in flight.  A doorbell can
+    announce a result the cloud's durable state does not hold — rung by a
+    shard instance a crash had already discarded — and the re-leased task
+    rings again when it really completes.
+    """

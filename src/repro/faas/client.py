@@ -48,6 +48,7 @@ from repro.exceptions import (
     InvalidFunctionError,
     PayloadTooLargeError,
     ReproError,
+    ResultNotReadyError,
     RetryExhaustedError,
     SubscriptionLapsedError,
     TaskError,
@@ -56,7 +57,13 @@ from repro.exceptions import (
     WorkflowError,
 )
 from repro.faas.auth import Token
-from repro.faas.cloud import FaasCloud, TaskStatus, TaskSubmission, result_topic
+from repro.faas.cloud import (
+    FaasCloud,
+    TaskStatus,
+    TaskSubmission,
+    result_topic,
+    sole,
+)
 from repro.tenancy.tenant import DEFAULT_TENANT, validate_function_name
 from repro.net.clock import Clock, get_clock
 from repro.net.defaults import (
@@ -70,6 +77,7 @@ from repro.observe import TraceContext, counter_inc, observe, record_span, trace
 from repro.resilience.hedge import HedgePolicy, LatencyReservoir
 from repro.serialize import (
     Payload,
+    borrow,
     deserialize,
     deserialize_cost,
     serialize,
@@ -184,8 +192,8 @@ class FaasClient:
         # submissions in a per-(tenant, endpoint) accumulator and a flush —
         # inline on a size/bytes trigger, or an adaptive hold timer on the
         # shared reactor — pays one API round trip for the whole batch.
-        # Without one, every path below is byte-identical to the unbatched
-        # client.
+        # Without one, ``submit`` sends each task on the calling thread as a
+        # batch of one.
         self._batcher = (
             BatchAccumulator(batch, clock=self._clock) if batch is not None else None
         )
@@ -239,55 +247,6 @@ class FaasClient:
         cost = self.cloud.network.rtt(site, self.cloud.site)
         cost += self.cloud.network._sample(self.cloud.constants.faas_api_latency)
         self._clock.sleep(cost)
-
-    def _cloud_submit(
-        self,
-        func_id: str,
-        endpoint_id: str,
-        args_payload: Payload,
-        *,
-        trace_ctx: TraceContext | None,
-        chaos_key: str | None,
-        prefetch: tuple,
-        deadline_at: float | None = None,
-    ) -> str:
-        """One cloud submit with transparent throttle backoff.
-
-        A throttle retry re-sends the *same* chaos key (it is the same
-        logical submission — the attempt counter is reserved for failure
-        retries), waiting at least the server's ``retry_after`` hint."""
-        throttle_attempt = 0
-        throttle_started = self._clock.now()
-        while True:
-            self._pay_api_call()
-            try:
-                return self.cloud.submit(
-                    self.token,
-                    self.client_id,
-                    func_id,
-                    endpoint_id,
-                    args_payload,
-                    tenant=self.tenant,
-                    trace_ctx=trace_ctx,
-                    chaos_key=chaos_key,
-                    prefetch=prefetch,
-                    deadline_at=deadline_at,
-                )
-            except ThrottledError as exc:
-                policy = self._throttle_policy
-                elapsed = self._clock.now() - throttle_started
-                if not policy.retries_left(throttle_attempt, elapsed=elapsed):
-                    raise
-                counter_inc(
-                    "client.throttled", tenant=self.tenant, endpoint=endpoint_id
-                )
-                self._clock.sleep(
-                    max(
-                        exc.retry_after,
-                        policy.delay_for(throttle_attempt, key=chaos_key or func_id),
-                    )
-                )
-                throttle_attempt += 1
 
     # -- API ------------------------------------------------------------------
     def register_function(self, fn: Callable, *, name: str | None = None) -> str:
@@ -366,14 +325,16 @@ class FaasClient:
             attempt = 0
             while True:
                 try:
-                    task_id = self._cloud_submit(
-                        func_id,
-                        endpoint_id,
-                        args_payload,
-                        trace_ctx=ctx,
-                        chaos_key=f"{chaos_base}#a{attempt}",
-                        prefetch=tuple(_prefetch_hints),
-                        deadline_at=deadline_at,
+                    task_id = self._submit_one(
+                        TaskSubmission(
+                            func_id,
+                            endpoint_id,
+                            args_payload,
+                            ctx,
+                            f"{chaos_base}#a{attempt}",
+                            tuple(_prefetch_hints),
+                            deadline_at,
+                        )
                     )
                     break
                 except PayloadTooLargeError:
@@ -386,7 +347,6 @@ class FaasClient:
                     counter_inc("client.submit_retries", endpoint=endpoint_id)
                     self._clock.sleep(policy.delay_for(attempt, key=chaos_base))
                     attempt += 1
-        counter_inc("faas.api_calls", op="submit")
         future: Future = Future()
         future.task_id = task_id  # type: ignore[attr-defined]
         pending = _PendingTask(
@@ -525,7 +485,10 @@ class FaasClient:
             TaskSubmission(
                 func_id=p.func_id,
                 endpoint_id=p.endpoint_id,
-                args_payload=p.args_payload,
+                # Zero-copy: the members ride the batched submit message, so
+                # the small ones skip the redis hop's second (de)serialization
+                # (``_cloud_submit_batch`` charges their bytes as transfer).
+                args_payload=borrow(p.args_payload),
                 trace_ctx=p.trace_ctx,
                 chaos_key=f"{p.chaos_base}#a{p.attempt}",
                 prefetch=p.prefetch,
@@ -553,15 +516,17 @@ class FaasClient:
             self._finish_attempt(pending, repr(exc), None)
 
     def _cloud_submit_batch(self, submissions: list[TaskSubmission]) -> list:
-        """One batched cloud submit with transparent throttle backoff.
+        """One cloud submit — of a batch, or of one task — with transparent
+        throttle backoff.
 
         Throttled members are re-sent together under the *same* chaos keys
-        (a throttle retry is the same logical submission) until the
-        throttle policy's budget runs out; other outcomes — task ids and
-        terminal rejections — pass through positionally.
+        (a throttle retry is the same logical submission — the attempt
+        counter is reserved for failure retries), waiting at least the
+        server's ``retry_after`` hint, until the throttle policy's budget
+        runs out; other outcomes — task ids and terminal rejections — pass
+        through positionally.
         """
         small = self.cloud.constants.faas_small_object_threshold
-        site = self._home_site()
         outcomes: list = [None] * len(submissions)
         live = list(range(len(submissions)))
         throttle_attempt = 0
@@ -575,12 +540,12 @@ class FaasClient:
             inline_bytes = sum(
                 s.args_payload.nominal_size
                 for s in batch
-                if s.args_payload.nominal_size < small
+                if s.args_payload.borrowed and s.args_payload.nominal_size < small
             )
             if inline_bytes:
                 self._clock.sleep(
                     self.cloud.network.transfer_time(
-                        site, self.cloud.site, inline_bytes
+                        self._home_site(), self.cloud.site, inline_bytes
                     )
                 )
             results = self.cloud.submit_batch(
@@ -616,6 +581,10 @@ class FaasClient:
             )
             throttle_attempt += 1
             live = throttled
+
+    def _submit_one(self, submission: TaskSubmission) -> str:
+        """The batch of one: same call, the member's error raised."""
+        return sole(self._cloud_submit_batch([submission]))
 
     def cancel_pending(self, endpoint_id: str | None = None) -> int:
         """Cancel in-flight futures (optionally only those targeting one
@@ -836,21 +805,22 @@ class FaasClient:
         # A hedge leg rides the primary's already-serialized payload too.
         counter_inc("client.serialize_skipped", endpoint=target)
         try:
-            hedge_id = self._cloud_submit(
-                pending.func_id,
-                target,
-                pending.args_payload,
-                trace_ctx=pending.trace_ctx,
-                chaos_key=chaos_key,
-                prefetch=pending.prefetch,
-                deadline_at=pending.deadline_at,
+            hedge_id = self._submit_one(
+                TaskSubmission(
+                    pending.func_id,
+                    target,
+                    pending.args_payload,
+                    pending.trace_ctx,
+                    chaos_key,
+                    pending.prefetch,
+                    pending.deadline_at,
+                )
             )
         except ReproError:
             # The duplicate was refused (throttle budget, breaker, quota...):
             # the primary keeps racing alone; try again next scan.
             counter_inc("client.hedge_rejected", endpoint=target)
             return
-        counter_inc("faas.api_calls", op="submit")
         group.launched = n
         leg = _PendingTask(
             future=pending.future,
@@ -999,6 +969,14 @@ class FaasClient:
                 network.transfer_time(self.cloud.site, site, sum(delivered))
             )
         for (task_id, pending), outcome in zip(entries, outcomes):
+            if isinstance(outcome, ResultNotReadyError):
+                # The doorbell outran the durable state (a crash-discarded
+                # shard instance rang it): the task is still in flight and
+                # its re-leased copy rings again, so keep waiting on it.
+                counter_inc("client.spurious_doorbells")
+                with self._futures_lock:
+                    self._pending[task_id] = pending
+                continue
             # A failed download (e.g. the cloud store returned corrupt data)
             # consumes an attempt of its own task like a remote failure.
             failure = outcome if isinstance(outcome, Exception) else None
@@ -1122,16 +1100,17 @@ class FaasClient:
             endpoint=pending.endpoint_id,
             tenant=self.tenant,
         ):
-            task_id = self._cloud_submit(
-                pending.func_id,
-                pending.endpoint_id,
-                pending.args_payload,
-                trace_ctx=pending.trace_ctx,
-                chaos_key=f"{pending.chaos_base}#a{attempt}",
-                prefetch=pending.prefetch,
-                deadline_at=pending.deadline_at,
+            task_id = self._submit_one(
+                TaskSubmission(
+                    pending.func_id,
+                    pending.endpoint_id,
+                    pending.args_payload,
+                    pending.trace_ctx,
+                    f"{pending.chaos_base}#a{attempt}",
+                    pending.prefetch,
+                    pending.deadline_at,
+                )
             )
-        counter_inc("faas.api_calls", op="submit")
         pending.attempt = attempt
         # A fresh attempt races from scratch: no hedge group yet, and the
         # hedge delay measures from this submission.

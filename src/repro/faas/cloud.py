@@ -49,6 +49,7 @@ from repro.exceptions import (
     LeaseExpiredError,
     PayloadTooLargeError,
     ReproError,
+    ResultNotReadyError,
     TaskQuarantinedError,
     WorkflowError,
 )
@@ -58,7 +59,7 @@ from repro.net.defaults import PaperConstants
 from repro.net.topology import Network, Site
 from repro.observe import TraceContext, counter_inc, gauge_set
 from repro.resilience.health import BREAKER_OPEN
-from repro.serialize import Payload, borrow, serialize
+from repro.serialize import Payload, serialize
 from repro.tenancy.tenant import (
     DEFAULT_TENANT,
     tenant_scope,
@@ -308,25 +309,13 @@ class _CompletedFeed:
                 except ValueError:
                     pass
 
-    def next_completed(self, client_id: str, timeout: float | None) -> str | None:
-        deadline = None if timeout is None else self._clock.now() + timeout
-        with self.cond:
-            queue = self._queues.setdefault(client_id, deque())
-            while not queue:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - self._clock.now()
-                    if remaining <= 0:
-                        return None
-                self.cond.wait(self._clock.wall_timeout(remaining))
-            return queue.popleft()
-
     def next_completed_batch(
         self, client_id: str, max_n: int, timeout: float | None
     ) -> list[str]:
-        """One wait, up to ``max_n`` completions: the batched drain a
-        notifier uses so a storm of results costs one wakeup, not one
-        per task."""
+        """One wait, up to ``max_n`` completions: a storm of results costs
+        the poller one wakeup, not one per task.  A spurious or competing
+        wakeup does not consume the budget: the wait loops on a deadline
+        until a completion arrives or the full timeout elapses."""
         deadline = None if timeout is None else self._clock.now() + timeout
         with self.cond:
             queue = self._queues.setdefault(client_id, deque())
@@ -343,7 +332,72 @@ class _CompletedFeed:
             return out
 
 
-class FaasCloud:
+def sole(outcomes: list):
+    """The only member's outcome of a batch of one, its error raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class _BatchOfOne:
+    """The singular calls of the cloud API, for :class:`FaasCloud` and
+    :class:`repro.tenancy.CloudRouter` alike: each is the batched call with
+    one member, and raises what that member came back with.  Nothing is
+    admitted, journaled, queued or published here."""
+
+    def submit(
+        self,
+        token: Token,
+        client_id: str,
+        func_id: str,
+        endpoint_id: str,
+        args_payload: Payload,
+        *,
+        tenant: str = DEFAULT_TENANT,
+        trace_ctx: TraceContext | None = None,
+        chaos_key: str | None = None,
+        prefetch: tuple = (),
+        deadline_at: float | None = None,
+    ) -> str:
+        item = TaskSubmission(
+            func_id,
+            endpoint_id,
+            args_payload,
+            trace_ctx,
+            chaos_key,
+            prefetch,
+            deadline_at,
+        )
+        return sole(self.submit_batch(token, client_id, [item], tenant=tenant))
+
+    def report_result(
+        self,
+        token: Token,
+        endpoint_id: str,
+        task_id: str,
+        success: bool,
+        result_payload: Payload,
+    ) -> None:
+        sole(
+            self.report_results(
+                token, endpoint_id, [(task_id, success, result_payload)]
+            )
+        )
+
+    def get_result_payload(
+        self, token: Token, task_id: str
+    ) -> tuple[TaskStatus, Payload]:
+        return sole(self.get_result_payloads(token, [task_id]))
+
+    def next_completed(self, client_id: str, timeout: float | None) -> str | None:
+        """Block until some task of ``client_id`` completes; its id, or
+        ``None`` once ``timeout`` has elapsed."""
+        task_ids = self.next_completed_batch(client_id, 1, timeout)
+        return task_ids[0] if task_ids else None
+
+
+class FaasCloud(_BatchOfOne):
     """The hosted service: registry, queues, payload store, delivery."""
 
     def __init__(
@@ -896,91 +950,6 @@ class FaasCloud:
         return reaped
 
     # -- client side ------------------------------------------------------------
-    def submit(
-        self,
-        token: Token,
-        client_id: str,
-        func_id: str,
-        endpoint_id: str,
-        args_payload: Payload,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        trace_ctx: TraceContext | None = None,
-        chaos_key: str | None = None,
-        prefetch: tuple = (),
-        deadline_at: float | None = None,
-    ) -> str:
-        self.auth.validate(token, SCOPE_COMPUTE)
-        validate_tenant_name(tenant)
-        if tenant != DEFAULT_TENANT:
-            self.auth.validate(token, tenant_scope(tenant))
-        self.expire_leases()
-        endpoint_id, fingerprint = self._admit_task(
-            client_id,
-            func_id,
-            endpoint_id,
-            args_payload,
-            tenant=tenant,
-            chaos_key=chaos_key,
-            deadline_at=deadline_at,
-        )
-        # The shard's control plane admits one submission at a time: this
-        # serialized charge is the finite capacity that makes aggregate
-        # admission throughput scale with the shard count.
-        if self._service_time > 0.0:
-            with self._admission_lock:
-                self.clock.sleep(self._service_time)
-        args_locator = self.store.write(args_payload)
-        task_id = f"task-{self._task_namespace}{next(self._ids):08d}"
-        record = TaskRecord(
-            task_id=task_id,
-            func_id=func_id,
-            endpoint_id=endpoint_id,
-            client_id=client_id,
-            args_locator=args_locator,
-            submitted_at=self.clock.now(),
-            trace_ctx=trace_ctx,
-            chaos_key=chaos_key,
-            prefetch=tuple(prefetch),
-            tenant=tenant,
-            args_nbytes=args_payload.nominal_size,
-            deadline_at=deadline_at,
-            fingerprint=fingerprint,
-        )
-        # WAL fsync point: the admission record (task identity + argument
-        # bytes + locator) is durable before the task becomes visible in a
-        # queue.  A crash in between leaves a journaled-but-never-queued
-        # task, which replay admits into a WAITING queue exactly once.
-        if self.journal is not None:
-            self.journal.append(
-                "submit",
-                task_id=task_id,
-                func_id=func_id,
-                endpoint_id=endpoint_id,
-                client_id=client_id,
-                locator=args_locator,
-                args=encode_payload(args_payload),
-                tenant=tenant,
-                chaos_key=chaos_key,
-                submitted_at=record.submitted_at,
-                deadline_at=deadline_at,
-                fingerprint=fingerprint,
-            )
-        with self._queue_cond:
-            self._tasks[task_id] = record
-            self._tenant_queue_locked(endpoint_id, tenant).append(task_id)
-            self._publish_depth_locked(endpoint_id)
-            self._queue_cond.notify_all()
-        counter_inc("cloud.submits", tenant=tenant, shard=self._shard_label)
-        # Doorbell *after* the enqueue so a subscriber that fetches on the
-        # notification always finds the task in its queue.
-        self.bus.publish(
-            task_topic(endpoint_id), task_id, chaos_key=chaos_key or task_id
-        )
-        if self._on_enqueue is not None:
-            self._on_enqueue()
-        return record.task_id
-
     def _admit_task(
         self,
         client_id: str,
@@ -992,9 +961,9 @@ class FaasCloud:
         chaos_key: str | None,
         deadline_at: float | None,
     ) -> tuple[str, str]:
-        """Per-task admission checks shared by ``submit`` and
-        ``submit_batch``: function/endpoint existence, deadline, poison
-        quarantine, breaker steering, fault injection, and the payload cap.
+        """Per-task admission checks: function/endpoint existence, deadline,
+        poison quarantine, breaker steering, fault injection, and the
+        payload cap.
         May re-steer the task; returns the (possibly new) endpoint id and
         the content fingerprint."""
         self.endpoint_site(endpoint_id)
@@ -1079,16 +1048,19 @@ class FaasCloud:
         *,
         tenant: str = DEFAULT_TENANT,
     ) -> list:
-        """Admit a coalesced batch of tasks in one API round trip.
+        """Admit one API round trip's tasks — a coalesced batch, or one.
 
-        The batch pays the shared costs once — one auth/tenant check, one
+        The call pays the shared costs once — one auth/tenant check, one
         serialized admission charge, one WAL append, one queue wakeup, and
         one coalesced doorbell per destination endpoint — while every
-        per-task check from :meth:`submit` (function known, deadline,
-        quarantine, breaker steering, fault injection, payload cap) still
-        runs per item.  Returns a list aligned with ``items``: a task id
-        where admission succeeded, the raising :class:`ReproError` where it
-        did not, so the client can split rejects back into singles.
+        per-task check (:meth:`_admit_task`: function known, deadline,
+        quarantine, breaker steering, fault injection, payload cap) runs
+        per item.  A payload the sender marked borrowed rode this message
+        and lands in the ``inline`` tier if it is small enough; the cloud
+        never decides that itself.  Returns a list aligned with ``items``:
+        a task id where admission succeeded, the raising
+        :class:`ReproError` where it did not, so the client can split
+        rejects back into singles.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         validate_tenant_name(tenant)
@@ -1114,81 +1086,80 @@ class FaasCloud:
             admitted.append((i, item, endpoint_id, fingerprint))
         if not admitted:
             return results
-        # One serialized admission charge for the whole batch — this is the
-        # control-plane amortization that lifts sustained tasks/sec.
+        # The shard's control plane admits one call at a time: this
+        # serialized charge is the finite capacity that makes aggregate
+        # admission throughput scale with the shard count, and a batch pays
+        # it once — the amortization that lifts sustained tasks/sec.
         if self._service_time > 0.0:
             with self._admission_lock:
                 self.clock.sleep(self._service_time)
         records: list[TaskRecord] = []
-        task_docs: list[dict] = []
         for i, item, endpoint_id, fingerprint in admitted:
-            payload = item.args_payload
-            if payload.nominal_size < self.constants.faas_small_object_threshold:
-                # Zero-copy: small payloads rode the batched submit message,
-                # skipping the redis hop's second (de)serialization.
-                payload = borrow(payload)
-            args_locator = self.store.write(payload)
+            args_locator = self.store.write(item.args_payload)
             task_id = f"task-{self._task_namespace}{next(self._ids):08d}"
-            record = TaskRecord(
-                task_id=task_id,
-                func_id=item.func_id,
-                endpoint_id=endpoint_id,
-                client_id=client_id,
-                args_locator=args_locator,
-                submitted_at=self.clock.now(),
-                trace_ctx=item.trace_ctx,
-                chaos_key=item.chaos_key,
-                prefetch=tuple(item.prefetch),
-                tenant=tenant,
-                args_nbytes=payload.nominal_size,
-                deadline_at=item.deadline_at,
-                fingerprint=fingerprint,
+            records.append(
+                TaskRecord(
+                    task_id=task_id,
+                    func_id=item.func_id,
+                    endpoint_id=endpoint_id,
+                    client_id=client_id,
+                    args_locator=args_locator,
+                    submitted_at=self.clock.now(),
+                    trace_ctx=item.trace_ctx,
+                    chaos_key=item.chaos_key,
+                    prefetch=tuple(item.prefetch),
+                    tenant=tenant,
+                    args_nbytes=item.args_payload.nominal_size,
+                    deadline_at=item.deadline_at,
+                    fingerprint=fingerprint,
+                )
             )
-            records.append(record)
             results[i] = task_id
-            task_docs.append(
-                {
-                    "task_id": task_id,
-                    "func_id": item.func_id,
-                    "endpoint_id": endpoint_id,
-                    "locator": args_locator,
-                    "args": encode_payload(payload),
-                    "chaos_key": item.chaos_key,
-                    "submitted_at": record.submitted_at,
-                    "deadline_at": item.deadline_at,
-                    "fingerprint": fingerprint,
-                }
-            )
-        # Batch WAL fsync point: ONE append makes the whole admission
-        # durable, but each task doc inside it replays individually — the
-        # record stays per-task-replayable (see recover_cloud), so a crash
-        # between this append and the queue fan-out below loses nothing.
+        # WAL fsync point: ONE append makes the whole admission (task
+        # identities + argument bytes + locators) durable before any task
+        # becomes visible in a queue, and each task doc inside it replays
+        # individually (see recover_cloud) — a crash between this append
+        # and the queue fan-out below leaves journaled-but-never-queued
+        # tasks, which replay admits into WAITING queues exactly once.
         if self.journal is not None:
             self.journal.append(
-                "submit_batch",
+                "submit",
                 client_id=client_id,
                 tenant=tenant,
-                tasks=task_docs,
+                tasks=[
+                    {
+                        "task_id": record.task_id,
+                        "func_id": record.func_id,
+                        "endpoint_id": record.endpoint_id,
+                        "locator": record.args_locator,
+                        "args": encode_payload(item.args_payload),
+                        "chaos_key": record.chaos_key,
+                        "submitted_at": record.submitted_at,
+                        "deadline_at": record.deadline_at,
+                        "fingerprint": record.fingerprint,
+                    }
+                    for record, (_i, item, _endpoint, _fp) in zip(records, admitted)
+                ],
             )
+        by_endpoint: dict[str, list[TaskRecord]] = {}
+        for record in records:
+            by_endpoint.setdefault(record.endpoint_id, []).append(record)
         with self._queue_cond:
             for record in records:
                 self._tasks[record.task_id] = record
                 self._tenant_queue_locked(record.endpoint_id, tenant).append(
                     record.task_id
                 )
-            for endpoint_id in {r.endpoint_id for r in records}:
+            for endpoint_id in by_endpoint:
                 self._publish_depth_locked(endpoint_id)
             self._queue_cond.notify_all()
         counter_inc(
             "cloud.submits", len(records), tenant=tenant, shard=self._shard_label
         )
         counter_inc("cloud.batch_submits", tenant=tenant, shard=self._shard_label)
-        # One coalesced doorbell per destination endpoint: the payload is
-        # the comma-joined id list (single-id doorbells have no comma, so
-        # unbatched consumers parse unchanged).
-        by_endpoint: dict[str, list[TaskRecord]] = {}
-        for record in records:
-            by_endpoint.setdefault(record.endpoint_id, []).append(record)
+        # One coalesced doorbell per destination endpoint, *after* the
+        # enqueue so a subscriber that fetches on it always finds the tasks
+        # queued: the payload is the comma-joined id list.
         for endpoint_id in sorted(by_endpoint):
             group = by_endpoint[endpoint_id]
             self.bus.publish(
@@ -1229,7 +1200,7 @@ class FaasCloud:
             try:
                 record = self.task(task_id)
                 if not record.status.terminal or record.result_locator is None:
-                    raise WorkflowError(f"task {task_id} has no result yet")
+                    raise ResultNotReadyError(f"task {task_id} has no result yet")
                 # The result is being collected: retire its poll-fallback
                 # entry so a client that was notified over the bus never
                 # re-sees it while draining the completed queue in fallback
@@ -1242,31 +1213,16 @@ class FaasCloud:
                 outcomes.append(exc)
         return outcomes
 
-    def get_result_payload(self, token: Token, task_id: str) -> tuple[TaskStatus, Payload]:
-        """The batch of one: same call, the member's error raised."""
-        (outcome,) = self.get_result_payloads(token, [task_id])
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    def next_completed(self, client_id: str, timeout: float | None) -> str | None:
-        """Block until some task of ``client_id`` completes; returns its id.
-
-        This is the poll half of the delivery hybrid — the fallback path a
-        client uses while its bus subscription is lapsed (the push half is
-        the ``results/<client_id>`` bus topic).  A spurious or competing
-        wakeup does not consume the budget: the wait loops on a deadline
-        until a completion arrives or the full timeout elapses.  When the
-        feed is shared across shards, one wait covers all of them.
-        """
-        return self._completed.next_completed(client_id, timeout)
-
     def next_completed_batch(
         self, client_id: str, max_n: int = 32, timeout: float | None = None
     ) -> list[str]:
-        """Batched form of :meth:`next_completed`: one wait drains up to
-        ``max_n`` completions, so a result storm costs the poller one
-        wakeup instead of one per task."""
+        """Block until some task of ``client_id`` completes, then drain up
+        to ``max_n`` completions in the one wakeup.
+
+        This is the poll half of the delivery hybrid — the fallback path a
+        client uses while its bus subscription is lapsed (the push half is
+        the ``results/<client_id>`` bus topic).  When the feed is shared
+        across shards, one wait covers all of them."""
         return self._completed.next_completed_batch(client_id, max_n, timeout)
 
     # -- endpoint side -------------------------------------------------------------
@@ -1434,24 +1390,14 @@ class FaasCloud:
         """Terminally fail a task from inside the cloud (deadline expiry,
         hedge-loser cancellation) with a fabricated failure result.
 
-        Uses the same exactly-once dance as :meth:`report_result`: the
+        Uses the same exactly-once dance as :meth:`report_results`: the
         terminal transition happens under the completed-feed lock, a copy
         that already went terminal wins, and the journal records the
         fabricated result so a crash-rebuilt shard agrees the task is done.
         """
         payload = serialize({"success": False, "error": message, "traceback": None})
         locator = self.store.write(payload, chaos_exempt=True)
-        if self.journal is not None:
-            self.journal.append(
-                "result",
-                task_id=record.task_id,
-                endpoint_id=record.endpoint_id,
-                success=False,
-                locator=locator,
-                payload=encode_payload(payload),
-                exempt=True,
-                at=self.clock.now(),
-            )
+        self._journal_results(record.endpoint_id, [(record, False, locator, payload)])
         with self._completed.cond:
             if record.status.terminal:
                 return False
@@ -1532,44 +1478,36 @@ class FaasCloud:
             )
         return True
 
-    def report_result(
-        self,
-        token: Token,
-        endpoint_id: str,
-        task_id: str,
-        success: bool,
-        result_payload: Payload,
+    def _journal_results(
+        self, endpoint_id: str, results: list[tuple[TaskRecord, bool, str, Payload]]
     ) -> None:
-        self.auth.validate(token, SCOPE_COMPUTE)
-        record = self.task(task_id)
-        with self._completed.cond:
-            if not self._check_reporter(record, endpoint_id):
-                return
-        locator = self.store.write(result_payload, chaos_exempt=not success)
-        # Result-uplink fsync point: the outcome (and its bytes) is durable
-        # before the terminal transition or the client notification.  A
-        # crash after this append but before the bus publish is the classic
-        # lost-notification window — replay applies the journaled result and
-        # re-notifies, and the client's pending-table dedupe makes the
-        # duplicate harmless.  A duplicate report that loses the re-check
-        # below leaves an extra result record; replay keeps the first.
-        if self.journal is not None:
-            self.journal.append(
-                "result",
-                task_id=task_id,
-                endpoint_id=endpoint_id,
-                success=success,
-                locator=locator,
-                payload=encode_payload(result_payload),
-                exempt=not success,
-                at=self.clock.now(),
-            )
-        if not self._finalize_result(record, endpoint_id, success, locator):
+        """Result-uplink fsync point: the outcomes (and their bytes) are
+        durable before any terminal transition or client notification.
+
+        ONE append covers every ``(record, success, locator, payload)`` of
+        the uplink, and each doc replays individually on recovery.  A crash
+        after this append but before the bus publish is the classic
+        lost-notification window — replay applies the journaled results and
+        re-notifies, and the client's pending-table dedupe makes the
+        duplicates harmless.  A duplicate report that loses the terminal
+        re-check leaves an extra result doc; replay keeps the first."""
+        if self.journal is None:
             return
-        self.bus.publish(
-            result_topic(record.client_id),
-            task_id,
-            chaos_key=record.chaos_key or task_id,
+        at = self.clock.now()
+        self.journal.append(
+            "result",
+            endpoint_id=endpoint_id,
+            results=[
+                {
+                    "task_id": record.task_id,
+                    "success": success,
+                    "locator": locator,
+                    "payload": encode_payload(payload),
+                    "exempt": not success,
+                    "at": at,
+                }
+                for record, success, locator, payload in results
+            ],
         )
 
     def _finalize_result(
@@ -1658,20 +1596,21 @@ class FaasCloud:
         endpoint_id: str,
         results: list[tuple[str, bool, Payload]],
     ) -> list:
-        """Uplink a drained batch of results in one API round trip.
+        """Uplink one API round trip's results — a drained backlog, or one.
 
-        Pays one auth check and ONE WAL append for the whole batch (each
-        result doc inside it replays individually), coalesces the result
-        doorbells per destination client, and borrows sub-20 kB result
-        payloads onto the reply message so they skip the redis hop.
-        Returns a list aligned with ``results``: ``None`` for accepted or
+        Pays one auth check and ONE WAL append for the whole call (each
+        result doc inside it replays individually) and coalesces the result
+        doorbells per destination client.  A payload the sender marked
+        borrowed rode this message and skips the redis hop if it is small
+        enough; the cloud never decides that itself.  Returns a list
+        aligned with ``results``: ``None`` for accepted or
         duplicate-dropped reports, the per-task :class:`ReproError` (e.g.
         :class:`LeaseExpiredError` for a stale lease) otherwise.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         outcomes: list = [None] * len(results)
-        accepted: list[tuple[int, TaskRecord, bool, str, Payload]] = []
-        result_docs: list[dict] = []
+        accepted: list[tuple[TaskRecord, bool, str, Payload]] = []
+        indexes: list[int] = []  # where each accepted result sits in ``results``
         for i, (task_id, success, result_payload) in enumerate(results):
             try:
                 record = self.task(task_id)
@@ -1681,30 +1620,14 @@ class FaasCloud:
             except ReproError as exc:
                 outcomes[i] = exc
                 continue
-            if result_payload.nominal_size < self.constants.faas_small_object_threshold:
-                result_payload = borrow(result_payload)
             locator = self.store.write(result_payload, chaos_exempt=not success)
-            accepted.append((i, record, success, locator, result_payload))
-            result_docs.append(
-                {
-                    "task_id": task_id,
-                    "success": success,
-                    "locator": locator,
-                    "payload": encode_payload(result_payload),
-                    "exempt": not success,
-                    "at": self.clock.now(),
-                }
-            )
+            accepted.append((record, success, locator, result_payload))
+            indexes.append(i)
         if not accepted:
             return outcomes
-        # Batch result fsync point: one append covers every outcome in the
-        # uplink, and each doc replays individually on recovery.
-        if self.journal is not None:
-            self.journal.append(
-                "result_batch", endpoint_id=endpoint_id, results=result_docs
-            )
+        self._journal_results(endpoint_id, accepted)
         notify: dict[str, list[TaskRecord]] = {}
-        for i, record, success, locator, _payload in accepted:
+        for i, (record, success, locator, _payload) in zip(indexes, accepted):
             try:
                 if self._finalize_result(record, endpoint_id, success, locator):
                     notify.setdefault(record.client_id, []).append(record)

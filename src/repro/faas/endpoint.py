@@ -45,6 +45,7 @@ from repro.proxystore.prefetch import apply_prefetch_hints
 from repro.resources.worker import WorkerPool
 from repro.serialize import (
     Payload,
+    borrow,
     deserialize,
     deserialize_cost,
     serialize,
@@ -137,10 +138,10 @@ class FaasEndpoint:
         self._heartbeat_timer = None
         # Opportunistic uplink batching: when results pile up in the outbox
         # faster than one API round trip drains them, ship the whole backlog
-        # through ``report_results`` in a single call.  Opt-in because the
-        # batch composition depends on thread timing — rigs that verify
+        # in a single ``report_results`` call.  Opt-in because the batch
+        # composition depends on thread timing — rigs that verify
         # bit-identical chaos ledgers with store-tier-matched faults keep
-        # the per-result path.
+        # one result per call.
         self._uplink_batching = uplink_batching
         self.endpoint_id = cloud.register_endpoint(
             token, name, pool.site, failover_group=failover_group
@@ -707,44 +708,34 @@ class FaasEndpoint:
             # Results wait here while paused (store-and-forward on our side).
             while self._paused.is_set():
                 self._clock.sleep(self._poll_interval)
-            if len(items) == 1:
-                task_id, success, payload, trace_ctx = items[0]
-                with trace_span(
-                    "result.uplink", parent=trace_ctx, endpoint=self.name
-                ):
-                    self._pay_api_call()
-                    try:
-                        self.cloud.report_result(
-                            self.token, self.endpoint_id, task_id, success, payload
-                        )
-                    except LeaseExpiredError:
-                        # Our lease lapsed (long pause / stall) and the task
-                        # was handed to a peer; the peer's result is the real
-                        # one.
-                        counter_inc("endpoint.stale_results", endpoint=self.name)
-            else:
-                self._uplink_batch(items)
+            self._uplink_batch(items)
             if stopping:
                 return
 
     def _uplink_batch(
         self, items: list[tuple[str, bool, Payload, TraceContext | None]]
     ) -> None:
-        """Report a drained backlog in one API round trip."""
+        """Report one result, or a drained backlog, in one API round trip.
+
+        Results that share the uplink message ride it inline (borrowed), so
+        the small ones skip the redis hop; a lone result takes the store."""
         counter_inc("endpoint.uplink_batches", endpoint=self.name)
+        shared = len(items) > 1
+        results = [
+            (task_id, success, borrow(payload) if shared else payload)
+            for task_id, success, payload, _ in items
+        ]
         with trace_span("result.uplink", parent=items[0][3], endpoint=self.name):
             self._pay_api_call()
-            outcomes = self.cloud.report_results(
-                self.token,
-                self.endpoint_id,
-                [(task_id, success, payload) for task_id, success, payload, _ in items],
-            )
+            outcomes = self.cloud.report_results(self.token, self.endpoint_id, results)
         for outcome in outcomes:
             if isinstance(outcome, LeaseExpiredError):
+                # Our lease lapsed (long pause / stall) and the task was
+                # handed to a peer; the peer's result is the real one.
                 counter_inc("endpoint.stale_results", endpoint=self.name)
             elif isinstance(outcome, Exception):
                 # Anything beyond a stale lease is a protocol violation and
-                # must be as loud as the singular path.
+                # must be loud.
                 raise outcome
 
     def __enter__(self) -> "FaasEndpoint":

@@ -7,7 +7,7 @@ Quick use::
     # `p` pickles to ~256 bytes; first use anywhere materializes the target.
 """
 
-from repro.proxystore.cache import CacheStats, EvictionPolicy, SiteCache
+from repro.proxystore.cache import CacheStats, SiteCache
 from repro.proxystore.connectors import (
     Connector,
     FileConnector,
@@ -42,7 +42,6 @@ from repro.proxystore.store import (
 
 __all__ = [
     "CacheStats",
-    "EvictionPolicy",
     "SiteCache",
     "PrefetchHint",
     "PrefetchHandle",

@@ -1,16 +1,10 @@
-"""Byte-budgeted, policy-driven per-site proxy caches.
+"""Byte-budgeted per-site proxy caches.
 
 The seed's per-site ``_LRU`` counted *entries*, so one 2.4 GB model weight
 and one 10 kB fingerprint chunk cost the same cache slot — and a site could
 hold arbitrarily many bytes.  :class:`SiteCache` charges entries their
-nominal payload size against a per-site byte budget and delegates the
-victim order to a pluggable :class:`EvictionPolicy`:
-
-* ``lru``  — evict the least-recently-used unpinned entry (default);
-* ``lfu``  — evict the least-frequently-used unpinned entry (model weights
-  touched by every inference task outlive one-shot inputs);
-* ``ttl``  — LRU plus an expiry: entries older than ``ttl`` nominal seconds
-  are dropped lazily on the next access or insert.
+nominal payload size against a per-site byte budget and, under pressure,
+evicts the least-recently-used unpinned entry.
 
 Pinned entries (ahead-of-time staged model weights) are never chosen as
 victims; an insert that cannot free enough unpinned bytes is *rejected*
@@ -29,78 +23,17 @@ from dataclasses import dataclass, field
 from repro.net.clock import get_clock
 from repro.observe import counter_inc, gauge_set
 
-__all__ = ["CacheEntry", "EvictionPolicy", "SiteCache", "CACHE_POLICIES"]
-
-CACHE_POLICIES = ("lru", "lfu", "ttl")
+__all__ = ["CacheEntry", "SiteCache"]
 
 
 @dataclass
 class CacheEntry:
-    """One resident object plus the metadata the policies rank it by."""
+    """One resident object plus the metadata eviction ranks it by."""
 
     value: object
     nbytes: int
-    inserted_at: float
     last_access: float
-    hits: int = 0
     pinned: bool = False
-
-
-class EvictionPolicy:
-    """Victim selection strategy for one :class:`SiteCache`."""
-
-    name = "abstract"
-
-    def victim(self, entries: dict[str, CacheEntry]) -> str | None:
-        """Key of the next unpinned entry to evict (None if all pinned)."""
-        raise NotImplementedError
-
-    def expired(self, entry: CacheEntry, now: float) -> bool:
-        """Whether ``entry`` has outlived its welcome (TTL policies)."""
-        return False
-
-
-class _LruPolicy(EvictionPolicy):
-    name = "lru"
-
-    def victim(self, entries: dict[str, CacheEntry]) -> str | None:
-        candidates = [(e.last_access, k) for k, e in entries.items() if not e.pinned]
-        return min(candidates)[1] if candidates else None
-
-
-class _LfuPolicy(EvictionPolicy):
-    name = "lfu"
-
-    def victim(self, entries: dict[str, CacheEntry]) -> str | None:
-        # Ties broken by recency so a cold newcomer outranks a cold elder.
-        candidates = [
-            (e.hits, e.last_access, k) for k, e in entries.items() if not e.pinned
-        ]
-        return min(candidates)[2] if candidates else None
-
-
-class _TtlPolicy(_LruPolicy):
-    name = "ttl"
-
-    def __init__(self, ttl: float) -> None:
-        if ttl <= 0:
-            raise ValueError(f"ttl must be positive nominal seconds, got {ttl}")
-        self.ttl = ttl
-
-    def expired(self, entry: CacheEntry, now: float) -> bool:
-        return now - entry.inserted_at > self.ttl
-
-
-def make_policy(policy: str, *, ttl: float | None = None) -> EvictionPolicy:
-    if policy == "lru":
-        return _LruPolicy()
-    if policy == "lfu":
-        return _LfuPolicy()
-    if policy == "ttl":
-        if ttl is None:
-            raise ValueError("the 'ttl' cache policy needs a cache_ttl")
-        return _TtlPolicy(ttl)
-    raise ValueError(f"unknown cache policy {policy!r}; pick from {CACHE_POLICIES}")
 
 
 @dataclass
@@ -124,15 +57,12 @@ class SiteCache:
         self,
         budget_bytes: int,
         *,
-        policy: str = "lru",
         max_entries: int | None = None,
-        ttl: float | None = None,
         store: str = "",
         site: str = "",
     ) -> None:
         self.budget_bytes = int(budget_bytes)
         self.max_entries = max_entries
-        self._policy = make_policy(policy, ttl=ttl)
         self._store = store
         self._site = site
         self._entries: dict[str, CacheEntry] = {}
@@ -157,13 +87,12 @@ class SiteCache:
             "store.evictions", reason=reason, store=self._store, site=self._site
         )
 
-    def _expire(self, now: float) -> None:
-        for key in [
-            k
-            for k, e in self._entries.items()
-            if not e.pinned and self._policy.expired(e, now)
-        ]:
-            self._drop(key, "ttl")
+    def _victim(self) -> str | None:
+        """Key of the least-recently-used unpinned entry (None if all pinned)."""
+        candidates = [
+            (e.last_access, k) for k, e in self._entries.items() if not e.pinned
+        ]
+        return min(candidates)[1] if candidates else None
 
     def _publish_occupancy(self) -> None:
         gauge_set(
@@ -174,13 +103,11 @@ class SiteCache:
     def get(self, key: str) -> tuple[bool, object]:
         now = get_clock().now()
         with self._lock:
-            self._expire(now)
             entry = self._entries.get(key)
             if entry is None:
                 self._publish_occupancy()
                 return False, None
             entry.last_access = now
-            entry.hits += 1
             return True, entry.value
 
     def put(self, key: str, value: object, nbytes: int, *, pin: bool = False) -> bool:
@@ -195,7 +122,6 @@ class SiteCache:
         nbytes = max(int(nbytes), 0)
         now = get_clock().now()
         with self._lock:
-            self._expire(now)
             previous = self._entries.get(key)
             if previous is not None:
                 # Re-insert: replace in place (budget charged at new size).
@@ -213,7 +139,7 @@ class SiteCache:
                 self.max_entries is not None
                 and len(self._entries) >= self.max_entries
             ):
-                victim = self._policy.victim(self._entries)
+                victim = self._victim()
                 if victim is None:
                     self._rejected += 1
                     counter_inc(
@@ -225,7 +151,6 @@ class SiteCache:
             self._entries[key] = CacheEntry(
                 value=value,
                 nbytes=nbytes,
-                inserted_at=now,
                 last_access=now,
                 pinned=pin,
             )
@@ -259,9 +184,7 @@ class SiteCache:
             return True
 
     def contains(self, key: str) -> bool:
-        now = get_clock().now()
         with self._lock:
-            self._expire(now)
             return key in self._entries
 
     @property
@@ -288,6 +211,6 @@ class SiteCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SiteCache(site={self._site!r}, policy={self._policy.name}, "
+            f"SiteCache(site={self._site!r}, "
             f"bytes={self._bytes}/{self.budget_bytes}, entries={len(self)})"
         )

@@ -258,12 +258,8 @@ class Store:
         Per-site cache entry limit (0 disables caching entirely).
     cache_bytes:
         Per-site cache byte budget; occupancy never exceeds it (0 disables
-        caching entirely).
-    cache_policy:
-        Victim order under pressure: ``"lru"`` (default), ``"lfu"``, or
-        ``"ttl"`` (requires ``cache_ttl``).
-    cache_ttl:
-        Entry lifetime in nominal seconds for the ``"ttl"`` policy.
+        caching entirely).  Under pressure the least-recently-used unpinned
+        entry goes first.
     register:
         Register into the global registry immediately (required for
         proxies to be resolvable elsewhere).
@@ -280,8 +276,6 @@ class Store:
         *,
         cache_size: int = 16,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        cache_policy: str = "lru",
-        cache_ttl: float | None = None,
         register: bool = True,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
@@ -290,8 +284,6 @@ class Store:
         self.metrics = StoreMetrics()
         self._cache_size = cache_size
         self._cache_bytes = cache_bytes if cache_size > 0 else 0
-        self._cache_policy = cache_policy
-        self._cache_ttl = cache_ttl
         self._caches: dict[str, SiteCache] = {}
         self._caches_lock = threading.Lock()
         self._retry_policy = retry_policy
@@ -323,9 +315,7 @@ class Store:
             if cache is None:
                 cache = SiteCache(
                     self._cache_bytes,
-                    policy=self._cache_policy,
                     max_entries=self._cache_size if self._cache_size > 0 else 0,
-                    ttl=self._cache_ttl,
                     store=self.name,
                     site=key,
                 )

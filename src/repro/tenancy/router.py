@@ -13,7 +13,7 @@ independently.
 The router is also where multi-tenancy is *enforced*:
 
 * every submit passes the tenant's token-bucket rate limit and quotas
-  (:meth:`TenantRegistry.admit_submit`) before touching a shard, raising
+  (:meth:`TenantRegistry.admit_batch`) before touching a shard, raising
   HTTP-429-shaped retryable :class:`~repro.exceptions.ThrottledError`
   subclasses the client SDK backs off on;
 * the ``cloud.shard.drop`` chaos hook fires here — at admission, on the
@@ -42,15 +42,15 @@ from repro.faas.auth import SCOPE_COMPUTE, AuthServer, Token
 from repro.faas.cloud import (
     TaskDispatch,
     TaskRecord,
-    TaskStatus,
     TaskSubmission,
+    _BatchOfOne,
     _CompletedFeed,
     task_topic,
 )
 from repro.net.clock import Clock, get_clock
 from repro.net.defaults import ROUTER_FETCH_POLL, PaperConstants
 from repro.net.topology import Network, Site
-from repro.observe import TraceContext, counter_inc
+from repro.observe import counter_inc
 from repro.serialize import Payload
 from repro.tenancy.hashring import HashRing, partition_key
 from repro.tenancy.shard import CloudShard
@@ -108,7 +108,7 @@ class _RoutedStore:
         )
 
 
-class CloudRouter:
+class CloudRouter(_BatchOfOne):
     """N shards behind one ``FaasCloud``-shaped API."""
 
     def __init__(
@@ -454,35 +454,16 @@ class CloudRouter:
         return sorted(set(reaped))
 
     # -- client side ----------------------------------------------------------
-    def submit(
-        self,
-        token: Token,
-        client_id: str,
-        func_id: str,
-        endpoint_id: str,
-        args_payload: Payload,
-        *,
-        tenant: str = DEFAULT_TENANT,
-        trace_ctx: TraceContext | None = None,
-        chaos_key: str | None = None,
-        prefetch: tuple = (),
-        deadline_at: float | None = None,
-    ) -> str:
-        """Admission: tenant auth → shard health → rate/quota → shard.
+    def _shard_faults(
+        self, shard_id: str, item: TaskSubmission, client_id: str, tenant: str
+    ) -> None:
+        """The admission-time shard fault hooks, for one member of a submit.
 
-        The reservation (:meth:`TenantRegistry.admit_submit`) is released
-        if the shard rejects the submit downstream, so a payload-cap
-        rejection does not leak in-flight headroom."""
-        self.auth.validate(token, SCOPE_COMPUTE)
-        validate_tenant_name(tenant)
-        if tenant != DEFAULT_TENANT:
-            self.auth.validate(token, tenant_scope(tenant))
-        self._recover_outages()
-        shard_id = self._shard_for_partition(tenant, func_id)
-        # Content-derived key, attempt suffix stripped: every resubmission
-        # of the same task is the *same* drop event, so a throttle-retry
-        # loop cannot re-fire the fault and the ledger stays deterministic.
-        base_key = chaos_key or f"{client_id}|{func_id}"
+        Keyed on the member's content-derived chaos key, attempt suffix
+        stripped: every resubmission of the same task is the *same* event,
+        so the client's throttle-retry loop cannot re-fire the fault and
+        the ledger stays deterministic."""
+        base_key = item.chaos_key or f"{client_id}|{item.func_id}"
         base_key = base_key.split("#a", 1)[0]
         spec = chaos_check("cloud.shard.drop", base_key, shard=shard_id, tenant=tenant)
         if spec is not None:
@@ -495,7 +476,7 @@ class CloudRouter:
             )
         # Harder than a drop: the shard process dies and its in-memory state
         # is *discarded*.  The replacement is rebuilt synchronously from the
-        # shard's write-ahead journal; the submit itself throttles (it was
+        # shard's write-ahead journal; the member itself throttles (it was
         # never admitted) and the client's backoff retries it against the
         # recovered shard.  Same attempt-stripped key: one crash per task.
         spec = chaos_check("cloud.shard.crash", base_key, shard=shard_id, tenant=tenant)
@@ -509,24 +490,6 @@ class CloudRouter:
                 "retry now",
                 retry_after=max(spec.delay, 0.05),
             )
-        self._check_available(shard_id)
-        self.registry.admit_submit(tenant, args_payload.nominal_size)
-        try:
-            return self.shard(shard_id).submit(
-                token,
-                client_id,
-                func_id,
-                endpoint_id,
-                args_payload,
-                tenant=tenant,
-                trace_ctx=trace_ctx,
-                chaos_key=chaos_key,
-                prefetch=prefetch,
-                deadline_at=deadline_at,
-            )
-        except BaseException:
-            self.registry.release_submit(tenant, args_payload.nominal_size)
-            raise
 
     def submit_batch(
         self,
@@ -536,9 +499,15 @@ class CloudRouter:
         *,
         tenant: str = DEFAULT_TENANT,
     ) -> list:
-        """Route a coalesced batch: one auth, one quota reservation and one
-        shard call per shard group (functions hash to shards, so a mixed
-        batch scatters into per-shard sub-batches).  Returns task ids or
+        """Admission: tenant auth → shard health → rate/quota → shard.
+
+        One auth, then per member the shard fault hooks
+        (:meth:`_shard_faults`; a member they hit comes back throttled and
+        its batch-mates go on), then one quota reservation and one shard
+        call per shard group (functions hash to shards, so a mixed batch
+        scatters into per-shard sub-batches).  The reservation of a member
+        the shard rejects downstream is released, so a payload-cap
+        rejection does not leak in-flight headroom.  Returns task ids or
         per-task errors aligned with ``items``, like
         :meth:`FaasCloud.submit_batch`.
         """
@@ -551,6 +520,11 @@ class CloudRouter:
         groups: dict[str, list[int]] = {}
         for i, item in enumerate(items):
             shard_id = self._shard_for_partition(tenant, item.func_id)
+            try:
+                self._shard_faults(shard_id, item, client_id, tenant)
+            except ShardUnavailableError as exc:
+                results[i] = exc
+                continue
             groups.setdefault(shard_id, []).append(i)
         for shard_id in sorted(groups):
             indexes = groups[shard_id]
@@ -655,17 +629,10 @@ class CloudRouter:
                 outcomes[i] = outcome
         return outcomes
 
-    def get_result_payload(self, token: Token, task_id: str) -> tuple[TaskStatus, Payload]:
-        return self._shard_for_task(task_id).get_result_payload(token, task_id)
-
-    def next_completed(self, client_id: str, timeout: float | None) -> str | None:
-        """One wait covers completions from every shard (shared feed)."""
-        return self._completed.next_completed(client_id, timeout)
-
     def next_completed_batch(
         self, client_id: str, max_n: int = 32, timeout: float | None = None
     ) -> list[str]:
-        """Batched drain of the shared completed feed (one wait, many ids)."""
+        """One wait covers completions from every shard (shared feed)."""
         return self._completed.next_completed_batch(client_id, max_n, timeout)
 
     # -- endpoint side --------------------------------------------------------
@@ -720,29 +687,18 @@ class CloudRouter:
             requeued.extend(shard.requeue_dispatched(token, endpoint_id))
         return requeued
 
-    def report_result(
-        self,
-        token: Token,
-        endpoint_id: str,
-        task_id: str,
-        success: bool,
-        result_payload: Payload,
-    ) -> None:
-        # Like the result read, reporting is never outage-gated: the
-        # endpoint uplink must keep draining even while admission throttles.
-        self._shard_for_task(task_id).report_result(
-            token, endpoint_id, task_id, success, result_payload
-        )
-
     def report_results(
         self,
         token: Token,
         endpoint_id: str,
         results: list[tuple[str, bool, Payload]],
     ) -> list:
-        """Batched uplink: scatter the drained results to their owning
-        shards (one shard call per group), merging the per-task outcomes
-        back into a list aligned with ``results``."""
+        """Uplink: scatter the results to their owning shards (one shard
+        call per group), merging the per-task outcomes back into a list
+        aligned with ``results``.
+
+        Like the result read, reporting is never outage-gated: the endpoint
+        uplink must keep draining even while admission throttles."""
         outcomes: list = [None] * len(results)
         groups: dict[str, list[int]] = {}
         for i, (task_id, _success, _payload) in enumerate(results):

@@ -239,57 +239,21 @@ class TenantRegistry:
             tenant.usage.functions += 1
 
     def admit_submit(self, name: str, nbytes: int) -> None:
-        """Admission control for one submit: rate limit, then quotas.
-        Raises a retryable throttle error; on success the tenant's
-        in-flight/queued-bytes usage is already reserved."""
-        tenant = self.get(name)
-        if tenant.bucket is not None:
-            wait = tenant.bucket.acquire()
-            if wait > 0.0:
-                with self._lock:
-                    tenant.usage.throttled += 1
-                counter_inc("cloud.throttled", tenant=name, reason="rate")
-                raise TenantQuotaExceededError(
-                    f"tenant {name!r} exceeded its submit rate "
-                    f"({tenant.bucket.rate:.1f}/s); retry in {wait:.3f}s",
-                    retry_after=wait,
-                )
-        with self._lock:
-            usage, quota = tenant.usage, tenant.quota
-            if quota.max_in_flight is not None and usage.in_flight >= quota.max_in_flight:
-                usage.throttled += 1
-                counter_inc("cloud.throttled", tenant=name, reason="in_flight")
-                raise TenantQuotaExceededError(
-                    f"tenant {name!r} has {usage.in_flight} tasks in flight "
-                    f"(quota {quota.max_in_flight}); retry as they complete",
-                    retry_after=0.0,
-                )
-            if (
-                quota.max_queued_bytes is not None
-                and usage.queued_bytes + nbytes > quota.max_queued_bytes
-            ):
-                usage.throttled += 1
-                counter_inc("cloud.throttled", tenant=name, reason="queued_bytes")
-                raise TenantQuotaExceededError(
-                    f"tenant {name!r} would have {usage.queued_bytes + nbytes} "
-                    f"queued bytes (quota {quota.max_queued_bytes}); retry as "
-                    "queued work drains",
-                    retry_after=0.0,
-                )
-            usage.in_flight += 1
-            usage.queued_bytes += nbytes
-            usage.submits += 1
-            gauge_set("cloud.tenant_in_flight", usage.in_flight, tenant=name)
+        """Admission control for one submit: the batch of one."""
+        self.admit_batch(name, 1, nbytes)
 
     def release_submit(self, name: str, nbytes: int) -> None:
         """Undo a reservation whose submit was rejected downstream."""
         self.release_batch(name, 1, nbytes)
 
     def admit_batch(self, name: str, n_tasks: int, total_bytes: int) -> None:
-        """Admission control for one *batched* submit: the batch is a single
-        API call, so it draws a single rate-bucket token, but it reserves
-        every member's in-flight slot and queued bytes atomically — the
-        whole batch is admitted or none of it is."""
+        """Admission control for one submit call: rate limit, then quotas.
+
+        The call draws a single rate-bucket token however many tasks it
+        carries, but it reserves every member's in-flight slot and queued
+        bytes atomically — the whole batch is admitted or none of it is.
+        Raises a retryable throttle error; on success the tenant's
+        in-flight/queued-bytes usage is already reserved."""
         tenant = self.get(name)
         if tenant.bucket is not None:
             wait = tenant.bucket.acquire()

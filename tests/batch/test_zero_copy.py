@@ -58,17 +58,25 @@ def test_store_tiers_borrowed_small_objects_inline(testbed):
 
 
 def test_submit_batch_borrows_small_payloads(testbed):
+    """The sender decides what rides the message; the cloud files what it
+    is handed, whichever entry point handed it over."""
     metrics = MetricsRegistry()
     set_metrics(metrics)
     cloud, token, endpoint_id, func_id = _cloud(testbed)
     payload = serialize(((Blob(8 * 1024),), {}))  # mid-band: redis if copied
-    [task_id] = cloud.submit_batch(
-        token,
-        "client-1",
-        [TaskSubmission(func_id=func_id, endpoint_id=endpoint_id, args_payload=payload)],
+
+    def item(args_payload):
+        return TaskSubmission(
+            func_id=func_id, endpoint_id=endpoint_id, args_payload=args_payload
+        )
+
+    borrowed_id, copied_id = cloud.submit_batch(
+        token, "client-1", [item(borrow(payload)), item(payload)]
     )
-    record = cloud.task(task_id)
-    assert "inline:" in record.args_locator
-    # The singular path is untouched: the same payload still pays redis.
+    assert "inline:" in cloud.task(borrowed_id).args_locator
+    assert "redis:" in cloud.task(copied_id).args_locator
+    # The batch of one is the same call: same rule.
     single_id = cloud.submit(token, "client-1", func_id, endpoint_id, payload)
     assert "redis:" in cloud.task(single_id).args_locator
+    single_id = cloud.submit(token, "client-1", func_id, endpoint_id, borrow(payload))
+    assert "inline:" in cloud.task(single_id).args_locator

@@ -135,59 +135,74 @@ def test_recovered_task_ids_do_not_collide(rig):
 
 
 def test_crash_between_result_write_and_bus_notification(rig):
-    """The result record hit the journal but the feed push / bus publish
-    never happened.  Recovery renotifies exactly once."""
-    task_id = _submit(rig, 5)
-    rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 1, timeout=1.0)
+    """One ``result`` record of three members hit the journal but no feed
+    push / bus publish ever happened.  Recovery expands the record and
+    renotifies every member exactly once."""
+    task_ids = [_submit(rig, value) for value in (5, 6, 7)]
+    rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 3, timeout=1.0)
     # Emulate the crash window: append the fsync'd result record by hand —
-    # the in-memory transition, feed push, and bus publish all died with
-    # the process.  Mirrors the record `report_result` writes.
+    # the in-memory transitions, feed pushes, and bus publish all died with
+    # the process.  Mirrors the record `report_results` writes.
+    at = rig.cloud.clock.now()
     rig.journal.append(
         "result",
-        task_id=task_id,
         endpoint_id=rig.endpoint_id,
-        success=True,
-        locator=f"inline:{task_id}-result",
-        payload=encode_payload(serialize({"value": 25})),
-        exempt=False,
-        at=rig.cloud.clock.now(),
+        results=[
+            {
+                "task_id": task_id,
+                "success": True,
+                "locator": f"inline:{task_id}-result",
+                "payload": encode_payload(serialize({"value": value * value})),
+                "exempt": False,
+                "at": at,
+            }
+            for task_id, value in zip(task_ids, (5, 6, 7))
+        ],
     )
 
     fresh = rig.crash()
     report = recover_cloud(fresh)
 
-    assert report.renotified == 1
-    assert report.released == 0  # the terminal record supersedes the lease
-    assert fresh.task(task_id).status is TaskStatus.SUCCESS
-    # Exactly once into the completed feed: one delivery, then silence.
-    assert fresh.next_completed("client-1", timeout=1.0) == task_id
+    assert report.renotified == 3
+    assert report.released == 0  # the terminal records supersede the leases
+    assert report.deduped == 0
+    # Exactly once into the completed feed: three deliveries, then silence.
+    assert fresh.next_completed_batch("client-1", timeout=1.0) == task_ids
     assert fresh.next_completed("client-1", timeout=0.5) is None
-    status, payload = fresh.get_result_payload(rig.token, task_id)
-    assert status is TaskStatus.SUCCESS
-    assert deserialize(payload)["value"] == 25
+    for task_id, value in zip(task_ids, (25, 36, 49)):
+        assert fresh.task(task_id).status is TaskStatus.SUCCESS
+        status, payload = fresh.get_result_payload(rig.token, task_id)
+        assert status is TaskStatus.SUCCESS
+        assert deserialize(payload)["value"] == value
 
 
 def test_crash_mid_admission_enqueues_the_journaled_task(rig):
-    """A submit fsync'd to the journal but never enqueued in memory is
-    admitted into a WAITING queue by replay — exactly once."""
+    """A ``submit`` record of one member fsync'd to the journal but never
+    enqueued in memory is admitted into a WAITING queue by replay —
+    exactly once."""
     task_id = "task-00000041"
     args = serialize(((6,), {}))
     rig.journal.append(
         "submit",
-        task_id=task_id,
-        func_id=rig.func_id,
-        endpoint_id=rig.endpoint_id,
         client_id="client-1",
-        locator=f"inline:{task_id}-args",
-        args=encode_payload(args),
         tenant="default",
-        chaos_key=None,
-        submitted_at=rig.cloud.clock.now(),
+        tasks=[
+            {
+                "task_id": task_id,
+                "func_id": rig.func_id,
+                "endpoint_id": rig.endpoint_id,
+                "locator": f"inline:{task_id}-args",
+                "args": encode_payload(args),
+                "chaos_key": None,
+                "submitted_at": rig.cloud.clock.now(),
+            }
+        ],
     )
 
     fresh = rig.crash()
-    recover_cloud(fresh)
+    report = recover_cloud(fresh)
 
+    assert report.deduped == 0
     assert fresh.task(task_id).status is TaskStatus.WAITING
     dispatched = fresh.fetch_tasks(rig.token, rig.endpoint_id, 10, timeout=1.0)
     assert [d.task_id for d in dispatched] == [task_id]

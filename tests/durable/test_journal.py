@@ -7,12 +7,10 @@ import pytest
 from repro.durable import (
     FileJournalBackend,
     Journal,
-    KVJournalBackend,
     decode_payload,
     encode_payload,
 )
 from repro.net.fs import FileSystem
-from repro.net.kvstore import KVServer
 from repro.serialize import Payload
 
 
@@ -107,27 +105,6 @@ def test_journal_auto_compaction_loses_no_records(fs):
 def test_journal_compact_every_validation(fs):
     with pytest.raises(ValueError):
         Journal(FileJournalBackend(fs, "j"), compact_every=0)
-
-
-def test_kv_backend_round_trip_truncate_and_floor():
-    from repro.net.topology import Network, Site
-
-    network = Network()
-    site = Site("kv-site")
-    network.add_site(site)
-    kv = KVServer(site, name="wal-kv")
-    journal = Journal(KVJournalBackend(kv, "j"))
-    journal.append("submit", n=0)
-    journal.append("submit", n=1)
-    snapshot, records = journal.records()
-    assert snapshot is None and [r["n"] for r in records] == [0, 1]
-    journal.snapshot({"upto": 2})
-    # Truncation raises the floor: old segments are gone, new ones append.
-    assert journal.log_bytes() == 0
-    journal.append("submit", n=2)
-    snapshot, records = journal.records()
-    assert snapshot == {"upto": 2}
-    assert [r["n"] for r in records] == [2]
 
 
 def test_journal_appends_are_deterministic_bytes(fs):

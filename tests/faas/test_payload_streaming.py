@@ -17,6 +17,7 @@ import pytest
 
 from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
 from repro.chaos.policy import RetryPolicy
+from repro.durable import FileJournalBackend, Journal
 from repro.faas import (
     SCOPE_COMPUTE,
     AuthServer,
@@ -27,6 +28,7 @@ from repro.faas import (
 from repro.faas.cloud import result_topic
 from repro.net.context import at_site
 from repro.net.defaults import PaperConstants, build_paper_testbed
+from repro.net.fs import FileSystem
 from repro.net.topology import FixedLatency
 from repro.observe import (
     MetricsRegistry,
@@ -36,7 +38,7 @@ from repro.observe import (
     set_tracer,
 )
 from repro.resources import WorkerPool
-from repro.serialize import Blob, deserialize_cost, serialize
+from repro.serialize import Blob, borrow, deserialize_cost, serialize, serialize_cost
 
 WAN = 0.028
 REDIS = 0.25
@@ -131,7 +133,9 @@ class Rig:
             for task_id in task_ids
         ]
         if coalesced:
-            self.cloud.report_results(self.token, self.ep_id, results)
+            self.cloud.report_results(
+                self.token, self.ep_id, [(t, ok, borrow(p)) for t, ok, p in results]
+            )
         else:
             for result in results:
                 self.cloud.report_result(self.token, self.ep_id, *result)
@@ -227,6 +231,79 @@ def test_lone_task_charges_what_the_single_path_always_has(make_rig):
         deserialize_cost(size),
     ]
     assert rig.clock.charged("faas-client-notify") == downloaded
+
+
+def test_lone_task_charges_on_the_submit_and_uplink_hops(make_rig):
+    """k=1 on the other two hops: an unbatched submit and a lone uplink each
+    pay one API round trip and one redis write (this test passes unchanged
+    on the commit that still had a singular path per hop)."""
+    rig = make_rig()
+    rig.submit(0).result(timeout=60)  # warm-up
+    del rig.clock.charges[:]
+    future = rig.submit(1)
+    assert future.result(timeout=60)[0] == 1
+
+    api_call = WAN + WAN + API
+    me = threading.current_thread().name
+    assert rig.clock.charged(me) == [
+        serialize_cost(rig.args_size(future.task_id)),
+        api_call,
+        REDIS,  # argument write: 10 kB is not borrowed, it takes the store
+    ]
+    assert rig.clock.charged("faas-ep-theta-uplink") == [api_call, REDIS]
+
+
+def test_cloud_singular_calls_charge_one_write_and_one_fsync_each(recording_clock):
+    """``FaasCloud.submit`` and ``report_result`` with a journal attached:
+    a redis write and one WAL append each, the append charged for exactly
+    the bytes it added (passes unchanged on the commit before the collapse,
+    whose flat records are a few bytes shorter)."""
+    testbed = build_paper_testbed(seed=5, constants=FIXED)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    wal = FileSystem("wal", clock=recording_clock)
+    journal = Journal(FileJournalBackend(wal, "cloud"))
+    cloud = FaasCloud(
+        testbed.faas_cloud, testbed.network, auth, FIXED, recording_clock, journal=journal
+    )
+    ep_id = cloud.register_endpoint(token, "theta", testbed.theta_compute)
+    func_id = cloud.register_function(token, serialize(_echo))
+
+    def fsync(grew_by):
+        return wal.op_latency + grew_by / wal.write_bandwidth
+
+    del recording_clock.charges[:]
+    before = journal.log_bytes()
+    task_id = cloud.submit(token, "client-1", func_id, ep_id, serialize(((1, Blob(PAD)), {})))
+    submitted = journal.log_bytes()
+    assert recording_clock.charged() == [REDIS, fsync(submitted - before)]
+    assert cloud.task(task_id).args_locator.startswith("redis:")
+
+    (dispatch,) = cloud.fetch_tasks(token, ep_id, 32, 0.0)  # journals the lease
+    del recording_clock.charges[:]
+    before = journal.log_bytes()
+    result = serialize({"success": True, "value": (1, Blob(PAD))})
+    cloud.report_result(token, ep_id, dispatch.task_id, True, result)
+    assert recording_clock.charged() == [REDIS, fsync(journal.log_bytes() - before)]
+    assert cloud.task(task_id).result_locator.startswith("redis:")
+    assert cloud.next_completed("client-1", 0.0) == task_id
+
+
+def test_doorbell_without_a_result_behind_it_is_not_a_failed_attempt(make_rig):
+    """A shard instance discarded by a crash can still ring a doorbell for a
+    result its replacement never saw (found as 1 in 50 ``shard_crash`` chaos
+    cells burning a client retry).  The task is in flight, not failed: the
+    client keeps waiting and the real completion settles the future."""
+    rig = make_rig(run_endpoint=False)
+    future = rig.submit(7)
+    rig.cloud.bus.publish(result_topic(rig.client.client_id), future.task_id)
+    _wait_for(lambda: rig.metrics.counter_total("client.spurious_doorbells") == 1)
+    assert not future.done()
+
+    (dispatch,) = rig.fetch()
+    rig.report(dispatch.task_id)
+    assert future.result(timeout=60)[0] == "done"
+    assert rig.metrics.counter_total("client.retries") == 0
 
 
 # -- the fetched round -------------------------------------------------------------

@@ -1,11 +1,9 @@
-"""Tests for the byte-budgeted, policy-driven :class:`SiteCache`."""
+"""Tests for the byte-budgeted LRU :class:`SiteCache`."""
 
 import pytest
 
-from repro.net.clock import get_clock
 from repro.observe import MetricsRegistry, set_metrics
 from repro.proxystore import SiteCache
-from repro.proxystore.cache import make_policy
 
 
 @pytest.fixture
@@ -34,41 +32,6 @@ def test_lru_evicts_least_recently_used():
     cache.put("c", 3, 40)
     assert cache.contains("a") and cache.contains("c")
     assert not cache.contains("b")
-
-
-def test_lfu_keeps_hot_entries():
-    cache = SiteCache(100, policy="lfu")
-    cache.put("hot", 1, 40)
-    cache.put("cold", 2, 40)
-    for _ in range(5):
-        cache.get("hot")
-    cache.get("cold")
-    cache.put("new", 3, 40)
-    assert cache.contains("hot")
-    assert not cache.contains("cold")
-
-
-def test_ttl_expires_entries_lazily():
-    clock = get_clock()
-    cache = SiteCache(1000, policy="ttl", ttl=10.0)
-    cache.put("k", 1, 10)
-    clock.sleep(5.0)
-    assert cache.get("k") == (True, 1)
-    clock.sleep(6.0)  # inserted_at + 11 > ttl
-    assert cache.get("k") == (False, None)
-    assert not cache.contains("k")
-
-
-def test_ttl_policy_requires_ttl():
-    with pytest.raises(ValueError):
-        SiteCache(100, policy="ttl")
-    with pytest.raises(ValueError):
-        make_policy("ttl", ttl=-1.0)
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
-        SiteCache(100, policy="mru")
 
 
 def test_pinned_entries_survive_pressure():
