@@ -135,6 +135,20 @@ class NotificationBus:
         self._by_topic: dict[str, list[_SubscriberState]] = {}
         self._cond = threading.Condition()
 
+    @classmethod
+    def for_cloud(cls, clock: Clock, constants) -> "NotificationBus":
+        """A cloud service's bus, tuned by its ``PaperConstants``."""
+        return cls(
+            clock=clock,
+            redelivery=RetryPolicy(
+                max_attempts=6,
+                base_delay=constants.bus_redelivery_base,
+                max_delay=constants.bus_redelivery_max,
+            ),
+            lease_ttl=constants.bus_lease_ttl,
+            window=constants.bus_redelivery_window,
+        )
+
     # -- registration / subscription ------------------------------------------
     def register_subscriber(
         self, topic: str, subscriber_id: str, *, chaos_label: str | None = None

@@ -23,6 +23,7 @@ by running every cell twice.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 
 from repro.chaos.plan import (
@@ -353,6 +354,144 @@ def _ledger_digest(injector: FaultInjector, outcomes: list) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# -- reconciliation: recovery counters vs injected fault counts -----------------
+#: kind -> (holds(got, want), failure message).  ``got`` is the named
+#: counter's total, or the injector's fire count where no counter is named.
+_EXPECTATIONS = {
+    "exact": (
+        operator.eq,
+        "reconciliation: {counter} is {got}, expected {want} (injector fired {fires})",
+    ),
+    "at_least": (operator.ge, "{mode}: {counter} is {got}, expected >= {want}"),
+    "within_1": (
+        lambda got, want: 1 <= got <= want,
+        "{mode}: {counter} is {got}, expected within [1, {want}]",
+    ),
+    # ``want`` is the complaint to make when the counter never moved.
+    "seen": (lambda got, want: got >= 1, "{mode}{want}"),
+    "one_fire": (
+        lambda got, want: got == 1,
+        "{mode} cell expected exactly 1 fire, got {fires}",
+    ),
+    "poison_fires": (
+        operator.eq,
+        "poison_task: injector fired {fires} times for {poisoned} "
+        "quarantined payloads, expected exactly {want}",
+    ),
+}
+_FIRES = ("seen", None, " cell injected no faults")
+_ONE_FIRE = ("one_fire", None, None)
+_NO_CLIENT_RETRIES = ("exact", "client.retries", 0)
+
+#: mode -> ``(kind, counter, want)`` expectations, checked in order.  A
+#: ``want`` may name an amount: ``fires``, ``fires-1``, ``tasks``,
+#: ``poisoned`` (quarantined payloads) or ``2*poisoned``.
+_RECONCILE: dict[str, tuple] = {
+    "none": (_NO_CLIENT_RETRIES,),
+    "worker_exception": (("exact", "client.retries", "fires"),),
+    "payload_cap": (("exact", "client.submit_retries", "fires"),),
+    "store_corruption": (("exact", "store.retries", "fires"),),
+    # A fired read surfaces either as a dispatch error (args) or a download
+    # error (result); both recover via one client retry.
+    "cloud_store_error": (("exact", "client.retries", "fires"),),
+    "transfer_fault": (("exact", "transfer.retries", "fires"),),
+    # Failover must be invisible to the client: no client-side retries.
+    "endpoint_crash": (
+        ("exact", "endpoint.crashes", "fires"),
+        _ONE_FIRE,
+        ("seen", "faas.lease_expiries", ": the dead endpoint's lease never expired"),
+        ("seen", "faas.failovers", ": no task failed over to the survivor"),
+        ("exact", "client.retries", "fires-1"),
+    ),
+    # Every lost doorbell must come back via bus redelivery (never via
+    # client retries — the task queues are untouched by bus loss).
+    "notification_loss": (
+        _FIRES,
+        ("at_least", "bus.redelivered", "fires"),
+        _NO_CLIENT_RETRIES,
+    ),
+    "notification_duplicate": (
+        _FIRES,
+        ("at_least", "bus.duplicates_dropped", "fires"),
+        _NO_CLIENT_RETRIES,
+    ),
+    "subscription_drop": (
+        _FIRES,
+        ("within_1", "bus.fallback_engaged", "fires"),
+        _NO_CLIENT_RETRIES,
+    ),
+    # A shard restart is recovered entirely inside the submit path: the
+    # client backs off on the throttle (at least once per fire) and the
+    # task-level retry machinery is never engaged.
+    "shard_outage": (
+        _FIRES,
+        ("exact", "cloud.shard_outages", "fires"),
+        ("at_least", "client.throttled", "fires"),
+        _NO_CLIENT_RETRIES,
+    ),
+    # The destroyed shard is rebuilt from its journal before the submit is
+    # throttled back — recovery is invisible above the submit path: no task
+    # retries, no lost results.
+    "shard_crash": (
+        _FIRES,
+        ("exact", "cloud.shard_crashes", "fires"),
+        ("exact", "durable.recoveries", "fires"),
+        ("at_least", "client.throttled", "fires"),
+        _NO_CLIENT_RETRIES,
+    ),
+    # The shard died after the batch's single WAL fsync but before any task
+    # id escaped: replay must fan the batch record back out into every
+    # member task, invisibly — no client retries, no splits.
+    "batch_flush_loss": (
+        _ONE_FIRE,
+        ("exact", "cloud.batch_crashes", "fires"),
+        ("exact", "durable.recoveries", "fires"),
+        ("seen", "cloud.batch_submits", ": no coalesced batch was submitted"),
+        ("exact", "client.batch_splits", 0),
+        _NO_CLIENT_RETRIES,
+    ),
+    # The dead process's successor must adopt every in-flight task and
+    # drain its results from the ledger/feed — never recompute.
+    "campaign_crash": (
+        _ONE_FIRE,
+        ("exact", "client.killed", 1),
+        ("exact", "client.attached", "tasks"),
+        _NO_CLIENT_RETRIES,
+    ),
+    # Stalled scale-ups are retried by the pool itself: one retry per fire
+    # (the attempt-0 match guarantees the second try lands), no worker is
+    # abandoned, and the task layer never notices.
+    "provision_delay": (
+        _FIRES,
+        ("exact", "autoscale.provision_retries", "fires"),
+        ("exact", "autoscale.provision_abandoned", 0),
+        _NO_CLIENT_RETRIES,
+    ),
+    # One injected gray degradation must open the breaker exactly once and
+    # shed at least one task to the healthy peer — all invisible to the
+    # client (the shed is a cloud-side requeue, not a retry).
+    "endpoint_slow": (
+        _ONE_FIRE,
+        ("exact", "endpoint.gray_degraded", 1),
+        ("exact", "resilience.breaker_opens", "fires"),
+        ("within_1", "resilience.sheds", "tasks"),
+        _NO_CLIENT_RETRIES,
+    ),
+    # Every poisoned payload fires exactly twice (once per distinct
+    # endpoint, the quarantine quorum), is steered off its striked endpoint
+    # once, burns exactly two client retries, and then has its resubmission
+    # refused terminally.
+    "poison_task": (
+        ("seen", "resilience.quarantined", " cell quarantined nothing"),
+        ("poison_fires", None, "2*poisoned"),
+        ("exact", "resilience.poison_steered", "poisoned"),
+        ("exact", "resilience.quarantine_refusals", "poisoned"),
+        ("exact", "client.terminal_rejections", "poisoned"),
+        ("exact", "client.retries", "2*poisoned"),
+    ),
+}
+
+
 def _reconcile(
     mode: str,
     fires: int,
@@ -362,159 +501,24 @@ def _reconcile(
     tasks: int = 0,
 ) -> None:
     """Check that recovery counters add up against injected fault counts."""
-
-    def expect(counter: str, expected: int) -> None:
-        got = counters.get(counter, 0)
-        if got != expected:
+    poisoned = counters.get("resilience.quarantined", 0)
+    amounts = {
+        "fires": fires,
+        "fires-1": fires - 1,
+        "tasks": tasks,
+        "poisoned": poisoned,
+        "2*poisoned": 2 * poisoned,
+    }
+    for kind, counter, want in _RECONCILE.get(mode, ()):
+        holds, message = _EXPECTATIONS[kind]
+        got = fires if counter is None else counters.get(counter, 0)
+        want = amounts.get(want, want)
+        if not holds(got, want):
             failures.append(
-                f"reconciliation: {counter} is {got}, expected {expected} "
-                f"(injector fired {fires})"
+                message.format(
+                    **amounts, mode=mode, counter=counter, got=got, want=want
+                )
             )
-
-    if mode in ("none",):
-        expect("client.retries", 0)
-    elif mode == "worker_exception":
-        expect("client.retries", fires)
-    elif mode == "payload_cap":
-        expect("client.submit_retries", fires)
-    elif mode == "store_corruption":
-        expect("store.retries", fires)
-    elif mode == "cloud_store_error":
-        # A fired read surfaces either as a dispatch error (args) or a
-        # download error (result); both recover via one client retry.
-        expect("client.retries", fires)
-    elif mode == "transfer_fault":
-        expect("transfer.retries", fires)
-    elif mode == "endpoint_crash":
-        expect("endpoint.crashes", fires)
-        if fires != 1:
-            failures.append(f"endpoint_crash cell expected exactly 1 fire, got {fires}")
-        if counters.get("faas.lease_expiries", 0) < 1:
-            failures.append("endpoint_crash: the dead endpoint's lease never expired")
-        if counters.get("faas.failovers", 0) < 1:
-            failures.append("endpoint_crash: no task failed over to the survivor")
-        # Failover must be invisible to the client: no client-side retries.
-        expect("client.retries", fires - 1)
-    elif mode == "notification_loss":
-        # Every lost doorbell must come back via bus redelivery (never via
-        # client retries — the task queues are untouched by bus loss).
-        if fires < 1:
-            failures.append("notification_loss cell injected no faults")
-        if counters.get("bus.redelivered", 0) < fires:
-            failures.append(
-                f"notification_loss: bus.redelivered is "
-                f"{counters.get('bus.redelivered', 0)}, expected >= {fires}"
-            )
-        expect("client.retries", 0)
-    elif mode == "notification_duplicate":
-        if fires < 1:
-            failures.append("notification_duplicate cell injected no faults")
-        if counters.get("bus.duplicates_dropped", 0) < fires:
-            failures.append(
-                f"notification_duplicate: bus.duplicates_dropped is "
-                f"{counters.get('bus.duplicates_dropped', 0)}, expected >= {fires}"
-            )
-        expect("client.retries", 0)
-    elif mode == "subscription_drop":
-        if fires < 1:
-            failures.append("subscription_drop cell injected no faults")
-        engaged = counters.get("bus.fallback_engaged", 0)
-        if not 1 <= engaged <= fires:
-            failures.append(
-                f"subscription_drop: bus.fallback_engaged is {engaged}, "
-                f"expected within [1, {fires}]"
-            )
-        expect("client.retries", 0)
-    elif mode == "shard_outage":
-        # A shard restart is recovered entirely inside the submit path: the
-        # client backs off on the throttle (at least once per fire) and the
-        # task-level retry machinery is never engaged.
-        if fires < 1:
-            failures.append("shard_outage cell injected no faults")
-        expect("cloud.shard_outages", fires)
-        if counters.get("client.throttled", 0) < fires:
-            failures.append(
-                f"shard_outage: client.throttled is "
-                f"{counters.get('client.throttled', 0)}, expected >= {fires}"
-            )
-        expect("client.retries", 0)
-    elif mode == "shard_crash":
-        # The destroyed shard is rebuilt from its journal before the submit
-        # is throttled back — recovery is invisible above the submit path:
-        # no task retries, no lost results.
-        if fires < 1:
-            failures.append("shard_crash cell injected no faults")
-        expect("cloud.shard_crashes", fires)
-        expect("durable.recoveries", fires)
-        if counters.get("client.throttled", 0) < fires:
-            failures.append(
-                f"shard_crash: client.throttled is "
-                f"{counters.get('client.throttled', 0)}, expected >= {fires}"
-            )
-        expect("client.retries", 0)
-    elif mode == "batch_flush_loss":
-        # The shard died after the batch's single WAL fsync but before any
-        # task id escaped: replay must fan the batch record back out into
-        # every member task, invisibly — no client retries, no splits.
-        if fires != 1:
-            failures.append(
-                f"batch_flush_loss cell expected exactly 1 fire, got {fires}"
-            )
-        expect("cloud.batch_crashes", fires)
-        expect("durable.recoveries", fires)
-        if counters.get("cloud.batch_submits", 0) < 1:
-            failures.append("batch_flush_loss: no coalesced batch was submitted")
-        expect("client.batch_splits", 0)
-        expect("client.retries", 0)
-    elif mode == "campaign_crash":
-        # The dead process's successor must adopt every in-flight task and
-        # drain its results from the ledger/feed — never recompute.
-        if fires != 1:
-            failures.append(f"campaign_crash cell expected exactly 1 fire, got {fires}")
-        expect("client.killed", 1)
-        expect("client.attached", tasks)
-        expect("client.retries", 0)
-    elif mode == "provision_delay":
-        # Stalled scale-ups are retried by the pool itself: one retry per
-        # fire (the attempt-0 match guarantees the second try lands), no
-        # worker is abandoned, and the task layer never notices.
-        if fires < 1:
-            failures.append("provision_delay cell injected no faults")
-        expect("autoscale.provision_retries", fires)
-        expect("autoscale.provision_abandoned", 0)
-        expect("client.retries", 0)
-    elif mode == "endpoint_slow":
-        # One injected gray degradation must open the breaker exactly once
-        # and shed at least one task to the healthy peer — all invisible to
-        # the client (the shed is a cloud-side requeue, not a retry).
-        if fires != 1:
-            failures.append(f"endpoint_slow cell expected exactly 1 fire, got {fires}")
-        expect("endpoint.gray_degraded", 1)
-        expect("resilience.breaker_opens", fires)
-        sheds = counters.get("resilience.sheds", 0)
-        if not 1 <= sheds <= tasks:
-            failures.append(
-                f"endpoint_slow: resilience.sheds is {sheds}, "
-                f"expected within [1, {tasks}]"
-            )
-        expect("client.retries", 0)
-    elif mode == "poison_task":
-        # Every poisoned payload fires exactly twice (once per distinct
-        # endpoint, the quarantine quorum), is steered off its striked
-        # endpoint once, burns exactly two client retries, and then has its
-        # resubmission refused terminally.
-        poisoned = counters.get("resilience.quarantined", 0)
-        if poisoned < 1:
-            failures.append("poison_task cell quarantined nothing")
-        if fires != 2 * poisoned:
-            failures.append(
-                f"poison_task: injector fired {fires} times for {poisoned} "
-                f"quarantined payloads, expected exactly {2 * poisoned}"
-            )
-        expect("resilience.poison_steered", poisoned)
-        expect("resilience.quarantine_refusals", poisoned)
-        expect("client.terminal_rejections", poisoned)
-        expect("client.retries", 2 * poisoned)
 
 
 def run_cell(

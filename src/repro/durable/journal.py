@@ -158,18 +158,25 @@ class Journal:
         """Durably append one record; returns the record dict."""
         record = {"type": record_type, **fields}
         data = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        if (
+            self.compact_every is not None
+            and self._snapshot_provider is not None
+            and self._since_snapshot >= self.compact_every
+        ):
+            # Compact BEFORE appending: the caller has not applied this
+            # record to the in-memory state yet, so the provider's
+            # snapshot cannot cover it — truncating it away here would
+            # lose it.  Snapshot (state = all prior records) + fresh log
+            # (this record onward) stays complete.  The provider takes its
+            # owner's locks, which an appender may hold (the cloud's
+            # ``rehome``), so it runs outside the journal lock and its
+            # snapshot is kept only if no append raced it.
+            seen = self._appends
+            state = self._snapshot_provider()
+            with self._lock:
+                if self._appends == seen:
+                    self.snapshot(state)
         with self._lock:
-            if (
-                self.compact_every is not None
-                and self._snapshot_provider is not None
-                and self._since_snapshot >= self.compact_every
-            ):
-                # Compact BEFORE appending: the caller has not applied this
-                # record to the in-memory state yet, so the provider's
-                # snapshot cannot cover it — truncating it away here would
-                # lose it.  Snapshot (state = all prior records) + fresh log
-                # (this record onward) stays complete.
-                self.snapshot(self._snapshot_provider())
             self.backend.append(data)
             self._appends += 1
             self._since_snapshot += 1

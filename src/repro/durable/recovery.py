@@ -2,11 +2,18 @@
 
 The recovery contract (funcX's "the cloud outlives the process" property):
 
-* **Zero lost tasks** — every journaled admission is reconstructed; tasks
-  that were WAITING re-enter their queues, tasks that were DISPATCHED when
-  the process died are *re-leased* (re-queued at the front of their
-  endpoint's queue with a fresh doorbell, exactly like
-  ``requeue_dispatched`` after an endpoint crash).
+* **Zero lost tasks, each under the owner the journal last recorded** —
+  every non-terminal task comes back WAITING in the queue of the endpoint
+  that owned it at the crash.  A ``rehome`` record (lease failover, breaker
+  shed) replays through ``FaasCloud._requeue_locked``, the primitive that
+  made the live move, so the new owner's report is accepted and the old
+  one's is a stale lease; tasks DISPATCHED at the crash are *re-leased* by
+  the same primitive (front of their owner's queue, fresh doorbell,
+  exactly like ``requeue_dispatched`` after an endpoint crash).
+* **Leases survive** — every endpoint that owns non-terminal work after
+  replay holds a lease of one ``endpoint_lease_ttl`` from the recovery
+  instant (a live agent renews it, a dead one lapses into the ordinary
+  failover sweep); an endpoint that owns nothing gets none.
 * **Exactly-once results** — replay dedupes against the task ledger: the
   first journaled terminal record for a task wins, later ones (a duplicate
   report that lost the in-memory re-check just before the crash, or a
@@ -32,11 +39,11 @@ compaction.
 
 Tenant-usage reconciliation: the usage registry lives outside the shard and
 survives the crash with correct pre-crash state, so replay re-applies *no*
-historical transitions; the only usage call it makes is ``task_requeued``
-for re-leased in-flight tasks (whose queued bytes really do re-enter a
-queue).  A crash that lands inside another thread's report window can skew
-one task's accounting transiently; the registry clamps at zero, and no
-task is ever lost or duplicated by it.
+historical transitions — a replayed ``rehome`` included; the only usage
+call it makes is ``task_requeued`` for re-leased in-flight tasks (whose
+queued bytes really do re-enter a queue).  A crash that lands inside
+another thread's report window can skew one task's accounting transiently;
+the registry clamps at zero, and no task is ever lost or duplicated by it.
 """
 
 from __future__ import annotations
@@ -113,12 +120,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     directly — it never re-enters the journaling API paths, so recovering
     with the same journal attached does not re-append what it reads.
     """
-    from repro.faas.cloud import (
-        TaskRecord,
-        TaskStatus,
-        result_topic,
-        task_topic,
-    )
+    from repro.faas.cloud import TaskRecord, TaskStatus, result_topic
 
     journal = journal if journal is not None else cloud.journal
     if journal is None:
@@ -130,8 +132,6 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     stream.extend(log)
 
     next_id = int(snapshot.get("next_id", 0)) if snapshot else 0
-    releases: list[TaskRecord] = []
-    renotify: list[TaskRecord] = []
 
     for record in _expand(stream):
         rtype = record["type"]
@@ -195,12 +195,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
                     if task is None or task.status.terminal:
                         report.deduped += 1
                         continue
-                    queue = cloud._queues.get(task.endpoint_id, {}).get(task.tenant)
-                    if queue is not None:
-                        try:
-                            queue.remove(task_id)
-                        except ValueError:
-                            pass
+                    cloud._dequeue_locked(task)
                     task.status = TaskStatus.DISPATCHED
                     task.fetched_at = record.get("at")
         elif rtype == "task_result":
@@ -211,12 +206,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
                     # a duplicate report or a double-replayed segment.
                     report.deduped += 1
                     continue
-                queue = cloud._queues.get(task.endpoint_id, {}).get(task.tenant)
-                if queue is not None:
-                    try:
-                        queue.remove(record["task_id"])
-                    except ValueError:
-                        pass
+                cloud._dequeue_locked(task)
                 task.result_locator = record["locator"]
                 cloud.store.adopt(
                     record["locator"],
@@ -227,6 +217,20 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
                     TaskStatus.SUCCESS if record["success"] else TaskStatus.FAILED
                 )
                 task.completed_at = record.get("at")
+        elif rtype == "rehome":
+            # A failover or breaker shed changed these tasks' owner.  Only
+            # tasks the source still owns move: one already moved (a
+            # double-replayed segment) or already terminal is a duplicate.
+            with cloud._queue_cond:
+                moved = [
+                    task
+                    for task_id in record["task_ids"]
+                    if (task := cloud._tasks.get(task_id)) is not None
+                    and not task.status.terminal
+                    and task.endpoint_id == record["from"]
+                ]
+                report.deduped += len(record["task_ids"]) - len(moved)
+                cloud._requeue_locked(record["from"], record["to"], records=moved)
         elif rtype == "deadletter":
             # Quarantine survives the crash: replay re-installs (or, for a
             # journaled retry/drop, releases) the dead-letter entry.  A
@@ -246,47 +250,35 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
             raise WorkflowError(f"unknown journal record type {rtype!r}")
         report.replayed += 1
 
-    # Reconcile the rebuilt ledger: re-lease what was in flight at the
-    # crash, re-notify what was terminal (the bus subscription frontier is
+    # Reconcile the rebuilt ledger.  Every endpoint that owns non-terminal
+    # work gets a lease of one TTL from now — a live agent renews it on its
+    # next heartbeat, a dead one lapses into the ordinary failover sweep —
+    # and what it had in flight at the crash is re-leased in place.  What
+    # was terminal is re-notified (the bus subscription frontier is
     # broker-side state and survived; these publishes cover fsync-to-notify
     # crash windows, and clients dedupe).
     with cloud._queue_cond:
         cloud._ids = itertools.count(next_id)
-        for task in cloud._tasks.values():
-            if task.status is TaskStatus.DISPATCHED:
-                task.status = TaskStatus.WAITING
-                task.fetched_at = None
-                task.requeues += 1
-                cloud._tenant_queue_locked(task.endpoint_id, task.tenant).appendleft(
-                    task.task_id
-                )
-                releases.append(task)
-            elif task.status.terminal:
-                renotify.append(task)
-        if releases:
-            cloud._queue_cond.notify_all()
-    renotify.sort(key=lambda t: t.task_id)
+        tasks = list(cloud._tasks.values())
+        lease = cloud.clock.now() + cloud.constants.endpoint_lease_ttl
+        for endpoint_id in sorted(
+            {task.endpoint_id for task in tasks if not task.status.terminal}
+        ):
+            cloud._lease_expiry[endpoint_id] = lease
+            report.released += len(
+                cloud._requeue_locked(endpoint_id, None, "durable.releases")
+            )
+    renotify = sorted(
+        (task for task in tasks if task.status.terminal), key=lambda t: t.task_id
+    )
     with cloud._completed.cond:
         for task in renotify:
             cloud._completed.push_locked(task.client_id, task.task_id)
-    for task in releases:
-        if cloud.usage is not None:
-            cloud.usage.task_requeued(task.tenant, task.args_nbytes)
-        cloud.bus.publish(
-            task_topic(task.endpoint_id),
-            task.task_id,
-            chaos_key=task.chaos_key or task.task_id,
-        )
     for task in renotify:
-        cloud.bus.publish(
-            result_topic(task.client_id),
-            task.task_id,
-            chaos_key=task.chaos_key or task.task_id,
-        )
-    if cloud._on_enqueue is not None and (releases or renotify):
+        cloud._ring(result_topic(task.client_id), task)
+    if cloud._on_enqueue is not None and (report.released or renotify):
         cloud._on_enqueue()
 
-    report.released = len(releases)
     report.renotified = len(renotify)
     report.recovery_s = cloud.clock.now() - started
     shard = cloud.shard_id or "solo"
@@ -294,8 +286,6 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     counter_inc("durable.replayed", report.replayed, shard=shard)
     if report.deduped:
         counter_inc("durable.deduped", report.deduped, shard=shard)
-    if report.released:
-        counter_inc("durable.releases", report.released, shard=shard)
     if report.renotified:
         counter_inc("durable.renotified", report.renotified, shard=shard)
     observe("durable.recovery_s", report.recovery_s, shard=shard)

@@ -41,7 +41,6 @@ from enum import Enum
 
 from repro.bus import NotificationBus
 from repro.chaos.plan import attempt_from_key, chaos_check
-from repro.chaos.policy import RetryPolicy
 from repro.durable.journal import encode_payload
 from repro.exceptions import (
     DeadlineExceededError,
@@ -259,10 +258,6 @@ class _PayloadStore:
             )
         return stored.payload
 
-    def delete(self, locator: str) -> None:
-        with self._lock:
-            self._objects.pop(locator, None)
-
     def adopt(self, locator: str, payload: Payload, *, chaos_exempt: bool = False) -> None:
         """Re-install an object under a locator minted before a crash.
 
@@ -302,12 +297,9 @@ class _CompletedFeed:
     def retire(self, client_id: str, task_id: str) -> None:
         """Drop a completion that was collected through another path."""
         with self.cond:
-            queue = self._queues.get(client_id)
-            if queue is not None:
-                try:
-                    queue.remove(task_id)
-                except ValueError:
-                    pass
+            queue = self._queues.get(client_id, ())
+            if task_id in queue:
+                queue.remove(task_id)
 
     def next_completed_batch(
         self, client_id: str, max_n: int, timeout: float | None
@@ -440,8 +432,8 @@ class FaasCloud(_BatchOfOne):
             can route any id back to its owner.
         ``journal``
             A :class:`repro.durable.Journal` this instance writes through:
-            admission, dispatch, and result-uplink mutations (which carry
-            the tenant-usage deltas) are appended — and their I/O cost
+            admission, dispatch, re-home and result-uplink mutations (which
+            carry the tenant-usage deltas) are appended — and their I/O cost
             charged, the fsync — *before* the in-memory mutation becomes
             visible, so a crash-discarded instance can be rebuilt from
             snapshot + log replay (:func:`repro.durable.recover_cloud`).
@@ -471,15 +463,10 @@ class FaasCloud(_BatchOfOne):
         # available doorbells to endpoints.  The queues below stay the
         # ground truth; the bus only carries acked wakeups, so the poll
         # paths remain correct as a degraded fallback.
-        self.bus = bus if bus is not None else NotificationBus(
-            clock=self.clock,
-            redelivery=RetryPolicy(
-                max_attempts=6,
-                base_delay=self.constants.bus_redelivery_base,
-                max_delay=self.constants.bus_redelivery_max,
-            ),
-            lease_ttl=self.constants.bus_lease_ttl,
-            window=self.constants.bus_redelivery_window,
+        self.bus = (
+            bus
+            if bus is not None
+            else NotificationBus.for_cloud(self.clock, self.constants)
         )
         self._functions: dict[str, Payload] = {}
         self._function_tenants: dict[str, str] = {}
@@ -536,10 +523,7 @@ class FaasCloud(_BatchOfOne):
         if func_id is None:
             stem = f"fn-{name}-" if name else "fn-"
             func_id = f"{stem}{uuid.uuid4().hex[:12]}"
-        self._journal_function(func_id, tenant, payload)
-        with self._lock:
-            self._functions[func_id] = payload
-            self._function_tenants[func_id] = tenant
+        self.adopt_function(func_id, tenant, payload)
         return func_id
 
     def adopt_function(self, func_id: str, tenant: str, payload: Payload) -> None:
@@ -548,16 +532,13 @@ class FaasCloud(_BatchOfOne):
         Skips validation and quota accounting: the registration was
         admitted when the tenant first registered it; moving it to the
         partition's new owner must not charge the quota twice."""
-        self._journal_function(func_id, tenant, payload)
-        with self._lock:
-            self._functions[func_id] = payload
-            self._function_tenants[func_id] = tenant
-
-    def _journal_function(self, func_id: str, tenant: str, payload: Payload) -> None:
         if self.journal is not None:
             self.journal.append(
                 "func", func_id=func_id, tenant=tenant, payload=encode_payload(payload)
             )
+        with self._lock:
+            self._functions[func_id] = payload
+            self._function_tenants[func_id] = tenant
 
     def get_function(
         self, token: Token, func_id: str, tenant: str = DEFAULT_TENANT
@@ -694,20 +675,6 @@ class FaasCloud(_BatchOfOne):
         with self._queue_cond:
             return self._expire_leases_locked()
 
-    def _failover_target_locked(self, endpoint_id: str) -> str | None:
-        """A surviving same-group endpoint with a live lease, if any."""
-        group = self._failover_groups.get(endpoint_id)
-        if group is None:
-            return None
-        now = self.clock.now()
-        for other_id, other_group in sorted(self._failover_groups.items()):
-            if other_id == endpoint_id or other_group != group:
-                continue
-            expiry = self._lease_expiry.get(other_id)
-            if expiry is not None and expiry > now:
-                return other_id
-        return None
-
     def _group_members_locked(self, endpoint_id: str) -> list[str]:
         """Same-failover-group peers with live leases, sorted (self excluded)."""
         group = self._failover_groups.get(endpoint_id)
@@ -736,13 +703,11 @@ class FaasCloud(_BatchOfOne):
     def _shed_open_breakers_locked(self) -> None:
         """Move work away from endpoints whose circuit breaker is open.
 
-        The gray twin of the lease-expiry failover sweep: a degraded
-        endpoint is still heartbeating (its lease never lapses), so any
-        healthy peer's fetch runs this sweep and pulls both the queued
-        backlog and the in-flight (DISPATCHED) stragglers over to a healthy
-        group member.  The gray endpoint's eventual slow results arrive as
-        stale-lease reports and are dropped — exactly the duplicate-report
-        path crash failover already exercises.
+        The gray twin of the lease-expiry sweep: a degraded endpoint still
+        heartbeats (its lease never lapses), so any healthy peer's fetch or
+        heartbeat re-homes its backlog and its in-flight stragglers onto a
+        healthy group member (:meth:`_requeue_locked`); its eventual slow
+        results arrive as stale-lease reports and are dropped.
         """
         if self.health is None:
             return
@@ -751,53 +716,12 @@ class FaasCloud(_BatchOfOne):
             if self.health.evaluate(endpoint_id, now) != BREAKER_OPEN:
                 continue
             target = self._healthy_target_locked(endpoint_id, now)
-            if target is None:
-                continue  # nowhere healthier to go; leave the work in place
-            stranded = sorted(
-                (
-                    record
-                    for record in self._tasks.values()
-                    if record.endpoint_id == endpoint_id
-                    and record.status is TaskStatus.DISPATCHED
-                ),
-                key=lambda record: record.submitted_at,
-            )
-            queued = self._queued_records_locked(endpoint_id)
-            if not stranded and not queued:
-                continue
-            for queue in self._queues[endpoint_id].values():
-                queue.clear()
-            stranded_ids = {record.task_id for record in stranded}
-            for record in stranded + queued:
-                record.status = TaskStatus.WAITING
-                record.fetched_at = None
-                record.requeues += 1
-                if self.usage is not None and record.task_id in stranded_ids:
-                    self.usage.task_requeued(record.tenant, record.args_nbytes)
-                if endpoint_id not in record.previous_endpoints:
-                    record.previous_endpoints.append(endpoint_id)
-                record.endpoint_id = target
-                self._tenant_queue_locked(target, record.tenant).append(
-                    record.task_id
-                )
-                counter_inc(
-                    "resilience.sheds", from_endpoint=endpoint_id, to_endpoint=target
-                )
-                self.bus.publish(
-                    task_topic(target),
-                    record.task_id,
-                    chaos_key=record.chaos_key or record.task_id,
-                )
-            self._publish_depth_locked(endpoint_id)
-            self._publish_depth_locked(target)
-            self._queue_cond.notify_all()
+            if target is not None:  # else nowhere healthier: leave it in place
+                self._requeue_locked(endpoint_id, target, "resilience.sheds")
 
     # -- per-tenant queue helpers ---------------------------------------------
     def _tenant_queue_locked(self, endpoint_id: str, tenant: str) -> deque[str]:
         return self._queues[endpoint_id].setdefault(tenant, deque())
-
-    def _backlog_locked(self, endpoint_id: str) -> bool:
-        return any(self._queues[endpoint_id].values())
 
     def _depth_locked(self, endpoint_id: str) -> int:
         return sum(len(q) for q in self._queues[endpoint_id].values())
@@ -812,10 +736,101 @@ class FaasCloud(_BatchOfOne):
             )
         return records
 
-    def _tenant_weight(self, tenant: str) -> int:
-        if self.usage is None:
-            return 1
-        return self.usage.weight(tenant)
+    def _dequeue_locked(self, record: TaskRecord) -> bool:
+        """Drop ``record``'s queued copy from its owner's queue; True when
+        there was one."""
+        queue = self._queues.get(record.endpoint_id, {}).get(record.tenant, ())
+        if record.task_id not in queue:
+            return False
+        queue.remove(record.task_id)
+        return True
+
+    def _requeue_locked(
+        self,
+        source: str,
+        target: str | None = None,
+        counter: str | None = None,
+        records: list[TaskRecord] | None = None,
+    ) -> list[TaskRecord]:
+        """Return what ``source`` holds to ``WAITING`` — the only place an
+        existing record's status becomes ``WAITING``.  Returns the records.
+
+        ``target`` ``None`` (or ``source``) requeues in place: its
+        fetched-but-unfinished tasks go back to the *front* of its own
+        queue, oldest first; what is still queued already sits where it
+        belongs.  Any other ``target`` re-homes: in-flight and queued work
+        alike leaves for the *back* of ``target``'s queue, and ``source``
+        joins ``previous_endpoints`` so its late report reads as a stale
+        lease, not a protocol error.
+
+        A re-home changes who may report the task, so it is journaled: ONE
+        ``rehome`` record per call, appended (its fsync charged) under
+        ``_queue_cond`` before the move is visible, so WAL order is ledger
+        order.  An in-place requeue is not: replay re-leases whatever was
+        in flight, which is the same state.
+
+        Copies that were DISPATCHED re-enter the tenant's queued-bytes
+        quota; each task gets a fresh doorbell (the agent that lost it
+        acked the original) and counts once under ``counter``.
+        ``counter=None`` replays a journaled ``rehome`` of ``records`` into
+        a rebuilt ledger: ownership effects only — the usage registry and
+        the bus outlived the crash and already saw the live move.
+        """
+        target = target or source
+        rehome = target != source
+        if records is None:
+            records = sorted(
+                (
+                    record
+                    for record in self._tasks.values()
+                    if record.endpoint_id == source
+                    and record.status is TaskStatus.DISPATCHED
+                ),
+                key=lambda record: record.submitted_at,
+            )
+            if rehome:
+                records += self._queued_records_locked(source)
+        if not records:
+            return records
+        live = counter is not None
+        if rehome and live and self.journal is not None:
+            self.journal.append(
+                "rehome",
+                **{"from": source, "to": target},
+                task_ids=[record.task_id for record in records],
+                at=self.clock.now(),
+            )
+        # In place the oldest must end up in front, so appendleft newest first.
+        for record in records if rehome else reversed(records):
+            if record.status is not TaskStatus.DISPATCHED:
+                self._dequeue_locked(record)  # the queued copy leaves with it
+            elif live and self.usage is not None:
+                self.usage.task_requeued(record.tenant, record.args_nbytes)
+            record.status = TaskStatus.WAITING
+            record.fetched_at = None
+            record.requeues += 1
+            queue = self._tenant_queue_locked(target, record.tenant)
+            if rehome:
+                if source not in record.previous_endpoints:
+                    record.previous_endpoints.append(source)
+                record.endpoint_id = target
+                queue.append(record.task_id)
+            else:
+                queue.appendleft(record.task_id)
+        if live:
+            labels = (
+                {"from_endpoint": source, "to_endpoint": target}
+                if rehome
+                else {"endpoint": source}
+            )
+            counter_inc(counter, len(records), shard=self._shard_label, **labels)
+            for record in records:
+                self._ring(task_topic(target), record)
+            self._publish_depth_locked(source)
+            if rehome:
+                self._publish_depth_locked(target)
+        self._queue_cond.notify_all()
+        return records
 
     def _pop_next_locked(self, endpoint_id: str) -> str | None:
         """Weighted-round-robin pop across an endpoint's tenant queues.
@@ -841,7 +856,8 @@ class FaasCloud(_BatchOfOne):
             backlogged[0],
         )
         self._wrr_tenant[endpoint_id] = nxt
-        self._wrr_credit[endpoint_id] = max(self._tenant_weight(nxt), 1) - 1
+        weight = 1 if self.usage is None else self.usage.weight(nxt)
+        self._wrr_credit[endpoint_id] = max(weight, 1) - 1
         return queues[nxt].popleft()
 
     def queue_depth(self, endpoint_id: str) -> int:
@@ -858,6 +874,12 @@ class FaasCloud(_BatchOfOne):
         with self._queue_cond:
             queues = self._queues.get(endpoint_id, {})
             return {tenant: len(q) for tenant, q in queues.items() if q}
+
+    def _ring(self, topic: str, record: TaskRecord) -> None:
+        """Publish one task's doorbell (or result notification) on ``topic``."""
+        self.bus.publish(
+            topic, record.task_id, chaos_key=record.chaos_key or record.task_id
+        )
 
     def _publish_depth_locked(self, endpoint_id: str) -> None:
         gauge_set(
@@ -883,89 +905,31 @@ class FaasCloud(_BatchOfOne):
             del self._lease_expiry[endpoint_id]
             self._endpoint_online[endpoint_id] = False
             counter_inc("faas.lease_expiries", endpoint=endpoint_id)
-            target = self._failover_target_locked(endpoint_id)
-            # Everything the dead endpoint held: fetched-but-unfinished
-            # tasks first (oldest first), then its still-queued backlog.
-            stranded = sorted(
-                (
-                    record
-                    for record in self._tasks.values()
-                    if record.endpoint_id == endpoint_id
-                    and record.status is TaskStatus.DISPATCHED
-                ),
-                key=lambda record: record.submitted_at,
-            )
-            queued = self._queued_records_locked(endpoint_id)
-            if target is None:
-                # No survivor: put fetched work back on the dead endpoint's
-                # own queue (store-and-forward across a restart, as before).
-                for record in reversed(stranded):
-                    record.status = TaskStatus.WAITING
-                    record.fetched_at = None
-                    record.requeues += 1
-                    if self.usage is not None:
-                        self.usage.task_requeued(record.tenant, record.args_nbytes)
-                    self._tenant_queue_locked(endpoint_id, record.tenant).appendleft(
-                        record.task_id
-                    )
-                    counter_inc("faas.requeues", endpoint=endpoint_id)
-                # Fresh doorbells: the originals were acked by the dead
-                # agent, so a restarted subscriber would otherwise never
-                # learn its queue is non-empty again.
-                for record in stranded:
-                    self.bus.publish(
-                        task_topic(endpoint_id),
-                        record.task_id,
-                        chaos_key=record.chaos_key or record.task_id,
-                    )
+            # A surviving group member inherits everything the dead endpoint
+            # held; with no survivor its fetched work goes back on its own
+            # queue (store-and-forward across a restart).
+            peers = self._group_members_locked(endpoint_id)
+            if peers:
+                self._requeue_locked(endpoint_id, peers[0], "faas.failovers")
             else:
-                for queue in self._queues[endpoint_id].values():
-                    queue.clear()
-                stranded_ids = {record.task_id for record in stranded}
-                for record in stranded + queued:
-                    record.status = TaskStatus.WAITING
-                    record.fetched_at = None
-                    record.requeues += 1
-                    # Only dispatched work re-enters the queued-bytes quota;
-                    # still-queued records never left it.
-                    if self.usage is not None and record.task_id in stranded_ids:
-                        self.usage.task_requeued(record.tenant, record.args_nbytes)
-                    if endpoint_id not in record.previous_endpoints:
-                        record.previous_endpoints.append(endpoint_id)
-                    record.endpoint_id = target
-                    self._tenant_queue_locked(target, record.tenant).append(
-                        record.task_id
-                    )
-                    counter_inc(
-                        "faas.failovers", from_endpoint=endpoint_id, to_endpoint=target
-                    )
-                    self.bus.publish(
-                        task_topic(target),
-                        record.task_id,
-                        chaos_key=record.chaos_key or record.task_id,
-                    )
-                self._publish_depth_locked(target)
-            if stranded or queued:
-                self._queue_cond.notify_all()
+                self._requeue_locked(endpoint_id, None, "faas.requeues")
         return reaped
 
     # -- client side ------------------------------------------------------------
     def _admit_task(
-        self,
-        client_id: str,
-        func_id: str,
-        endpoint_id: str,
-        args_payload: Payload,
-        *,
-        tenant: str,
-        chaos_key: str | None,
-        deadline_at: float | None,
+        self, client_id: str, item: TaskSubmission, tenant: str
     ) -> tuple[str, str]:
         """Per-task admission checks: function/endpoint existence, deadline,
         poison quarantine, breaker steering, fault injection, and the
         payload cap.
         May re-steer the task; returns the (possibly new) endpoint id and
         the content fingerprint."""
+        func_id, endpoint_id, args_payload = (
+            item.func_id,
+            item.endpoint_id,
+            item.args_payload,
+        )
+        chaos_key, deadline_at = item.chaos_key, item.deadline_at
         self.endpoint_site(endpoint_id)
         with self._lock:
             known = (
@@ -1071,15 +1035,7 @@ class FaasCloud(_BatchOfOne):
         admitted: list[tuple[int, TaskSubmission, str, str]] = []
         for i, item in enumerate(items):
             try:
-                endpoint_id, fingerprint = self._admit_task(
-                    client_id,
-                    item.func_id,
-                    item.endpoint_id,
-                    item.args_payload,
-                    tenant=tenant,
-                    chaos_key=item.chaos_key,
-                    deadline_at=item.deadline_at,
-                )
+                endpoint_id, fingerprint = self._admit_task(client_id, item, tenant)
             except ReproError as exc:
                 results[i] = exc
                 continue
@@ -1262,7 +1218,7 @@ class FaasCloud(_BatchOfOne):
                 if timeout is not None and timeout > 0:
                     self._queue_cond.wait(self.clock.wall_timeout(timeout))
                 return []
-            while not self._backlog_locked(endpoint_id):
+            while not self._depth_locked(endpoint_id):
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - self.clock.now()
@@ -1276,20 +1232,18 @@ class FaasCloud(_BatchOfOne):
                 if task_id is None:
                     break
                 record = self._tasks[task_id]
+                if self.usage is not None:  # its bytes left the queue either way
+                    self.usage.task_dispatched(record.tenant, record.args_nbytes)
                 if (
                     record.deadline_at is not None
                     and self.clock.now() >= record.deadline_at
                 ):
                     # The deadline already passed while the task queued:
                     # fail it here instead of shipping dead work.
-                    if self.usage is not None:
-                        self.usage.task_dispatched(record.tenant, record.args_nbytes)
                     expired.append(record)
                     continue
                 record.status = TaskStatus.DISPATCHED
                 record.fetched_at = self.clock.now()
-                if self.usage is not None:
-                    self.usage.task_dispatched(record.tenant, record.args_nbytes)
                 out.append(
                     TaskDispatch(
                         record.task_id,
@@ -1332,16 +1286,14 @@ class FaasCloud(_BatchOfOne):
         the number of doorbells published."""
         with self._queue_cond:
             queued = [
-                (record.endpoint_id, record.task_id, record.chaos_key)
+                (endpoint_id, record)
                 for endpoint_id in self._queues
                 for record in self._queued_records_locked(endpoint_id)
             ]
             if queued:
                 self._queue_cond.notify_all()
-        for endpoint_id, task_id, chaos_key in queued:
-            self.bus.publish(
-                task_topic(endpoint_id), task_id, chaos_key=chaos_key or task_id
-            )
+        for endpoint_id, record in queued:
+            self._ring(task_topic(endpoint_id), record)
         if queued and self._on_enqueue is not None:
             self._on_enqueue()
         return len(queued)
@@ -1358,32 +1310,7 @@ class FaasCloud(_BatchOfOne):
         self.auth.validate(token, SCOPE_COMPUTE)
         self.endpoint_site(endpoint_id)
         with self._queue_cond:
-            stranded = sorted(
-                (
-                    record
-                    for record in self._tasks.values()
-                    if record.endpoint_id == endpoint_id
-                    and record.status is TaskStatus.DISPATCHED
-                ),
-                key=lambda record: record.submitted_at,
-            )
-            for record in reversed(stranded):
-                record.status = TaskStatus.WAITING
-                record.fetched_at = None
-                self._tenant_queue_locked(endpoint_id, record.tenant).appendleft(
-                    record.task_id
-                )
-                if self.usage is not None:
-                    self.usage.task_requeued(record.tenant, record.args_nbytes)
-            if stranded:
-                self._publish_depth_locked(endpoint_id)
-                self._queue_cond.notify_all()
-        for record in stranded:
-            self.bus.publish(
-                task_topic(endpoint_id),
-                record.task_id,
-                chaos_key=record.chaos_key or record.task_id,
-            )
+            stranded = self._requeue_locked(endpoint_id, None, "faas.requeues")
         return [record.task_id for record in stranded]
 
     def _fail_task_cloudside(self, record: TaskRecord, message: str) -> bool:
@@ -1407,11 +1334,7 @@ class FaasCloud(_BatchOfOne):
             self._completed.push_locked(record.client_id, record.task_id)
         if self.usage is not None:
             self.usage.task_finished(record.tenant)
-        self.bus.publish(
-            result_topic(record.client_id),
-            record.task_id,
-            chaos_key=record.chaos_key or record.task_id,
-        )
+        self._ring(result_topic(record.client_id), record)
         return True
 
     def cancel_task(self, token: Token, task_id: str) -> bool:
@@ -1428,17 +1351,13 @@ class FaasCloud(_BatchOfOne):
         self.auth.validate(token, SCOPE_COMPUTE)
         with self._queue_cond:
             record = self._tasks.get(task_id)
-            removed = False
-            if record is not None and record.status is TaskStatus.WAITING:
-                queue = self._queues.get(record.endpoint_id, {}).get(record.tenant)
-                if queue is not None:
-                    try:
-                        queue.remove(task_id)
-                        removed = True
-                    except ValueError:
-                        pass
-                if removed:
-                    self._publish_depth_locked(record.endpoint_id)
+            removed = (
+                record is not None
+                and record.status is TaskStatus.WAITING
+                and self._dequeue_locked(record)
+            )
+            if removed:
+                self._publish_depth_locked(record.endpoint_id)
         if not removed:
             return False
         if self.usage is not None:
@@ -1525,18 +1444,11 @@ class FaasCloud(_BatchOfOne):
         # task and this reporter a stale lease (the re-check below refuses
         # it) — dropping the copy would leave the task WAITING in no queue.
         with self._queue_cond:
-            queue = None
-            if record.endpoint_id == endpoint_id:
-                queue = self._queues.get(endpoint_id, {}).get(record.tenant)
-            removed = False
-            if queue is not None:
-                try:
-                    queue.remove(task_id)
-                    removed = True
-                except ValueError:
-                    pass
+            removed = record.endpoint_id == endpoint_id and self._dequeue_locked(
+                record
+            )
             if removed:
-                self._publish_depth_locked(record.endpoint_id)
+                self._publish_depth_locked(endpoint_id)
         if removed and self.usage is not None:
             # The queued copy's argument bytes no longer wait in a queue.
             self.usage.task_dispatched(record.tenant, record.args_nbytes)
@@ -1650,20 +1562,25 @@ class FaasCloud(_BatchOfOne):
             return []
         return self.poison.entries(tenant)
 
-    def deadletter_drop(self, token: Token, tenant: str, fingerprint: str):
-        """Discard a quarantined entry for good (operator gave up on it).
-        Returns the removed entry, or ``None`` if nothing matched."""
-        self.auth.validate(token, SCOPE_COMPUTE)
+    def _deadletter_release(self, tenant: str, fingerprint: str, counter: str):
+        """Take an entry out of quarantine, durably: a crash-rebuilt shard
+        must not re-install it.  Returns the entry, or ``None``."""
         if self.poison is None:
             return None
         entry = self.poison.remove(tenant, fingerprint)
         if entry is not None:
-            counter_inc("resilience.deadletter_drops", tenant=tenant)
+            counter_inc(counter, tenant=tenant)
             if self.journal is not None:
-                self.journal.append(
-                    "deadletter", op="drop", entry=entry.to_record()
-                )
+                self.journal.append("deadletter", op="drop", entry=entry.to_record())
         return entry
+
+    def deadletter_drop(self, token: Token, tenant: str, fingerprint: str):
+        """Discard a quarantined entry for good (operator gave up on it).
+        Returns the removed entry, or ``None`` if nothing matched."""
+        self.auth.validate(token, SCOPE_COMPUTE)
+        return self._deadletter_release(
+            tenant, fingerprint, "resilience.deadletter_drops"
+        )
 
     def deadletter_retry(
         self, token: Token, tenant: str, fingerprint: str, endpoint_id: str
@@ -1672,14 +1589,11 @@ class FaasCloud(_BatchOfOne):
         ``endpoint_id`` with a fresh strike slate.  Returns the new task id,
         or ``None`` if nothing matched."""
         self.auth.validate(token, SCOPE_COMPUTE)
-        if self.poison is None:
-            return None
-        entry = self.poison.remove(tenant, fingerprint)
+        entry = self._deadletter_release(
+            tenant, fingerprint, "resilience.deadletter_retries"
+        )
         if entry is None:
             return None
-        counter_inc("resilience.deadletter_retries", tenant=tenant)
-        if self.journal is not None:
-            self.journal.append("deadletter", op="drop", entry=entry.to_record())
         args_payload = self.store.read(entry.args_locator)
         return self.submit(
             token,

@@ -89,9 +89,6 @@ class FaasEndpoint:
         Endpoints registered under the same group name are interchangeable:
         if this endpoint's heartbeat lease expires, the cloud re-dispatches
         its tasks to a surviving group member.
-    heartbeats:
-        Run the heartbeat thread that renews this endpoint's lease (on by
-        default; disable for rigs that drive the cloud API directly).
     """
 
     def __init__(
@@ -106,7 +103,6 @@ class FaasEndpoint:
         max_tasks_per_poll: int = 32,
         clock: Clock | None = None,
         failover_group: str | None = None,
-        heartbeats: bool = True,
         use_bus: bool = True,
         uplink_batching: bool = False,
     ) -> None:
@@ -134,7 +130,6 @@ class FaasEndpoint:
         )
         self._max_tasks = max_tasks_per_poll
         self._clock = clock or get_clock()
-        self._heartbeats = heartbeats
         self._heartbeat_timer = None
         # Opportunistic uplink batching: when results pile up in the outbox
         # faster than one API round trip drains them, ship the whole backlog
@@ -197,19 +192,17 @@ class FaasEndpoint:
             counter_inc("endpoint.gray_degraded", endpoint=self.name)
         self.pool.start()
         self.cloud.set_endpoint_online(self.endpoint_id, True)
-        loops = [(self._poll_loop, "poll"), (self._uplink_loop, "uplink")]
-        if self._heartbeats:
-            # Establish the lease before the first fetch so a crash at any
-            # point of the endpoint's life is observable as a lease lapse.
-            self.cloud.heartbeat(self.token, self.endpoint_id)
-            # Renewals ride the shared process reactor: one scheduler thread
-            # multiplexes every endpoint's heartbeat deadline instead of
-            # each agent parking a thread in a sleep loop.
-            self._heartbeat_timer = get_reactor().call_every(
-                self.cloud.constants.endpoint_heartbeat_period,
-                self._heartbeat_tick,
-            )
-        for target, label in loops:
+        # Establish the lease before the first fetch so a crash at any
+        # point of the endpoint's life is observable as a lease lapse.
+        self.cloud.heartbeat(self.token, self.endpoint_id)
+        # Renewals ride the shared process reactor: one scheduler thread
+        # multiplexes every endpoint's heartbeat deadline instead of
+        # each agent parking a thread in a sleep loop.
+        self._heartbeat_timer = get_reactor().call_every(
+            self.cloud.constants.endpoint_heartbeat_period,
+            self._heartbeat_tick,
+        )
+        for target, label in ((self._poll_loop, "poll"), (self._uplink_loop, "uplink")):
             thread = SiteThread(
                 self.site, target=target, name=f"faas-ep-{self.name}-{label}"
             )
@@ -293,8 +286,7 @@ class FaasEndpoint:
             with self._fetched_lock:
                 self._fetched_tasks.clear()
             self.cloud.requeue_dispatched(self.token, self.endpoint_id)
-        if self._heartbeats:
-            self.cloud.heartbeat(self.token, self.endpoint_id)
+        self.cloud.heartbeat(self.token, self.endpoint_id)
         self._paused.clear()
         self.cloud.set_endpoint_online(self.endpoint_id, True)
 

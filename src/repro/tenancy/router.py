@@ -28,6 +28,7 @@ resolves to its owner by parsing alone.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import threading
@@ -36,7 +37,6 @@ from typing import TYPE_CHECKING
 
 from repro.bus import NotificationBus
 from repro.chaos.plan import chaos_check
-from repro.chaos.policy import RetryPolicy
 from repro.exceptions import ReproError, ShardUnavailableError, WorkflowError
 from repro.faas.auth import SCOPE_COMPUTE, AuthServer, Token
 from repro.faas.cloud import (
@@ -51,13 +51,13 @@ from repro.net.clock import Clock, get_clock
 from repro.net.defaults import ROUTER_FETCH_POLL, PaperConstants
 from repro.net.topology import Network, Site
 from repro.observe import counter_inc
+from repro.resilience import EndpointHealthTracker, PoisonTracker
 from repro.serialize import Payload
 from repro.tenancy.hashring import HashRing, partition_key
 from repro.tenancy.shard import CloudShard
 from repro.tenancy.tenant import (
     DEFAULT_TENANT,
     Tenant,
-    TenantQuota,
     TenantRegistry,
     tenant_scope,
     validate_function_name,
@@ -68,12 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.durable import RecoveryReport
 
 __all__ = ["CloudRouter"]
-
-#: Nominal seconds between re-polls of the shard set while a fetch
-#: long-poll waits for work (a doorbell via ``_wake`` cuts this short).
-#: Named in ``repro.net.defaults`` alongside the client-loop intervals.
-_FETCH_POLL = ROUTER_FETCH_POLL
-
 
 class _RoutedStore:
     """Locator-prefix routing facade over the shards' payload stores.
@@ -97,9 +91,6 @@ class _RoutedStore:
 
     def read(self, locator: str) -> Payload:
         return self._shard_store(locator).read(locator)
-
-    def delete(self, locator: str) -> None:
-        self._shard_store(locator).delete(locator)
 
     def write(self, payload: Payload, *, chaos_exempt: bool = False) -> str:
         raise WorkflowError(
@@ -146,16 +137,7 @@ class CloudRouter(_BatchOfOne):
         self.registry = registry if registry is not None else TenantRegistry(self.clock)
         # One delivery fabric for every shard: a single bus (doorbells,
         # result notifications) and a single completed feed (client polls).
-        self.bus = NotificationBus(
-            clock=self.clock,
-            redelivery=RetryPolicy(
-                max_attempts=6,
-                base_delay=self.constants.bus_redelivery_base,
-                max_delay=self.constants.bus_redelivery_max,
-            ),
-            lease_ttl=self.constants.bus_lease_ttl,
-            window=self.constants.bus_redelivery_window,
-        )
+        self.bus = NotificationBus.for_cloud(self.clock, self.constants)
         self._completed = _CompletedFeed(self.clock)
         self.store = _RoutedStore(self)
         self._lock = threading.Lock()
@@ -172,18 +154,12 @@ class CloudRouter(_BatchOfOne):
         #: shard id -> nominal time its outage window ends.
         self._outages: dict[str, float] = {}
         self._journal_factory = journal_factory
-        if health_policy is not None:
-            from repro.resilience import EndpointHealthTracker
-
-            self.health = EndpointHealthTracker(health_policy)
-        else:
-            self.health = None
-        if poison_policy is not None:
-            from repro.resilience import PoisonTracker
-
-            self.poison = PoisonTracker(poison_policy)
-        else:
-            self.poison = None
+        self.health = (
+            EndpointHealthTracker(health_policy) if health_policy is not None else None
+        )
+        self.poison = (
+            PoisonTracker(poison_policy) if poison_policy is not None else None
+        )
         for _ in range(n_shards):
             self._add_shard_locked()
 
@@ -226,10 +202,7 @@ class CloudRouter(_BatchOfOne):
         """
         from repro.durable import recover_cloud
 
-        with self._lock:
-            old = self._shards.get(shard_id)
-        if old is None:
-            raise WorkflowError(f"unknown shard {shard_id!r}")
+        old = self.shard(shard_id)
         if old.journal is None:
             raise WorkflowError(
                 f"shard {shard_id} has no journal; its state is unrecoverable "
@@ -300,18 +273,9 @@ class CloudRouter(_BatchOfOne):
             self._wake.notify_all()
 
     # -- tenants --------------------------------------------------------------
-    def create_tenant(
-        self,
-        name: str,
-        *,
-        weight: int = 1,
-        quota: TenantQuota | None = None,
-        rate: float | None = None,
-        burst: float | None = None,
-    ) -> Tenant:
-        return self.registry.create(
-            name, weight=weight, quota=quota, rate=rate, burst=burst
-        )
+    def create_tenant(self, name: str, **settings) -> Tenant:
+        """See :meth:`TenantRegistry.create`."""
+        return self.registry.create(name, **settings)
 
     # -- outages --------------------------------------------------------------
     def _begin_outage(self, shard_id: str) -> float:
@@ -320,10 +284,11 @@ class CloudRouter(_BatchOfOne):
             self._outages[shard_id] = self.clock.now() + window
         return window
 
-    def _recover_outages(self) -> None:
+    def _recover_outages(self) -> dict[str, float]:
         """Clear elapsed outage windows; a recovering shard re-rings the
         doorbells for its queued backlog (the originals were acked against
-        empty fetches while the router skipped the dark shard)."""
+        empty fetches while the router skipped the dark shard).  Returns
+        the shards still dark and when each comes back."""
         now = self.clock.now()
         with self._lock:
             recovered = [
@@ -333,28 +298,20 @@ class CloudRouter(_BatchOfOne):
             ]
             for shard_id in recovered:
                 del self._outages[shard_id]
+            dark = dict(self._outages)
         for shard_id in recovered:
             counter_inc("cloud.shard_recoveries", shard=shard_id)
             self.shard(shard_id).republish_doorbells()
+        return dark
 
     def _check_available(self, shard_id: str) -> None:
-        with self._lock:
-            until = self._outages.get(shard_id)
-        if until is None:
-            return
-        remaining = until - self.clock.now()
-        if remaining <= 0:
-            self._recover_outages()
-            return
-        raise ShardUnavailableError(
-            f"shard {shard_id} is restarting; retry in {remaining:.3f}s",
-            retry_after=remaining,
-        )
-
-    def _dark_shards(self) -> set[str]:
-        now = self.clock.now()
-        with self._lock:
-            return {sid for sid, until in self._outages.items() if until > now}
+        until = self._recover_outages().get(shard_id)
+        if until is not None:
+            remaining = until - self.clock.now()
+            raise ShardUnavailableError(
+                f"shard {shard_id} is restarting; retry in {remaining:.3f}s",
+                retry_after=remaining,
+            )
 
     # -- registry -------------------------------------------------------------
     def register_function(
@@ -416,42 +373,28 @@ class CloudRouter(_BatchOfOne):
         )
         return endpoint_id
 
-    def _any_shard(self) -> CloudShard:
-        with self._lock:
-            return next(iter(self._shards.values()))
-
     def _all_shards(self) -> list[CloudShard]:
         with self._lock:
             return list(self._shards.values())
 
-    def endpoint_site(self, endpoint_id: str) -> Site:
-        return self._any_shard().endpoint_site(endpoint_id)
-
-    def set_endpoint_online(self, endpoint_id: str, online: bool) -> None:
-        for shard in self._all_shards():
-            shard.set_endpoint_online(endpoint_id, online)
-
-    def endpoint_online(self, endpoint_id: str) -> bool:
-        return self._any_shard().endpoint_online(endpoint_id)
-
-    def heartbeat(self, token: Token, endpoint_id: str) -> float:
-        expiry = 0.0
-        for shard in self._all_shards():
-            expiry = max(expiry, shard.heartbeat(token, endpoint_id))
-        return expiry
-
-    def lease_valid(self, endpoint_id: str) -> bool:
-        return self._any_shard().lease_valid(endpoint_id)
-
-    def release_lease(self, token: Token, endpoint_id: str) -> None:
-        for shard in self._all_shards():
-            shard.release_lease(token, endpoint_id)
-
-    def expire_leases(self) -> list[str]:
-        reaped: list[str] = []
-        for shard in self._all_shards():
-            reaped.extend(shard.expire_leases())
-        return sorted(set(reaped))
+    def _scatter(self, n: int, owner, call) -> list:
+        """Group the ``n`` members of a batched call by owning shard, make
+        one ``call(shard_id, indexes)`` per group (it returns that group's
+        outcomes in order) and merge them into one list aligned with the
+        members.  ``owner(i)`` names member ``i``'s shard; the
+        :class:`ReproError` it raises instead is that member's outcome and
+        its batch-mates go on."""
+        outcomes: list = [None] * n
+        groups: dict[str, list[int]] = {}
+        for i in range(n):
+            try:
+                groups.setdefault(owner(i), []).append(i)
+            except ReproError as exc:
+                outcomes[i] = exc
+        for shard_id in sorted(groups):
+            for i, outcome in zip(groups[shard_id], call(shard_id, groups[shard_id])):
+                outcomes[i] = outcome
+        return outcomes
 
     # -- client side ----------------------------------------------------------
     def _shard_faults(
@@ -516,18 +459,13 @@ class CloudRouter(_BatchOfOne):
         if tenant != DEFAULT_TENANT:
             self.auth.validate(token, tenant_scope(tenant))
         self._recover_outages()
-        results: list = [None] * len(items)
-        groups: dict[str, list[int]] = {}
-        for i, item in enumerate(items):
-            shard_id = self._shard_for_partition(tenant, item.func_id)
-            try:
-                self._shard_faults(shard_id, item, client_id, tenant)
-            except ShardUnavailableError as exc:
-                results[i] = exc
-                continue
-            groups.setdefault(shard_id, []).append(i)
-        for shard_id in sorted(groups):
-            indexes = groups[shard_id]
+
+        def owner(i: int) -> str:
+            shard_id = self._shard_for_partition(tenant, items[i].func_id)
+            self._shard_faults(shard_id, items[i], client_id, tenant)
+            return shard_id
+
+        def admit(shard_id: str, indexes: list[int]) -> list:
             group_items = [items[i] for i in indexes]
             total_bytes = sum(it.args_payload.nominal_size for it in group_items)
             try:
@@ -536,9 +474,7 @@ class CloudRouter(_BatchOfOne):
                 # token; all members' in-flight slots, atomically).
                 self.registry.admit_batch(tenant, len(indexes), total_bytes)
             except ReproError as exc:
-                for i in indexes:
-                    results[i] = exc
-                continue
+                return [exc] * len(indexes)
             try:
                 shard_results = self.shard(shard_id).submit_batch(
                     token, client_id, group_items, tenant=tenant
@@ -546,14 +482,13 @@ class CloudRouter(_BatchOfOne):
             except BaseException:
                 self.registry.release_batch(tenant, len(indexes), total_bytes)
                 raise
-            rejected = rejected_bytes = 0
-            for i, res in zip(indexes, shard_results):
-                results[i] = res
-                if isinstance(res, Exception):
-                    rejected += 1
-                    rejected_bytes += items[i].args_payload.nominal_size
+            rejected = [
+                it.args_payload.nominal_size
+                for it, res in zip(group_items, shard_results)
+                if isinstance(res, Exception)
+            ]
             if rejected:
-                self.registry.release_batch(tenant, rejected, rejected_bytes)
+                self.registry.release_batch(tenant, len(rejected), sum(rejected))
             # The mid-batch crash window: the shard has fsync'd ONE WAL
             # record for the whole batch and populated its queues, but no
             # caller has seen a task id yet.  Key the fault on a digest of
@@ -570,70 +505,37 @@ class CloudRouter(_BatchOfOne):
             if spec is not None:
                 counter_inc("cloud.batch_crashes", shard=shard_id)
                 # The rebuilt shard replays the batch record per task —
-                # the ids already in ``results`` stay valid.
+                # the ids already handed back stay valid.
                 self.crash_shard(shard_id)
-        return results
+            return shard_results
+
+        return self._scatter(len(items), owner, admit)
 
     def task(self, task_id: str) -> TaskRecord:
         return self._shard_for_task(task_id).task(task_id)
 
-    def task_records(self) -> list[TaskRecord]:
-        records: list[TaskRecord] = []
-        for shard in self._all_shards():
-            records.extend(shard.task_records())
-        return records
-
-    def queue_depth(self, endpoint_id: str) -> int:
-        """Waiting tasks for ``endpoint_id`` summed over every shard."""
-        return sum(shard.queue_depth(endpoint_id) for shard in self._all_shards())
-
-    def tenant_backlog(self, endpoint_id: str) -> dict[str, int]:
-        """Per-tenant waiting-task counts for ``endpoint_id`` merged across
-        shards — the flattened demand signal autoscalers subscribe to."""
-        merged: dict[str, int] = {}
-        for shard in self._all_shards():
-            for tenant, depth in shard.tenant_backlog(endpoint_id).items():
-                merged[tenant] = merged.get(tenant, 0) + depth
-        return merged
-
     def get_result_payloads(self, token: Token, task_ids: list[str]) -> list:
-        """Batched result read: scatter the ids to their owning shards (one
-        shard call, hence one auth check, per group) and merge the per-task
-        outcomes back into a list aligned with ``task_ids``, like
-        :meth:`FaasCloud.get_result_payloads`.  An id no shard owns, or a
-        shard whose call fails, fails only its own members.
+        """Batched result read, like :meth:`FaasCloud.get_result_payloads`:
+        one call (hence one auth check) per owning shard.  An id no shard
+        owns, or a shard whose call fails, fails only its own members.
 
         Never gated on outages: results live in durable shard state — the
         write-ahead journal holds every result's bytes, so even a
         state-destroying crash rebuilds them (see ``crash_shard``) — and
         the data plane stays up while the admission tier restarts.
         """
-        outcomes: list = [None] * len(task_ids)
-        groups: dict[str, list[int]] = {}
-        for i, task_id in enumerate(task_ids):
+
+        def read(shard_id: str, indexes: list[int]) -> list:
             try:
-                shard = self._shard_for_task(task_id)
-            except WorkflowError as exc:
-                outcomes[i] = exc
-                continue
-            groups.setdefault(shard.shard_id, []).append(i)
-        for shard_id in sorted(groups):
-            indexes = groups[shard_id]
-            try:
-                shard_outcomes = self.shard(shard_id).get_result_payloads(
+                return self.shard(shard_id).get_result_payloads(
                     token, [task_ids[i] for i in indexes]
                 )
             except ReproError as exc:
-                shard_outcomes = [exc] * len(indexes)
-            for i, outcome in zip(indexes, shard_outcomes):
-                outcomes[i] = outcome
-        return outcomes
+                return [exc] * len(indexes)
 
-    def next_completed_batch(
-        self, client_id: str, max_n: int = 32, timeout: float | None = None
-    ) -> list[str]:
-        """One wait covers completions from every shard (shared feed)."""
-        return self._completed.next_completed_batch(client_id, max_n, timeout)
+        return self._scatter(
+            len(task_ids), lambda i: self._shard_for_task(task_ids[i]).shard_id, read
+        )
 
     # -- endpoint side --------------------------------------------------------
     def fetch_tasks(
@@ -655,11 +557,8 @@ class CloudRouter(_BatchOfOne):
         while True:
             with self._wake:
                 seq = self._wake_seq
-            self._recover_outages()
-            dark = self._dark_shards()
-            with self._lock:
-                order = sorted(self._shards)
-            live = [sid for sid in order if sid not in dark]
+            dark = self._recover_outages()
+            live = [sid for sid in self.shard_ids if sid not in dark]
             if live:
                 offset = next(self._fetch_rotation) % len(live)
                 for shard_id in live[offset:] + live[:offset]:
@@ -676,16 +575,14 @@ class CloudRouter(_BatchOfOne):
                 remaining = deadline - self.clock.now()
                 if remaining <= 0:
                     return out
-            interval = _FETCH_POLL if remaining is None else min(remaining, _FETCH_POLL)
+            # Re-poll the shard set at this period while waiting for work;
+            # a doorbell via ``_wake`` cuts the wait short.
+            interval = ROUTER_FETCH_POLL
+            if remaining is not None:
+                interval = min(remaining, interval)
             with self._wake:
                 if self._wake_seq == seq:
                     self._wake.wait(self.clock.wall_timeout(interval))
-
-    def requeue_dispatched(self, token: Token, endpoint_id: str) -> list[str]:
-        requeued: list[str] = []
-        for shard in self._all_shards():
-            requeued.extend(shard.requeue_dispatched(token, endpoint_id))
-        return requeued
 
     def report_results(
         self,
@@ -699,54 +596,85 @@ class CloudRouter(_BatchOfOne):
 
         Like the result read, reporting is never outage-gated: the endpoint
         uplink must keep draining even while admission throttles."""
-        outcomes: list = [None] * len(results)
-        groups: dict[str, list[int]] = {}
-        for i, (task_id, _success, _payload) in enumerate(results):
-            shard = self._shard_for_task(task_id)
-            groups.setdefault(shard.shard_id, []).append(i)
-        for shard_id in sorted(groups):
-            indexes = groups[shard_id]
-            shard_outcomes = self.shard(shard_id).report_results(
+        return self._scatter(
+            len(results),
+            lambda i: self._shard_for_task(results[i][0]).shard_id,
+            lambda shard_id, indexes: self.shard(shard_id).report_results(
                 token, endpoint_id, [results[i] for i in indexes]
-            )
-            for i, outcome in zip(indexes, shard_outcomes):
-                outcomes[i] = outcome
-        return outcomes
+            ),
+        )
 
     def cancel_task(self, token: Token, task_id: str) -> bool:
         """Cancel a still-queued task on its owning shard (hedge losers)."""
         return self._shard_for_task(task_id).cancel_task(token, task_id)
 
     # -- dead-letter queue -----------------------------------------------------
-    def deadletters(self, tenant: str | None = None) -> list:
-        """Quarantined entries — one shared tracker, so any shard's view is
-        the fleet view."""
-        if self.poison is None:
-            return []
-        return self.poison.entries(tenant)
-
-    def deadletter_drop(self, token: Token, tenant: str, fingerprint: str):
-        """Route the drop to the entry's owning shard so the release lands
-        in the same journal that recorded the quarantine."""
-        if self.poison is None:
-            return None
-        entry = self.poison.entry(tenant, fingerprint)
+    def _deadletter_op(
+        self, op: str, token: Token, tenant: str, fingerprint: str, *args
+    ):
+        """Run a dead-letter release on the entry's owning shard, so it lands
+        in the journal that recorded the quarantine (and a resubmission's
+        fresh task id routes back); ``None`` if nothing matched."""
+        entry = None if self.poison is None else self.poison.entry(tenant, fingerprint)
         if entry is None:
             return None
         shard_id = self._shard_for_partition(tenant, entry.func_id)
-        return self.shard(shard_id).deadletter_drop(token, tenant, fingerprint)
+        return getattr(self.shard(shard_id), op)(token, tenant, fingerprint, *args)
+
+    def deadletter_drop(self, token: Token, tenant: str, fingerprint: str):
+        return self._deadletter_op("deadletter_drop", token, tenant, fingerprint)
 
     def deadletter_retry(
         self, token: Token, tenant: str, fingerprint: str, endpoint_id: str
     ) -> str | None:
-        """Release + resubmit through the entry's owning shard so the fresh
-        task id routes back correctly."""
-        if self.poison is None:
-            return None
-        entry = self.poison.entry(tenant, fingerprint)
-        if entry is None:
-            return None
-        shard_id = self._shard_for_partition(tenant, entry.func_id)
-        return self.shard(shard_id).deadletter_retry(
-            token, tenant, fingerprint, endpoint_id
+        return self._deadletter_op(
+            "deadletter_retry", token, tenant, fingerprint, endpoint_id
         )
+
+# -- delegated to the shards ---------------------------------------------------
+def _concat(answers: list[list]) -> list:
+    return [item for answer in answers for item in answer]
+
+
+def _sum_counts(answers: list[dict[str, int]]) -> dict[str, int]:
+    merged: dict[str, int] = {}
+    for answer in answers:
+        for key, count in answer.items():
+            merged[key] = merged.get(key, 0) + count
+    return merged
+
+
+#: The ``FaasCloud`` calls the router answers by asking its shards and doing
+#: nothing else: name -> how the shards' answers reduce to one.  ``None``
+#: asks any one shard — endpoint state every shard holds alike, because
+#: registration, heartbeats and online flags are broadcast to all of them.
+_DELEGATED = {
+    "endpoint_site": None,
+    "endpoint_online": None,
+    "lease_valid": None,
+    "deadletters": None,  # one tracker, shared by every shard
+    "next_completed_batch": None,  # one completed feed, likewise
+    "set_endpoint_online": lambda answers: None,
+    "release_lease": lambda answers: None,
+    "heartbeat": max,  # the latest expiry any shard granted
+    "expire_leases": lambda answers: sorted(set(_concat(answers))),
+    "requeue_dispatched": _concat,
+    "task_records": _concat,
+    "queue_depth": sum,
+    "tenant_backlog": _sum_counts,
+}
+
+
+def _delegated(name: str, reduce):
+    @functools.wraps(getattr(CloudShard, name))
+    def method(self, *args, **kwargs):
+        shards = self._all_shards()
+        if reduce is None:
+            return getattr(shards[0], name)(*args, **kwargs)
+        return reduce([getattr(shard, name)(*args, **kwargs) for shard in shards])
+
+    return method
+
+
+for _name, _reduce in _DELEGATED.items():
+    setattr(CloudRouter, _name, _delegated(_name, _reduce))

@@ -10,6 +10,8 @@ queued), and a double-replayed journal segment.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.durable import (
@@ -18,11 +20,19 @@ from repro.durable import (
     encode_payload,
     recover_cloud,
 )
-from repro.exceptions import WorkflowError
+from repro.exceptions import LeaseExpiredError, WorkflowError
+from repro.faas import FaasClient, FaasEndpoint
 from repro.faas.auth import SCOPE_COMPUTE, AuthServer
 from repro.faas.cloud import FaasCloud, TaskStatus
+from repro.net.clock import get_clock
+from repro.net.context import at_site
+from repro.net.defaults import PaperConstants, build_paper_testbed
 from repro.net.fs import FileSystem
+from repro.observe import MetricsRegistry, set_metrics
+from repro.resilience import EndpointHealthTracker, HealthPolicy
+from repro.resources import WorkerPool
 from repro.serialize import deserialize, serialize
+from repro.tenancy import CloudRouter, tenant_scope
 
 
 def _square(x):
@@ -262,3 +272,300 @@ def test_recovery_replays_snapshot_plus_suffix_after_compaction(testbed):
     assert fresh.task(waiting).status is TaskStatus.WAITING
     status, payload = fresh.get_result_payload(rig.token, done)
     assert status is TaskStatus.SUCCESS and deserialize(payload)["value"] == 4
+
+
+# -- compositions: a change of owner, then a crash -----------------------------
+#
+# A failover or a breaker shed moves a task to another endpoint; the
+# ``rehome`` WAL record is what lets replay see that.  Without it the tasks
+# below come back owned by the endpoint they left.
+
+#: One slow sample opens the breaker and it stays open for the whole test.
+GRAY = dict(
+    latency_baseline=1.0,
+    latency_threshold=2.0,
+    min_samples=1,
+    open_score=0.5,
+    latency_alpha=1.0,
+    open_duration=600.0,
+)
+
+
+class PairRig(Rig):
+    """Two endpoints ``a``/``b`` in one failover group, both heartbeating."""
+
+    def __init__(self, testbed, health=None):
+        super().__init__(testbed)
+        self.health = self.cloud.health = health
+        self.ttl = testbed.constants.endpoint_lease_ttl
+        self.ep_a, self.ep_b = (
+            self.cloud.register_endpoint(
+                self.token, name, testbed.theta_compute, failover_group="pair"
+            )
+            for name in "ab"
+        )
+        self.cloud.heartbeat(self.token, self.ep_a)
+        self.cloud.heartbeat(self.token, self.ep_b)
+
+    def submit(self, value):
+        return self.cloud.submit(
+            self.token, "client-1", self.func_id, self.ep_a, serialize(((value,), {}))
+        )
+
+    def lapse_a(self):
+        """``a`` goes silent for more than one TTL while ``b`` keeps beating;
+        ``b``'s last heartbeat is the sweep that reaps ``a``."""
+        for _ in range(2):
+            self.cloud.clock.sleep(0.6 * self.ttl)
+            self.cloud.heartbeat(self.token, self.ep_b)
+
+    def crash_and_recover(self):
+        fresh = self.crash()
+        fresh.health = self.health  # the tracker lives outside the shard
+        return fresh, recover_cloud(fresh)
+
+
+def _move_off_a(pair, how):
+    """Two tasks on ``a`` — one fetched, one still queued — moved to ``b``
+    by a lease lapse, or by the breaker shed that one very slow result from
+    ``a`` sets off."""
+    probe, held, queued = (pair.submit(value) for value in (1, 2, 3))
+    fetched = pair.cloud.fetch_tasks(pair.token, pair.ep_a, 2, timeout=1.0)
+    assert [d.task_id for d in fetched] == [probe, held]
+    if how == "shed":
+        pair.cloud.clock.sleep(10.0)  # the dispatch -> result latency sample
+    pair.cloud.report_result(
+        pair.token, pair.ep_a, probe, True, serialize({"value": 1})
+    )
+    if how == "shed":
+        pair.cloud.heartbeat(pair.token, pair.ep_b)  # the sweep: a is gray now
+    else:
+        pair.lapse_a()
+    for task_id in (held, queued):
+        assert pair.cloud.task(task_id).endpoint_id == pair.ep_b
+    return held, queued
+
+
+def _pair(testbed, how):
+    health = EndpointHealthTracker(HealthPolicy(**GRAY)) if how == "shed" else None
+    return PairRig(testbed, health)
+
+
+@pytest.mark.parametrize("how", ["failover", "shed"])
+def test_rehomed_tasks_stay_rehomed_across_a_crash(testbed, how):
+    """Probe 1: on the parent both tasks came back owned by ``a`` and ``b``
+    never fetched them."""
+    pair = _pair(testbed, how)
+    held, queued = _move_off_a(pair, how)
+
+    fresh, report = pair.crash_and_recover()
+
+    assert report.deduped == 0
+    for task_id in (held, queued):
+        record = fresh.task(task_id)
+        assert record.status is TaskStatus.WAITING
+        assert record.endpoint_id == pair.ep_b
+        assert record.previous_endpoints == [pair.ep_a]
+    assert fresh.queue_depth(pair.ep_a) == 0
+    fetched = fresh.fetch_tasks(pair.token, pair.ep_b, 10, timeout=1.0)
+    assert [d.task_id for d in fetched] == [held, queued]
+
+
+@pytest.mark.parametrize("how", ["failover", "shed"])
+def test_new_owner_reports_after_a_crash_and_the_old_one_is_stale(testbed, how):
+    """Probe 2: on the parent ``b``'s honest report was a protocol error
+    (which kills a real endpoint's uplink thread) and the task never left
+    WAITING."""
+    pair = _pair(testbed, how)
+    held, queued = _move_off_a(pair, how)
+    fetched = pair.cloud.fetch_tasks(pair.token, pair.ep_b, 1, timeout=1.0)
+    assert [d.task_id for d in fetched] == [held]
+
+    fresh, report = pair.crash_and_recover()
+
+    assert report.released == 1  # `held` was in flight on b at the crash
+    assert fresh.task(held).endpoint_id == pair.ep_b
+    fresh.report_result(pair.token, pair.ep_b, held, True, serialize({"value": 4}))
+    assert fresh.task(held).status is TaskStatus.SUCCESS
+    with pytest.raises(LeaseExpiredError):
+        fresh.report_result(pair.token, pair.ep_a, queued, True, serialize({}))
+    # Exactly once: one completion for `held`, none for `queued`.
+    done = fresh.next_completed_batch("client-1", 32, timeout=0.5)
+    assert done.count(held) == 1 and queued not in done
+    assert fresh.next_completed("client-1", timeout=0.5) is None
+
+
+def test_lease_failover_publishes_the_source_depth(testbed):
+    metrics = MetricsRegistry()
+    set_metrics(metrics)
+    pair = PairRig(testbed)
+    _move_off_a(pair, "failover")
+    assert metrics.gauge("faas.queue_depth", endpoint=pair.ep_a).value == 0
+    assert metrics.gauge("faas.queue_depth", endpoint=pair.ep_b).value == 2
+    assert metrics.counter_total("faas.failovers") == 2
+
+
+def test_leases_survive_recovery(testbed):
+    """Probe 3: ``a`` dies shortly before the crash.  The rebuilt instance
+    used to hold no lease for it, so the reaper never failed its queue
+    over."""
+    pair = PairRig(testbed)
+    held, queued = pair.submit(2), pair.submit(3)
+    pair.cloud.fetch_tasks(pair.token, pair.ep_a, 1, timeout=1.0)
+
+    fresh, _ = pair.crash_and_recover()
+
+    assert fresh.lease_valid(pair.ep_a)  # it owns work: one TTL to show up
+    assert not fresh.lease_valid(pair.ep_b)  # owns nothing: no lease invented
+    fresh.heartbeat(pair.token, pair.ep_b)
+    pair.lapse_a()
+    for task_id in (held, queued):
+        record = fresh.task(task_id)
+        assert record.endpoint_id == pair.ep_b
+        assert record.previous_endpoints == [pair.ep_a]
+    fetched = fresh.fetch_tasks(pair.token, pair.ep_b, 10, timeout=1.0)
+    assert [d.task_id for d in fetched] == [held, queued]
+
+
+def _ledger(cloud):
+    return (
+        sorted(
+            (r.task_id, r.status.value, r.endpoint_id, tuple(r.previous_endpoints))
+            for r in cloud.task_records()
+        ),
+        {
+            endpoint_id: {tenant: list(q) for tenant, q in queues.items() if q}
+            for endpoint_id, queues in cloud._queues.items()
+        },
+    )
+
+
+def test_rehome_replays_the_same_in_either_order_with_the_dispatch(testbed):
+    """The dispatch fsync happens outside the queue lock, so the log may
+    hold ``dispatch(b)`` on either side of the ``rehome(a→b)`` it followed."""
+    ledgers = []
+    for order in (("rehome", "dispatch"), ("dispatch", "rehome")):
+        pair = PairRig(testbed)
+        task_id = pair.submit(2)
+        at = pair.cloud.clock.now()
+        tail = {
+            "rehome": dict(
+                **{"from": pair.ep_a, "to": pair.ep_b}, task_ids=[task_id], at=at
+            ),
+            "dispatch": dict(endpoint_id=pair.ep_b, task_ids=[task_id], at=at),
+        }
+        for kind in order:
+            pair.journal.append(kind, **tail[kind])
+        fresh, report = pair.crash_and_recover()
+        assert report.deduped == 0
+        # Endpoint ids are minted per rig: compare by role.
+        names = {pair.ep_a: "a", pair.ep_b: "b", pair.endpoint_id: "theta"}
+        tasks, queues = _ledger(fresh)
+        ledgers.append(
+            (
+                [(s, names[e], [names[p] for p in prev]) for _, s, e, prev in tasks],
+                {names[e]: len(q.get("default", [])) for e, q in queues.items()},
+            )
+        )
+    assert ledgers[0] == ledgers[1]
+    assert ledgers[0][0] == [("WAITING", "b", ["a"])]
+    assert ledgers[0][1] == {"a": 0, "b": 1, "theta": 0}
+
+
+def test_double_replayed_rehome_is_deduped(testbed):
+    pair = PairRig(testbed)
+    held, queued = _move_off_a(pair, "failover")
+    fresh, first = pair.crash_and_recover()
+    assert first.deduped == 0
+    before = _ledger(fresh)
+
+    again = recover_cloud(fresh)  # same segment, already-populated ledger
+
+    # Three submits, the terminal probe's dispatch and result, and both
+    # members of the rehome (their owner is already ``b``) are duplicates.
+    assert again.deduped == 3 + 2 + 2
+    assert fresh.task(held).endpoint_id == pair.ep_b
+    after_tasks, after_queues = _ledger(fresh)
+    assert (after_tasks, after_queues) == before
+
+
+# -- the same composition, end to end -------------------------------------------
+
+
+def _slow_square(x):
+    get_clock().sleep(5.0)
+    return x * x
+
+
+def _eventually(predicate, wall_s=20.0):
+    deadline = time.monotonic() + wall_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def test_endpoint_crash_then_shard_crash_loses_nothing():
+    """Two real endpoints in a failover group behind a journaled router:
+    ``ep-a`` dies holding one dispatched and one queued task, and the shard
+    that owns them crashes once the failover has landed."""
+    constants = PaperConstants(endpoint_heartbeat_period=1.0, endpoint_lease_ttl=10.0)
+    testbed = build_paper_testbed(seed=7, constants=constants)
+    auth = AuthServer()
+    identity = auth.register_identity("u", "anl")
+    wal = FileSystem("shard-wal", op_latency=1e-3)
+    router = CloudRouter(
+        testbed.faas_cloud,
+        testbed.network,
+        auth,
+        constants,
+        n_shards=2,
+        journal_factory=lambda shard_id: Journal(
+            FileJournalBackend(wal, shard_id), name=shard_id
+        ),
+    )
+    router.create_tenant("alice")
+    endpoint_token = auth.issue_token(identity, {SCOPE_COMPUTE})
+    token = auth.issue_token(identity, {SCOPE_COMPUTE, tenant_scope("alice")})
+    ep_a, ep_b = (
+        FaasEndpoint(
+            name,
+            router,
+            endpoint_token,
+            testbed.theta_login,
+            WorkerPool(testbed.theta_compute, 2, name=f"pool-{name}"),
+            failover_group="pair",
+        ).start()
+        for name in "ab"
+    )
+    client = FaasClient(router, token, site=testbed.theta_login, tenant="alice")
+    try:
+        with at_site(testbed.theta_login):
+            held = client.run(_slow_square, ep_a.endpoint_id, 3)
+            _eventually(
+                lambda: router.task(held.task_id).status is TaskStatus.DISPATCHED
+            )
+            ep_a.pause()  # stops fetching: the next task stays queued
+            queued = client.run(_slow_square, ep_a.endpoint_id, 4)
+        assert router.task(queued.task_id).status is TaskStatus.WAITING
+        ep_a.simulate_crash()
+        # ep-b's heartbeat reaps ep-a one TTL later and inherits both tasks.
+        _eventually(
+            lambda: all(
+                router.task(f.task_id).endpoint_id == ep_b.endpoint_id
+                for f in (held, queued)
+            )
+        )
+        owner = held.task_id.split("-")[1]
+        assert queued.task_id.split("-")[1] == owner  # one function, one shard
+        router.crash_shard(owner)
+
+        assert held.result(timeout=120) == 9
+        assert queued.result(timeout=120) == 16
+        _eventually(lambda: all(r.status.terminal for r in router.task_records()))
+        assert ep_b._uplink_thread.is_alive()
+        usage = router.registry.get("alice").usage
+        assert (usage.in_flight, usage.queued_bytes) == (0, 0)
+    finally:
+        client.close()
+        ep_a.stop()
+        ep_b.stop()
