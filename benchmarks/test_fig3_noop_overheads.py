@@ -40,11 +40,11 @@ N_TASKS = 30
 SIZES = {"10kB": 10_000, "1MB": 1_000_000}
 BACKENDS = ("none", "file", "redis")
 
-#: Small-task storm scale for the batched-vs-unbatched comparison;
+#: Small-task storm scale for the default-vs-zero-copy comparison;
 #: REPRO_BATCH_QUICK=1 shrinks it for the CI smoke job.
 STORM_TASKS = 60 if os.environ.get("REPRO_BATCH_QUICK") else 200
 STORM_SINGLES = 4 if os.environ.get("REPRO_BATCH_QUICK") else 8
-STORM_PAYLOAD = 10_000  # the redis band: the second-hop cost batching skips
+STORM_PAYLOAD = 10_000  # the redis band: the second-hop cost zero-copy skips
 
 
 def _run_cell(backend: str, payload_bytes: int, seed: int) -> list:
@@ -199,17 +199,19 @@ def test_fig3_noop_overheads(benchmark, report_sink):
     assert table.all_hold, "Fig. 3 qualitative claims diverged; see table"
 
 
-def _storm_cell(batched: bool, seed: int) -> dict:
+def _storm_cell(zero_copy: bool, seed: int) -> dict:
     """Drive one small-task storm straight through the FaaS client and
-    measure sustained throughput plus per-task overhead operations."""
+    measure sustained throughput plus per-task overhead operations.
+
+    Both columns coalesce their submits and drain their uplinks — that is
+    the default stack.  ``zero_copy`` adds the explicit batch policy, whose
+    members ride the submit message borrowed and skip the payload store."""
     testbed = build_paper_testbed(seed=seed)
     auth = AuthServer()
     token = auth.issue_token(auth.register_identity("bench", "anl"), {SCOPE_COMPUTE})
     cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, testbed.constants)
-    pool = WorkerPool(testbed.theta_compute, 8, name=f"storm-{batched}")
-    endpoint = FaasEndpoint(
-        "theta", cloud, token, testbed.theta_login, pool, uplink_batching=batched
-    ).start()
+    pool = WorkerPool(testbed.theta_compute, 8, name=f"storm-{zero_copy}")
+    endpoint = FaasEndpoint("theta", cloud, token, testbed.theta_login, pool).start()
     metrics = MetricsRegistry()
     set_metrics(metrics)
     client = FaasClient(
@@ -218,7 +220,7 @@ def _storm_cell(batched: bool, seed: int) -> dict:
         site=testbed.theta_login,
         batch=(
             BatchPolicy(max_batch=32, flush_deadline=0.05, min_hold=0.002)
-            if batched
+            if zero_copy
             else None
         ),
     )
@@ -234,8 +236,9 @@ def _storm_cell(batched: bool, seed: int) -> dict:
             for future in futures:
                 assert future.result(timeout=1200) is None
             makespan = clock.now() - started
-            # Sequential lone tasks: the single-task p50 the adaptive hold
-            # must not regress.
+            storm_ops = _overhead_ops(metrics)
+            # Sequential lone tasks: what a Thinker waiting on each result
+            # sees, with nothing to coalesce with.
             single_latencies = []
             for _ in range(STORM_SINGLES):
                 t0 = clock.now()
@@ -247,62 +250,80 @@ def _storm_cell(batched: bool, seed: int) -> dict:
         client.close()
         endpoint.stop()
         set_metrics(None)
-    api_calls = metrics.counter_total("faas.api_calls")
-    second_hop_ops = sum(
-        int(counter.value)
-        for name, labels, counter in metrics.counters()
-        if name in ("faas.store_writes", "faas.store_reads")
-        and labels.get("tier") != "inline"
-    )
-    overhead_ops = api_calls + second_hop_ops
+    api_calls, second_hop_ops = storm_ops
     return {
-        "batched": batched,
+        "zero_copy": zero_copy,
         "n_tasks": STORM_TASKS,
         "makespan_s": round(makespan, 4),
         "tasks_per_s": round(STORM_TASKS / makespan, 2),
-        "api_calls": int(api_calls),
-        "second_hop_store_ops": second_hop_ops,
-        "overhead_ops_per_task": round(overhead_ops / STORM_TASKS, 3),
+        "api_calls_per_task": round(api_calls / STORM_TASKS, 3),
+        "second_hop_store_ops_per_task": round(second_hop_ops / STORM_TASKS, 3),
         "single_task_p50_s": round(statistics.median(single_latencies), 4),
         "batch_submits": int(metrics.counter_total("cloud.batch_submits")),
         "uplink_batches": int(metrics.counter_total("endpoint.uplink_batches")),
     }
 
 
+def _overhead_ops(metrics: MetricsRegistry) -> tuple[int, int]:
+    """(API round trips, store ops outside the inline tier) so far."""
+    second_hop_ops = sum(
+        int(counter.value)
+        for name, labels, counter in metrics.counters()
+        if name in ("faas.store_writes", "faas.store_reads")
+        and labels.get("tier") != "inline"
+    )
+    return int(metrics.counter_total("faas.api_calls")), second_hop_ops
+
+
 @pytest.mark.benchmark(group="fig3")
 def test_fig3_batched_storm(benchmark, report_sink):
-    """The repro.batch claims: batching a small-task storm sustains >= 3x
-    the tasks/sec of the unbatched hot path, cuts per-task round-trip +
-    second-hop overhead >= 2x, and keeps the lone-task p50 within 1.25x."""
+    """What zero-copy buys on top of the coalescing the default stack
+    already does.  Both columns pay well under one API round trip per task;
+    the default keeps the paper's ElastiCache tier (one write and one read
+    per 10 kB argument — the cost Fig. 3's proxy rows are measured against),
+    zero-copy deletes it, and that is worth a lone-task p50 at most 0.8x
+    the default's.  The burst's throughput ratio is reported, not asserted:
+    a round of 32 pays its two store sleeps once, so in an open burst at
+    this time scale the ratio sits inside the run-to-run spread (0.9-1.7x
+    over five runs); the closed-loop figure is ``perf/``'s ``storm`` vs
+    ``storm_hardened``."""
     cells: dict[str, dict] = {}
 
     def run():
-        cells["unbatched"] = _storm_cell(False, seed=17)
-        cells["batched"] = _storm_cell(True, seed=17)
+        cells["default"] = _storm_cell(False, seed=17)
+        cells["zero_copy"] = _storm_cell(True, seed=17)
         return cells
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    plain, fast = cells["unbatched"], cells["batched"]
-    throughput_gain = fast["tasks_per_s"] / plain["tasks_per_s"]
-    overhead_cut = plain["overhead_ops_per_task"] / max(
-        fast["overhead_ops_per_task"], 1e-9
-    )
-    p50_ratio = fast["single_task_p50_s"] / plain["single_task_p50_s"]
+    default, fast = cells["default"], cells["zero_copy"]
+    throughput_ratio = fast["tasks_per_s"] / default["tasks_per_s"]
+    p50_ratio = fast["single_task_p50_s"] / default["single_task_p50_s"]
 
-    table = ReportTable("Fig. 3 addendum — adaptive batching on a no-op storm")
-    table.add("unbatched tasks/s", "-", f"{plain['tasks_per_s']:.1f}")
-    table.add("batched tasks/s", "-", f"{fast['tasks_per_s']:.1f}")
+    table = ReportTable("Fig. 3 addendum — zero-copy on top of default coalescing")
+    table.add("default tasks/s", "-", f"{default['tasks_per_s']:.1f}")
+    table.add("zero_copy tasks/s", "-", f"{fast['tasks_per_s']:.1f}")
+    for column, cell in cells.items():
+        calls = cell["api_calls_per_task"]
+        table.add(
+            f"{column}: API round trips / task", "<= 0.25", f"{calls:.2f}",
+            holds=calls <= 0.25,
+        )
     table.add(
-        "storm throughput gain", ">= 3x", f"{throughput_gain:.1f}x",
-        holds=throughput_gain >= 3.0,
+        "default: second-hop store ops / task", "2 (redis write + read)",
+        f"{default['second_hop_store_ops_per_task']:.2f}",
+        holds=default["second_hop_store_ops_per_task"] == 2.0,
     )
     table.add(
-        "per-task overhead ops cut", ">= 2x", f"{overhead_cut:.1f}x",
-        holds=overhead_cut >= 2.0,
+        "zero_copy: second-hop store ops / task", "0",
+        f"{fast['second_hop_store_ops_per_task']:.2f}",
+        holds=fast["second_hop_store_ops_per_task"] == 0.0,
     )
     table.add(
-        "lone-task p50 ratio", "<= 1.25x", f"{p50_ratio:.2f}x",
-        holds=p50_ratio <= 1.25,
+        "lone-task p50, zero_copy / default", "<= 0.8x", f"{p50_ratio:.2f}x",
+        holds=p50_ratio <= 0.8,
+    )
+    table.add(
+        "storm throughput, zero_copy / default", "-", f"{throughput_ratio:.2f}x"
     )
     report_sink("fig3_batched_storm", table)
 
@@ -313,19 +334,18 @@ def test_fig3_batched_storm(benchmark, report_sink):
             {
                 "figure": "fig3-batched-storm",
                 "payload_bytes": STORM_PAYLOAD,
-                "unbatched": plain,
-                "batched": fast,
+                "default": default,
+                "zero_copy": fast,
                 "claims": {
-                    "throughput_gain_x": round(throughput_gain, 2),
-                    "throughput_target_x": 3.0,
-                    "overhead_cut_x": round(overhead_cut, 2),
-                    "overhead_target_x": 2.0,
+                    "api_calls_per_task_target": 0.25,
+                    "second_hop_store_ops_per_task": [2.0, 0.0],
                     "single_task_p50_ratio_x": round(p50_ratio, 3),
-                    "single_task_p50_target_x": 1.25,
+                    "single_task_p50_target_x": 0.8,
+                    "throughput_ratio_x": round(throughput_ratio, 2),
                 },
             },
             indent=2,
         )
         + "\n"
     )
-    assert table.all_hold, "repro.batch storm claims diverged; see table"
+    assert table.all_hold, "zero-copy storm claims diverged; see table"

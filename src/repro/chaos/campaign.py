@@ -672,10 +672,16 @@ def run_cell(
                 keys.append(key)
             # All tasks target ep-a; ep-b is the hot standby whose polls
             # drive lazy lease expiry (failover without client help).
-            futures = [
-                client.run(chaos_task, ep_a.endpoint_id, index, rig.store.name, key)
-                for index, key in enumerate(keys)
-            ]
+            futures = []
+            for index, key in enumerate(keys):
+                futures.append(
+                    client.run(chaos_task, ep_a.endpoint_id, index, rig.store.name, key)
+                )
+                if not batching:
+                    # One submit call per task, on this thread: which
+                    # round a store-tier-matched fault lands in must not
+                    # depend on how the hold timer coalesced the tasks.
+                    client.flush_batches()
             if batching:
                 # One deterministic coalesced batch; the fault fires in the
                 # window after its single WAL fsync.

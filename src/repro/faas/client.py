@@ -1,18 +1,24 @@
 """Client SDK for the FaaS platform: futures, executor, notification, retry.
 
-``FaasClient.submit`` serializes arguments, pays the HTTPS round trip, and
-returns a ``concurrent.futures.Future``.  A per-client notifier thread
-(modeling the SDK's result websocket) blocks on the cloud's completed queue,
-downloads result payloads, and completes futures — including converting
-remote failures into :class:`repro.exceptions.TaskError` with the remote
-traceback attached.
+``FaasClient.submit`` serializes arguments, parks the submission in the
+client's batch accumulator and returns a ``concurrent.futures.Future`` at
+once — the funcX executor's contract: the caller never waits on the WAN.  A
+flush (inline when a batch fills, otherwise a short adaptive hold on the
+process reactor) pays one HTTPS round trip for everything parked; it sets
+``future.task_id``, and whatever the cloud refused at admission reaches the
+caller through the future.  A per-client notifier thread (modeling the
+SDK's result websocket) blocks on the cloud's completed queue, downloads
+result payloads, and completes futures — including converting remote
+failures into :class:`repro.exceptions.TaskError` with the remote traceback
+attached.
 
-Hand the client a :class:`repro.chaos.RetryPolicy` and failed attempts are
-retried transparently: the notifier resubmits the already-serialized
-argument payload under the *same* future after a backoff, so the caller only
-ever sees the final outcome (the value, or ``RetryExhaustedError`` once the
-budget is spent).  Submission-time rejections (payload cap) retry inline in
-``submit``.  Without a policy the original fail-fast semantics are intact.
+Hand the client a :class:`repro.chaos.RetryPolicy` and failed attempts —
+admission rejects and remote failures alike — are retried transparently: the
+already-serialized argument payload is resubmitted under the *same* future
+after a backoff, so the caller only ever sees the final outcome (the value,
+or ``RetryExhaustedError`` once the budget is spent).  Without a policy the
+original fail-fast semantics are intact: the future raises the rejection
+itself, or the remote failure as a ``TaskError``.
 
 Two resilience hooks ride the submit path (see DESIGN.md §11).  A
 :class:`repro.resilience.HedgePolicy` passed as ``_hedge`` arms *hedged
@@ -46,7 +52,6 @@ from repro.chaos.policy import RetryPolicy
 from repro.exceptions import (
     DeadlineExceededError,
     InvalidFunctionError,
-    PayloadTooLargeError,
     ReproError,
     ResultNotReadyError,
     RetryExhaustedError,
@@ -188,19 +193,22 @@ class FaasClient:
         self._throttle_policy = throttle_policy or RetryPolicy(
             max_attempts=10, base_delay=0.1, max_delay=4.0
         )
-        # Adaptive batching (DESIGN.md §12): with a policy, ``submit`` parks
-        # submissions in a per-(tenant, endpoint) accumulator and a flush —
-        # inline on a size/bytes trigger, or an adaptive hold timer on the
-        # shared reactor — pays one API round trip for the whole batch.
-        # Without one, ``submit`` sends each task on the calling thread as a
-        # batch of one.
-        self._batcher = (
-            BatchAccumulator(batch, clock=self._clock) if batch is not None else None
-        )
-        if batch is not None and self._site is None:
-            # Pin the home site now: deadline flushes run on the process
-            # reactor thread, which carries no site context of its own.
-            self._site = self._home_site()
+        # Adaptive batching (DESIGN.md §12): ``submit`` parks submissions in
+        # a per-(tenant, endpoint) accumulator and a flush — inline on a
+        # size/bytes trigger, or an adaptive hold timer on the shared
+        # reactor — pays one API round trip for the whole batch.  An
+        # explicit policy also opts into zero-copy: members ride the submit
+        # message borrowed, so the small ones skip the payload store.  By
+        # default every member takes the store tier its size selects.
+        self._zero_copy = batch is not None
+        self._batcher = BatchAccumulator(batch or BatchPolicy(), clock=self._clock)
+        # Pin the home site now: deadline flushes run on the process reactor
+        # thread, which carries no site context of its own.
+        self._site = self._home_site()
+        # Flushes begun and not yet settled (``flush_batches`` waits them
+        # out, so a flush the reactor has in hand is not missed).
+        self._flushing = 0
+        self._flush_cond = threading.Condition()
         # In-flight work by task id; a retried attempt re-registers the same
         # _PendingTask (same future) under the new task id.
         self._pending: dict[str, _PendingTask] = {}
@@ -286,6 +294,13 @@ class FaasClient:
     ) -> Future:
         """Invoke a registered function on an endpoint; returns a future.
 
+        The submission is parked, not sent: ``future.task_id`` is ``None``
+        until a flush assigns the real id (``flush_batches()`` forces one
+        now), and an admission reject arrives as the future's exception.  A
+        size/bytes trigger flushes inline on this thread; otherwise the
+        accumulator's adaptive hold is armed on the process reactor, so a
+        lone task under an idle batcher still goes out within ``min_hold``.
+
         ``_trace_ctx`` (underscored: the name is reserved, never forwarded
         to the function) joins this invocation to an observe trace; the
         context also rides the cloud dispatch record so the endpoint and
@@ -307,64 +322,32 @@ class FaasClient:
             ctx = _trace_ctx if _trace_ctx is not None else span.context
             args_payload = serialize((args, kwargs))
             self._clock.sleep(serialize_cost(args_payload.nominal_size))
-            chaos_base = hashlib.sha256(args_payload.data).hexdigest()[:16]
             started_at = self._clock.now()
-            deadline_at = None if _deadline is None else started_at + _deadline
-            if self._batcher is not None:
-                return self._submit_batched(
-                    func_id,
-                    endpoint_id,
-                    args_payload,
-                    ctx=ctx,
-                    chaos_base=chaos_base,
-                    prefetch=tuple(_prefetch_hints),
-                    started_at=started_at,
-                    deadline_at=deadline_at,
-                    hedge=_hedge,
-                )
-            attempt = 0
-            while True:
-                try:
-                    task_id = self._submit_one(
-                        TaskSubmission(
-                            func_id,
-                            endpoint_id,
-                            args_payload,
-                            ctx,
-                            f"{chaos_base}#a{attempt}",
-                            tuple(_prefetch_hints),
-                            deadline_at,
-                        )
-                    )
-                    break
-                except PayloadTooLargeError:
-                    policy = self._retry_policy
-                    elapsed = self._clock.now() - started_at
-                    if policy is None or not policy.retries_left(
-                        attempt, elapsed=elapsed
-                    ):
-                        raise
-                    counter_inc("client.submit_retries", endpoint=endpoint_id)
-                    self._clock.sleep(policy.delay_for(attempt, key=chaos_base))
-                    attempt += 1
-        future: Future = Future()
-        future.task_id = task_id  # type: ignore[attr-defined]
-        pending = _PendingTask(
-            future=future,
-            trace_ctx=ctx,
-            func_id=func_id,
-            endpoint_id=endpoint_id,
-            args_payload=args_payload,
-            attempt=attempt,
-            chaos_base=chaos_base,
-            prefetch=tuple(_prefetch_hints),
-            started_at=started_at,
-            deadline_at=deadline_at,
-            hedge_policy=_hedge,
-            attempt_at=self._clock.now(),
-        )
-        self._register([(task_id, pending)])
-        return future
+            future: Future = Future()
+            future.task_id = None  # type: ignore[attr-defined]  # set at flush
+            pending = _PendingTask(
+                future=future,
+                trace_ctx=ctx,
+                func_id=func_id,
+                endpoint_id=endpoint_id,
+                args_payload=args_payload,
+                attempt=0,
+                chaos_base=hashlib.sha256(args_payload.data).hexdigest()[:16],
+                prefetch=tuple(_prefetch_hints),
+                started_at=started_at,
+                deadline_at=None if _deadline is None else started_at + _deadline,
+                hedge_policy=_hedge,
+                attempt_at=started_at,
+            )
+            key = (self.tenant, endpoint_id)
+            ready, hold, generation = self._batcher.add(
+                key, pending, args_payload.nominal_size
+            )
+            if ready is not None:
+                self._flush_batch(ready)
+            elif hold is not None:
+                get_reactor().call_later(hold, lambda: self._flush_due(key, generation))
+            return future
 
     def _register(self, entries: list[tuple[str, _PendingTask]]) -> None:
         """Bind pending records to the task ids the cloud just minted.
@@ -409,71 +392,32 @@ class FaasClient:
         )
 
     # -- adaptive batching -----------------------------------------------------
-    def _submit_batched(
-        self,
-        func_id: str,
-        endpoint_id: str,
-        args_payload: Payload,
-        *,
-        ctx: TraceContext | None,
-        chaos_base: str,
-        prefetch: tuple,
-        started_at: float,
-        deadline_at: float | None,
-        hedge: HedgePolicy | None,
-    ) -> Future:
-        """Park one submission in the accumulator and return its future.
-
-        ``future.task_id`` is ``None`` until the flush assigns the real id.
-        A size/bytes trigger flushes inline on this thread; otherwise the
-        accumulator's adaptive hold is armed on the process reactor, so a
-        lone task under an idle batcher still goes out within ``min_hold``.
-        """
-        future: Future = Future()
-        future.task_id = None  # type: ignore[attr-defined]  # set at flush
-        pending = _PendingTask(
-            future=future,
-            trace_ctx=ctx,
-            func_id=func_id,
-            endpoint_id=endpoint_id,
-            args_payload=args_payload,
-            attempt=0,
-            chaos_base=chaos_base,
-            prefetch=prefetch,
-            started_at=started_at,
-            deadline_at=deadline_at,
-            hedge_policy=hedge,
-            attempt_at=started_at,
-        )
-        key = (self.tenant, endpoint_id)
-        ready, hold, generation = self._batcher.add(
-            key, pending, args_payload.nominal_size
-        )
-        if ready is not None:
-            self._flush_batch(ready)
-        elif hold is not None:
-            get_reactor().call_later(hold, lambda: self._flush_due(key, generation))
-        return future
-
     def _flush_due(self, key: tuple, generation: int) -> None:
         """Hold timer fired (reactor thread): flush if not already flushed."""
         if not self._running:
             return  # close() drains explicitly; kill() drops like a crash
         batch = self._batcher.take(key, generation)
         if batch:
-            self._flush_batch(batch)
+            self._flush_batch(batch, on_reactor=True)
 
     def flush_batches(self) -> int:
-        """Flush every parked batch now; returns how many tasks went out."""
-        if self._batcher is None:
-            return 0
+        """Flush every parked batch now, on the calling thread; returns how
+        many tasks that sent.  On return every earlier ``submit`` has been
+        through the cloud — its ``future.task_id`` set, or its rejection
+        handed to the retry path — including batches a hold timer claimed
+        first: flushes still running on the reactor are waited for (up to
+        ``close_timeout`` wall seconds)."""
         flushed = 0
         for _key, items in self._batcher.take_all():
             self._flush_batch(items)
             flushed += len(items)
+        with self._flush_cond:
+            self._flush_cond.wait_for(
+                lambda: not self._flushing, timeout=self._close_timeout
+            )
         return flushed
 
-    def _flush_batch(self, items: list[_PendingTask]) -> None:
+    def _flush_batch(self, items: list[_PendingTask], *, on_reactor: bool = False) -> None:
         """Submit one accumulated batch in a single cloud round trip.
 
         Per-item rejections split back into singles: each rejected task
@@ -485,10 +429,11 @@ class FaasClient:
             TaskSubmission(
                 func_id=p.func_id,
                 endpoint_id=p.endpoint_id,
-                # Zero-copy: the members ride the batched submit message, so
-                # the small ones skip the redis hop's second (de)serialization
-                # (``_cloud_submit_batch`` charges their bytes as transfer).
-                args_payload=borrow(p.args_payload),
+                # Zero-copy (explicit policy only): the members ride the
+                # batched submit message, so the small ones skip the redis
+                # hop's second (de)serialization (``_submit_round`` charges
+                # their bytes as transfer).
+                args_payload=borrow(p.args_payload) if self._zero_copy else p.args_payload,
                 trace_ctx=p.trace_ctx,
                 chaos_key=f"{p.chaos_base}#a{p.attempt}",
                 prefetch=p.prefetch,
@@ -496,26 +441,82 @@ class FaasClient:
             )
             for p in items
         ]
-        try:
-            outcomes = self._cloud_submit_batch(submissions)
-        except ReproError as exc:
-            outcomes = [exc] * len(items)
-        now = self._clock.now()
-        accepted: list[tuple[str, _PendingTask]] = []
-        rejected: list[tuple[_PendingTask, Exception]] = []
-        for pending, outcome in zip(items, outcomes):
-            if isinstance(outcome, str):
-                pending.attempt_at = now
-                pending.future.task_id = outcome  # type: ignore[attr-defined]
-                accepted.append((outcome, pending))
-            else:
-                rejected.append((pending, outcome))
-        self._register(accepted)
-        for pending, exc in rejected:
-            counter_inc("client.batch_splits", endpoint=pending.endpoint_id)
-            self._finish_attempt(pending, repr(exc), None)
 
-    def _cloud_submit_batch(self, submissions: list[TaskSubmission]) -> list:
+        def settle(outcomes: list) -> None:
+            now = self._clock.now()
+            accepted: list[tuple[str, _PendingTask]] = []
+            rejected: list[tuple[_PendingTask, Exception]] = []
+            for pending, outcome in zip(items, outcomes):
+                if isinstance(outcome, str):
+                    pending.attempt_at = now
+                    pending.future.task_id = outcome  # type: ignore[attr-defined]
+                    accepted.append((outcome, pending))
+                else:
+                    rejected.append((pending, outcome))
+            try:
+                self._register(accepted)
+            finally:
+                with self._flush_cond:
+                    self._flushing -= 1
+                    self._flush_cond.notify_all()
+            for pending, exc in rejected:
+                if not self._running:
+                    self._abandon(pending)  # closed during a reactor backoff
+                    continue
+                counter_inc("client.batch_splits", endpoint=pending.endpoint_id)
+                self._finish_attempt(pending, repr(exc), None, reject=exc)
+
+        with self._flush_cond:
+            self._flushing += 1
+        if on_reactor:
+            self._cloud_submit_batch(submissions, then=settle)
+        else:
+            settle(self._cloud_submit_batch(submissions))
+
+    def _submit_round(
+        self, submissions: list[TaskSubmission], live: list[int], outcomes: list
+    ) -> tuple[list[int], float]:
+        """One API round trip for the ``live`` members of ``submissions``.
+
+        Stores each member's outcome positionally in ``outcomes``; returns
+        the indexes the service throttled and the longest ``retry_after``
+        it hinted.  A call that fails as a whole is every member's outcome.
+        """
+        small = self.cloud.constants.faas_small_object_threshold
+        batch = [submissions[i] for i in live]
+        self._pay_api_call()
+        counter_inc("faas.api_calls", op="submit")
+        # Zero-copy payloads ride the submit message itself, so their
+        # bytes are charged as request transfer, not as store ops.
+        inline_bytes = sum(
+            s.args_payload.nominal_size
+            for s in batch
+            if s.args_payload.borrowed and s.args_payload.nominal_size < small
+        )
+        if inline_bytes:
+            self._clock.sleep(
+                self.cloud.network.transfer_time(
+                    self._home_site(), self.cloud.site, inline_bytes
+                )
+            )
+        try:
+            results = self.cloud.submit_batch(
+                self.token, self.client_id, batch, tenant=self.tenant
+            )
+        except ReproError as exc:
+            results = [exc] * len(batch)
+        throttled: list[int] = []
+        retry_after = 0.0
+        for i, result in zip(live, results):
+            outcomes[i] = result
+            if isinstance(result, ThrottledError):
+                throttled.append(i)
+                retry_after = max(retry_after, result.retry_after)
+        return throttled, retry_after
+
+    def _cloud_submit_batch(
+        self, submissions: list[TaskSubmission], *, then: Callable | None = None
+    ) -> list | None:
         """One cloud submit — of a batch, or of one task — with transparent
         throttle backoff.
 
@@ -525,62 +526,50 @@ class FaasClient:
         server's ``retry_after`` hint, until the throttle policy's budget
         runs out; other outcomes — task ids and terminal rejections — pass
         through positionally.
+
+        Without ``then`` the backoff is slept on the calling thread and the
+        outcomes are returned.  With it (the reactor's deadline flush) each
+        backoff is re-armed as a reactor timer instead — a sleep there would
+        stall every heartbeat and lease renewal in the process — and
+        ``then(outcomes)`` runs once the call has settled.
         """
-        small = self.cloud.constants.faas_small_object_threshold
         outcomes: list = [None] * len(submissions)
-        live = list(range(len(submissions)))
-        throttle_attempt = 0
+        policy = self._throttle_policy
         throttle_started = self._clock.now()
-        while True:
-            batch = [submissions[i] for i in live]
-            self._pay_api_call()
-            counter_inc("faas.api_calls", op="submit")
-            # Zero-copy payloads ride the submit message itself, so their
-            # bytes are charged as request transfer, not as store ops.
-            inline_bytes = sum(
-                s.args_payload.nominal_size
-                for s in batch
-                if s.args_payload.borrowed and s.args_payload.nominal_size < small
-            )
-            if inline_bytes:
-                self._clock.sleep(
-                    self.cloud.network.transfer_time(
-                        self._home_site(), self.cloud.site, inline_bytes
-                    )
+
+        def send(live: list[int], throttle_attempt: int) -> list | None:
+            while True:
+                if then is not None and not self._running:
+                    return then(outcomes)  # closed while backing off
+                throttled, retry_after = self._submit_round(submissions, live, outcomes)
+                elapsed = self._clock.now() - throttle_started
+                if not throttled or not policy.retries_left(
+                    throttle_attempt, elapsed=elapsed
+                ):
+                    # Whatever is still throttled stands as its outcome.
+                    return outcomes if then is None else then(outcomes)
+                first = submissions[throttled[0]]
+                counter_inc(
+                    "client.throttled",
+                    len(throttled),
+                    tenant=self.tenant,
+                    endpoint=first.endpoint_id,
                 )
-            results = self.cloud.submit_batch(
-                self.token, self.client_id, batch, tenant=self.tenant
-            )
-            throttled: list[int] = []
-            retry_after = 0.0
-            for i, result in zip(live, results):
-                outcomes[i] = result
-                if isinstance(result, ThrottledError):
-                    throttled.append(i)
-                    retry_after = max(retry_after, result.retry_after)
-            if not throttled:
-                return outcomes
-            policy = self._throttle_policy
-            elapsed = self._clock.now() - throttle_started
-            if not policy.retries_left(throttle_attempt, elapsed=elapsed):
-                return outcomes  # the stored ThrottledErrors stand
-            counter_inc(
-                "client.throttled",
-                len(throttled),
-                tenant=self.tenant,
-                endpoint=submissions[throttled[0]].endpoint_id,
-            )
-            first = submissions[throttled[0]]
-            self._clock.sleep(
-                max(
+                delay = max(
                     retry_after,
                     policy.delay_for(
                         throttle_attempt, key=first.chaos_key or first.func_id
                     ),
                 )
-            )
-            throttle_attempt += 1
-            live = throttled
+                live, throttle_attempt = throttled, throttle_attempt + 1
+                if then is not None:
+                    get_reactor().call_later(
+                        delay, lambda: send(live, throttle_attempt)
+                    )
+                    return None
+                self._clock.sleep(delay)
+
+        return send(list(range(len(submissions))), 0)
 
     def _submit_one(self, submission: TaskSubmission) -> str:
         """The batch of one: same call, the member's error raised."""
@@ -588,13 +577,15 @@ class FaasClient:
 
     def cancel_pending(self, endpoint_id: str | None = None) -> int:
         """Cancel in-flight futures (optionally only those targeting one
-        endpoint) and forget them; returns how many were cancelled.
+        endpoint) and forget them; returns how many were cancelled.  Parked
+        submissions are flushed first, so they are cancelled like the rest.
 
         A cancelled task may still execute remotely — its notification
         arrives to find no pending entry and is parked until it ages out of
         the early-arrival window, the same dead-letter path an
         already-retried task id takes.
         """
+        self.flush_batches()  # parked submissions are in flight too
         cancelled = 0
         with self._futures_lock:
             for task_id, pending in list(self._pending.items()):
@@ -607,11 +598,10 @@ class FaasClient:
         return cancelled
 
     def close(self) -> None:
-        if self._batcher is not None:
-            # Parked submissions must go out before the notifier stops —
-            # otherwise their futures would be abandoned below.  Stale hold
-            # timers on the reactor no-op: the generation has moved on.
-            self.flush_batches()
+        # Parked submissions must go out before the notifier stops —
+        # otherwise their futures would be abandoned below.  Stale hold
+        # timers on the reactor no-op: the generation has moved on.
+        self.flush_batches()
         self._running = False
         self._notifier.join(timeout=self._close_timeout)
         if self._notifier.is_alive():
@@ -631,11 +621,14 @@ class FaasClient:
             abandoned = list(self._pending.values())
             self._pending.clear()
         for pending in abandoned:
-            if not pending.future.done():
-                counter_inc("client.abandoned", endpoint=pending.endpoint_id)
-                pending.future.set_exception(
-                    WorkflowError("client closed with the task still in flight")
-                )
+            self._abandon(pending)
+
+    def _abandon(self, pending: _PendingTask) -> None:
+        if not pending.future.done():
+            counter_inc("client.abandoned", endpoint=pending.endpoint_id)
+            pending.future.set_exception(
+                WorkflowError("client closed with the task still in flight")
+            )
 
     def kill(self) -> None:
         """Simulate a process crash: stop the notifier but do *not* close
@@ -727,13 +720,13 @@ class FaasClient:
                     # shares the same streamed response.  The envelopes are
                     # acked only once all their ids have been settled, so a
                     # crash anywhere before that redelivers the lot.
-                    self._handle_completions(
-                        [
-                            task_id
-                            for envelope in envelopes
-                            for task_id in envelope.payload.split(",")
-                        ]
-                    )
+                    task_ids: list[str] = []
+                    for envelope in envelopes:
+                        if isinstance(envelope.payload, str):
+                            task_ids.extend(envelope.payload.split(","))
+                        else:  # malformed: acked below, never redelivered
+                            counter_inc("client.notify_errors")
+                    self._settle_round(task_ids)
                     for envelope in envelopes:
                         consumer.done(envelope)
                 continue
@@ -743,7 +736,7 @@ class FaasClient:
                 self.client_id, timeout=self._poll_interval
             )
             if task_ids:
-                self._handle_completions(task_ids)
+                self._settle_round(task_ids)
                 continue  # keep draining until the queue is confirmed empty
             if consumer is not None and self._fallback:
                 # Hand back to the bus only after an empty drain: completions
@@ -753,6 +746,15 @@ class FaasClient:
                 # unacked notification — nothing from the gap is lost.
                 consumer.resubscribe()
                 self._fallback = False
+
+    def _settle_round(self, task_ids: list[str]) -> None:
+        """One delivery round on the notifier thread.  Whatever escapes it
+        is counted and the loop goes on: a dead notifier would strand every
+        future of the client, not just this round's."""
+        try:
+            self._handle_completions(task_ids)
+        except Exception:  # noqa: BLE001 - the notifier must keep running
+            counter_inc("client.notify_errors")
 
     # -- hedged execution ------------------------------------------------------
     def _scan_hedges(self) -> None:
@@ -1016,9 +1018,19 @@ class FaasClient:
                 )
 
     def _finish_attempt(
-        self, pending: _PendingTask, error: str, traceback_text: str | None
+        self,
+        pending: _PendingTask,
+        error: str,
+        traceback_text: str | None,
+        *,
+        reject: Exception | None = None,
     ) -> None:
-        """A task attempt failed: retry under the same future, or give up."""
+        """A task attempt failed: retry under the same future, or give up.
+
+        ``reject`` is the cloud's admission rejection when the attempt never
+        got in: retrying it counts as ``client.submit_retries`` (nothing ran,
+        so ``client.retries`` does not move), and with no retry policy the
+        future raises the rejection itself."""
         if error.startswith("DeadlineExceededError"):
             # The cloud already ruled the work too late (expired in queue,
             # or skipped endpoint-side): retrying cannot beat a deadline
@@ -1045,7 +1057,10 @@ class FaasClient:
                     )
                 )
                 return
-            counter_inc("client.retries", endpoint=pending.endpoint_id)
+            counter_inc(
+                "client.retries" if reject is None else "client.submit_retries",
+                endpoint=pending.endpoint_id,
+            )
             self._clock.sleep(policy.delay_for(attempt, key=pending.chaos_base))
             if not policy.retries_left(
                 attempt, elapsed=self._clock.now() - pending.started_at
@@ -1071,9 +1086,10 @@ class FaasClient:
                 # The resubmission itself was rejected; burn another attempt.
                 error = repr(exc)
                 traceback_text = None
+                reject = exc
         if policy is None:
             pending.future.set_exception(
-                TaskError(error, remote_traceback=traceback_text)
+                reject or TaskError(error, remote_traceback=traceback_text)
             )
         else:
             counter_inc("client.retries_exhausted", endpoint=pending.endpoint_id)
@@ -1091,7 +1107,8 @@ class FaasClient:
         The arguments were serialized (and ``serialize_cost`` paid) exactly
         once, at first submit; a retry reuses ``pending.args_payload``
         as-is.  The counter pins that invariant — it must move in lockstep
-        with ``client.retries`` or a double-serialization charge crept in.
+        with ``client.retries`` + ``client.submit_retries`` or a
+        double-serialization charge crept in.
         """
         counter_inc("client.serialize_skipped", endpoint=pending.endpoint_id)
         with trace_span(
@@ -1112,6 +1129,7 @@ class FaasClient:
                 )
             )
         pending.attempt = attempt
+        pending.future.task_id = task_id  # type: ignore[attr-defined]
         # A fresh attempt races from scratch: no hedge group yet, and the
         # hedge delay measures from this submission.
         pending.hedge = None

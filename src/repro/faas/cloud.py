@@ -195,16 +195,30 @@ class _PayloadStore:
         self._objects: dict[str, _StoredObject] = {}
         self._lock = threading.Lock()
 
-    def _charge(self, tier: str, nbytes: int) -> None:
+    def _charge_round(self, members: list[tuple[str, int]]) -> None:
+        """Charge one round of ``(tier, nbytes)`` store ops.
+
+        The ops of a round are pipelined (one MSET/MGET, one multi-object
+        S3 request), so the round waits once per tier: the slowest of its
+        redis members' latency draws, then the slowest S3 draw plus the
+        summed bytes over the S3 bandwidth.  Every member still draws its
+        own sample, in member order, so the seeded latency stream does not
+        depend on how ops were grouped and a round of one charges what a
+        lone op always has.  ``inline`` members ride the task message.
+        """
         c = self._constants
-        if tier == "inline":
-            return  # rides the task message itself
-        if tier == "redis":
-            self._clock.sleep(self._network._sample(c.faas_redis_latency))
-        else:
-            self._clock.sleep(
-                self._network._sample(c.faas_s3_latency) + nbytes / c.faas_s3_bandwidth
-            )
+        redis = s3 = None
+        s3_bytes = 0
+        for tier, nbytes in members:
+            if tier == "redis":
+                redis = max(redis or 0.0, self._network._sample(c.faas_redis_latency))
+            elif tier == "s3":
+                s3 = max(s3 or 0.0, self._network._sample(c.faas_s3_latency))
+                s3_bytes += nbytes
+        if redis is not None:
+            self._clock.sleep(redis)
+        if s3 is not None:
+            self._clock.sleep(s3 + s3_bytes / c.faas_s3_bandwidth)
 
     def _tier(self, nbytes: int, borrowed: bool = False) -> str:
         c = self._constants
@@ -219,44 +233,73 @@ class _PayloadStore:
             return "redis"
         return "s3"
 
-    def write(self, payload: Payload, *, chaos_exempt: bool = False) -> str:
-        """Store a payload.  ``chaos_exempt`` marks payloads whose bytes are
+    def write_round(self, members: list[tuple[Payload, bool]]) -> list[str]:
+        """Store one round of ``(payload, chaos_exempt)`` members; returns
+        their locators.  ``chaos_exempt`` marks payloads whose bytes are
         *not* content-deterministic (failure reports embed task ids and
         tracebacks); fault injection skips them so the fault ledger stays a
         pure function of the plan seed."""
-        tier = self._tier(payload.nominal_size, payload.borrowed)
-        self._charge(tier, payload.nominal_size)
-        counter_inc("faas.store_writes", tier=tier)
-        locator = f"{self._prefix}{tier}:{uuid.uuid4().hex}"
+        tiers = [
+            self._tier(payload.nominal_size, payload.borrowed) for payload, _ in members
+        ]
+        self._charge_round(
+            [(tier, payload.nominal_size) for tier, (payload, _) in zip(tiers, members)]
+        )
+        locators = []
+        for tier, (payload, chaos_exempt) in zip(tiers, members):
+            counter_inc("faas.store_writes", tier=tier)
+            locator = f"{self._prefix}{tier}:{uuid.uuid4().hex}"
+            with self._lock:
+                self._objects[locator] = _StoredObject(payload, tier, chaos_exempt)
+            locators.append(locator)
+        return locators
+
+    def write(self, payload: Payload, *, chaos_exempt: bool = False) -> str:
+        """Store one payload: the round of one."""
+        return self.write_round([(payload, chaos_exempt)])[0]
+
+    def read_round(self, locators: list[str]) -> list:
+        """Read one round of locators.  Returns a list aligned with them:
+        the payload, or the :class:`WorkflowError` (unknown locator,
+        injected ``cloud.store.read`` fault) that failed that member alone.
+        """
+        outcomes: list = [None] * len(locators)
+        found: list[tuple[int, _StoredObject]] = []
         with self._lock:
-            self._objects[locator] = _StoredObject(payload, tier, chaos_exempt)
-        return locator
+            for i, locator in enumerate(locators):
+                stored = self._objects.get(locator)
+                if stored is None:
+                    outcomes[i] = WorkflowError(f"unknown payload locator {locator!r}")
+                else:
+                    found.append((i, stored))
+        self._charge_round(
+            [(stored.tier, stored.payload.nominal_size) for _, stored in found]
+        )
+        for i, stored in found:
+            counter_inc("faas.store_reads", tier=stored.tier)
+            outcomes[i] = stored.payload
+            if stored.chaos_exempt:
+                continue
+            # Fault keys derive from payload *content* so re-stored retries
+            # of the same bytes count occurrences deterministically across
+            # runs.
+            spec = chaos_check(
+                "cloud.store.read",
+                hashlib.sha256(stored.payload.data).hexdigest()[:16],
+                tier=stored.tier,
+            )
+            if spec is not None:
+                if spec.delay:
+                    self._clock.sleep(spec.delay)
+                outcomes[i] = WorkflowError(
+                    f"injected fault {spec.mode!r}: payload store read of "
+                    f"{locators[i]!r} returned corrupt data"
+                )
+        return outcomes
 
     def read(self, locator: str) -> Payload:
-        with self._lock:
-            try:
-                stored = self._objects[locator]
-            except KeyError:
-                raise WorkflowError(f"unknown payload locator {locator!r}") from None
-        self._charge(stored.tier, stored.payload.nominal_size)
-        counter_inc("faas.store_reads", tier=stored.tier)
-        # Fault keys derive from payload *content* so re-stored retries of
-        # the same bytes count occurrences deterministically across runs.
-        if stored.chaos_exempt:
-            return stored.payload
-        spec = chaos_check(
-            "cloud.store.read",
-            hashlib.sha256(stored.payload.data).hexdigest()[:16],
-            tier=stored.tier,
-        )
-        if spec is not None:
-            if spec.delay:
-                self._clock.sleep(spec.delay)
-            raise WorkflowError(
-                f"injected fault {spec.mode!r}: payload store read of "
-                f"{locator!r} returned corrupt data"
-            )
-        return stored.payload
+        """Read one payload: the round of one, its error raised."""
+        return sole(self.read_round([locator]))
 
     def adopt(self, locator: str, payload: Payload, *, chaos_exempt: bool = False) -> None:
         """Re-install an object under a locator minted before a crash.
@@ -1049,9 +1092,12 @@ class FaasCloud(_BatchOfOne):
         if self._service_time > 0.0:
             with self._admission_lock:
                 self.clock.sleep(self._service_time)
+        # One pipelined store round for the call's argument writes.
+        locators = self.store.write_round(
+            [(item.args_payload, False) for _i, item, _endpoint, _fp in admitted]
+        )
         records: list[TaskRecord] = []
-        for i, item, endpoint_id, fingerprint in admitted:
-            args_locator = self.store.write(item.args_payload)
+        for (i, item, endpoint_id, fingerprint), args_locator in zip(admitted, locators):
             task_id = f"task-{self._task_namespace}{next(self._ids):08d}"
             records.append(
                 TaskRecord(
@@ -1151,22 +1197,25 @@ class FaasCloud(_BatchOfOne):
         its batch-mates.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
-        outcomes: list = []
-        for task_id in task_ids:
+        outcomes: list = [None] * len(task_ids)
+        ready: list[tuple[int, TaskRecord]] = []
+        for i, task_id in enumerate(task_ids):
             try:
                 record = self.task(task_id)
                 if not record.status.terminal or record.result_locator is None:
                     raise ResultNotReadyError(f"task {task_id} has no result yet")
-                # The result is being collected: retire its poll-fallback
-                # entry so a client that was notified over the bus never
-                # re-sees it while draining the completed queue in fallback
-                # mode.
-                self._completed.retire(record.client_id, task_id)
-                outcomes.append(
-                    (record.status, self.store.read(record.result_locator))
-                )
             except ReproError as exc:
-                outcomes.append(exc)
+                outcomes[i] = exc
+                continue
+            # The result is being collected: retire its poll-fallback entry
+            # so a client that was notified over the bus never re-sees it
+            # while draining the completed queue in fallback mode.
+            self._completed.retire(record.client_id, task_id)
+            ready.append((i, record))
+        # One pipelined store round for the call's result reads.
+        reads = self.store.read_round([record.result_locator for _, record in ready])
+        for (i, record), read in zip(ready, reads):
+            outcomes[i] = read if isinstance(read, Exception) else (record.status, read)
         return outcomes
 
     def next_completed_batch(
@@ -1521,9 +1570,8 @@ class FaasCloud(_BatchOfOne):
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         outcomes: list = [None] * len(results)
-        accepted: list[tuple[TaskRecord, bool, str, Payload]] = []
-        indexes: list[int] = []  # where each accepted result sits in ``results``
-        for i, (task_id, success, result_payload) in enumerate(results):
+        live: list[tuple[int, TaskRecord]] = []  # (index in ``results``, record)
+        for i, (task_id, _success, _payload) in enumerate(results):
             try:
                 record = self.task(task_id)
                 with self._completed.cond:
@@ -1532,14 +1580,20 @@ class FaasCloud(_BatchOfOne):
             except ReproError as exc:
                 outcomes[i] = exc
                 continue
-            locator = self.store.write(result_payload, chaos_exempt=not success)
-            accepted.append((record, success, locator, result_payload))
-            indexes.append(i)
-        if not accepted:
+            live.append((i, record))
+        if not live:
             return outcomes
+        # One pipelined store round for the call's result writes.
+        locators = self.store.write_round(
+            [(results[i][2], not results[i][1]) for i, _ in live]
+        )
+        accepted = [
+            (record, results[i][1], locator, results[i][2])
+            for (i, record), locator in zip(live, locators)
+        ]
         self._journal_results(endpoint_id, accepted)
         notify: dict[str, list[TaskRecord]] = {}
-        for i, (record, success, locator, _payload) in zip(indexes, accepted):
+        for (i, _), (record, success, locator, _payload) in zip(live, accepted):
             try:
                 if self._finalize_result(record, endpoint_id, success, locator):
                     notify.setdefault(record.client_id, []).append(record)

@@ -104,7 +104,7 @@ class FaasEndpoint:
         clock: Clock | None = None,
         failover_group: str | None = None,
         use_bus: bool = True,
-        uplink_batching: bool = False,
+        uplink_batching: bool = True,
     ) -> None:
         if poll_interval is not None and poll_interval <= 0:
             raise WorkflowError(
@@ -133,10 +133,10 @@ class FaasEndpoint:
         self._heartbeat_timer = None
         # Opportunistic uplink batching: when results pile up in the outbox
         # faster than one API round trip drains them, ship the whole backlog
-        # in a single ``report_results`` call.  Opt-in because the batch
-        # composition depends on thread timing — rigs that verify
-        # bit-identical chaos ledgers with store-tier-matched faults keep
-        # one result per call.
+        # in a single ``report_results`` call.  ``False`` keeps one result
+        # (and one result doorbell) per call: the batch composition depends
+        # on thread timing, so rigs that verify bit-identical chaos ledgers
+        # with store-tier-matched faults turn it off.
         self._uplink_batching = uplink_batching
         self.endpoint_id = cloud.register_endpoint(
             token, name, pool.site, failover_group=failover_group
@@ -461,20 +461,21 @@ class FaasEndpoint:
     def _dispatch(self, dispatches: list[TaskDispatch]) -> None:
         """Download one delivery round's arguments and hand it to the pool.
 
-        The cloud streams every argument payload of the round back in one
-        response, so the round pays *one* WAN latency plus the summed bytes
-        over the link — not one latency per task — and only then do the
-        tasks reach the pool.  Everything else stays per member: the store
-        read (tier charge, ``cloud.store.read`` fault hook), the
-        ``endpoint.fetch`` span and ``data_transfer`` event in the task's
-        own trace, and failure — a member whose read or function lookup
-        fails is reported failed alone.  A round of one charges exactly
-        what a lone task always has.
+        The cloud reads the round's argument payloads out of its store in
+        one pipelined store round and streams them back in one response, so
+        the round pays *one* store round trip per tier and *one* WAN latency
+        plus the summed bytes over the link — not one of each per task — and
+        only then do the tasks reach the pool.  Everything else stays per
+        member: the store op itself (its latency draw, counter and
+        ``cloud.store.read`` fault hook), the ``endpoint.fetch`` span and
+        ``data_transfer`` event in the task's own trace, and failure — a
+        member whose read or function lookup fails is reported failed alone.
+        A round of one charges exactly what a lone task always has.
         """
         started = self._clock.now()
         size = len(dispatches)
         observe("endpoint.fetch_batch_size", size, endpoint=self.name)
-        fetched: list[tuple[TaskDispatch, Payload]] = []
+        live: list[TaskDispatch] = []
         for dispatch in dispatches:
             try:
                 # Fire the advisory cache warm first: the weights transfer
@@ -485,12 +486,18 @@ class FaasEndpoint:
                     dispatch.prefetch, self.pool.site, via=f"endpoint:{self.name}"
                 ):
                     counter_inc("endpoint.prefetches", endpoint=self.name)
-                # Pull the argument payload down from the cloud store
-                # (charged to this thread: the endpoint is the one blocked
-                # on the download).
-                fetched.append((dispatch, self.cloud.store.read(dispatch.args_locator)))
+                live.append(dispatch)
             except Exception as exc:  # noqa: BLE001 - report, don't drop
                 self._fail_dispatch(dispatch, exc, started, size)
+        # Pull the argument payloads down from the cloud store (charged to
+        # this thread: the endpoint is the one blocked on the download).
+        reads = self.cloud.store.read_round([d.args_locator for d in live])
+        fetched: list[tuple[TaskDispatch, Payload]] = []
+        for dispatch, read in zip(live, reads):
+            if isinstance(read, Exception):
+                self._fail_dispatch(dispatch, read, started, size)
+            else:
+                fetched.append((dispatch, read))
         if fetched:
             self._clock.sleep(
                 self.cloud.network.transfer_time(
@@ -534,9 +541,7 @@ class FaasEndpoint:
     def _fail_dispatch(
         self, dispatch: TaskDispatch, exc: Exception, started: float, size: int
     ) -> None:
-        """Report one member's dispatch failure as that task's result.
-
-        Called from the ``except`` block, so the traceback is the live one."""
+        """Report one member's dispatch failure as that task's result."""
         counter_inc("endpoint.dispatch_errors", endpoint=self.name)
         record_span(
             "endpoint.fetch",
@@ -550,7 +555,7 @@ class FaasEndpoint:
         body = {
             "success": False,
             "error": repr(exc),
-            "traceback": traceback.format_exc(),
+            "traceback": "".join(traceback.format_exception(exc)),
         }
         self._outbox.put(
             (dispatch.task_id, False, serialize(body), dispatch.trace_ctx)
@@ -710,16 +715,27 @@ class FaasEndpoint:
         """Report one result, or a drained backlog, in one API round trip.
 
         Results that share the uplink message ride it inline (borrowed), so
-        the small ones skip the redis hop; a lone result takes the store."""
+        the small ones skip the redis hop; a lone result takes the store.
+        Every member gets the ``result.uplink`` span in its own trace."""
         counter_inc("endpoint.uplink_batches", endpoint=self.name)
-        shared = len(items) > 1
+        size = len(items)
         results = [
-            (task_id, success, borrow(payload) if shared else payload)
+            (task_id, success, borrow(payload) if size > 1 else payload)
             for task_id, success, payload, _ in items
         ]
-        with trace_span("result.uplink", parent=items[0][3], endpoint=self.name):
-            self._pay_api_call()
-            outcomes = self.cloud.report_results(self.token, self.endpoint_id, results)
+        started = self._clock.now()
+        self._pay_api_call()
+        outcomes = self.cloud.report_results(self.token, self.endpoint_id, results)
+        ended = self._clock.now()
+        for _task_id, _success, _payload, trace_ctx in items:
+            record_span(
+                "result.uplink",
+                start=started,
+                end=ended,
+                parent=trace_ctx,
+                endpoint=self.name,
+                batch_size=size,
+            )
         for outcome in outcomes:
             if isinstance(outcome, LeaseExpiredError):
                 # Our lease lapsed (long pause / stall) and the task was

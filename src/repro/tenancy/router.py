@@ -80,17 +80,28 @@ class _RoutedStore:
     def __init__(self, router: "CloudRouter") -> None:
         self._router = router
 
-    def _shard_store(self, locator: str):
+    def _owner(self, locator: str) -> CloudShard:
         shard_id, sep, _ = locator.partition("/")
         if not sep:
             raise WorkflowError(
                 f"locator {locator!r} carries no shard prefix; it was not "
                 "minted by this router"
             )
-        return self._router.shard(shard_id).store
+        return self._router.shard(shard_id)
 
     def read(self, locator: str) -> Payload:
-        return self._shard_store(locator).read(locator)
+        return self._owner(locator).store.read(locator)
+
+    def read_round(self, locators: list[str]) -> list:
+        """One store round per owning shard (each shard's store is its own
+        service), merged back into a list aligned with ``locators``."""
+        return self._router._scatter(
+            len(locators),
+            lambda i: self._owner(locators[i]).shard_id,
+            lambda shard_id, indexes: self._router.shard(shard_id).store.read_round(
+                [locators[i] for i in indexes]
+            ),
+        )
 
     def write(self, payload: Payload, *, chaos_exempt: bool = False) -> str:
         raise WorkflowError(
@@ -448,7 +459,8 @@ class CloudRouter(_BatchOfOne):
         (:meth:`_shard_faults`; a member they hit comes back throttled and
         its batch-mates go on), then one quota reservation and one shard
         call per shard group (functions hash to shards, so a mixed batch
-        scatters into per-shard sub-batches).  The reservation of a member
+        scatters into per-shard sub-batches); members beyond the tenant's
+        remaining quota come back throttled.  The reservation of a member
         the shard rejects downstream is released, so a payload-cap
         rejection does not leak in-flight headroom.  Returns task ids or
         per-task errors aligned with ``items``, like
@@ -466,25 +478,29 @@ class CloudRouter(_BatchOfOne):
             return shard_id
 
         def admit(shard_id: str, indexes: list[int]) -> list:
-            group_items = [items[i] for i in indexes]
-            total_bytes = sum(it.args_payload.nominal_size for it in group_items)
+            sizes = [items[i].args_payload.nominal_size for i in indexes]
             try:
                 self._check_available(shard_id)
-                # One reservation covers the whole sub-batch (one rate
-                # token; all members' in-flight slots, atomically).
-                self.registry.admit_batch(tenant, len(indexes), total_bytes)
+                # One reservation covers the sub-batch (one rate token; the
+                # in-flight slots of the longest prefix that fits the
+                # quotas); the members beyond it come back throttled.
+                admitted, refusal = self.registry.admit_batch(tenant, sizes)
             except ReproError as exc:
                 return [exc] * len(indexes)
+            refused = [refusal] * (len(indexes) - admitted)
+            if not admitted:
+                return refused
+            group_items = [items[i] for i in indexes[:admitted]]
             try:
                 shard_results = self.shard(shard_id).submit_batch(
                     token, client_id, group_items, tenant=tenant
                 )
             except BaseException:
-                self.registry.release_batch(tenant, len(indexes), total_bytes)
+                self.registry.release_batch(tenant, admitted, sum(sizes[:admitted]))
                 raise
             rejected = [
-                it.args_payload.nominal_size
-                for it, res in zip(group_items, shard_results)
+                nbytes
+                for nbytes, res in zip(sizes, shard_results)
                 if isinstance(res, Exception)
             ]
             if rejected:
@@ -507,7 +523,7 @@ class CloudRouter(_BatchOfOne):
                 # The rebuilt shard replays the batch record per task —
                 # the ids already handed back stay valid.
                 self.crash_shard(shard_id)
-            return shard_results
+            return shard_results + refused
 
         return self._scatter(len(items), owner, admit)
 

@@ -239,21 +239,30 @@ class TenantRegistry:
             tenant.usage.functions += 1
 
     def admit_submit(self, name: str, nbytes: int) -> None:
-        """Admission control for one submit: the batch of one."""
-        self.admit_batch(name, 1, nbytes)
+        """Admission control for one submit: the batch of one, its refusal
+        raised."""
+        _, refusal = self.admit_batch(name, [nbytes])
+        if refusal is not None:
+            raise refusal
 
     def release_submit(self, name: str, nbytes: int) -> None:
         """Undo a reservation whose submit was rejected downstream."""
         self.release_batch(name, 1, nbytes)
 
-    def admit_batch(self, name: str, n_tasks: int, total_bytes: int) -> None:
+    def admit_batch(
+        self, name: str, sizes: list[int]
+    ) -> tuple[int, TenantQuotaExceededError | None]:
         """Admission control for one submit call: rate limit, then quotas.
 
-        The call draws a single rate-bucket token however many tasks it
-        carries, but it reserves every member's in-flight slot and queued
-        bytes atomically — the whole batch is admitted or none of it is.
-        Raises a retryable throttle error; on success the tenant's
-        in-flight/queued-bytes usage is already reserved."""
+        ``sizes`` are the members' argument bytes, in order.  The call draws
+        a single rate-bucket token however many tasks it carries, then
+        reserves in-flight slots and queued bytes for the longest prefix of
+        members that fits both quotas — a coalesced batch larger than the
+        remaining headroom gets in piece by piece instead of never.
+        Returns how many members were admitted (their usage is already
+        reserved) and, when some were not, the retryable throttle error the
+        rest come back with; a refused call counts once in
+        ``usage.throttled`` / ``cloud.throttled{reason=}``."""
         tenant = self.get(name)
         if tenant.bucket is not None:
             wait = tenant.bucket.acquire()
@@ -261,41 +270,49 @@ class TenantRegistry:
                 with self._lock:
                     tenant.usage.throttled += 1
                 counter_inc("cloud.throttled", tenant=name, reason="rate")
-                raise TenantQuotaExceededError(
+                return 0, TenantQuotaExceededError(
                     f"tenant {name!r} exceeded its submit rate "
                     f"({tenant.bucket.rate:.1f}/s); retry in {wait:.3f}s",
                     retry_after=wait,
                 )
         with self._lock:
             usage, quota = tenant.usage, tenant.quota
-            if (
-                quota.max_in_flight is not None
-                and usage.in_flight + n_tasks > quota.max_in_flight
-            ):
-                usage.throttled += 1
-                counter_inc("cloud.throttled", tenant=name, reason="in_flight")
-                raise TenantQuotaExceededError(
-                    f"tenant {name!r} has {usage.in_flight} tasks in flight; a "
-                    f"batch of {n_tasks} would exceed the quota "
-                    f"({quota.max_in_flight}); retry as they complete",
-                    retry_after=0.0,
-                )
-            if (
-                quota.max_queued_bytes is not None
-                and usage.queued_bytes + total_bytes > quota.max_queued_bytes
-            ):
-                usage.throttled += 1
-                counter_inc("cloud.throttled", tenant=name, reason="queued_bytes")
-                raise TenantQuotaExceededError(
-                    f"tenant {name!r} would have "
-                    f"{usage.queued_bytes + total_bytes} queued bytes (quota "
-                    f"{quota.max_queued_bytes}); retry as queued work drains",
-                    retry_after=0.0,
-                )
-            usage.in_flight += n_tasks
-            usage.queued_bytes += total_bytes
-            usage.submits += n_tasks
+            admitted = len(sizes)
+            refusal = None
+            if quota.max_in_flight is not None:
+                admitted = max(0, min(admitted, quota.max_in_flight - usage.in_flight))
+                if admitted < len(sizes):
+                    reason = "in_flight"
+                    refusal = (
+                        f"tenant {name!r} has {usage.in_flight} tasks in flight; a "
+                        f"batch of {len(sizes)} would exceed the quota "
+                        f"({quota.max_in_flight}); {admitted} admitted, retry "
+                        "the rest as they complete"
+                    )
+            if quota.max_queued_bytes is not None:
+                fits, total = 0, usage.queued_bytes
+                for nbytes in sizes[:admitted]:
+                    if total + nbytes > quota.max_queued_bytes:
+                        break
+                    fits, total = fits + 1, total + nbytes
+                if fits < admitted:
+                    admitted = fits
+                    reason = "queued_bytes"
+                    refusal = (
+                        f"tenant {name!r} would have "
+                        f"{usage.queued_bytes + sum(sizes)} queued bytes (quota "
+                        f"{quota.max_queued_bytes}); {admitted} admitted, retry "
+                        "the rest as queued work drains"
+                    )
+            usage.in_flight += admitted
+            usage.queued_bytes += sum(sizes[:admitted])
+            usage.submits += admitted
             gauge_set("cloud.tenant_in_flight", usage.in_flight, tenant=name)
+            if refusal is None:
+                return admitted, None
+            usage.throttled += 1
+        counter_inc("cloud.throttled", tenant=name, reason=reason)
+        return admitted, TenantQuotaExceededError(refusal, retry_after=0.0)
 
     def release_batch(self, name: str, n_tasks: int, total_bytes: int) -> None:
         """Undo (part of) a batch reservation rejected downstream."""

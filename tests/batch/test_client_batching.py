@@ -85,8 +85,9 @@ class _HoldRecorder:
 def test_lone_task_latency_stays_bounded(rig, recording_clock, monkeypatch):
     """Regression for the adaptive hold: a single task under an idle
     batcher must not be parked for the full flush deadline — it is held for
-    ``min_hold`` only, and what the client is charged for it stays within
-    ``flush_deadline`` + epsilon of the unbatched baseline.
+    ``min_hold`` only, by the default policy and by an explicit one alike,
+    and what the client is charged for it under the explicit policy stays
+    within ``flush_deadline`` + epsilon of the default client's.
 
     The comparison is between *modelled* seconds (the client's charges plus
     the hold it armed), not elapsed nominal time: at the test time scale
@@ -109,7 +110,8 @@ def test_lone_task_latency_stays_bounded(rig, recording_clock, monkeypatch):
         return sum(recording_clock.charged())
 
     baseline = lone_task_charge()
-    assert reactor.holds == []
+    assert reactor.holds == [BatchPolicy().min_hold]
+    del reactor.holds[:]
     lone = lone_task_charge(batch=policy)
     # The idle batcher's hold collapsed to min_hold ...
     assert reactor.holds == [policy.min_hold]
@@ -157,7 +159,9 @@ def test_rejected_members_split_back_into_singles(rig):
         client.close()
         set_injector(None)
     assert metrics.counter_total("client.batch_splits") == 6
-    assert metrics.counter_total("client.retries") == 6
+    # Admission rejects: nothing ran, so these are submit retries.
+    assert metrics.counter_total("client.submit_retries") == 6
+    assert metrics.counter_total("client.retries") == 0
     # Satellite regression: a resubmission reuses the serialized payload —
     # the skip counter moves in lockstep with the retries.
     assert metrics.counter_total("client.serialize_skipped") == 6

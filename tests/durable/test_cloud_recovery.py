@@ -541,11 +541,13 @@ def test_endpoint_crash_then_shard_crash_loses_nothing():
     try:
         with at_site(testbed.theta_login):
             held = client.run(_slow_square, ep_a.endpoint_id, 3)
+            client.flush_batches()  # the id is needed now, not at the hold
             _eventually(
                 lambda: router.task(held.task_id).status is TaskStatus.DISPATCHED
             )
             ep_a.pause()  # stops fetching: the next task stays queued
             queued = client.run(_slow_square, ep_a.endpoint_id, 4)
+            client.flush_batches()
         assert router.task(queued.task_id).status is TaskStatus.WAITING
         ep_a.simulate_crash()
         # ep-b's heartbeat reaps ep-a one TTL later and inherits both tasks.

@@ -65,7 +65,9 @@ def test_bus_delivery_completes_tasks_without_idle_polls(testbed, metrics):
     # arrived as bus notifications, not poll hits.
     assert metrics.counter_total("endpoint.polls_empty") == 0
     assert metrics.counter_total("endpoint.polls") >= 1
-    assert metrics.counter_total("bus.delivered") >= 8  # 4 doorbells + 4 results
+    # Coalesced submits share a task doorbell and drained uplinks a result
+    # doorbell: at least one of each, at most one per task.
+    assert 2 <= metrics.counter_total("bus.delivered") <= 8
     assert metrics.counter_total("bus.fallback_engaged") == 0
 
 
@@ -89,9 +91,10 @@ def test_pause_resume_replays_unacked_doorbells(testbed, metrics):
     try:
         endpoint.pause()
         with at_site(testbed.theta_login):
-            futures = [
-                client.run(_add, endpoint.endpoint_id, i, b=1) for i in range(3)
-            ]
+            futures = []
+            for i in range(3):
+                futures.append(client.run(_add, endpoint.endpoint_id, i, b=1))
+                client.flush_batches()  # one submit call, one doorbell, each
         get_clock().sleep(1.0)
         assert not any(f.done() for f in futures)
         # The doorbells are parked, unacked, in the endpoint's window.
@@ -145,9 +148,10 @@ def test_trimmed_doorbell_backlog_is_drained_and_acks_recover(testbed, metrics):
     try:
         endpoint.pause()
         with at_site(testbed.theta_login):
-            futures = [
-                client.run(_add, endpoint.endpoint_id, i, b=1) for i in range(8)
-            ]
+            futures = []
+            for i in range(8):
+                futures.append(client.run(_add, endpoint.endpoint_id, i, b=1))
+                client.flush_batches()  # one doorbell per task
         get_clock().sleep(1.0)
         # More doorbells than the window fit: the oldest were trimmed and
         # the subscription force-lapsed.

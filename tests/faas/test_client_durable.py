@@ -84,6 +84,7 @@ def test_kill_then_attach_delivers_the_result_exactly_once(rig):
     testbed, cloud, endpoint, client, token = rig
     with at_site(testbed.theta_login):
         orphan = client.run(_add, endpoint.endpoint_id, 20, 22)
+        client.flush_batches()  # the id exists once the submit has gone out
     task_id = orphan.task_id
     client.kill()  # process death: no ack drain, pending table dropped
     assert not orphan.done()

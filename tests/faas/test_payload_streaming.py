@@ -1,5 +1,5 @@
-"""Payloads follow the batch: one WAN latency per fetched round and per
-downloaded round, everything else per task.
+"""Payloads follow the batch: one WAN latency and one store round per
+fetched round and per downloaded round, everything else per task.
 
 The hops under test are the endpoint's argument download
 (``FaasEndpoint._dispatch``) and the client's result download
@@ -48,8 +48,10 @@ FIXED = PaperConstants(
     faas_api_latency=FixedLatency(API),
     faas_redis_latency=FixedLatency(REDIS),
     intra_facility_latency=FixedLatency(0.0002),
-    # Generous: lease expiry is not under test and 15 s is 30 ms of wall.
+    # Generous: lease expiry is not under test and 15 s is 30 ms of wall;
+    # renewals would charge the reactor thread a deadline flush is read off.
     endpoint_lease_ttl=600.0,
+    endpoint_heartbeat_period=300.0,
 )
 #: Lands every argument and result payload in the redis tier (4 kB..20 kB).
 PAD = 10_000
@@ -107,6 +109,13 @@ class Rig:
     def submit(self, index):
         with at_site(self.testbed.theta_login):
             return self.client.submit(self.func_id, self.ep_id, index, Blob(PAD))
+
+    def submit_now(self, *indexes):
+        """Submit and flush as ONE batch: on return the tasks are queued at
+        the cloud and every ``future.task_id`` is set."""
+        futures = [self.submit(index) for index in indexes]
+        self.client.flush_batches()
+        return futures
 
     def transfer(self, nbytes):
         """One streamed response over the cloud link: a latency plus bytes."""
@@ -189,7 +198,7 @@ def _hold_notifier(rig):
     live = rig.endpoint._running
     if live:
         rig.endpoint.pause()  # the callback must be on before the result is
-    sentinel = rig.submit(-1)
+    (sentinel,) = rig.submit_now(-1)
     sentinel.add_done_callback(park)
     if live:
         rig.endpoint.resume()
@@ -234,9 +243,11 @@ def test_lone_task_charges_what_the_single_path_always_has(make_rig):
 
 
 def test_lone_task_charges_on_the_submit_and_uplink_hops(make_rig):
-    """k=1 on the other two hops: an unbatched submit and a lone uplink each
-    pay one API round trip and one redis write (this test passes unchanged
-    on the commit that still had a singular path per hop)."""
+    """k=1 on the other two hops: a lone submit and a lone uplink each pay
+    one API round trip and one redis write — the numbers the singular path
+    per hop always charged.  The submit's are no longer the caller's: it
+    paid for serialization and was handed its future; the hold timer's
+    flush pays the WAN and the store."""
     rig = make_rig()
     rig.submit(0).result(timeout=60)  # warm-up
     del rig.clock.charges[:]
@@ -245,8 +256,8 @@ def test_lone_task_charges_on_the_submit_and_uplink_hops(make_rig):
 
     api_call = WAN + WAN + API
     me = threading.current_thread().name
-    assert rig.clock.charged(me) == [
-        serialize_cost(rig.args_size(future.task_id)),
+    assert rig.clock.charged(me) == [serialize_cost(rig.args_size(future.task_id))]
+    assert rig.clock.charged("repro-reactor") == [
         api_call,
         REDIS,  # argument write: 10 kB is not borrowed, it takes the store
     ]
@@ -295,7 +306,7 @@ def test_doorbell_without_a_result_behind_it_is_not_a_failed_attempt(make_rig):
     cells burning a client retry).  The task is in flight, not failed: the
     client keeps waiting and the real completion settles the future."""
     rig = make_rig(run_endpoint=False)
-    future = rig.submit(7)
+    (future,) = rig.submit_now(7)
     rig.cloud.bus.publish(result_topic(rig.client.client_id), future.task_id)
     _wait_for(lambda: rig.metrics.counter_total("client.spurious_doorbells") == 1)
     assert not future.done()
@@ -306,10 +317,29 @@ def test_doorbell_without_a_result_behind_it_is_not_a_failed_attempt(make_rig):
     assert rig.metrics.counter_total("client.retries") == 0
 
 
+def test_malformed_doorbell_does_not_kill_the_notifier(make_rig):
+    """An exception escaping the notifier used to end its thread and strand
+    every future of the client behind it.  A doorbell that is not an id
+    list is counted, acked and skipped; its neighbours are delivered."""
+    rig = make_rig(run_endpoint=False)
+    topic = result_topic(rig.client.client_id)
+    first, second = rig.submit_now(0, 1)
+    one, two = rig.fetch()
+    rig.report(one.task_id)
+    rig.cloud.bus.publish(topic, None)  # not a string: nothing to split
+    rig.report(two.task_id)
+    assert first.result(timeout=60)[0] == "done"
+    assert second.result(timeout=60)[0] == "done"
+    _wait_for(lambda: rig.metrics.counter_total("client.notify_errors") == 1)
+    assert rig.client._notifier.is_alive()
+    rig.client.close()
+    assert rig.cloud.bus.unacked(topic, rig.client.client_id) == []
+
+
 # -- the fetched round -------------------------------------------------------------
 def test_fetched_round_pays_one_latency_for_all_arguments(make_rig):
     rig = make_rig(run_endpoint=False)
-    futures = [rig.submit(i) for i in range(3)]
+    futures = rig.submit_now(0, 1, 2)
     dispatches = rig.fetch()
     assert len(dispatches) == 3
     rig.endpoint._functions[rig.func_id] = _echo  # keep the function fetch out
@@ -318,7 +348,8 @@ def test_fetched_round_pays_one_latency_for_all_arguments(make_rig):
 
     sizes = [rig.args_size(f.task_id) for f in futures]
     me = threading.current_thread().name
-    assert rig.clock.charged(me) == [REDIS, REDIS, REDIS, rig.transfer(sum(sizes))]
+    # ONE pipelined store round, ONE streamed response.
+    assert rig.clock.charged(me) == [REDIS, rig.transfer(sum(sizes))]
     assert rig.histogram("endpoint.fetch_batch_size") == [3]
 
 
@@ -346,10 +377,11 @@ def test_store_fault_on_a_fetched_member_fails_only_that_member(make_rig):
 # -- the downloaded round ----------------------------------------------------------
 def test_downloaded_round_pays_one_latency_for_all_results(make_rig):
     """Three doorbells of one id each, picked up in one round: one push
-    latency and one streamed response, three reads and deserializations."""
+    latency, one store round and one streamed response, three
+    deserializations."""
     rig = make_rig(run_endpoint=False)
     gate = _hold_notifier(rig)
-    futures = [rig.submit(i) for i in range(3)]
+    futures = rig.submit_now(0, 1, 2)
     task_ids = [d.task_id for d in rig.fetch()]
     rig.report(*task_ids, coalesced=False)
     del rig.clock.charges[:]
@@ -359,9 +391,7 @@ def test_downloaded_round_pays_one_latency_for_all_results(make_rig):
     sizes = [rig.result_size(task_id) for task_id in task_ids]
     assert rig.clock.charged("faas-client-notify") == [
         WAN,  # ONE notification push
-        REDIS,
-        REDIS,
-        REDIS,
+        REDIS,  # ONE pipelined store round for the three reads
         rig.transfer(sum(sizes)),  # ONE streamed response
         *[deserialize_cost(size) for size in sizes],
     ]
@@ -374,7 +404,7 @@ def test_downloaded_round_pays_one_latency_for_all_results(make_rig):
 
 def test_coalesced_doorbell_is_one_round(make_rig):
     rig = make_rig(run_endpoint=False)
-    futures = [rig.submit(i) for i in range(3)]
+    futures = rig.submit_now(0, 1, 2)
     task_ids = [d.task_id for d in rig.fetch()]
     del rig.clock.charges[:]
     rig.report(*task_ids)
@@ -393,7 +423,7 @@ def test_coalesced_doorbell_is_one_round(make_rig):
 def test_store_fault_on_a_downloaded_member_fails_only_that_member(make_rig):
     rig = make_rig(retry_policy=RetryPolicy(max_attempts=3, base_delay=0.05))
     gate = _hold_notifier(rig)
-    futures = [rig.submit(i) for i in range(3)]
+    futures = rig.submit_now(0, 1, 2)
     _wait_for(lambda: _all_terminal(rig, futures))
     executed = rig.metrics.counter_total("endpoint.executions")
     injector = FaultInjector(
@@ -429,7 +459,7 @@ class _DiesAfterDownload(FaasCloud):
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 def test_kill_between_download_and_ack_redelivers_every_unsettled_id(make_rig):
     rig = make_rig(run_endpoint=False, cloud_cls=_DiesAfterDownload, client_id="campaign")
-    doomed = [rig.submit(i) for i in range(3)]
+    doomed = rig.submit_now(0, 1, 2)
     task_ids = [d.task_id for d in rig.fetch()]
     rig.cloud.die = True
     rig.report(*task_ids)
@@ -464,6 +494,7 @@ def test_hedge_winner_and_loser_in_one_round_resolve_the_future_once(make_rig):
             Blob(PAD),
             _hedge=HedgePolicy(endpoints=(other,), delay=0.5),
         )
+        rig.client.flush_batches()
     _wait_for(lambda: rig.metrics.counter_total("client.hedges_launched") == 1)
     (primary,) = rig.fetch()
     (hedge,) = rig.cloud.fetch_tasks(rig.token, other, 32, 0.0)
@@ -480,7 +511,7 @@ def test_hedge_winner_and_loser_in_one_round_resolve_the_future_once(make_rig):
     assert rig.metrics.counter_total("client.hedges") == 1  # won, once
     # The notifier survived settling both legs (a second set_result would
     # have killed it) and still delivers.
-    follow_up = rig.submit(8)
+    (follow_up,) = rig.submit_now(8)
     (dispatch,) = rig.fetch()
     rig.report(dispatch.task_id)
     assert follow_up.result(timeout=60)[0] == "done"
@@ -493,7 +524,7 @@ def test_every_task_keeps_its_own_fetch_and_download_span(make_rig):
     rig = make_rig()
     gate = _hold_notifier(rig)
     rig.endpoint.pause()
-    futures = [rig.submit(i) for i in range(3)]
+    futures = rig.submit_now(0, 1, 2)
     rig.endpoint.resume()  # one fetched round of three ...
     _wait_for(lambda: _all_terminal(rig, futures))
     gate.set()  # ... and one downloaded round of three

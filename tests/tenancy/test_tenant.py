@@ -135,6 +135,29 @@ def test_queued_bytes_quota_tracks_dispatch_and_requeue():
         registry.admit_submit("alice", 100)
 
 
+def test_batch_beyond_the_quota_admits_the_prefix_that_fits():
+    registry = TenantRegistry()
+    registry.create(
+        "alice", quota=TenantQuota(max_in_flight=5, max_queued_bytes=250)
+    )
+    admitted, refusal = registry.admit_batch("alice", [100] * 8)
+    # Five slots, but only two members' bytes fit: the tighter quota wins.
+    assert admitted == 2
+    assert isinstance(refusal, TenantQuotaExceededError)
+    usage = registry.get("alice").usage
+    assert (usage.in_flight, usage.queued_bytes, usage.submits) == (2, 200, 2)
+    assert usage.throttled == 1  # once per refused call, not per member
+    registry.task_dispatched("alice", 100)
+    registry.task_dispatched("alice", 100)
+    admitted, refusal = registry.admit_batch("alice", [100] * 6)
+    assert admitted == 2 and refusal is not None
+    admitted, refusal = registry.admit_batch("alice", [10])
+    assert (admitted, refusal) == (1, None)  # the fifth slot
+    admitted, refusal = registry.admit_batch("alice", [10])
+    assert admitted == 0 and "in flight" in str(refusal)
+    assert usage.throttled == 3
+
+
 def test_function_quota():
     registry = TenantRegistry()
     registry.create("alice", quota=TenantQuota(max_functions=1))
