@@ -111,7 +111,7 @@ def _recovery_time(
         journal=journal,
     )
     report = recover_cloud(fresh)
-    assert len(fresh._tasks) == n_tasks  # zero lost tasks, every time
+    assert len(fresh.task_records()) == n_tasks  # zero lost tasks, every time
     return report.recovery_s, replay_bytes
 
 

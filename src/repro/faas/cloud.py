@@ -32,12 +32,10 @@ so one hot tenant cannot starve the rest of an endpoint's feed.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import threading
 import uuid
 from collections import deque
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 from repro.bus import NotificationBus
 from repro.chaos.plan import attempt_from_key, chaos_check
@@ -53,6 +51,22 @@ from repro.exceptions import (
     WorkflowError,
 )
 from repro.faas.auth import SCOPE_COMPUTE, AuthServer, Token
+from repro.faas.ledger import (
+    Deadletter,
+    Dispatch,
+    Effects,
+    Endpoint,
+    Func,
+    Ledger,
+    Rehome,
+    Result,
+    ResultDoc,
+    Submit,
+    TaskDispatch,
+    TaskRecord,
+    TaskStatus,
+    task_id_index,
+)
 from repro.net.clock import Clock, get_clock
 from repro.net.defaults import PaperConstants
 from repro.net.topology import Network, Site
@@ -85,69 +99,6 @@ def task_topic(endpoint_id: str) -> str:
 def result_topic(client_id: str) -> str:
     """Bus topic carrying result notifications for one client."""
     return f"results/{client_id}"
-
-
-class TaskStatus(str, Enum):
-    WAITING = "WAITING"  # queued at the cloud, not yet fetched
-    DISPATCHED = "DISPATCHED"  # fetched by the endpoint
-    SUCCESS = "SUCCESS"
-    FAILED = "FAILED"
-
-    @property
-    def terminal(self) -> bool:
-        return self in (TaskStatus.SUCCESS, TaskStatus.FAILED)
-
-
-@dataclass
-class TaskRecord:
-    task_id: str
-    func_id: str
-    endpoint_id: str
-    client_id: str
-    args_locator: str
-    status: TaskStatus = TaskStatus.WAITING
-    result_locator: str | None = None
-    submitted_at: float = 0.0
-    fetched_at: float | None = None
-    completed_at: float | None = None
-    trace_ctx: TraceContext | None = None
-    #: Content-derived fault-injection key supplied by the client (rides the
-    #: dispatch so endpoint/worker hooks key faults deterministically).
-    chaos_key: str | None = None
-    #: How many times this record went back to WAITING (crash reclaim or
-    #: lease-expiry failover).
-    requeues: int = 0
-    #: Endpoints this task was reassigned *away from*; a result reported by
-    #: one of them is a stale lease, not a protocol error.
-    previous_endpoints: list[str] = field(default_factory=list)
-    #: Advisory prefetch hints from the client, forwarded on dispatch so the
-    #: executing endpoint can warm its site's proxy cache.
-    prefetch: tuple = ()
-    #: The tenant the task was submitted under (fair dequeue + quotas).
-    tenant: str = DEFAULT_TENANT
-    #: Size of the argument payload, kept for queued-bytes quota release.
-    args_nbytes: int = 0
-    #: Absolute nominal time after which the task's result is worthless;
-    #: rides dispatch/retry/hedge so every layer can stop dead work early.
-    deadline_at: float | None = None
-    #: Content fingerprint (``func_id:args-digest``) for poison-task strike
-    #: accounting: identical resubmissions share one fingerprint.
-    fingerprint: str | None = None
-
-
-@dataclass(frozen=True)
-class TaskDispatch:
-    """What an endpoint receives for one task: ids plus the args locator
-    (payloads never ride the control message when they are large)."""
-
-    task_id: str
-    func_id: str
-    args_locator: str
-    trace_ctx: TraceContext | None = None
-    chaos_key: str | None = None
-    prefetch: tuple = ()
-    tenant: str = DEFAULT_TENANT
-    deadline_at: float | None = None
 
 
 @dataclass(frozen=True)
@@ -324,18 +275,20 @@ class _CompletedFeed:
     Extracted from :class:`FaasCloud` so a router can hand every shard the
     *same* feed: a client long-polling ``next_completed`` then sees results
     from all shards through one wait, exactly as if the cloud were one
-    service.  ``cond`` doubles as the terminal-transition lock shards use
-    for their exactly-once ``report_result`` dance."""
+    service.  Shards push while holding their ledger lock, so ``cond`` nests
+    inside it and takes no other lock itself."""
 
     def __init__(self, clock: Clock) -> None:
         self._clock = clock
         self.cond = threading.Condition()
         self._queues: dict[str, deque[str]] = {}
 
-    def push_locked(self, client_id: str, task_id: str) -> None:
-        """Append a completion; caller must hold :attr:`cond`."""
-        self._queues.setdefault(client_id, deque()).append(task_id)
-        self.cond.notify_all()
+    def push(self, tasks: list[TaskRecord]) -> None:
+        """Append each task's completion to its client's queue."""
+        with self.cond:
+            for task in tasks:
+                self._queues.setdefault(task.client_id, deque()).append(task.task_id)
+            self.cond.notify_all()
 
     def retire(self, client_id: str, task_id: str) -> None:
         """Drop a completion that was collected through another path."""
@@ -475,11 +428,10 @@ class FaasCloud(_BatchOfOne):
             can route any id back to its owner.
         ``journal``
             A :class:`repro.durable.Journal` this instance writes through:
-            admission, dispatch, re-home and result-uplink mutations (which
-            carry the tenant-usage deltas) are appended — and their I/O cost
-            charged, the fsync — *before* the in-memory mutation becomes
-            visible, so a crash-discarded instance can be rebuilt from
-            snapshot + log replay (:func:`repro.durable.recover_cloud`).
+            every ledger record is appended — and its I/O cost charged, the
+            fsync — *before* :attr:`ledger` applies it, so a crash-discarded
+            instance can be rebuilt from snapshot + log replay
+            (:func:`repro.durable.recover_cloud`).
         ``health`` / ``poison``
             A :class:`repro.resilience.EndpointHealthTracker` and a
             :class:`repro.resilience.PoisonTracker`; shards behind one
@@ -503,7 +455,7 @@ class FaasCloud(_BatchOfOne):
             self.constants, network, self.clock, prefix=store_prefix
         )
         # Push-notification bus: result notifications to clients, task-
-        # available doorbells to endpoints.  The queues below stay the
+        # available doorbells to endpoints.  The ledger's queues stay the
         # ground truth; the bus only carries acked wakeups, so the poll
         # paths remain correct as a degraded fallback.
         self.bus = (
@@ -511,33 +463,82 @@ class FaasCloud(_BatchOfOne):
             if bus is not None
             else NotificationBus.for_cloud(self.clock, self.constants)
         )
-        self._functions: dict[str, Payload] = {}
-        self._function_tenants: dict[str, str] = {}
-        self._endpoints: dict[str, Site] = {}
-        self._endpoint_online: dict[str, bool] = {}
-        self._tasks: dict[str, TaskRecord] = {}
-        # endpoint id -> tenant -> FIFO of waiting task ids.  Draining is
-        # weighted round-robin across the tenant queues (see
-        # ``_pop_next_locked``), the per-endpoint fair-dequeue guarantee.
-        self._queues: dict[str, dict[str, deque[str]]] = {}
-        self._wrr_tenant: dict[str, str] = {}
-        self._wrr_credit: dict[str, int] = {}
-        self._queue_cond = threading.Condition()
+        #: Tasks, queues, ownership and leases — changed only by the records
+        #: :meth:`_commit` hands it (see :mod:`repro.faas.ledger`).
+        self.ledger = Ledger(
+            task_namespace, None if usage is None else usage.weight
+        )
         self._completed = completed if completed is not None else _CompletedFeed(
             self.clock
         )
-        self._lock = threading.Lock()
-        self._ids = itertools.count()
-        self._task_namespace = task_namespace
-        # Heartbeat leases: only endpoints that ever heartbeat hold a lease,
-        # so direct-API test rigs without an agent process are never reaped.
-        self._lease_expiry: dict[str, float] = {}
-        self._failover_groups: dict[str, str | None] = {}
         self.health = health
         self.poison = poison
         self.journal = journal
         if journal is not None:
             journal.set_snapshot_provider(self.journal_state)
+
+    # -- the live path of every ledger record ----------------------------------
+    def _journal(self, record) -> None:
+        """The WAL fsync point — the only ``journal.append`` of ledger
+        records.  ``rehome`` reaches it holding the ledger lock (WAL order
+        is ledger order for ownership); every other kind outside it, so the
+        charge never serializes other endpoints' calls."""
+        if self.journal is not None and record.journaled:
+            self.journal.append(record.kind, **record.to_doc())
+
+    def _apply(self, record, **live) -> Effects:
+        """Apply ``record`` and mirror what must stay ordered with the
+        ledger — usage deltas, depth gauges, completed-feed pushes — before
+        the lock is released."""
+        with self.ledger.lock:
+            effects = self.ledger.apply(record, **live)
+            if self.usage is not None:
+                for method, args in effects.usage:
+                    getattr(self.usage, method)(*args)
+            for endpoint_id, tenants in effects.depths.items():
+                gauge_set(
+                    "faas.queue_depth",
+                    sum(depth for _, depth in tenants),
+                    endpoint=endpoint_id,
+                )
+                for tenant, depth in tenants:
+                    gauge_set(
+                        "cloud.tenant_queue_depth",
+                        depth,
+                        tenant=tenant,
+                        endpoint=endpoint_id,
+                        shard=self._shard_label,
+                    )
+            if effects.completions:
+                self._completed.push(effects.completions)
+        return effects
+
+    def _ring(self, topic: str, tasks: list[TaskRecord]) -> None:
+        """One doorbell for ``tasks``: the payload is the comma-joined ids."""
+        self.bus.publish(
+            topic,
+            ",".join(task.task_id for task in tasks),
+            chaos_key=tasks[0].chaos_key or tasks[0].task_id,
+        )
+
+    def _announce(self, effects: Effects) -> None:
+        """Ring the doorbells of applied effects: task-available ones per
+        endpoint, result ones coalesced per client — always *after* the
+        apply, so a subscriber that acts on one finds the ledger changed."""
+        for endpoint_id, tasks in effects.doorbells:
+            self._ring(task_topic(endpoint_id), tasks)
+        by_client: dict[str, list[TaskRecord]] = {}
+        for task in effects.completions:
+            by_client.setdefault(task.client_id, []).append(task)
+        for client_id in sorted(by_client):
+            self._ring(result_topic(client_id), by_client[client_id])
+
+    def _commit(self, record) -> Effects:
+        """WAL first, then the one transition function, then its effects."""
+        self._journal(record)
+        effects = self._apply(record)
+        self._announce(effects)
+        return effects
 
     # -- registry ------------------------------------------------------------
     def register_function(
@@ -575,13 +576,13 @@ class FaasCloud(_BatchOfOne):
         Skips validation and quota accounting: the registration was
         admitted when the tenant first registered it; moving it to the
         partition's new owner must not charge the quota twice."""
-        if self.journal is not None:
-            self.journal.append(
-                "func", func_id=func_id, tenant=tenant, payload=encode_payload(payload)
-            )
-        with self._lock:
-            self._functions[func_id] = payload
-            self._function_tenants[func_id] = tenant
+        self._commit(Func(func_id, tenant, payload))
+
+    def _function(self, func_id: str, tenant: str) -> Payload:
+        func = self.ledger.functions.get(func_id)
+        if func is None or func.tenant != tenant:
+            raise WorkflowError(f"unknown function {func_id!r}")
+        return func.payload
 
     def get_function(
         self, token: Token, func_id: str, tenant: str = DEFAULT_TENANT
@@ -590,12 +591,7 @@ class FaasCloud(_BatchOfOne):
         endpoints execute for every tenant, so their tokens carry no tenant
         scopes — but the function must be visible to ``tenant``."""
         self.auth.validate(token, SCOPE_COMPUTE)
-        with self._lock:
-            payload = self._functions.get(func_id)
-            owner = self._function_tenants.get(func_id, DEFAULT_TENANT)
-        if payload is None or owner != tenant:
-            raise WorkflowError(f"unknown function {func_id!r}")
-        return payload
+        return self._function(func_id, tenant)
 
     def register_endpoint(
         self,
@@ -630,37 +626,22 @@ class FaasCloud(_BatchOfOne):
         elsewhere.  A router adopts each endpoint into *every* shard (any
         partition may dispatch to any endpoint) while registering the bus
         subscriber exactly once itself."""
-        if self.journal is not None:
-            self.journal.append(
-                "endpoint",
-                endpoint_id=endpoint_id,
-                site=site.name,
-                failover_group=failover_group,
-            )
-        with self._lock:
-            self._endpoints[endpoint_id] = site
-            self._endpoint_online[endpoint_id] = False
-            self._queues[endpoint_id] = {}
-            self._failover_groups[endpoint_id] = failover_group
+        self._commit(Endpoint(endpoint_id, site.name, failover_group))
 
     def endpoint_site(self, endpoint_id: str) -> Site:
-        with self._lock:
-            try:
-                return self._endpoints[endpoint_id]
-            except KeyError:
-                raise EndpointUnavailableError(
-                    f"unknown endpoint {endpoint_id!r}"
-                ) from None
+        endpoint = self.ledger.endpoints.get(endpoint_id)
+        if endpoint is None:
+            raise EndpointUnavailableError(f"unknown endpoint {endpoint_id!r}")
+        return self.network.site(endpoint.site)
 
     def set_endpoint_online(self, endpoint_id: str, online: bool) -> None:
-        with self._queue_cond:
-            self.endpoint_site(endpoint_id)
-            self._endpoint_online[endpoint_id] = online
-            self._queue_cond.notify_all()
+        self.endpoint_site(endpoint_id)
+        with self.ledger.lock:
+            self.ledger.online[endpoint_id] = online
+            self.ledger.lock.notify_all()
 
     def endpoint_online(self, endpoint_id: str) -> bool:
-        with self._lock:
-            return self._endpoint_online.get(endpoint_id, False)
+        return self.ledger.online.get(endpoint_id, False)
 
     # -- heartbeats and leases ------------------------------------------------
     def heartbeat(self, token: Token, endpoint_id: str) -> float:
@@ -675,17 +656,17 @@ class FaasCloud(_BatchOfOne):
         self.auth.validate(token, SCOPE_COMPUTE)
         self.endpoint_site(endpoint_id)
         expiry = self.clock.now() + self.constants.endpoint_lease_ttl
-        with self._queue_cond:
-            self._lease_expiry[endpoint_id] = expiry
-            self._endpoint_online[endpoint_id] = True
+        with self.ledger.lock:
+            self.ledger.leases[endpoint_id] = expiry
+            self.ledger.online[endpoint_id] = True
             # Liveness checks ride every heartbeat: with bus-driven pickup a
             # healthy-but-idle endpoint no longer polls, so a peer's
             # heartbeat (not its long poll) is what reaps a dead member and
             # triggers failover.  The breaker shed sweep rides along for the
             # same reason — a bus-idle standby never fetches, so without
             # this a gray peer's backlog would strand until some poll.
-            self._expire_leases_locked()
-            self._shed_open_breakers_locked()
+            self.expire_leases()
+            self._shed_open_breakers()
         if self.health is not None:
             # Heartbeat jitter is a gray-failure signal: a degraded agent
             # beats late long before it stops beating entirely.
@@ -698,44 +679,39 @@ class FaasCloud(_BatchOfOne):
         return expiry
 
     def lease_valid(self, endpoint_id: str) -> bool:
-        with self._queue_cond:
-            expiry = self._lease_expiry.get(endpoint_id)
-            return expiry is not None and expiry > self.clock.now()
+        expiry = self.ledger.leases.get(endpoint_id)
+        return expiry is not None and expiry > self.clock.now()
 
     def release_lease(self, token: Token, endpoint_id: str) -> None:
         """Graceful shutdown: surrender the lease so the stop is not later
         mistaken for a crash (no failover is triggered)."""
         self.auth.validate(token, SCOPE_COMPUTE)
-        with self._queue_cond:
-            self._lease_expiry.pop(endpoint_id, None)
+        with self.ledger.lock:
+            self.ledger.leases.pop(endpoint_id, None)
 
     def expire_leases(self) -> list[str]:
         """Reap endpoints whose lease lapsed; returns the reaped ids.
 
-        Runs lazily on every submit/fetch (any surviving endpoint's long
-        poll triggers it), so failover needs no dedicated reaper thread.
-        """
-        with self._queue_cond:
-            return self._expire_leases_locked()
-
-    def _group_members_locked(self, endpoint_id: str) -> list[str]:
-        """Same-failover-group peers with live leases, sorted (self excluded)."""
-        group = self._failover_groups.get(endpoint_id)
-        if group is None:
-            return []
+        Runs lazily on every submit/fetch/heartbeat (any surviving
+        endpoint's call triggers it), so failover needs no dedicated reaper
+        thread.  A surviving group member inherits everything the dead
+        endpoint held; with no survivor its fetched work goes back on its
+        own queue (store-and-forward across a restart)."""
         now = self.clock.now()
-        return sorted(
-            other_id
-            for other_id, other_group in self._failover_groups.items()
-            if other_id != endpoint_id
-            and other_group == group
-            and (expiry := self._lease_expiry.get(other_id)) is not None
-            and expiry > now
-        )
+        with self.ledger.lock:
+            reaped = self.ledger.reap_leases(now)
+            for endpoint_id in reaped:
+                counter_inc("faas.lease_expiries", endpoint=endpoint_id)
+                peers = self.ledger.live_peers(endpoint_id, now)
+                if peers:
+                    self._requeue(endpoint_id, peers[0], "faas.failovers")
+                else:
+                    self._requeue(endpoint_id, None, "faas.requeues")
+        return reaped
 
-    def _healthy_target_locked(self, endpoint_id: str, now: float) -> str | None:
+    def _healthy_target(self, endpoint_id: str, now: float) -> str | None:
         """A live same-group peer whose breaker is not open, if any."""
-        for other_id in self._group_members_locked(endpoint_id):
+        for other_id in self.ledger.live_peers(endpoint_id, now):
             if (
                 self.health is None
                 or self.health.evaluate(other_id, now) != BREAKER_OPEN
@@ -743,220 +719,67 @@ class FaasCloud(_BatchOfOne):
                 return other_id
         return None
 
-    def _shed_open_breakers_locked(self) -> None:
+    def _shed_open_breakers(self) -> None:
         """Move work away from endpoints whose circuit breaker is open.
 
         The gray twin of the lease-expiry sweep: a degraded endpoint still
         heartbeats (its lease never lapses), so any healthy peer's fetch or
         heartbeat re-homes its backlog and its in-flight stragglers onto a
-        healthy group member (:meth:`_requeue_locked`); its eventual slow
-        results arrive as stale-lease reports and are dropped.
+        healthy group member (:meth:`_requeue`); its eventual slow results
+        arrive as stale-lease reports and are dropped.
         """
         if self.health is None:
             return
         now = self.clock.now()
-        for endpoint_id in list(self._queues):
-            if self.health.evaluate(endpoint_id, now) != BREAKER_OPEN:
-                continue
-            target = self._healthy_target_locked(endpoint_id, now)
-            if target is not None:  # else nowhere healthier: leave it in place
-                self._requeue_locked(endpoint_id, target, "resilience.sheds")
+        with self.ledger.lock:
+            for endpoint_id in list(self.ledger.endpoints):
+                if self.health.evaluate(endpoint_id, now) != BREAKER_OPEN:
+                    continue
+                target = self._healthy_target(endpoint_id, now)
+                if target is not None:  # else nowhere healthier: leave it in place
+                    self._requeue(endpoint_id, target, "resilience.sheds")
 
-    # -- per-tenant queue helpers ---------------------------------------------
-    def _tenant_queue_locked(self, endpoint_id: str, tenant: str) -> deque[str]:
-        return self._queues[endpoint_id].setdefault(tenant, deque())
+    def _requeue(self, source: str, target: str | None, counter: str) -> list[str]:
+        """Return what ``source`` holds to ``WAITING`` at ``target`` (``None``:
+        in place) as ONE :class:`~repro.faas.ledger.Rehome` record; returns
+        the moved task ids, counted under ``counter``.
 
-    def _depth_locked(self, endpoint_id: str) -> int:
-        return sum(len(q) for q in self._queues[endpoint_id].values())
-
-    def _queued_records_locked(self, endpoint_id: str) -> list[TaskRecord]:
-        """Every WAITING record queued at an endpoint, per-tenant FIFO
-        order, tenants in sorted order."""
-        records: list[TaskRecord] = []
-        for tenant in sorted(self._queues[endpoint_id]):
-            records.extend(
-                self._tasks[tid] for tid in self._queues[endpoint_id][tenant]
-            )
-        return records
-
-    def _dequeue_locked(self, record: TaskRecord) -> bool:
-        """Drop ``record``'s queued copy from its owner's queue; True when
-        there was one."""
-        queue = self._queues.get(record.endpoint_id, {}).get(record.tenant, ())
-        if record.task_id not in queue:
-            return False
-        queue.remove(record.task_id)
-        return True
-
-    def _requeue_locked(
-        self,
-        source: str,
-        target: str | None = None,
-        counter: str | None = None,
-        records: list[TaskRecord] | None = None,
-    ) -> list[TaskRecord]:
-        """Return what ``source`` holds to ``WAITING`` — the only place an
-        existing record's status becomes ``WAITING``.  Returns the records.
-
-        ``target`` ``None`` (or ``source``) requeues in place: its
-        fetched-but-unfinished tasks go back to the *front* of its own
-        queue, oldest first; what is still queued already sits where it
-        belongs.  Any other ``target`` re-homes: in-flight and queued work
-        alike leaves for the *back* of ``target``'s queue, and ``source``
-        joins ``previous_endpoints`` so its late report reads as a stale
-        lease, not a protocol error.
-
-        A re-home changes who may report the task, so it is journaled: ONE
-        ``rehome`` record per call, appended (its fsync charged) under
-        ``_queue_cond`` before the move is visible, so WAL order is ledger
-        order.  An in-place requeue is not: replay re-leases whatever was
-        in flight, which is the same state.
-
-        Copies that were DISPATCHED re-enter the tenant's queued-bytes
-        quota; each task gets a fresh doorbell (the agent that lost it
-        acked the original) and counts once under ``counter``.
-        ``counter=None`` replays a journaled ``rehome`` of ``records`` into
-        a rebuilt ledger: ownership effects only — the usage registry and
-        the bus outlived the crash and already saw the live move.
-        """
+        A re-home changes who may report the task, so it is journaled — its
+        fsync paid under the ledger lock, before the move is visible.  The
+        no-fault sweep that runs on every fetch and heartbeat holds nothing
+        and commits nothing."""
         target = target or source
-        rehome = target != source
-        if records is None:
-            records = sorted(
-                (
-                    record
-                    for record in self._tasks.values()
-                    if record.endpoint_id == source
-                    and record.status is TaskStatus.DISPATCHED
-                ),
-                key=lambda record: record.submitted_at,
+        with self.ledger.lock:
+            record = Rehome(
+                source,
+                target,
+                self.ledger.held_by(source, target != source),
+                self.clock.now(),
             )
-            if rehome:
-                records += self._queued_records_locked(source)
-        if not records:
-            return records
-        live = counter is not None
-        if rehome and live and self.journal is not None:
-            self.journal.append(
-                "rehome",
-                **{"from": source, "to": target},
-                task_ids=[record.task_id for record in records],
-                at=self.clock.now(),
-            )
-        # In place the oldest must end up in front, so appendleft newest first.
-        for record in records if rehome else reversed(records):
-            if record.status is not TaskStatus.DISPATCHED:
-                self._dequeue_locked(record)  # the queued copy leaves with it
-            elif live and self.usage is not None:
-                self.usage.task_requeued(record.tenant, record.args_nbytes)
-            record.status = TaskStatus.WAITING
-            record.fetched_at = None
-            record.requeues += 1
-            queue = self._tenant_queue_locked(target, record.tenant)
-            if rehome:
-                if source not in record.previous_endpoints:
-                    record.previous_endpoints.append(source)
-                record.endpoint_id = target
-                queue.append(record.task_id)
-            else:
-                queue.appendleft(record.task_id)
-        if live:
-            labels = (
-                {"from_endpoint": source, "to_endpoint": target}
-                if rehome
-                else {"endpoint": source}
-            )
-            counter_inc(counter, len(records), shard=self._shard_label, **labels)
-            for record in records:
-                self._ring(task_topic(target), record)
-            self._publish_depth_locked(source)
-            if rehome:
-                self._publish_depth_locked(target)
-        self._queue_cond.notify_all()
-        return records
-
-    def _pop_next_locked(self, endpoint_id: str) -> str | None:
-        """Weighted-round-robin pop across an endpoint's tenant queues.
-
-        Each tenant gets up to ``weight`` consecutive tasks per turn of the
-        rotation, so over any drain window a backlogged tenant receives at
-        most ``weight / sum(weights of backlogged tenants)`` of the feed —
-        the starvation bound the noisy-neighbor benchmark asserts."""
-        queues = self._queues[endpoint_id]
-        backlogged = sorted(tenant for tenant, q in queues.items() if q)
-        if not backlogged:
-            return None
-        current = self._wrr_tenant.get(endpoint_id)
-        credit = self._wrr_credit.get(endpoint_id, 0)
-        if current is not None and credit > 0 and queues.get(current):
-            self._wrr_credit[endpoint_id] = credit - 1
-            return queues[current].popleft()
-        # Advance the rotation: the first backlogged tenant strictly after
-        # the current one in sorted order (wrapping), so a tenant whose
-        # queue empties forfeits the rest of its turn.
-        nxt = next(
-            (t for t in backlogged if current is None or t > current),
-            backlogged[0],
+            if not record.task_ids:
+                return []
+            self._commit(record)
+        labels = (
+            {"from_endpoint": source, "to_endpoint": target}
+            if target != source
+            else {"endpoint": source}
         )
-        self._wrr_tenant[endpoint_id] = nxt
-        weight = 1 if self.usage is None else self.usage.weight(nxt)
-        self._wrr_credit[endpoint_id] = max(weight, 1) - 1
-        return queues[nxt].popleft()
+        counter_inc(counter, len(record.task_ids), shard=self._shard_label, **labels)
+        return record.task_ids
 
     def queue_depth(self, endpoint_id: str) -> int:
         """Tasks waiting in this cloud's queues for ``endpoint_id``, summed
         over tenants — the cloud half of the autoscaler's demand signal."""
-        with self._queue_cond:
-            if endpoint_id not in self._queues:
-                return 0
-            return self._depth_locked(endpoint_id)
+        if endpoint_id not in self.ledger.queues:
+            return 0
+        return self.ledger.depth(endpoint_id)
 
     def tenant_backlog(self, endpoint_id: str) -> dict[str, int]:
         """Per-tenant waiting-task counts for ``endpoint_id`` (backlogged
         tenants only)."""
-        with self._queue_cond:
-            queues = self._queues.get(endpoint_id, {})
+        with self.ledger.lock:
+            queues = self.ledger.queues.get(endpoint_id, {})
             return {tenant: len(q) for tenant, q in queues.items() if q}
-
-    def _ring(self, topic: str, record: TaskRecord) -> None:
-        """Publish one task's doorbell (or result notification) on ``topic``."""
-        self.bus.publish(
-            topic, record.task_id, chaos_key=record.chaos_key or record.task_id
-        )
-
-    def _publish_depth_locked(self, endpoint_id: str) -> None:
-        gauge_set(
-            "faas.queue_depth", self._depth_locked(endpoint_id), endpoint=endpoint_id
-        )
-        for tenant, queue in self._queues[endpoint_id].items():
-            gauge_set(
-                "cloud.tenant_queue_depth",
-                len(queue),
-                tenant=tenant,
-                endpoint=endpoint_id,
-                shard=self._shard_label,
-            )
-
-    def _expire_leases_locked(self) -> list[str]:
-        now = self.clock.now()
-        reaped = [
-            endpoint_id
-            for endpoint_id, expiry in self._lease_expiry.items()
-            if expiry <= now
-        ]
-        for endpoint_id in reaped:
-            del self._lease_expiry[endpoint_id]
-            self._endpoint_online[endpoint_id] = False
-            counter_inc("faas.lease_expiries", endpoint=endpoint_id)
-            # A surviving group member inherits everything the dead endpoint
-            # held; with no survivor its fetched work goes back on its own
-            # queue (store-and-forward across a restart).
-            peers = self._group_members_locked(endpoint_id)
-            if peers:
-                self._requeue_locked(endpoint_id, peers[0], "faas.failovers")
-            else:
-                self._requeue_locked(endpoint_id, None, "faas.requeues")
-        return reaped
 
     # -- client side ------------------------------------------------------------
     def _admit_task(
@@ -974,13 +797,7 @@ class FaasCloud(_BatchOfOne):
         )
         chaos_key, deadline_at = item.chaos_key, item.deadline_at
         self.endpoint_site(endpoint_id)
-        with self._lock:
-            known = (
-                func_id in self._functions
-                and self._function_tenants.get(func_id, DEFAULT_TENANT) == tenant
-            )
-        if not known:
-            raise WorkflowError(f"unknown function {func_id!r}")
+        self._function(func_id, tenant)
         if deadline_at is not None and deadline_at <= self.clock.now():
             raise DeadlineExceededError(
                 f"task submitted after its own deadline ({deadline_at:.3f}s)"
@@ -1005,8 +822,7 @@ class FaasCloud(_BatchOfOne):
             # not voted yet, so a true poison task reaches quorum instead
             # of failing forever on one endpoint.
             if endpoint_id in self.poison.strikes(fingerprint):
-                with self._queue_cond:
-                    candidates = self._group_members_locked(endpoint_id)
+                candidates = self.ledger.live_peers(endpoint_id, self.clock.now())
                 untried = self.poison.untried_endpoint(fingerprint, candidates)
                 if untried is not None:
                     counter_inc(
@@ -1020,8 +836,7 @@ class FaasCloud(_BatchOfOne):
             # enqueueing onto a queue the shed sweep would drain anyway.
             now = self.clock.now()
             if self.health.evaluate(endpoint_id, now) == BREAKER_OPEN:
-                with self._queue_cond:
-                    target = self._healthy_target_locked(endpoint_id, now)
+                target = self._healthy_target(endpoint_id, now)
                 if target is not None:
                     counter_inc(
                         "resilience.steered",
@@ -1093,13 +908,14 @@ class FaasCloud(_BatchOfOne):
             with self._admission_lock:
                 self.clock.sleep(self._service_time)
         # One pipelined store round for the call's argument writes.
-        locators = self.store.write_round(
-            [(item.args_payload, False) for _i, item, _endpoint, _fp in admitted]
-        )
-        records: list[TaskRecord] = []
-        for (i, item, endpoint_id, fingerprint), args_locator in zip(admitted, locators):
-            task_id = f"task-{self._task_namespace}{next(self._ids):08d}"
-            records.append(
+        payloads = [item.args_payload for _i, item, _endpoint, _fp in admitted]
+        locators = self.store.write_round([(payload, False) for payload in payloads])
+        task_ids = self.ledger.next_task_ids(len(admitted))
+        tasks = []
+        for (i, item, endpoint_id, fingerprint), args_locator, task_id in zip(
+            admitted, locators, task_ids
+        ):
+            tasks.append(
                 TaskRecord(
                     task_id=task_id,
                     func_id=item.func_id,
@@ -1117,73 +933,27 @@ class FaasCloud(_BatchOfOne):
                 )
             )
             results[i] = task_id
-        # WAL fsync point: ONE append makes the whole admission (task
-        # identities + argument bytes + locators) durable before any task
-        # becomes visible in a queue, and each task doc inside it replays
-        # individually (see recover_cloud) — a crash between this append
-        # and the queue fan-out below leaves journaled-but-never-queued
-        # tasks, which replay admits into WAITING queues exactly once.
-        if self.journal is not None:
-            self.journal.append(
-                "submit",
-                client_id=client_id,
-                tenant=tenant,
-                tasks=[
-                    {
-                        "task_id": record.task_id,
-                        "func_id": record.func_id,
-                        "endpoint_id": record.endpoint_id,
-                        "locator": record.args_locator,
-                        "args": encode_payload(item.args_payload),
-                        "chaos_key": record.chaos_key,
-                        "submitted_at": record.submitted_at,
-                        "deadline_at": record.deadline_at,
-                        "fingerprint": record.fingerprint,
-                    }
-                    for record, (_i, item, _endpoint, _fp) in zip(records, admitted)
-                ],
-            )
-        by_endpoint: dict[str, list[TaskRecord]] = {}
-        for record in records:
-            by_endpoint.setdefault(record.endpoint_id, []).append(record)
-        with self._queue_cond:
-            for record in records:
-                self._tasks[record.task_id] = record
-                self._tenant_queue_locked(record.endpoint_id, tenant).append(
-                    record.task_id
-                )
-            for endpoint_id in by_endpoint:
-                self._publish_depth_locked(endpoint_id)
-            self._queue_cond.notify_all()
-        counter_inc(
-            "cloud.submits", len(records), tenant=tenant, shard=self._shard_label
-        )
+        # ONE record makes the whole admission (task identities + argument
+        # bytes + locators) durable before any task becomes visible in a
+        # queue; a crash between its append and its apply leaves
+        # journaled-but-never-queued tasks, which replay admits exactly once.
+        self._commit(Submit(tasks, payloads))
+        counter_inc("cloud.submits", len(tasks), tenant=tenant, shard=self._shard_label)
         counter_inc("cloud.batch_submits", tenant=tenant, shard=self._shard_label)
-        # One coalesced doorbell per destination endpoint, *after* the
-        # enqueue so a subscriber that fetches on it always finds the tasks
-        # queued: the payload is the comma-joined id list.
-        for endpoint_id in sorted(by_endpoint):
-            group = by_endpoint[endpoint_id]
-            self.bus.publish(
-                task_topic(endpoint_id),
-                ",".join(r.task_id for r in group),
-                chaos_key=group[0].chaos_key or group[0].task_id,
-            )
         if self._on_enqueue is not None:
             self._on_enqueue()
         return results
 
     def task(self, task_id: str) -> TaskRecord:
-        with self._lock:
-            try:
-                return self._tasks[task_id]
-            except KeyError:
-                raise WorkflowError(f"unknown task {task_id!r}") from None
+        try:
+            return self.ledger.tasks[task_id]
+        except KeyError:
+            raise WorkflowError(f"unknown task {task_id!r}") from None
 
     def task_records(self) -> list[TaskRecord]:
         """Every task record the cloud has seen (audit/invariant checks)."""
-        with self._queue_cond:
-            return list(self._tasks.values())
+        with self.ledger.lock:
+            return list(self.ledger.tasks.values())
 
     def get_result_payloads(self, token: Token, task_ids: list[str]) -> list:
         """Collect the results of several tasks in one API call.
@@ -1251,80 +1021,47 @@ class FaasCloud(_BatchOfOne):
         timeout on a single un-clamped sleep."""
         self.auth.validate(token, SCOPE_COMPUTE)
         deadline = None if timeout is None else self.clock.now() + timeout
-        out: list[TaskDispatch] = []
-        expired: list[TaskRecord] = []
-        with self._queue_cond:
-            self._expire_leases_locked()
-            self._endpoint_online[endpoint_id] = True
+        ledger = self.ledger
+        with ledger.lock:
+            self.expire_leases()
+            ledger.online[endpoint_id] = True
             # Any healthy endpoint's fetch sweeps work away from gray peers
             # — the breaker analogue of the lazy lease reaper above.
-            self._shed_open_breakers_locked()
+            self._shed_open_breakers()
             if self.health is not None and not self.health.admit(
                 endpoint_id, self.clock.now()
             ):
                 # Breaker open: nothing for this endpoint this round.  Hold
                 # the long poll open so the agent's cadence is unchanged.
                 if timeout is not None and timeout > 0:
-                    self._queue_cond.wait(self.clock.wall_timeout(timeout))
+                    ledger.lock.wait(self.clock.wall_timeout(timeout))
                 return []
-            while not self._depth_locked(endpoint_id):
+            while not ledger.depth(endpoint_id):
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - self.clock.now()
                     if remaining <= 0:
                         break
-                self._queue_cond.wait(
+                ledger.lock.wait(
                     None if remaining is None else self.clock.wall_timeout(remaining)
                 )
-            while len(out) < max_tasks:
-                task_id = self._pop_next_locked(endpoint_id)
-                if task_id is None:
-                    break
-                record = self._tasks[task_id]
-                if self.usage is not None:  # its bytes left the queue either way
-                    self.usage.task_dispatched(record.tenant, record.args_nbytes)
-                if (
-                    record.deadline_at is not None
-                    and self.clock.now() >= record.deadline_at
-                ):
-                    # The deadline already passed while the task queued:
-                    # fail it here instead of shipping dead work.
-                    expired.append(record)
-                    continue
-                record.status = TaskStatus.DISPATCHED
-                record.fetched_at = self.clock.now()
-                out.append(
-                    TaskDispatch(
-                        record.task_id,
-                        record.func_id,
-                        record.args_locator,
-                        record.trace_ctx,
-                        record.chaos_key,
-                        record.prefetch,
-                        record.tenant,
-                        record.deadline_at,
-                    )
-                )
-            self._publish_depth_locked(endpoint_id)
-        for record in expired:
-            counter_inc("resilience.deadline_expired", endpoint=endpoint_id)
-            self._fail_task_cloudside(
-                record,
-                f"DeadlineExceededError: task {record.task_id} missed its "
-                f"deadline ({record.deadline_at:.3f}s) while queued",
-            )
-        # Dispatch fsync point (outside the queue lock: the charge must not
+            record = Dispatch(endpoint_id, self.clock.now())
+            effects = self._apply(record, limit=max_tasks)
+        for task in effects.expired.values():
+            # The deadline passed while the task queued: fail it here
+            # instead of shipping dead work.
+            if self._fail_queued(
+                task,
+                f"DeadlineExceededError: task {task.task_id} missed its "
+                f"deadline ({task.deadline_at:.3f}s) while queued",
+            ):
+                counter_inc("resilience.deadline_expired", endpoint=endpoint_id)
+        # Dispatch fsync point (outside the ledger lock: the charge must not
         # serialize other endpoints' fetches): the lease is durable before
         # the endpoint receives the batch, so a crash-rebuilt shard re-leases
         # these tasks instead of losing track of who holds them.
-        if self.journal is not None and out:
-            self.journal.append(
-                "dispatch",
-                endpoint_id=endpoint_id,
-                task_ids=[d.task_id for d in out],
-                at=self.clock.now(),
-            )
-        return out
+        self._journal(record)
+        return [task.dispatch() for task in effects.tasks]
 
     def republish_doorbells(self) -> int:
         """Re-ring the doorbell for every task still queued at this shard.
@@ -1333,16 +1070,16 @@ class FaasCloud(_BatchOfOne):
         tier was down were acked against empty fetches (the router skipped
         the dark shard), so the queued backlog has no wakeup left.  Returns
         the number of doorbells published."""
-        with self._queue_cond:
+        with self.ledger.lock:
             queued = [
-                (endpoint_id, record)
-                for endpoint_id in self._queues
-                for record in self._queued_records_locked(endpoint_id)
+                (endpoint_id, task)
+                for endpoint_id in self.ledger.queues
+                for task in self.ledger.queued(endpoint_id)
             ]
             if queued:
-                self._queue_cond.notify_all()
-        for endpoint_id, record in queued:
-            self._ring(task_topic(endpoint_id), record)
+                self.ledger.lock.notify_all()
+        for endpoint_id, task in queued:
+            self._ring(task_topic(endpoint_id), [task])
         if queued and self._on_enqueue is not None:
             self._on_enqueue()
         return len(queued)
@@ -1358,198 +1095,108 @@ class FaasCloud(_BatchOfOne):
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         self.endpoint_site(endpoint_id)
-        with self._queue_cond:
-            stranded = self._requeue_locked(endpoint_id, None, "faas.requeues")
-        return [record.task_id for record in stranded]
+        return self._requeue(endpoint_id, None, "faas.requeues")
 
-    def _fail_task_cloudside(self, record: TaskRecord, message: str) -> bool:
-        """Terminally fail a task from inside the cloud (deadline expiry,
-        hedge-loser cancellation) with a fabricated failure result.
-
-        Uses the same exactly-once dance as :meth:`report_results`: the
-        terminal transition happens under the completed-feed lock, a copy
-        that already went terminal wins, and the journal records the
-        fabricated result so a crash-rebuilt shard agrees the task is done.
-        """
+    def _fail_queued(self, task: TaskRecord, message: str) -> bool:
+        """Terminally fail a still-queued task from inside the cloud
+        (deadline expiry, hedge-loser cancellation) with a fabricated
+        failure result — an ordinary ``result`` record on its owner's
+        behalf whose precondition, "still WAITING in its owner's queue",
+        the ledger checks in the same step that dequeues it.  Journaled
+        once accepted (see :meth:`Ledger.apply_result`).  False when the
+        task got away first."""
         payload = serialize({"success": False, "error": message, "traceback": None})
         locator = self.store.write(payload, chaos_exempt=True)
-        self._journal_results(record.endpoint_id, [(record, False, locator, payload)])
-        with self._completed.cond:
-            if record.status.terminal:
-                return False
-            record.result_locator = locator
-            record.status = TaskStatus.FAILED
-            record.completed_at = self.clock.now()
-            self._completed.push_locked(record.client_id, record.task_id)
-        if self.usage is not None:
-            self.usage.task_finished(record.tenant)
-        self._ring(result_topic(record.client_id), record)
+        doc = ResultDoc(task.task_id, False, locator, payload, self.clock.now())
+        with self.ledger.lock:  # whoever owns it *now* is the one it fails for
+            record = Result(task.endpoint_id, [doc])
+            effects = self._apply(record, queued_only=True)
+        if effects.verdicts[0] is not None:
+            return False
+        self._journal(record)
+        self._announce(effects)
         return True
 
     def cancel_task(self, token: Token, task_id: str) -> bool:
         """Best-effort cancel of a *still-queued* task; True when it was
-        dequeued before any endpoint fetched it.
+        failed before any endpoint fetched it.
 
         The hedged-execution loser path: when the first copy of a task
         wins, the client cancels the other leg.  Only WAITING tasks can be
         cancelled — once DISPATCHED the work is already running somewhere
         and the report/duplicate machinery reconciles it instead (that is
         the ``wasted`` hedge outcome).  A cancelled task goes terminal
-        through the standard exactly-once transition, so the ledger never
+        through the one terminal transition, so the ledger never
         double-counts a hedged pair."""
         self.auth.validate(token, SCOPE_COMPUTE)
-        with self._queue_cond:
-            record = self._tasks.get(task_id)
-            removed = (
-                record is not None
-                and record.status is TaskStatus.WAITING
-                and self._dequeue_locked(record)
-            )
-            if removed:
-                self._publish_depth_locked(record.endpoint_id)
-        if not removed:
+        task = self.ledger.tasks.get(task_id)
+        # Preview, so a hopeless cancel pays no store write and no fsync.
+        if task is None or task.status is not TaskStatus.WAITING:
             return False
-        if self.usage is not None:
-            # The queued copy's argument bytes no longer wait in a queue.
-            self.usage.task_dispatched(record.tenant, record.args_nbytes)
-        counter_inc("resilience.cancels", endpoint=record.endpoint_id)
-        self._fail_task_cloudside(
-            record,
+        cancelled = self._fail_queued(
+            task,
             f"CancelledError: task {task_id} cancelled while queued "
             "(hedged duplicate lost the race)",
         )
-        return True
+        if cancelled:
+            counter_inc("resilience.cancels", endpoint=task.endpoint_id)
+        return cancelled
 
-    def _check_reporter(self, record: TaskRecord, endpoint_id: str) -> bool:
-        """Validate a result report; True means "accept", False "drop".
-
-        A second report for an already-terminal task is dropped, not an
-        error (a crash-requeued task can legitimately run twice; exactly
-        one terminal transition survives).  A report from an endpoint the
-        task was failed *away from* is a stale lease.  Anything else
-        claiming someone else's task is a protocol violation.
-        """
-        if record.status.terminal:
+    def _refusal(self, verdict: str, task_id: str, endpoint_id: str):
+        """Count a refused report; its per-task outcome: ``None`` for a
+        dropped duplicate, the :class:`ReproError` otherwise."""
+        if verdict == "unknown":
+            return WorkflowError(f"unknown task {task_id!r}")
+        if verdict == "duplicate":
             counter_inc("faas.duplicate_results", endpoint=endpoint_id)
-            return False
-        if record.endpoint_id != endpoint_id:
-            if endpoint_id in record.previous_endpoints:
-                counter_inc("faas.stale_results", endpoint=endpoint_id)
-                raise LeaseExpiredError(
-                    f"endpoint {endpoint_id} reported task {record.task_id} "
-                    f"after its lease expired; the task now belongs to "
-                    f"{record.endpoint_id}"
-                )
-            raise WorkflowError(
-                f"endpoint {endpoint_id} reported a result for task "
-                f"{record.task_id} assigned to {record.endpoint_id}"
+            return None
+        owner = self.ledger.tasks[task_id].endpoint_id
+        if verdict == "stale":
+            counter_inc("faas.stale_results", endpoint=endpoint_id)
+            return LeaseExpiredError(
+                f"endpoint {endpoint_id} reported task {task_id} after its "
+                f"lease expired; the task now belongs to {owner}"
             )
-        return True
-
-    def _journal_results(
-        self, endpoint_id: str, results: list[tuple[TaskRecord, bool, str, Payload]]
-    ) -> None:
-        """Result-uplink fsync point: the outcomes (and their bytes) are
-        durable before any terminal transition or client notification.
-
-        ONE append covers every ``(record, success, locator, payload)`` of
-        the uplink, and each doc replays individually on recovery.  A crash
-        after this append but before the bus publish is the classic
-        lost-notification window — replay applies the journaled results and
-        re-notifies, and the client's pending-table dedupe makes the
-        duplicates harmless.  A duplicate report that loses the terminal
-        re-check leaves an extra result doc; replay keeps the first."""
-        if self.journal is None:
-            return
-        at = self.clock.now()
-        self.journal.append(
-            "result",
-            endpoint_id=endpoint_id,
-            results=[
-                {
-                    "task_id": record.task_id,
-                    "success": success,
-                    "locator": locator,
-                    "payload": encode_payload(payload),
-                    "exempt": not success,
-                    "at": at,
-                }
-                for record, success, locator, payload in results
-            ],
+        return WorkflowError(
+            f"endpoint {endpoint_id} reported a result for task {task_id} "
+            f"assigned to {owner}"
         )
 
-    def _finalize_result(
-        self, record: TaskRecord, endpoint_id: str, success: bool, locator: str
-    ) -> bool:
-        """Apply a journaled result: drop requeued copies, make the terminal
-        transition exactly once, and feed health/poison/usage accounting.
-        Returns False when a competing copy won the re-check (duplicate
-        dropped); the caller publishes the result doorbell on True."""
-        task_id = record.task_id
-        # A requeued copy of this task may still sit in a queue (report
-        # racing a reclaim): drop it so the work is not executed again.
-        # Only the task's current owner may do that: once a failover or a
-        # breaker shed has re-homed the task, the queued copy *is* the live
-        # task and this reporter a stale lease (the re-check below refuses
-        # it) — dropping the copy would leave the task WAITING in no queue.
-        with self._queue_cond:
-            removed = record.endpoint_id == endpoint_id and self._dequeue_locked(
-                record
-            )
-            if removed:
-                self._publish_depth_locked(endpoint_id)
-        if removed and self.usage is not None:
-            # The queued copy's argument bytes no longer wait in a queue.
-            self.usage.task_dispatched(record.tenant, record.args_nbytes)
-        with self._completed.cond:
-            # Re-check: another copy of the task may have completed while
-            # this thread was paying the store write.
-            if not self._check_reporter(record, endpoint_id):
-                return False
-            record.result_locator = locator
-            record.status = TaskStatus.SUCCESS if success else TaskStatus.FAILED
-            record.completed_at = self.clock.now()
-            self._completed.push_locked(record.client_id, task_id)
+    def _score_result(self, task: TaskRecord, endpoint_id: str) -> None:
+        """Feed an accepted report into health and poison accounting."""
+        success = task.status is TaskStatus.SUCCESS
         if self.health is not None:
             # Dispatch→result latency plus the outcome feed the endpoint's
             # health score (the EWMA/consecutive-error breaker inputs).
-            started = record.fetched_at or record.submitted_at
+            started = task.fetched_at or task.submitted_at
             self.health.record_result(
                 endpoint_id,
-                max(0.0, record.completed_at - started),
+                max(0.0, task.completed_at - started),
                 success,
-                record.completed_at,
+                task.completed_at,
             )
-        if self.poison is not None and record.fingerprint is not None:
-            if success:
-                self.poison.note_success(record.fingerprint)
-            else:
-                entry = self.poison.note_failure(
-                    record.tenant,
-                    record.fingerprint,
-                    endpoint_id,
-                    func_id=record.func_id,
-                    task_id=record.task_id,
-                    args_locator=record.args_locator,
-                    client_id=record.client_id,
-                    error=(
-                        f"task {task_id} failed terminally on endpoint "
-                        f"{endpoint_id}"
-                    ),
-                    now=record.completed_at,
-                )
-                if entry is not None:
-                    counter_inc("resilience.quarantined", tenant=record.tenant)
-                    # Quarantine is durable: a crash-rebuilt shard must keep
-                    # refusing the fingerprint, or the poison task resumes
-                    # burning retry budget after every recovery.
-                    if self.journal is not None:
-                        self.journal.append(
-                            "deadletter", op="add", entry=entry.to_record()
-                        )
-        if self.usage is not None:
-            self.usage.task_finished(record.tenant)
-        return True
+        if self.poison is None or task.fingerprint is None:
+            return
+        if success:
+            self.poison.note_success(task.fingerprint)
+            return
+        entry = self.poison.note_failure(
+            task.tenant,
+            task.fingerprint,
+            endpoint_id,
+            func_id=task.func_id,
+            task_id=task.task_id,
+            args_locator=task.args_locator,
+            client_id=task.client_id,
+            error=f"task {task.task_id} failed terminally on endpoint {endpoint_id}",
+            now=task.completed_at,
+        )
+        if entry is not None:
+            counter_inc("resilience.quarantined", tenant=task.tenant)
+            # Quarantine is durable: a crash-rebuilt shard must keep
+            # refusing the fingerprint, or the poison task resumes
+            # burning retry budget after every recovery.
+            self._commit(Deadletter("add", entry.to_record()))
 
     def report_results(
         self,
@@ -1570,43 +1217,46 @@ class FaasCloud(_BatchOfOne):
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         outcomes: list = [None] * len(results)
-        live: list[tuple[int, TaskRecord]] = []  # (index in ``results``, record)
+        ledger = self.ledger
+        # Preview, so a report the ledger would refuse pays no store write.
+        live = []
         for i, (task_id, _success, _payload) in enumerate(results):
-            try:
-                record = self.task(task_id)
-                with self._completed.cond:
-                    if not self._check_reporter(record, endpoint_id):
-                        continue
-            except ReproError as exc:
-                outcomes[i] = exc
-                continue
-            live.append((i, record))
+            verdict = ledger.report_verdict(ledger.tasks.get(task_id), endpoint_id)
+            if verdict is None:
+                live.append(i)
+            else:
+                outcomes[i] = self._refusal(verdict, task_id, endpoint_id)
         if not live:
             return outcomes
         # One pipelined store round for the call's result writes.
         locators = self.store.write_round(
-            [(results[i][2], not results[i][1]) for i, _ in live]
+            [(results[i][2], not results[i][1]) for i in live]
         )
-        accepted = [
-            (record, results[i][1], locator, results[i][2])
-            for (i, record), locator in zip(live, locators)
-        ]
-        self._journal_results(endpoint_id, accepted)
-        notify: dict[str, list[TaskRecord]] = {}
-        for (i, _), (record, success, locator, _payload) in zip(live, accepted):
-            try:
-                if self._finalize_result(record, endpoint_id, success, locator):
-                    notify.setdefault(record.client_id, []).append(record)
-            except ReproError as exc:
-                outcomes[i] = exc
-        # One coalesced result doorbell per client (comma-joined ids).
-        for client_id in sorted(notify):
-            group = notify[client_id]
-            self.bus.publish(
-                result_topic(client_id),
-                ",".join(r.task_id for r in group),
-                chaos_key=group[0].chaos_key or group[0].task_id,
-            )
+        at = self.clock.now()
+        record = Result(
+            endpoint_id,
+            [
+                ResultDoc(results[i][0], results[i][1], locator, results[i][2], at)
+                for i, locator in zip(live, locators)
+            ],
+        )
+        # Result-uplink fsync point: the outcomes (and their bytes) are
+        # durable before any terminal transition or client notification.  A
+        # crash after the append but before the bus publish is the classic
+        # lost-notification window — replay applies the journaled results
+        # and re-notifies; the client's pending-table dedupe makes the
+        # duplicates harmless.
+        self._journal(record)
+        effects = self._apply(record)
+        # The verdict is taken again under the lock: another copy may have
+        # completed, or the task been re-homed, while this thread paid the
+        # store write and the fsync.
+        for i, verdict in zip(live, effects.verdicts):
+            if verdict is not None:
+                outcomes[i] = self._refusal(verdict, results[i][0], endpoint_id)
+        for task in effects.completions:
+            self._score_result(task, endpoint_id)
+        self._announce(effects)
         return outcomes
 
     # -- dead-letter queue ------------------------------------------------------
@@ -1624,8 +1274,7 @@ class FaasCloud(_BatchOfOne):
         entry = self.poison.remove(tenant, fingerprint)
         if entry is not None:
             counter_inc(counter, tenant=tenant)
-            if self.journal is not None:
-                self.journal.append("deadletter", op="drop", entry=entry.to_record())
+            self._commit(Deadletter("drop", entry.to_record()))
         return entry
 
     def deadletter_drop(self, token: Token, tenant: str, fingerprint: str):
@@ -1659,77 +1308,36 @@ class FaasCloud(_BatchOfOne):
         )
 
     # -- durability ------------------------------------------------------------
-    @staticmethod
-    def task_id_index(task_id: str) -> int:
-        """The numeric suffix of a task id (``task-s2-00000042`` -> 42)."""
-        return int(task_id.rsplit("-", 1)[-1])
+    task_id_index = staticmethod(task_id_index)
 
     def journal_state(self) -> dict:
-        """A full-state snapshot document for journal compaction.
-
-        Everything replay would otherwise reconstruct from the log:
-        registered functions, adopted endpoints, and every task record with
-        its argument (and, when terminal, result) payload bytes.  Applied
-        by :func:`repro.durable.recover_cloud` before the log suffix.
+        """A full-state snapshot document for journal compaction: the
+        ledger's registrations, quarantine verdicts and every task, plus the
+        stored argument and result bytes those tasks point at.
+        :func:`repro.durable.recover_cloud` applies it before the log suffix.
         """
-        with self._lock:
-            functions = [
-                {
-                    "func_id": func_id,
-                    "tenant": self._function_tenants.get(func_id, DEFAULT_TENANT),
-                    "payload": encode_payload(payload),
-                }
-                for func_id, payload in sorted(self._functions.items())
-            ]
-            endpoints = [
-                {
-                    "endpoint_id": endpoint_id,
-                    "site": site.name,
-                    "failover_group": self._failover_groups.get(endpoint_id),
-                }
-                for endpoint_id, site in sorted(self._endpoints.items())
-            ]
-        tasks = []
-        next_id = 0
-        with self._queue_cond:
-            records = sorted(self._tasks.values(), key=lambda r: r.task_id)
-        for record in records:
-            next_id = max(next_id, self.task_id_index(record.task_id) + 1)
-            doc = {
-                "task_id": record.task_id,
-                "func_id": record.func_id,
-                "endpoint_id": record.endpoint_id,
-                "client_id": record.client_id,
-                "locator": record.args_locator,
-                "status": record.status.value,
-                "tenant": record.tenant,
-                "chaos_key": record.chaos_key,
-                "submitted_at": record.submitted_at,
-                "fetched_at": record.fetched_at,
-                "completed_at": record.completed_at,
-                "requeues": record.requeues,
-                "previous_endpoints": list(record.previous_endpoints),
-                "deadline_at": record.deadline_at,
-                "fingerprint": record.fingerprint,
-            }
-            args = self.store.raw(record.args_locator)
-            if args is not None:
-                doc["args"] = encode_payload(args.payload)
-            if record.result_locator is not None:
-                doc["result_locator"] = record.result_locator
-                stored = self.store.raw(record.result_locator)
-                if stored is not None:
-                    doc["result"] = encode_payload(stored.payload)
-                    doc["result_exempt"] = stored.chaos_exempt
-            tasks.append(doc)
+        ledger = self.ledger
+        with ledger.lock:  # payload bytes are encoded outside
+            functions = [ledger.functions[k] for k in sorted(ledger.functions)]
+            endpoints = [ledger.endpoints[k].to_doc() for k in sorted(ledger.endpoints)]
+            deadletters = [ledger.deadletters[k] for k in sorted(ledger.deadletters)]
+            tasks = [ledger.tasks[k].to_doc() for k in sorted(ledger.tasks)]
+        payloads = []
+        for doc in tasks:
+            for locator in (doc["args_locator"], doc.get("result_locator")):
+                stored = locator and self.store.raw(locator)
+                if stored:
+                    payloads.append(
+                        {
+                            "locator": locator,
+                            "payload": encode_payload(stored.payload),
+                            "exempt": stored.chaos_exempt,
+                        }
+                    )
         return {
-            "functions": functions,
+            "functions": [func.to_doc() for func in functions],
             "endpoints": endpoints,
+            "deadletters": deadletters,
             "tasks": tasks,
-            "next_id": next_id,
-            # A shared tracker may hold entries owned by sibling shards;
-            # replaying them is idempotent (keyed by tenant+fingerprint).
-            "deadletters": [
-                entry.to_record() for entry in self.deadletters()
-            ],
+            "payloads": payloads,
         }

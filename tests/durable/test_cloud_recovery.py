@@ -14,21 +14,18 @@ import time
 
 import pytest
 
-from repro.durable import (
-    FileJournalBackend,
-    Journal,
-    encode_payload,
-    recover_cloud,
-)
+from repro.durable import FileJournalBackend, Journal, recover_cloud
 from repro.exceptions import LeaseExpiredError, WorkflowError
 from repro.faas import FaasClient, FaasEndpoint
 from repro.faas.auth import SCOPE_COMPUTE, AuthServer
 from repro.faas.cloud import FaasCloud, TaskStatus
+from repro.faas.ledger import Dispatch, Rehome, Result, ResultDoc, Submit, TaskRecord
 from repro.net.clock import get_clock
 from repro.net.context import at_site
 from repro.net.defaults import PaperConstants, build_paper_testbed
 from repro.net.fs import FileSystem
 from repro.observe import MetricsRegistry, set_metrics
+from repro.proxystore.prefetch import PrefetchHint
 from repro.resilience import EndpointHealthTracker, HealthPolicy
 from repro.resources import WorkerPool
 from repro.serialize import deserialize, serialize
@@ -113,7 +110,7 @@ def test_recovery_rebuilds_every_task_state(rig):
     assert report.replayed > 0
     assert report.released == 1  # `inflight` was DISPATCHED at the crash
     assert report.renotified == 1  # `done` was terminal
-    assert set(fresh._tasks) == {done, inflight, waiting}
+    assert {r.task_id for r in fresh.task_records()} == {done, inflight, waiting}
     assert fresh.task(done).status is TaskStatus.SUCCESS
     assert fresh.task(inflight).status is TaskStatus.WAITING
     assert fresh.task(inflight).requeues == 1
@@ -154,21 +151,20 @@ def test_crash_between_result_write_and_bus_notification(rig):
     # the in-memory transitions, feed pushes, and bus publish all died with
     # the process.  Mirrors the record `report_results` writes.
     at = rig.cloud.clock.now()
-    rig.journal.append(
-        "result",
-        endpoint_id=rig.endpoint_id,
-        results=[
-            {
-                "task_id": task_id,
-                "success": True,
-                "locator": f"inline:{task_id}-result",
-                "payload": encode_payload(serialize({"value": value * value})),
-                "exempt": False,
-                "at": at,
-            }
+    record = Result(
+        rig.endpoint_id,
+        [
+            ResultDoc(
+                task_id,
+                True,
+                f"inline:{task_id}-result",
+                serialize({"value": value * value}),
+                at,
+            )
             for task_id, value in zip(task_ids, (5, 6, 7))
         ],
     )
+    rig.journal.append(record.kind, **record.to_doc())
 
     fresh = rig.crash()
     report = recover_cloud(fresh)
@@ -191,23 +187,16 @@ def test_crash_mid_admission_enqueues_the_journaled_task(rig):
     enqueued in memory is admitted into a WAITING queue by replay —
     exactly once."""
     task_id = "task-00000041"
-    args = serialize(((6,), {}))
-    rig.journal.append(
-        "submit",
-        client_id="client-1",
-        tenant="default",
-        tasks=[
-            {
-                "task_id": task_id,
-                "func_id": rig.func_id,
-                "endpoint_id": rig.endpoint_id,
-                "locator": f"inline:{task_id}-args",
-                "args": encode_payload(args),
-                "chaos_key": None,
-                "submitted_at": rig.cloud.clock.now(),
-            }
-        ],
+    task = TaskRecord(
+        task_id,
+        rig.func_id,
+        rig.endpoint_id,
+        "client-1",
+        f"inline:{task_id}-args",
+        submitted_at=rig.cloud.clock.now(),
     )
+    record = Submit([task], [serialize(((6,), {}))])
+    rig.journal.append(record.kind, **record.to_doc())
 
     fresh = rig.crash()
     report = recover_cloud(fresh)
@@ -241,7 +230,7 @@ def test_double_replay_of_the_same_segment_dedupes(rig):
 
     # Every submit and the terminal result hit the first-record-wins check.
     assert again.deduped >= 3
-    assert set(fresh._tasks) == {done, inflight}
+    assert {r.task_id for r in fresh.task_records()} == {done, inflight}
     assert fresh.task(done).status is TaskStatus.SUCCESS
     # The re-leased task still sits in its queue exactly once.
     redelivered = fresh.fetch_tasks(rig.token, rig.endpoint_id, 10, timeout=1.0)
@@ -267,11 +256,38 @@ def test_recovery_replays_snapshot_plus_suffix_after_compaction(testbed):
     report = recover_cloud(fresh)
 
     assert report.deduped == 0
-    assert len(fresh._tasks) == 3
+    assert len(fresh.task_records()) == 3
     assert fresh.task(done).status is TaskStatus.SUCCESS
     assert fresh.task(waiting).status is TaskStatus.WAITING
     status, payload = fresh.get_result_payload(rig.token, done)
     assert status is TaskStatus.SUCCESS and deserialize(payload)["value"] == 4
+
+
+@pytest.mark.parametrize("compact_every", [None, 1])
+def test_recovered_dispatch_equals_the_pre_crash_one(testbed, compact_every):
+    """The WAL record, the snapshot row and the rebuilt ``TaskRecord`` share
+    one field list: on the parent ``trace_ctx`` and ``prefetch`` were in
+    neither, so a re-leased task lost its trace parent and its hints."""
+    rig = Rig(testbed, compact_every=compact_every)
+    rig.cloud.submit(
+        rig.token,
+        "client-1",
+        rig.func_id,
+        rig.endpoint_id,
+        serialize(((3,), {})),
+        trace_ctx=("trace-1", "span-9"),
+        chaos_key="abc123#0",
+        prefetch=(PrefetchHint("weights", ("k1", "k2"), pin=True),),
+        deadline_at=rig.cloud.clock.now() + 1e6,
+    )
+    (before,) = rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 1, timeout=1.0)
+    assert before.trace_ctx and before.prefetch and before.deadline_at
+
+    fresh = rig.crash()
+    recover_cloud(fresh)
+
+    (after,) = fresh.fetch_tasks(rig.token, rig.endpoint_id, 1, timeout=1.0)
+    assert after == before
 
 
 # -- compositions: a change of owner, then a crash -----------------------------
@@ -435,29 +451,35 @@ def _ledger(cloud):
         ),
         {
             endpoint_id: {tenant: list(q) for tenant, q in queues.items() if q}
-            for endpoint_id, queues in cloud._queues.items()
+            for endpoint_id, queues in cloud.ledger.queues.items()
         },
     )
 
 
+def _journal(pair, *records):
+    for record in records:
+        pair.journal.append(record.kind, **record.to_doc())
+
+
 def test_rehome_replays_the_same_in_either_order_with_the_dispatch(testbed):
-    """The dispatch fsync happens outside the queue lock, so the log may
-    hold ``dispatch(b)`` on either side of the ``rehome(a→b)`` it followed."""
+    """``a``'s dispatch is applied under the ledger lock but its fsync is
+    paid outside it, so the log may hold ``dispatch(a)`` on either side of
+    a ``rehome(a→b)`` that followed it.  Read after the rehome it comes
+    from an endpoint that no longer owns the task and is refused — on the
+    parent it was applied, and the task re-leased a second time."""
     ledgers = []
-    for order in (("rehome", "dispatch"), ("dispatch", "rehome")):
+    for order, refused in ((("dispatch", "rehome"), 0), (("rehome", "dispatch"), 1)):
         pair = PairRig(testbed)
         task_id = pair.submit(2)
         at = pair.cloud.clock.now()
         tail = {
-            "rehome": dict(
-                **{"from": pair.ep_a, "to": pair.ep_b}, task_ids=[task_id], at=at
-            ),
-            "dispatch": dict(endpoint_id=pair.ep_b, task_ids=[task_id], at=at),
+            "rehome": Rehome(pair.ep_a, pair.ep_b, [task_id], at),
+            "dispatch": Dispatch(pair.ep_a, at, [task_id]),
         }
-        for kind in order:
-            pair.journal.append(kind, **tail[kind])
+        _journal(pair, *(tail[kind] for kind in order))
         fresh, report = pair.crash_and_recover()
-        assert report.deduped == 0
+        assert (report.deduped, report.released) == (refused, 0)
+        assert fresh.task(task_id).requeues == 1  # the rehome, nothing else
         # Endpoint ids are minted per rig: compare by role.
         names = {pair.ep_a: "a", pair.ep_b: "b", pair.endpoint_id: "theta"}
         tasks, queues = _ledger(fresh)
@@ -472,6 +494,50 @@ def test_rehome_replays_the_same_in_either_order_with_the_dispatch(testbed):
     assert ledgers[0][1] == {"a": 0, "b": 1, "theta": 0}
 
 
+def test_stale_result_after_rehome_is_refused_in_replay_as_it_was_live(testbed):
+    """``a``'s lease lapses while its report pays the store write: the WAL
+    reads ``submit, dispatch, rehome, result(a)``.  Live, ``a`` gets
+    ``LeaseExpiredError`` and the task waits at ``b``; on the parent replay
+    accepted the very result the live path had refused."""
+    metrics = MetricsRegistry()
+    set_metrics(metrics)
+    pair = PairRig(testbed)
+    task_id = pair.submit(2)
+    pair.cloud.fetch_tasks(pair.token, pair.ep_a, 1, timeout=1.0)
+    write = pair.cloud.store.write_round
+
+    def write_then_lose_the_lease(members):
+        locators = write(members)
+        pair.lapse_a()
+        return locators
+
+    pair.cloud.store.write_round = write_then_lose_the_lease
+    with pytest.raises(LeaseExpiredError):
+        pair.cloud.report_result(
+            pair.token, pair.ep_a, task_id, True, serialize({"value": 4})
+        )
+    _, log = pair.journal.records()
+    assert [r["type"] for r in log][-4:] == ["submit", "dispatch", "rehome", "result"]
+
+    def state(cloud):
+        record = cloud.task(task_id)
+        return (
+            record.status,
+            record.endpoint_id,
+            record.previous_endpoints,
+            cloud.queue_depth(pair.ep_a),
+            cloud.queue_depth(pair.ep_b),
+        )
+
+    live = state(pair.cloud)
+    assert live == (TaskStatus.WAITING, pair.ep_b, [pair.ep_a], 0, 1)
+    fresh, report = pair.crash_and_recover()
+    assert state(fresh) == live
+    assert (report.deduped, report.renotified, report.released) == (1, 0, 0)
+    assert metrics.counter_total("durable.deduped") == 1
+    assert fresh.next_completed("client-1", timeout=0.2) is None
+
+
 def test_double_replayed_rehome_is_deduped(testbed):
     pair = PairRig(testbed)
     held, queued = _move_off_a(pair, "failover")
@@ -481,9 +547,10 @@ def test_double_replayed_rehome_is_deduped(testbed):
 
     again = recover_cloud(fresh)  # same segment, already-populated ledger
 
-    # Three submits, the terminal probe's dispatch and result, and both
-    # members of the rehome (their owner is already ``b``) are duplicates.
-    assert again.deduped == 3 + 2 + 2
+    # Three submits, both members of ``a``'s dispatch (the probe is terminal,
+    # ``held`` now belongs to ``b``), the probe's result, and both members of
+    # the rehome (their owner is already ``b``) are refused.
+    assert again.deduped == 3 + 2 + 1 + 2
     assert fresh.task(held).endpoint_id == pair.ep_b
     after_tasks, after_queues = _ledger(fresh)
     assert (after_tasks, after_queues) == before

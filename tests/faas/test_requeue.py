@@ -203,3 +203,98 @@ def test_stale_report_racing_a_failover_leaves_the_rehomed_task_queued(testbed):
     record = cloud.task(task_id)
     assert (record.status, record.endpoint_id) == (TaskStatus.WAITING, new)
     assert [d.task_id for d in cloud.fetch_tasks(token, new, 1, timeout=0.0)] == [task_id]
+
+
+class _Usage:
+    """A tenant registry that only counts what the cloud tells it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def weight(self, tenant):
+        return 1
+
+    def __getattr__(self, name):
+        return lambda *args: self.calls.append(name)
+
+
+@pytest.mark.parametrize("sweep", ["requeue_dispatched", "lease_lapse", "failover"])
+def test_report_racing_requeue_sweep_stays_terminal(testbed, sweep):
+    """A report is parked just before its apply while a requeue sweep runs
+    to completion, then released.  On the parent the terminal transition
+    and the requeue sat under two unrelated locks, so a report finishing
+    inside the sweep had its SUCCESS overwritten to WAITING and the task
+    finished twice; under the one ledger lock the two are ordered whatever
+    the interleaving.  An in-place sweep leaves the owner's report valid:
+    it wins and drops the requeued copy.  A failover to a peer makes it a
+    stale lease: it is refused and the task waits, once, at the peer."""
+    import threading
+
+    from repro.exceptions import LeaseExpiredError
+
+    clock = _ManualClock()
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    usage = _Usage()
+    cloud = FaasCloud(
+        testbed.faas_cloud, testbed.network, auth, testbed.constants, clock, usage=usage
+    )
+    group = "pair" if sweep == "failover" else None
+    old, new = (
+        cloud.register_endpoint(token, name, testbed.theta_compute, failover_group=group)
+        for name in ("old", "new")
+    )
+    func_id = cloud.register_function(token, serialize(_fn))
+    cloud.heartbeat(token, old)
+    task_id = cloud.submit(token, "c", func_id, old, serialize(((1,), {})))
+    assert [d.task_id for d in cloud.fetch_tasks(token, old, 1, timeout=0.0)] == [task_id]
+
+    parked, release = threading.Event(), threading.Event()
+    apply = cloud._apply
+
+    def parked_apply(record, **live):
+        if record.kind == "result":  # the report: hold it outside the lock
+            parked.set()
+            assert release.wait(10.0)
+        return apply(record, **live)
+
+    cloud._apply = parked_apply
+    outcome = []
+
+    def report():
+        outcome.extend(
+            cloud.report_results(
+                token, old, [(task_id, True, serialize({"success": True, "value": 1}))]
+            )
+        )
+
+    reporter = threading.Thread(target=report)
+    reporter.start()
+    assert parked.wait(10.0)
+    if sweep == "requeue_dispatched":
+        assert cloud.requeue_dispatched(token, old) == [task_id]
+    else:
+        clock.sleep(cloud.constants.endpoint_lease_ttl + 1.0)
+        cloud.heartbeat(token, new)  # the survivor's beat reaps `old`
+    assert cloud.task(task_id).status is TaskStatus.WAITING
+    release.set()
+    reporter.join(10.0)
+    assert not reporter.is_alive()
+
+    record = cloud.task(task_id)
+    if sweep == "failover":
+        assert isinstance(outcome[0], LeaseExpiredError)
+        assert (record.status, record.endpoint_id) == (TaskStatus.WAITING, new)
+        assert (cloud.queue_depth(old), cloud.queue_depth(new)) == (0, 1)
+        assert usage.calls.count("task_finished") == 0
+        assert cloud.next_completed_batch("c", 32, timeout=0.0) == []
+        # The peer runs it: exactly one terminal, one feed entry.
+        cloud.fetch_tasks(token, new, 1, timeout=0.0)
+        cloud.report_result(token, new, task_id, True, serialize({"value": 1}))
+    else:
+        assert outcome == [None]
+    assert record.status is TaskStatus.SUCCESS
+    assert (cloud.queue_depth(old), cloud.queue_depth(new)) == (0, 0)
+    assert usage.calls.count("task_finished") == 1
+    assert cloud.next_completed_batch("c", 32, timeout=0.0) == [task_id]
+    assert cloud.fetch_tasks(token, record.endpoint_id, 10, timeout=0.0) == []
