@@ -43,10 +43,10 @@ class Connector(ABC):
     def put_batch(self, items: dict[str, Payload]) -> None:
         """Store several payloads at once.
 
-        The default is a loop of :meth:`put`; backends with per-operation
-        fixed costs (managed transfers, HTTPS submissions) override this to
-        *fuse* the batch — the paper's §V-D1 remedy for the per-user
-        concurrent-transfer limit.
+        The default is a loop of :meth:`put`; the Globus backend inverts
+        that (``put`` is ``put_batch`` of one) so that one batch is one
+        transfer task per destination — the paper's §V-D1 remedy for the
+        per-user concurrent-transfer limit.
         """
         for key, payload in items.items():
             self.put(key, payload)

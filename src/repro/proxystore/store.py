@@ -351,11 +351,11 @@ class Store:
         return key
 
     def put_batch(self, objs: list[object], keys: list[str] | None = None) -> list[str]:
-        """Serialize and store many objects through one fused backend call.
+        """Serialize and store many objects through one backend call.
 
-        On backends with per-operation fixed costs (Globus: an HTTPS
-        submission and a concurrency-limit slot per transfer task), fusing
-        a batch is markedly cheaper than N separate puts (§V-D1).
+        On the Globus backend the batch is guaranteed to ride ONE transfer
+        task per destination (§V-D1); separate puts fuse too, but by
+        submission round — whatever is parked when a round comes up.
         """
         clock = get_clock()
         start = clock.now()

@@ -5,6 +5,10 @@ costs the paper measures: each API call is an HTTPS request that rides the
 caller-site→cloud link and then waits on the web service's processing
 latency (≈500 ms median for submissions, §V-D1).
 
+A caller that must not sleep through a submission passes ``then=`` to
+:meth:`TransferClient.submit`: the same charge becomes a timer on the
+process reactor and the continuation receives the task id.
+
 The client also owns end-to-end recovery: :meth:`TransferClient.transfer`
 submits, waits, and — under a :class:`repro.chaos.RetryPolicy` — resubmits
 the whole task with backoff when the service reports a terminal failure,
@@ -15,14 +19,16 @@ they stop holding a slot of the per-user concurrency limit.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
+from repro.batch.reactor import get_reactor
 from repro.chaos.policy import RetryPolicy
 from repro.exceptions import DeadlineExceededError, RetryExhaustedError, TransferError
 from repro.net.clock import Clock, get_clock
 from repro.net.context import current_site
 from repro.net.defaults import PaperConstants
 from repro.net.topology import LogNormalLatency, Network, Site
-from repro.observe import counter_inc, current_context
+from repro.observe import TraceContext, counter_inc, current_context
 from repro.transfer.service import (
     TransferItem,
     TransferService,
@@ -63,10 +69,11 @@ class TransferClient:
     def _caller_site(self) -> Site:
         return self._site or current_site() or self._service.site
 
+    def _request_cost(self, processing: float) -> float:
+        return self._network.rtt(self._caller_site(), self._service.site) + processing
+
     def _pay_request(self, processing: float) -> None:
-        caller = self._caller_site()
-        cost = self._network.rtt(caller, self._service.site) + processing
-        self._clock.sleep(cost)
+        self._clock.sleep(self._request_cost(processing))
 
     # -- API --------------------------------------------------------------
     def submit(
@@ -74,17 +81,43 @@ class TransferClient:
         src_endpoint: str,
         dst_endpoint: str,
         items: list[TransferItem] | list[tuple[str, str]],
-    ) -> str:
-        """Submit a transfer task; returns its id after the HTTPS round trip."""
-        # Capture the caller's span before the blocking request so the
-        # service-side ``globus.transfer`` span lands in the right trace.
-        trace_ctx = current_context()
-        self._pay_request(
+        *,
+        trace_ctx: TraceContext | None = None,
+        then: Callable[[str | TransferError], object] | None = None,
+    ) -> str | None:
+        """Submit a transfer task; returns its id after the HTTPS round trip.
+
+        With ``then`` the round trip is a timer on the process reactor
+        instead of a sleep on the calling thread: the call returns at once
+        and ``then(task_id)`` — or ``then(error)`` if the service refused the
+        task — runs on the reactor thread once the request has landed.  The
+        charge is the same, drawn from the calling thread's site.
+        ``trace_ctx`` names the span the transfer belongs under when that is
+        not the calling thread's (a submission armed on a putter's behalf).
+        """
+        # Capture the caller's span before the request so the service-side
+        # ``globus.transfer`` span lands in the right trace.
+        trace_ctx = trace_ctx or current_context()
+        cost = self._request_cost(
             self._network._sample(self._constants.globus_request_latency)
         )
-        return self._service.submit(
-            self.user, src_endpoint, dst_endpoint, items, trace_ctx=trace_ctx
-        )
+        if then is None:
+            self._clock.sleep(cost)
+            return self._service.submit(
+                self.user, src_endpoint, dst_endpoint, items, trace_ctx=trace_ctx
+            )
+
+        def land() -> None:
+            try:
+                outcome: str | TransferError = self._service.submit(
+                    self.user, src_endpoint, dst_endpoint, items, trace_ctx=trace_ctx
+                )
+            except TransferError as exc:
+                outcome = exc
+            then(outcome)
+
+        get_reactor().call_later(cost, land)
+        return None
 
     def status(self, task_id: str) -> TransferStatus:
         self._pay_request(self._network._sample(_STATUS_LATENCY))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.chaos.plan import chaos_check
-from repro.exceptions import TransferError
+from repro.exceptions import FileSystemError, TransferError
 from repro.net.clock import Clock, get_clock
 from repro.net.context import SiteThread
 from repro.net.defaults import PaperConstants
@@ -92,7 +92,12 @@ class TransferTask:
     completed_at: float | None = None
     bytes_transferred: int = 0
     error: str | None = None
+    #: Times the task was requeued; faults themselves are counted per file.
     retries: int = 0
+    #: Files still to copy (the faulted ones, once the rest have landed).
+    todo: tuple[TransferItem, ...] = ()
+    #: ``dst_path`` -> faulted attempts so far.
+    attempts: dict[str, int] = field(default_factory=dict)
     trace_ctx: TraceContext | None = None
     #: Set once when the per-user concurrency limit first defers this task,
     #: so the ``transfer.limit_stalls`` counter ticks once per task, not
@@ -206,6 +211,7 @@ class TransferService:
             src=src,
             dst=dst,
             items=norm,
+            todo=norm,
             submitted_at=self._clock.now(),
             trace_ctx=trace_ctx,
         )
@@ -294,86 +300,103 @@ class TransferService:
                     name=f"dtn-{task.task_id}",
                 ).start()
 
-    def _transfer_duration(self, task: TransferTask, total_bytes: int) -> float:
+    def _transfer_duration(self, task: TransferTask, files: int, total_bytes: int) -> float:
         c = self._constants
         base = self._network._sample(c.globus_transfer_base)
         wire = total_bytes / min(
             c.globus_dtn_bandwidth,
             self._network.bandwidth(task.src.site, task.dst.site),
         )
-        return base + c.globus_per_file_overhead * len(task.items) + wire
+        return base + c.globus_per_file_overhead * files + wire
 
-    def _chaos_key(self, task: TransferTask) -> str:
-        """Content-derived fault key: the destination path set names the
-        logical transfer stably across retries and runs."""
-        digest = hashlib.sha256(
-            "|".join(sorted(item.dst_path for item in task.items)).encode()
-        )
-        return digest.hexdigest()[:16]
+    @staticmethod
+    def _chaos_key(item: TransferItem) -> str:
+        """Content-derived fault key: the destination path names the file
+        stably across retries, runs, and whichever task it was fused into."""
+        return hashlib.sha256(item.dst_path.encode()).hexdigest()[:16]
 
     def _run_transfer(self, task: TransferTask) -> None:
+        """One attempt at the task's outstanding files.
+
+        Faults are per file: the files that copied cleanly land, the ones
+        that faulted are requeued (up to ``MAX_RETRIES`` each) and a file
+        that runs out of retries fails the task once the rest are through.
+        A file evicted at the source is skipped — its neighbours still land.
+        """
         try:
-            staged: list[tuple[str, bytes, int]] = []
+            staged: list[tuple[TransferItem, bytes, int]] = []
             total = 0
-            for item in task.items:
-                data, nominal = task.src.volume.raw(item.src_path)
-                staged.append((item.dst_path, data, nominal))
+            for item in task.todo:
+                try:
+                    data, nominal = task.src.volume.raw(item.src_path)
+                except FileSystemError as exc:
+                    gone = str(exc)
+                    continue
+                staged.append((item, data, nominal))
                 total += nominal
-            self._clock.sleep(self._transfer_duration(task, total))
+            if not staged:  # nothing left to read at the source
+                self._finish(task, TransferStatus.FAILED, error=task.error or gone)
+                return
+            self._clock.sleep(self._transfer_duration(task, len(staged), total))
             if task.cancel_requested:
-                self._finish(
-                    task, TransferStatus.CANCELLED, error="cancelled by client"
-                )
-                counter_inc("transfer.cancelled", user=task.user)
+                self._finish_cancelled(task)
                 return
             with self._lock:
                 injected = self._fail_next.pop(0) if self._fail_next else None
-            spec = chaos_check(
-                "transfer.attempt",
-                self._chaos_key(task),
-                attempt=task.retries,
-                user=task.user,
-            )
-            if spec is not None:
-                if spec.delay:
-                    self._clock.sleep(spec.delay)  # a stall before the failure
-                injected = f"injected fault {spec.mode!r}: DTN aborted mid-copy"
-            if injected is not None:
-                raise TransferError(injected)
-            for dst_path, data, nominal in staged:
-                task.dst.volume.write_raw(dst_path, data, nominal)
-            self._finish(task, TransferStatus.SUCCEEDED, bytes_done=total)
-        except TransferError as exc:
-            if task.cancel_requested:
-                self._finish(
-                    task, TransferStatus.CANCELLED, error="cancelled by client"
+            retry: list[TransferItem] = []
+            for item, data, nominal in staged:
+                fault = injected
+                faulted = task.attempts.get(item.dst_path, 0)
+                spec = chaos_check(
+                    "transfer.attempt",
+                    self._chaos_key(item),
+                    attempt=faulted,
+                    user=task.user,
                 )
-                counter_inc("transfer.cancelled", user=task.user)
-            elif task.retries < self.MAX_RETRIES:
+                if spec is not None:
+                    if spec.delay:
+                        self._clock.sleep(spec.delay)  # a stall before the failure
+                    fault = f"injected fault {spec.mode!r}: DTN aborted mid-copy"
+                if fault is None:
+                    task.dst.volume.write_raw(item.dst_path, data, nominal)
+                    task.bytes_transferred += nominal
+                elif faulted < self.MAX_RETRIES:
+                    task.attempts[item.dst_path] = faulted + 1
+                    retry.append(item)
+                else:
+                    task.error = fault
+            if retry and task.cancel_requested:
+                self._finish_cancelled(task)
+            elif retry:
                 with self._wakeup:
+                    task.todo = tuple(retry)
                     task.retries += 1
                     task.status = TransferStatus.QUEUED
                     self._active_by_user[task.user] -= 1
                     self._queue.append(task.task_id)
-                    counter_inc("transfer.retries", user=task.user)
+                    counter_inc("transfer.retries", len(retry), user=task.user)
                     self._wakeup.notify_all()
+            elif task.error is not None:
+                self._finish(task, TransferStatus.FAILED, error=task.error)
             else:
-                self._finish(task, TransferStatus.FAILED, error=str(exc))
+                self._finish(task, TransferStatus.SUCCEEDED)
         except Exception as exc:  # unexpected: fail the task, don't kill the DTN
             self._finish(task, TransferStatus.FAILED, error=repr(exc))
+
+    def _finish_cancelled(self, task: TransferTask) -> None:
+        self._finish(task, TransferStatus.CANCELLED, error="cancelled by client")
+        counter_inc("transfer.cancelled", user=task.user)
 
     def _finish(
         self,
         task: TransferTask,
         status: TransferStatus,
         *,
-        bytes_done: int = 0,
         error: str | None = None,
     ) -> None:
         with self._wakeup:
             task.status = status
             task.completed_at = self._clock.now()
-            task.bytes_transferred = bytes_done
             task.error = error
             self._active_by_user[task.user] -= 1
             task.done_event.set()
@@ -385,7 +408,7 @@ class TransferService:
             end=task.completed_at,
             task_id=task.task_id,
             status=status.value,
-            bytes=bytes_done,
+            bytes=task.bytes_transferred,
             files=len(task.items),
             retries=task.retries,
         )

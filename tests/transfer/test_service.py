@@ -65,6 +65,98 @@ def test_missing_source_file_fails(rig):
     assert client.task(task_id).status is TransferStatus.FAILED
 
 
+def test_missing_source_file_is_skipped_beside_present_ones(rig):
+    """One evicted source must not fail the files fused with it."""
+    testbed, service, src, dst, client = rig
+    src.volume.write("real", b"here", nominal_size=500)
+    task_id = client.submit("ep-src", "ep-dst", [("ghost", "ghost"), ("real", "real")])
+    task = client.wait(task_id, timeout=60)
+    assert task.status is TransferStatus.SUCCEEDED
+    assert task.bytes_transferred == 500
+    assert dst.volume.read("real") == b"here"
+    assert "ghost" not in dst.volume._files
+
+
+def test_fault_recopies_only_the_faulted_file(rig):
+    """Faults are per file: the clean files land on the first attempt and
+    only the faulted one is retried (and counted)."""
+    from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
+    from repro.observe import MetricsRegistry, set_metrics
+    from repro.transfer.service import TransferItem
+
+    testbed, service, src, dst, client = rig
+    names = [f"f{i}" for i in range(4)]
+    for name in names:
+        src.volume.write(name, name.encode(), nominal_size=100)
+    # Pick a seed whose plan faults some but not all of the four files.
+    for seed in range(100):
+        injector = FaultInjector(
+            FaultPlan.build(seed, [FaultSpec("transfer.attempt", "transfer_fault", rate=0.5)])
+        )
+        hit = [
+            name
+            for name in names
+            if injector._selects(
+                injector.plan.specs[0], service._chaos_key(TransferItem(name, name))
+            )
+        ]
+        if 0 < len(hit) < len(names):
+            break
+    metrics = MetricsRegistry()
+    set_metrics(metrics)
+    set_injector(injector)
+    task = client.wait(
+        client.submit("ep-src", "ep-dst", [(n, n) for n in names]), timeout=120
+    )
+    assert task.status is TransferStatus.SUCCEEDED
+    assert task.retries == 1  # one requeue carried every faulted file
+    assert task.attempts == {name: 1 for name in hit}
+    assert metrics.counter_total("transfer.retries") == len(hit) == injector.fire_count()
+    assert task.bytes_transferred == 100 * len(names)
+    for name in names:
+        assert dst.volume.read(name) == name.encode()
+
+
+def test_submit_then_returns_at_once_and_lands_on_the_reactor(rig, recording_clock):
+    """``then=`` moves the HTTPS round trip off the caller: same charge,
+    paid as a reactor timer instead of a sleep."""
+    import threading
+
+    testbed, service, src, dst, _ = rig
+    client = TransferClient(
+        service, "tester", site=testbed.theta_login, clock=recording_clock
+    )
+    src.volume.write("f", b"x", nominal_size=1)
+    landed: list = []
+    done = threading.Event()
+
+    def then(outcome):
+        landed.append((outcome, threading.current_thread().name))
+        done.set()
+
+    start = get_clock().now()
+    assert client.submit("ep-src", "ep-dst", [("f", "f")], then=then) is None
+    assert done.wait(5)
+    (task_id, thread), = landed
+    assert thread == "repro-reactor"
+    assert service.status(task_id).submitted_at - start >= 0.05  # latency still paid
+    assert recording_clock.charged() == []  # ... but nobody slept through it
+    assert client.wait(task_id, timeout=60).status is TransferStatus.SUCCEEDED
+
+
+def test_submit_then_hands_a_refusal_to_the_continuation(rig):
+    import threading
+
+    testbed, service, src, dst, client = rig
+    landed: list = []
+    done = threading.Event()
+    client.submit(
+        "ep-src", "nope", [("f", "f")], then=lambda o: (landed.append(o), done.set())
+    )
+    assert done.wait(5)
+    assert isinstance(landed[0], TransferError)
+
+
 def test_empty_items_rejected(rig):
     _, service, *_ = rig
     with pytest.raises(TransferError):
