@@ -81,7 +81,7 @@ def _run_trace(elastic: bool) -> dict:
     cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, testbed.constants)
     if elastic:
         pool: WorkerPool = ElasticWorkerPool(
-            testbed.theta_compute, 0, name="fig-elastic", poll_interval=0.1
+            testbed.theta_compute, 0, name="fig-elastic"
         )
     else:
         pool = WorkerPool(testbed.theta_compute, STATIC_WORKERS, name="fig-static")

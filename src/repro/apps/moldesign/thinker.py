@@ -270,7 +270,7 @@ class MolDesignThinker(BaseThinker):
         """
         while not self.done.is_set():
             try:
-                model, task_info = self._inference_work.get(timeout=self._wall(0.25))
+                model, task_info = get_clock().get(self._inference_work, 0.25)
             except queue.Empty:
                 continue
             if task_info.get("batch") != self._batch_id:

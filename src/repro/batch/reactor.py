@@ -5,8 +5,8 @@ endpoint parked a heartbeat thread in a sleep loop, and a batching client
 would have needed one waiter per armed flush deadline.  The reactor
 replaces those with one scheduler thread per process: callbacks are kept
 in a heap ordered by *nominal* (virtual-clock) deadline and the thread
-blocks on a condition variable for exactly the wall-time equivalent of
-the nearest one.  Arming, cancelling, or closing wakes it immediately.
+waits on a condition variable, through the clock, until the nearest one.
+Arming, cancelling, or closing wakes it immediately.
 
 Callbacks run on the reactor thread and must be short and non-blocking —
 they typically flip a condition or hand work to an existing worker
@@ -21,6 +21,7 @@ import threading
 from typing import Any, Callable, Optional
 
 from repro.net.clock import Clock, get_clock
+from repro.net.context import SiteThread
 from repro.observe import counter_inc
 
 __all__ = ["Reactor", "Timer", "get_reactor", "reset_reactor"]
@@ -49,7 +50,7 @@ class Reactor:
         self._heap: list[tuple[float, int, Timer]] = []
         self._seq = itertools.count()
         self._cond = threading.Condition()
-        self._thread: threading.Thread | None = None
+        self._thread: SiteThread | None = None
         self._running = False
 
     # -- scheduling ----------------------------------------------------------
@@ -74,9 +75,7 @@ class Reactor:
         if self._running:
             return
         self._running = True
-        self._thread = threading.Thread(
-            target=self._run, name="repro-reactor", daemon=True
-        )
+        self._thread = SiteThread(None, target=self._run, name="repro-reactor")
         self._thread.start()
 
     # -- loop ----------------------------------------------------------------
@@ -87,10 +86,13 @@ class Reactor:
                     return
                 due = self._pop_due_locked()
                 if due is None:
-                    # Block for the wall-time equivalent of the nearest
-                    # deadline; arming a nearer timer notifies us awake.
-                    wait = self._wall_wait_locked()
-                    self._cond.wait(wait)
+                    # Block until the nearest deadline (the pop left a live
+                    # timer at the head, if any); arming a nearer timer
+                    # notifies us awake.
+                    nearest = None
+                    if self._heap:
+                        nearest = self._heap[0][0] - self._clock.now()
+                    self._clock.wait(self._cond, nearest)
                     continue
             self._fire(due)
 
@@ -106,16 +108,6 @@ class Reactor:
             heapq.heappop(self._heap)
             return timer
         return None
-
-    def _wall_wait_locked(self) -> float | None:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        nominal = self._heap[0][0] - self._clock.now()
-        wall = self._clock.wall_timeout(max(nominal, 0.0))
-        # Never spin: floor the wait so a just-due timer still yields.
-        return max(wall if wall is not None else 0.0, 1e-5)
 
     def _fire(self, timer: Timer) -> None:
         try:

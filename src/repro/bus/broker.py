@@ -281,8 +281,7 @@ class NotificationBus:
                 if state.next_attempt_at:
                     soonest = min(state.next_attempt_at.values())
                     wake_at = soonest if wake_at is None else min(wake_at, soonest)
-                remaining = None if wake_at is None else max(wake_at - now, 0.0)
-                self._cond.wait(self._clock.wall_timeout(remaining))
+                self._clock.wait(self._cond, None if wake_at is None else wake_at - now)
 
     def _deliver_locked(
         self, state: _SubscriberState, seqs: list[int], now: float

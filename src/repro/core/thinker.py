@@ -116,7 +116,7 @@ def event_responder(*, event: str, critical: bool = False) -> Callable:
         def loop(self: "BaseThinker") -> None:
             trigger = self.event(event)
             while not self.done.is_set():
-                if trigger.wait(self._wall(0.25)):
+                if get_clock().wait(trigger, 0.25):
                     if self.done.is_set():
                         return
                     func(self)
@@ -178,12 +178,10 @@ class ResourceCounter:
     def acquire(self, task_type: str, n_slots: int, timeout: float | None = None) -> bool:
         """Check out ``n_slots`` of ``task_type``; nominal-second timeout."""
         self._check_type(task_type)
-        wall = get_clock().wall_timeout(timeout)
         with self._cond:
-            ok = self._cond.wait_for(
-                lambda: self._available[task_type] >= n_slots, wall
-            )
-            if not ok:
+            if not get_clock().wait_for(
+                self._cond, lambda: self._available[task_type] >= n_slots, timeout
+            ):
                 return False
             self._available[task_type] -= n_slots
             return True
@@ -248,10 +246,6 @@ class BaseThinker:
 
     def set_event(self, name: str) -> None:
         self.event(name).set()
-
-    @staticmethod
-    def _wall(nominal: float) -> float | None:
-        return get_clock().wall_timeout(nominal)
 
     # -- agent discovery & lifecycle ----------------------------------------------
     def _agents(self) -> list[tuple[Callable, dict]]:

@@ -161,9 +161,7 @@ class Autoscaler:
                     continue
             else:
                 self._drain_doorbells()
-                self._stop_evt.wait(
-                    self._clock.wall_timeout(self.policy.interval) or 0.05
-                )
+                self._clock.wait(self._stop_evt, self.policy.interval)
             if not self._running:
                 return
             self._evaluate()

@@ -22,7 +22,6 @@ delays capacity — tasks sit in the pool queue and are never lost.
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
 from typing import Callable
 
@@ -60,7 +59,6 @@ class ElasticWorkerPool(WorkerPool):
         max_workers: int | None = None,
         provision_retry: RetryPolicy | None = None,
         provision_timeout: float | None = 120.0,
-        poll_interval: float = 0.25,
     ) -> None:
         if n_workers < 0:
             raise ValueError("n_workers must be non-negative")
@@ -76,9 +74,11 @@ class ElasticWorkerPool(WorkerPool):
         self.max_workers = max_workers
         self._retry = provision_retry or DEFAULT_PROVISION_RETRY
         self._provision_timeout = provision_timeout
-        self._poll_interval = poll_interval
         self._elock = threading.Lock()
         self._job_cond = threading.Condition(self._elock)
+        #: Notified by ``submit``, ``drain`` and ``stop``: an idle worker
+        #: sleeps here until there is work or a retirement to take.
+        self._work_ready = threading.Condition(self._elock)
         self._job_creating = False
         self._worker_ids = itertools.count()
         self._workers: dict[int, SiteThread] = {}
@@ -107,21 +107,18 @@ class ElasticWorkerPool(WorkerPool):
         if drain and self.queue_depth > 0 and not self._workers:
             # Nobody left to run the backlog: wake one worker for the drain.
             self.grow(1)
+        pending: list[Callable[[], None]] = []
         with self._elock:
             self._running = False
             self._retire = 0
             live = list(self._workers.values())
-        pending: list[Callable[[], None]] = []
-        if not drain:
-            while True:
-                try:
-                    work = self._queue.get_nowait()
-                except queue.Empty:
-                    break
+            while not drain and self._queue.qsize():
+                work = self._queue.get_nowait()
                 if work is not None:
                     pending.append(work)
-        for _ in live:
-            self._queue.put(None)
+            for _ in live:
+                self._queue.put(None)
+            self._work_ready.notify_all()
         for thread in live:
             thread.join(timeout=10)
         with self._job_cond:
@@ -194,6 +191,7 @@ class ElasticWorkerPool(WorkerPool):
             claimable = len(self._workers) - self._retire
             claimed = max(0, min(n, claimable))
             self._retire += claimed
+            self._work_ready.notify_all()
         if claimed:
             counter_inc("pool.drains", pool=self.name)
         return claimed
@@ -211,21 +209,31 @@ class ElasticWorkerPool(WorkerPool):
             live = sum(now - t for t in self._online_at.values())
             return self.node_seconds + live * self._nodes_per_worker
 
+    def submit(self, work: Callable[[], None]) -> None:
+        super().submit(work)
+        with self._elock:
+            self._work_ready.notify()
+
     # -- worker internals ----------------------------------------------------
     def _elastic_worker(self, idx: int) -> None:
         try:
             if not self._provision(idx):
                 return
-            wall = max(0.005, self._clock.wall_timeout(self._poll_interval) or 0.05)
             while True:
                 with self._elock:
+                    self._clock.wait_for(
+                        self._work_ready,
+                        lambda: self._retire > 0 or self._queue.qsize() > 0,
+                        None,
+                    )
                     if self._retire > 0:
+                        # Leave ``size`` in one step: the retirement and the
+                        # worker go together, so a concurrent grow sees either
+                        # both or neither.
                         self._retire -= 1
+                        del self._workers[idx]
                         return
-                try:
-                    work = self._queue.get(timeout=wall)
-                except queue.Empty:
-                    continue
+                    work = self._queue.get_nowait()
                 if work is None:
                     return
                 self._execute(idx, work)
@@ -300,32 +308,25 @@ class ElasticWorkerPool(WorkerPool):
         if self._scheduler is None:
             return
         npw = self._nodes_per_worker
-        while True:
-            with self._job_cond:
-                job = self._job
-                if job is not None and job.state is JobState.RUNNING:
-                    pass  # resize below, outside the condition
-                elif not self._job_creating:
-                    self._job_creating = True
-                    job = None
-                else:
-                    self._job_cond.wait(self._clock.wall_timeout(1.0) or 1.0)
-                    continue
-            if job is None:
-                try:
-                    new_job = self._scheduler.submit(
-                        npw, timeout=self._provision_timeout
-                    )
-                finally:
-                    with self._job_cond:
-                        self._job_creating = False
-                        self._job_cond.notify_all()
-                with self._job_cond:
-                    self._job = new_job
-                    self._job_cond.notify_all()
-                return
+        with self._job_cond:
+            # One worker creates the shared job; the rest wait to resize it.
+            self._clock.wait_for(self._job_cond, lambda: not self._job_creating, None)
+            job = self._job
+            if job is None or job.state is not JobState.RUNNING:
+                self._job_creating = True
+                job = None
+        if job is not None:
             self._scheduler.resize(job, npw, timeout=self._provision_timeout)
             return
+        new_job = None
+        try:
+            new_job = self._scheduler.submit(npw, timeout=self._provision_timeout)
+        finally:
+            with self._job_cond:
+                if new_job is not None:
+                    self._job = new_job
+                self._job_creating = False
+                self._job_cond.notify_all()
 
     def _release_nodes(self) -> None:
         if self._scheduler is None:

@@ -302,18 +302,12 @@ class _CompletedFeed:
     ) -> list[str]:
         """One wait, up to ``max_n`` completions: a storm of results costs
         the poller one wakeup, not one per task.  A spurious or competing
-        wakeup does not consume the budget: the wait loops on a deadline
+        wakeup does not consume the budget: the clock's deadline wait runs
         until a completion arrives or the full timeout elapses."""
-        deadline = None if timeout is None else self._clock.now() + timeout
         with self.cond:
             queue = self._queues.setdefault(client_id, deque())
-            while not queue:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - self._clock.now()
-                    if remaining <= 0:
-                        return []
-                self.cond.wait(self._clock.wall_timeout(remaining))
+            if not self._clock.wait_for(self.cond, lambda: queue, timeout):
+                return []
             out: list[str] = []
             while queue and len(out) < max_n:
                 out.append(queue.popleft())
@@ -1014,13 +1008,11 @@ class FaasCloud(_BatchOfOne):
         queues, so a tenant flooding the feed gets at most its weight share
         of every delivery round while backlogs compete.
 
-        The long-poll wait is a deadline loop clamped to the remaining
-        budget: wakeups for *other* endpoints' queues (every enqueue
-        notifies the shared condition) re-enter the wait with whatever
-        budget is left instead of consuming — or overshooting — the whole
-        timeout on a single un-clamped sleep."""
+        The long poll is the clock's deadline wait: wakeups for *other*
+        endpoints' queues (every enqueue notifies the shared condition)
+        re-enter the wait with whatever budget is left instead of consuming
+        — or overshooting — the whole timeout."""
         self.auth.validate(token, SCOPE_COMPUTE)
-        deadline = None if timeout is None else self.clock.now() + timeout
         ledger = self.ledger
         with ledger.lock:
             self.expire_leases()
@@ -1034,17 +1026,11 @@ class FaasCloud(_BatchOfOne):
                 # Breaker open: nothing for this endpoint this round.  Hold
                 # the long poll open so the agent's cadence is unchanged.
                 if timeout is not None and timeout > 0:
-                    ledger.lock.wait(self.clock.wall_timeout(timeout))
+                    self.clock.wait(ledger.lock, timeout)
                 return []
-            while not ledger.depth(endpoint_id):
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - self.clock.now()
-                    if remaining <= 0:
-                        break
-                ledger.lock.wait(
-                    None if remaining is None else self.clock.wall_timeout(remaining)
-                )
+            self.clock.wait_for(
+                ledger.lock, lambda: ledger.depth(endpoint_id), timeout
+            )
             record = Dispatch(endpoint_id, self.clock.now())
             effects = self._apply(record, limit=max_tasks)
         for task in effects.expired.values():

@@ -2,11 +2,18 @@
 
 The paper's experiments span hours of wall time dominated by injected
 latencies (cloud round trips, Globus transfers, 60 s simulations).  To
-reproduce latency *shapes* in seconds of real time, every sleep in the
-simulator goes through a :class:`Clock` whose ``time_scale`` maps nominal
-(paper-scale) seconds to wall seconds:
+reproduce latency *shapes* in seconds of real time, every sleep and every
+timed wait in the simulator goes through a :class:`Clock` whose
+``time_scale`` maps nominal (paper-scale) seconds to wall seconds:
 
     wall_seconds = nominal_seconds * time_scale
+
+This module is the only place that mapping is made.  Code elsewhere hands
+the clock a nominal budget -- :meth:`Clock.sleep`, :meth:`Clock.wait` (one
+timed wait on an ``Event`` or held ``Condition``), :meth:`Clock.wait_for`
+(the one "until the predicate holds or the deadline passes" loop) and
+:meth:`Clock.get` (``Queue.get``) -- so a different time model is a
+different ``Clock`` behind the same four methods.
 
 All timestamps read back through :meth:`Clock.now` are reported in nominal
 seconds, so measured medians/percentiles remain directly comparable to the
@@ -20,10 +27,11 @@ A module-level default clock is used by the whole library; benchmarks call
 
 from __future__ import annotations
 
+import queue
 import threading
 import time as _time
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 __all__ = ["Clock", "get_clock", "reset_clock", "scaled_time", "Timer"]
 
@@ -66,9 +74,37 @@ class Clock:
         if wall >= _MIN_WALL_SLEEP:
             _time.sleep(wall)
 
-    def wall_timeout(self, nominal_seconds: float | None) -> float | None:
-        """Convert a nominal timeout into a wall-clock timeout for stdlib
-        primitives (``Condition.wait``, ``Queue.get``, ...)."""
+    def wait(
+        self, waitable: threading.Event | threading.Condition, timeout: float | None
+    ) -> bool:
+        """One wait of up to ``timeout`` nominal seconds (``None``: forever)
+        on an ``Event``, or on a ``Condition`` the caller holds.  Returns
+        what the primitive's ``wait`` does: the event's flag, or False when
+        the condition timed out."""
+        return waitable.wait(self._wall_timeout(timeout))
+
+    def wait_for(
+        self,
+        cond: threading.Condition,
+        predicate: Callable[[], object],
+        timeout: float | None,
+    ) -> bool:
+        """Wait on ``cond`` (which the caller holds) until ``predicate()``
+        is true or ``timeout`` nominal seconds (``None``: forever) pass;
+        returns whether it became true.  The deadline is fixed on entry:
+        a wakeup that leaves the predicate false re-waits only what is
+        left of the budget.  A spent budget only checks the predicate:
+        the stdlib would still wait once, releasing ``cond`` mid-call."""
+        if timeout is not None and timeout <= 0:
+            return bool(predicate())
+        return bool(cond.wait_for(predicate, self._wall_timeout(timeout)))
+
+    def get(self, q: queue.Queue, timeout: float | None) -> Any:
+        """``q.get()``, blocking up to ``timeout`` nominal seconds (``None``:
+        forever); raises ``queue.Empty`` when it times out."""
+        return q.get(timeout=self._wall_timeout(timeout))
+
+    def _wall_timeout(self, nominal_seconds: float | None) -> float | None:
         if nominal_seconds is None:
             return None
         return max(nominal_seconds * self._scale, 0.0)

@@ -68,11 +68,13 @@ class SiteThread(threading.Thread):
 
     The target runs with :func:`current_site` returning ``site``, so any
     network client used inside automatically pays the right latencies.
+    ``site=None`` is an unpinned thread.  Every thread the library starts
+    is a ``SiteThread``: this class is the one spawn point.
     """
 
     def __init__(
         self,
-        site: "Site",
+        site: "Site | None",
         target: Callable[..., object] | None = None,
         name: str | None = None,
         args: tuple = (),

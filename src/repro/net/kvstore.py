@@ -124,30 +124,20 @@ class KVServer:
             return q.popleft() if q else None
 
     def blpop(
-        self,
-        queues: Iterable[str],
-        wall_timeout: float | None,
+        self, queues: Iterable[str], timeout: float | None, clock: Clock
     ) -> tuple[str, object] | None:
-        """Block until any of ``queues`` has an item; wall-clock timeout."""
+        """Block until any of ``queues`` has an item, for up to ``timeout``
+        nominal seconds of the caller's ``clock``."""
         names = list(queues)
-        deadline = None
-        with self._not_empty:
-            while True:
-                for name in names:
-                    q = self._queues.get(name)
-                    if q:
-                        return name, q.popleft()
-                if wall_timeout is not None:
-                    import time as _time
 
-                    if deadline is None:
-                        deadline = _time.monotonic() + wall_timeout
-                    remaining = deadline - _time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    self._not_empty.wait(remaining)
-                else:
-                    self._not_empty.wait()
+        def ready() -> list[str]:
+            return [name for name in names if self._queues.get(name)]
+
+        with self._not_empty:
+            if not clock.wait_for(self._not_empty, ready, timeout):
+                return None
+            name = ready()[0]
+            return name, self._queues[name].popleft()
 
     def llen(self, queue: str) -> int:
         with self._lock:
@@ -277,7 +267,7 @@ class KVClient:
         self._check_policy(caller)
         # Request travels to the server, then we block server-side.
         self._clock.sleep(self._network.latency(caller, self._server.site))
-        item = self._server.blpop(names, self._clock.wall_timeout(timeout))
+        item = self._server.blpop(names, timeout, self._clock)
         if item is None:
             return None
         name, value = item

@@ -13,6 +13,7 @@ from concurrent.futures import Future
 from typing import Callable
 
 from repro.exceptions import WorkflowError
+from repro.net.context import SiteThread
 from repro.observe import counter_inc
 from repro.parsl.executors import HtexExecutor
 
@@ -65,7 +66,8 @@ class DataFlowKernel:
         """Submit ``fn`` to the labeled executor.
 
         Futures among the arguments are dependencies: dispatch happens on a
-        helper thread after they all complete (failures propagate).
+        helper thread at the executor's controller site after they all
+        complete (failures propagate).
         """
         if not self._started:
             raise WorkflowError("DataFlowKernel is not started")
@@ -93,7 +95,7 @@ class DataFlowKernel:
             inner = target.submit(fn, *resolved_args, **resolved_kwargs)
             inner.add_done_callback(_chain(outer))
 
-        threading.Thread(target=wait_and_dispatch, daemon=True).start()
+        SiteThread(target.controller_site, target=wait_and_dispatch).start()
         return outer
 
     def __enter__(self) -> "DataFlowKernel":

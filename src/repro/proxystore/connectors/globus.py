@@ -198,7 +198,7 @@ class GlobusConnector(Connector):
     ) -> str | None:
         """Wait for a shipment to be submitted, then for its task; returns
         why it did not land (``None`` when it did, which also retires it)."""
-        if not shipment.submitted.wait(get_clock().wall_timeout(timeout)):
+        if not get_clock().wait(shipment.submitted, timeout):
             return "timed out before its transfer was submitted"
         if shipment.task_id is None:
             return shipment.error

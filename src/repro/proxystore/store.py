@@ -220,7 +220,7 @@ class PrefetchHandle:
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the warm finishes (``timeout`` in nominal seconds)."""
-        return self._event.wait(get_clock().wall_timeout(timeout))
+        return get_clock().wait(self._event, timeout)
 
 
 class StoreFactory(Factory):
@@ -585,15 +585,7 @@ class Store:
             finally:
                 handle._event.set()
 
-        if isinstance(target, Site):
-            thread: threading.Thread = SiteThread(
-                target, target=warm, name=f"prefetch-{self.name}"
-            )
-        else:
-            thread = threading.Thread(
-                target=warm, name=f"prefetch-{self.name}", daemon=True
-            )
-        thread.start()
+        SiteThread(target, target=warm, name=f"prefetch-{self.name}").start()
         if wait:
             handle.wait(timeout)
         return handle

@@ -98,14 +98,14 @@ class BatchScheduler:
             self._jobs[job.job_id] = job
         # Scheduler cycle + queue position.
         self._clock.sleep(self._sample_queue_delay())
-        deadline_wall = self._clock.wall_timeout(timeout)
         with self._nodes_freed:
-            while self._free < n_nodes:
-                if not self._nodes_freed.wait(deadline_wall):
-                    job.state = JobState.CANCELLED
-                    raise SchedulerError(
-                        f"timed out waiting for {n_nodes} nodes on {self.site.name}"
-                    )
+            if not self._clock.wait_for(
+                self._nodes_freed, lambda: self._free >= n_nodes, timeout
+            ):
+                job.state = JobState.CANCELLED
+                raise SchedulerError(
+                    f"timed out waiting for {n_nodes} nodes on {self.site.name}"
+                )
             self._free -= n_nodes
             job.state = JobState.RUNNING
             job.started_at = self._clock.now()
@@ -156,18 +156,20 @@ class BatchScheduler:
                 )
         # Growth request: another trip through the batch queue.
         self._clock.sleep(self._sample_queue_delay())
-        deadline_wall = self._clock.wall_timeout(timeout)
         with self._nodes_freed:
-            while self._free < delta:
-                if not self._nodes_freed.wait(deadline_wall):
-                    raise SchedulerError(
-                        f"timed out growing {job.job_id!r} by {delta} nodes "
-                        f"on {self.site.name}"
-                    )
-                if job.state is not JobState.RUNNING:
-                    raise SchedulerError(
-                        f"job {job.job_id!r} completed while a resize waited"
-                    )
+            if not self._clock.wait_for(
+                self._nodes_freed,
+                lambda: self._free >= delta or job.state is not JobState.RUNNING,
+                timeout,
+            ):
+                raise SchedulerError(
+                    f"timed out growing {job.job_id!r} by {delta} nodes "
+                    f"on {self.site.name}"
+                )
+            if job.state is not JobState.RUNNING:
+                raise SchedulerError(
+                    f"job {job.job_id!r} completed while a resize waited"
+                )
             self._free -= delta
             job.n_nodes += delta
         return job

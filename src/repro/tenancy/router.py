@@ -598,7 +598,7 @@ class CloudRouter(_BatchOfOne):
                 interval = min(remaining, interval)
             with self._wake:
                 if self._wake_seq == seq:
-                    self._wake.wait(self.clock.wall_timeout(interval))
+                    self.clock.wait(self._wake, interval)
 
     def report_results(
         self,

@@ -149,7 +149,7 @@ class TransferClient:
         concurrent-transfer slots.
         """
         task = self._service.status(task_id)
-        if not task.done_event.wait(self._clock.wall_timeout(timeout)):
+        if not self._clock.wait(task.done_event, timeout):
             if cancel_on_timeout:
                 counter_inc("transfer.wait_timeouts", user=self.user)
                 self.cancel(task_id)

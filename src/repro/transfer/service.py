@@ -288,9 +288,7 @@ class TransferService:
                 self._queue = remaining
                 gauge_set("transfer.active", sum(self._active_by_user.values()))
                 if not started:
-                    self._wakeup.wait(
-                        self._clock.wall_timeout(self._constants.globus_poll_interval)
-                    )
+                    self._clock.wait(self._wakeup, self._constants.globus_poll_interval)
                     continue
             for task in started:
                 SiteThread(

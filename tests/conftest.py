@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import queue
 import threading
 
 import pytest
@@ -11,7 +12,7 @@ from repro.apps.environment import clear_software
 from repro.batch.reactor import reset_reactor
 from repro.bench.recording import set_global_log
 from repro.chaos.plan import set_injector
-from repro.net.clock import get_clock, reset_clock
+from repro.net.clock import Clock, get_clock, reset_clock
 from repro.net.defaults import build_paper_testbed
 from repro.observe import set_metrics, set_tracer
 from repro.proxystore.store import clear_store_registry
@@ -87,3 +88,48 @@ class RecordingClock:
 @pytest.fixture
 def recording_clock(clean_state):
     return RecordingClock()
+
+
+class ManualClock(Clock):
+    """A clock whose time moves only when a modelled charge, a timed-out
+    wait or the test moves it.
+
+    Timed waits never block: one whose condition does not already hold
+    advances ``now`` by its whole budget and reports a timeout, so a
+    single-threaded test can pass real timeouts without spinning.  A wait
+    with no timeout (forever) still blocks on the real primitive.  Import
+    it with ``from conftest import ManualClock``.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._now = 0.0
+
+    def now(self) -> float:
+        return self._now
+
+    def sleep(self, nominal_seconds: float) -> None:
+        self._now += max(nominal_seconds, 0.0)
+
+    def _time_out(self, timeout: float) -> bool:
+        self.sleep(timeout)
+        return False
+
+    def wait(self, waitable, timeout):
+        if timeout is None:
+            return waitable.wait()
+        return waitable.wait(0.0) or self._time_out(timeout)
+
+    def wait_for(self, cond, predicate, timeout):
+        if timeout is None:
+            return bool(cond.wait_for(predicate))
+        return bool(predicate()) or self._time_out(timeout)
+
+    def get(self, q, timeout):
+        if timeout is None:
+            return q.get()
+        try:
+            return q.get_nowait()
+        except queue.Empty:
+            self.sleep(timeout)
+            raise

@@ -41,7 +41,7 @@ def rig(testbed):
     auth = AuthServer()
     token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
     cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, testbed.constants)
-    pool = ElasticWorkerPool(testbed.theta_compute, 0, name="auto-pool", poll_interval=0.1)
+    pool = ElasticWorkerPool(testbed.theta_compute, 0, name="auto-pool")
     endpoint = FaasEndpoint("auto", cloud, token, testbed.theta_login, pool).start()
     client = FaasClient(cloud, token, site=testbed.theta_login)
     scaler = Autoscaler(endpoint, policy=QUICK)

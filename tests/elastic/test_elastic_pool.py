@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -32,7 +33,7 @@ def _wait_until(predicate, timeout=10.0):
 
 
 def test_grow_and_drain_change_size(site):
-    pool = ElasticWorkerPool(site, 0, name="ep-size", poll_interval=0.1).start()
+    pool = ElasticWorkerPool(site, 0, name="ep-size").start()
     try:
         assert pool.size == 0
         pool.grow(3)
@@ -47,7 +48,7 @@ def test_grow_and_drain_change_size(site):
 
 
 def test_executes_work_and_counts_busy_seconds(site):
-    pool = ElasticWorkerPool(site, 2, name="ep-work", poll_interval=0.1).start()
+    pool = ElasticWorkerPool(site, 2, name="ep-work").start()
     done = threading.Event()
     results = []
     try:
@@ -63,9 +64,7 @@ def test_executes_work_and_counts_busy_seconds(site):
 
 def test_scheduler_nodes_follow_pool_size(site):
     scheduler = BatchScheduler(site, total_nodes=6, queue_delay=FixedLatency(0.05))
-    pool = ElasticWorkerPool(
-        site, 0, name="ep-nodes", scheduler=scheduler, poll_interval=0.1
-    ).start()
+    pool = ElasticWorkerPool(site, 0, name="ep-nodes", scheduler=scheduler).start()
     try:
         pool.grow(4)
         assert _wait_until(lambda: scheduler.free_nodes == 2)
@@ -81,7 +80,7 @@ def test_scheduler_nodes_follow_pool_size(site):
 
 
 def test_drained_worker_leaves_queued_tasks_for_survivors(site):
-    pool = ElasticWorkerPool(site, 2, name="ep-requeue", poll_interval=0.1).start()
+    pool = ElasticWorkerPool(site, 2, name="ep-requeue").start()
     release = threading.Event()
     ran = []
     try:
@@ -101,7 +100,7 @@ def test_drained_worker_leaves_queued_tasks_for_survivors(site):
 
 
 def test_stop_without_drain_returns_pending_closures(site):
-    pool = ElasticWorkerPool(site, 1, name="ep-pending", poll_interval=0.1).start()
+    pool = ElasticWorkerPool(site, 1, name="ep-pending").start()
     release = threading.Event()
     pool.submit(lambda: release.wait(5))
     get_clock().sleep(1.0)
@@ -116,7 +115,7 @@ def test_stop_without_drain_returns_pending_closures(site):
 
 
 def test_stop_with_drain_runs_backlog_even_from_zero_workers(site):
-    pool = ElasticWorkerPool(site, 0, name="ep-zero-drain", poll_interval=0.1).start()
+    pool = ElasticWorkerPool(site, 0, name="ep-zero-drain").start()
     ran = []
     pool.submit(lambda: ran.append(1))
     pool.submit(lambda: ran.append(2))
@@ -125,9 +124,7 @@ def test_stop_with_drain_runs_backlog_even_from_zero_workers(site):
 
 
 def test_max_workers_caps_grow(site):
-    pool = ElasticWorkerPool(
-        site, 0, name="ep-cap", max_workers=2, poll_interval=0.1
-    ).start()
+    pool = ElasticWorkerPool(site, 0, name="ep-cap", max_workers=2).start()
     try:
         pool.grow(5)
         assert pool.size == 2
@@ -136,7 +133,7 @@ def test_max_workers_caps_grow(site):
 
 
 def test_grow_reclaims_pending_retirements(site):
-    pool = ElasticWorkerPool(site, 3, name="ep-reclaim", poll_interval=0.1).start()
+    pool = ElasticWorkerPool(site, 3, name="ep-reclaim").start()
     try:
         assert _wait_until(lambda: pool.online_count == 3)
         pool.drain(2)
@@ -147,10 +144,46 @@ def test_grow_reclaims_pending_retirements(site):
         pool.stop()
 
 
+def test_racing_grows_and_drains_keep_size_and_run_everything(site):
+    """Idle workers retire the moment they are drained; a retirement and
+    its worker leave ``size`` together, so drain(1)+grow(1) pairs racing
+    from several threads (and the workers they wake) end where they began,
+    and every closure submitted meanwhile runs exactly once."""
+    pool = ElasticWorkerPool(site, 4, name="ep-race").start()
+    lock = threading.Lock()
+    ran: list[int] = []
+
+    def work(i):
+        with lock:
+            ran.append(i)
+
+    def churn():
+        for _ in range(50):
+            pool.drain(1)
+            pool.grow(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for i in range(200):
+            pool.submit(lambda i=i: work(i))
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert pool.size == 4
+    finally:
+        sys.setswitchinterval(interval)
+        pool.stop()
+    assert sorted(ran) == list(range(200))
+
+
 def test_mark_wake_records_time_to_first_task(site):
     registry = MetricsRegistry()
     set_metrics(registry)
-    pool = ElasticWorkerPool(site, 0, name="ep-ttft", poll_interval=0.1).start()
+    pool = ElasticWorkerPool(site, 0, name="ep-ttft").start()
     done = threading.Event()
     try:
         pool.submit(done.set)
@@ -165,7 +198,7 @@ def test_mark_wake_records_time_to_first_task(site):
 
 
 def test_node_seconds_accumulate(site):
-    pool = ElasticWorkerPool(site, 2, name="ep-nodesec", poll_interval=0.1).start()
+    pool = ElasticWorkerPool(site, 2, name="ep-nodesec").start()
     try:
         assert _wait_until(lambda: pool.online_count == 2)
         get_clock().sleep(3.0)
@@ -196,7 +229,6 @@ def test_provision_retries_through_injected_fault(site):
         name="ep-chaos",
         scheduler=scheduler,
         provision_retry=RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=0.5),
-        poll_interval=0.1,
     ).start()
     done = threading.Event()
     try:
@@ -226,7 +258,6 @@ def test_provision_abandoned_after_retries_exhausted(site):
         name="ep-abandon",
         scheduler=BatchScheduler(site, total_nodes=2, queue_delay=FixedLatency(0.01)),
         provision_retry=RetryPolicy(max_attempts=2, base_delay=0.05, max_delay=0.1),
-        poll_interval=0.1,
     ).start()
     ran = []
     try:
@@ -259,7 +290,7 @@ _ops = st.lists(
 @given(ops=_ops)
 def test_interleaved_ops_run_every_task_exactly_once(ops):
     site = Site("hpc-prop", trust_group="hpc")
-    pool = ElasticWorkerPool(site, 1, name="ep-prop", poll_interval=0.05).start()
+    pool = ElasticWorkerPool(site, 1, name="ep-prop").start()
     lock = threading.Lock()
     ran: list[int] = []
     submitted = 0

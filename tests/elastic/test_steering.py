@@ -61,8 +61,8 @@ def test_apportion_rejects_bad_inputs():
 def pools():
     site_cpu = Site("steer-cpu", trust_group="hpc")
     site_gpu = Site("steer-gpu", trust_group="hpc")
-    cpu = ElasticWorkerPool(site_cpu, 4, name="st-cpu", poll_interval=0.1).start()
-    gpu = ElasticWorkerPool(site_gpu, 2, name="st-gpu", poll_interval=0.1).start()
+    cpu = ElasticWorkerPool(site_cpu, 4, name="st-cpu").start()
+    gpu = ElasticWorkerPool(site_gpu, 2, name="st-gpu").start()
     yield {"cpu": cpu, "gpu": gpu}
     cpu.stop()
     gpu.stop()

@@ -1,6 +1,7 @@
 """Tests for the FaaS cloud service semantics."""
 
 import pytest
+from conftest import ManualClock
 
 from repro.exceptions import (
     AuthenticationError,
@@ -167,6 +168,22 @@ def test_fetch_respects_max_tasks(rig):
 def test_next_completed_timeout(rig):
     cloud, *_ = rig
     assert cloud.next_completed("nobody", timeout=0.2) is None
+
+
+def test_long_polls_time_out_on_a_manual_clock(testbed):
+    """On a clock that only moves when told, an empty long poll must jump
+    to its deadline and return, not spin at ``now() == 0``."""
+    clock = ManualClock()
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = FaasCloud(
+        testbed.faas_cloud, testbed.network, auth, testbed.constants, clock
+    )
+    endpoint_id = cloud.register_endpoint(token, "theta", testbed.theta_compute)
+    assert cloud.fetch_tasks(token, endpoint_id, 10, timeout=5.0) == []
+    assert clock.now() == 5.0
+    assert cloud.next_completed_batch("nobody", timeout=5.0) == []
+    assert clock.now() == 10.0
 
 
 def test_payload_store_tiers(rig):

@@ -21,6 +21,7 @@ two task fields are excluded, and only these:
 
 import json
 
+from conftest import ManualClock
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -33,24 +34,6 @@ from repro.net.fs import FileSystem
 from repro.serialize import serialize
 
 EXCLUDED = ("requeues", "fetched_at")
-
-
-class ManualClock:
-    """Time moves only when a modelled charge (or the test) moves it."""
-
-    time_scale = 1.0
-
-    def __init__(self):
-        self._now = 0.0
-
-    def now(self):
-        return self._now
-
-    def sleep(self, nominal_seconds):
-        self._now += max(nominal_seconds, 0.0)
-
-    def wall_timeout(self, nominal_seconds):
-        return None if nominal_seconds is None else 0.0
 
 
 class Usage:

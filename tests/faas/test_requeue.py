@@ -1,6 +1,7 @@
 """Tests for crash recovery: re-queueing tasks stranded on a dead endpoint."""
 
 import pytest
+from conftest import ManualClock
 
 from repro.exceptions import EndpointUnavailableError
 from repro.faas import SCOPE_COMPUTE, AuthServer, FaasCloud
@@ -144,24 +145,6 @@ def test_endpoint_resume_with_reclaim_end_to_end(testbed):
         endpoint.stop()
 
 
-class _ManualClock:
-    """Time moves only when a modelled charge (or the test) moves it."""
-
-    time_scale = 1.0
-
-    def __init__(self):
-        self._now = 0.0
-
-    def now(self):
-        return self._now
-
-    def sleep(self, nominal_seconds):
-        self._now += max(nominal_seconds, 0.0)
-
-    def wall_timeout(self, nominal_seconds):
-        return None if nominal_seconds is None else 0.0
-
-
 def test_stale_report_racing_a_failover_leaves_the_rehomed_task_queued(testbed):
     """The old owner's report is mid-flight (result written, not yet
     finalized) when its lease lapses and the task fails over.  The report
@@ -170,7 +153,7 @@ def test_stale_report_racing_a_failover_leaves_the_rehomed_task_queued(testbed):
     queue, lost for good."""
     from repro.exceptions import LeaseExpiredError
 
-    clock = _ManualClock()
+    clock = ManualClock()
     auth = AuthServer()
     token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
     cloud = FaasCloud(
@@ -232,7 +215,7 @@ def test_report_racing_requeue_sweep_stays_terminal(testbed, sweep):
 
     from repro.exceptions import LeaseExpiredError
 
-    clock = _ManualClock()
+    clock = ManualClock()
     auth = AuthServer()
     token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
     usage = _Usage()

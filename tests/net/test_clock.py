@@ -1,5 +1,7 @@
 """Tests for the virtual clock."""
 
+import queue
+import threading
 import time
 
 import pytest
@@ -61,10 +63,53 @@ def test_invalid_scale_rejected():
 
 
 def test_wall_timeout_conversion():
+    """Timed waits convert their nominal budget through the clock's scale."""
     clock = Clock(time_scale=0.5)
-    assert clock.wall_timeout(None) is None
-    assert clock.wall_timeout(2.0) == pytest.approx(1.0)
-    assert clock.wall_timeout(-1.0) == 0.0
+    cond = threading.Condition()
+
+    # None is forever: only the other thread's set/notify ends the wait.
+    flag = threading.Event()
+    threading.Timer(0.1, flag.set).start()
+    assert clock.wait(flag, None)
+    ready = []
+    with cond:
+        threading.Timer(0.1, lambda: _notify(cond, ready)).start()
+        assert clock.wait_for(cond, lambda: ready, None)
+
+    # A negative budget returns at once.
+    wall_start = time.monotonic()
+    assert not clock.wait(threading.Event(), -1.0)
+    with cond:
+        assert not clock.wait_for(cond, lambda: False, -1.0)
+    assert time.monotonic() - wall_start < 0.05
+
+    # At scale 0.5, 2.0 nominal seconds is about 1 s of wall time (and 0.2
+    # about 0.1 s: the deadline loop converts the same way).
+    for wait, wall in (
+        (lambda: clock.wait(threading.Event(), 2.0), 1.0),
+        (lambda: clock.wait_for(cond, lambda: False, 0.2), 0.1),
+    ):
+        wall_start = time.monotonic()
+        with cond:
+            assert not wait()
+        assert 0.95 * wall <= time.monotonic() - wall_start < wall + 2.0
+
+
+def _notify(cond, ready):
+    with cond:
+        ready.append(True)
+        cond.notify_all()
+
+
+def test_get_times_out_in_nominal_seconds():
+    clock = Clock(time_scale=0.001)
+    q = queue.Queue()
+    q.put("item")
+    assert clock.get(q, 5.0) == "item"
+    start = clock.now()
+    with pytest.raises(queue.Empty):
+        clock.get(q, 5.0)
+    assert 5.0 <= clock.now() - start < 500.0
 
 
 def test_reset_rezeros_epoch():

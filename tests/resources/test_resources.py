@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.exceptions import SchedulerError
-from repro.net.clock import get_clock
+from repro.net.clock import Clock, get_clock
 from repro.net.topology import FixedLatency, Site
 from repro.resources import BatchScheduler, JobState, WorkerPool
 
@@ -75,6 +75,42 @@ def test_submit_timeout(scheduler):
     with pytest.raises(SchedulerError):
         scheduler.submit(1, timeout=0.3)
     scheduler.release(first)
+
+
+@pytest.mark.parametrize("waiter", ["submit", "resize"])
+def test_timeout_holds_under_node_churn(site, waiter):
+    """A notify that leaves too few nodes free must not restart the
+    waiter's budget: with one node released and retaken every 0.3 nominal
+    seconds, a 1 s wait for two nodes gives up after about 1 s, not once
+    the churn stops."""
+    clock = Clock(time_scale=0.02)
+    scheduler = BatchScheduler(
+        site, total_nodes=4, queue_delay=FixedLatency(0.0), clock=clock
+    )
+    churner = scheduler.submit(3)
+    holder = scheduler.submit(1)
+    stop = threading.Event()
+
+    def churn():
+        while not stop.is_set() and clock.now() < 10.0:
+            clock.sleep(0.3)
+            scheduler.resize(churner, -1)
+            scheduler.resize(churner, 1)
+
+    thread = threading.Thread(target=churn, daemon=True)
+    thread.start()
+    start = clock.now()
+    try:
+        with pytest.raises(SchedulerError, match="timed out"):
+            if waiter == "submit":
+                scheduler.submit(2, timeout=1.0)
+            else:
+                scheduler.resize(holder, 2, timeout=1.0)
+        elapsed = clock.now() - start
+    finally:
+        stop.set()
+        thread.join()
+    assert 1.0 <= elapsed < 3.0
 
 
 def test_double_release_is_noop(scheduler):
