@@ -250,11 +250,14 @@ class FaasClient:
     def _home_site(self) -> Site:
         return self._site or current_site() or self.cloud.site
 
+    def _api_cost(self) -> float:
+        """One HTTPS round trip to the service: the RTT plus a drawn
+        processing latency."""
+        cost = self.cloud.network.rtt(self._home_site(), self.cloud.site)
+        return cost + self.cloud.network._sample(self.cloud.constants.faas_api_latency)
+
     def _pay_api_call(self) -> None:
-        site = self._home_site()
-        cost = self.cloud.network.rtt(site, self.cloud.site)
-        cost += self.cloud.network._sample(self.cloud.constants.faas_api_latency)
-        self._clock.sleep(cost)
+        self._clock.sleep(self._api_cost())
 
     # -- API ------------------------------------------------------------------
     def register_function(self, fn: Callable, *, name: str | None = None) -> str:
@@ -474,18 +477,26 @@ class FaasClient:
             settle(self._cloud_submit_batch(submissions))
 
     def _submit_round(
-        self, submissions: list[TaskSubmission], live: list[int], outcomes: list
-    ) -> tuple[list[int], float]:
+        self,
+        submissions: list[TaskSubmission],
+        live: list[int],
+        outcomes: list,
+        then: Callable[[tuple[list[int], float]], object] | None = None,
+    ) -> tuple[list[int], float] | None:
         """One API round trip for the ``live`` members of ``submissions``.
 
-        Stores each member's outcome positionally in ``outcomes``; returns
-        the indexes the service throttled and the longest ``retry_after``
-        it hinted.  A call that fails as a whole is every member's outcome.
+        Stores each member's outcome positionally in ``outcomes``; the
+        verdict is the indexes the service throttled and the longest
+        ``retry_after`` it hinted.  A call that fails as a whole is every
+        member's outcome.  Without ``then`` the round trip is slept on this
+        thread and the verdict returned; with it the request and the
+        service's round are reactor timers and ``then(verdict)`` runs once
+        the round has landed.
         """
         small = self.cloud.constants.faas_small_object_threshold
         batch = [submissions[i] for i in live]
-        self._pay_api_call()
         counter_inc("faas.api_calls", op="submit")
+        request = [self._api_cost()]
         # Zero-copy payloads ride the submit message itself, so their
         # bytes are charged as request transfer, not as store ops.
         inline_bytes = sum(
@@ -494,25 +505,47 @@ class FaasClient:
             if s.args_payload.borrowed and s.args_payload.nominal_size < small
         )
         if inline_bytes:
-            self._clock.sleep(
+            request.append(
                 self.cloud.network.transfer_time(
                     self._home_site(), self.cloud.site, inline_bytes
                 )
             )
-        try:
-            results = self.cloud.submit_batch(
-                self.token, self.client_id, batch, tenant=self.tenant
-            )
-        except ReproError as exc:
-            results = [exc] * len(batch)
-        throttled: list[int] = []
-        retry_after = 0.0
-        for i, result in zip(live, results):
-            outcomes[i] = result
-            if isinstance(result, ThrottledError):
-                throttled.append(i)
-                retry_after = max(retry_after, result.retry_after)
-        return throttled, retry_after
+
+        def verdict(results: list) -> tuple[list[int], float]:
+            throttled: list[int] = []
+            retry_after = 0.0
+            for i, result in zip(live, results):
+                outcomes[i] = result
+                if isinstance(result, ThrottledError):
+                    throttled.append(i)
+                    retry_after = max(retry_after, result.retry_after)
+            return throttled, retry_after
+
+        if then is None:
+            for charge in request:
+                self._clock.sleep(charge)
+            try:
+                results = self.cloud.submit_batch(
+                    self.token, self.client_id, batch, tenant=self.tenant
+                )
+            except ReproError as exc:
+                results = [exc] * len(batch)
+            return verdict(results)
+
+        def arrived() -> None:
+            try:
+                self.cloud.submit_batch(
+                    self.token,
+                    self.client_id,
+                    batch,
+                    tenant=self.tenant,
+                    then=lambda results: then(verdict(results)),
+                )
+            except Exception as exc:  # noqa: BLE001 - a reactor round must settle
+                then(verdict([exc] * len(batch)))
+
+        get_reactor().call_later(sum(request), arrived)
+        return None
 
     def _cloud_submit_batch(
         self, submissions: list[TaskSubmission], *, then: Callable | None = None
@@ -527,10 +560,11 @@ class FaasClient:
         runs out; other outcomes — task ids and terminal rejections — pass
         through positionally.
 
-        Without ``then`` the backoff is slept on the calling thread and the
-        outcomes are returned.  With it (the reactor's deadline flush) each
-        backoff is re-armed as a reactor timer instead — a sleep there would
-        stall every heartbeat and lease renewal in the process — and
+        Without ``then`` the round trips and the backoff are slept on the
+        calling thread and the outcomes are returned.  With it (the
+        reactor's deadline flush) each round trip and each backoff is a
+        reactor timer instead — a sleep there would stall every heartbeat,
+        lease renewal and other flush in the process — and
         ``then(outcomes)`` runs once the call has settled.
         """
         outcomes: list = [None] * len(submissions)
@@ -538,36 +572,45 @@ class FaasClient:
         throttle_started = self._clock.now()
 
         def send(live: list[int], throttle_attempt: int) -> list | None:
-            while True:
-                if then is not None and not self._running:
-                    return then(outcomes)  # closed while backing off
-                throttled, retry_after = self._submit_round(submissions, live, outcomes)
-                elapsed = self._clock.now() - throttle_started
-                if not throttled or not policy.retries_left(
-                    throttle_attempt, elapsed=elapsed
-                ):
-                    # Whatever is still throttled stands as its outcome.
-                    return outcomes if then is None else then(outcomes)
-                first = submissions[throttled[0]]
-                counter_inc(
-                    "client.throttled",
-                    len(throttled),
-                    tenant=self.tenant,
-                    endpoint=first.endpoint_id,
+            if then is None:
+                verdict = self._submit_round(submissions, live, outcomes)
+                return settled(verdict, throttle_attempt)
+            if not self._running:
+                return then(outcomes)  # closed while backing off
+            self._submit_round(
+                submissions,
+                live,
+                outcomes,
+                then=lambda verdict: settled(verdict, throttle_attempt),
+            )
+            return None
+
+        def settled(verdict: tuple[list[int], float], throttle_attempt: int):
+            throttled, retry_after = verdict
+            elapsed = self._clock.now() - throttle_started
+            if not throttled or not policy.retries_left(
+                throttle_attempt, elapsed=elapsed
+            ):
+                # Whatever is still throttled stands as its outcome.
+                return outcomes if then is None else then(outcomes)
+            first = submissions[throttled[0]]
+            counter_inc(
+                "client.throttled",
+                len(throttled),
+                tenant=self.tenant,
+                endpoint=first.endpoint_id,
+            )
+            delay = max(
+                retry_after,
+                policy.delay_for(throttle_attempt, key=first.chaos_key or first.func_id),
+            )
+            if then is not None:
+                get_reactor().call_later(
+                    delay, lambda: send(throttled, throttle_attempt + 1)
                 )
-                delay = max(
-                    retry_after,
-                    policy.delay_for(
-                        throttle_attempt, key=first.chaos_key or first.func_id
-                    ),
-                )
-                live, throttle_attempt = throttled, throttle_attempt + 1
-                if then is not None:
-                    get_reactor().call_later(
-                        delay, lambda: send(live, throttle_attempt)
-                    )
-                    return None
-                self._clock.sleep(delay)
+                return None
+            self._clock.sleep(delay)
+            return send(throttled, throttle_attempt + 1)
 
         return send(list(range(len(submissions))), 0)
 

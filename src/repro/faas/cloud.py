@@ -23,7 +23,7 @@ Multi-tenancy (``repro.tenancy``): a :class:`FaasCloud` doubles as the
 make one instance shardable are all constructor keywords with single-node
 defaults — a shared :class:`~repro.bus.NotificationBus`, a shared
 :class:`_CompletedFeed`, a locator prefix on the payload store, a task-id
-namespace, a serialized per-shard admission cost, and a
+namespace, a serialized per-shard admission slot, and a
 :class:`~repro.tenancy.TenantRegistry` that usage events are reported to.
 Task queues are per ``(endpoint, tenant)`` and drained weighted-round-robin
 so one hot tenant cannot starve the rest of an endpoint's feed.
@@ -36,7 +36,9 @@ import threading
 import uuid
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
+from repro.batch.reactor import get_reactor
 from repro.bus import NotificationBus
 from repro.chaos.plan import attempt_from_key, chaos_check
 from repro.durable.journal import encode_payload
@@ -146,30 +148,46 @@ class _PayloadStore:
         self._objects: dict[str, _StoredObject] = {}
         self._lock = threading.Lock()
 
-    def _charge_round(self, members: list[tuple[str, int]]) -> None:
-        """Charge one round of ``(tier, nbytes)`` store ops.
+    def _draw_round(
+        self, members: list[tuple[str, int]]
+    ) -> tuple[list[float], list[float]]:
+        """Draw one round of ``(tier, nbytes)`` store ops: ``(landings,
+        charges)``.
 
-        The ops of a round are pipelined (one MSET/MGET, one multi-object
-        S3 request), so the round waits once per tier: the slowest of its
-        redis members' latency draws, then the slowest S3 draw plus the
-        summed bytes over the S3 bandwidth.  Every member still draws its
-        own sample, in member order, so the seeded latency stream does not
-        depend on how ops were grouped and a round of one charges what a
-        lone op always has.  ``inline`` members ride the task message.
+        Every member draws its own latency sample, in member order, so the
+        seeded latency stream does not depend on how ops were grouped, and
+        lands at its own lone charge: its draw, plus its own bytes over the
+        S3 bandwidth for an S3 op (``inline`` members ride the message and
+        land at once).  The ops are pipelined (one MSET/MGET, one
+        multi-object S3 request), so the round as a whole costs one wait per
+        tier -- ``charges``: the slowest redis draw, then the slowest S3 draw
+        plus the summed S3 bytes over the bandwidth.  The slowest member
+        lands exactly when the round ends, so a round of one lands when a
+        lone op always has and no member lands before its lone charge.
         """
         c = self._constants
+        landings: list[float] = []
         redis = s3 = None
         s3_bytes = 0
         for tier, nbytes in members:
             if tier == "redis":
-                redis = max(redis or 0.0, self._network._sample(c.faas_redis_latency))
+                draw = self._network._sample(c.faas_redis_latency)
+                redis = max(redis or 0.0, draw)
+                landings.append(draw)
             elif tier == "s3":
-                s3 = max(s3 or 0.0, self._network._sample(c.faas_s3_latency))
+                draw = self._network._sample(c.faas_s3_latency)
+                s3 = max(s3 or 0.0, draw)
                 s3_bytes += nbytes
-        if redis is not None:
-            self._clock.sleep(redis)
+                landings.append(draw + nbytes / c.faas_s3_bandwidth)
+            else:
+                landings.append(0.0)
+        charges = [] if redis is None else [redis]
         if s3 is not None:
-            self._clock.sleep(s3 + s3_bytes / c.faas_s3_bandwidth)
+            charges.append(s3 + s3_bytes / c.faas_s3_bandwidth)
+        if charges:
+            slowest = max(range(len(landings)), key=landings.__getitem__)
+            landings[slowest] = sum(charges)
+        return landings, charges
 
     def _tier(self, nbytes: int, borrowed: bool = False) -> str:
         c = self._constants
@@ -186,49 +204,87 @@ class _PayloadStore:
 
     def write_round(self, members: list[tuple[Payload, bool]]) -> list[str]:
         """Store one round of ``(payload, chaos_exempt)`` members; returns
-        their locators.  ``chaos_exempt`` marks payloads whose bytes are
-        *not* content-deterministic (failure reports embed task ids and
-        tracebacks); fault injection skips them so the fault ledger stays a
-        pure function of the plan seed."""
+        their locators once the slowest write has landed.  ``chaos_exempt``
+        marks payloads whose bytes are *not* content-deterministic (failure
+        reports embed task ids and tracebacks); fault injection skips them
+        so the fault ledger stays a pure function of the plan seed."""
+        charges, land = self.plan_write(members)
+        for charge in charges:
+            self._clock.sleep(charge)
+        return land()
+
+    def plan_write(
+        self, members: list[tuple[Payload, bool]]
+    ) -> tuple[list[float], Callable[[], list[str]]]:
+        """:meth:`write_round` split in two: the round's per-tier charges,
+        drawn now, and the call that files the members once they are paid
+        for (it returns the locators)."""
         tiers = [
             self._tier(payload.nominal_size, payload.borrowed) for payload, _ in members
         ]
-        self._charge_round(
+        _landings, charges = self._draw_round(
             [(tier, payload.nominal_size) for tier, (payload, _) in zip(tiers, members)]
         )
-        locators = []
-        for tier, (payload, chaos_exempt) in zip(tiers, members):
-            counter_inc("faas.store_writes", tier=tier)
-            locator = f"{self._prefix}{tier}:{uuid.uuid4().hex}"
-            with self._lock:
-                self._objects[locator] = _StoredObject(payload, tier, chaos_exempt)
-            locators.append(locator)
-        return locators
+
+        def land() -> list[str]:
+            locators = []
+            for tier, (payload, chaos_exempt) in zip(tiers, members):
+                counter_inc("faas.store_writes", tier=tier)
+                locator = f"{self._prefix}{tier}:{uuid.uuid4().hex}"
+                with self._lock:
+                    self._objects[locator] = _StoredObject(payload, tier, chaos_exempt)
+                locators.append(locator)
+            return locators
+
+        return charges, land
 
     def write(self, payload: Payload, *, chaos_exempt: bool = False) -> str:
         """Store one payload: the round of one."""
         return self.write_round([(payload, chaos_exempt)])[0]
 
     def read_round(self, locators: list[str]) -> list:
-        """Read one round of locators.  Returns a list aligned with them:
-        the payload, or the :class:`WorkflowError` (unknown locator,
-        injected ``cloud.store.read`` fault) that failed that member alone.
-        """
-        outcomes: list = [None] * len(locators)
+        """Read one round of locators, waiting for the slowest member.
+        Returns a list aligned with them: the payload, or the
+        :class:`WorkflowError` (unknown locator, injected
+        ``cloud.store.read`` fault) that failed that member alone."""
+        charges, landed = self.plan_read(locators)
+        for charge in charges:
+            self._clock.sleep(charge)
+        # An injected fault's delay can outlast the round.
+        late = max((at for at, _ in landed), default=0.0) - sum(charges)
+        if late > 0:
+            self._clock.sleep(late)
+        return [outcome for _, outcome in landed]
+
+    def read_landings(self, locators: list[str]) -> list[tuple[float, object]]:
+        """Read one round of locators without waiting for it: per member,
+        ``(landing, outcome)`` -- the nominal seconds from now at which that
+        member's read lands (:meth:`_draw_round`) and what it lands with,
+        as in :meth:`read_round`."""
+        return self.plan_read(locators)[1]
+
+    def plan_read(
+        self, locators: list[str]
+    ) -> tuple[list[float], list[tuple[float, object]]]:
+        """The round's per-tier charges and each member's ``(landing,
+        outcome)``.  Counters and the ``cloud.store.read`` fault hook fire
+        here, once per member, in member order; an unknown locator is never
+        charged for and lands at once."""
+        landed: list[tuple[float, object]] = [(0.0, None)] * len(locators)
         found: list[tuple[int, _StoredObject]] = []
         with self._lock:
             for i, locator in enumerate(locators):
                 stored = self._objects.get(locator)
                 if stored is None:
-                    outcomes[i] = WorkflowError(f"unknown payload locator {locator!r}")
+                    landed[i] = (0.0, WorkflowError(f"unknown payload locator {locator!r}"))
                 else:
                     found.append((i, stored))
-        self._charge_round(
+        landings, charges = self._draw_round(
             [(stored.tier, stored.payload.nominal_size) for _, stored in found]
         )
-        for i, stored in found:
+        for (i, stored), at in zip(found, landings):
             counter_inc("faas.store_reads", tier=stored.tier)
-            outcomes[i] = stored.payload
+            landed[i] = (at, stored.payload)
             if stored.chaos_exempt:
                 continue
             # Fault keys derive from payload *content* so re-stored retries
@@ -240,13 +296,14 @@ class _PayloadStore:
                 tier=stored.tier,
             )
             if spec is not None:
-                if spec.delay:
-                    self._clock.sleep(spec.delay)
-                outcomes[i] = WorkflowError(
-                    f"injected fault {spec.mode!r}: payload store read of "
-                    f"{locators[i]!r} returned corrupt data"
+                landed[i] = (
+                    at + spec.delay,
+                    WorkflowError(
+                        f"injected fault {spec.mode!r}: payload store read of "
+                        f"{locators[i]!r} returned corrupt data"
+                    ),
                 )
-        return outcomes
+        return charges, landed
 
     def read(self, locator: str) -> Payload:
         """Read one payload: the round of one, its error raised."""
@@ -353,6 +410,42 @@ class _BatchOfOne:
         )
         return sole(self.submit_batch(token, client_id, [item], tenant=tenant))
 
+    def submit_batch(
+        self,
+        token: Token,
+        client_id: str,
+        items: list[TaskSubmission],
+        *,
+        tenant: str = DEFAULT_TENANT,
+        then: Callable[[list], object] | None = None,
+    ) -> list | None:
+        """Admit one API round trip's tasks: the ``submit_round`` of this
+        call, paid for and committed.  Returns a list aligned with
+        ``items`` -- a task id where admission succeeded, the raising
+        :class:`ReproError` where it did not.
+
+        Without ``then`` the calling thread sleeps the round's charges and
+        commits.  With it the round is a timer on the process reactor
+        instead: the call returns at once and ``then(outcomes)`` runs on the
+        reactor thread when the round has landed (a commit that fails as a
+        whole is every member's outcome), so several rounds can be in
+        flight and none holds a thread while it waits on the store."""
+        charges, commit = self.submit_round(token, client_id, items, tenant=tenant)
+        if then is None:
+            for charge in charges:
+                self.clock.sleep(charge)
+            return commit()
+
+        def land() -> None:
+            try:
+                outcomes = commit()
+            except Exception as exc:  # noqa: BLE001 - a reactor round must settle
+                outcomes = [exc] * len(items)
+            then(outcomes)
+
+        get_reactor().call_later(sum(charges), land)
+        return None
+
     def report_result(
         self,
         token: Token,
@@ -443,7 +536,9 @@ class FaasCloud(_BatchOfOne):
         self._shard_label = shard_id or "solo"
         self.usage = usage
         self._service_time = service_time
-        self._admission_lock = threading.Lock()
+        #: When the admission slots taken so far are all served (nominal s).
+        self._admitting_until = 0.0
+        self._horizon_lock = threading.Lock()
         self._on_enqueue = on_enqueue
         self.store = _PayloadStore(
             self.constants, network, self.clock, prefix=store_prefix
@@ -856,27 +951,29 @@ class FaasCloud(_BatchOfOne):
             )
         return endpoint_id, fingerprint
 
-    def submit_batch(
+    def submit_round(
         self,
         token: Token,
         client_id: str,
         items: list[TaskSubmission],
         *,
         tenant: str = DEFAULT_TENANT,
-    ) -> list:
-        """Admit one API round trip's tasks — a coalesced batch, or one.
+    ) -> tuple[list[float], Callable[[], list]]:
+        """One API round trip's admission -- a coalesced batch, or one --
+        as ``(charges, commit)``: what the round costs, in the order it is
+        paid, and the call that lands it (:meth:`submit_batch` pays and
+        commits).
 
         The call pays the shared costs once — one auth/tenant check, one
-        serialized admission charge, one WAL append, one queue wakeup, and
-        one coalesced doorbell per destination endpoint — while every
-        per-task check (:meth:`_admit_task`: function known, deadline,
-        quarantine, breaker steering, fault injection, payload cap) runs
-        per item.  A payload the sender marked borrowed rode this message
-        and lands in the ``inline`` tier if it is small enough; the cloud
-        never decides that itself.  Returns a list aligned with ``items``:
-        a task id where admission succeeded, the raising
-        :class:`ReproError` where it did not, so the client can split
-        rejects back into singles.
+        admission slot, one WAL append, one queue wakeup, and one coalesced
+        doorbell per destination endpoint — while every per-task check
+        (:meth:`_admit_task`: function known, deadline, quarantine, breaker
+        steering, fault injection, payload cap) runs per item, now.  A
+        payload the sender marked borrowed rode this message and lands in
+        the ``inline`` tier if it is small enough; the cloud never decides
+        that itself.  ``commit()`` returns a list aligned with ``items``: a
+        task id where admission succeeded, the raising :class:`ReproError`
+        where it did not, so the client can split rejects back into singles.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         validate_tenant_name(tenant)
@@ -893,50 +990,69 @@ class FaasCloud(_BatchOfOne):
                 continue
             admitted.append((i, item, endpoint_id, fingerprint))
         if not admitted:
-            return results
-        # The shard's control plane admits one call at a time: this
-        # serialized charge is the finite capacity that makes aggregate
-        # admission throughput scale with the shard count, and a batch pays
-        # it once — the amortization that lifts sustained tasks/sec.
+            return [], lambda: results
+        charges: list[float] = []
         if self._service_time > 0.0:
-            with self._admission_lock:
-                self.clock.sleep(self._service_time)
+            # The shard's control plane admits one call at a time: this
+            # serialized slot is the finite capacity that makes aggregate
+            # admission throughput scale with the shard count, and a batch
+            # takes one — the amortization that lifts sustained tasks/sec.
+            # Rounds queue behind a busy-until horizon rather than a lock,
+            # so a round waiting on a reactor timer holds its place without
+            # holding a thread.
+            now = self.clock.now()
+            with self._horizon_lock:
+                self._admitting_until = (
+                    max(now, self._admitting_until) + self._service_time
+                )
+                charges.append(self._admitting_until - now)
         # One pipelined store round for the call's argument writes.
         payloads = [item.args_payload for _i, item, _endpoint, _fp in admitted]
-        locators = self.store.write_round([(payload, False) for payload in payloads])
-        task_ids = self.ledger.next_task_ids(len(admitted))
-        tasks = []
-        for (i, item, endpoint_id, fingerprint), args_locator, task_id in zip(
-            admitted, locators, task_ids
-        ):
-            tasks.append(
-                TaskRecord(
-                    task_id=task_id,
-                    func_id=item.func_id,
-                    endpoint_id=endpoint_id,
-                    client_id=client_id,
-                    args_locator=args_locator,
-                    submitted_at=self.clock.now(),
-                    trace_ctx=item.trace_ctx,
-                    chaos_key=item.chaos_key,
-                    prefetch=tuple(item.prefetch),
-                    tenant=tenant,
-                    args_nbytes=item.args_payload.nominal_size,
-                    deadline_at=item.deadline_at,
-                    fingerprint=fingerprint,
+        store_charges, land = self.store.plan_write(
+            [(payload, False) for payload in payloads]
+        )
+        charges += store_charges
+
+        def commit() -> list:
+            locators = land()
+            task_ids = self.ledger.next_task_ids(len(admitted))
+            tasks = []
+            for (i, item, endpoint_id, fingerprint), args_locator, task_id in zip(
+                admitted, locators, task_ids
+            ):
+                tasks.append(
+                    TaskRecord(
+                        task_id=task_id,
+                        func_id=item.func_id,
+                        endpoint_id=endpoint_id,
+                        client_id=client_id,
+                        args_locator=args_locator,
+                        submitted_at=self.clock.now(),
+                        trace_ctx=item.trace_ctx,
+                        chaos_key=item.chaos_key,
+                        prefetch=tuple(item.prefetch),
+                        tenant=tenant,
+                        args_nbytes=item.args_payload.nominal_size,
+                        deadline_at=item.deadline_at,
+                        fingerprint=fingerprint,
+                    )
                 )
+                results[i] = task_id
+            # ONE record makes the whole admission (task identities +
+            # argument bytes + locators) durable before any task becomes
+            # visible in a queue; a crash between its append and its apply
+            # leaves journaled-but-never-queued tasks, which replay admits
+            # exactly once.
+            self._commit(Submit(tasks, payloads))
+            counter_inc(
+                "cloud.submits", len(tasks), tenant=tenant, shard=self._shard_label
             )
-            results[i] = task_id
-        # ONE record makes the whole admission (task identities + argument
-        # bytes + locators) durable before any task becomes visible in a
-        # queue; a crash between its append and its apply leaves
-        # journaled-but-never-queued tasks, which replay admits exactly once.
-        self._commit(Submit(tasks, payloads))
-        counter_inc("cloud.submits", len(tasks), tenant=tenant, shard=self._shard_label)
-        counter_inc("cloud.batch_submits", tenant=tenant, shard=self._shard_label)
-        if self._on_enqueue is not None:
-            self._on_enqueue()
-        return results
+            counter_inc("cloud.batch_submits", tenant=tenant, shard=self._shard_label)
+            if self._on_enqueue is not None:
+                self._on_enqueue()
+            return results
+
+        return charges, commit
 
     def task(self, task_id: str) -> TaskRecord:
         try:

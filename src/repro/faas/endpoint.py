@@ -31,7 +31,7 @@ from repro.exceptions import (
 from repro.faas.auth import Token
 from repro.faas.cloud import FaasCloud, TaskDispatch, task_topic
 from repro.net.clock import Clock, get_clock
-from repro.net.context import SiteThread
+from repro.net.context import SiteThread, at_site
 from repro.net.topology import Site
 from repro.observe import (
     TraceContext,
@@ -146,8 +146,16 @@ class FaasEndpoint:
             tuple[str, bool, Payload, TraceContext | None] | None
         ] = queue.Queue()
         self._running = False
-        self._paused = threading.Event()
+        # Set while connected.  The poll and uplink loops park on it while
+        # the endpoint is paused; stop() and a crash set it too, so a parked
+        # loop wakes to find out why.
+        self._resumed = threading.Event()
+        self._resumed.set()
         self._crashed = threading.Event()
+        # Argument downloads armed on the process reactor and not yet landed
+        # (see ``_dispatch``); a graceful stop waits for them.
+        self._handoffs = 0
+        self._handoffs_cond = threading.Condition()
         self._threads: list[SiteThread] = []
         self._uplink_thread: SiteThread | None = None
         # Event-driven task pickup: block on the doorbell stream instead of
@@ -219,13 +227,15 @@ class FaasEndpoint:
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
             self._heartbeat_timer = None
-        self._paused.clear()
+        self._resumed.set()
         wedged = []
         # Order matters for a graceful drain: silence the poll/heartbeat
-        # loops first (no new dispatches), then let the pool run its queue
-        # dry *while the uplink is still alive* so every drained result is
-        # reported, and only then close the outbox.  A crashed endpoint
-        # skips the drain: its backlog is the failover group's problem.
+        # loops first (no new dispatches), let every armed argument download
+        # reach the pool, then let the pool run its queue dry *while the
+        # uplink is still alive* so every drained result is reported, and
+        # only then close the outbox.  A crashed endpoint skips the drain:
+        # its handoffs drop on landing and its backlog is the failover
+        # group's problem.
         for thread in self._threads:
             if thread is self._uplink_thread:
                 continue
@@ -233,6 +243,12 @@ class FaasEndpoint:
             if thread.is_alive():
                 wedged.append(thread.name)
                 counter_inc("endpoint.wedged_threads", endpoint=self.name)
+        if not self._crashed.is_set():
+            with self._handoffs_cond:
+                if not self._handoffs_cond.wait_for(
+                    lambda: not self._handoffs, timeout=10
+                ):
+                    wedged.append(f"{self._handoffs} argument handoffs")
         dropped = self.pool.stop(drain=not self._crashed.is_set())
         if dropped:
             counter_inc("endpoint.closures_dropped", len(dropped), endpoint=self.name)
@@ -265,11 +281,12 @@ class FaasEndpoint:
         is terminal for this instance; call :meth:`stop` to reap threads.
         """
         self._crashed.set()
+        self._resumed.set()
         counter_inc("endpoint.crashes", endpoint=self.name)
 
     def pause(self) -> None:
         """Drop the cloud connection (network outage / restart)."""
-        self._paused.set()
+        self._resumed.clear()
         self.cloud.set_endpoint_online(self.endpoint_id, False)
 
     def resume(self, *, reclaim: bool = False) -> None:
@@ -287,7 +304,7 @@ class FaasEndpoint:
                 self._fetched_tasks.clear()
             self.cloud.requeue_dispatched(self.token, self.endpoint_id)
         self.cloud.heartbeat(self.token, self.endpoint_id)
-        self._paused.clear()
+        self._resumed.set()
         self.cloud.set_endpoint_online(self.endpoint_id, True)
 
     def utilization(self) -> EndpointUtilization:
@@ -328,7 +345,7 @@ class FaasEndpoint:
         a crash must look exactly like a dead process: no more beats)."""
         if not self._running or self._crashed.is_set():
             return False
-        if not self._paused.is_set():
+        if self._resumed.is_set():
             self._pay_api_call()
             self.cloud.heartbeat(self.token, self.endpoint_id)
         return True
@@ -337,8 +354,8 @@ class FaasEndpoint:
         while self._running:
             if self._crashed.is_set():
                 return
-            if self._paused.is_set():
-                self._clock.sleep(self._poll_interval)
+            if not self._resumed.is_set():
+                self._clock.wait(self._resumed, None)
                 continue
             dispatches = self._next_dispatches()
             if not dispatches:
@@ -459,23 +476,28 @@ class FaasEndpoint:
         return dispatches
 
     def _dispatch(self, dispatches: list[TaskDispatch]) -> None:
-        """Download one delivery round's arguments and hand it to the pool.
+        """Download one delivery round's arguments; each task reaches the
+        pool when its own argument read lands.
 
         The cloud reads the round's argument payloads out of its store in
-        one pipelined store round and streams them back in one response, so
-        the round pays *one* store round trip per tier and *one* WAN latency
-        plus the summed bytes over the link — not one of each per task — and
-        only then do the tasks reach the pool.  Everything else stays per
-        member: the store op itself (its latency draw, counter and
-        ``cloud.store.read`` fault hook), the ``endpoint.fetch`` span and
-        ``data_transfer`` event in the task's own trace, and failure — a
-        member whose read or function lookup fails is reported failed alone.
-        A round of one charges exactly what a lone task always has.
+        one pipelined store round and streams them back in one response: a
+        member lands when its own read does (its own latency draw; the
+        slowest lands when the whole round ends -- ``_draw_round`` in the
+        cloud's store) plus one WAN latency and its own bytes, so no task
+        waits for a slower batch-mate and a round of one charges exactly
+        what a lone task always has.  The landings are handoffs armed on the
+        process reactor, at this agent's site; the poll thread only resolves
+        functions (a cache miss pays an API call here, never on the reactor)
+        and goes straight back to the doorbell.  Everything else stays per
+        member: the store op itself (its counter and ``cloud.store.read``
+        fault hook), the ``endpoint.fetch`` span and ``data_transfer`` event
+        in the task's own trace, and failure — a member whose read or
+        function lookup fails is reported failed alone, when its read lands.
         """
         started = self._clock.now()
         size = len(dispatches)
         observe("endpoint.fetch_batch_size", size, endpoint=self.name)
-        live: list[TaskDispatch] = []
+        live: list[tuple[TaskDispatch, object]] = []
         for dispatch in dispatches:
             try:
                 # Fire the advisory cache warm first: the weights transfer
@@ -486,57 +508,117 @@ class FaasEndpoint:
                     dispatch.prefetch, self.pool.site, via=f"endpoint:{self.name}"
                 ):
                     counter_inc("endpoint.prefetches", endpoint=self.name)
-                live.append(dispatch)
-            except Exception as exc:  # noqa: BLE001 - report, don't drop
-                self._fail_dispatch(dispatch, exc, started, size)
-        # Pull the argument payloads down from the cloud store (charged to
-        # this thread: the endpoint is the one blocked on the download).
-        reads = self.cloud.store.read_round([d.args_locator for d in live])
-        fetched: list[tuple[TaskDispatch, Payload]] = []
-        for dispatch, read in zip(live, reads):
-            if isinstance(read, Exception):
-                self._fail_dispatch(dispatch, read, started, size)
-            else:
-                fetched.append((dispatch, read))
-        if fetched:
-            self._clock.sleep(
-                self.cloud.network.transfer_time(
-                    self.cloud.site,
-                    self.site,
-                    sum(payload.nominal_size for _, payload in fetched),
-                )
-            )
-        for dispatch, args_payload in fetched:
-            emit(
-                "data_transfer",
-                resource=self.site.name,
-                bytes=args_payload.nominal_size,
-                via="faas-cloud",
-            )
-            try:
-                fn = self._function(dispatch.func_id, dispatch.tenant)
-                in_hand = self._clock.now()
-                self.pool.submit(
-                    self._make_work(
-                        dispatch.task_id,
-                        fn,
-                        args_payload,
-                        dispatch.trace_ctx,
-                        chaos_key=dispatch.chaos_key,
-                        deadline_at=dispatch.deadline_at,
-                    )
-                )
             except Exception as exc:  # noqa: BLE001 - report, don't drop
                 self._fail_dispatch(dispatch, exc, started, size)
                 continue
-            record_span(
-                "endpoint.fetch",
-                start=started,
-                end=in_hand,
-                parent=dispatch.trace_ctx,
-                endpoint=self.name,
-                batch_size=size,
+            try:
+                fn: object = self._function(dispatch.func_id, dispatch.tenant)
+            except Exception as exc:  # noqa: BLE001 - reported when its read lands
+                fn = exc
+            live.append((dispatch, fn))
+        landed = self.cloud.store.read_landings([d.args_locator for d, _ in live])
+        # The round streams back in one response: one WAN latency for the
+        # round, then each member's own bytes.
+        network = self.cloud.network
+        wan = None
+        now = self._clock.now()
+        schedule: list[tuple[float, int, TaskDispatch, object, object]] = []
+        for i, ((dispatch, fn), (landing, read)) in enumerate(zip(live, landed)):
+            outcome = read if isinstance(read, Exception) else fn
+            if not isinstance(outcome, Exception):
+                if wan is None:
+                    wan = network.latency(self.cloud.site, self.site)
+                landing += wan + read.nominal_size / network.bandwidth(
+                    self.cloud.site, self.site
+                )
+            schedule.append((now + landing, i, dispatch, outcome, read))
+        if not schedule:
+            return
+        schedule.sort(key=lambda member: member[:2], reverse=True)
+        with self._handoffs_cond:
+            self._handoffs += len(schedule)
+        self._arm_handoffs(schedule, now, started, size)
+
+    def _arm_handoffs(
+        self, schedule: list, now: float, started: float, size: int
+    ) -> None:
+        """Arm the process reactor for the next landing of a fetched round.
+
+        ``schedule`` holds the round's members not yet landed as ``(due,
+        index, dispatch, fn or failure, payload)``, latest first; ``now`` is
+        when the caller read the clock.  The callback runs at this agent's
+        site and hands every member due by then to the pool (or reports it
+        failed, if its read or function lookup failed), then re-arms for
+        the rest, so a round costs one timer per distinct landing, not one
+        per member.  Unless the agent
+        has crashed by then: a dead process takes its downloads in flight
+        with it, and the lease lapse re-dispatches them.
+        """
+
+        def land() -> None:
+            now = self._clock.now()
+            landed = [schedule.pop()]
+            while schedule and (schedule[-1][0] <= now or self._crashed.is_set()):
+                landed.append(schedule.pop())
+            try:
+                if self._crashed.is_set():
+                    counter_inc(
+                        "endpoint.handoffs_dropped", len(landed), endpoint=self.name
+                    )
+                    return
+                with at_site(self.site):
+                    for _due, _i, dispatch, outcome, payload in landed:
+                        if isinstance(outcome, Exception):
+                            self._fail_dispatch(dispatch, outcome, started, size)
+                        else:
+                            self._hand_to_pool(dispatch, outcome, payload, started, size)
+            finally:
+                with self._handoffs_cond:
+                    self._handoffs -= len(landed)
+                    self._handoffs_cond.notify_all()
+                if schedule:
+                    self._arm_handoffs(schedule, now, started, size)
+
+        get_reactor().call_later(schedule[-1][0] - now, land)
+
+    def _hand_to_pool(
+        self,
+        dispatch: TaskDispatch,
+        fn: Callable,
+        args_payload: Payload,
+        started: float,
+        size: int,
+    ) -> None:
+        """One member's argument download has landed: queue it for a worker."""
+        emit(
+            "data_transfer",
+            resource=self.site.name,
+            bytes=args_payload.nominal_size,
+            via="faas-cloud",
+        )
+        in_hand = self._clock.now()
+        try:
+            self.pool.submit(
+                self._make_work(
+                    dispatch.task_id,
+                    fn,
+                    args_payload,
+                    dispatch.trace_ctx,
+                    chaos_key=dispatch.chaos_key,
+                    deadline_at=dispatch.deadline_at,
+                )
             )
+        except Exception as exc:  # noqa: BLE001 - report, don't drop
+            self._fail_dispatch(dispatch, exc, started, size)
+            return
+        record_span(
+            "endpoint.fetch",
+            start=started,
+            end=in_hand,
+            parent=dispatch.trace_ctx,
+            endpoint=self.name,
+            batch_size=size,
+        )
 
     def _fail_dispatch(
         self, dispatch: TaskDispatch, exc: Exception, started: float, size: int
@@ -693,6 +775,8 @@ class FaasEndpoint:
             with self._fetched_lock:
                 for task_id, _success, _payload, _ctx in items:
                     self._fetched_tasks.discard(task_id)
+            # Results wait here while paused (store-and-forward on our side).
+            self._clock.wait(self._resumed, None)
             if self._crashed.is_set():
                 # The dead process takes its unsent results with it; the
                 # cloud re-dispatches the tasks once the lease lapses.
@@ -702,9 +786,6 @@ class FaasEndpoint:
                 if stopping:
                     return
                 continue
-            # Results wait here while paused (store-and-forward on our side).
-            while self._paused.is_set():
-                self._clock.sleep(self._poll_interval)
             self._uplink_batch(items)
             if stopping:
                 return

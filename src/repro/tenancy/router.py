@@ -103,6 +103,28 @@ class _RoutedStore:
             ),
         )
 
+    def read_landings(self, locators: list[str]) -> list[tuple[float, object]]:
+        """Per member ``(landing, outcome)``, like
+        :meth:`_PayloadStore.read_landings`.  The owning shards' rounds run
+        one after another, as :meth:`read_round` pays them, so each shard's
+        landings start where the previous shard's round ended."""
+        ended = 0.0
+
+        def read(shard_id: str, indexes: list[int]) -> list:
+            nonlocal ended
+            charges, landed = self._router.shard(shard_id).store.plan_read(
+                [locators[i] for i in indexes]
+            )
+            landed = [(ended + at, outcome) for at, outcome in landed]
+            ended += sum(charges)
+            return landed
+
+        outcomes = self._router._scatter(
+            len(locators), lambda i: self._owner(locators[i]).shard_id, read
+        )
+        # A locator no shard owns fails alone, at once.
+        return [o if isinstance(o, tuple) else (0.0, o) for o in outcomes]
+
     def write(self, payload: Payload, *, chaos_exempt: bool = False) -> str:
         raise WorkflowError(
             "the routed store is read-only; payloads are written by the "
@@ -395,6 +417,16 @@ class CloudRouter(_BatchOfOne):
         members.  ``owner(i)`` names member ``i``'s shard; the
         :class:`ReproError` it raises instead is that member's outcome and
         its batch-mates go on."""
+        _charges, commit = self._scatter_round(
+            n, owner, lambda shard_id, indexes: ([], lambda: call(shard_id, indexes))
+        )
+        return commit()
+
+    def _scatter_round(self, n: int, owner, prepare) -> tuple[list[float], object]:
+        """:meth:`_scatter` for a call that is a round: ``prepare(shard_id,
+        indexes)`` returns that group's ``(charges, commit)``.  The joined
+        round pays the groups' charges one after another and its commit
+        lands the groups in shard order, merging their outcomes."""
         outcomes: list = [None] * n
         groups: dict[str, list[int]] = {}
         for i in range(n):
@@ -402,10 +434,20 @@ class CloudRouter(_BatchOfOne):
                 groups.setdefault(owner(i), []).append(i)
             except ReproError as exc:
                 outcomes[i] = exc
+        charges: list[float] = []
+        commits = []
         for shard_id in sorted(groups):
-            for i, outcome in zip(groups[shard_id], call(shard_id, groups[shard_id])):
-                outcomes[i] = outcome
-        return outcomes
+            group_charges, group_commit = prepare(shard_id, groups[shard_id])
+            charges += group_charges
+            commits.append((groups[shard_id], group_commit))
+
+        def commit() -> list:
+            for indexes, group_commit in commits:
+                for i, outcome in zip(indexes, group_commit()):
+                    outcomes[i] = outcome
+            return outcomes
+
+        return charges, commit
 
     # -- client side ----------------------------------------------------------
     def _shard_faults(
@@ -445,26 +487,28 @@ class CloudRouter(_BatchOfOne):
                 retry_after=max(spec.delay, 0.05),
             )
 
-    def submit_batch(
+    def submit_round(
         self,
         token: Token,
         client_id: str,
         items: list[TaskSubmission],
         *,
         tenant: str = DEFAULT_TENANT,
-    ) -> list:
-        """Admission: tenant auth → shard health → rate/quota → shard.
+    ) -> tuple[list[float], object]:
+        """Admission: tenant auth → shard health → rate/quota → shard, as
+        one round (``(charges, commit)``, like
+        :meth:`FaasCloud.submit_round`; :meth:`submit_batch` pays and
+        commits it).
 
         One auth, then per member the shard fault hooks
         (:meth:`_shard_faults`; a member they hit comes back throttled and
         its batch-mates go on), then one quota reservation and one shard
-        call per shard group (functions hash to shards, so a mixed batch
+        round per shard group (functions hash to shards, so a mixed batch
         scatters into per-shard sub-batches); members beyond the tenant's
         remaining quota come back throttled.  The reservation of a member
         the shard rejects downstream is released, so a payload-cap
-        rejection does not leak in-flight headroom.  Returns task ids or
-        per-task errors aligned with ``items``, like
-        :meth:`FaasCloud.submit_batch`.
+        rejection does not leak in-flight headroom.  The commit returns
+        task ids or per-task errors aligned with ``items``.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         validate_tenant_name(tenant)
@@ -477,7 +521,7 @@ class CloudRouter(_BatchOfOne):
             self._shard_faults(shard_id, items[i], client_id, tenant)
             return shard_id
 
-        def admit(shard_id: str, indexes: list[int]) -> list:
+        def prepare(shard_id: str, indexes: list[int]):
             sizes = [items[i].args_payload.nominal_size for i in indexes]
             try:
                 self._check_available(shard_id)
@@ -486,46 +530,68 @@ class CloudRouter(_BatchOfOne):
                 # quotas); the members beyond it come back throttled.
                 admitted, refusal = self.registry.admit_batch(tenant, sizes)
             except ReproError as exc:
-                return [exc] * len(indexes)
+                failed = [exc] * len(indexes)
+                return [], lambda: failed
             refused = [refusal] * (len(indexes) - admitted)
             if not admitted:
-                return refused
+                return [], lambda: refused
             group_items = [items[i] for i in indexes[:admitted]]
-            try:
-                shard_results = self.shard(shard_id).submit_batch(
-                    token, client_id, group_items, tenant=tenant
-                )
-            except BaseException:
-                self.registry.release_batch(tenant, admitted, sum(sizes[:admitted]))
-                raise
-            rejected = [
-                nbytes
-                for nbytes, res in zip(sizes, shard_results)
-                if isinstance(res, Exception)
-            ]
-            if rejected:
-                self.registry.release_batch(tenant, len(rejected), sum(rejected))
-            # The mid-batch crash window: the shard has fsync'd ONE WAL
-            # record for the whole batch and populated its queues, but no
-            # caller has seen a task id yet.  Key the fault on a digest of
-            # the batch's attempt-stripped member keys so identical runs
-            # crash on the identical batch.
-            member_keys = sorted(
-                (it.chaos_key or f"{client_id}|{it.func_id}").split("#a", 1)[0]
-                for it in group_items
-            )
-            digest = hashlib.sha256("|".join(member_keys).encode()).hexdigest()[:16]
-            spec = chaos_check(
-                "cloud.batch.flush", digest, shard=shard_id, tenant=tenant
-            )
-            if spec is not None:
-                counter_inc("cloud.batch_crashes", shard=shard_id)
-                # The rebuilt shard replays the batch record per task —
-                # the ids already handed back stay valid.
-                self.crash_shard(shard_id)
-            return shard_results + refused
 
-        return self._scatter(len(items), owner, admit)
+            def release_on_failure(step):
+                try:
+                    return step()
+                except BaseException:
+                    self.registry.release_batch(tenant, admitted, sum(sizes[:admitted]))
+                    raise
+
+            # A group that fails as a whole fails only its own members, so
+            # the other groups of the round still land and settle their
+            # reservations.
+            try:
+                charges, shard_commit = release_on_failure(
+                    lambda: self.shard(shard_id).submit_round(
+                        token, client_id, group_items, tenant=tenant
+                    )
+                )
+            except ReproError as exc:
+                failed = [exc] * admitted + refused
+                return [], lambda: failed
+
+            def commit() -> list:
+                try:
+                    shard_results = release_on_failure(shard_commit)
+                except ReproError as exc:
+                    return [exc] * admitted + refused
+                rejected = [
+                    nbytes
+                    for nbytes, res in zip(sizes, shard_results)
+                    if isinstance(res, Exception)
+                ]
+                if rejected:
+                    self.registry.release_batch(tenant, len(rejected), sum(rejected))
+                # The mid-batch crash window: the shard has fsync'd ONE WAL
+                # record for the whole batch and populated its queues, but
+                # no caller has seen a task id yet.  Key the fault on a
+                # digest of the batch's attempt-stripped member keys so
+                # identical runs crash on the identical batch.
+                member_keys = sorted(
+                    (it.chaos_key or f"{client_id}|{it.func_id}").split("#a", 1)[0]
+                    for it in group_items
+                )
+                digest = hashlib.sha256("|".join(member_keys).encode()).hexdigest()[:16]
+                spec = chaos_check(
+                    "cloud.batch.flush", digest, shard=shard_id, tenant=tenant
+                )
+                if spec is not None:
+                    counter_inc("cloud.batch_crashes", shard=shard_id)
+                    # The rebuilt shard replays the batch record per task —
+                    # the ids already handed back stay valid.
+                    self.crash_shard(shard_id)
+                return shard_results + refused
+
+            return charges, commit
+
+        return self._scatter_round(len(items), owner, prepare)
 
     def task(self, task_id: str) -> TaskRecord:
         return self._shard_for_task(task_id).task(task_id)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import BatchPolicy, get_reactor
+from repro.batch import BatchPolicy
 from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
 from repro.chaos.policy import RetryPolicy
 from repro.exceptions import PayloadTooLargeError
@@ -70,35 +72,23 @@ def test_batched_storm_amortizes_round_trips(rig):
     assert metrics.counter_total("cloud.submits") == 24
 
 
-class _HoldRecorder:
-    """The process reactor, remembering every hold the client arms on it."""
-
-    def __init__(self) -> None:
-        self._reactor = get_reactor()
-        self.holds: list[float] = []
-
-    def call_later(self, delay, callback):
-        self.holds.append(delay)
-        return self._reactor.call_later(delay, callback)
-
-
-def test_lone_task_latency_stays_bounded(rig, recording_clock, monkeypatch):
+def test_lone_task_latency_stays_bounded(rig, recording_clock):
     """Regression for the adaptive hold: a single task under an idle
     batcher must not be parked for the full flush deadline — it is held for
     ``min_hold`` only, by the default policy and by an explicit one alike,
-    and what the client is charged for it under the explicit policy stays
-    within ``flush_deadline`` + epsilon of the default client's.
+    and what the task is charged under the explicit policy stays within
+    ``flush_deadline`` + epsilon of the default client's.
 
-    The comparison is between *modelled* seconds (the client's charges plus
-    the hold it armed), not elapsed nominal time: at the test time scale
-    a few milliseconds of host noise read as seconds of latency."""
+    The comparison is between *modelled* seconds (the sleeps charged plus
+    the timers armed, the hold among them), not elapsed nominal time: at
+    the test time scale a few milliseconds of host noise read as seconds of
+    latency."""
     testbed, cloud, token, endpoint = rig
     policy = BatchPolicy(max_batch=64, flush_deadline=0.05, min_hold=0.002)
-    reactor = _HoldRecorder()
-    monkeypatch.setattr("repro.faas.client.get_reactor", lambda: reactor)
+    me = threading.current_thread().name
 
     def lone_task_charge(**client_kwargs):
-        del recording_clock.charges[:]
+        recording_clock.clear()
         client = FaasClient(
             cloud, token, site=testbed.theta_login, clock=recording_clock, **client_kwargs
         )
@@ -107,17 +97,17 @@ def test_lone_task_latency_stays_bounded(rig, recording_clock, monkeypatch):
                 assert client.run(_add, endpoint.endpoint_id, 2, b=2).result(timeout=60) == 4
         finally:
             client.close()
-        return sum(recording_clock.charged())
+        total = sum(recording_clock.charged()) + sum(recording_clock.armed())
+        return total, recording_clock.armed(me)
 
-    baseline = lone_task_charge()
-    assert reactor.holds == [BatchPolicy().min_hold]
-    del reactor.holds[:]
-    lone = lone_task_charge(batch=policy)
+    baseline, holds = lone_task_charge()
+    assert holds == [BatchPolicy().min_hold]
+    lone, holds = lone_task_charge(batch=policy)
     # The idle batcher's hold collapsed to min_hold ...
-    assert reactor.holds == [policy.min_hold]
+    assert holds == [policy.min_hold]
     # ... and batching charged the lone task nothing beyond it; epsilon
     # absorbs the sampled network latencies of two separate runs.
-    assert lone + sum(reactor.holds) <= baseline + policy.flush_deadline + 0.25
+    assert lone <= baseline + policy.flush_deadline + 0.25
 
 
 def test_rejected_members_split_back_into_singles(rig):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.apps.environment import clear_software
-from repro.batch.reactor import reset_reactor
+from repro.batch.reactor import Reactor, reset_reactor
 from repro.bench.recording import set_global_log
 from repro.chaos.plan import set_injector
 from repro.net.clock import Clock, get_clock, reset_clock
@@ -66,11 +66,25 @@ class RecordingClock:
     recorded and unrecorded components still agree on what time it is.
     Tests compare these *modelled* charges instead of wall-derived elapsed
     time, which host load magnifies by ``1 / time_scale``.
+
+    A charge paid as a timer on the process reactor instead of a sleep is
+    recorded in ``timers`` the same way, under the thread that armed it
+    (the fixture installs the hook; hold timers are timers too).
     """
 
     def __init__(self) -> None:
         self._clock = get_clock()
         self.charges: list[tuple[str, float]] = []
+        self.timers: list[tuple[str, float]] = []
+
+    def clear(self) -> None:
+        """Forget every charge and timer recorded so far."""
+        del self.charges[:]
+        del self.timers[:]
+
+    def armed(self, thread: str | None = None) -> list[float]:
+        """The reactor timers armed so far, optionally by one thread."""
+        return [s for name, s in list(self.timers) if thread in (None, name)]
 
     def sleep(self, nominal_seconds: float) -> None:
         if nominal_seconds > 0:
@@ -86,8 +100,17 @@ class RecordingClock:
 
 
 @pytest.fixture
-def recording_clock(clean_state):
-    return RecordingClock()
+def recording_clock(clean_state, monkeypatch):
+    clock = RecordingClock()
+    call_later = Reactor.call_later
+
+    def recording_call_later(reactor, delay, fn):
+        if delay > 0:
+            clock.timers.append((threading.current_thread().name, delay))
+        return call_later(reactor, delay, fn)
+
+    monkeypatch.setattr(Reactor, "call_later", recording_call_later)
+    return clock
 
 
 class ManualClock(Clock):

@@ -52,12 +52,19 @@ class _InstantCloud(FaasCloud):
         self._complete_before_returning(token, client_id, endpoint_id, [task_id])
         return task_id
 
-    def submit_batch(self, token, client_id, items, **kwargs):
-        outcomes = super().submit_batch(token, client_id, items, **kwargs)
-        self._complete_before_returning(
-            token, client_id, items[0].endpoint_id, outcomes
+    def submit_batch(self, token, client_id, items, *, then=None, **kwargs):
+        def complete(outcomes):
+            self._complete_before_returning(
+                token, client_id, items[0].endpoint_id, outcomes
+            )
+            return outcomes
+
+        if then is None:
+            return complete(super().submit_batch(token, client_id, items, **kwargs))
+        # A round landing on the reactor: complete before handing it back.
+        return super().submit_batch(
+            token, client_id, items, then=lambda outcomes: then(complete(outcomes)), **kwargs
         )
-        return outcomes
 
 
 @pytest.fixture

@@ -216,22 +216,23 @@ def _all_terminal(rig, futures):
 # -- a round of one is the single path ---------------------------------------------
 def test_lone_task_charges_what_the_single_path_always_has(make_rig):
     """k=1 on both hops, in the real loops: the poll thread's and the
-    notifier thread's charge lists are the unbatched path's, number for
-    number (this test passes unchanged on the commit before streaming)."""
+    notifier thread's charges are the unbatched path's, number for number.
+    The argument download is a timer the poll thread arms, not a sleep on
+    it: the same redis read plus one streamed response."""
     rig = make_rig()
     rig.submit(0).result(timeout=60)  # warm-up: the endpoint caches the function
-    del rig.clock.charges[:]
+    rig.clock.clear()
     future = rig.submit(1)
     assert future.result(timeout=60)[0] == 1
     task_id = future.task_id
 
-    fetched = [
+    assert rig.clock.charged("faas-ep-theta-poll") == [
         WAN,  # fetch request
         WAN,  # fetch response
-        REDIS,  # argument read
-        rig.transfer(rig.args_size(task_id)),
     ]
-    assert rig.clock.charged("faas-ep-theta-poll") == fetched
+    assert rig.clock.armed("faas-ep-theta-poll") == [
+        pytest.approx(REDIS + rig.transfer(rig.args_size(task_id)))  # argument read
+    ]
     size = rig.result_size(task_id)
     downloaded = [
         WAN,  # notification push
@@ -247,17 +248,18 @@ def test_lone_task_charges_on_the_submit_and_uplink_hops(make_rig):
     one API round trip and one redis write — the numbers the singular path
     per hop always charged.  The submit's are no longer the caller's: it
     paid for serialization and was handed its future; the hold timer's
-    flush pays the WAN and the store."""
+    flush pays the WAN and the store, as timers it arms on the reactor."""
     rig = make_rig()
     rig.submit(0).result(timeout=60)  # warm-up
-    del rig.clock.charges[:]
+    rig.clock.clear()
     future = rig.submit(1)
     assert future.result(timeout=60)[0] == 1
 
     api_call = WAN + WAN + API
     me = threading.current_thread().name
     assert rig.clock.charged(me) == [serialize_cost(rig.args_size(future.task_id))]
-    assert rig.clock.charged("repro-reactor") == [
+    assert rig.clock.charged("repro-reactor") == []
+    assert rig.clock.armed("repro-reactor") == [
         api_call,
         REDIS,  # argument write: 10 kB is not borrowed, it takes the store
     ]
@@ -343,13 +345,18 @@ def test_fetched_round_pays_one_latency_for_all_arguments(make_rig):
     dispatches = rig.fetch()
     assert len(dispatches) == 3
     rig.endpoint._functions[rig.func_id] = _echo  # keep the function fetch out
-    del rig.clock.charges[:]
+    rig.clock.clear()
     rig.endpoint._dispatch(dispatches)
 
     sizes = [rig.args_size(f.task_id) for f in futures]
     me = threading.current_thread().name
-    # ONE pipelined store round, ONE streamed response.
-    assert rig.clock.charged(me) == [REDIS, rig.transfer(sum(sizes))]
+    # ONE pipelined store round and ONE WAN latency, and the dispatching
+    # thread waits for neither: each member lands after the round's redis
+    # wait, the latency and its own bytes -- here all three at once, so the
+    # round is one reactor timer.
+    assert rig.clock.charged(me) == []
+    assert len(set(sizes)) == 1
+    assert rig.clock.armed(me) == [pytest.approx(REDIS + rig.transfer(sizes[0]))]
     assert rig.histogram("endpoint.fetch_batch_size") == [3]
 
 

@@ -1,22 +1,31 @@
 """Store hops follow the round: the ElastiCache/S3 ops of one batched call
 are pipelined, so the round waits once per tier while every member keeps its
-own latency draw, counter and fault hook.  Plus the guards on the stack a
-user gets by default: a lone task still pays the paper's redis tier, and
-back-to-back submits coalesce into one call.
+own latency draw, counter and fault hook -- and lands on its own: a fetched
+member reaches the pool when its own read lands, and a round in flight holds
+no thread.  Plus the guards on the stack a user gets by default: a lone task
+still pays the paper's redis tier, and back-to-back submits coalesce into
+one call.
 
-Charges are read off the recording clock, so every comparison is between
-modelled numbers, not elapsed time.
+Charges are read off the recording clock (sleeps, and the reactor timers
+charges became), so every comparison is between modelled numbers, not
+elapsed time.
 """
 
 from __future__ import annotations
 
+import hashlib
+import heapq
+import itertools
 import threading
+from dataclasses import replace
 
 import pytest
+from conftest import ManualClock
 
-from repro.batch import BatchPolicy
+from repro.batch import BatchPolicy, get_reactor
+from repro.batch.reactor import reset_reactor
 from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
-from repro.exceptions import WorkflowError
+from repro.exceptions import ShardUnavailableError, WorkflowError
 from repro.faas import (
     SCOPE_COMPUTE,
     AuthServer,
@@ -24,13 +33,15 @@ from repro.faas import (
     FaasCloud,
     FaasEndpoint,
 )
+from repro.faas.cloud import TaskSubmission
+from repro.net.clock import get_clock, reset_clock
 from repro.net.context import at_site
 from repro.net.defaults import PaperConstants, build_paper_testbed
-from repro.net.topology import FixedLatency
+from repro.net.topology import FixedLatency, LatencyModel
 from repro.observe import MetricsRegistry, set_metrics
 from repro.resources import WorkerPool
 from repro.serialize import Blob, deserialize_cost, serialize, serialize_cost
-from repro.tenancy import CloudRouter
+from repro.tenancy import CloudRouter, tenant_scope
 
 WAN = 0.028
 API = 0.012
@@ -169,6 +180,276 @@ def test_store_fault_in_a_round_fires_once_and_fails_only_its_member(recording_c
     assert recording_clock.charged() == [REDIS]
 
 
+# -- members land on their own ---------------------------------------------------------
+def test_a_member_alone_lands_when_a_lone_op_does(recording_clock):
+    store = _cloud(recording_clock).store
+    small, large = _blob(SMALL), _blob(LARGE)
+    s3_op = S3 + large.nominal_size / FIXED.faas_s3_bandwidth
+    for payload, landing in ((TINY, 0.0), (small, REDIS), (large, s3_op)):
+        locator = store.write(payload)
+        recording_clock.clear()
+        assert store.read_landings([locator]) == [(landing, payload)]
+        assert recording_clock.charged() == []  # nobody waited for it
+
+
+def test_redis_round_members_land_at_their_own_draws(recording_clock):
+    """Three sampled draws: read one by one, read as one barrier round, and
+    read as landings, on three stores seeded alike.  Each member lands at
+    exactly its lone draw; the slowest lands when the barrier round ends;
+    and the latency stream goes on alike whichever way the ops were
+    grouped."""
+    payloads = [_blob(SMALL, tag=str(i)) for i in range(3)]
+    locators = [f"redis:{i}" for i in range(3)]
+    lone, barrier, landings = (
+        _cloud(recording_clock, PaperConstants(), seed=11).store for _ in range(3)
+    )
+    for store in (lone, barrier, landings):
+        for locator, payload in zip(locators, payloads):
+            store.adopt(locator, payload)  # no draw: the streams stay aligned
+    recording_clock.clear()
+    for locator in locators:
+        lone.read(locator)
+    draws = recording_clock.charged()
+    assert len(set(draws)) == 3
+
+    recording_clock.clear()
+    assert barrier.read_round(locators) == payloads
+    assert recording_clock.charged() == [max(draws)]
+    recording_clock.clear()
+    assert landings.read_landings(locators) == list(zip(draws, payloads))
+    assert recording_clock.charged() == []
+
+    recording_clock.clear()
+    for store in (lone, barrier, landings):
+        store.read(locators[0])
+    after_lone, after_barrier, after_landings = recording_clock.charged()
+    assert after_lone == after_barrier == after_landings
+
+
+def test_mixed_round_members_land_on_their_own(recording_clock):
+    store = _cloud(recording_clock).store
+    members = [_blob(SMALL, "a"), _blob(LARGE, "b"), TINY, _blob(SMALL, "c")]
+    locators = store.write_round([(payload, False) for payload in members])
+    s3_op = S3 + members[1].nominal_size / FIXED.faas_s3_bandwidth
+    recording_clock.clear()
+    landed = store.read_landings(locators + ["redis:ghost"])
+
+    # Redis members at their draw, the inline one and the unknown locator at
+    # once; the S3 member is the slowest, so it lands when the whole round --
+    # the redis wait, then the S3 request -- ends, as read_round charges it.
+    assert [at for at, _ in landed] == [REDIS, REDIS + s3_op, 0.0, REDIS, 0.0]
+    assert [outcome for _, outcome in landed[:4]] == members
+    assert isinstance(landed[4][1], WorkflowError)
+    assert recording_clock.charged() == []
+    store.read_round(locators)
+    assert recording_clock.charged() == [REDIS, s3_op]
+
+
+def test_read_fault_hook_fires_once_per_member_in_member_order(
+    recording_clock, monkeypatch
+):
+    store = _cloud(recording_clock).store
+    payloads = [_blob(SMALL, "a"), _blob(LARGE, "b"), _blob(SMALL, "c")]
+    locators = store.write_round([(payload, False) for payload in payloads])
+    checked: list[tuple[str, str]] = []
+    monkeypatch.setattr(
+        "repro.faas.cloud.chaos_check",
+        lambda hook, key, **labels: checked.append((hook, key)),
+    )
+    store.read_landings(locators)
+    assert checked == [
+        ("cloud.store.read", hashlib.sha256(p.data).hexdigest()[:16]) for p in payloads
+    ]
+
+
+# -- a fetched member reaches the pool when its read lands -----------------------------
+class _Draws(LatencyModel):
+    """Hands out the given latencies in turn, so every member's draw is
+    known."""
+
+    def __init__(self, *values: float) -> None:
+        self._values = itertools.cycle(values)
+
+    def sample(self, rng) -> float:
+        return next(self._values)
+
+    @property
+    def typical(self) -> float:
+        return 0.0
+
+
+class _ManualReactor:
+    """The process reactor under a :class:`ManualClock`: timers fire when
+    the test runs them, each with the clock moved to its deadline."""
+
+    def __init__(self, clock: ManualClock) -> None:
+        self._clock = clock
+        self._timers: list = []
+        self._seq = itertools.count()
+
+    def call_later(self, delay, fn):
+        heapq.heappush(self._timers, (self._clock.now() + delay, next(self._seq), fn))
+
+    def run(self) -> None:
+        while self._timers:
+            when, _, fn = heapq.heappop(self._timers)
+            self._clock._now = max(self._clock._now, when)
+            fn()
+
+
+class _LandingPool:
+    """A pool that only notes when each task reached it."""
+
+    def __init__(self, site, clock) -> None:
+        self.site = site
+        self._clock = clock
+        self.landed: list[float] = []
+
+    def submit(self, work) -> None:
+        self.landed.append(self._clock.now())
+
+
+def test_dispatch_returns_before_its_slowest_member_lands(monkeypatch):
+    clock = ManualClock()
+    reactor = _ManualReactor(clock)
+    monkeypatch.setattr("repro.faas.endpoint.get_reactor", lambda: reactor)
+    draws = (0.3, 0.1, 0.45)
+    constants = replace(FIXED, faas_redis_latency=_Draws(*draws))
+    testbed = build_paper_testbed(seed=5, constants=constants)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants, clock)
+    pool = _LandingPool(testbed.theta_compute, clock)
+    endpoint = FaasEndpoint(
+        "theta", cloud, token, testbed.theta_login, pool, clock=clock
+    )  # not started: the test drives the round itself
+    func_id = cloud.register_function(token, serialize(_index_of))
+    endpoint._functions[func_id] = _index_of  # keep the function fetch out
+    items = [
+        TaskSubmission(func_id, endpoint.endpoint_id, serialize(((i, Blob(SMALL)), {})))
+        for i in range(3)
+    ]
+    task_ids = cloud.submit_batch(token, "client", items)  # its writes draw 0.3, 0.1, 0.45
+    dispatches = cloud.fetch_tasks(token, endpoint.endpoint_id, 32, 0.0)
+    started = clock.now()
+
+    endpoint._dispatch(dispatches)
+    assert clock.now() == started  # the poll thread waited for no read ...
+    assert pool.landed == []  # ... and no task has reached the pool yet
+
+    reactor.run()
+    size = cloud.store.raw(cloud.task(task_ids[0]).args_locator).payload.nominal_size
+    stream = WAN + size / constants.cloud_bandwidth
+    # Each member lands at its own draw plus the streamed response; the last
+    # one is the round's slowest draw -- when the whole round used to land.
+    assert pool.landed == [
+        pytest.approx(started + draw + stream) for draw in sorted(draws)
+    ]
+
+
+# -- the shard's admission slot ----------------------------------------------------------
+def test_overlapping_rounds_on_one_shard_are_still_a_service_time_apart():
+    clock = ManualClock()
+    service = 0.5
+    constants = replace(FIXED, faas_shard_service_time=service)
+    testbed = build_paper_testbed(seed=5, constants=constants)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    router = CloudRouter(
+        testbed.faas_cloud, testbed.network, auth, constants, clock, n_shards=1
+    )
+    ep = router.register_endpoint(token, "theta", testbed.theta_compute)
+    func_id = router.register_function(token, serialize(_index_of))
+
+    def items(tag):
+        return [TaskSubmission(func_id, ep, _blob(SMALL, tag))]
+
+    first, commit_first = router.submit_round(token, "c", items("a"))
+    second, commit_second = router.submit_round(token, "c", items("b"))
+    # Both rounds are in flight at once; the second's admission slot starts
+    # when the first's ends, and neither holds a thread meanwhile.
+    assert first == [service, REDIS]
+    assert second == [2 * service, REDIS]
+
+    # A synchronous caller queues behind the same horizon.
+    clock.sleep(service)
+    started = clock.now()
+    (sync_id,) = router.submit_batch(token, "c", items("c"))
+    assert clock.now() - started == pytest.approx(2 * service + REDIS)
+    assert all(isinstance(task_id, str) for task_id in commit_first() + commit_second())
+    assert len({task.task_id for task in router.task_records()}) == 3
+
+
+def test_a_dark_shard_fails_only_its_group_of_a_round():
+    """A round spanning two shards while one restarts: that shard's group
+    fails alone, when the round lands, and the other group is admitted."""
+    clock = ManualClock()
+    testbed = build_paper_testbed(seed=5, constants=FIXED)
+    auth = AuthServer()
+    identity = auth.register_identity("u", "anl")
+    router = CloudRouter(
+        testbed.faas_cloud, testbed.network, auth, FIXED, clock, n_shards=2
+    )
+    router.create_tenant("alice")
+    token = auth.issue_token(identity, {SCOPE_COMPUTE, tenant_scope("alice")})
+    ep = router.register_endpoint(token, "theta", testbed.theta_compute)
+    by_shard: dict[str, str] = {}
+    while len(by_shard) < 2:
+        func_id = router.register_function(token, serialize(_index_of), tenant="alice")
+        by_shard.setdefault(router._shard_for_partition("alice", func_id), func_id)
+    lit, dark = sorted(by_shard)
+    router._begin_outage(dark)
+
+    items = [TaskSubmission(by_shard[s], ep, _blob(SMALL, s)) for s in (lit, dark)]
+    admitted, refused = router.submit_batch(token, "c", items, tenant="alice")
+    assert isinstance(admitted, str)
+    assert isinstance(refused, ShardUnavailableError)
+    assert router.registry.get("alice").usage.in_flight == 1
+
+
+# -- a flush round in flight does not hold the reactor ----------------------------------
+def test_a_flush_round_in_flight_does_not_delay_a_reactor_timer():
+    """The hold timer's flush round -- an API round trip, then a 0.4 s redis
+    write -- used to be slept on the process reactor, so a 0.25 s beat timer
+    (standing in for every heartbeat in the process) came due during it and
+    fired at least 0.4 + 0.068 - 0.25 s late.  Now the round is a pair of
+    timers and the beat keeps time."""
+    # 100 ms of wall per nominal second: a few milliseconds of host jitter
+    # stay well under the bound asserted below.
+    reset_reactor()
+    reset_clock(0.1)
+    constants = replace(FIXED, faas_redis_latency=FixedLatency(0.4))
+    testbed = build_paper_testbed(seed=5, constants=constants)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants)
+    pool = WorkerPool(testbed.theta_compute, 2, name="beat-pool")
+    endpoint = FaasEndpoint("theta", cloud, token, testbed.theta_login, pool).start()
+    client = FaasClient(cloud, token, site=testbed.theta_login)
+    clock = get_clock()
+    period = 0.25
+    lateness: list[float] = []
+    due = [clock.now() + period]
+
+    def beat():
+        lateness.append(clock.now() - due[0])
+        due[0] = clock.now() + period
+
+    timer = get_reactor().call_every(period, beat)
+    try:
+        with at_site(testbed.theta_login):
+            func_id = client.register_function(_index_of)
+            for i in range(4):  # each a lone task, flushed by its hold timer
+                future = client.submit(func_id, endpoint.endpoint_id, i, Blob(SMALL))
+                assert future.result(timeout=60) == i
+    finally:
+        timer.cancel()
+        client.close()
+        endpoint.stop()
+    assert len(lateness) >= 10
+    assert max(lateness) < 0.15, sorted(lateness)[-3:]
+
+
 # -- through the router --------------------------------------------------------------
 def test_round_through_the_routed_store_is_one_round_per_shard(recording_clock):
     testbed = build_paper_testbed(seed=5, constants=FIXED)
@@ -248,23 +529,18 @@ class _RecordingReactor:
             return self._reactor.call_later(delay, callback)
 
 
-def test_lone_default_task_still_pays_the_redis_tier(
-    stack, recording_clock, metrics, monkeypatch
-):
-    from repro.batch import get_reactor
-
+def test_lone_default_task_still_pays_the_redis_tier(stack, recording_clock, metrics):
     stack.submit(0).result(timeout=60)  # warm-up: the endpoint caches the function
-    reactor = _RecordingReactor(get_reactor())
-    monkeypatch.setattr("repro.faas.client.get_reactor", lambda: reactor)
     before = {
         op: _tier_count(metrics, f"faas.store_{op}", "redis") for op in ("writes", "reads")
     }
-    del recording_clock.charges[:]
+    recording_clock.clear()
     future = stack.submit(1)
     assert future.result(timeout=60) == 1
+    me = threading.current_thread().name
 
     # A lone task is held for min_hold, no longer ...
-    assert reactor.holds == [BatchPolicy().min_hold]
+    assert recording_clock.armed(me) == [BatchPolicy().min_hold]
     # ... its 10 kB argument goes through ElastiCache, once each way ...
     assert _tier_count(metrics, "faas.store_writes", "redis") == before["writes"] + 1
     assert _tier_count(metrics, "faas.store_reads", "redis") == before["reads"] + 1
@@ -274,15 +550,17 @@ def test_lone_default_task_still_pays_the_redis_tier(
     result = stack.cloud.store.raw(record.result_locator).payload.nominal_size
     api_call = WAN + WAN + API
     stream = lambda nbytes: WAN + nbytes / FIXED.cloud_bandwidth  # noqa: E731
-    assert recording_clock.charged(threading.current_thread().name) == [
-        serialize_cost(args)
-    ]
-    assert recording_clock.charged("repro-reactor") == [api_call, REDIS]
+    assert recording_clock.charged(me) == [serialize_cost(args)]
+    # The flush round and the argument download are reactor timers now; a
+    # lone task's are the numbers the sleeps always were.
+    assert recording_clock.charged("repro-reactor") == []
+    assert recording_clock.armed("repro-reactor") == [api_call, REDIS]
     assert recording_clock.charged("faas-ep-theta-poll") == [
         WAN,  # fetch request
         WAN,  # fetch response
-        REDIS,  # argument read
-        stream(args),
+    ]
+    assert recording_clock.armed("faas-ep-theta-poll") == [
+        pytest.approx(REDIS + stream(args))  # argument read
     ]
     assert recording_clock.charged("faas-ep-theta-uplink") == [api_call]  # inline result
     assert recording_clock.charged("faas-client-notify") == [

@@ -3,6 +3,9 @@ skip at the endpoint, and stop client retries that cannot finish."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.exceptions import DeadlineExceededError
@@ -29,13 +32,24 @@ def _add(a, b):
     return a + b
 
 
-def _sleepy(duration):
-    get_clock().sleep(duration)
-    return duration
-
-
 def _fail():
     raise ValueError("remote boom")
+
+
+#: Holds :func:`_held` on its worker until the test releases it.
+_GATE = threading.Event()
+
+
+def _held():
+    _GATE.wait(60)
+    return "released"
+
+
+def _wait_until(condition, what: str) -> None:
+    deadline = time.monotonic() + 30
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.001)
 
 
 @pytest.fixture
@@ -94,7 +108,9 @@ def test_queued_task_expires_at_fetch_instead_of_shipping(cloud_rig):
 def test_endpoint_skips_work_whose_deadline_lapsed_in_the_pool(testbed):
     """A 1-worker pool: the head-of-line task outlives the second task's
     deadline, so the endpoint drops it pre-execution instead of burning
-    compute on a result nobody can use."""
+    compute on a result nobody can use.  The head-of-line task holds the
+    worker until the second one is queued behind it and its deadline has
+    passed, so the outcome does not hang on host timing."""
     metrics = MetricsRegistry()
     set_metrics(metrics)
     auth = AuthServer()
@@ -108,14 +124,20 @@ def test_endpoint_skips_work_whose_deadline_lapsed_in_the_pool(testbed):
     client = FaasClient(cloud, token, site=testbed.theta_login)
     try:
         with at_site(testbed.theta_login):
-            blocker = client.run(_sleepy, endpoint.endpoint_id, 6.0)
-            doomed = client.run(_add, endpoint.endpoint_id, 1, b=2, _deadline=2.0)
-        assert blocker.result(timeout=60) == 6.0
+            _GATE.clear()
+            blocker = client.run(_held, endpoint.endpoint_id)
+            _wait_until(lambda: pool.active_count == 1, "the blocker never started")
+            doomed = client.run(_add, endpoint.endpoint_id, 1, b=2, _deadline=20.0)
+            _wait_until(lambda: pool.queue_depth == 1, "the doomed task never queued")
+        get_clock().sleep(20.0)  # past the doomed task's deadline
+        _GATE.set()
+        assert blocker.result(timeout=60) == "released"
         with pytest.raises(DeadlineExceededError):
             doomed.result(timeout=60)
         assert metrics.counter_total("endpoint.deadline_skips") == 1
         assert metrics.counter_total("client.deadline_failures") == 1
     finally:
+        _GATE.set()
         client.close()
         endpoint.stop()
 
