@@ -12,9 +12,12 @@ live move.  DESIGN.md §10 has the per-kind table.
 
 The tail then reconciles what no record carries:
 
-* **Leases survive** — every endpoint that owns non-terminal work holds a
-  lease of one ``endpoint_lease_ttl`` from the recovery instant (a live
-  agent renews it, a dead one lapses into the ordinary failover sweep).
+* **Leases survive** — every endpoint that owns non-terminal work, and
+  every failover-group member, holds a lease of one ``endpoint_lease_ttl``
+  from the recovery instant (a live agent renews it, a dead one lapses into
+  the ordinary failover sweep).  Which members were reaped is not in the
+  log; leasing them all lets a dead one be reaped again instead of passing
+  for one that never heartbeat, whose work would wait for it.
 * **In-flight work is re-leased** — tasks DISPATCHED at the crash go back
   to the front of their owner's queue with a fresh doorbell, through the
   same un-journaled in-place ``rehome`` an endpoint restart uses (and, like
@@ -106,10 +109,13 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     with ledger.lock:
         tasks = list(ledger.tasks.values())
         lease = cloud.clock.now() + cloud.constants.endpoint_lease_ttl
-        for endpoint_id in sorted(
-            {task.endpoint_id for task in tasks if not task.status.terminal}
-        ):
+        owners = {task.endpoint_id for task in tasks if not task.status.terminal}
+        grouped = {
+            e for e, ep in ledger.endpoints.items() if ep.failover_group is not None
+        }
+        for endpoint_id in sorted(owners | grouped):
             ledger.leases[endpoint_id] = lease
+        for endpoint_id in sorted(owners):
             report.released += len(
                 cloud._requeue(endpoint_id, None, "durable.releases")
             )
@@ -119,8 +125,6 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     cloud._completed.push(renotify)
     for task in renotify:
         cloud._ring(result_topic(task.client_id), [task])
-    if cloud._on_enqueue is not None and (report.released or renotify):
-        cloud._on_enqueue()
 
     report.renotified = len(renotify)
     report.recovery_s = cloud.clock.now() - started

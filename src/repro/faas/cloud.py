@@ -103,6 +103,18 @@ def result_topic(client_id: str) -> str:
     return f"results/{client_id}"
 
 
+#: Why :meth:`FaasCloud._place` moved work, in the order the rule weighs it.
+_WHY = ("reaped", "open", "struck")
+#: The counter a placement bumps: per steered task at admission, per moved
+#: task in a sweep (``None``: a fresh reap with nowhere to go, in place).
+_STEERED = {
+    "reaped": "faas.failovers",
+    "open": "resilience.steered",
+    "struck": "resilience.poison_steered",
+}
+_SWEPT = {None: "faas.requeues", "reaped": "faas.failovers", "open": "resilience.sheds"}
+
+
 @dataclass(frozen=True)
 class TaskSubmission:
     """One task inside a batched submit (client → cloud).
@@ -612,10 +624,13 @@ class FaasCloud(_BatchOfOne):
 
     def _announce(self, effects: Effects) -> None:
         """Ring the doorbells of applied effects: task-available ones per
-        endpoint, result ones coalesced per client — always *after* the
-        apply, so a subscriber that acts on one finds the ledger changed."""
+        endpoint (and the ``on_enqueue`` hook a router's fetch waits on),
+        result ones coalesced per client — always *after* the apply, so a
+        subscriber that acts on one finds the ledger changed."""
         for endpoint_id, tasks in effects.doorbells:
             self._ring(task_topic(endpoint_id), tasks)
+        if effects.doorbells and self._on_enqueue is not None:
+            self._on_enqueue()
         by_client: dict[str, list[TaskRecord]] = {}
         for task in effects.completions:
             by_client.setdefault(task.client_id, []).append(task)
@@ -748,14 +763,12 @@ class FaasCloud(_BatchOfOne):
         with self.ledger.lock:
             self.ledger.leases[endpoint_id] = expiry
             self.ledger.online[endpoint_id] = True
-            # Liveness checks ride every heartbeat: with bus-driven pickup a
-            # healthy-but-idle endpoint no longer polls, so a peer's
-            # heartbeat (not its long poll) is what reaps a dead member and
-            # triggers failover.  The breaker shed sweep rides along for the
-            # same reason — a bus-idle standby never fetches, so without
-            # this a gray peer's backlog would strand until some poll.
+            self.ledger.reaped.discard(endpoint_id)
+            # The failover sweep rides every heartbeat: with bus-driven
+            # pickup a healthy-but-idle endpoint no longer polls, so a
+            # peer's heartbeat (not its long poll) is what reaps a dead
+            # member, sheds a gray one and drains a reaped one's queue.
             self.expire_leases()
-            self._shed_open_breakers()
         if self.health is not None:
             # Heartbeat jitter is a gray-failure signal: a degraded agent
             # beats late long before it stops beating entirely.
@@ -777,56 +790,70 @@ class FaasCloud(_BatchOfOne):
         self.auth.validate(token, SCOPE_COMPUTE)
         with self.ledger.lock:
             self.ledger.leases.pop(endpoint_id, None)
+            self.ledger.reaped.discard(endpoint_id)
+
+    def _place(
+        self, endpoint_id: str, now: float, fingerprint: str | None = None
+    ) -> tuple[str, str | None]:
+        """The one placement rule: where work for ``endpoint_id`` goes, as
+        ``(target, why)``.
+
+        The candidates are the endpoint and its live failover-group peers,
+        sorted.  Each ranks by ``(reaped, breaker open, struck by
+        fingerprint)`` and the lowest wins, the endpoint itself on a tie.
+        So a reaped endpoint's work goes to a live peer, an open breaker's
+        to a healthy one, and a struck fingerprint to a peer that has not
+        voted, never back onto a voter while an untried eligible peer
+        exists.  Everything else stays: never-leased rigs, gracefully
+        stopped endpoints, a group that is down as a whole.  ``why`` is the
+        first of :data:`_WHY` the move fixes (``None`` when the work
+        stays).  A live, closed, unstruck endpoint never looks at a peer.
+
+        The sweeps hold the ledger lock across placing and moving.
+        Admission does not: a member reaped between its placement and its
+        commit leaves a queue the next sweep drains."""
+        ledger, health = self.ledger, self.health
+        strikes = ()
+        if fingerprint is not None and self.poison is not None:
+            strikes = self.poison.strikes(fingerprint)
+
+        def rank(candidate: str) -> tuple[bool, bool, bool]:
+            return (
+                candidate in ledger.reaped,
+                health is not None and health.evaluate(candidate, now) == BREAKER_OPEN,
+                candidate in strikes,
+            )
+
+        target, here = endpoint_id, rank(endpoint_id)
+        best = here
+        if any(here):
+            for peer in ledger.live_peers(endpoint_id, now):
+                if (score := rank(peer)) < best:
+                    target, best = peer, score
+                    if not any(best):
+                        break
+        if target == endpoint_id:
+            return endpoint_id, None
+        return target, next(why for why, b, h in zip(_WHY, best, here) if b < h)
 
     def expire_leases(self) -> list[str]:
-        """Reap endpoints whose lease lapsed; returns the reaped ids.
-
-        Runs lazily on every submit/fetch/heartbeat (any surviving
-        endpoint's call triggers it), so failover needs no dedicated reaper
-        thread.  A surviving group member inherits everything the dead
-        endpoint held; with no survivor its fetched work goes back on its
-        own queue (store-and-forward across a restart)."""
+        """The failover sweep, run by every submit, fetch and heartbeat (no
+        reaper thread); returns the endpoints whose lease it reaped.  Each
+        endpoint's work goes where :meth:`_place` puts it, as one ``rehome``;
+        a fresh reap with no live peer requeues its fetched work in place."""
         now = self.clock.now()
-        with self.ledger.lock:
-            reaped = self.ledger.reap_leases(now)
-            for endpoint_id in reaped:
-                counter_inc("faas.lease_expiries", endpoint=endpoint_id)
-                peers = self.ledger.live_peers(endpoint_id, now)
-                if peers:
-                    self._requeue(endpoint_id, peers[0], "faas.failovers")
-                else:
-                    self._requeue(endpoint_id, None, "faas.requeues")
+        ledger = self.ledger
+        with ledger.lock:
+            reaped = ledger.reap_leases(now)
+            for source in list(ledger.endpoints):
+                target, why = self._place(source, now)
+                # An earlier reap moves only a queue: a depth is O(1), a walk
+                # for fetched work is O(tasks).
+                if why == "open" or source in reaped or (why and ledger.depth(source)):
+                    self._requeue(source, target, _SWEPT[why])
+        for endpoint_id in reaped:
+            counter_inc("faas.lease_expiries", endpoint=endpoint_id)
         return reaped
-
-    def _healthy_target(self, endpoint_id: str, now: float) -> str | None:
-        """A live same-group peer whose breaker is not open, if any."""
-        for other_id in self.ledger.live_peers(endpoint_id, now):
-            if (
-                self.health is None
-                or self.health.evaluate(other_id, now) != BREAKER_OPEN
-            ):
-                return other_id
-        return None
-
-    def _shed_open_breakers(self) -> None:
-        """Move work away from endpoints whose circuit breaker is open.
-
-        The gray twin of the lease-expiry sweep: a degraded endpoint still
-        heartbeats (its lease never lapses), so any healthy peer's fetch or
-        heartbeat re-homes its backlog and its in-flight stragglers onto a
-        healthy group member (:meth:`_requeue`); its eventual slow results
-        arrive as stale-lease reports and are dropped.
-        """
-        if self.health is None:
-            return
-        now = self.clock.now()
-        with self.ledger.lock:
-            for endpoint_id in list(self.ledger.endpoints):
-                if self.health.evaluate(endpoint_id, now) != BREAKER_OPEN:
-                    continue
-                target = self._healthy_target(endpoint_id, now)
-                if target is not None:  # else nowhere healthier: leave it in place
-                    self._requeue(endpoint_id, target, "resilience.sheds")
 
     def _requeue(self, source: str, target: str | None, counter: str) -> list[str]:
         """Return what ``source`` holds to ``WAITING`` at ``target`` (``None``:
@@ -835,8 +862,8 @@ class FaasCloud(_BatchOfOne):
 
         A re-home changes who may report the task, so it is journaled — its
         fsync paid under the ledger lock, before the move is visible.  The
-        no-fault sweep that runs on every fetch and heartbeat holds nothing
-        and commits nothing."""
+        no-fault sweep that runs on every submit, fetch and heartbeat holds
+        nothing and commits nothing."""
         target = target or source
         with self.ledger.lock:
             record = Rehome(
@@ -875,10 +902,9 @@ class FaasCloud(_BatchOfOne):
         self, client_id: str, item: TaskSubmission, tenant: str
     ) -> tuple[str, str]:
         """Per-task admission checks: function/endpoint existence, deadline,
-        poison quarantine, breaker steering, fault injection, and the
-        payload cap.
-        May re-steer the task; returns the (possibly new) endpoint id and
-        the content fingerprint."""
+        poison quarantine, placement (:meth:`_place`), fault injection, and
+        the payload cap.  Returns the placed endpoint id and the content
+        fingerprint."""
         func_id, endpoint_id, args_payload = (
             item.func_id,
             item.endpoint_id,
@@ -897,42 +923,19 @@ class FaasCloud(_BatchOfOne):
         if not fingerprint:
             fingerprint = hashlib.sha256(args_payload.data).hexdigest()[:16]
         fingerprint = f"{func_id}:{fingerprint}"
-        if self.poison is not None:
-            if self.poison.is_quarantined(tenant, fingerprint):
-                counter_inc("resilience.quarantine_refusals", tenant=tenant)
-                raise TaskQuarantinedError(
-                    f"fingerprint {fingerprint} is quarantined in tenant "
-                    f"{tenant!r}'s dead-letter queue (it failed on "
-                    f"{self.poison.policy.quorum} distinct endpoints); "
-                    "`repro.cli deadletter retry|drop` releases it",
-                    fingerprint=fingerprint,
-                )
-            # Steer a striked fingerprint's retry to an endpoint that has
-            # not voted yet, so a true poison task reaches quorum instead
-            # of failing forever on one endpoint.
-            if endpoint_id in self.poison.strikes(fingerprint):
-                candidates = self.ledger.live_peers(endpoint_id, self.clock.now())
-                untried = self.poison.untried_endpoint(fingerprint, candidates)
-                if untried is not None:
-                    counter_inc(
-                        "resilience.poison_steered",
-                        from_endpoint=endpoint_id,
-                        to_endpoint=untried,
-                    )
-                    endpoint_id = untried
-        if self.health is not None:
-            # An open breaker turns submits away at admission — cheaper than
-            # enqueueing onto a queue the shed sweep would drain anyway.
-            now = self.clock.now()
-            if self.health.evaluate(endpoint_id, now) == BREAKER_OPEN:
-                target = self._healthy_target(endpoint_id, now)
-                if target is not None:
-                    counter_inc(
-                        "resilience.steered",
-                        from_endpoint=endpoint_id,
-                        to_endpoint=target,
-                    )
-                    endpoint_id = target
+        if self.poison is not None and self.poison.is_quarantined(tenant, fingerprint):
+            counter_inc("resilience.quarantine_refusals", tenant=tenant)
+            raise TaskQuarantinedError(
+                f"fingerprint {fingerprint} is quarantined in tenant "
+                f"{tenant!r}'s dead-letter queue (it failed on "
+                f"{self.poison.policy.quorum} distinct endpoints); "
+                "`repro.cli deadletter retry|drop` releases it",
+                fingerprint=fingerprint,
+            )
+        target, why = self._place(endpoint_id, self.clock.now(), fingerprint)
+        if why is not None:
+            counter_inc(_STEERED[why], from_endpoint=endpoint_id, to_endpoint=target)
+            endpoint_id = target
         spec = chaos_check(
             "cloud.submit",
             chaos_key or f"{client_id}|{func_id}",
@@ -1048,8 +1051,6 @@ class FaasCloud(_BatchOfOne):
                 "cloud.submits", len(tasks), tenant=tenant, shard=self._shard_label
             )
             counter_inc("cloud.batch_submits", tenant=tenant, shard=self._shard_label)
-            if self._on_enqueue is not None:
-                self._on_enqueue()
             return results
 
         return charges, commit
@@ -1133,9 +1134,6 @@ class FaasCloud(_BatchOfOne):
         with ledger.lock:
             self.expire_leases()
             ledger.online[endpoint_id] = True
-            # Any healthy endpoint's fetch sweeps work away from gray peers
-            # — the breaker analogue of the lazy lease reaper above.
-            self._shed_open_breakers()
             if self.health is not None and not self.health.admit(
                 endpoint_id, self.clock.now()
             ):
@@ -1193,11 +1191,14 @@ class FaasCloud(_BatchOfOne):
         DISPATCHED state goes back to the front of its queue, preserving
         the store-and-forward guarantee of §IV-A3 even across endpoint
         process loss (the argument payloads still live in the cloud store).
-        Returns the re-queued task ids, oldest first.
+        Where a peer must take it instead, :meth:`_place` says so, as for
+        the sweep.  Returns the re-queued task ids, oldest first.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         self.endpoint_site(endpoint_id)
-        return self._requeue(endpoint_id, None, "faas.requeues")
+        with self.ledger.lock:
+            target, why = self._place(endpoint_id, self.clock.now())
+            return self._requeue(endpoint_id, target, _SWEPT[why])
 
     def _fail_queued(self, task: TaskRecord, message: str) -> bool:
         """Terminally fail a still-queued task from inside the cloud

@@ -396,6 +396,9 @@ class Ledger:
         # Heartbeat leases: only endpoints that ever heartbeat hold one, so
         # direct-API test rigs without an agent process are never reaped.
         self.leases: dict[str, float] = {}
+        #: Endpoints whose lease lapsed and that have not heartbeat since.  A
+        #: lease given back by a graceful stop is gone, not lapsed: not here.
+        self.reaped: set[str] = set()
         self.online: dict[str, bool] = {}
         self.deadletters: dict[tuple[str, str], dict] = {}
         self.next_id = 0
@@ -680,12 +683,14 @@ class Ledger:
 
     # -- leases (derived from heartbeats, never journaled) ----------------------
     def reap_leases(self, now: float) -> list[str]:
-        """Drop every lapsed lease; returns the endpoints that held them."""
+        """Drop every lapsed lease; returns the endpoints that held them,
+        which stay :attr:`reaped` until they heartbeat again."""
         with self.lock:
             reaped = [e for e, expiry in self.leases.items() if expiry <= now]
             for endpoint_id in reaped:
                 del self.leases[endpoint_id]
                 self.online[endpoint_id] = False
+            self.reaped.update(reaped)
             return reaped
 
     def live_peers(self, endpoint_id: str, now: float) -> list[str]:

@@ -33,7 +33,6 @@ __all__ = [
     "CLIENT_CLOSE_TIMEOUT",
     "CLIENT_POLL_INTERVAL",
     "CLIENT_RECEIVE_INTERVAL",
-    "ROUTER_FETCH_POLL",
     "PaperConstants",
     "Testbed",
     "build_paper_testbed",
@@ -49,9 +48,6 @@ CLIENT_POLL_INTERVAL: float = 0.25
 #: Wall-clock seconds ``FaasClient.close()`` waits for its notifier thread
 #: before declaring it wedged.
 CLIENT_CLOSE_TIMEOUT: float = 10.0
-#: Scatter-gather wait slice used by :class:`repro.tenancy.CloudRouter`
-#: when no shard has work yet (nominal seconds).
-ROUTER_FETCH_POLL: float = 0.25
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ drops the entry (``repro.cli deadletter list|retry|drop``).
 The quorum requirement is what separates poison from plain bad luck: a
 transient worker exception retried *on the same endpoint* accumulates one
 distinct-endpoint strike at most, and any success clears the slate.  To
-reach quorum quickly the cloud steers retries of striked fingerprints to
-endpoints that have not yet voted (see ``FaasCloud.submit``).
+reach quorum quickly the cloud places retries of struck fingerprints on
+endpoints that have not yet voted (see ``FaasCloud._place``).
 
 Durability: the tracker itself is pure in-memory state; the owning cloud
 journals ``deadletter`` records (add on quarantine, drop on retry/drop)
@@ -163,18 +163,6 @@ class PoisonTracker:
         """The endpoints that have voted against this fingerprint so far."""
         with self._lock:
             return tuple(sorted(self._strikes.get(fingerprint, ())))
-
-    def untried_endpoint(
-        self, fingerprint: str, candidates: list[str]
-    ) -> str | None:
-        """A candidate endpoint that has not yet voted, for retry steering
-        (sorted order, so identically-seeded runs steer identically)."""
-        with self._lock:
-            voted = self._strikes.get(fingerprint, {})
-            for endpoint_id in sorted(candidates):
-                if endpoint_id not in voted:
-                    return endpoint_id
-        return None
 
     # -- quarantine queries ----------------------------------------------------
     def is_quarantined(self, tenant: str, fingerprint: str) -> bool:

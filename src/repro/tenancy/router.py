@@ -48,7 +48,7 @@ from repro.faas.cloud import (
     task_topic,
 )
 from repro.net.clock import Clock, get_clock
-from repro.net.defaults import ROUTER_FETCH_POLL, PaperConstants
+from repro.net.defaults import PaperConstants
 from repro.net.topology import Network, Site
 from repro.observe import counter_inc
 from repro.resilience import EndpointHealthTracker, PoisonTracker
@@ -633,7 +633,8 @@ class CloudRouter(_BatchOfOne):
         offset so no shard's queues get systematic priority; shards inside
         an outage window are skipped (their backlog is re-announced on
         recovery).  Between rounds the call waits on the router doorbell,
-        bumped by any shard's enqueue."""
+        which every task doorbell any shard rings bumps, until the caller's
+        budget runs out or the nearest outage ends, whichever is first."""
         deadline = None if timeout is None else self.clock.now() + timeout
         out: list[TaskDispatch] = []
         while True:
@@ -652,19 +653,15 @@ class CloudRouter(_BatchOfOne):
                         break
             if out:
                 return out
-            remaining = None
+            now = self.clock.now()
+            waits = [until - now for until in dark.values()]
             if deadline is not None:
-                remaining = deadline - self.clock.now()
-                if remaining <= 0:
+                if deadline <= now:
                     return out
-            # Re-poll the shard set at this period while waiting for work;
-            # a doorbell via ``_wake`` cuts the wait short.
-            interval = ROUTER_FETCH_POLL
-            if remaining is not None:
-                interval = min(remaining, interval)
+                waits.append(deadline - now)
             with self._wake:
                 if self._wake_seq == seq:
-                    self.clock.wait(self._wake, interval)
+                    self.clock.wait(self._wake, min(waits, default=None))
 
     def report_results(
         self,

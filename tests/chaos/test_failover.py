@@ -222,3 +222,42 @@ def test_endpoint_crash_mid_lease_completes_on_survivor_without_client_help():
     assert metrics.counter_total("faas.lease_expiries") >= 1
     assert metrics.counter_total("client.retries") == 0
     assert all(r.status.terminal for r in cloud.task_records())
+
+
+def test_work_submitted_to_a_reaped_endpoint_completes_on_its_survivor():
+    """``ep-a`` crashes idle and is reaped; only then is a task submitted to
+    it.  No sweep has anything of ``a``'s to move, so admission itself must
+    place the task on the live ``ep-b``."""
+    constants = PaperConstants(**FAST)
+    testbed = build_paper_testbed(seed=7, constants=constants)
+    metrics = MetricsRegistry()
+    set_metrics(metrics)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants)
+    ep_a, ep_b = (
+        FaasEndpoint(
+            name, cloud, token, testbed.theta_login,
+            WorkerPool(testbed.theta_compute, 2, name=f"pool-{name}"),
+            failover_group="pair",
+        ).start()
+        for name in ("ep-a", "ep-b")
+    )
+    client = FaasClient(cloud, token, site=testbed.theta_login)
+    try:
+        ep_a.simulate_crash()
+        clock = get_clock()
+        deadline = clock.now() + 60.0
+        while cloud.lease_valid(ep_a.endpoint_id):  # ep-b's beats reap it next
+            assert clock.now() < deadline
+            clock.sleep(0.5)
+        with at_site(testbed.theta_login):
+            future = client.run(_add, ep_a.endpoint_id, 1, b=2)
+        assert future.result(timeout=120) == 3
+    finally:
+        client.close()
+        ep_a.stop()
+        ep_b.stop()
+    (record,) = cloud.task_records()
+    assert record.endpoint_id == ep_b.endpoint_id
+    assert metrics.counter_total("faas.failovers") == 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 
 import pytest
+from conftest import ManualClock
 
 from repro.durable import FileJournalBackend, Journal, recover_cloud
 from repro.exceptions import LeaseExpiredError, WorkflowError
@@ -432,7 +433,9 @@ def test_leases_survive_recovery(testbed):
     fresh, _ = pair.crash_and_recover()
 
     assert fresh.lease_valid(pair.ep_a)  # it owns work: one TTL to show up
-    assert not fresh.lease_valid(pair.ep_b)  # owns nothing: no lease invented
+    # ``b`` owns nothing but is a group member: it gets the same TTL, so a
+    # member that is in fact dead is reaped again instead of never leased.
+    assert fresh.lease_valid(pair.ep_b)
     fresh.heartbeat(pair.token, pair.ep_b)
     pair.lapse_a()
     for task_id in (held, queued):
@@ -441,6 +444,49 @@ def test_leases_survive_recovery(testbed):
         assert record.previous_endpoints == [pair.ep_a]
     fetched = fresh.fetch_tasks(pair.token, pair.ep_b, 10, timeout=1.0)
     assert [d.task_id for d in fetched] == [held, queued]
+
+
+def test_a_reaped_endpoint_stays_reaped_across_a_shard_crash(testbed):
+    """``a`` is reaped holding nothing, then its shard crashes.  Leases are
+    not journaled, so the rebuilt shard re-leases every group member; ``a``
+    lapses one TTL later, and work submitted to it meanwhile completes on
+    ``b`` instead of waiting for an endpoint that never comes back."""
+    clock = ManualClock()
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    wal = FileSystem("wal", clock=clock)
+    router = CloudRouter(
+        testbed.faas_cloud,
+        testbed.network,
+        auth,
+        testbed.constants,
+        clock,
+        n_shards=2,
+        journal_factory=lambda shard_id: Journal(FileJournalBackend(wal, shard_id)),
+    )
+    ep_a, ep_b = (
+        router.register_endpoint(token, name, testbed.theta_compute, failover_group="g")
+        for name in "ab"
+    )
+    func_id = router.register_function(token, serialize(_square))
+    ttl = testbed.constants.endpoint_lease_ttl
+
+    def lapse_a():
+        for _ in range(2):
+            clock.sleep(0.6 * ttl)
+            router.heartbeat(token, ep_b)
+
+    router.heartbeat(token, ep_a)
+    lapse_a()
+    router.crash_shard(router._shard_for_partition("default", func_id))
+    task_id = router.submit(token, "c", func_id, ep_a, serialize(((3,), {})))
+    lapse_a()
+    (dispatch,) = router.fetch_tasks(token, ep_b, 10, timeout=0.0)
+    assert dispatch.task_id == task_id
+    router.report_result(token, ep_b, task_id, True, serialize({"value": 9}))
+    record = router.task(task_id)
+    assert record.status is TaskStatus.SUCCESS
+    assert (record.endpoint_id, record.previous_endpoints) == (ep_b, [ep_a])
 
 
 def _ledger(cloud):

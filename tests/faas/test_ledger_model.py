@@ -17,6 +17,9 @@ two task fields are excluded, and only these:
 ``fetched_at``
     cleared by an in-place requeue that replay never saw, so a task that
     was requeued and then reported keeps its first lease time in replay.
+
+One step invariant is about placement, not replay: no task waits on a
+reaped endpoint while its failover group has a live member.
 """
 
 import json
@@ -95,7 +98,7 @@ def released(ledger):
     return (tasks, queues, *rest)
 
 
-def check_invariants(cloud, settled):
+def check_invariants(cloud, settled, beaten):
     ledger = cloud.ledger
     queued = [tid for queues in ledger.queues.values() for q in queues.values() for tid in q]
     assert len(queued) == len(set(queued)), "an id sits in two queues"
@@ -109,6 +112,19 @@ def check_invariants(cloud, settled):
         else:
             assert task_id not in settled, f"{task_id} left its terminal state"
     assert cloud.usage.finished == len(settled)
+    # No task waits on a reaped endpoint (one that heartbeat once and whose
+    # lease lapsed since) while a member of its group is live to take it.
+    now = cloud.clock.now()
+    live_groups = {
+        ledger.endpoints[e].failover_group
+        for e, expiry in ledger.leases.items()
+        if expiry > now
+    } - {None}
+    for task in ledger.tasks.values():
+        owner = task.endpoint_id
+        if task.status is TaskStatus.WAITING and owner in beaten - ledger.leases.keys():
+            group = ledger.endpoints[owner].failover_group
+            assert group not in live_groups, f"{task.task_id} waits on reaped {owner}"
 
 
 ENDPOINTS = ("a", "b", "c")
@@ -169,7 +185,7 @@ def test_every_journal_prefix_replays_to_the_live_ledger(ops):
         for name, group in (("a", "pair"), ("b", "pair"), ("c", None))
     }
     func_id = cloud.register_function(token, serialize(len))
-    task_ids, settled, history = [], {}, []
+    task_ids, settled, history, beaten = [], {}, [], set()
 
     for op, *args in ops:
         if op == "submit":
@@ -201,6 +217,7 @@ def test_every_journal_prefix_replays_to_the_live_ledger(ops):
             cloud.requeue_dispatched(token, endpoints[args[0]])
         elif op == "beat":  # also the sweep that fails a lapsed peer over
             cloud.heartbeat(token, endpoints[args[0]])
+            beaten.add(endpoints[args[0]])
         elif op == "lapse":  # goes silent for over a TTL while the others beat on
             cloud.heartbeat(token, endpoints[args[0]])
             for _ in range(2):
@@ -208,9 +225,10 @@ def test_every_journal_prefix_replays_to_the_live_ledger(ops):
                 for name in ENDPOINTS:
                     if name != args[0]:
                         cloud.heartbeat(token, endpoints[name])
+            beaten.update(endpoints.values())
         elif op == "tick":  # leases lapse after 15 s, deadlines pass
             clock.sleep(args[0])
-        check_invariants(cloud, settled)
+        check_invariants(cloud, settled, beaten)
         history.append((journal.appends, released(cloud.ledger)))
 
     # Exactly-once delivery: every settled task is in the feed once.

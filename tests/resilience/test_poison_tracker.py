@@ -51,14 +51,6 @@ def test_success_clears_the_strike_record():
     assert tracker.strikes(FP) == ("ep-b",)
 
 
-def test_untried_endpoint_steers_toward_quorum():
-    tracker = PoisonTracker(PoisonPolicy(quorum=3))
-    _strike(tracker, "ep-a")
-    assert tracker.untried_endpoint(FP, ["ep-a", "ep-b"]) == "ep-b"
-    _strike(tracker, "ep-b")
-    assert tracker.untried_endpoint(FP, ["ep-a", "ep-b"]) is None
-
-
 def test_entries_filter_by_tenant():
     tracker = PoisonTracker(PoisonPolicy(quorum=1))
     _strike(tracker, "ep-a", tenant="acme", fingerprint="f:1")
