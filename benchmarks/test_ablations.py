@@ -162,7 +162,6 @@ def test_ablation_transfer_concurrency_limit(benchmark, report_sink):
                 globus_concurrent_transfer_limit=limit,
                 globus_request_latency=UniformLatency(0.05, 0.06),
                 globus_transfer_base=UniformLatency(3.0, 3.5),
-                globus_poll_interval=0.05,
             )
             testbed, service, connector = _two_endpoint_rig(constants, 41, "abl")
             payloads = {f"k{i}": serialize(Blob(100_000_000, tag=str(i))) for i in range(8)}
@@ -210,7 +209,6 @@ def test_ablation_transfer_fusion(benchmark, report_sink):
             constants = PaperConstants(
                 globus_concurrent_transfer_limit=2,
                 globus_transfer_base=UniformLatency(2.0, 2.5),
-                globus_poll_interval=0.05,
             )
             testbed, service, connector = _two_endpoint_rig(constants, 47, "fuse")
             payloads = {f"k{i}": serialize(Blob(100_000_000, tag=str(i))) for i in range(8)}

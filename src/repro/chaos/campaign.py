@@ -281,7 +281,6 @@ def _campaign_constants() -> PaperConstants:
         endpoint_lease_ttl=3.0,
         globus_request_latency=UniformLatency(0.05, 0.06),
         globus_transfer_base=UniformLatency(0.2, 0.3),
-        globus_poll_interval=0.05,
     )
 
 
@@ -325,7 +324,7 @@ def _build_rig(config: str, testbed: Testbed, policy: RetryPolicy) -> _Rig:
         )
         service.register_endpoint(ep_theta)
         service.register_endpoint(ep_venti)
-        transfer_client = TransferClient(service, "chaos-user", retry_policy=policy)
+        transfer_client = TransferClient(service, "chaos-user")
         store = Store(
             "chaos-store",
             GlobusConnector(

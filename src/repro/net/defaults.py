@@ -126,7 +126,6 @@ class PaperConstants:
     globus_request_latency: LatencyModel = LogNormalLatency(0.45, 0.35, cap=2.5)
     globus_transfer_base: LatencyModel = UniformLatency(0.8, 3.2)
     globus_per_file_overhead: float = 0.15
-    globus_poll_interval: float = 0.25
     globus_concurrent_transfer_limit: int = 6
     globus_dtn_bandwidth: float = 1.0e9
 

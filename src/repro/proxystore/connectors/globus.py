@@ -5,8 +5,9 @@ volume and a managed transfer toward every other configured endpoint is
 started at once — this ahead-of-time movement is what lets later proxy
 resolutions overlap transfer latency with computation (the paper's 12 % of
 inference proxies resolving in <100 ms).  A ``get`` on site B waits for the
-transfer task to complete, then reads the local replica; the wait is the
-"time on worker increases with Globus" effect in Fig. 4.
+transfer task to complete (with nothing inbound, for a landing there), then
+reads the local replica; the wait is the "time on worker increases with
+Globus" effect in Fig. 4.
 
 Transfers follow the round (§V-D1's "fuse files into one task"): a ``put``
 parks its file on the outbox of each ``source endpoint -> destination
@@ -32,6 +33,20 @@ from repro.transfer.client import TransferClient
 from repro.transfer.service import TransferEndpoint
 
 __all__ = ["GlobusConnector"]
+
+
+def _left(deadline: float | None) -> float | None:
+    """What is left of a read's budget (``None``: no deadline)."""
+    return None if deadline is None else deadline - get_clock().now()
+
+
+def _holds(endpoint: TransferEndpoint, path: str) -> bool:
+    """Whether the endpoint holds a replica of ``path`` (uncharged)."""
+    try:
+        endpoint.volume.size(path)
+    except FileSystemError:
+        return False
+    return True
 
 
 class _Shipment:
@@ -147,6 +162,8 @@ class GlobusConnector(Connector):
         paths = {key: self._path(key) for key in items}
         for key, payload in items.items():
             local.volume.write(paths[key], payload.data, payload.nominal_size)
+        with local.landed:  # a reader at this endpoint may be waiting for it
+            local.landed.notify_all()
         for (src, dst), route in self._routes.items():
             if src != local.endpoint_id:
                 continue
@@ -194,11 +211,11 @@ class GlobusConnector(Connector):
 
     # -- read side ------------------------------------------------------------
     def _await(
-        self, shipment: _Shipment, dst: str, wanted: set[str], timeout: float | None
+        self, shipment: _Shipment, dst: str, wanted: set[str], deadline: float | None
     ) -> str | None:
-        """Wait for a shipment to be submitted, then for its task; returns
-        why it did not land (``None`` when it did, which also retires it)."""
-        if not get_clock().wait(shipment.submitted, timeout):
+        """Wait, until ``deadline``, for a shipment's submission, then its task;
+        returns why it did not land (``None`` when it did, which retires it)."""
+        if not get_clock().wait(shipment.submitted, _left(deadline)):
             return "timed out before its transfer was submitted"
         if shipment.task_id is None:
             return shipment.error
@@ -207,7 +224,7 @@ class GlobusConnector(Connector):
             # on it is its own: neighbours keep their transfer.
             self._client.wait(
                 shipment.task_id,
-                timeout=timeout,
+                timeout=_left(deadline),
                 cancel_on_timeout=shipment.paths.keys() <= wanted,
             )
         except TransferError as exc:
@@ -225,40 +242,38 @@ class GlobusConnector(Connector):
         self, keys: "list[str] | tuple[str, ...]", timeout: float | None = None
     ) -> dict[str, Payload]:
         """Fetch keys at the calling site, waiting each inbound transfer
-        *task* once however many of the keys it carries."""
+        *task* once however many of the keys it carries.  ``timeout`` bounds
+        the whole call, not each wait in it."""
+        clock = get_clock()
+        deadline = None if timeout is None else clock.now() + timeout
         local = self._local_endpoint()
         with self._lock:
             inbound = {key: self._inbound.get((key, local.endpoint_id)) for key in keys}
         failures = {
-            shipment: self._await(shipment, local.endpoint_id, set(keys), timeout)
+            shipment: self._await(shipment, local.endpoint_id, set(keys), deadline)
             for shipment in set(inbound.values()) - {None}
         }
-        clock = get_clock()
-        deadline = clock.now() + timeout if timeout is not None else None
         payloads: dict[str, Payload] = {}
         for key in keys:
             path = self._path(key)
-            while key not in payloads:
-                try:
-                    payloads[key] = Payload(
-                        data=local.volume.read(path),
-                        nominal_size=local.volume.size(path),
+            shipment = inbound[key]
+            if shipment is None and deadline is not None:
+                # Nothing inbound: a replica may still land by other means.
+                with local.landed:
+                    clock.wait_for(
+                        local.landed, lambda: _holds(local, path), _left(deadline)
                     )
-                except FileSystemError:
-                    where = f"no object under key {key!r} at {local.site.name}"
-                    shipment = inbound[key]
-                    if shipment is not None:
-                        raise StoreError(
-                            f"globus connector: {where}: "
-                            f"{failures[shipment] or 'its transfer skipped it'}"
-                        ) from None
-                    # Nothing inbound that we know of: with a timeout, poll
-                    # for a replica landing by other means until it expires.
-                    if deadline is None or clock.now() >= deadline:
-                        raise StoreError(
-                            f"globus connector: {where} and no transfer inbound"
-                        ) from None
-                    clock.sleep(0.01)
+            try:
+                payloads[key] = Payload(
+                    data=local.volume.read(path),
+                    nominal_size=local.volume.size(path),
+                )
+            except FileSystemError:
+                why = "no transfer inbound" if shipment is None else failures[shipment]
+                raise StoreError(
+                    f"globus connector: no object under key {key!r} at "
+                    f"{local.site.name}: {why or 'its transfer skipped it'}"
+                ) from None
         return payloads
 
     def exists(self, key: str) -> bool:

@@ -9,21 +9,16 @@ A caller that must not sleep through a submission passes ``then=`` to
 :meth:`TransferClient.submit`: the same charge becomes a timer on the
 process reactor and the continuation receives the task id.
 
-The client also owns end-to-end recovery: :meth:`TransferClient.transfer`
-submits, waits, and — under a :class:`repro.chaos.RetryPolicy` — resubmits
-the whole task with backoff when the service reports a terminal failure,
-while :meth:`TransferClient.wait` cancels abandoned tasks on timeout so
-they stop holding a slot of the per-user concurrency limit.
+:meth:`TransferClient.wait` cancels abandoned tasks on timeout so they stop
+holding a slot of the per-user concurrency limit.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable
 
 from repro.batch.reactor import get_reactor
-from repro.chaos.policy import RetryPolicy
-from repro.exceptions import DeadlineExceededError, RetryExhaustedError, TransferError
+from repro.exceptions import TransferError
 from repro.net.clock import Clock, get_clock
 from repro.net.context import current_site
 from repro.net.defaults import PaperConstants
@@ -56,7 +51,6 @@ class TransferClient:
         *,
         site: Site | None = None,
         clock: Clock | None = None,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         self._service = service
         self._network: Network = service._network
@@ -64,7 +58,6 @@ class TransferClient:
         self.user = user
         self._site = site
         self._clock = clock or get_clock()
-        self._retry_policy = retry_policy
 
     def _caller_site(self) -> Site:
         return self._site or current_site() or self._service.site
@@ -161,46 +154,3 @@ class TransferClient:
                 f"transfer {task_id} failed: {task.error or 'unknown error'}"
             )
         return task
-
-    def transfer(
-        self,
-        src_endpoint: str,
-        dst_endpoint: str,
-        items: list[TransferItem] | list[tuple[str, str]],
-        *,
-        timeout: float | None = None,
-    ) -> TransferTask:
-        """Submit and wait, retrying the whole task under the retry policy.
-
-        The service already requeues individual attempt failures internally
-        (``TransferService.MAX_RETRIES``); this wrapper is the client-side
-        last line of defense for tasks that failed *terminally* or timed
-        out.  Without a policy it is plain submit-and-wait.
-        """
-        policy = self._retry_policy
-        retry_key = hashlib.sha256(
-            "|".join(
-                sorted(
-                    it.dst_path if isinstance(it, TransferItem) else it[1]
-                    for it in items
-                )
-            ).encode()
-        ).hexdigest()[:16]
-        attempt = 0
-        while True:
-            task_id = self.submit(src_endpoint, dst_endpoint, items)
-            try:
-                return self.wait(task_id, timeout)
-            except (TransferError, DeadlineExceededError) as exc:
-                if policy is None:
-                    raise
-                if not policy.retries_left(attempt):
-                    raise RetryExhaustedError(
-                        f"transfer to {dst_endpoint!r} failed after "
-                        f"{attempt + 1} attempts: {exc}",
-                        attempts=attempt + 1,
-                        last_error=str(exc),
-                    ) from exc
-                counter_inc("transfer.client_retries", user=self.user)
-                self._clock.sleep(policy.delay_for(attempt, key=retry_key))
-                attempt += 1

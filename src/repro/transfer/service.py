@@ -13,10 +13,10 @@ Globus backend.  Its performance signature (§V-C2, §V-D1) is:
 * the cloud service is store-and-forward robust: submitted tasks survive
   client disconnection and endpoints being temporarily offline.
 
-:class:`TransferService` reproduces all four.  It runs a dispatcher thread
-pinned to the Globus cloud site; each active transfer is simulated by a
-short-lived DTN thread that sleeps the modeled duration then copies file
-bytes between the endpoints' staging volumes.
+:class:`TransferService` reproduces all four with no thread of its own:
+wherever a task can become eligible it starts every queued task the limit
+allows, and each started attempt lands on one process-reactor timer that
+copies file bytes between the endpoints' staging volumes.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
+from repro.batch.reactor import get_reactor
 from repro.chaos.plan import chaos_check
 from repro.exceptions import FileSystemError, TransferError
-from repro.net.clock import Clock, get_clock
-from repro.net.context import SiteThread
+from repro.net.clock import get_clock
+from repro.net.context import at_site
 from repro.net.defaults import PaperConstants
 from repro.net.fs import FileSystem
 from repro.net.topology import Network, Site
@@ -52,9 +53,11 @@ class TransferEndpoint:
     endpoint_id: str
     site: Site
     volume: FileSystem
-    # An endpoint can be administratively paused (maintenance) or offline;
-    # transfers touching it wait rather than fail, like real Globus.
-    # Mutable flag lives on the service side (endpoints are frozen records).
+    # A paused endpoint (a flag on the service) holds its transfers back.
+    #: Notified by every landing here, so a reader waits instead of polling.
+    landed: threading.Condition = field(
+        default_factory=threading.Condition, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -101,17 +104,17 @@ class TransferTask:
     trace_ctx: TraceContext | None = None
     #: Set once when the per-user concurrency limit first defers this task,
     #: so the ``transfer.limit_stalls`` counter ticks once per task, not
-    #: once per dispatcher sweep.
+    #: once per admission pass.
     limit_stalled: bool = False
     #: Cancellation is asynchronous like real Globus: the flag is observed
-    #: at the next opportunity (queue pop, DTN completion, retry decision).
+    #: at the next opportunity (queue pop, landing, retry decision).
     cancel_requested: bool = False
     done_event: threading.Event = field(default_factory=threading.Event, repr=False)
 
 
 class TransferService:
     """The cloud service: accepts tasks, enforces per-user concurrency,
-    drives DTN copy threads, and answers status polls."""
+    lands transfer attempts on reactor timers, and answers status polls."""
 
     MAX_RETRIES = 2
 
@@ -120,41 +123,31 @@ class TransferService:
         site: Site,
         network: Network,
         constants: PaperConstants | None = None,
-        clock: Clock | None = None,
     ) -> None:
         self.site = site
         self._network = network
         self._constants = constants or PaperConstants()
-        self._clock = clock or get_clock()
+        self._clock = get_clock()
         self._endpoints: dict[str, TransferEndpoint] = {}
         self._paused: set[str] = set()
         self._tasks: dict[str, TransferTask] = {}
         self._queue: list[str] = []
         self._active_by_user: dict[str, int] = {}
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
         self._ids = itertools.count()
         self._running = False
-        self._dispatcher: SiteThread | None = None
         self._fail_next: list[str] = []  # test hook: error messages to inject
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> "TransferService":
-        if self._running:
-            return self
         self._running = True
-        self._dispatcher = SiteThread(
-            self.site, target=self._dispatch_loop, name="globus-dispatcher"
-        )
-        self._dispatcher.start()
+        self._admit()
         return self
 
     def stop(self) -> None:
-        with self._wakeup:
+        """Start no further attempt; the ones in flight still land."""
+        with self._lock:
             self._running = False
-            self._wakeup.notify_all()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=5)
 
     # -- endpoint registry ----------------------------------------------------
     def register_endpoint(self, endpoint: TransferEndpoint) -> TransferEndpoint:
@@ -174,17 +167,17 @@ class TransferService:
 
     def pause_endpoint(self, endpoint_id: str) -> None:
         """Take an endpoint offline; its transfers wait (store-and-forward)."""
-        with self._wakeup:
+        with self._lock:
             self.endpoint(endpoint_id)
             self._paused.add(endpoint_id)
 
     def resume_endpoint(self, endpoint_id: str) -> None:
-        with self._wakeup:
+        with self._lock:
             self._paused.discard(endpoint_id)
-            self._wakeup.notify_all()
+        self._admit()
 
     def inject_failure(self, message: str = "DTN checksum mismatch") -> None:
-        """Make the next started transfer attempt fail (for failure tests)."""
+        """Make the next landed transfer attempt fail (for failure tests)."""
         with self._lock:
             self._fail_next.append(message)
 
@@ -215,10 +208,10 @@ class TransferService:
             submitted_at=self._clock.now(),
             trace_ctx=trace_ctx,
         )
-        with self._wakeup:
+        with self._lock:
             self._tasks[task_id] = task
             self._queue.append(task_id)
-            self._wakeup.notify_all()
+        self._admit()
         return task_id
 
     def status(self, task_id: str) -> TransferTask:
@@ -236,9 +229,9 @@ class TransferService:
         """Request cancellation; returns True unless already terminal.
 
         A QUEUED task is cancelled immediately; an ACTIVE one finishes as
-        CANCELLED when its DTN thread next checks the flag (the in-flight
-        copy is abandoned, no destination files are written)."""
-        with self._wakeup:
+        CANCELLED when its attempt lands (the in-flight copy is abandoned,
+        no destination files are written)."""
+        with self._lock:
             task = self._tasks.get(task_id)
             if task is None:
                 raise TransferError(f"unknown transfer task {task_id!r}")
@@ -252,10 +245,9 @@ class TransferService:
                 task.error = "cancelled by client"
                 task.done_event.set()
                 counter_inc("transfer.cancelled", user=task.user)
-                self._wakeup.notify_all()
             return True
 
-    # -- dispatcher --------------------------------------------------------------
+    # -- admission and landings ---------------------------------------------------
     def _eligible(self, task: TransferTask) -> bool:
         limit = self._constants.globus_concurrent_transfer_limit
         if self._active_by_user.get(task.user, 0) >= limit:
@@ -267,36 +259,40 @@ class TransferService:
             return False
         return True
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._wakeup:
-                if not self._running:
-                    return
-                started: list[TransferTask] = []
-                remaining: list[str] = []
-                for task_id in self._queue:
-                    task = self._tasks[task_id]
-                    if self._eligible(task):
-                        task.status = TransferStatus.ACTIVE
-                        task.started_at = self._clock.now()
-                        self._active_by_user[task.user] = (
-                            self._active_by_user.get(task.user, 0) + 1
-                        )
-                        started.append(task)
-                    else:
-                        remaining.append(task_id)
-                self._queue = remaining
-                gauge_set("transfer.active", sum(self._active_by_user.values()))
-                if not started:
-                    self._clock.wait(self._wakeup, self._constants.globus_poll_interval)
-                    continue
-            for task in started:
-                SiteThread(
-                    self.site,
-                    target=self._run_transfer,
-                    args=(task,),
-                    name=f"dtn-{task.task_id}",
-                ).start()
+    def _admit(self) -> None:
+        """Start every queued task that may run now; each started attempt
+        stages its files and lands on one reactor timer."""
+        with self._lock:
+            if not self._running:
+                return
+            started: list[TransferTask] = []
+            remaining: list[str] = []
+            for task_id in self._queue:
+                task = self._tasks[task_id]
+                if self._eligible(task):
+                    task.status = TransferStatus.ACTIVE
+                    task.started_at = self._clock.now()
+                    active = self._active_by_user
+                    active[task.user] = active.get(task.user, 0) + 1
+                    started.append(task)
+                else:
+                    remaining.append(task_id)
+            self._queue = remaining
+            gauge_set("transfer.active", sum(self._active_by_user.values()))
+        for task in started:
+            self._step(task, self._stage)
+
+    def _step(self, task: TransferTask, step, *args) -> None:
+        """Run one step of an attempt at the Globus site.  An unexpected
+        error fails the task, so no task is left ACTIVE forever."""
+        try:
+            with at_site(self.site):
+                step(task, *args)
+        except Exception as exc:
+            self._finish(task, TransferStatus.FAILED, error=repr(exc))
+
+    def _later(self, delay: float, task: TransferTask, step, *args) -> None:
+        get_reactor().call_later(delay, lambda: self._step(task, step, *args))
 
     def _transfer_duration(self, task: TransferTask, files: int, total_bytes: int) -> float:
         c = self._constants
@@ -313,73 +309,87 @@ class TransferService:
         stably across retries, runs, and whichever task it was fused into."""
         return hashlib.sha256(item.dst_path.encode()).hexdigest()[:16]
 
-    def _run_transfer(self, task: TransferTask) -> None:
-        """One attempt at the task's outstanding files.
+    def _stage(self, task: TransferTask) -> None:
+        """Read the attempt's outstanding files at the source and arm its
+        landing.  A file evicted at the source is skipped — its neighbours
+        still land; with nothing left to read the task fails."""
+        staged: list[tuple[TransferItem, bytes, int]] = []
+        total, gone = 0, None
+        for item in task.todo:
+            try:
+                data, nominal = task.src.volume.raw(item.src_path)
+            except FileSystemError as exc:
+                gone = str(exc)
+                continue
+            staged.append((item, data, nominal))
+            total += nominal
+        if not staged:
+            self._finish(task, TransferStatus.FAILED, error=task.error or gone)
+            return
+        duration = self._transfer_duration(task, len(staged), total)
+        self._later(duration, task, self._run_transfer, staged)
+
+    def _run_transfer(
+        self, task: TransferTask, staged: list[tuple[TransferItem, bytes, int]]
+    ) -> None:
+        """One attempt lands.
 
         Faults are per file: the files that copied cleanly land, the ones
         that faulted are requeued (up to ``MAX_RETRIES`` each) and a file
         that runs out of retries fails the task once the rest are through.
-        A file evicted at the source is skipped — its neighbours still land.
+        A chaos stall holds the outcome back by its delay.
         """
-        try:
-            staged: list[tuple[TransferItem, bytes, int]] = []
-            total = 0
-            for item in task.todo:
-                try:
-                    data, nominal = task.src.volume.raw(item.src_path)
-                except FileSystemError as exc:
-                    gone = str(exc)
-                    continue
-                staged.append((item, data, nominal))
-                total += nominal
-            if not staged:  # nothing left to read at the source
-                self._finish(task, TransferStatus.FAILED, error=task.error or gone)
-                return
-            self._clock.sleep(self._transfer_duration(task, len(staged), total))
-            if task.cancel_requested:
-                self._finish_cancelled(task)
-                return
-            with self._lock:
-                injected = self._fail_next.pop(0) if self._fail_next else None
-            retry: list[TransferItem] = []
-            for item, data, nominal in staged:
-                fault = injected
-                faulted = task.attempts.get(item.dst_path, 0)
-                spec = chaos_check(
-                    "transfer.attempt",
-                    self._chaos_key(item),
-                    attempt=faulted,
-                    user=task.user,
-                )
-                if spec is not None:
-                    if spec.delay:
-                        self._clock.sleep(spec.delay)  # a stall before the failure
-                    fault = f"injected fault {spec.mode!r}: DTN aborted mid-copy"
-                if fault is None:
-                    task.dst.volume.write_raw(item.dst_path, data, nominal)
-                    task.bytes_transferred += nominal
-                elif faulted < self.MAX_RETRIES:
-                    task.attempts[item.dst_path] = faulted + 1
-                    retry.append(item)
-                else:
-                    task.error = fault
-            if retry and task.cancel_requested:
-                self._finish_cancelled(task)
-            elif retry:
-                with self._wakeup:
-                    task.todo = tuple(retry)
-                    task.retries += 1
-                    task.status = TransferStatus.QUEUED
-                    self._active_by_user[task.user] -= 1
-                    self._queue.append(task.task_id)
-                    counter_inc("transfer.retries", len(retry), user=task.user)
-                    self._wakeup.notify_all()
-            elif task.error is not None:
-                self._finish(task, TransferStatus.FAILED, error=task.error)
+        if task.cancel_requested:
+            self._finish_cancelled(task)
+            return
+        with self._lock:
+            injected = self._fail_next.pop(0) if self._fail_next else None
+        retry: list[TransferItem] = []
+        stall = 0.0
+        for item, data, nominal in staged:
+            fault = injected
+            faulted = task.attempts.get(item.dst_path, 0)
+            spec = chaos_check(
+                "transfer.attempt",
+                self._chaos_key(item),
+                attempt=faulted,
+                user=task.user,
+            )
+            if spec is not None:
+                stall += spec.delay  # a stall before the failure
+                fault = f"injected fault {spec.mode!r}: DTN aborted mid-copy"
+            if fault is None:
+                task.dst.volume.write_raw(item.dst_path, data, nominal)
+                task.bytes_transferred += nominal
+            elif faulted < self.MAX_RETRIES:
+                task.attempts[item.dst_path] = faulted + 1
+                retry.append(item)
             else:
-                self._finish(task, TransferStatus.SUCCEEDED)
-        except Exception as exc:  # unexpected: fail the task, don't kill the DTN
-            self._finish(task, TransferStatus.FAILED, error=repr(exc))
+                task.error = fault
+        with task.dst.landed:
+            task.dst.landed.notify_all()
+        if stall:
+            self._later(stall, task, self._conclude, retry)
+        else:
+            self._conclude(task, retry)
+
+    def _conclude(self, task: TransferTask, retry: list[TransferItem]) -> None:
+        """Requeue the faulted files, or finish the task."""
+        if retry and task.cancel_requested:
+            self._finish_cancelled(task)
+        elif retry:
+            with self._lock:
+                task.todo = tuple(retry)
+                task.retries += 1
+                task.status = TransferStatus.QUEUED
+                self._active_by_user[task.user] -= 1
+                self._queue.append(task.task_id)
+            counter_inc("transfer.retries", len(retry), user=task.user)
+            self._admit()
+        elif task.error is not None:
+            self._finish(task, TransferStatus.FAILED, error=task.error)
+        else:
+            self._finish(task, TransferStatus.SUCCEEDED)
 
     def _finish_cancelled(self, task: TransferTask) -> None:
         self._finish(task, TransferStatus.CANCELLED, error="cancelled by client")
@@ -392,13 +402,12 @@ class TransferService:
         *,
         error: str | None = None,
     ) -> None:
-        with self._wakeup:
+        with self._lock:
             task.status = status
             task.completed_at = self._clock.now()
             task.error = error
             self._active_by_user[task.user] -= 1
             task.done_event.set()
-            self._wakeup.notify_all()
         record_span(
             "globus.transfer",
             parent=task.trace_ctx,
@@ -413,3 +422,4 @@ class TransferService:
         if task.started_at is not None:
             observe("transfer.queue_wait_s", task.started_at - task.submitted_at)
             observe("transfer.active_s", task.completed_at - task.started_at)
+        self._admit()  # the slot it held may start a queued task

@@ -59,7 +59,6 @@ def globus_store(testbed):
     constants = PaperConstants(
         globus_request_latency=UniformLatency(0.4, 0.5),
         globus_transfer_base=UniformLatency(0.3, 0.4),
-        globus_poll_interval=0.05,
         globus_concurrent_transfer_limit=2,
     )
     service = TransferService(testbed.globus_cloud, testbed.network, constants).start()

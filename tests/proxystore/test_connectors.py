@@ -116,7 +116,6 @@ def globus_rig(testbed):
     constants = PaperConstants(
         globus_request_latency=UniformLatency(0.05, 0.06),
         globus_transfer_base=UniformLatency(0.2, 0.3),
-        globus_poll_interval=0.05,
     )
     service = TransferService(testbed.globus_cloud, testbed.network, constants).start()
     ep_theta = TransferEndpoint(

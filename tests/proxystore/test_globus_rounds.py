@@ -8,6 +8,7 @@ import pytest
 
 from repro.batch.reactor import get_reactor, reset_reactor
 from repro.exceptions import StoreError
+from repro.net.clock import Clock, get_clock
 from repro.net.context import at_site
 from repro.net.defaults import PaperConstants
 from repro.net.topology import UniformLatency
@@ -23,7 +24,6 @@ def rig(testbed, recording_clock):
     constants = PaperConstants(
         globus_request_latency=UniformLatency(0.4, 0.5),
         globus_transfer_base=UniformLatency(0.2, 0.3),
-        globus_poll_interval=0.05,
     )
     service = TransferService(testbed.globus_cloud, testbed.network, constants).start()
     ep_theta = TransferEndpoint(
@@ -283,3 +283,80 @@ def test_concurrent_putters_lose_no_file_and_ship_each_once(rig):
         with at_site(reader):
             for i in range(per_putter):
                 assert connector.get(f"p{n}-{i}", timeout=120).data == serialize((n, i)).data
+
+
+def test_a_read_with_nothing_inbound_waits_for_the_landing(rig, monkeypatch):
+    """A key nobody shipped through this connector resolves when a transfer
+    submitted straight to the service lands it; the reader waits on the
+    landing, it does not poll the clock."""
+    testbed, service, connector = rig
+    sleeps: list[str] = []
+    sleep = Clock.sleep
+
+    def recording_sleep(clock, seconds):
+        sleeps.append(threading.current_thread().name)
+        sleep(clock, seconds)
+
+    monkeypatch.setattr(Clock, "sleep", recording_sleep)
+    got: list = []
+
+    def reader():
+        with at_site(testbed.venti):
+            got.append(connector.get("late", timeout=600).data)
+
+    thread = threading.Thread(target=reader, name="late-reader", daemon=True)
+    thread.start()
+    thread.join(0.05)
+    assert thread.is_alive() and not got
+    payload, path = serialize("late"), connector._path("late")
+    theta = service.endpoint("r-theta").volume
+    theta.write_raw(path, payload.data, payload.nominal_size)
+    service.submit("rounds", "r-theta", "r-venti", [(path, path)])
+    thread.join(10)
+    assert got == [payload.data]
+    assert sleeps.count("late-reader") == 1  # the replica read's own I/O charge
+
+
+def test_a_read_spanning_two_shipments_keeps_one_deadline(rig, monkeypatch):
+    """``timeout`` bounds the whole read: every wait in it, for either
+    shipment's submission or task, ends by the same deadline."""
+    testbed, service, connector = rig
+    service.pause_endpoint("r-venti")  # neither shipment can land
+    with at_site(testbed.theta_login), submissions_held():
+        connector.put("first", serialize(1))
+        connector.put("second", serialize(2))  # rides the next round
+    venti = testbed.venti.name
+    tasks = {connector.transfer_task_ids(k)[venti] for k in ("first", "second")}
+    assert len(tasks) == 2
+    me, ends = threading.current_thread(), []
+    wait = Clock.wait
+
+    def recording_wait(clock, waitable, timeout):
+        if threading.current_thread() is me:
+            ends.append(None if timeout is None else clock.now() + timeout)
+        return wait(clock, waitable, timeout)
+
+    monkeypatch.setattr(Clock, "wait", recording_wait)
+    start = get_clock().now()
+    with at_site(testbed.venti), pytest.raises(StoreError):
+        connector.get_batch(["first", "second"], timeout=1.0)
+    assert len(ends) == 4  # submission + task, per shipment
+    assert None not in ends and max(ends) < start + 1.5  # the parent: >= start + 2
+
+
+def test_a_read_with_nothing_inbound_wakes_on_a_put_at_its_endpoint(rig):
+    testbed, service, connector = rig
+    got: list = []
+
+    def reader():
+        with at_site(testbed.venti):
+            got.append(connector.get("mine", timeout=5000).data)  # 10 s of wall
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    thread.join(0.05)
+    assert thread.is_alive() and not got
+    with at_site(testbed.venti):
+        connector.put("mine", serialize("m"))
+    thread.join(5)
+    assert got == [serialize("m").data]

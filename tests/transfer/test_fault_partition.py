@@ -22,7 +22,6 @@ from repro.transfer import TransferEndpoint, TransferService, TransferStatus
 FREE = PaperConstants(
     globus_transfer_base=FixedLatency(0.0),
     globus_per_file_overhead=0.0,
-    globus_poll_interval=0.05,
 )
 
 

@@ -1,12 +1,14 @@
 """Tests for the Globus-like transfer service and client."""
 
+import threading
+
 import pytest
 
 from repro.exceptions import TransferError
 from repro.net.clock import get_clock
 from repro.net.context import at_site
 from repro.net.defaults import PaperConstants
-from repro.net.topology import UniformLatency
+from repro.net.topology import FixedLatency, UniformLatency
 from repro.transfer import (
     TransferClient,
     TransferEndpoint,
@@ -20,7 +22,6 @@ def rig(testbed):
     constants = PaperConstants(
         globus_request_latency=UniformLatency(0.05, 0.06),
         globus_transfer_base=UniformLatency(0.2, 0.3),
-        globus_poll_interval=0.05,
     )
     service = TransferService(
         testbed.globus_cloud, testbed.network, constants
@@ -237,7 +238,6 @@ def test_concurrency_limit_enforced(testbed):
     constants = PaperConstants(
         globus_request_latency=UniformLatency(0.01, 0.02),
         globus_transfer_base=UniformLatency(2.0, 2.1),
-        globus_poll_interval=0.05,
         globus_concurrent_transfer_limit=2,
     )
     service = TransferService(testbed.globus_cloud, testbed.network, constants).start()
@@ -319,7 +319,6 @@ def test_cancel_active_task_resolves_to_cancelled(testbed):
     constants = PaperConstants(
         globus_request_latency=UniformLatency(0.01, 0.02),
         globus_transfer_base=UniformLatency(5.0, 5.1),  # long enough to catch ACTIVE
-        globus_poll_interval=0.05,
     )
     service = TransferService(testbed.globus_cloud, testbed.network, constants).start()
     src = TransferEndpoint("s", testbed.theta_login, testbed.mounts.volume("theta-lustre"))
@@ -346,52 +345,125 @@ def test_cancel_active_task_resolves_to_cancelled(testbed):
         service.stop()
 
 
-def test_transfer_wrapper_retries_terminal_failures(rig):
-    from repro.chaos.policy import RetryPolicy
+def fixed_rig(testbed, **overrides):
+    """A started service with fixed modelled durations between two endpoints."""
+    constants = PaperConstants(
+        globus_transfer_base=FixedLatency(0.5),
+        globus_per_file_overhead=0.1,
+        **overrides,
+    )
+    service = TransferService(testbed.globus_cloud, testbed.network, constants).start()
+    src = TransferEndpoint("s", testbed.theta_login, testbed.mounts.volume("theta-lustre"))
+    dst = TransferEndpoint("d", testbed.venti, testbed.mounts.volume("venti-local"))
+    service.register_endpoint(src)
+    service.register_endpoint(dst)
+    return service, src, dst
+
+
+def test_a_started_attempt_is_one_reactor_timer_and_no_thread(testbed, recording_clock):
+    """Admission stages the files and arms one landing timer of the modelled
+    duration; no dispatcher or per-transfer thread exists."""
+    service, src, dst = fixed_rig(testbed)
+    src.volume.write_raw("f", b"x", 4_000_000)
+    task_id = service.submit("u", "s", "d", [("f", "f")])
+    assert service.status(task_id).status is TransferStatus.ACTIVE
+    wire = 4_000_000 / min(
+        service._constants.globus_dtn_bandwidth,
+        testbed.network.bandwidth(src.site, dst.site),
+    )
+    me = threading.current_thread().name
+    assert recording_clock.armed(me) == [pytest.approx(0.5 + 0.1 + wire)]
+    names = [thread.name for thread in threading.enumerate()]
+    assert not [n for n in names if n.startswith("dtn-") or n == "globus-dispatcher"]
+    assert service.status(task_id).done_event.wait(5)
+    assert service.status(task_id).status is TransferStatus.SUCCEEDED
+    assert dst.volume.read("f") == b"x"
+    assert recording_clock.armed() == [pytest.approx(0.5 + 0.1 + wire)]
+
+
+@pytest.mark.parametrize("files", [1, 2])
+def test_a_stall_delays_the_landing_by_its_delay(testbed, recording_clock, files):
+    """A ``transfer.attempt`` stall is one more timer of exactly its delay per
+    faulted file, and each faulted file still counts one retry."""
+    from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
     from repro.observe import MetricsRegistry, set_metrics
 
     metrics = MetricsRegistry()
     set_metrics(metrics)
-    testbed, service, src, dst, client = rig
-    retrying = TransferClient(
-        service,
-        "retrier",
-        site=testbed.theta_login,
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=1.0),
-    )
-    src.volume.write("f", b"x", nominal_size=1)
-    # Enough injected failures to kill the first *task* terminally; the
-    # client-level resubmission then finds a healthy service.
-    for _ in range(TransferService.MAX_RETRIES + 1):
-        service.inject_failure("persistent error")
-    task = retrying.transfer("ep-src", "ep-dst", [("f", "f")], timeout=120)
+    stall = FaultSpec("transfer.attempt", "transfer_fault", rate=1.0, delay=2.0)
+    set_injector(FaultInjector(FaultPlan.build(0, [stall])))
+    service, src, dst = fixed_rig(testbed)
+    names = [f"f{i}" for i in range(files)]
+    for name in names:
+        src.volume.write_raw(name, name.encode(), 0)
+    task_id = service.submit("u", "s", "d", [(n, n) for n in names])
+    task = service.status(task_id)
+    assert task.done_event.wait(5)
     assert task.status is TransferStatus.SUCCEEDED
-    assert metrics.counter_total("transfer.client_retries") == 1
+    attempt = 0.5 + 0.1 * files
+    assert recording_clock.armed() == [
+        pytest.approx(attempt),
+        pytest.approx(2.0 * files),
+        pytest.approx(attempt),
+    ]
+    assert metrics.counter_total("transfer.retries") == files
+    assert task.retries == 1
 
 
-def test_transfer_wrapper_exhausts_into_retry_exhausted(rig):
-    from repro.chaos.policy import RetryPolicy
-    from repro.exceptions import RetryExhaustedError
-
-    testbed, service, src, dst, client = rig
-    retrying = TransferClient(
-        service,
-        "retrier",
-        site=testbed.theta_login,
-        retry_policy=RetryPolicy(max_attempts=2, base_delay=0.1, max_delay=1.0),
-    )
-    src.volume.write("f", b"x", nominal_size=1)
-    for _ in range(2 * (TransferService.MAX_RETRIES + 1)):
-        service.inject_failure("persistent error")
-    with pytest.raises(RetryExhaustedError) as excinfo:
-        retrying.transfer("ep-src", "ep-dst", [("f", "f")], timeout=120)
-    assert excinfo.value.attempts == 2
+def test_after_stop_queued_tasks_stay_queued_and_in_flight_ones_land(testbed):
+    service, src, dst = fixed_rig(testbed, globus_concurrent_transfer_limit=1)
+    for name in ("first", "second"):
+        src.volume.write_raw(name, name.encode(), 1)
+    first = service.submit("u", "s", "d", [("first", "first")])
+    second = service.submit("u", "s", "d", [("second", "second")])
+    assert service.status(second).status is TransferStatus.QUEUED  # the limit
+    service.stop()
+    assert service.status(first).done_event.wait(5)
+    assert service.status(first).status is TransferStatus.SUCCEEDED
+    assert dst.volume.read("first") == b"first"
+    get_clock().sleep(2.0)  # well past where the freed slot would start it
+    assert service.status(second).status is TransferStatus.QUEUED
+    assert service.active_count("u") == 0
 
 
-def test_transfer_wrapper_without_policy_fails_fast(rig):
-    testbed, service, src, dst, client = rig
-    src.volume.write("f", b"x", nominal_size=1)
-    for _ in range(TransferService.MAX_RETRIES + 1):
-        service.inject_failure("persistent error")
-    with pytest.raises(TransferError):
-        client.transfer("ep-src", "ep-dst", [("f", "f")], timeout=120)
+def test_racing_submitters_keep_the_limit_and_lose_nothing(testbed):
+    """Submitting threads and reactor landings all run admission: under a
+    tiny switch interval the per-user limit holds and every task lands."""
+    import sys
+
+    service, src, dst = fixed_rig(testbed, globus_concurrent_transfer_limit=3)
+    active_at_start: list[int] = []
+    stage = service._stage
+
+    def recording_stage(task):
+        active_at_start.append(service.active_count("u"))
+        stage(task)
+
+    service._stage = recording_stage
+    names = [f"r{n}-{i}" for n in range(8) for i in range(10)]
+    for name in names:
+        src.volume.write_raw(name, name.encode(), 1)
+    ids: list[str] = []
+
+    def submitter(n: int) -> None:
+        for i in range(10):
+            ids.append(service.submit("u", "s", "d", [(f"r{n}-{i}", f"r{n}-{i}")]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=submitter, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        for task_id in ids:
+            assert service.status(task_id).done_event.wait(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(ids) == len(names)
+    assert all(service.status(t).status is TransferStatus.SUCCEEDED for t in ids)
+    assert service.active_count("u") == 0
+    assert len(active_at_start) == len(names) and max(active_at_start) <= 3
+    assert all(dst.volume.read(name) == name.encode() for name in names)
