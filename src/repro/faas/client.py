@@ -39,6 +39,8 @@ exposes and Colmena's task server builds on.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 import threading
 import uuid
 from concurrent.futures import Executor, Future
@@ -130,6 +132,25 @@ class _PendingTask:
     #: When *this leg* was submitted — the anchor the hedge delay is
     #: measured from, and the start of the latency sample it contributes.
     attempt_at: float = 0.0
+
+
+@dataclass
+class _Download:
+    """One result-download round in flight on the notifier's landing
+    schedule: nothing waits for it, and it settles once its last member has
+    landed."""
+
+    started: float
+    #: The round's modelled charges in the order they are paid: the push
+    #: latency, the store reads, the streamed response, then one
+    #: deserialization per delivered result.
+    charges: list[float]
+    #: ``(task_id, pending, outcome, landed)`` per member: ``outcome`` is
+    #: ``(status, payload)`` or the error its read came back with,
+    #: ``landed`` when its own deserialization ends (its span's end).
+    members: list[tuple[str, _PendingTask, object, float]]
+    #: The bus envelopes the round announced; acked once it has settled.
+    envelopes: list = field(default_factory=list)
 
 
 @dataclass
@@ -241,7 +262,14 @@ class FaasClient:
             else None
         )
         self._fallback = False
+        # Result downloads in flight, as a heap of ``(due, seq, round)``:
+        # the notifier's landing schedule (see ``_handle_completions``), and
+        # the bus sequence numbers of the envelopes those rounds will ack.
+        self._downloads: list[tuple[float, int, _Download]] = []
+        self._download_seq = itertools.count()
+        self._downloading: set[int] = set()
         self._running = True
+        self._killed = False
         self._notifier = SiteThread(
             self._home_site(), target=self._notify_loop, name="faas-client-notify"
         )
@@ -342,15 +370,21 @@ class FaasClient:
                 hedge_policy=_hedge,
                 attempt_at=started_at,
             )
-            key = (self.tenant, endpoint_id)
-            ready, hold, generation = self._batcher.add(
-                key, pending, args_payload.nominal_size
-            )
-            if ready is not None:
-                self._flush_batch(ready)
-            elif hold is not None:
-                get_reactor().call_later(hold, lambda: self._flush_due(key, generation))
+            self._park(pending)
             return future
+
+    def _park(self, pending: _PendingTask, *, on_reactor: bool = False) -> None:
+        """Park a submission in its accumulator: a size/bytes trigger
+        flushes the batch now, on this thread; otherwise the first arrival
+        arms the hold timer on the process reactor."""
+        key = (self.tenant, pending.endpoint_id)
+        ready, hold, generation = self._batcher.add(
+            key, pending, pending.args_payload.nominal_size
+        )
+        if ready is not None:
+            self._flush_batch(ready, on_reactor=on_reactor)
+        elif hold is not None:
+            get_reactor().call_later(hold, lambda: self._flush_due(key, generation))
 
     def _register(self, entries: list[tuple[str, _PendingTask]]) -> None:
         """Bind pending records to the task ids the cloud just minted.
@@ -426,7 +460,9 @@ class FaasClient:
         Per-item rejections split back into singles: each rejected task
         re-enters the standard retry path (``_finish_attempt`` →
         ``_resubmit``) under its own future, with its tenant, deadline,
-        prefetch hints, and hedge policy intact.
+        prefetch hints, and hedge policy intact.  On the reactor the retry
+        is a timer that parks the task in the accumulator again, never a
+        backoff slept there.
         """
         submissions = [
             TaskSubmission(
@@ -467,7 +503,9 @@ class FaasClient:
                     self._abandon(pending)  # closed during a reactor backoff
                     continue
                 counter_inc("client.batch_splits", endpoint=pending.endpoint_id)
-                self._finish_attempt(pending, repr(exc), None, reject=exc)
+                self._finish_attempt(
+                    pending, repr(exc), None, reject=exc, on_reactor=on_reactor
+                )
 
         with self._flush_cond:
             self._flushing += 1
@@ -684,6 +722,7 @@ class FaasClient:
         would ack that frontier away; a crashed client must never be
         closed.
         """
+        self._killed = True
         self._running = False
         self._notifier.join(timeout=self._close_timeout)
         counter_inc("client.killed")
@@ -704,9 +743,9 @@ class FaasClient:
         Registers a pending entry for ``task_id`` (the predecessor must
         have shared this ``client_id`` — the cloud routes the result
         notification by it) and returns a fresh future for it.  If the
-        task already completed while nobody was listening, the completion
-        is delivered immediately from the cloud's ledger; otherwise the
-        notifier picks it up from the re-established feed.  Payload-less
+        task already completed while nobody was listening, its download is
+        planned at once from the cloud's ledger; otherwise the notifier
+        picks it up from the re-established feed.  Payload-less
         attaches cannot be retried on failure (there is nothing to
         resubmit), so they surface terminal errors directly.
         """
@@ -732,7 +771,7 @@ class FaasClient:
         counter_inc("client.attached", endpoint=endpoint_id)
         # The crash window: the task may have completed (and its doorbell
         # may have been acked) before the predecessor died.  The ledger is
-        # ground truth — deliver terminal tasks inline; `_handle_completions`
+        # ground truth — download terminal tasks now; `_handle_completions`
         # pops the pending entry, so a late duplicate doorbell is a no-op.
         try:
             record = self.cloud.task(task_id)
@@ -744,7 +783,15 @@ class FaasClient:
 
     # -- result delivery -----------------------------------------------------------
     def _notify_loop(self) -> None:
-        while self._running:
+        while not self._killed:
+            self._land_downloads()
+            if not self._running:
+                # Closing: let the downloads in flight settle, take no more.
+                wait = self._until_next_landing(None)
+                if wait is None:
+                    return
+                self._clock.sleep(wait)
+                continue
             # Hedge pass first: each receive/poll interval bounds how stale
             # the overdue-primary scan can be, so a hedge launches within
             # one interval of its delay expiring.
@@ -752,11 +799,16 @@ class FaasClient:
             consumer = self._consumer
             if consumer is not None and not self._fallback:
                 try:
-                    envelopes = consumer.receive(timeout=self._receive_interval)
+                    envelopes = consumer.receive(
+                        timeout=self._until_next_landing(self._receive_interval)
+                    )
                 except SubscriptionLapsedError:
                     self._fallback = True
                     counter_inc("bus.fallback_engaged", role="client")
                     continue
+                # A round still downloading keeps its envelopes unacked, so
+                # the bus may redeliver them; the round in flight acks them.
+                envelopes = [e for e in envelopes if e.seq not in self._downloading]
                 if envelopes:
                     # One round, one download: a doorbell carries one id or
                     # a comma-joined list, and every id the round announced
@@ -769,17 +821,15 @@ class FaasClient:
                             task_ids.extend(envelope.payload.split(","))
                         else:  # malformed: acked below, never redelivered
                             counter_inc("client.notify_errors")
-                    self._settle_round(task_ids)
-                    for envelope in envelopes:
-                        consumer.done(envelope)
+                    self._plan_round(task_ids, envelopes)
                 continue
             # Poll fallback (and the only path when the bus is disabled):
             # the completed queue is the ground truth the bus doorbells over.
             task_ids = self.cloud.next_completed_batch(
-                self.client_id, timeout=self._poll_interval
+                self.client_id, timeout=self._until_next_landing(self._poll_interval)
             )
             if task_ids:
-                self._settle_round(task_ids)
+                self._plan_round(task_ids, [])
                 continue  # keep draining until the queue is confirmed empty
             if consumer is not None and self._fallback:
                 # Hand back to the bus only after an empty drain: completions
@@ -790,14 +840,52 @@ class FaasClient:
                 consumer.resubscribe()
                 self._fallback = False
 
-    def _settle_round(self, task_ids: list[str]) -> None:
-        """One delivery round on the notifier thread.  Whatever escapes it
-        is counted and the loop goes on: a dead notifier would strand every
-        future of the client, not just this round's."""
+    def _until_next_landing(self, interval: float | None) -> float | None:
+        """How long the notifier may wait: ``interval``, cut short by the
+        earliest download in flight (``None``: none in flight, no
+        interval)."""
+        with self._futures_lock:
+            if not self._downloads:
+                return interval
+            wait = max(0.0, self._downloads[0][0] - self._clock.now())
+        return wait if interval is None else min(wait, interval)
+
+    def _plan_round(self, task_ids: list[str], envelopes: list) -> None:
+        """Put one delivery round on the landing schedule, on the notifier
+        thread.  Whatever escapes is counted and the loop goes on: a dead
+        notifier would strand every future of the client, not just this
+        round's.  A round with nothing to download acks its envelopes now;
+        any other acks them when it settles."""
+        download = None
         try:
-            self._handle_completions(task_ids)
+            download = self._handle_completions(task_ids)
         except Exception:  # noqa: BLE001 - the notifier must keep running
             counter_inc("client.notify_errors")
+        if download is None:
+            for envelope in envelopes:
+                self._consumer.done(envelope)
+        else:  # only this thread settles rounds: this one is still pending
+            download.envelopes = envelopes
+            self._downloading.update(envelope.seq for envelope in envelopes)
+
+    def _land_downloads(self) -> None:
+        """Settle every download round that has landed, on the notifier
+        thread (settling can sleep -- a retry backoff, a hedge loser's
+        cancel -- and hedge groups have no other mutator), then ack the
+        round's envelopes."""
+        while True:
+            with self._futures_lock:
+                if not self._downloads or self._downloads[0][0] > self._clock.now():
+                    return
+                _due, _seq, download = heapq.heappop(self._downloads)
+            for member in download.members:
+                try:
+                    self._settle_download(download, *member)
+                except Exception:  # noqa: BLE001 - the notifier must keep running
+                    counter_inc("client.notify_errors")
+            for envelope in download.envelopes:
+                self._downloading.discard(envelope.seq)
+                self._consumer.done(envelope)
 
     # -- hedged execution ------------------------------------------------------
     def _scan_hedges(self) -> None:
@@ -965,16 +1053,22 @@ class FaasClient:
         group.primary.hedge = None
         self._finish_attempt(group.primary, group.last_error, group.last_traceback)
 
-    def _handle_completions(self, task_ids: list[str]) -> None:
-        """Download and settle every announced completion as one batch.
+    def _handle_completions(self, task_ids: list[str]) -> _Download | None:
+        """Plan the download of every announced completion as one round,
+        and put it on the notifier's landing schedule; returns the round.
 
         The ids of a delivery round — however many doorbells announced them
-        — pay *one* notification-push latency, one ``get_result_payloads``
-        call, and one streamed response (a WAN latency plus the summed
-        bytes), then each task is deserialized and settled on its own:
-        dedupe, retry, and hedge reconciliation are per task, and a member
-        whose read fails burns only its own attempt.  A round of one
-        charges exactly what a lone completion always has.
+        — pay *one* notification-push latency, one ``download_round`` call,
+        and one streamed response (a WAN latency plus the summed bytes),
+        then each task is deserialized and settled on its own: dedupe,
+        retry, and hedge reconciliation are per task, and a member whose
+        read fails burns only its own attempt.  None of it is slept: the
+        round lands when its charges have passed and the notifier settles
+        it then (``_land_downloads``), so several rounds can be in flight.
+        A round of one is charged exactly what a lone completion always
+        has.  Whichever thread plans a round (``_register`` and ``attach``
+        plan completions that arrived before their future), the notifier
+        settles it, at the latest one wait after it lands.
 
         An id nobody registered is parked (see ``_early``): its submit may
         simply not have returned yet.
@@ -990,18 +1084,19 @@ class FaasClient:
                     if len(self._early) > _EARLY_ARRIVALS_MAX:
                         del self._early[next(iter(self._early))]
         if not entries:
-            return
+            return None
         site = self._home_site()
         network = self.cloud.network
         size = len(entries)
         observe("client.download_batch_size", size)
         started = self._clock.now()
         # Notification push + result download, charged to the client.
-        self._clock.sleep(network.latency(self.cloud.site, site))
+        charges = [network.latency(self.cloud.site, site)]
         try:
-            outcomes = self.cloud.get_result_payloads(
+            reads, outcomes = self.cloud.download_round(
                 self.token, [task_id for task_id, _ in entries]
             )
+            charges += reads
         except ReproError as exc:
             outcomes = [exc] * size
         delivered = [
@@ -1010,55 +1105,74 @@ class FaasClient:
             if not isinstance(outcome, Exception)
         ]
         if delivered:
-            self._clock.sleep(
-                network.transfer_time(self.cloud.site, site, sum(delivered))
-            )
+            charges.append(network.transfer_time(self.cloud.site, site, sum(delivered)))
+        landed = started + sum(charges)
+        members = []
         for (task_id, pending), outcome in zip(entries, outcomes):
-            if isinstance(outcome, ResultNotReadyError):
-                # The doorbell outran the durable state (a crash-discarded
-                # shard instance rang it): the task is still in flight and
-                # its re-leased copy rings again, so keep waiting on it.
-                counter_inc("client.spurious_doorbells")
-                with self._futures_lock:
-                    self._pending[task_id] = pending
-                continue
-            # A failed download (e.g. the cloud store returned corrupt data)
-            # consumes an attempt of its own task like a remote failure.
-            failure = outcome if isinstance(outcome, Exception) else None
-            if failure is None:
-                status, payload = outcome
-                emit(
-                    "data_transfer",
-                    resource=site.name,
-                    bytes=payload.nominal_size,
-                    via="faas-cloud",
-                )
-                self._clock.sleep(deserialize_cost(payload.nominal_size))
-                try:
-                    body = deserialize(payload)
-                except ReproError as exc:
-                    failure = exc
-            record_span(
-                "result.download",
-                start=started,
-                end=self._clock.now(),
-                parent=pending.trace_ctx,
-                batch_size=size,
-                **({} if failure is None else {"error": repr(failure)}),
+            if not isinstance(outcome, Exception):
+                charges.append(deserialize_cost(outcome[1].nominal_size))
+                landed += charges[-1]
+            members.append((task_id, pending, outcome, landed))
+        download = _Download(started, charges, members)
+        with self._futures_lock:
+            heapq.heappush(
+                self._downloads, (landed, next(self._download_seq), download)
             )
-            if failure is not None:
-                self._settle_leg(task_id, pending, False, None, repr(failure), None)
-            elif status is TaskStatus.SUCCESS and body.get("success"):
-                self._settle_leg(task_id, pending, True, body["value"], "", None)
-            else:
-                self._settle_leg(
-                    task_id,
-                    pending,
-                    False,
-                    None,
-                    body.get("error", "remote task failed"),
-                    body.get("traceback"),
-                )
+        return download
+
+    def _settle_download(
+        self,
+        download: _Download,
+        task_id: str,
+        pending: _PendingTask,
+        outcome: object,
+        landed: float,
+    ) -> None:
+        """Settle one member of a landed download round."""
+        if isinstance(outcome, ResultNotReadyError):
+            # The doorbell outran the durable state (a crash-discarded shard
+            # instance rang it): the task is still in flight and its
+            # re-leased copy rings again, so keep waiting on it.
+            counter_inc("client.spurious_doorbells")
+            with self._futures_lock:
+                self._pending[task_id] = pending
+            return
+        # A failed download (e.g. the cloud store returned corrupt data)
+        # consumes an attempt of its own task like a remote failure.
+        failure = outcome if isinstance(outcome, Exception) else None
+        if failure is None:
+            status, payload = outcome
+            emit(
+                "data_transfer",
+                resource=self._home_site().name,
+                bytes=payload.nominal_size,
+                via="faas-cloud",
+            )
+            try:
+                body = deserialize(payload)
+            except ReproError as exc:
+                failure = exc
+        record_span(
+            "result.download",
+            start=download.started,
+            end=landed,
+            parent=pending.trace_ctx,
+            batch_size=len(download.members),
+            **({} if failure is None else {"error": repr(failure)}),
+        )
+        if failure is not None:
+            self._settle_leg(task_id, pending, False, None, repr(failure), None)
+        elif status is TaskStatus.SUCCESS and body.get("success"):
+            self._settle_leg(task_id, pending, True, body["value"], "", None)
+        else:
+            self._settle_leg(
+                task_id,
+                pending,
+                False,
+                None,
+                body.get("error", "remote task failed"),
+                body.get("traceback"),
+            )
 
     def _finish_attempt(
         self,
@@ -1067,19 +1181,26 @@ class FaasClient:
         traceback_text: str | None,
         *,
         reject: Exception | None = None,
+        on_reactor: bool = False,
     ) -> None:
         """A task attempt failed: retry under the same future, or give up.
 
         ``reject`` is the cloud's admission rejection when the attempt never
         got in: retrying it counts as ``client.submit_retries`` (nothing ran,
         so ``client.retries`` does not move), and with no retry policy the
-        future raises the rejection itself."""
+        future raises the rejection itself.  ``on_reactor`` (a rejection
+        settled by a reactor flush round) arms the backoff as a timer that
+        parks the task in its accumulator again (``_repark``) instead of
+        sleeping and resubmitting on the reactor."""
         if error.startswith("DeadlineExceededError"):
             # The cloud already ruled the work too late (expired in queue,
             # or skipped endpoint-side): retrying cannot beat a deadline
             # that has passed.
             counter_inc("client.deadline_failures", endpoint=pending.endpoint_id)
             pending.future.set_exception(DeadlineExceededError(error))
+            return
+        if pending.attempt and isinstance(reject, TaskQuarantinedError):
+            self._terminal(pending, reject)  # a re-parked resubmission's verdict
             return
         policy = self._retry_policy
         attempt = pending.attempt
@@ -1104,7 +1225,14 @@ class FaasClient:
                 "client.retries" if reject is None else "client.submit_retries",
                 endpoint=pending.endpoint_id,
             )
-            self._clock.sleep(policy.delay_for(attempt, key=pending.chaos_base))
+            delay = policy.delay_for(attempt, key=pending.chaos_base)
+            if on_reactor:
+                get_reactor().call_later(
+                    delay,
+                    lambda: self._repark(pending, attempt, error, traceback_text, reject),
+                )
+                return
+            self._clock.sleep(delay)
             if not policy.retries_left(
                 attempt, elapsed=self._clock.now() - pending.started_at
             ):
@@ -1117,19 +1245,57 @@ class FaasClient:
                 self._resubmit(pending, attempt)
                 return
             except (DeadlineExceededError, TaskQuarantinedError) as exc:
-                # Terminal rejections: the deadline lapsed before the cloud
-                # accepted the resubmission, or the payload was quarantined
-                # as poison.  More attempts cannot change either verdict.
-                counter_inc(
-                    "client.terminal_rejections", endpoint=pending.endpoint_id
-                )
-                pending.future.set_exception(exc)
+                self._terminal(pending, exc)
                 return
             except ReproError as exc:
                 # The resubmission itself was rejected; burn another attempt.
                 error = repr(exc)
                 traceback_text = None
                 reject = exc
+        self._give_up(pending, attempt, error, traceback_text, reject)
+
+    def _terminal(self, pending: _PendingTask, exc: ReproError) -> None:
+        """A terminal rejection of a resubmission: the deadline lapsed before
+        the cloud accepted it, or the payload was quarantined as poison.
+        More attempts cannot change either verdict."""
+        counter_inc("client.terminal_rejections", endpoint=pending.endpoint_id)
+        pending.future.set_exception(exc)
+
+    def _repark(
+        self,
+        pending: _PendingTask,
+        attempt: int,
+        error: str,
+        traceback_text: str | None,
+        reject: Exception | None,
+    ) -> None:
+        """A reactor flush's rejected member, its backoff over (reactor
+        thread): park the next attempt in the accumulator, the way
+        ``_resubmit`` sends it on the calling thread."""
+        if not self._running:
+            self._abandon(pending)  # closed during the backoff
+            return
+        if not self._retry_policy.retries_left(
+            attempt, elapsed=self._clock.now() - pending.started_at
+        ):
+            self._give_up(pending, attempt, error, traceback_text, reject)
+            return
+        counter_inc("client.serialize_skipped", endpoint=pending.endpoint_id)
+        pending.attempt = attempt + 1
+        pending.hedge = None
+        pending.leg = 0
+        self._park(pending, on_reactor=True)
+
+    def _give_up(
+        self,
+        pending: _PendingTask,
+        attempt: int,
+        error: str,
+        traceback_text: str | None,
+        reject: Exception | None,
+    ) -> None:
+        """No retry is left: the future raises the last error."""
+        policy = self._retry_policy
         if policy is None:
             pending.future.set_exception(
                 reject or TaskError(error, remote_traceback=traceback_text)

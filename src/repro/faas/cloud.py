@@ -31,7 +31,9 @@ so one hot tenant cannot starve the rest of an endpoint's feed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import threading
 import uuid
 from collections import deque
@@ -155,8 +157,12 @@ class _PayloadStore:
         self._clock = clock
         # Shards prefix their locators (``s0/redis:...``) so a router can
         # resolve any locator to its owning shard; standalone clouds keep
-        # the bare ``<tier>:<id>`` form.
+        # the bare ``<tier>:<id>`` form.  The id is this instance's epoch,
+        # drawn once, and a serial: a store rebuilt from a journal adopts
+        # the locators its predecessor minted and never mints one again.
         self._prefix = prefix
+        self._epoch = uuid.uuid4().hex[:8]
+        self._serial = itertools.count()
         self._objects: dict[str, _StoredObject] = {}
         self._lock = threading.Lock()
 
@@ -220,35 +226,37 @@ class _PayloadStore:
         marks payloads whose bytes are *not* content-deterministic (failure
         reports embed task ids and tracebacks); fault injection skips them
         so the fault ledger stays a pure function of the plan seed."""
-        charges, land = self.plan_write(members)
+        charges, _landings, land = self.plan_write(members)
         for charge in charges:
             self._clock.sleep(charge)
-        return land()
+        return land(range(len(members)))
 
     def plan_write(
         self, members: list[tuple[Payload, bool]]
-    ) -> tuple[list[float], Callable[[], list[str]]]:
-        """:meth:`write_round` split in two: the round's per-tier charges,
-        drawn now, and the call that files the members once they are paid
-        for (it returns the locators)."""
+    ) -> tuple[list[float], list[float], Callable[[list[int]], list[str]]]:
+        """:meth:`write_round` split up: the round's per-tier charges and
+        each member's landing (:meth:`_draw_round`), drawn now, and the call
+        that files the members at the given indexes once they have landed
+        (it returns their locators)."""
         tiers = [
             self._tier(payload.nominal_size, payload.borrowed) for payload, _ in members
         ]
-        _landings, charges = self._draw_round(
+        landings, charges = self._draw_round(
             [(tier, payload.nominal_size) for tier, (payload, _) in zip(tiers, members)]
         )
 
-        def land() -> list[str]:
+        def land(indexes: list[int]) -> list[str]:
             locators = []
-            for tier, (payload, chaos_exempt) in zip(tiers, members):
+            for i in indexes:
+                tier, (payload, chaos_exempt) = tiers[i], members[i]
                 counter_inc("faas.store_writes", tier=tier)
-                locator = f"{self._prefix}{tier}:{uuid.uuid4().hex}"
+                locator = f"{self._prefix}{tier}:{self._epoch}.{next(self._serial):x}"
                 with self._lock:
                     self._objects[locator] = _StoredObject(payload, tier, chaos_exempt)
                 locators.append(locator)
             return locators
 
-        return charges, land
+        return charges, landings, land
 
     def write(self, payload: Payload, *, chaos_exempt: bool = False) -> str:
         """Store one payload: the round of one."""
@@ -262,10 +270,6 @@ class _PayloadStore:
         charges, landed = self.plan_read(locators)
         for charge in charges:
             self._clock.sleep(charge)
-        # An injected fault's delay can outlast the round.
-        late = max((at for at, _ in landed), default=0.0) - sum(charges)
-        if late > 0:
-            self._clock.sleep(late)
         return [outcome for _, outcome in landed]
 
     def read_landings(self, locators: list[str]) -> list[tuple[float, object]]:
@@ -281,7 +285,9 @@ class _PayloadStore:
         """The round's per-tier charges and each member's ``(landing,
         outcome)``.  Counters and the ``cloud.store.read`` fault hook fire
         here, once per member, in member order; an unknown locator is never
-        charged for and lands at once."""
+        charged for and lands at once.  An injected fault's delay that
+        outlasts the round is one more charge: the round ends when its last
+        member lands."""
         landed: list[tuple[float, object]] = [(0.0, None)] * len(locators)
         found: list[tuple[int, _StoredObject]] = []
         with self._lock:
@@ -315,6 +321,9 @@ class _PayloadStore:
                         f"{locators[i]!r} returned corrupt data"
                     ),
                 )
+        late = max((at for at, _ in landed), default=0.0) - sum(charges)
+        if late > 0:
+            charges.append(late)
         return charges, landed
 
     def read(self, locator: str) -> Payload:
@@ -394,8 +403,11 @@ def sole(outcomes: list):
 class _BatchOfOne:
     """The singular calls of the cloud API, for :class:`FaasCloud` and
     :class:`repro.tenancy.CloudRouter` alike: each is the batched call with
-    one member, and raises what that member came back with.  Nothing is
-    admitted, journaled, queued or published here."""
+    one member, and raises what that member came back with; and the batched
+    calls, each one of the subclass's rounds (``submit_round``,
+    ``report_round``, ``download_round``) landed on the calling thread or
+    the reactor.  Nothing is admitted, journaled, queued or published
+    here."""
 
     def submit(
         self,
@@ -432,30 +444,86 @@ class _BatchOfOne:
         then: Callable[[list], object] | None = None,
     ) -> list | None:
         """Admit one API round trip's tasks: the ``submit_round`` of this
-        call, paid for and committed.  Returns a list aligned with
-        ``items`` -- a task id where admission succeeded, the raising
-        :class:`ReproError` where it did not.
+        call, landed (:meth:`_land_round`).  The answer is a list aligned
+        with ``items`` -- a task id where admission succeeded, the raising
+        :class:`ReproError` where it did not -- and arrives when the slowest
+        argument write lands; each member is queued at its own."""
+        return self._land_round(
+            self.submit_round(token, client_id, items, tenant=tenant), len(items), then
+        )
 
-        Without ``then`` the calling thread sleeps the round's charges and
-        commits.  With it the round is a timer on the process reactor
-        instead: the call returns at once and ``then(outcomes)`` runs on the
-        reactor thread when the round has landed (a commit that fails as a
-        whole is every member's outcome), so several rounds can be in
-        flight and none holds a thread while it waits on the store."""
-        charges, commit = self.submit_round(token, client_id, items, tenant=tenant)
+    def report_results(
+        self,
+        token: Token,
+        endpoint_id: str,
+        results: list[tuple[str, bool, Payload]],
+        *,
+        then: Callable[[list], object] | None = None,
+    ) -> list | None:
+        """Uplink one API round trip's results: the ``report_round`` of this
+        call, landed (:meth:`_land_round`).  The answer is aligned with
+        ``results``: ``None`` for an accepted or duplicate-dropped report,
+        the per-task :class:`ReproError` (e.g. :class:`LeaseExpiredError`
+        for a stale lease) otherwise."""
+        return self._land_round(
+            self.report_round(token, endpoint_id, results), len(results), then
+        )
+
+    def get_result_payloads(self, token: Token, task_ids: list[str]) -> list:
+        """Collect several tasks' results in one API call: the
+        ``download_round`` of this call, paid for on the calling thread.
+        Returns a list aligned with ``task_ids`` -- ``(status, payload)``
+        where the read succeeded, the raising :class:`ReproError` (unknown
+        id, no result yet, corrupt read) where it did not."""
+        charges, outcomes = self.download_round(token, task_ids)
+        for charge in charges:
+            self.clock.sleep(charge)
+        return outcomes
+
+    def _land_round(
+        self, round_: tuple[list, list], n: int, then: Callable[[list], object] | None
+    ) -> list | None:
+        """Land a round of ``n`` members, ``(charges, landings)``.
+
+        ``landings`` are ``(offset, commit)`` pairs in ascending order: each
+        commit lands its members when ``offset`` nominal seconds have passed
+        and returns the call's outcomes as they stand, so the last one's is
+        the answer.  Without ``then`` the calling thread sleeps to each
+        landing in turn and returns the answer.  With it every landing is a
+        timer on the process reactor instead: the call returns at once and
+        ``then(answer)`` runs on the reactor thread after the last landing,
+        so several rounds can be in flight and none holds a thread while it
+        waits on the store.  There, a commit that raises fails every member
+        it had not yet answered for, and no later landing runs."""
+        _charges, landings = round_
         if then is None:
-            for charge in charges:
-                self.clock.sleep(charge)
-            return commit()
+            paid = 0.0
+            for at, commit in landings:
+                self.clock.sleep(at - paid)
+                paid = at
+                answer = commit()
+            return answer
+        started = self.clock.now()
+        steps = iter(landings)
+        answer: list = [None] * n
 
-        def land() -> None:
+        def land(commit) -> None:
+            nonlocal answer
             try:
-                outcomes = commit()
+                answer = commit()
             except Exception as exc:  # noqa: BLE001 - a reactor round must settle
-                outcomes = [exc] * len(items)
-            then(outcomes)
+                then([exc if outcome is None else outcome for outcome in answer])
+                return
+            step = next(steps, None)
+            if step is None:
+                then(answer)
+            else:
+                get_reactor().call_later(
+                    started + step[0] - self.clock.now(), lambda: land(step[1])
+                )
 
-        get_reactor().call_later(sum(charges), land)
+        at, commit = next(steps)
+        get_reactor().call_later(at, lambda: land(commit))
         return None
 
     def report_result(
@@ -961,22 +1029,27 @@ class FaasCloud(_BatchOfOne):
         items: list[TaskSubmission],
         *,
         tenant: str = DEFAULT_TENANT,
-    ) -> tuple[list[float], Callable[[], list]]:
+    ) -> tuple[list[float], list[tuple[float, Callable[[], list]]]]:
         """One API round trip's admission -- a coalesced batch, or one --
-        as ``(charges, commit)``: what the round costs, in the order it is
-        paid, and the call that lands it (:meth:`submit_batch` pays and
-        commits).
+        as ``(charges, landings)``: what the round costs, in the order it is
+        paid, and when each member is queued (:meth:`submit_batch` lands
+        them, see :meth:`_BatchOfOne._land_round`).
 
         The call pays the shared costs once — one auth/tenant check, one
-        admission slot, one WAL append, one queue wakeup, and one coalesced
-        doorbell per destination endpoint — while every per-task check
-        (:meth:`_admit_task`: function known, deadline, quarantine, breaker
-        steering, fault injection, payload cap) runs per item, now.  A
-        payload the sender marked borrowed rode this message and lands in
-        the ``inline`` tier if it is small enough; the cloud never decides
-        that itself.  ``commit()`` returns a list aligned with ``items``: a
-        task id where admission succeeded, the raising :class:`ReproError`
-        where it did not, so the client can split rejects back into singles.
+        admission slot, one pipelined store round — while every per-task
+        check (:meth:`_admit_task`: function known, deadline, quarantine,
+        breaker steering, fault injection, payload cap) runs per item, now.
+        Each member is queued when its own argument write lands (the
+        admission slot, then :meth:`_PayloadStore._draw_round`): the members
+        that land together commit as one ``submit`` record -- WAL append,
+        queue, one coalesced doorbell per destination endpoint -- so no task
+        waits for a slower batch-mate, and the last group lands when the
+        round ends.  A payload the sender marked borrowed rode this message
+        and lands in the ``inline`` tier if it is small enough; the cloud
+        never decides that itself.  Every commit returns the list aligned
+        with ``items`` as it stands: a task id where admission succeeded,
+        the raising :class:`ReproError` where it did not, so the client can
+        split rejects back into singles.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         validate_tenant_name(tenant)
@@ -993,8 +1066,9 @@ class FaasCloud(_BatchOfOne):
                 continue
             admitted.append((i, item, endpoint_id, fingerprint))
         if not admitted:
-            return [], lambda: results
+            return [], [(0.0, lambda: results)]
         charges: list[float] = []
+        slot = 0.0
         if self._service_time > 0.0:
             # The shard's control plane admits one call at a time: this
             # serialized slot is the finite capacity that makes aggregate
@@ -1008,52 +1082,68 @@ class FaasCloud(_BatchOfOne):
                 self._admitting_until = (
                     max(now, self._admitting_until) + self._service_time
                 )
-                charges.append(self._admitting_until - now)
+                slot = self._admitting_until - now
+            charges.append(slot)
         # One pipelined store round for the call's argument writes.
-        payloads = [item.args_payload for _i, item, _endpoint, _fp in admitted]
-        store_charges, land = self.store.plan_write(
-            [(payload, False) for payload in payloads]
+        store_charges, landings, land = self.store.plan_write(
+            [(item.args_payload, False) for _i, item, _endpoint, _fp in admitted]
         )
         charges += store_charges
+        groups: dict[float, list[int]] = {}
+        for j, at in enumerate(landings):
+            groups.setdefault(at, []).append(j)
+        last = max(groups)
 
-        def commit() -> list:
-            locators = land()
-            task_ids = self.ledger.next_task_ids(len(admitted))
-            tasks = []
-            for (i, item, endpoint_id, fingerprint), args_locator, task_id in zip(
-                admitted, locators, task_ids
-            ):
-                tasks.append(
-                    TaskRecord(
-                        task_id=task_id,
-                        func_id=item.func_id,
-                        endpoint_id=endpoint_id,
-                        client_id=client_id,
-                        args_locator=args_locator,
-                        submitted_at=self.clock.now(),
-                        trace_ctx=item.trace_ctx,
-                        chaos_key=item.chaos_key,
-                        prefetch=tuple(item.prefetch),
-                        tenant=tenant,
-                        args_nbytes=item.args_payload.nominal_size,
-                        deadline_at=item.deadline_at,
-                        fingerprint=fingerprint,
+        def commit(members: list[int], at: float) -> list:
+            try:
+                locators = land(members)
+                task_ids = self.ledger.next_task_ids(len(members))
+                tasks = []
+                for j, args_locator, task_id in zip(members, locators, task_ids):
+                    _i, item, endpoint_id, fingerprint = admitted[j]
+                    tasks.append(
+                        TaskRecord(
+                            task_id=task_id,
+                            func_id=item.func_id,
+                            endpoint_id=endpoint_id,
+                            client_id=client_id,
+                            args_locator=args_locator,
+                            submitted_at=self.clock.now(),
+                            trace_ctx=item.trace_ctx,
+                            chaos_key=item.chaos_key,
+                            prefetch=tuple(item.prefetch),
+                            tenant=tenant,
+                            args_nbytes=item.args_payload.nominal_size,
+                            deadline_at=item.deadline_at,
+                            fingerprint=fingerprint,
+                        )
                     )
+                # ONE record makes the group's admission (task identities +
+                # argument bytes + locators) durable before any of its tasks
+                # becomes visible in a queue; a crash between its append and
+                # its apply leaves journaled-but-never-queued tasks, which
+                # replay admits exactly once.
+                self._commit(
+                    Submit(tasks, [admitted[j][1].args_payload for j in members])
                 )
-                results[i] = task_id
-            # ONE record makes the whole admission (task identities +
-            # argument bytes + locators) durable before any task becomes
-            # visible in a queue; a crash between its append and its apply
-            # leaves journaled-but-never-queued tasks, which replay admits
-            # exactly once.
-            self._commit(Submit(tasks, payloads))
-            counter_inc(
-                "cloud.submits", len(tasks), tenant=tenant, shard=self._shard_label
-            )
-            counter_inc("cloud.batch_submits", tenant=tenant, shard=self._shard_label)
+            except ReproError as exc:
+                for j in members:
+                    results[admitted[j][0]] = exc
+            else:
+                for j, task in zip(members, tasks):
+                    results[admitted[j][0]] = task.task_id
+                counter_inc(
+                    "cloud.submits", len(tasks), tenant=tenant, shard=self._shard_label
+                )
+            if at == last:
+                counter_inc(
+                    "cloud.batch_submits", tenant=tenant, shard=self._shard_label
+                )
             return results
 
-        return charges, commit
+        return charges, [
+            (slot + at, functools.partial(commit, groups[at], at)) for at in sorted(groups)
+        ]
 
     def task(self, task_id: str) -> TaskRecord:
         try:
@@ -1066,12 +1156,17 @@ class FaasCloud(_BatchOfOne):
         with self.ledger.lock:
             return list(self.ledger.tasks.values())
 
-    def get_result_payloads(self, token: Token, task_ids: list[str]) -> list:
-        """Collect the results of several tasks in one API call.
+    def download_round(
+        self, token: Token, task_ids: list[str]
+    ) -> tuple[list[float], list]:
+        """Collect the results of several tasks in one API call, as
+        ``(charges, outcomes)``: the round's store charges, in the order
+        they are paid, and what each member's read lands with once they
+        have been (:meth:`get_result_payloads` pays them on the caller).
 
         One auth check covers the call; everything else is per task — the
         store read (tier charge, ``cloud.store.read`` fault hook) and the
-        outcome.  Returns a list aligned with ``task_ids``, shaped like
+        outcome.  The outcomes are aligned with ``task_ids``, shaped like
         :meth:`submit_batch`'s: ``(status, payload)`` where the read
         succeeded, the raising :class:`ReproError` (unknown id, no result
         yet, corrupt read) where it did not, so one bad member never fails
@@ -1094,10 +1189,12 @@ class FaasCloud(_BatchOfOne):
             self._completed.retire(record.client_id, task_id)
             ready.append((i, record))
         # One pipelined store round for the call's result reads.
-        reads = self.store.read_round([record.result_locator for _, record in ready])
-        for (i, record), read in zip(ready, reads):
+        charges, landed = self.store.plan_read(
+            [record.result_locator for _, record in ready]
+        )
+        for (i, record), (_at, read) in zip(ready, landed):
             outcomes[i] = read if isinstance(read, Exception) else (record.status, read)
-        return outcomes
+        return charges, outcomes
 
     def next_completed_batch(
         self, client_id: str, max_n: int = 32, timeout: float | None = None
@@ -1301,20 +1398,23 @@ class FaasCloud(_BatchOfOne):
             # burning retry budget after every recovery.
             self._commit(Deadletter("add", entry.to_record()))
 
-    def report_results(
+    def report_round(
         self,
         token: Token,
         endpoint_id: str,
         results: list[tuple[str, bool, Payload]],
-    ) -> list:
-        """Uplink one API round trip's results — a drained backlog, or one.
+    ) -> tuple[list[float], list[tuple[float, Callable[[], list]]]]:
+        """Uplink one API round trip's results — a drained backlog, or one —
+        as ``(charges, landings)``, like :meth:`submit_round`: one landing,
+        when the round's result writes have all landed
+        (:meth:`report_results` lands it).
 
         Pays one auth check and ONE WAL append for the whole call (each
         result doc inside it replays individually) and coalesces the result
         doorbells per destination client.  A payload the sender marked
         borrowed rode this message and skips the redis hop if it is small
-        enough; the cloud never decides that itself.  Returns a list
-        aligned with ``results``: ``None`` for accepted or
+        enough; the cloud never decides that itself.  The commit returns a
+        list aligned with ``results``: ``None`` for accepted or
         duplicate-dropped reports, the per-task :class:`ReproError` (e.g.
         :class:`LeaseExpiredError` for a stale lease) otherwise.
         """
@@ -1330,37 +1430,42 @@ class FaasCloud(_BatchOfOne):
             else:
                 outcomes[i] = self._refusal(verdict, task_id, endpoint_id)
         if not live:
-            return outcomes
+            return [], [(0.0, lambda: outcomes)]
         # One pipelined store round for the call's result writes.
-        locators = self.store.write_round(
+        charges, _landings, land = self.store.plan_write(
             [(results[i][2], not results[i][1]) for i in live]
         )
-        at = self.clock.now()
-        record = Result(
-            endpoint_id,
-            [
-                ResultDoc(results[i][0], results[i][1], locator, results[i][2], at)
-                for i, locator in zip(live, locators)
-            ],
-        )
-        # Result-uplink fsync point: the outcomes (and their bytes) are
-        # durable before any terminal transition or client notification.  A
-        # crash after the append but before the bus publish is the classic
-        # lost-notification window — replay applies the journaled results
-        # and re-notifies; the client's pending-table dedupe makes the
-        # duplicates harmless.
-        self._journal(record)
-        effects = self._apply(record)
-        # The verdict is taken again under the lock: another copy may have
-        # completed, or the task been re-homed, while this thread paid the
-        # store write and the fsync.
-        for i, verdict in zip(live, effects.verdicts):
-            if verdict is not None:
-                outcomes[i] = self._refusal(verdict, results[i][0], endpoint_id)
-        for task in effects.completions:
-            self._score_result(task, endpoint_id)
-        self._announce(effects)
-        return outcomes
+
+        def commit() -> list:
+            locators = land(range(len(live)))
+            at = self.clock.now()
+            record = Result(
+                endpoint_id,
+                [
+                    ResultDoc(results[i][0], results[i][1], locator, results[i][2], at)
+                    for i, locator in zip(live, locators)
+                ],
+            )
+            # Result-uplink fsync point: the outcomes (and their bytes) are
+            # durable before any terminal transition or client notification.
+            # A crash after the append but before the bus publish is the
+            # classic lost-notification window — replay applies the journaled
+            # results and re-notifies; the client's pending-table dedupe makes
+            # the duplicates harmless.
+            self._journal(record)
+            effects = self._apply(record)
+            # The verdict is taken again under the lock: another copy may
+            # have completed, or the task been re-homed, while the round paid
+            # the store write and the fsync.
+            for i, verdict in zip(live, effects.verdicts):
+                if verdict is not None:
+                    outcomes[i] = self._refusal(verdict, results[i][0], endpoint_id)
+            for task in effects.completions:
+                self._score_result(task, endpoint_id)
+            self._announce(effects)
+            return outcomes
+
+        return charges, [(sum(charges), commit)]
 
     # -- dead-letter queue ------------------------------------------------------
     def deadletters(self, tenant: str | None = None) -> list:

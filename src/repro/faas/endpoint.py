@@ -132,7 +132,7 @@ class FaasEndpoint:
         self._clock = clock or get_clock()
         self._heartbeat_timer = None
         # Opportunistic uplink batching: when results pile up in the outbox
-        # faster than one API round trip drains them, ship the whole backlog
+        # faster than the uplink thread drains them, ship the whole backlog
         # in a single ``report_results`` call.  ``False`` keeps one result
         # (and one result doorbell) per call: the batch composition depends
         # on thread timing, so rigs that verify bit-identical chaos ledgers
@@ -152,10 +152,14 @@ class FaasEndpoint:
         self._resumed = threading.Event()
         self._resumed.set()
         self._crashed = threading.Event()
-        # Argument downloads armed on the process reactor and not yet landed
-        # (see ``_dispatch``); a graceful stop waits for them.
+        # Argument downloads (see ``_dispatch``) and uplink rounds (see
+        # ``_uplink_batch``) armed on the process reactor and not yet landed;
+        # a stop waits for them.
         self._handoffs = 0
-        self._handoffs_cond = threading.Condition()
+        self._uplinks = 0
+        self._in_flight = threading.Condition()
+        # What the cloud refused beyond a stale lease; ``stop()`` raises it.
+        self._uplink_errors: list[str] = []
         self._threads: list[SiteThread] = []
         self._uplink_thread: SiteThread | None = None
         # Event-driven task pickup: block on the doorbell stream instead of
@@ -233,9 +237,10 @@ class FaasEndpoint:
         # loops first (no new dispatches), let every armed argument download
         # reach the pool, then let the pool run its queue dry *while the
         # uplink is still alive* so every drained result is reported, and
-        # only then close the outbox.  A crashed endpoint skips the drain:
-        # its handoffs drop on landing and its backlog is the failover
-        # group's problem.
+        # only then close the outbox and wait out the uplink rounds in
+        # flight.  A crashed endpoint skips the drain: its handoffs drop on
+        # landing, its uplink rounds when they reach the cloud, and its
+        # backlog is the failover group's problem.
         for thread in self._threads:
             if thread is self._uplink_thread:
                 continue
@@ -244,11 +249,7 @@ class FaasEndpoint:
                 wedged.append(thread.name)
                 counter_inc("endpoint.wedged_threads", endpoint=self.name)
         if not self._crashed.is_set():
-            with self._handoffs_cond:
-                if not self._handoffs_cond.wait_for(
-                    lambda: not self._handoffs, timeout=10
-                ):
-                    wedged.append(f"{self._handoffs} argument handoffs")
+            self._wait_in_flight(lambda: self._handoffs, "argument handoffs", wedged)
         dropped = self.pool.stop(drain=not self._crashed.is_set())
         if dropped:
             counter_inc("endpoint.closures_dropped", len(dropped), endpoint=self.name)
@@ -258,18 +259,37 @@ class FaasEndpoint:
             if self._uplink_thread.is_alive():
                 wedged.append(self._uplink_thread.name)
                 counter_inc("endpoint.wedged_threads", endpoint=self.name)
+        self._wait_in_flight(lambda: self._uplinks, "uplink rounds", wedged)
         if not self._crashed.is_set():
             self.cloud.release_lease(self.token, self.endpoint_id)
             self.cloud.set_endpoint_online(self.endpoint_id, False)
             if self._consumer is not None:
                 self._consumer.close()
         self._threads.clear()
+        problems = []
         if wedged:
-            raise WorkflowError(
-                f"endpoint {self.name!r} shut down with wedged threads "
-                f"{wedged} still alive after a 10 s join; their site clocks "
-                "may be blocked on a dead condition variable"
+            problems.append(
+                f"wedged threads {wedged} still alive after a 10 s join; their "
+                "site clocks may be blocked on a dead condition variable"
             )
+        if self._uplink_errors:
+            problems.append(
+                f"{len(self._uplink_errors)} results the cloud refused: "
+                f"{self._uplink_errors}"
+            )
+        if problems:
+            raise WorkflowError(
+                f"endpoint {self.name!r} shut down with " + "; and ".join(problems)
+            )
+
+    def _wait_in_flight(
+        self, count: Callable[[], int], what: str, wedged: list[str]
+    ) -> None:
+        """Wait up to 10 wall seconds for the reactor work ``count()``
+        counts to land; name what is left in ``wedged`` if it does not."""
+        with self._in_flight:
+            if not self._in_flight.wait_for(lambda: not count(), timeout=10):
+                wedged.append(f"{count()} {what}")
 
     def simulate_crash(self) -> None:
         """Kill the endpoint process mid-lease (no goodbye to the cloud).
@@ -323,10 +343,14 @@ class FaasEndpoint:
         )
 
     # -- cloud communication helpers ---------------------------------------------
-    def _pay_api_call(self) -> None:
+    def _api_cost(self) -> float:
+        """One HTTPS round trip to the service: the RTT plus a drawn
+        processing latency."""
         cost = self.cloud.network.rtt(self.site, self.cloud.site)
-        cost += self.cloud.network._sample(self.cloud.constants.faas_api_latency)
-        self._clock.sleep(cost)
+        return cost + self.cloud.network._sample(self.cloud.constants.faas_api_latency)
+
+    def _pay_api_call(self) -> None:
+        self._clock.sleep(self._api_cost())
 
     def _function(self, func_id: str, tenant: str) -> Callable:
         fn = self._functions.get(func_id)
@@ -340,14 +364,20 @@ class FaasEndpoint:
 
     # -- loops ----------------------------------------------------------------------
     def _heartbeat_tick(self):
-        """One lease renewal, fired by the process reactor.  Returning
-        ``False`` cancels the periodic timer (endpoint stopped or crashed —
-        a crash must look exactly like a dead process: no more beats)."""
+        """One lease renewal, fired by the process reactor: the heartbeat
+        call is one more timer, due when its API round trip has been paid,
+        so the tick sleeps nothing on the reactor.  Returning ``False``
+        cancels the periodic timer (endpoint stopped or crashed — a crash
+        must look exactly like a dead process: no more beats)."""
         if not self._running or self._crashed.is_set():
             return False
         if self._resumed.is_set():
-            self._pay_api_call()
-            self.cloud.heartbeat(self.token, self.endpoint_id)
+
+            def beat() -> None:
+                if self._running and not self._crashed.is_set():
+                    self.cloud.heartbeat(self.token, self.endpoint_id)
+
+            get_reactor().call_later(self._api_cost(), beat)
         return True
 
     def _poll_loop(self) -> None:
@@ -535,7 +565,7 @@ class FaasEndpoint:
         if not schedule:
             return
         schedule.sort(key=lambda member: member[:2], reverse=True)
-        with self._handoffs_cond:
+        with self._in_flight:
             self._handoffs += len(schedule)
         self._arm_handoffs(schedule, now, started, size)
 
@@ -573,9 +603,9 @@ class FaasEndpoint:
                         else:
                             self._hand_to_pool(dispatch, outcome, payload, started, size)
             finally:
-                with self._handoffs_cond:
+                with self._in_flight:
                     self._handoffs -= len(landed)
-                    self._handoffs_cond.notify_all()
+                    self._in_flight.notify_all()
                 if schedule:
                     self._arm_handoffs(schedule, now, started, size)
 
@@ -758,8 +788,8 @@ class FaasEndpoint:
             items = [item]
             stopping = False
             if self._uplink_batching:
-                # Drain whatever else piled up during the last round trip —
-                # the whole backlog ships in one ``report_results`` call.
+                # Drain whatever else has piled up — the whole backlog ships
+                # in one ``report_results`` call.
                 while len(items) < self._max_tasks:
                     try:
                         extra = self._outbox.get_nowait()
@@ -797,7 +827,13 @@ class FaasEndpoint:
 
         Results that share the uplink message ride it inline (borrowed), so
         the small ones skip the redis hop; a lone result takes the store.
-        Every member gets the ``result.uplink`` span in its own trace."""
+        The round is reactor timers, like a client flush round: the request
+        lands at the cloud when its API round trip has been paid, and
+        ``report_results(then=)`` lands its store round and commit, so the
+        uplink thread goes straight back to the outbox and several rounds
+        can be in flight.  A crashed agent's round is dropped when it
+        reaches the cloud.  Every member gets the ``result.uplink`` span in
+        its own trace, and the outcomes are checked when the round lands."""
         counter_inc("endpoint.uplink_batches", endpoint=self.name)
         size = len(items)
         results = [
@@ -805,27 +841,54 @@ class FaasEndpoint:
             for task_id, success, payload, _ in items
         ]
         started = self._clock.now()
-        self._pay_api_call()
-        outcomes = self.cloud.report_results(self.token, self.endpoint_id, results)
-        ended = self._clock.now()
-        for _task_id, _success, _payload, trace_ctx in items:
-            record_span(
-                "result.uplink",
-                start=started,
-                end=ended,
-                parent=trace_ctx,
-                endpoint=self.name,
-                batch_size=size,
-            )
-        for outcome in outcomes:
-            if isinstance(outcome, LeaseExpiredError):
-                # Our lease lapsed (long pause / stall) and the task was
-                # handed to a peer; the peer's result is the real one.
-                counter_inc("endpoint.stale_results", endpoint=self.name)
-            elif isinstance(outcome, Exception):
-                # Anything beyond a stale lease is a protocol violation and
-                # must be loud.
-                raise outcome
+
+        def arrived() -> None:
+            if self._crashed.is_set():
+                counter_inc("endpoint.results_lost", size, endpoint=self.name)
+                settled()
+                return
+            try:
+                self.cloud.report_results(
+                    self.token, self.endpoint_id, results, then=landed
+                )
+            except Exception as exc:  # noqa: BLE001 - a reactor round must settle
+                landed([exc] * size)
+
+        def landed(outcomes: list) -> None:
+            try:
+                ended = self._clock.now()
+                for _task_id, _success, _payload, trace_ctx in items:
+                    record_span(
+                        "result.uplink",
+                        start=started,
+                        end=ended,
+                        parent=trace_ctx,
+                        endpoint=self.name,
+                        batch_size=size,
+                    )
+                for outcome in outcomes:
+                    if isinstance(outcome, LeaseExpiredError):
+                        # Our lease lapsed (long pause / stall) and the task
+                        # was handed to a peer; the peer's result is the
+                        # real one.
+                        counter_inc("endpoint.stale_results", endpoint=self.name)
+                    elif isinstance(outcome, Exception):
+                        # Anything beyond a stale lease is a protocol
+                        # violation: counted, kept for ``stop()`` to raise,
+                        # and the uplink goes on for every other result.
+                        counter_inc("endpoint.uplink_errors", endpoint=self.name)
+                        self._uplink_errors.append(repr(outcome))
+            finally:
+                settled()
+
+        def settled() -> None:
+            with self._in_flight:
+                self._uplinks -= 1
+                self._in_flight.notify_all()
+
+        with self._in_flight:
+            self._uplinks += 1
+        get_reactor().call_later(self._api_cost(), arrived)
 
     def __enter__(self) -> "FaasEndpoint":
         return self.start()

@@ -417,16 +417,22 @@ class CloudRouter(_BatchOfOne):
         members.  ``owner(i)`` names member ``i``'s shard; the
         :class:`ReproError` it raises instead is that member's outcome and
         its batch-mates go on."""
-        _charges, commit = self._scatter_round(
-            n, owner, lambda shard_id, indexes: ([], lambda: call(shard_id, indexes))
+        _charges, landings = self._scatter_round(
+            n,
+            owner,
+            lambda shard_id, indexes: ([], [(0.0, lambda: call(shard_id, indexes))]),
         )
-        return commit()
+        for _at, commit in landings:
+            outcomes = commit()
+        return outcomes
 
-    def _scatter_round(self, n: int, owner, prepare) -> tuple[list[float], object]:
+    def _scatter_round(self, n: int, owner, prepare) -> tuple[list[float], list]:
         """:meth:`_scatter` for a call that is a round: ``prepare(shard_id,
-        indexes)`` returns that group's ``(charges, commit)``.  The joined
-        round pays the groups' charges one after another and its commit
-        lands the groups in shard order, merging their outcomes."""
+        indexes)`` returns that group's ``(charges, landings)``, as
+        :meth:`FaasCloud.submit_round` does.  The joined round pays the
+        groups' charges one after another, so each group's landings start
+        where the groups before it ended; every landing merges its group's
+        outcomes into the joined list and returns it."""
         outcomes: list = [None] * n
         groups: dict[str, list[int]] = {}
         for i in range(n):
@@ -435,19 +441,22 @@ class CloudRouter(_BatchOfOne):
             except ReproError as exc:
                 outcomes[i] = exc
         charges: list[float] = []
-        commits = []
-        for shard_id in sorted(groups):
-            group_charges, group_commit = prepare(shard_id, groups[shard_id])
-            charges += group_charges
-            commits.append((groups[shard_id], group_commit))
+        landings: list = []
 
-        def commit() -> list:
-            for indexes, group_commit in commits:
-                for i, outcome in zip(indexes, group_commit()):
-                    outcomes[i] = outcome
+        def merge(indexes: list[int], commit) -> list:
+            for i, outcome in zip(indexes, commit()):
+                outcomes[i] = outcome
             return outcomes
 
-        return charges, commit
+        for shard_id in sorted(groups):
+            group_charges, group_landings = prepare(shard_id, groups[shard_id])
+            started = sum(charges)
+            landings += [
+                (started + at, functools.partial(merge, groups[shard_id], commit))
+                for at, commit in group_landings
+            ]
+            charges += group_charges
+        return charges, landings or [(0.0, lambda: outcomes)]
 
     # -- client side ----------------------------------------------------------
     def _shard_faults(
@@ -494,21 +503,21 @@ class CloudRouter(_BatchOfOne):
         items: list[TaskSubmission],
         *,
         tenant: str = DEFAULT_TENANT,
-    ) -> tuple[list[float], object]:
+    ) -> tuple[list[float], list]:
         """Admission: tenant auth → shard health → rate/quota → shard, as
-        one round (``(charges, commit)``, like
-        :meth:`FaasCloud.submit_round`; :meth:`submit_batch` pays and
-        commits it).
+        one round (``(charges, landings)``, like
+        :meth:`FaasCloud.submit_round`; :meth:`submit_batch` lands it).
 
         One auth, then per member the shard fault hooks
         (:meth:`_shard_faults`; a member they hit comes back throttled and
         its batch-mates go on), then one quota reservation and one shard
         round per shard group (functions hash to shards, so a mixed batch
         scatters into per-shard sub-batches); members beyond the tenant's
-        remaining quota come back throttled.  The reservation of a member
-        the shard rejects downstream is released, so a payload-cap
-        rejection does not leak in-flight headroom.  The commit returns
-        task ids or per-task errors aligned with ``items``.
+        remaining quota come back throttled.  Each shard queues its members
+        at their own landings; after a group's last landing the reservation
+        of a member the shard rejected is released, so a payload-cap
+        rejection does not leak in-flight headroom.  The answer is task ids
+        or per-task errors aligned with ``items``.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         validate_tenant_name(tenant)
@@ -531,37 +540,28 @@ class CloudRouter(_BatchOfOne):
                 admitted, refusal = self.registry.admit_batch(tenant, sizes)
             except ReproError as exc:
                 failed = [exc] * len(indexes)
-                return [], lambda: failed
+                return [], [(0.0, lambda: failed)]
             refused = [refusal] * (len(indexes) - admitted)
             if not admitted:
-                return [], lambda: refused
+                return [], [(0.0, lambda: refused)]
             group_items = [items[i] for i in indexes[:admitted]]
-
-            def release_on_failure(step):
-                try:
-                    return step()
-                except BaseException:
-                    self.registry.release_batch(tenant, admitted, sum(sizes[:admitted]))
-                    raise
-
             # A group that fails as a whole fails only its own members, so
             # the other groups of the round still land and settle their
             # reservations.
             try:
-                charges, shard_commit = release_on_failure(
-                    lambda: self.shard(shard_id).submit_round(
-                        token, client_id, group_items, tenant=tenant
-                    )
+                charges, landings = self.shard(shard_id).submit_round(
+                    token, client_id, group_items, tenant=tenant
                 )
-            except ReproError as exc:
+            except BaseException as exc:
+                self.registry.release_batch(tenant, admitted, sum(sizes[:admitted]))
+                if not isinstance(exc, ReproError):
+                    raise
                 failed = [exc] * admitted + refused
-                return [], lambda: failed
+                return [], [(0.0, lambda: failed)]
+            *early, (end, shard_commit) = landings
 
             def commit() -> list:
-                try:
-                    shard_results = release_on_failure(shard_commit)
-                except ReproError as exc:
-                    return [exc] * admitted + refused
+                shard_results = shard_commit()
                 rejected = [
                     nbytes
                     for nbytes, res in zip(sizes, shard_results)
@@ -569,9 +569,9 @@ class CloudRouter(_BatchOfOne):
                 ]
                 if rejected:
                     self.registry.release_batch(tenant, len(rejected), sum(rejected))
-                # The mid-batch crash window: the shard has fsync'd ONE WAL
-                # record for the whole batch and populated its queues, but
-                # no caller has seen a task id yet.  Key the fault on a
+                # The mid-batch crash window: the shard has fsync'd one WAL
+                # record per landing of the batch and populated its queues,
+                # but no caller has seen a task id yet.  Key the fault on a
                 # digest of the batch's attempt-stripped member keys so
                 # identical runs crash on the identical batch.
                 member_keys = sorted(
@@ -589,17 +589,18 @@ class CloudRouter(_BatchOfOne):
                     self.crash_shard(shard_id)
                 return shard_results + refused
 
-            return charges, commit
+            return charges, [*early, (end, commit)]
 
         return self._scatter_round(len(items), owner, prepare)
 
     def task(self, task_id: str) -> TaskRecord:
         return self._shard_for_task(task_id).task(task_id)
 
-    def get_result_payloads(self, token: Token, task_ids: list[str]) -> list:
-        """Batched result read, like :meth:`FaasCloud.get_result_payloads`:
-        one call (hence one auth check) per owning shard.  An id no shard
-        owns, or a shard whose call fails, fails only its own members.
+    def download_round(self, token: Token, task_ids: list[str]) -> tuple[list, list]:
+        """Batched result read, like :meth:`FaasCloud.download_round`: one
+        round (hence one auth check) per owning shard, paid one after
+        another.  An id no shard owns, or a shard whose call fails, fails
+        only its own members.
 
         Never gated on outages: results live in durable shard state — the
         write-ahead journal holds every result's bytes, so even a
@@ -607,17 +608,22 @@ class CloudRouter(_BatchOfOne):
         the data plane stays up while the admission tier restarts.
         """
 
+        charges: list[float] = []
+
         def read(shard_id: str, indexes: list[int]) -> list:
             try:
-                return self.shard(shard_id).get_result_payloads(
+                shard_charges, outcomes = self.shard(shard_id).download_round(
                     token, [task_ids[i] for i in indexes]
                 )
             except ReproError as exc:
                 return [exc] * len(indexes)
+            charges.extend(shard_charges)
+            return outcomes
 
-        return self._scatter(
+        outcomes = self._scatter(
             len(task_ids), lambda i: self._shard_for_task(task_ids[i]).shard_id, read
         )
+        return charges, outcomes
 
     # -- endpoint side --------------------------------------------------------
     def fetch_tasks(
@@ -663,22 +669,22 @@ class CloudRouter(_BatchOfOne):
                 if self._wake_seq == seq:
                     self.clock.wait(self._wake, min(waits, default=None))
 
-    def report_results(
+    def report_round(
         self,
         token: Token,
         endpoint_id: str,
         results: list[tuple[str, bool, Payload]],
-    ) -> list:
+    ) -> tuple[list[float], list]:
         """Uplink: scatter the results to their owning shards (one shard
-        call per group), merging the per-task outcomes back into a list
-        aligned with ``results``.
+        round per group, landing one after another), merging the per-task
+        outcomes back into a list aligned with ``results``.
 
         Like the result read, reporting is never outage-gated: the endpoint
         uplink must keep draining even while admission throttles."""
-        return self._scatter(
+        return self._scatter_round(
             len(results),
             lambda i: self._shard_for_task(results[i][0]).shard_id,
-            lambda shard_id, indexes: self.shard(shard_id).report_results(
+            lambda shard_id, indexes: self.shard(shard_id).report_round(
                 token, endpoint_id, [results[i] for i in indexes]
             ),
         )

@@ -176,7 +176,9 @@ def test_split_property_no_member_lost(rig, mask):
         cloud,
         token,
         retry_policy=RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05),
-        policy=BatchPolicy(max_batch=64, flush_deadline=10.0, min_hold=10.0),
+        # Only the explicit flush below may send the batch: a 10 s hold is
+        # 20 ms of wall, which one garbage-collector pause can outlast.
+        policy=BatchPolicy(max_batch=64, flush_deadline=600.0, min_hold=600.0),
     )
     resubmitted = []
     hedge = HedgePolicy(endpoints=(endpoint.endpoint_id,))

@@ -113,6 +113,26 @@ def recording_clock(clean_state, monkeypatch):
     return clock
 
 
+def record_downloads(client) -> list:
+    """Keep every result-download round ``client`` plans, in order.
+
+    A download is not slept on the notifier thread: it is a landing on the
+    notifier's schedule whose ``charges`` are the ones a sleeping notifier
+    paid, in the same order.  Import it with ``from conftest import
+    record_downloads``."""
+    planned: list = []
+    plan = client._handle_completions
+
+    def recorded(*args):
+        download = plan(*args)
+        if download is not None:
+            planned.append(download)
+        return download
+
+    client._handle_completions = recorded
+    return planned
+
+
 class ManualClock(Clock):
     """A clock whose time moves only when a modelled charge, a timed-out
     wait or the test moves it.

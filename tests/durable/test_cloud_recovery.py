@@ -142,6 +142,19 @@ def test_recovered_task_ids_do_not_collide(rig):
     )
 
 
+def test_recovered_payload_locators_do_not_collide(rig):
+    """A locator is its store instance's epoch plus a serial: the rebuilt
+    store adopts every journaled locator, and the ones it mints afterwards
+    never reuse one."""
+    adopted = {rig.cloud.task(_submit(rig, n)).args_locator for n in range(3)}
+    fresh = rig.crash()
+    recover_cloud(fresh)
+    assert all(fresh.store.raw(locator) is not None for locator in adopted)
+    minted = {fresh.task(_submit(rig, n)).args_locator for n in range(3)}
+    assert len(minted) == 3
+    assert not minted & adopted
+
+
 def test_crash_between_result_write_and_bus_notification(rig):
     """One ``result`` record of three members hit the journal but no feed
     push / bus publish ever happened.  Recovery expands the record and
@@ -550,14 +563,19 @@ def test_stale_result_after_rehome_is_refused_in_replay_as_it_was_live(testbed):
     pair = PairRig(testbed)
     task_id = pair.submit(2)
     pair.cloud.fetch_tasks(pair.token, pair.ep_a, 1, timeout=1.0)
-    write = pair.cloud.store.write_round
+    plan_write = pair.cloud.store.plan_write
 
     def write_then_lose_the_lease(members):
-        locators = write(members)
-        pair.lapse_a()
-        return locators
+        charges, landings, land = plan_write(members)
 
-    pair.cloud.store.write_round = write_then_lose_the_lease
+        def land_late(indexes):
+            locators = land(indexes)
+            pair.lapse_a()
+            return locators
+
+        return charges, landings, land_late
+
+    pair.cloud.store.plan_write = write_then_lose_the_lease
     with pytest.raises(LeaseExpiredError):
         pair.cloud.report_result(
             pair.token, pair.ep_a, task_id, True, serialize({"value": 4})

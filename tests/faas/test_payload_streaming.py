@@ -14,10 +14,12 @@ import threading
 import time
 
 import pytest
+from conftest import record_downloads
 
 from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
 from repro.chaos.policy import RetryPolicy
 from repro.durable import FileJournalBackend, Journal
+from repro.exceptions import WorkflowError
 from repro.faas import (
     SCOPE_COMPUTE,
     AuthServer,
@@ -98,13 +100,20 @@ class Rig:
             self.func_id = self.client.register_function(_echo)
 
     def new_client(self, **kwargs):
-        return FaasClient(
+        client = FaasClient(
             self.cloud,
             self.token,
             site=self.testbed.theta_login,
             clock=self.clock,
             **{**self.client_kwargs, **kwargs},
         )
+        self.downloads = record_downloads(client)
+        return client
+
+    def clear(self):
+        """Forget every charge, timer and download round recorded so far."""
+        self.clock.clear()
+        del self.downloads[:]
 
     def submit(self, index):
         with at_site(self.testbed.theta_login):
@@ -218,10 +227,12 @@ def test_lone_task_charges_what_the_single_path_always_has(make_rig):
     """k=1 on both hops, in the real loops: the poll thread's and the
     notifier thread's charges are the unbatched path's, number for number.
     The argument download is a timer the poll thread arms, not a sleep on
-    it: the same redis read plus one streamed response."""
+    it: the same redis read plus one streamed response.  The result
+    download is a landing on the notifier's schedule, not a sleep on it:
+    the same push, read, response and deserialization."""
     rig = make_rig()
     rig.submit(0).result(timeout=60)  # warm-up: the endpoint caches the function
-    rig.clock.clear()
+    rig.clear()
     future = rig.submit(1)
     assert future.result(timeout=60)[0] == 1
     task_id = future.task_id
@@ -240,7 +251,9 @@ def test_lone_task_charges_what_the_single_path_always_has(make_rig):
         rig.transfer(size),
         deserialize_cost(size),
     ]
-    assert rig.clock.charged("faas-client-notify") == downloaded
+    assert rig.clock.charged("faas-client-notify") == []
+    (download,) = rig.downloads
+    assert download.charges == downloaded
 
 
 def test_lone_task_charges_on_the_submit_and_uplink_hops(make_rig):
@@ -248,10 +261,12 @@ def test_lone_task_charges_on_the_submit_and_uplink_hops(make_rig):
     one API round trip and one redis write — the numbers the singular path
     per hop always charged.  The submit's are no longer the caller's: it
     paid for serialization and was handed its future; the hold timer's
-    flush pays the WAN and the store, as timers it arms on the reactor."""
+    flush pays the WAN and the store, as timers it arms on the reactor.
+    The uplink's are no longer the uplink thread's either: it arms the
+    request, and the reactor the result write."""
     rig = make_rig()
     rig.submit(0).result(timeout=60)  # warm-up
-    rig.clock.clear()
+    rig.clear()
     future = rig.submit(1)
     assert future.result(timeout=60)[0] == 1
 
@@ -262,8 +277,10 @@ def test_lone_task_charges_on_the_submit_and_uplink_hops(make_rig):
     assert rig.clock.armed("repro-reactor") == [
         api_call,
         REDIS,  # argument write: 10 kB is not borrowed, it takes the store
+        REDIS,  # result write: a lone result is not borrowed either
     ]
-    assert rig.clock.charged("faas-ep-theta-uplink") == [api_call, REDIS]
+    assert rig.clock.charged("faas-ep-theta-uplink") == []
+    assert rig.clock.armed("faas-ep-theta-uplink") == [api_call]
 
 
 def test_cloud_singular_calls_charge_one_write_and_one_fsync_each(recording_clock):
@@ -300,6 +317,101 @@ def test_cloud_singular_calls_charge_one_write_and_one_fsync_each(recording_cloc
     assert recording_clock.charged() == [REDIS, fsync(journal.log_bytes() - before)]
     assert cloud.task(task_id).result_locator.startswith("redis:")
     assert cloud.next_completed("client-1", 0.0) == task_id
+
+
+# -- no loop sleeps through a round trip ---------------------------------------------
+@pytest.mark.parametrize("k", [1, 3])
+def test_the_uplink_thread_sleeps_through_no_round(make_rig, k):
+    """The uplink thread arms its round's API round trip and goes back to
+    the outbox; the reactor arms the result write.  Together the timers are
+    what the thread used to sleep: an API call, plus a redis write for a
+    lone (unborrowed) result."""
+    rig = make_rig(run_endpoint=False)
+    futures = rig.submit_now(*range(k))
+    result = serialize({"success": True, "value": ("done", Blob(PAD))})
+    for dispatch in rig.fetch():  # already done: the uplink takes all k at once
+        rig.endpoint._outbox.put((dispatch.task_id, True, result, dispatch.trace_ctx))
+    rig.clear()
+    rig.endpoint.start()
+    assert [f.result(timeout=60)[0] for f in futures] == ["done"] * k
+
+    api_call = WAN + WAN + API
+    assert rig.clock.charged("faas-ep-theta-uplink") == []
+    assert rig.clock.armed("faas-ep-theta-uplink") == [api_call]
+    assert rig.clock.armed("repro-reactor") == ([REDIS] if k == 1 else [])
+
+
+def test_the_notifier_sleeps_through_no_download(make_rig):
+    """A download round is a landing on the notifier's schedule: nothing is
+    slept, and the task's ``result.download`` span ends exactly at the push,
+    the read, the response and the deserialization."""
+    tracer = Tracer()
+    set_tracer(tracer)
+    rig = make_rig(run_endpoint=False)
+    (future,) = rig.submit_now(0)
+    (dispatch,) = rig.fetch()
+    rig.clear()
+    rig.report(dispatch.task_id, coalesced=False)  # one redis-tier result
+    assert future.result(timeout=60)[0] == "done"
+
+    assert rig.clock.charged("faas-client-notify") == []
+    size = rig.result_size(future.task_id)
+    (span,) = [s for s in tracer.spans() if s.name == "result.download"]
+    assert span.end - span.start == pytest.approx(
+        WAN + REDIS + rig.transfer(size) + deserialize_cost(size), rel=1e-12, abs=0
+    )
+
+
+def test_a_heartbeat_tick_sleeps_nothing_on_the_reactor(make_rig):
+    """The tick arms the heartbeat call behind its API round trip instead of
+    sleeping the round trip on the thread every timer in the process
+    shares."""
+    rig = make_rig()
+    expiry = rig.cloud.ledger.leases[rig.ep_id]
+    rig.clear()
+    assert rig.endpoint._heartbeat_tick() is True  # as the reactor fires it
+    me = threading.current_thread().name
+    assert rig.clock.charged(me) == []
+    assert rig.clock.armed(me) == [WAN + WAN + API]
+    _wait_for(lambda: rig.cloud.ledger.leases[rig.ep_id] > expiry)
+
+
+class _RefusesTheFirstReport(FaasCloud):
+    """Answers the first result it is sent with a foreign-report error, as
+    if another endpoint owned the task (the report itself still lands)."""
+
+    refused = None
+
+    def report_results(self, token, endpoint_id, results, *, then=None):
+        if self.refused is None:
+            self.refused = results[0][0]
+
+        def answer(outcomes):
+            return [
+                WorkflowError(f"endpoint {endpoint_id} reported a foreign task")
+                if task_id == self.refused
+                else outcome
+                for (task_id, _ok, _payload), outcome in zip(results, outcomes)
+            ]
+
+        if then is None:
+            return answer(super().report_results(token, endpoint_id, results))
+        return super().report_results(
+            token, endpoint_id, results, then=lambda outcomes: then(answer(outcomes))
+        )
+
+
+def test_a_refused_report_does_not_end_the_uplink(make_rig):
+    """A protocol violation used to kill the uplink thread silently: every
+    later result sat in the outbox while the lease was still renewed, and
+    ``stop()`` returned normally.  Now it is counted, the uplink goes on,
+    and ``stop()`` raises it."""
+    rig = make_rig(cloud_cls=_RefusesTheFirstReport)
+    rig.submit(0).result(timeout=60)
+    assert rig.submit(1).result(timeout=10)[0] == 1  # a later result
+    assert rig.metrics.counter_total("endpoint.uplink_errors") == 1
+    with pytest.raises(WorkflowError, match="foreign task"):
+        rig.endpoint.stop()
 
 
 def test_doorbell_without_a_result_behind_it_is_not_a_failed_attempt(make_rig):
@@ -391,12 +503,14 @@ def test_downloaded_round_pays_one_latency_for_all_results(make_rig):
     futures = rig.submit_now(0, 1, 2)
     task_ids = [d.task_id for d in rig.fetch()]
     rig.report(*task_ids, coalesced=False)
-    del rig.clock.charges[:]
+    rig.clear()
     gate.set()
     assert [f.result(timeout=60)[0] for f in futures] == ["done"] * 3
 
     sizes = [rig.result_size(task_id) for task_id in task_ids]
-    assert rig.clock.charged("faas-client-notify") == [
+    assert rig.clock.charged("faas-client-notify") == []
+    (download,) = rig.downloads
+    assert download.charges == [
         WAN,  # ONE notification push
         REDIS,  # ONE pipelined store round for the three reads
         rig.transfer(sum(sizes)),  # ONE streamed response
@@ -413,13 +527,15 @@ def test_coalesced_doorbell_is_one_round(make_rig):
     rig = make_rig(run_endpoint=False)
     futures = rig.submit_now(0, 1, 2)
     task_ids = [d.task_id for d in rig.fetch()]
-    del rig.clock.charges[:]
+    rig.clear()
     rig.report(*task_ids)
     assert [f.result(timeout=60)[0] for f in futures] == ["done"] * 3
 
     sizes = [rig.result_size(task_id) for task_id in task_ids]
     # The batched uplink carried the results inline: no store-tier charge.
-    assert rig.clock.charged("faas-client-notify") == [
+    assert rig.clock.charged("faas-client-notify") == []
+    (download,) = rig.downloads
+    assert download.charges == [
         WAN,
         rig.transfer(sum(sizes)),
         *[deserialize_cost(size) for size in sizes],
@@ -450,17 +566,17 @@ def test_store_fault_on_a_downloaded_member_fails_only_that_member(make_rig):
 
 # -- delivery guarantees across the merged round ------------------------------------
 class _DiesAfterDownload(FaasCloud):
-    """The client process dies with a round downloaded: nothing settled,
+    """The client process dies with a round downloading: nothing settled,
     nothing acked.  (``SystemExit`` ends the notifier thread silently, the
     way a dead process takes its threads with it.)"""
 
     die = False
 
-    def get_result_payloads(self, token, task_ids):
-        outcomes = super().get_result_payloads(token, task_ids)
+    def download_round(self, token, task_ids):
+        round_ = super().download_round(token, task_ids)
         if self.die:
             raise SystemExit
-        return outcomes
+        return round_
 
 
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")

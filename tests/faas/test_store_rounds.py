@@ -16,15 +16,17 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import sys
 import threading
 from dataclasses import replace
 
 import pytest
-from conftest import ManualClock
+from conftest import ManualClock, record_downloads
 
 from repro.batch import BatchPolicy, get_reactor
 from repro.batch.reactor import reset_reactor
 from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
+from repro.chaos.policy import RetryPolicy
 from repro.exceptions import ShardUnavailableError, WorkflowError
 from repro.faas import (
     SCOPE_COMPUTE,
@@ -347,6 +349,79 @@ def test_dispatch_returns_before_its_slowest_member_lands(monkeypatch):
     ]
 
 
+# -- a submitted member is queued when its own write lands -------------------------------
+def test_each_submitted_member_is_queued_at_its_own_write_landing(monkeypatch):
+    """A 3-member redis round on the reactor: each member's doorbell rings
+    at its own write landing, fastest first, naming that member alone; the
+    client's answer (every id) arrives when the slowest write lands."""
+    clock = ManualClock()
+    reactor = _ManualReactor(clock)
+    monkeypatch.setattr("repro.faas.cloud.get_reactor", lambda: reactor)
+    draws = (0.3, 0.1, 0.45)
+    constants = replace(FIXED, faas_redis_latency=_Draws(*draws))
+    testbed = build_paper_testbed(seed=5, constants=constants)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants, clock)
+    ep = cloud.register_endpoint(token, "theta", testbed.theta_compute)
+    func_id = cloud.register_function(token, serialize(_index_of))
+    rung: list[tuple[float, str]] = []
+    publish = cloud.bus.publish
+
+    def recording(topic, payload, **kwargs):
+        rung.append((clock.now(), payload))
+        return publish(topic, payload, **kwargs)
+
+    cloud.bus.publish = recording
+    answered: list[tuple[float, list]] = []
+    items = [TaskSubmission(func_id, ep, _blob(SMALL, str(i))) for i in range(3)]
+    cloud.submit_batch(
+        token, "client", items, then=lambda ids: answered.append((clock.now(), ids))
+    )
+    assert rung == [] and answered == []
+
+    reactor.run()
+    ((at, ids),) = answered
+    assert at == pytest.approx(max(draws))
+    assert rung == [
+        (pytest.approx(draw), ids[i]) for draw, i in sorted(zip(draws, range(3)))
+    ]
+    assert [cloud.task(task_id).submitted_at for task_id in ids] == [
+        pytest.approx(draw) for draw in draws
+    ]
+
+
+def test_a_task_done_before_its_round_is_answered_resolves_once():
+    """One member's write lands at once, its batch-mate's 100 s later: the
+    first task runs and reports while the submit round is still in flight,
+    so its completion arrives before its future has an id.  It is parked
+    and delivered when the answer lands -- once."""
+    metrics = MetricsRegistry()
+    set_metrics(metrics)
+    constants = replace(FIXED, faas_s3_latency=FixedLatency(100.0))
+    testbed = build_paper_testbed(seed=5, constants=constants)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants)
+    pool = WorkerPool(testbed.theta_compute, 2, name="early-pool")
+    endpoint = FaasEndpoint("theta", cloud, token, testbed.theta_login, pool).start()
+    client = FaasClient(cloud, token, site=testbed.theta_login)
+    try:
+        with at_site(testbed.theta_login):
+            func_id = client.register_function(_index_of)
+            fast = client.submit(func_id, endpoint.endpoint_id, 0, Blob(SMALL))
+            slow = client.submit(func_id, endpoint.endpoint_id, 1, Blob(LARGE))
+            client.flush_batches()
+        assert fast.result(timeout=60) == 0
+        assert slow.result(timeout=60) == 1
+    finally:
+        client.close()
+        endpoint.stop()
+    assert metrics.counter_total("client.early_completions") == 1
+    assert metrics.counter_total("client.notify_errors") == 0
+    assert client._early == {}
+
+
 # -- the shard's admission slot ----------------------------------------------------------
 def test_overlapping_rounds_on_one_shard_are_still_a_service_time_apart():
     clock = ManualClock()
@@ -364,19 +439,22 @@ def test_overlapping_rounds_on_one_shard_are_still_a_service_time_apart():
     def items(tag):
         return [TaskSubmission(func_id, ep, _blob(SMALL, tag))]
 
-    first, commit_first = router.submit_round(token, "c", items("a"))
-    second, commit_second = router.submit_round(token, "c", items("b"))
+    first, landings_first = router.submit_round(token, "c", items("a"))
+    second, landings_second = router.submit_round(token, "c", items("b"))
     # Both rounds are in flight at once; the second's admission slot starts
     # when the first's ends, and neither holds a thread meanwhile.
     assert first == [service, REDIS]
     assert second == [2 * service, REDIS]
+    assert [at for at, _ in landings_first] == [pytest.approx(service + REDIS)]
+    assert [at for at, _ in landings_second] == [pytest.approx(2 * service + REDIS)]
 
     # A synchronous caller queues behind the same horizon.
     clock.sleep(service)
     started = clock.now()
     (sync_id,) = router.submit_batch(token, "c", items("c"))
     assert clock.now() - started == pytest.approx(2 * service + REDIS)
-    assert all(isinstance(task_id, str) for task_id in commit_first() + commit_second())
+    (_, land_first), (_, land_second) = landings_first + landings_second
+    assert all(isinstance(task_id, str) for task_id in land_first() + land_second())
     assert len({task.task_id for task in router.task_records()}) == 3
 
 
@@ -450,6 +528,64 @@ def test_a_flush_round_in_flight_does_not_delay_a_reactor_timer():
     assert max(lateness) < 0.15, sorted(lateness)[-3:]
 
 
+def test_a_rejected_member_backs_off_without_stalling_the_reactor():
+    """A member the service rejects in a hold timer's flush round is retried
+    after its 2 s backoff.  That backoff used to be slept on the process
+    reactor, with the resubmission after it, so a 0.25 s beat timer came
+    due during it and fired 2 s late.  Now the backoff is a timer that
+    parks the member in the accumulator again."""
+    reset_reactor()
+    reset_clock(0.1)  # as above: host jitter stays well under the bound
+    metrics = MetricsRegistry()
+    set_metrics(metrics)
+    testbed = build_paper_testbed(seed=5, constants=FIXED)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, FIXED)
+    pool = WorkerPool(testbed.theta_compute, 2, name="reject-pool")
+    endpoint = FaasEndpoint("theta", cloud, token, testbed.theta_login, pool).start()
+    client = FaasClient(
+        cloud,
+        token,
+        site=testbed.theta_login,
+        retry_policy=RetryPolicy(max_attempts=3, base_delay=2.0, max_delay=2.0, jitter=0.0),
+    )
+    with at_site(testbed.theta_login):
+        func_id = client.register_function(_index_of)
+    set_injector(
+        FaultInjector(
+            FaultPlan.build(
+                0,
+                [FaultSpec("cloud.submit", "payload_cap", match={"attempt": 0}, max_fires=1)],
+            )
+        )
+    )
+    clock = get_clock()
+    period = 0.25
+    lateness: list[float] = []
+    due = [clock.now() + period]
+
+    def beat():
+        lateness.append(clock.now() - due[0])
+        due[0] = clock.now() + period
+
+    timer = get_reactor().call_every(period, beat)
+    try:
+        with at_site(testbed.theta_login):
+            started = clock.now()
+            future = client.submit(func_id, endpoint.endpoint_id, 7, Blob(SMALL))
+        assert future.result(timeout=60) == 7
+        waited = clock.now() - started
+    finally:
+        timer.cancel()
+        client.close()
+        endpoint.stop()
+    assert metrics.counter_total("client.submit_retries") == 1
+    assert waited > 2.0, "the member was never rejected"
+    assert len(lateness) >= 8
+    assert max(lateness) < 0.1, sorted(lateness)[-3:]
+
+
 # -- through the router --------------------------------------------------------------
 def test_round_through_the_routed_store_is_one_round_per_shard(recording_clock):
     testbed = build_paper_testbed(seed=5, constants=FIXED)
@@ -494,6 +630,7 @@ class _DefaultStack:
         self.client = FaasClient(
             self.cloud, token, site=self.testbed.theta_login, clock=clock
         )
+        self.downloads = record_downloads(self.client)
         with at_site(self.testbed.theta_login):
             self.func_id = self.client.register_function(_index_of)
 
@@ -535,6 +672,7 @@ def test_lone_default_task_still_pays_the_redis_tier(stack, recording_clock, met
         op: _tier_count(metrics, f"faas.store_{op}", "redis") for op in ("writes", "reads")
     }
     recording_clock.clear()
+    del stack.downloads[:]
     future = stack.submit(1)
     assert future.result(timeout=60) == 1
     me = threading.current_thread().name
@@ -562,12 +700,46 @@ def test_lone_default_task_still_pays_the_redis_tier(stack, recording_clock, met
     assert recording_clock.armed("faas-ep-theta-poll") == [
         pytest.approx(REDIS + stream(args))  # argument read
     ]
-    assert recording_clock.charged("faas-ep-theta-uplink") == [api_call]  # inline result
-    assert recording_clock.charged("faas-client-notify") == [
+    # The uplink and the download are no thread's sleeps either: a timer
+    # the uplink thread arms, and a landing on the notifier's schedule.
+    assert recording_clock.charged("faas-ep-theta-uplink") == []
+    assert recording_clock.armed("faas-ep-theta-uplink") == [api_call]  # inline result
+    assert recording_clock.charged("faas-client-notify") == []
+    (download,) = stack.downloads
+    assert download.charges == [
         WAN,  # notification push
         stream(result),
         deserialize_cost(result),
     ]
+
+
+def test_submitters_on_many_threads_resolve_every_future_once(metrics):
+    """Submitters on more threads than cores, switching every 10 us, while
+    rounds land on the reactor and downloads on the notifier's schedule:
+    every future resolves with its own value, and nothing escapes the
+    notifier (a second resolution of one future would)."""
+    stack = _DefaultStack(get_clock())
+    futures: dict[int, object] = {}
+
+    def submit(first):
+        for index in range(first, first + 25):
+            futures[index] = stack.submit(index)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=submit, args=(25 * k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        values = {index: future.result(timeout=60) for index, future in futures.items()}
+    finally:
+        sys.setswitchinterval(previous)
+        stack.close()
+    assert values == {index: index for index in range(100)}
+    assert metrics.counter_total("client.notify_errors") == 0
 
 
 def test_back_to_back_default_submits_make_one_submit_call(stack, metrics, monkeypatch):

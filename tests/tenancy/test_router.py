@@ -234,7 +234,7 @@ def test_batched_result_read_scatters_by_shard_and_survives_a_dark_one(testbed):
     def down(_token, _task_ids):
         raise ShardUnavailableError("shard s1 is gone", retry_after=1.0)
 
-    router.shard("s1").get_result_payloads = down
+    router.shard("s1").download_round = down
     assert ids_read(router.get_result_payloads(token, asked)) == [
         ShardUnavailableError,
         task_ids[0],
