@@ -68,7 +68,10 @@ class Reactor:
         with self._cond:
             heapq.heappush(self._heap, (timer.when, next(self._seq), timer))
             self._ensure_thread_locked()
-            self._cond.notify_all()
+            # The loop waits until the nearest deadline, so only a timer that
+            # became the nearest one has to wake it.
+            if self._heap[0][2] is timer:
+                self._cond.notify_all()
         return timer
 
     def _ensure_thread_locked(self) -> None:

@@ -271,7 +271,7 @@ class NotificationBus:
                 now = self._clock.now()
                 state.lease_expiry = now + self._lease_ttl
                 due = sorted(
-                    seq for seq, at in state.next_attempt_at.items() if at <= now
+                    [seq for seq, at in state.next_attempt_at.items() if at <= now]
                 )
                 if due:
                     return self._deliver_locked(state, due[:max_n], now)

@@ -538,9 +538,11 @@ class FaasClient:
         # Zero-copy payloads ride the submit message itself, so their
         # bytes are charged as request transfer, not as store ops.
         inline_bytes = sum(
-            s.args_payload.nominal_size
-            for s in batch
-            if s.args_payload.borrowed and s.args_payload.nominal_size < small
+            [
+                s.args_payload.nominal_size
+                for s in batch
+                if s.args_payload.borrowed and s.args_payload.nominal_size < small
+            ]
         )
         if inline_bytes:
             request.append(

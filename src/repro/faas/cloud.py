@@ -36,13 +36,13 @@ import hashlib
 import itertools
 import threading
 import uuid
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.batch.reactor import get_reactor
 from repro.bus import NotificationBus
-from repro.chaos.plan import attempt_from_key, chaos_check
+from repro.chaos.plan import attempt_from_key, chaos_check, chaos_enabled
 from repro.durable.journal import encode_payload
 from repro.exceptions import (
     DeadlineExceededError,
@@ -247,13 +247,16 @@ class _PayloadStore:
 
         def land(indexes: list[int]) -> list[str]:
             locators = []
-            for i in indexes:
-                tier, (payload, chaos_exempt) = tiers[i], members[i]
-                counter_inc("faas.store_writes", tier=tier)
-                locator = f"{self._prefix}{tier}:{self._epoch}.{next(self._serial):x}"
-                with self._lock:
+            written: dict[str, int] = {}
+            with self._lock:
+                for i in indexes:
+                    tier, (payload, chaos_exempt) = tiers[i], members[i]
+                    written[tier] = written.get(tier, 0) + 1
+                    locator = f"{self._prefix}{tier}:{self._epoch}.{next(self._serial):x}"
                     self._objects[locator] = _StoredObject(payload, tier, chaos_exempt)
-                locators.append(locator)
+                    locators.append(locator)
+            for tier, n in written.items():
+                counter_inc("faas.store_writes", n, tier=tier)
             return locators
 
         return charges, landings, land
@@ -300,8 +303,9 @@ class _PayloadStore:
         landings, charges = self._draw_round(
             [(stored.tier, stored.payload.nominal_size) for _, stored in found]
         )
+        read: dict[str, int] = {}
         for (i, stored), at in zip(found, landings):
-            counter_inc("faas.store_reads", tier=stored.tier)
+            read[stored.tier] = read.get(stored.tier, 0) + 1
             landed[i] = (at, stored.payload)
             if stored.chaos_exempt:
                 continue
@@ -321,7 +325,9 @@ class _PayloadStore:
                         f"{locators[i]!r} returned corrupt data"
                     ),
                 )
-        late = max((at for at, _ in landed), default=0.0) - sum(charges)
+        for tier, n in read.items():
+            counter_inc("faas.store_reads", n, tier=tier)
+        late = max([at for at, _ in landed], default=0.0) - sum(charges)
         if late > 0:
             charges.append(late)
         return charges, landed
@@ -354,26 +360,32 @@ class _CompletedFeed:
     *same* feed: a client long-polling ``next_completed`` then sees results
     from all shards through one wait, exactly as if the cloud were one
     service.  Shards push while holding their ledger lock, so ``cond`` nests
-    inside it and takes no other lock itself."""
+    inside it and takes no other lock itself.
+
+    A client's queue is an insertion-ordered dict of task ids, so a retire
+    and a pop are O(1) however many completions wait uncollected."""
 
     def __init__(self, clock: Clock) -> None:
         self._clock = clock
         self.cond = threading.Condition()
-        self._queues: dict[str, deque[str]] = {}
+        self._queues: dict[str, OrderedDict[str, None]] = {}
 
     def push(self, tasks: list[TaskRecord]) -> None:
         """Append each task's completion to its client's queue."""
         with self.cond:
             for task in tasks:
-                self._queues.setdefault(task.client_id, deque()).append(task.task_id)
+                queue = self._queues.setdefault(task.client_id, OrderedDict())
+                queue[task.task_id] = None
             self.cond.notify_all()
 
-    def retire(self, client_id: str, task_id: str) -> None:
-        """Drop a completion that was collected through another path."""
+    def retire(self, completions: list[tuple[str, str]]) -> None:
+        """Drop ``(client_id, task_id)`` completions that were collected
+        through another path."""
         with self.cond:
-            queue = self._queues.get(client_id, ())
-            if task_id in queue:
-                queue.remove(task_id)
+            for client_id, task_id in completions:
+                queue = self._queues.get(client_id)
+                if queue is not None:
+                    queue.pop(task_id, None)
 
     def next_completed_batch(
         self, client_id: str, max_n: int, timeout: float | None
@@ -383,12 +395,12 @@ class _CompletedFeed:
         wakeup does not consume the budget: the clock's deadline wait runs
         until a completion arrives or the full timeout elapses."""
         with self.cond:
-            queue = self._queues.setdefault(client_id, deque())
+            queue = self._queues.setdefault(client_id, OrderedDict())
             if not self._clock.wait_for(self.cond, lambda: queue, timeout):
                 return []
             out: list[str] = []
             while queue and len(out) < max_n:
-                out.append(queue.popleft())
+                out.append(queue.popitem(last=False)[0])
             return out
 
 
@@ -686,7 +698,7 @@ class FaasCloud(_BatchOfOne):
         """One doorbell for ``tasks``: the payload is the comma-joined ids."""
         self.bus.publish(
             topic,
-            ",".join(task.task_id for task in tasks),
+            ",".join([task.task_id for task in tasks]),
             chaos_key=tasks[0].chaos_key or tasks[0].task_id,
         )
 
@@ -861,14 +873,15 @@ class FaasCloud(_BatchOfOne):
             self.ledger.reaped.discard(endpoint_id)
 
     def _place(
-        self, endpoint_id: str, now: float, fingerprint: str | None = None
+        self, endpoint_id: str, now: float, strikes: tuple[str, ...] = ()
     ) -> tuple[str, str | None]:
         """The one placement rule: where work for ``endpoint_id`` goes, as
         ``(target, why)``.
 
         The candidates are the endpoint and its live failover-group peers,
-        sorted.  Each ranks by ``(reaped, breaker open, struck by
-        fingerprint)`` and the lowest wins, the endpoint itself on a tie.
+        sorted.  Each ranks by ``(reaped, breaker open, in ``strikes`` -- the
+        endpoints that voted against the task's fingerprint)`` and the
+        lowest wins, the endpoint itself on a tie.
         So a reaped endpoint's work goes to a live peer, an open breaker's
         to a healthy one, and a struck fingerprint to a peer that has not
         voted, never back onto a voter while an untried eligible peer
@@ -881,9 +894,6 @@ class FaasCloud(_BatchOfOne):
         Admission does not: a member reaped between its placement and its
         commit leaves a queue the next sweep drains."""
         ledger, health = self.ledger, self.health
-        strikes = ()
-        if fingerprint is not None and self.poison is not None:
-            strikes = self.poison.strikes(fingerprint)
 
         def rank(candidate: str) -> tuple[bool, bool, bool]:
             return (
@@ -966,61 +976,105 @@ class FaasCloud(_BatchOfOne):
             return {tenant: len(q) for tenant, q in queues.items() if q}
 
     # -- client side ------------------------------------------------------------
-    def _admit_task(
-        self, client_id: str, item: TaskSubmission, tenant: str
-    ) -> tuple[str, str]:
-        """Per-task admission checks: function/endpoint existence, deadline,
-        poison quarantine, placement (:meth:`_place`), fault injection, and
-        the payload cap.  Returns the placed endpoint id and the content
-        fingerprint."""
-        func_id, endpoint_id, args_payload = (
-            item.func_id,
-            item.endpoint_id,
-            item.args_payload,
-        )
-        chaos_key, deadline_at = item.chaos_key, item.deadline_at
-        self.endpoint_site(endpoint_id)
-        self._function(func_id, tenant)
-        if deadline_at is not None and deadline_at <= self.clock.now():
-            raise DeadlineExceededError(
-                f"task submitted after its own deadline ({deadline_at:.3f}s)"
-            )
+    def _admit_round(
+        self, client_id: str, items: list[TaskSubmission], tenant: str
+    ) -> tuple[list, list[tuple[int, TaskSubmission, str, str]]]:
+        """The per-task admission checks of one submit round: function and
+        endpoint known, deadline, poison quarantine, placement
+        (:meth:`_place`), fault injection, and the payload cap.
+
+        What is the same for every member is decided once per round: each
+        distinct endpoint and function is looked up once, the poison
+        tracker is read once, and each endpoint is placed once -- except for
+        a member whose fingerprint has strikes, which is placed on its own.
+        The steering counters still count every member.  Returns the
+        outcomes aligned with ``items`` (the refusing :class:`ReproError`, or
+        ``None``) and the admitted members as ``(index, item, placed
+        endpoint id, content fingerprint)``."""
+        now = self.clock.now()
+        unknown_endpoints: dict[str, ReproError] = {}
+        for endpoint_id in {item.endpoint_id for item in items}:
+            try:
+                self.endpoint_site(endpoint_id)
+            except ReproError as exc:
+                unknown_endpoints[endpoint_id] = exc
+        unknown_functions: dict[str, ReproError] = {}
+        for func_id in {item.func_id for item in items}:
+            try:
+                self._function(func_id, tenant)
+            except ReproError as exc:
+                unknown_functions[func_id] = exc
         # Content fingerprint for poison accounting: the chaos-key base is
         # already a digest of the argument bytes; derive one otherwise.
-        fingerprint = (chaos_key or "").partition("#")[0]
-        if not fingerprint:
-            fingerprint = hashlib.sha256(args_payload.data).hexdigest()[:16]
-        fingerprint = f"{func_id}:{fingerprint}"
-        if self.poison is not None and self.poison.is_quarantined(tenant, fingerprint):
-            counter_inc("resilience.quarantine_refusals", tenant=tenant)
-            raise TaskQuarantinedError(
-                f"fingerprint {fingerprint} is quarantined in tenant "
-                f"{tenant!r}'s dead-letter queue (it failed on "
-                f"{self.poison.policy.quorum} distinct endpoints); "
-                "`repro.cli deadletter retry|drop` releases it",
-                fingerprint=fingerprint,
+        fingerprints = [
+            f"{item.func_id}:"
+            + (
+                (item.chaos_key or "").partition("#")[0]
+                or hashlib.sha256(item.args_payload.data).hexdigest()[:16]
             )
-        target, why = self._place(endpoint_id, self.clock.now(), fingerprint)
-        if why is not None:
-            counter_inc(_STEERED[why], from_endpoint=endpoint_id, to_endpoint=target)
-            endpoint_id = target
-        spec = chaos_check(
-            "cloud.submit",
-            chaos_key or f"{client_id}|{func_id}",
-            attempt=attempt_from_key(chaos_key),
-            size=args_payload.nominal_size,
-        )
-        if spec is not None or args_payload.nominal_size > self.constants.faas_payload_cap:
-            reason = (
-                f"injected fault {spec.mode!r}: service rejected the payload"
-                if spec is not None
-                else "pass large data by reference instead"
+            for item in items
+        ]
+        quarantined, struck = (set(), {})
+        if self.poison is not None:
+            quarantined, struck = self.poison.screen(tenant, fingerprints)
+        chaos = chaos_enabled()
+        cap = self.constants.faas_payload_cap
+        placed: dict[str, tuple[str, str | None]] = {}
+        results: list = [None] * len(items)
+        admitted: list[tuple[int, TaskSubmission, str, str]] = []
+        for i, (item, fingerprint) in enumerate(zip(items, fingerprints)):
+            endpoint_id, size = item.endpoint_id, item.args_payload.nominal_size
+            refusal = unknown_endpoints.get(endpoint_id) or unknown_functions.get(
+                item.func_id
             )
-            raise PayloadTooLargeError(
-                f"arguments are {args_payload.nominal_size} bytes; the service "
-                f"caps payloads at {self.constants.faas_payload_cap} ({reason})"
-            )
-        return endpoint_id, fingerprint
+            if refusal is not None:
+                results[i] = refusal
+                continue
+            if item.deadline_at is not None and item.deadline_at <= now:
+                results[i] = DeadlineExceededError(
+                    f"task submitted after its own deadline ({item.deadline_at:.3f}s)"
+                )
+                continue
+            if fingerprint in quarantined:
+                counter_inc("resilience.quarantine_refusals", tenant=tenant)
+                results[i] = TaskQuarantinedError(
+                    f"fingerprint {fingerprint} is quarantined in tenant "
+                    f"{tenant!r}'s dead-letter queue (it failed on "
+                    f"{self.poison.policy.quorum} distinct endpoints); "
+                    "`repro.cli deadletter retry|drop` releases it",
+                    fingerprint=fingerprint,
+                )
+                continue
+            strikes = struck.get(fingerprint)
+            if strikes:
+                target, why = self._place(endpoint_id, now, strikes)
+            else:
+                target, why = placed.get(endpoint_id) or placed.setdefault(
+                    endpoint_id, self._place(endpoint_id, now)
+                )
+            if why is not None:
+                counter_inc(_STEERED[why], from_endpoint=endpoint_id, to_endpoint=target)
+            spec = None
+            if chaos:
+                spec = chaos_check(
+                    "cloud.submit",
+                    item.chaos_key or f"{client_id}|{item.func_id}",
+                    attempt=attempt_from_key(item.chaos_key),
+                    size=size,
+                )
+            if spec is not None or size > cap:
+                reason = (
+                    f"injected fault {spec.mode!r}: service rejected the payload"
+                    if spec is not None
+                    else "pass large data by reference instead"
+                )
+                results[i] = PayloadTooLargeError(
+                    f"arguments are {size} bytes; the service caps payloads at "
+                    f"{cap} ({reason})"
+                )
+                continue
+            admitted.append((i, item, target, fingerprint))
+        return results, admitted
 
     def submit_round(
         self,
@@ -1036,9 +1090,10 @@ class FaasCloud(_BatchOfOne):
         them, see :meth:`_BatchOfOne._land_round`).
 
         The call pays the shared costs once — one auth/tenant check, one
-        admission slot, one pipelined store round — while every per-task
-        check (:meth:`_admit_task`: function known, deadline, quarantine,
-        breaker steering, fault injection, payload cap) runs per item, now.
+        admission slot, one pipelined store round — and the per-task checks
+        (:meth:`_admit_round`: function known, deadline, quarantine, breaker
+        steering, fault injection, payload cap) run now, each decided once
+        for what the members share.
         Each member is queued when its own argument write lands (the
         admission slot, then :meth:`_PayloadStore._draw_round`): the members
         that land together commit as one ``submit`` record -- WAL append,
@@ -1056,15 +1111,7 @@ class FaasCloud(_BatchOfOne):
         if tenant != DEFAULT_TENANT:
             self.auth.validate(token, tenant_scope(tenant))
         self.expire_leases()
-        results: list = [None] * len(items)
-        admitted: list[tuple[int, TaskSubmission, str, str]] = []
-        for i, item in enumerate(items):
-            try:
-                endpoint_id, fingerprint = self._admit_task(client_id, item, tenant)
-            except ReproError as exc:
-                results[i] = exc
-                continue
-            admitted.append((i, item, endpoint_id, fingerprint))
+        results, admitted = self._admit_round(client_id, items, tenant)
         if not admitted:
             return [], [(0.0, lambda: results)]
         charges: list[float] = []
@@ -1098,6 +1145,7 @@ class FaasCloud(_BatchOfOne):
             try:
                 locators = land(members)
                 task_ids = self.ledger.next_task_ids(len(members))
+                submitted_at = self.clock.now()
                 tasks = []
                 for j, args_locator, task_id in zip(members, locators, task_ids):
                     _i, item, endpoint_id, fingerprint = admitted[j]
@@ -1108,7 +1156,7 @@ class FaasCloud(_BatchOfOne):
                             endpoint_id=endpoint_id,
                             client_id=client_id,
                             args_locator=args_locator,
-                            submitted_at=self.clock.now(),
+                            submitted_at=submitted_at,
                             trace_ctx=item.trace_ctx,
                             chaos_key=item.chaos_key,
                             prefetch=tuple(item.prefetch),
@@ -1175,19 +1223,21 @@ class FaasCloud(_BatchOfOne):
         self.auth.validate(token, SCOPE_COMPUTE)
         outcomes: list = [None] * len(task_ids)
         ready: list[tuple[int, TaskRecord]] = []
+        tasks = self.ledger.tasks
         for i, task_id in enumerate(task_ids):
-            try:
-                record = self.task(task_id)
-                if not record.status.terminal or record.result_locator is None:
-                    raise ResultNotReadyError(f"task {task_id} has no result yet")
-            except ReproError as exc:
-                outcomes[i] = exc
-                continue
-            # The result is being collected: retire its poll-fallback entry
-            # so a client that was notified over the bus never re-sees it
-            # while draining the completed queue in fallback mode.
-            self._completed.retire(record.client_id, task_id)
-            ready.append((i, record))
+            record = tasks.get(task_id)
+            if record is None:
+                outcomes[i] = WorkflowError(f"unknown task {task_id!r}")
+            elif not record.status.terminal or record.result_locator is None:
+                outcomes[i] = ResultNotReadyError(f"task {task_id} has no result yet")
+            else:
+                ready.append((i, record))
+        # The results are being collected: retire their poll-fallback entries
+        # so a client that was notified over the bus never re-sees them while
+        # draining the completed queue in fallback mode.
+        self._completed.retire(
+            [(record.client_id, record.task_id) for _, record in ready]
+        )
         # One pipelined store round for the call's result reads.
         charges, landed = self.store.plan_read(
             [record.result_locator for _, record in ready]
@@ -1362,41 +1412,56 @@ class FaasCloud(_BatchOfOne):
             f"assigned to {owner}"
         )
 
-    def _score_result(self, task: TaskRecord, endpoint_id: str) -> None:
-        """Feed an accepted report into health and poison accounting."""
-        success = task.status is TaskStatus.SUCCESS
-        if self.health is not None:
+    def _score_results(self, tasks: list[TaskRecord], endpoint_id: str) -> None:
+        """Feed one report round's accepted results into health and poison
+        accounting, in member order: one call into each tracker for the
+        round, plus its own call for a failure's strike."""
+        if self.health is not None and tasks:
             # Dispatch→result latency plus the outcome feed the endpoint's
             # health score (the EWMA/consecutive-error breaker inputs).
-            started = task.fetched_at or task.submitted_at
-            self.health.record_result(
+            self.health.record_results(
                 endpoint_id,
-                max(0.0, task.completed_at - started),
-                success,
-                task.completed_at,
+                [
+                    (
+                        task.completed_at - (task.fetched_at or task.submitted_at),
+                        task.status is TaskStatus.SUCCESS,
+                        task.completed_at,
+                    )
+                    for task in tasks
+                ],
             )
-        if self.poison is None or task.fingerprint is None:
+        if self.poison is None:
             return
-        if success:
-            self.poison.note_success(task.fingerprint)
-            return
-        entry = self.poison.note_failure(
-            task.tenant,
-            task.fingerprint,
-            endpoint_id,
-            func_id=task.func_id,
-            task_id=task.task_id,
-            args_locator=task.args_locator,
-            client_id=task.client_id,
-            error=f"task {task.task_id} failed terminally on endpoint {endpoint_id}",
-            now=task.completed_at,
-        )
-        if entry is not None:
-            counter_inc("resilience.quarantined", tenant=task.tenant)
-            # Quarantine is durable: a crash-rebuilt shard must keep
-            # refusing the fingerprint, or the poison task resumes
-            # burning retry budget after every recovery.
-            self._commit(Deadletter("add", entry.to_record()))
+        cleared: list[str] = []
+        for task in tasks:
+            if task.fingerprint is None:
+                continue
+            if task.status is TaskStatus.SUCCESS:
+                cleared.append(task.fingerprint)
+                continue
+            # The successes before a failure clear their strikes first.
+            if cleared:
+                self.poison.note_successes(cleared)
+                cleared = []
+            entry = self.poison.note_failure(
+                task.tenant,
+                task.fingerprint,
+                endpoint_id,
+                func_id=task.func_id,
+                task_id=task.task_id,
+                args_locator=task.args_locator,
+                client_id=task.client_id,
+                error=f"task {task.task_id} failed terminally on endpoint {endpoint_id}",
+                now=task.completed_at,
+            )
+            if entry is not None:
+                counter_inc("resilience.quarantined", tenant=task.tenant)
+                # Quarantine is durable: a crash-rebuilt shard must keep
+                # refusing the fingerprint, or the poison task resumes
+                # burning retry budget after every recovery.
+                self._commit(Deadletter("add", entry.to_record()))
+        if cleared:
+            self.poison.note_successes(cleared)
 
     def report_round(
         self,
@@ -1460,8 +1525,7 @@ class FaasCloud(_BatchOfOne):
             for i, verdict in zip(live, effects.verdicts):
                 if verdict is not None:
                     outcomes[i] = self._refusal(verdict, results[i][0], endpoint_id)
-            for task in effects.completions:
-                self._score_result(task, endpoint_id)
+            self._score_results(effects.completions, endpoint_id)
             self._announce(effects)
             return outcomes
 

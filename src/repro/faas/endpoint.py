@@ -22,7 +22,7 @@ from typing import Callable
 from repro.batch.reactor import get_reactor
 from repro.bench.recording import emit
 from repro.bus import BusConsumer
-from repro.chaos.plan import attempt_from_key, chaos_check
+from repro.chaos.plan import attempt_from_key, chaos_check, chaos_enabled
 from repro.exceptions import (
     LeaseExpiredError,
     SubscriptionLapsedError,
@@ -142,9 +142,9 @@ class FaasEndpoint:
             token, name, pool.site, failover_group=failover_group
         )
         self._functions: dict[str, Callable] = {}
-        self._outbox: queue.Queue[
+        self._outbox: queue.SimpleQueue[
             tuple[str, bool, Payload, TraceContext | None] | None
-        ] = queue.Queue()
+        ] = queue.SimpleQueue()
         self._running = False
         # Set while connected.  The poll and uplink loops park on it while
         # the endpoint is paused; stop() and a crash set it too, so a parked
@@ -423,10 +423,7 @@ class FaasEndpoint:
                 stale = [
                     e
                     for e in envelopes
-                    if all(
-                        task_id in self._fetched_tasks
-                        for task_id in e.payload.split(",")
-                    )
+                    if self._fetched_tasks.issuperset(e.payload.split(","))
                 ]
             for envelope in stale:
                 counter_inc("endpoint.doorbells_stale", endpoint=self.name)
@@ -472,9 +469,8 @@ class FaasEndpoint:
         pulled by this agent."""
         with self._fetched_lock:
             return all(
-                task_id in self._fetched_tasks
+                self._fetched_tasks.issuperset(envelope.payload.split(","))
                 for envelope in envelopes
-                for task_id in envelope.payload.split(",")
             )
 
     def _fetch(self, timeout: float, *, kind: str = "poll") -> list[TaskDispatch]:
@@ -541,16 +537,18 @@ class FaasEndpoint:
             except Exception as exc:  # noqa: BLE001 - report, don't drop
                 self._fail_dispatch(dispatch, exc, started, size)
                 continue
-            try:
-                fn: object = self._function(dispatch.func_id, dispatch.tenant)
-            except Exception as exc:  # noqa: BLE001 - reported when its read lands
-                fn = exc
+            fn: object = self._functions.get(dispatch.func_id)
+            if fn is None:
+                try:
+                    fn = self._function(dispatch.func_id, dispatch.tenant)
+                except Exception as exc:  # noqa: BLE001 - reported when its read lands
+                    fn = exc
             live.append((dispatch, fn))
         landed = self.cloud.store.read_landings([d.args_locator for d, _ in live])
         # The round streams back in one response: one WAN latency for the
         # round, then each member's own bytes.
         network = self.cloud.network
-        wan = None
+        wan = bandwidth = None
         now = self._clock.now()
         schedule: list[tuple[float, int, TaskDispatch, object, object]] = []
         for i, ((dispatch, fn), (landing, read)) in enumerate(zip(live, landed)):
@@ -558,13 +556,14 @@ class FaasEndpoint:
             if not isinstance(outcome, Exception):
                 if wan is None:
                     wan = network.latency(self.cloud.site, self.site)
-                landing += wan + read.nominal_size / network.bandwidth(
-                    self.cloud.site, self.site
-                )
+                    bandwidth = network.bandwidth(self.cloud.site, self.site)
+                landing += wan + read.nominal_size / bandwidth
             schedule.append((now + landing, i, dispatch, outcome, read))
         if not schedule:
             return
-        schedule.sort(key=lambda member: member[:2], reverse=True)
+        # Latest first; the member index breaks ties, so no two entries ever
+        # compare past it.
+        schedule.sort(reverse=True)
         with self._in_flight:
             self._handoffs += len(schedule)
         self._arm_handoffs(schedule, now, started, size)
@@ -601,7 +600,9 @@ class FaasEndpoint:
                         if isinstance(outcome, Exception):
                             self._fail_dispatch(dispatch, outcome, started, size)
                         else:
-                            self._hand_to_pool(dispatch, outcome, payload, started, size)
+                            self._hand_to_pool(
+                                dispatch, outcome, payload, started, size, now
+                            )
             finally:
                 with self._in_flight:
                     self._handoffs -= len(landed)
@@ -618,15 +619,16 @@ class FaasEndpoint:
         args_payload: Payload,
         started: float,
         size: int,
+        in_hand: float,
     ) -> None:
-        """One member's argument download has landed: queue it for a worker."""
+        """One member's argument download has landed (at ``in_hand``): queue
+        it for a worker."""
         emit(
             "data_transfer",
             resource=self.site.name,
             bytes=args_payload.nominal_size,
             via="faas-cloud",
         )
-        in_hand = self._clock.now()
         try:
             self.pool.submit(
                 self._make_work(
@@ -730,34 +732,8 @@ class FaasEndpoint:
                     # the work still completes — only latency betrays it.
                     clock.sleep(self._gray_delay)
                 try:
-                    spec = chaos_check(
-                        "worker.execute",
-                        chaos_key or task_id,
-                        attempt=attempt_from_key(chaos_key),
-                        endpoint=self.name,
-                    )
-                    if spec is not None:
-                        if spec.delay:
-                            clock.sleep(spec.delay)
-                        raise WorkflowError(
-                            f"injected fault {spec.mode!r}: worker raised "
-                            f"while executing task {task_id}"
-                        )
-                    # Poison keys on the attempt- and hedge-stripped content
-                    # base: the *same* inputs fail the same way on every
-                    # endpoint and every retry — the deterministic failure
-                    # shape the quarantine quorum exists to catch.
-                    poison = chaos_check(
-                        "worker.poison",
-                        (chaos_key or task_id).partition("#")[0],
-                        attempt=attempt_from_key(chaos_key),
-                        endpoint=self.name,
-                    )
-                    if poison is not None:
-                        raise WorkflowError(
-                            f"injected fault {poison.mode!r}: task {task_id} "
-                            "fails deterministically on every endpoint"
-                        )
+                    if chaos_enabled():
+                        self._worker_faults(task_id, chaos_key)
                     args, kwargs = deserialize(args_payload)
                     value = fn(*args, **kwargs)
                     body = {"success": True, "value": value}
@@ -779,6 +755,36 @@ class FaasEndpoint:
             self._outbox.put((task_id, success, result_payload, trace_ctx))
 
         return work
+
+    def _worker_faults(self, task_id: str, chaos_key: str | None) -> None:
+        """The worker's fault hooks, for one task about to run: raises the
+        injected failure, if one fires."""
+        attempt = attempt_from_key(chaos_key)
+        spec = chaos_check(
+            "worker.execute", chaos_key or task_id, attempt=attempt, endpoint=self.name
+        )
+        if spec is not None:
+            if spec.delay:
+                self._clock.sleep(spec.delay)
+            raise WorkflowError(
+                f"injected fault {spec.mode!r}: worker raised "
+                f"while executing task {task_id}"
+            )
+        # Poison keys on the attempt- and hedge-stripped content base: the
+        # *same* inputs fail the same way on every endpoint and every retry —
+        # the deterministic failure shape the quarantine quorum exists to
+        # catch.
+        poison = chaos_check(
+            "worker.poison",
+            (chaos_key or task_id).partition("#")[0],
+            attempt=attempt,
+            endpoint=self.name,
+        )
+        if poison is not None:
+            raise WorkflowError(
+                f"injected fault {poison.mode!r}: task {task_id} "
+                "fails deterministically on every endpoint"
+            )
 
     def _uplink_loop(self) -> None:
         while True:

@@ -58,9 +58,13 @@ class TaskStatus(str, Enum):
     SUCCESS = "SUCCESS"
     FAILED = "FAILED"
 
-    @property
-    def terminal(self) -> bool:
-        return self in (TaskStatus.SUCCESS, TaskStatus.FAILED)
+    #: Whether the status is final -- a plain attribute of each member (set
+    #: below), since every report and download reads it.
+    terminal: bool
+
+
+for _status in TaskStatus:
+    _status.terminal = _status in (TaskStatus.SUCCESS, TaskStatus.FAILED)
 
 
 @dataclass(frozen=True)
@@ -366,7 +370,8 @@ class Effects:
         self.doorbells: list[tuple[str, list[TaskRecord]]] = []
         #: Tasks that went terminal: completed-feed push + result doorbell.
         self.completions: list[TaskRecord] = []
-        #: ``(TenantRegistry method name, args)`` usage deltas.
+        #: ``(TenantRegistry method name, args)`` usage deltas; ``dispatch``
+        #: and ``result`` fold their members into one per tenant and kind.
         self.usage: list[tuple] = []
         #: ``endpoint_id -> [(tenant, waiting)]`` depth gauges.
         self.depths: dict[str, list[tuple[str, int]]] = {}
@@ -466,8 +471,11 @@ class Ledger:
         endpoint_id = record.endpoint_id
         with self.lock:
             if record.task_ids is None:
+                weights: dict[str, int] = {}
                 while len(effects.tasks) < limit:
-                    task = self._pop_next(endpoint_id, record.at, effects.expired)
+                    task = self._pop_next(
+                        endpoint_id, record.at, effects.expired, weights
+                    )
                     if task is None:
                         break
                     effects.tasks.append(task)
@@ -485,10 +493,13 @@ class Ledger:
                     if task.status is TaskStatus.WAITING:
                         self._queue(task).remove(task_id)
                     effects.tasks.append(task)
+            dispatched: dict[str, int] = {}
             for task in effects.tasks:
                 task.status = TaskStatus.DISPATCHED
                 task.fetched_at = record.at
-                effects.usage.append(("task_dispatched", (task.tenant, task.args_nbytes)))
+                nbytes = dispatched.get(task.tenant, 0) + task.args_nbytes
+                dispatched[task.tenant] = nbytes
+            effects.usage += [("tasks_dispatched", item) for item in dispatched.items()]
             self._note_depth(effects, endpoint_id)
         return effects
 
@@ -525,6 +536,8 @@ class Ledger:
         ``dispatch``, a record of it lost to a crash is repaired by replay
         (the task comes back and expires, or runs, again)."""
         effects = Effects()
+        dequeued: dict[str, int] = {}
+        finished: dict[str, int] = {}
         with self.lock:
             for doc in record.results:
                 task = self.tasks.get(doc.task_id)
@@ -535,18 +548,19 @@ class Ledger:
                     continue
                 if task.status is TaskStatus.WAITING:
                     self._queue(task).remove(task.task_id)
-                    effects.usage.append(
-                        ("task_dispatched", (task.tenant, task.args_nbytes))
-                    )
+                    nbytes = dequeued.get(task.tenant, 0) + task.args_nbytes
+                    dequeued[task.tenant] = nbytes
                     self._note_depth(effects, task.endpoint_id)
                 task.result_locator = doc.locator
                 task.status = TaskStatus.SUCCESS if doc.success else TaskStatus.FAILED
                 task.completed_at = doc.at
                 effects.completions.append(task)
-                effects.usage.append(("task_finished", (task.tenant,)))
+                finished[task.tenant] = finished.get(task.tenant, 0) + 1
                 # Failure reports embed ids and tracebacks: not content-
                 # deterministic, so fault injection skips them.
                 effects.adopt.append((doc.locator, doc.payload, not doc.success))
+        effects.usage += [("tasks_dispatched", item) for item in dequeued.items()]
+        effects.usage += [("tasks_finished", item) for item in finished.items()]
         return effects
 
     def apply_rehome(self, record: Rehome) -> Effects:
@@ -615,13 +629,16 @@ class Ledger:
             expired[task_id] = task
         return None
 
-    def _pop_next(self, endpoint_id: str, at: float, expired: dict) -> TaskRecord | None:
+    def _pop_next(
+        self, endpoint_id: str, at: float, expired: dict, weights: dict[str, int]
+    ) -> TaskRecord | None:
         """Weighted-round-robin pop across an endpoint's tenant queues.
 
         Each tenant gets up to ``weight`` consecutive tasks per turn of the
         rotation, so over any drain window a backlogged tenant receives at
         most ``weight / sum(weights of backlogged tenants)`` of the feed —
-        the starvation bound the noisy-neighbor benchmark asserts."""
+        the starvation bound the noisy-neighbor benchmark asserts.
+        ``weights`` caches each tenant's weight for the caller's drain."""
         queues = self.queues[endpoint_id]
         current = self._wrr_tenant.get(endpoint_id)
         if self._wrr_credit.get(endpoint_id, 0) > 0 and queues.get(current):
@@ -632,7 +649,7 @@ class Ledger:
         # Advance the rotation: backlogged tenants strictly after the
         # current one in sorted order, then wrapping, so a tenant whose
         # queue empties forfeits the rest of its turn.
-        turn = sorted(tenant for tenant, queue in queues.items() if queue)
+        turn = sorted([tenant for tenant, queue in queues.items() if queue])
         if current is not None:
             first = bisect_right(turn, current)
             turn = turn[first:] + turn[:first]
@@ -640,7 +657,11 @@ class Ledger:
             task = self._take(queues[tenant], at, expired)
             if task is not None:
                 self._wrr_tenant[endpoint_id] = tenant
-                weight = 1 if self._weight is None else self._weight(tenant)
+                weight = weights.get(tenant)
+                if weight is None:
+                    weight = weights[tenant] = (
+                        1 if self._weight is None else self._weight(tenant)
+                    )
                 self._wrr_credit[endpoint_id] = max(weight, 1) - 1
                 return task
         return None

@@ -175,7 +175,8 @@ class Network:
     seed: int = 0
     default_link: Link | None = None
     _sites: dict[str, Site] = field(default_factory=dict)
-    _links: dict[frozenset[str], Link] = field(default_factory=dict)
+    #: ``(a, b) -> Link`` under both orders, so a lookup is one dict read.
+    _links: dict[tuple[str, str], Link] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
@@ -197,9 +198,8 @@ class Network:
         for name in (a_name, b_name):
             if name not in self._sites:
                 raise TopologyError(f"unknown site {name!r}")
-        key = frozenset((a_name, b_name))
         link = Link(a_name, b_name, latency, bandwidth)
-        self._links[key] = link
+        self._links[a_name, b_name] = self._links[b_name, a_name] = link
         return link
 
     # -- queries ----------------------------------------------------------
@@ -219,8 +219,7 @@ class Network:
 
     def link_between(self, a: Site | str, b: Site | str) -> Link:
         a_name, b_name = self._name(a), self._name(b)
-        key = frozenset((a_name, b_name))
-        link = self._links.get(key, self.default_link)
+        link = self._links.get((a_name, b_name), self.default_link)
         if link is None:
             raise TopologyError(f"no link between {a_name!r} and {b_name!r}")
         return link
@@ -231,9 +230,15 @@ class Network:
 
     def latency(self, a: Site | str, b: Site | str) -> float:
         """Sampled one-way latency in nominal seconds between two sites."""
-        if self._name(a) == self._name(b):
+        # The hot path of every modelled hop: a site's name is read off the
+        # object and the link is one dict read (``link_between`` only for a
+        # pair with no link of its own).
+        a_name, b_name = getattr(a, "name", a), getattr(b, "name", b)
+        if a_name == b_name:
             return LOCALHOST_LATENCY_S
-        return self._sample(self.link_between(a, b).latency)
+        link = self._links.get((a_name, b_name)) or self.link_between(a_name, b_name)
+        with self._lock:
+            return link.latency.sample(self._rng)
 
     def rtt(self, a: Site | str, b: Site | str) -> float:
         """Sampled round-trip time (two independent one-way samples)."""
@@ -241,9 +246,11 @@ class Network:
 
     def bandwidth(self, a: Site | str, b: Site | str) -> float:
         """Bytes/second between two sites (effectively infinite locally)."""
-        if self._name(a) == self._name(b):
+        a_name, b_name = getattr(a, "name", a), getattr(b, "name", b)
+        if a_name == b_name:
             return 20e9  # intra-node memory/loopback speed
-        return self.link_between(a, b).bandwidth
+        link = self._links.get((a_name, b_name)) or self.link_between(a_name, b_name)
+        return link.bandwidth
 
     def transfer_time(self, a: Site | str, b: Site | str, nbytes: int) -> float:
         """One-way latency plus serialization delay for ``nbytes``."""

@@ -156,13 +156,34 @@ class PoisonTracker:
 
     def note_success(self, fingerprint: str) -> None:
         """Any success clears the fingerprint's strike record."""
+        self.note_successes([fingerprint])
+
+    def note_successes(self, fingerprints: list[str]) -> None:
+        """:meth:`note_success` for one report round's successes, under one
+        lock acquisition."""
         with self._lock:
-            self._strikes.pop(fingerprint, None)
+            for fingerprint in fingerprints:
+                self._strikes.pop(fingerprint, None)
 
     def strikes(self, fingerprint: str) -> tuple[str, ...]:
         """The endpoints that have voted against this fingerprint so far."""
         with self._lock:
             return tuple(sorted(self._strikes.get(fingerprint, ())))
+
+    def screen(
+        self, tenant: str, fingerprints: list[str]
+    ) -> tuple[set[str], dict[str, tuple[str, ...]]]:
+        """One submit round's poison state under one lock acquisition: the
+        fingerprints quarantined in ``tenant``, and the :meth:`strikes` of
+        each struck one (a fingerprint nobody voted against is absent)."""
+        with self._lock:
+            quarantined = {fp for fp in fingerprints if (tenant, fp) in self._entries}
+            struck = {
+                fp: tuple(sorted(self._strikes[fp]))
+                for fp in fingerprints
+                if fp in self._strikes
+            }
+        return quarantined, struck
 
     # -- quarantine queries ----------------------------------------------------
     def is_quarantined(self, tenant: str, fingerprint: str) -> bool:

@@ -122,35 +122,45 @@ class EndpointHealthTracker:
         self, endpoint_id: str, latency: float, success: bool, now: float
     ) -> None:
         """Fold one dispatch→result latency sample and its outcome in."""
+        self.record_results(endpoint_id, [(latency, success, now)])
+
+    def record_results(
+        self, endpoint_id: str, samples: list[tuple[float, bool, float]]
+    ) -> None:
+        """Fold one report round's ``(latency, success, now)`` samples in,
+        in member order, under one lock acquisition: EWMA, error streak and
+        a half-open probe's close / re-open decision step exactly as they
+        would one sample at a time."""
         policy = self.policy
+        alpha = policy.latency_alpha
+        moves: list[str] = []
         with self._lock:
             entry = self._entry(endpoint_id)
-            latency = max(0.0, latency)
-            if entry.ewma is None:
-                entry.ewma = latency
-            else:
-                entry.ewma += policy.latency_alpha * (latency - entry.ewma)
-            entry.samples += 1
-            if success:
-                entry.consecutive_errors = 0
-            else:
-                entry.consecutive_errors += 1
-            if entry.state != BREAKER_HALF_OPEN:
-                return
-            # A probe came back: close on a healthy outcome, re-open otherwise.
-            if success and self._score_locked(entry, now) >= policy.open_score:
-                entry.state = BREAKER_CLOSED
+            for latency, success, now in samples:
+                latency = max(0.0, latency)
+                if entry.ewma is None:
+                    entry.ewma = latency
+                else:
+                    entry.ewma += alpha * (latency - entry.ewma)
+                entry.samples += 1
+                if success:
+                    entry.consecutive_errors = 0
+                else:
+                    entry.consecutive_errors += 1
+                if entry.state != BREAKER_HALF_OPEN:
+                    continue
+                # A probe came back: close on a healthy outcome, re-open
+                # otherwise.
                 entry.probes_used = 0
-                closed = True
-            else:
-                entry.state = BREAKER_OPEN
-                entry.opened_at = now
-                entry.probes_used = 0
-                closed = False
-        if closed:
-            counter_inc("resilience.breaker_closes", endpoint=endpoint_id)
-        else:
-            counter_inc("resilience.breaker_opens", endpoint=endpoint_id)
+                if success and self._score_locked(entry, now) >= policy.open_score:
+                    entry.state = BREAKER_CLOSED
+                    moves.append("resilience.breaker_closes")
+                else:
+                    entry.state = BREAKER_OPEN
+                    entry.opened_at = now
+                    moves.append("resilience.breaker_opens")
+        for name in moves:
+            counter_inc(name, endpoint=endpoint_id)
 
     def record_heartbeat(
         self, endpoint_id: str, now: float, interval: float

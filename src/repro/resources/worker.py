@@ -47,7 +47,9 @@ class WorkerPool:
         self._scheduler = scheduler
         self._nodes_per_worker = nodes_per_worker
         self._clock = clock or get_clock()
-        self._queue: queue.Queue[Callable[[], None] | None] = queue.Queue()
+        # A ``SimpleQueue``: a handoff is one C-level put, and nothing here
+        # uses ``join``/``task_done``, which it does not have.
+        self._queue: queue.SimpleQueue[Callable[[], None] | None] = queue.SimpleQueue()
         self._threads: list[SiteThread] = []
         self._job: BatchJob | None = None
         self._running = False

@@ -36,7 +36,7 @@ import uuid
 from typing import TYPE_CHECKING
 
 from repro.bus import NotificationBus
-from repro.chaos.plan import chaos_check
+from repro.chaos.plan import chaos_check, chaos_enabled
 from repro.exceptions import ReproError, ShardUnavailableError, WorkflowError
 from repro.faas.auth import SCOPE_COMPUTE, AuthServer, Token
 from repro.faas.cloud import (
@@ -80,24 +80,37 @@ class _RoutedStore:
     def __init__(self, router: "CloudRouter") -> None:
         self._router = router
 
-    def _owner(self, locator: str) -> CloudShard:
-        shard_id, sep, _ = locator.partition("/")
-        if not sep:
-            raise WorkflowError(
-                f"locator {locator!r} carries no shard prefix; it was not "
-                "minted by this router"
-            )
-        return self._router.shard(shard_id)
+    def _owners(self, locators: list[str]) -> list:
+        """Each locator's owning shard id -- its ``<shard>/`` prefix -- or
+        the :class:`WorkflowError` of a locator no shard owns."""
+        shards = self._router._shards
+        owners: list = []
+        for locator in locators:
+            shard_id, sep, _ = locator.partition("/")
+            if sep and shard_id in shards:
+                owners.append(shard_id)
+            elif sep:
+                owners.append(WorkflowError(f"unknown shard {shard_id!r}"))
+            else:
+                owners.append(
+                    WorkflowError(
+                        f"locator {locator!r} carries no shard prefix; it was not "
+                        "minted by this router"
+                    )
+                )
+        return owners
 
     def read(self, locator: str) -> Payload:
-        return self._owner(locator).store.read(locator)
+        (owner,) = self._owners([locator])
+        if isinstance(owner, ReproError):
+            raise owner
+        return self._router.shard(owner).store.read(locator)
 
     def read_round(self, locators: list[str]) -> list:
         """One store round per owning shard (each shard's store is its own
         service), merged back into a list aligned with ``locators``."""
         return self._router._scatter(
-            len(locators),
-            lambda i: self._owner(locators[i]).shard_id,
+            self._owners(locators),
             lambda shard_id, indexes: self._router.shard(shard_id).store.read_round(
                 [locators[i] for i in indexes]
             ),
@@ -119,9 +132,7 @@ class _RoutedStore:
             ended += sum(charges)
             return landed
 
-        outcomes = self._router._scatter(
-            len(locators), lambda i: self._owner(locators[i]).shard_id, read
-        )
+        outcomes = self._router._scatter(self._owners(locators), read)
         # A locator no shard owns fails alone, at once.
         return [o if isinstance(o, tuple) else (0.0, o) for o in outcomes]
 
@@ -184,6 +195,10 @@ class CloudRouter(_BatchOfOne):
         #: their partition when the ring changes (see :meth:`add_shard`).
         self._registrations: dict[str, tuple[str, Payload]] = {}
         self._endpoints: dict[str, tuple[Site, str | None]] = {}
+        #: ``(tenant, func_id) -> shard id`` for registered partitions: a
+        #: submit routes each partition once, by dict read after its first.
+        #: Only :meth:`add_shard` changes the ring, and it clears this.
+        self._routes: dict[tuple[str, str], str] = {}
         #: shard id -> nominal time its outage window ends.
         self._outages: dict[str, float] = {}
         self._journal_factory = journal_factory
@@ -261,6 +276,7 @@ class CloudRouter(_BatchOfOne):
                 for func_id, (tenant, _) in self._registrations.items()
             }
             shard_id = self._add_shard_locked()
+            self._routes.clear()
             moved = 0
             for func_id, (tenant, payload) in self._registrations.items():
                 owner = self._ring.node_for(partition_key(tenant, func_id))
@@ -287,18 +303,31 @@ class CloudRouter(_BatchOfOne):
                 raise WorkflowError(f"unknown shard {shard_id!r}") from None
 
     def _shard_for_partition(self, tenant: str, func_id: str) -> str:
-        with self._lock:
-            return self._ring.node_for(partition_key(tenant, func_id))
+        shard_id = self._routes.get((tenant, func_id))
+        if shard_id is None:
+            with self._lock:
+                shard_id = self._ring.node_for(partition_key(tenant, func_id))
+                if self._registrations.get(func_id, (None,))[0] == tenant:
+                    self._routes[tenant, func_id] = shard_id
+        return shard_id
+
+    def _task_owners(self, task_ids: list[str]) -> list:
+        """Each task id's owning shard id -- ids look like
+        ``task-s3-00000042``, so routing back is parsing -- or the
+        :class:`WorkflowError` of an id no shard owns."""
+        shards = self._shards
+        return [
+            shard_id
+            if (shard_id := task_id.partition("-")[2].partition("-")[0]) in shards
+            else WorkflowError(f"unknown task {task_id!r}")
+            for task_id in task_ids
+        ]
 
     def _shard_for_task(self, task_id: str) -> CloudShard:
-        # task ids look like ``task-s3-00000042``.
-        parts = task_id.split("-")
-        if len(parts) >= 3:
-            with self._lock:
-                shard = self._shards.get(parts[1])
-            if shard is not None:
-                return shard
-        raise WorkflowError(f"unknown task {task_id!r}")
+        (owner,) = self._task_owners([task_id])
+        if isinstance(owner, ReproError):
+            raise owner
+        return self.shard(owner)
 
     def _notify_enqueue(self) -> None:
         with self._wake:
@@ -410,36 +439,35 @@ class CloudRouter(_BatchOfOne):
         with self._lock:
             return list(self._shards.values())
 
-    def _scatter(self, n: int, owner, call) -> list:
-        """Group the ``n`` members of a batched call by owning shard, make
-        one ``call(shard_id, indexes)`` per group (it returns that group's
+    def _scatter(self, owners: list, call) -> list:
+        """Group the members of a batched call by owning shard, make one
+        ``call(shard_id, indexes)`` per group (it returns that group's
         outcomes in order) and merge them into one list aligned with the
-        members.  ``owner(i)`` names member ``i``'s shard; the
-        :class:`ReproError` it raises instead is that member's outcome and
-        its batch-mates go on."""
+        members.  ``owners[i]`` names member ``i``'s shard, or is the
+        :class:`ReproError` that is that member's outcome while its
+        batch-mates go on."""
         _charges, landings = self._scatter_round(
-            n,
-            owner,
+            owners,
             lambda shard_id, indexes: ([], [(0.0, lambda: call(shard_id, indexes))]),
         )
         for _at, commit in landings:
             outcomes = commit()
         return outcomes
 
-    def _scatter_round(self, n: int, owner, prepare) -> tuple[list[float], list]:
+    def _scatter_round(self, owners: list, prepare) -> tuple[list[float], list]:
         """:meth:`_scatter` for a call that is a round: ``prepare(shard_id,
         indexes)`` returns that group's ``(charges, landings)``, as
         :meth:`FaasCloud.submit_round` does.  The joined round pays the
         groups' charges one after another, so each group's landings start
         where the groups before it ended; every landing merges its group's
         outcomes into the joined list and returns it."""
-        outcomes: list = [None] * n
+        outcomes: list = [None] * len(owners)
         groups: dict[str, list[int]] = {}
-        for i in range(n):
-            try:
-                groups.setdefault(owner(i), []).append(i)
-            except ReproError as exc:
-                outcomes[i] = exc
+        for i, owner in enumerate(owners):
+            if isinstance(owner, ReproError):
+                outcomes[i] = owner
+            else:
+                groups.setdefault(owner, []).append(i)
         charges: list[float] = []
         landings: list = []
 
@@ -508,11 +536,12 @@ class CloudRouter(_BatchOfOne):
         one round (``(charges, landings)``, like
         :meth:`FaasCloud.submit_round`; :meth:`submit_batch` lands it).
 
-        One auth, then per member the shard fault hooks
-        (:meth:`_shard_faults`; a member they hit comes back throttled and
-        its batch-mates go on), then one quota reservation and one shard
-        round per shard group (functions hash to shards, so a mixed batch
-        scatters into per-shard sub-batches); members beyond the tenant's
+        One auth and one ring lookup per partition, then -- with chaos on --
+        per member the shard fault hooks (:meth:`_shard_faults`; a member
+        they hit comes back throttled and its batch-mates go on), then one
+        quota reservation and one shard round per shard group (functions
+        hash to shards, so a mixed batch scatters into per-shard
+        sub-batches); members beyond the tenant's
         remaining quota come back throttled.  Each shard queues its members
         at their own landings; after a group's last landing the reservation
         of a member the shard rejected is released, so a payload-cap
@@ -524,11 +553,17 @@ class CloudRouter(_BatchOfOne):
         if tenant != DEFAULT_TENANT:
             self.auth.validate(token, tenant_scope(tenant))
         self._recover_outages()
-
-        def owner(i: int) -> str:
-            shard_id = self._shard_for_partition(tenant, items[i].func_id)
-            self._shard_faults(shard_id, items[i], client_id, tenant)
-            return shard_id
+        routes = {
+            func_id: self._shard_for_partition(tenant, func_id)
+            for func_id in {item.func_id for item in items}
+        }
+        owners: list = [routes[item.func_id] for item in items]
+        if chaos_enabled():
+            for i, item in enumerate(items):
+                try:
+                    self._shard_faults(owners[i], item, client_id, tenant)
+                except ReproError as exc:
+                    owners[i] = exc
 
         def prepare(shard_id: str, indexes: list[int]):
             sizes = [items[i].args_payload.nominal_size for i in indexes]
@@ -569,29 +604,33 @@ class CloudRouter(_BatchOfOne):
                 ]
                 if rejected:
                     self.registry.release_batch(tenant, len(rejected), sum(rejected))
-                # The mid-batch crash window: the shard has fsync'd one WAL
-                # record per landing of the batch and populated its queues,
-                # but no caller has seen a task id yet.  Key the fault on a
-                # digest of the batch's attempt-stripped member keys so
-                # identical runs crash on the identical batch.
-                member_keys = sorted(
-                    (it.chaos_key or f"{client_id}|{it.func_id}").split("#a", 1)[0]
-                    for it in group_items
-                )
-                digest = hashlib.sha256("|".join(member_keys).encode()).hexdigest()[:16]
-                spec = chaos_check(
-                    "cloud.batch.flush", digest, shard=shard_id, tenant=tenant
-                )
-                if spec is not None:
-                    counter_inc("cloud.batch_crashes", shard=shard_id)
-                    # The rebuilt shard replays the batch record per task —
-                    # the ids already handed back stay valid.
-                    self.crash_shard(shard_id)
+                if chaos_enabled():
+                    self._flush_faults(shard_id, group_items, client_id, tenant)
                 return shard_results + refused
 
             return charges, [*early, (end, commit)]
 
-        return self._scatter_round(len(items), owner, prepare)
+        return self._scatter_round(owners, prepare)
+
+    def _flush_faults(
+        self, shard_id: str, items: list[TaskSubmission], client_id: str, tenant: str
+    ) -> None:
+        """The mid-batch crash window: the shard has fsync'd one WAL record
+        per landing of the batch and populated its queues, but no caller
+        has seen a task id yet.  Key the fault on a digest of the batch's
+        attempt-stripped member keys so identical runs crash on the
+        identical batch."""
+        member_keys = sorted(
+            (it.chaos_key or f"{client_id}|{it.func_id}").split("#a", 1)[0]
+            for it in items
+        )
+        digest = hashlib.sha256("|".join(member_keys).encode()).hexdigest()[:16]
+        spec = chaos_check("cloud.batch.flush", digest, shard=shard_id, tenant=tenant)
+        if spec is not None:
+            counter_inc("cloud.batch_crashes", shard=shard_id)
+            # The rebuilt shard replays the batch record per task — the ids
+            # already handed back stay valid.
+            self.crash_shard(shard_id)
 
     def task(self, task_id: str) -> TaskRecord:
         return self._shard_for_task(task_id).task(task_id)
@@ -620,9 +659,7 @@ class CloudRouter(_BatchOfOne):
             charges.extend(shard_charges)
             return outcomes
 
-        outcomes = self._scatter(
-            len(task_ids), lambda i: self._shard_for_task(task_ids[i]).shard_id, read
-        )
+        outcomes = self._scatter(self._task_owners(task_ids), read)
         return charges, outcomes
 
     # -- endpoint side --------------------------------------------------------
@@ -682,8 +719,7 @@ class CloudRouter(_BatchOfOne):
         Like the result read, reporting is never outage-gated: the endpoint
         uplink must keep draining even while admission throttles."""
         return self._scatter_round(
-            len(results),
-            lambda i: self._shard_for_task(results[i][0]).shard_id,
+            self._task_owners([task_id for task_id, _success, _payload in results]),
             lambda shard_id, indexes: self.shard(shard_id).report_round(
                 token, endpoint_id, [results[i] for i in indexes]
             ),

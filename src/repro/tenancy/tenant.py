@@ -327,8 +327,9 @@ class TenantRegistry:
             tenant.usage.submits = max(0, tenant.usage.submits - n_tasks)
 
     # -- lifecycle notifications (called by shards) ---------------------------
-    def task_dispatched(self, name: str, nbytes: int) -> None:
-        """Arguments left a queue for an endpoint: queued bytes drop."""
+    def tasks_dispatched(self, name: str, nbytes: int) -> None:
+        """Arguments left a queue for an endpoint: queued bytes drop by the
+        ``nbytes`` one applied record took out of ``name``'s queues."""
         with self._lock:
             tenant = self._tenants.get(name)
             if tenant is not None:
@@ -341,12 +342,13 @@ class TenantRegistry:
             if tenant is not None:
                 tenant.usage.queued_bytes += nbytes
 
-    def task_finished(self, name: str) -> None:
-        """A task reached a terminal state: in-flight headroom returns."""
+    def tasks_finished(self, name: str, n: int) -> None:
+        """``n`` of ``name``'s tasks reached a terminal state: their
+        in-flight headroom returns."""
         with self._lock:
             tenant = self._tenants.get(name)
             if tenant is not None:
-                tenant.usage.in_flight = max(0, tenant.usage.in_flight - 1)
+                tenant.usage.in_flight = max(0, tenant.usage.in_flight - n)
                 gauge_set("cloud.tenant_in_flight", tenant.usage.in_flight, tenant=name)
 
     # -- reporting -----------------------------------------------------------

@@ -1,0 +1,66 @@
+"""A call budget for the hardened hot path.
+
+One synchronous round trip of 32 members -- submit, fetch, report,
+download -- through a journaled 2-shard router with health and poison
+tracking, on a :class:`ManualClock`, with the Python calls into
+``src/repro`` counted per member by ``sys.setprofile``.  A round pays once
+for what its members share (routing, admission checks, placement, usage,
+health, poison); a member pays only for its own work, so the count must not
+creep back towards one call per member per layer.
+
+Before rounds were folded the trip cost 72.4 calls per member; it costs
+24.75 (CPython 3.11).  The budget is that count plus 15 %.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+from conftest import ManualClock, hardened_router
+
+import repro
+from repro.faas.cloud import TaskSubmission
+from repro.serialize import serialize
+
+MEMBERS = 32
+CALLS_PER_MEMBER = 24.75
+BUDGET = CALLS_PER_MEMBER * 1.15
+
+
+def _round_trip(router, token, tenant, func_id, endpoint_id, first: int) -> None:
+    items = [
+        TaskSubmission(
+            func_id, endpoint_id, serialize(((first + i,), {})), chaos_key=f"{first + i:016x}#a0"
+        )
+        for i in range(MEMBERS)
+    ]
+    task_ids = router.submit_batch(token, "client", items, tenant=tenant)
+    assert all(isinstance(task_id, str) for task_id in task_ids), task_ids
+    dispatches = router.fetch_tasks(token, endpoint_id, MEMBERS, 0.0)
+    assert len(dispatches) == MEMBERS
+    result = serialize({"success": True, "value": 1})
+    reports = [(dispatch.task_id, True, result) for dispatch in dispatches]
+    assert router.report_results(token, endpoint_id, reports) == [None] * MEMBERS
+    downloads = router.get_result_payloads(token, task_ids)
+    assert all(isinstance(outcome, tuple) for outcome in downloads), downloads
+
+
+def test_a_hardened_round_trip_stays_within_its_call_budget():
+    clock = ManualClock()
+    router, token, tenant, (func_id,), (endpoint_id,) = hardened_router(clock)
+    _round_trip(router, token, tenant, func_id, endpoint_id, 0)  # warm: routes known
+    source = os.path.dirname(repro.__file__)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(source):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        _round_trip(router, token, tenant, func_id, endpoint_id, MEMBERS)
+    finally:
+        sys.setprofile(None)
+    assert calls / MEMBERS <= BUDGET, f"{calls / MEMBERS:.1f} calls per member"

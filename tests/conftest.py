@@ -176,3 +176,50 @@ class ManualClock(Clock):
         except queue.Empty:
             self.sleep(timeout)
             raise
+
+
+def hardened_router(clock: Clock, *, n_functions: int = 1, n_endpoints: int = 1):
+    """A journaled 2-shard :class:`~repro.tenancy.CloudRouter` with health
+    and poison tracking on ``clock``, driven through its API with no agent
+    thread: ``(router, token, tenant, func_ids, endpoint_ids)``.  The
+    functions are registered for tenant ``alice`` under fixed ids, so each
+    lands on a fixed shard; the endpoints share one failover group.  Import it with ``from conftest import
+    hardened_router``."""
+    from repro.durable import FileJournalBackend, Journal
+    from repro.faas import SCOPE_COMPUTE, AuthServer
+    from repro.net.fs import FileSystem
+    from repro.resilience import HealthPolicy, PoisonPolicy
+    from repro.serialize import serialize
+    from repro.tenancy import CloudRouter, tenant_scope
+
+    testbed = build_paper_testbed(seed=42)
+    auth = AuthServer()
+    token = auth.issue_token(
+        auth.register_identity("u", "anl"), {SCOPE_COMPUTE, tenant_scope("alice")}
+    )
+    wal = FileSystem("wal", clock=clock)
+    router = CloudRouter(
+        testbed.faas_cloud,
+        testbed.network,
+        auth,
+        testbed.constants,
+        clock,
+        n_shards=2,
+        journal_factory=lambda shard_id: Journal(
+            FileJournalBackend(wal, shard_id), name=shard_id
+        ),
+        health_policy=HealthPolicy(),
+        poison_policy=PoisonPolicy(),
+    )
+    router.create_tenant("alice")
+    func_ids = [
+        router.register_function(token, serialize(len), tenant="alice", func_id=f"fn-{n}")
+        for n in range(n_functions)
+    ]
+    endpoint_ids = [
+        router.register_endpoint(
+            token, f"ep{n}", testbed.theta_compute, failover_group="pair"
+        )
+        for n in range(n_endpoints)
+    ]
+    return router, token, "alice", func_ids, endpoint_ids

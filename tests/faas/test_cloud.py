@@ -1,5 +1,7 @@
 """Tests for the FaaS cloud service semantics."""
 
+from types import SimpleNamespace
+
 import pytest
 from conftest import ManualClock
 
@@ -11,7 +13,7 @@ from repro.exceptions import (
     WorkflowError,
 )
 from repro.faas.auth import SCOPE_COMPUTE, AuthServer
-from repro.faas.cloud import FaasCloud, TaskStatus
+from repro.faas.cloud import FaasCloud, TaskStatus, _CompletedFeed
 from repro.serialize import Blob, serialize
 
 
@@ -209,3 +211,28 @@ def test_endpoint_online_tracking(rig):
     assert cloud.endpoint_online(endpoint_id)
     cloud.set_endpoint_online(endpoint_id, False)
     assert not cloud.endpoint_online(endpoint_id)
+
+
+class _CountingId(str):
+    """A task id that counts the equality comparisons made against it."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _CountingId.compared += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_retiring_a_completion_is_o1_in_the_uncollected_backlog():
+    """A completion nobody downloads stays queued (a hedged client's late
+    primaries), so a retire must not scan the client's backlog."""
+    feed = _CompletedFeed(ManualClock())
+    ids = [_CountingId(f"task-{i:05d}") for i in range(10_000)]
+    feed.push([SimpleNamespace(client_id="c", task_id=task_id) for task_id in ids])
+    _CountingId.compared = 0
+    feed.retire([("c", _CountingId("task-05000")), ("ghost", _CountingId("task-1"))])
+    assert _CountingId.compared < 10  # a dict lookup or two, not 5000 scans
+    rest = feed.next_completed_batch("c", 10_000, timeout=0.0)
+    assert rest == ids[:5000] + ids[5001:]  # push order, the retired one gone

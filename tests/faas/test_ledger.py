@@ -136,7 +136,7 @@ def test_fabricated_failure_applies_only_to_a_queued_task():
     assert fail("task-00000000").verdicts == ["not-queued"]  # already leased
     expired = fail("task-00000001")
     assert expired.verdicts == [None]
-    assert ("task_dispatched", ("default", 0)) in expired.usage  # its bytes left the queue
+    assert ("tasks_dispatched", ("default", 0)) in expired.usage  # its bytes left the queue
     assert ledger.tasks["task-00000001"].status is TaskStatus.FAILED
     assert ledger.depth("a") == 0
     assert set(Result("a", []).to_doc()) == {"endpoint_id", "results"}  # not journaled

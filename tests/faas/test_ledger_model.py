@@ -48,8 +48,8 @@ class Usage:
     def weight(self, tenant):
         return 1
 
-    def task_finished(self, tenant):
-        self.finished += 1
+    def tasks_finished(self, tenant, n):
+        self.finished += n
 
     def __getattr__(self, name):
         return lambda *args: None

@@ -274,7 +274,7 @@ def test_report_racing_requeue_sweep_stays_terminal(testbed, sweep):
         assert isinstance(outcome[0], LeaseExpiredError)
         assert (record.status, record.endpoint_id) == (TaskStatus.WAITING, new)
         assert (cloud.queue_depth(old), cloud.queue_depth(new)) == (0, 1)
-        assert usage.calls.count("task_finished") == 0
+        assert usage.calls.count("tasks_finished") == 0
         assert cloud.next_completed_batch("c", 32, timeout=0.0) == []
         # The peer runs it: exactly one terminal, one feed entry.
         cloud.fetch_tasks(token, new, 1, timeout=0.0)
@@ -283,6 +283,6 @@ def test_report_racing_requeue_sweep_stays_terminal(testbed, sweep):
         assert outcome == [None]
     assert record.status is TaskStatus.SUCCESS
     assert (cloud.queue_depth(old), cloud.queue_depth(new)) == (0, 0)
-    assert usage.calls.count("task_finished") == 1
+    assert usage.calls.count("tasks_finished") == 1
     assert cloud.next_completed_batch("c", 32, timeout=0.0) == [task_id]
     assert cloud.fetch_tasks(token, record.endpoint_id, 10, timeout=0.0) == []

@@ -114,8 +114,8 @@ def test_in_flight_quota_blocks_then_releases():
     registry.admit_submit("alice", 100)
     with pytest.raises(TenantQuotaExceededError):
         registry.admit_submit("alice", 100)
-    registry.task_dispatched("alice", 100)
-    registry.task_finished("alice")  # headroom returns at terminal
+    registry.tasks_dispatched("alice", 100)
+    registry.tasks_finished("alice", 1)  # headroom returns at terminal
     registry.admit_submit("alice", 100)
     usage = registry.get("alice").usage
     assert usage.in_flight == 2
@@ -128,7 +128,7 @@ def test_queued_bytes_quota_tracks_dispatch_and_requeue():
     registry.admit_submit("alice", 100)
     with pytest.raises(TenantQuotaExceededError):
         registry.admit_submit("alice", 100)
-    registry.task_dispatched("alice", 100)  # bytes leave the queue
+    registry.tasks_dispatched("alice", 100)  # bytes leave the queue
     registry.admit_submit("alice", 100)
     registry.task_requeued("alice", 100)  # crash: bytes come back
     with pytest.raises(TenantQuotaExceededError):
@@ -147,8 +147,8 @@ def test_batch_beyond_the_quota_admits_the_prefix_that_fits():
     usage = registry.get("alice").usage
     assert (usage.in_flight, usage.queued_bytes, usage.submits) == (2, 200, 2)
     assert usage.throttled == 1  # once per refused call, not per member
-    registry.task_dispatched("alice", 100)
-    registry.task_dispatched("alice", 100)
+    registry.tasks_dispatched("alice", 100)
+    registry.tasks_dispatched("alice", 100)
     admitted, refusal = registry.admit_batch("alice", [100] * 6)
     assert admitted == 2 and refusal is not None
     admitted, refusal = registry.admit_batch("alice", [10])
