@@ -11,6 +11,9 @@ This package amortizes both:
 - :class:`Reactor` is the single per-process timer wheel that fires flush
   deadlines and endpoint heartbeats, replacing the thread-per-wait sleep
   loops on those paths.
+- :class:`Round` is every pipelined hop (store, submit, uplink, download,
+  argument hand-off): k members landing at their own offsets, one answer
+  at the last, landed by ``wait`` on the caller or ``arm`` on the reactor.
 
 The cloud-side counterparts (`submit_batch`, `report_results`,
 `next_completed_batch`) live on `FaasCloud`/`CloudRouter`; the zero-copy
@@ -19,5 +22,6 @@ payload mode lives in `repro.serialize.borrow`.
 
 from repro.batch.batcher import BatchAccumulator, BatchPolicy
 from repro.batch.reactor import Reactor, get_reactor
+from repro.batch.round import Round
 
-__all__ = ["BatchAccumulator", "BatchPolicy", "Reactor", "get_reactor"]
+__all__ = ["BatchAccumulator", "BatchPolicy", "Reactor", "Round", "get_reactor"]

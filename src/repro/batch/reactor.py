@@ -54,6 +54,10 @@ class Reactor:
         self._running = False
 
     # -- scheduling ----------------------------------------------------------
+    def now(self) -> float:
+        """The nominal time timers are due against."""
+        return self._clock.now()
+
     def call_later(self, delay: float, fn: Callable[[], Any]) -> Timer:
         """Run ``fn`` once, ``delay`` nominal seconds from now."""
         return self._arm(Timer(self._clock.now() + max(0.0, delay), None, fn))

@@ -1095,10 +1095,13 @@ class FaasClient:
         # Notification push + result download, charged to the client.
         charges = [network.latency(self.cloud.site, site)]
         try:
-            reads, outcomes = self.cloud.download_round(
+            # A download round is settled when it is planned: its answer is
+            # the reads, its charges what they cost.
+            reads = self.cloud.download_round(
                 self.token, [task_id for task_id, _ in entries]
             )
-            charges += reads
+            charges += reads.charges
+            outcomes = reads.answer
         except ReproError as exc:
             outcomes = [exc] * size
         delivered = [

@@ -40,7 +40,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.batch.reactor import get_reactor
+from repro.batch.round import Round
 from repro.bus import NotificationBus
 from repro.chaos.plan import attempt_from_key, chaos_check, chaos_enabled
 from repro.durable.journal import encode_payload
@@ -169,7 +169,7 @@ class _PayloadStore:
     def _draw_round(
         self, members: list[tuple[str, int]]
     ) -> tuple[list[float], list[float]]:
-        """Draw one round of ``(tier, nbytes)`` store ops: ``(landings,
+        """Draw one round of ``(tier, nbytes)`` store ops: ``(offsets,
         charges)``.
 
         Every member draws its own latency sample, in member order, so the
@@ -220,28 +220,17 @@ class _PayloadStore:
             return "redis"
         return "s3"
 
-    def write_round(self, members: list[tuple[Payload, bool]]) -> list[str]:
-        """Store one round of ``(payload, chaos_exempt)`` members; returns
-        their locators once the slowest write has landed.  ``chaos_exempt``
-        marks payloads whose bytes are *not* content-deterministic (failure
-        reports embed task ids and tracebacks); fault injection skips them
-        so the fault ledger stays a pure function of the plan seed."""
-        charges, _landings, land = self.plan_write(members)
-        for charge in charges:
-            self._clock.sleep(charge)
-        return land(range(len(members)))
-
-    def plan_write(
-        self, members: list[tuple[Payload, bool]]
-    ) -> tuple[list[float], list[float], Callable[[list[int]], list[str]]]:
-        """:meth:`write_round` split up: the round's per-tier charges and
-        each member's landing (:meth:`_draw_round`), drawn now, and the call
-        that files the members at the given indexes once they have landed
-        (it returns their locators)."""
+    def write_round(self, members: list[tuple[Payload, bool]]) -> Round:
+        """Store one round of ``(payload, chaos_exempt)`` members, drawn now
+        (:meth:`_draw_round`): each landing files its members and answers
+        their locators.  ``chaos_exempt`` marks payloads whose bytes are
+        *not* content-deterministic (failure reports embed task ids and
+        tracebacks); fault injection skips them so the fault ledger stays a
+        pure function of the plan seed."""
         tiers = [
             self._tier(payload.nominal_size, payload.borrowed) for payload, _ in members
         ]
-        landings, charges = self._draw_round(
+        offsets, charges = self._draw_round(
             [(tier, payload.nominal_size) for tier, (payload, _) in zip(tiers, members)]
         )
 
@@ -259,45 +248,29 @@ class _PayloadStore:
                 counter_inc("faas.store_writes", n, tier=tier)
             return locators
 
-        return charges, landings, land
+        return Round.grouped([None] * len(members), charges, offsets, land)
 
     def write(self, payload: Payload, *, chaos_exempt: bool = False) -> str:
         """Store one payload: the round of one."""
-        return self.write_round([(payload, chaos_exempt)])[0]
+        return sole(self.write_round([(payload, chaos_exempt)]).wait(self._clock))
 
-    def read_round(self, locators: list[str]) -> list:
-        """Read one round of locators, waiting for the slowest member.
-        Returns a list aligned with them: the payload, or the
-        :class:`WorkflowError` (unknown locator, injected
-        ``cloud.store.read`` fault) that failed that member alone."""
-        charges, landed = self.plan_read(locators)
-        for charge in charges:
-            self._clock.sleep(charge)
-        return [outcome for _, outcome in landed]
-
-    def read_landings(self, locators: list[str]) -> list[tuple[float, object]]:
-        """Read one round of locators without waiting for it: per member,
-        ``(landing, outcome)`` -- the nominal seconds from now at which that
-        member's read lands (:meth:`_draw_round`) and what it lands with,
-        as in :meth:`read_round`."""
-        return self.plan_read(locators)[1]
-
-    def plan_read(
-        self, locators: list[str]
-    ) -> tuple[list[float], list[tuple[float, object]]]:
-        """The round's per-tier charges and each member's ``(landing,
-        outcome)``.  Counters and the ``cloud.store.read`` fault hook fire
-        here, once per member, in member order; an unknown locator is never
-        charged for and lands at once.  An injected fault's delay that
-        outlasts the round is one more charge: the round ends when its last
-        member lands."""
-        landed: list[tuple[float, object]] = [(0.0, None)] * len(locators)
+    def read_round(self, locators: list[str]) -> Round:
+        """Read one round of locators: a settled round whose answer is, per
+        member, the payload or the :class:`WorkflowError` (unknown locator,
+        injected ``cloud.store.read`` fault) that failed that member alone,
+        delivered at that member's own landing (:meth:`_draw_round`).
+        Counters and the fault hook fire now, once per member, in member
+        order; an unknown locator is never charged for and lands at once.
+        An injected fault's delay that outlasts the round is one more
+        charge: the round ends when its last member lands."""
+        answer: list = [None] * len(locators)
+        offsets = [0.0] * len(locators)
         found: list[tuple[int, _StoredObject]] = []
         with self._lock:
             for i, locator in enumerate(locators):
                 stored = self._objects.get(locator)
                 if stored is None:
-                    landed[i] = (0.0, WorkflowError(f"unknown payload locator {locator!r}"))
+                    answer[i] = WorkflowError(f"unknown payload locator {locator!r}")
                 else:
                     found.append((i, stored))
         landings, charges = self._draw_round(
@@ -306,7 +279,7 @@ class _PayloadStore:
         read: dict[str, int] = {}
         for (i, stored), at in zip(found, landings):
             read[stored.tier] = read.get(stored.tier, 0) + 1
-            landed[i] = (at, stored.payload)
+            answer[i], offsets[i] = stored.payload, at
             if stored.chaos_exempt:
                 continue
             # Fault keys derive from payload *content* so re-stored retries
@@ -318,23 +291,21 @@ class _PayloadStore:
                 tier=stored.tier,
             )
             if spec is not None:
-                landed[i] = (
-                    at + spec.delay,
-                    WorkflowError(
-                        f"injected fault {spec.mode!r}: payload store read of "
-                        f"{locators[i]!r} returned corrupt data"
-                    ),
+                offsets[i] += spec.delay
+                answer[i] = WorkflowError(
+                    f"injected fault {spec.mode!r}: payload store read of "
+                    f"{locators[i]!r} returned corrupt data"
                 )
         for tier, n in read.items():
             counter_inc("faas.store_reads", n, tier=tier)
-        late = max([at for at, _ in landed], default=0.0) - sum(charges)
+        late = max(offsets, default=0.0) - sum(charges)
         if late > 0:
             charges.append(late)
-        return charges, landed
+        return Round.settled(answer, charges, offsets)
 
     def read(self, locator: str) -> Payload:
         """Read one payload: the round of one, its error raised."""
-        return sole(self.read_round([locator]))
+        return sole(self.read_round([locator]).wait(self._clock))
 
     def adopt(self, locator: str, payload: Payload, *, chaos_exempt: bool = False) -> None:
         """Re-install an object under a locator minted before a crash.
@@ -418,8 +389,8 @@ class _BatchOfOne:
     one member, and raises what that member came back with; and the batched
     calls, each one of the subclass's rounds (``submit_round``,
     ``report_round``, ``download_round``) landed on the calling thread or
-    the reactor.  Nothing is admitted, journaled, queued or published
-    here."""
+    the reactor (:meth:`_land`).  Nothing is admitted, journaled, queued or
+    published here."""
 
     def submit(
         self,
@@ -456,13 +427,11 @@ class _BatchOfOne:
         then: Callable[[list], object] | None = None,
     ) -> list | None:
         """Admit one API round trip's tasks: the ``submit_round`` of this
-        call, landed (:meth:`_land_round`).  The answer is a list aligned
-        with ``items`` -- a task id where admission succeeded, the raising
-        :class:`ReproError` where it did not -- and arrives when the slowest
-        argument write lands; each member is queued at its own."""
-        return self._land_round(
-            self.submit_round(token, client_id, items, tenant=tenant), len(items), then
-        )
+        call, landed.  The answer is a list aligned with ``items`` -- a task
+        id where admission succeeded, the raising :class:`ReproError` where
+        it did not -- and arrives when the slowest argument write lands;
+        each member is queued at its own."""
+        return self._land(self.submit_round(token, client_id, items, tenant=tenant), then)
 
     def report_results(
         self,
@@ -473,70 +442,24 @@ class _BatchOfOne:
         then: Callable[[list], object] | None = None,
     ) -> list | None:
         """Uplink one API round trip's results: the ``report_round`` of this
-        call, landed (:meth:`_land_round`).  The answer is aligned with
-        ``results``: ``None`` for an accepted or duplicate-dropped report,
-        the per-task :class:`ReproError` (e.g. :class:`LeaseExpiredError`
-        for a stale lease) otherwise."""
-        return self._land_round(
-            self.report_round(token, endpoint_id, results), len(results), then
-        )
+        call, landed.  The answer is aligned with ``results``: ``None`` for
+        an accepted or duplicate-dropped report, the per-task
+        :class:`ReproError` (e.g. :class:`LeaseExpiredError` for a stale
+        lease) otherwise."""
+        return self._land(self.report_round(token, endpoint_id, results), then)
 
     def get_result_payloads(self, token: Token, task_ids: list[str]) -> list:
         """Collect several tasks' results in one API call: the
-        ``download_round`` of this call, paid for on the calling thread.
+        ``download_round`` of this call, waited for on the calling thread.
         Returns a list aligned with ``task_ids`` -- ``(status, payload)``
         where the read succeeded, the raising :class:`ReproError` (unknown
         id, no result yet, corrupt read) where it did not."""
-        charges, outcomes = self.download_round(token, task_ids)
-        for charge in charges:
-            self.clock.sleep(charge)
-        return outcomes
+        return self.download_round(token, task_ids).wait(self.clock)
 
-    def _land_round(
-        self, round_: tuple[list, list], n: int, then: Callable[[list], object] | None
-    ) -> list | None:
-        """Land a round of ``n`` members, ``(charges, landings)``.
-
-        ``landings`` are ``(offset, commit)`` pairs in ascending order: each
-        commit lands its members when ``offset`` nominal seconds have passed
-        and returns the call's outcomes as they stand, so the last one's is
-        the answer.  Without ``then`` the calling thread sleeps to each
-        landing in turn and returns the answer.  With it every landing is a
-        timer on the process reactor instead: the call returns at once and
-        ``then(answer)`` runs on the reactor thread after the last landing,
-        so several rounds can be in flight and none holds a thread while it
-        waits on the store.  There, a commit that raises fails every member
-        it had not yet answered for, and no later landing runs."""
-        _charges, landings = round_
-        if then is None:
-            paid = 0.0
-            for at, commit in landings:
-                self.clock.sleep(at - paid)
-                paid = at
-                answer = commit()
-            return answer
-        started = self.clock.now()
-        steps = iter(landings)
-        answer: list = [None] * n
-
-        def land(commit) -> None:
-            nonlocal answer
-            try:
-                answer = commit()
-            except Exception as exc:  # noqa: BLE001 - a reactor round must settle
-                then([exc if outcome is None else outcome for outcome in answer])
-                return
-            step = next(steps, None)
-            if step is None:
-                then(answer)
-            else:
-                get_reactor().call_later(
-                    started + step[0] - self.clock.now(), lambda: land(step[1])
-                )
-
-        at, commit = next(steps)
-        get_reactor().call_later(at, lambda: land(commit))
-        return None
+    def _land(self, round_: Round, then: Callable[[list], object] | None) -> list | None:
+        """The caller waits for the answer, or ``then(answer)`` runs on the
+        reactor after the last landing and the call returns at once."""
+        return round_.wait(self.clock) if then is None else round_.arm(then)
 
     def report_result(
         self,
@@ -1083,28 +1006,22 @@ class FaasCloud(_BatchOfOne):
         items: list[TaskSubmission],
         *,
         tenant: str = DEFAULT_TENANT,
-    ) -> tuple[list[float], list[tuple[float, Callable[[], list]]]]:
+    ) -> Round:
         """One API round trip's admission -- a coalesced batch, or one --
-        as ``(charges, landings)``: what the round costs, in the order it is
-        paid, and when each member is queued (:meth:`submit_batch` lands
-        them, see :meth:`_BatchOfOne._land_round`).
+        as a :class:`Round` (:meth:`submit_batch` lands it).
 
         The call pays the shared costs once — one auth/tenant check, one
         admission slot, one pipelined store round — and the per-task checks
-        (:meth:`_admit_round`: function known, deadline, quarantine, breaker
-        steering, fault injection, payload cap) run now, each decided once
-        for what the members share.
-        Each member is queued when its own argument write lands (the
-        admission slot, then :meth:`_PayloadStore._draw_round`): the members
-        that land together commit as one ``submit`` record -- WAL append,
-        queue, one coalesced doorbell per destination endpoint -- so no task
-        waits for a slower batch-mate, and the last group lands when the
-        round ends.  A payload the sender marked borrowed rode this message
-        and lands in the ``inline`` tier if it is small enough; the cloud
-        never decides that itself.  Every commit returns the list aligned
-        with ``items`` as it stands: a task id where admission succeeded,
-        the raising :class:`ReproError` where it did not, so the client can
-        split rejects back into singles.
+        (:meth:`_admit_round`) run now, each decided once for what the
+        members share; a refused member is settled now.  Each member is
+        queued when its own argument write lands, after the admission slot:
+        the members that land together commit as one ``submit`` record --
+        WAL append, queue, one coalesced doorbell per destination endpoint
+        -- so no task waits for a slower batch-mate.  A payload the sender
+        borrowed rode this message (``inline`` if small enough).  The answer
+        is a task id where admission succeeded, the raising
+        :class:`ReproError` where it did not, so the client can split
+        rejects back into singles.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         validate_tenant_name(tenant)
@@ -1113,7 +1030,7 @@ class FaasCloud(_BatchOfOne):
         self.expire_leases()
         results, admitted = self._admit_round(client_id, items, tenant)
         if not admitted:
-            return [], [(0.0, lambda: results)]
+            return Round.settled(results)
         charges: list[float] = []
         slot = 0.0
         if self._service_time > 0.0:
@@ -1132,66 +1049,50 @@ class FaasCloud(_BatchOfOne):
                 slot = self._admitting_until - now
             charges.append(slot)
         # One pipelined store round for the call's argument writes.
-        store_charges, landings, land = self.store.plan_write(
+        writes = self.store.write_round(
             [(item.args_payload, False) for _i, item, _endpoint, _fp in admitted]
         )
-        charges += store_charges
-        groups: dict[float, list[int]] = {}
-        for j, at in enumerate(landings):
-            groups.setdefault(at, []).append(j)
-        last = max(groups)
+        charges += writes.charges
+        counter_inc("cloud.batch_submits", tenant=tenant, shard=self._shard_label)
 
-        def commit(members: list[int], at: float) -> list:
-            try:
-                locators = land(members)
-                task_ids = self.ledger.next_task_ids(len(members))
-                submitted_at = self.clock.now()
-                tasks = []
-                for j, args_locator, task_id in zip(members, locators, task_ids):
-                    _i, item, endpoint_id, fingerprint = admitted[j]
-                    tasks.append(
-                        TaskRecord(
-                            task_id=task_id,
-                            func_id=item.func_id,
-                            endpoint_id=endpoint_id,
-                            client_id=client_id,
-                            args_locator=args_locator,
-                            submitted_at=submitted_at,
-                            trace_ctx=item.trace_ctx,
-                            chaos_key=item.chaos_key,
-                            prefetch=tuple(item.prefetch),
-                            tenant=tenant,
-                            args_nbytes=item.args_payload.nominal_size,
-                            deadline_at=item.deadline_at,
-                            fingerprint=fingerprint,
-                        )
+        def commit(members: list[int], land) -> list[str]:
+            locators = land()
+            task_ids = self.ledger.next_task_ids(len(members))
+            submitted_at = self.clock.now()
+            tasks = []
+            for j, args_locator, task_id in zip(members, locators, task_ids):
+                _i, item, endpoint_id, fingerprint = admitted[j]
+                tasks.append(
+                    TaskRecord(
+                        task_id=task_id,
+                        func_id=item.func_id,
+                        endpoint_id=endpoint_id,
+                        client_id=client_id,
+                        args_locator=args_locator,
+                        submitted_at=submitted_at,
+                        trace_ctx=item.trace_ctx,
+                        chaos_key=item.chaos_key,
+                        prefetch=tuple(item.prefetch),
+                        tenant=tenant,
+                        args_nbytes=item.args_payload.nominal_size,
+                        deadline_at=item.deadline_at,
+                        fingerprint=fingerprint,
                     )
-                # ONE record makes the group's admission (task identities +
-                # argument bytes + locators) durable before any of its tasks
-                # becomes visible in a queue; a crash between its append and
-                # its apply leaves journaled-but-never-queued tasks, which
-                # replay admits exactly once.
-                self._commit(
-                    Submit(tasks, [admitted[j][1].args_payload for j in members])
                 )
-            except ReproError as exc:
-                for j in members:
-                    results[admitted[j][0]] = exc
-            else:
-                for j, task in zip(members, tasks):
-                    results[admitted[j][0]] = task.task_id
-                counter_inc(
-                    "cloud.submits", len(tasks), tenant=tenant, shard=self._shard_label
-                )
-            if at == last:
-                counter_inc(
-                    "cloud.batch_submits", tenant=tenant, shard=self._shard_label
-                )
-            return results
+            # ONE record makes the group's admission (task identities +
+            # argument bytes + locators) durable before any of its tasks
+            # becomes visible in a queue; a crash between its append and its
+            # apply leaves journaled-but-never-queued tasks, which replay
+            # admits exactly once.
+            self._commit(Submit(tasks, [admitted[j][1].args_payload for j in members]))
+            counter_inc("cloud.submits", len(tasks), tenant=tenant, shard=self._shard_label)
+            return [task.task_id for task in tasks]
 
-        return charges, [
-            (slot + at, functools.partial(commit, groups[at], at)) for at in sorted(groups)
-        ]
+        landings = []
+        for at, group, land in writes.landings:
+            queue_group = functools.partial(commit, group, land)
+            landings.append((slot + at, [admitted[j][0] for j in group], queue_group))
+        return Round(results, charges, landings)
 
     def task(self, task_id: str) -> TaskRecord:
         try:
@@ -1204,17 +1105,14 @@ class FaasCloud(_BatchOfOne):
         with self.ledger.lock:
             return list(self.ledger.tasks.values())
 
-    def download_round(
-        self, token: Token, task_ids: list[str]
-    ) -> tuple[list[float], list]:
-        """Collect the results of several tasks in one API call, as
-        ``(charges, outcomes)``: the round's store charges, in the order
-        they are paid, and what each member's read lands with once they
-        have been (:meth:`get_result_payloads` pays them on the caller).
+    def download_round(self, token: Token, task_ids: list[str]) -> Round:
+        """Collect the results of several tasks in one API call: a settled
+        :class:`Round` -- the reads are decided now and each member is
+        delivered at its own read landing.
 
         One auth check covers the call; everything else is per task — the
         store read (tier charge, ``cloud.store.read`` fault hook) and the
-        outcome.  The outcomes are aligned with ``task_ids``, shaped like
+        outcome.  The answer is aligned with ``task_ids``, shaped like
         :meth:`submit_batch`'s: ``(status, payload)`` where the read
         succeeded, the raising :class:`ReproError` (unknown id, no result
         yet, corrupt read) where it did not, so one bad member never fails
@@ -1239,12 +1137,12 @@ class FaasCloud(_BatchOfOne):
             [(record.client_id, record.task_id) for _, record in ready]
         )
         # One pipelined store round for the call's result reads.
-        charges, landed = self.store.plan_read(
-            [record.result_locator for _, record in ready]
-        )
-        for (i, record), (_at, read) in zip(ready, landed):
+        reads = self.store.read_round([record.result_locator for _, record in ready])
+        offsets = [0.0] * len(task_ids)
+        for (i, record), read, at in zip(ready, reads.answer, reads.offsets()):
             outcomes[i] = read if isinstance(read, Exception) else (record.status, read)
-        return charges, outcomes
+            offsets[i] = at
+        return Round.settled(outcomes, reads.charges, offsets)
 
     def next_completed_batch(
         self, client_id: str, max_n: int = 32, timeout: float | None = None
@@ -1468,20 +1366,18 @@ class FaasCloud(_BatchOfOne):
         token: Token,
         endpoint_id: str,
         results: list[tuple[str, bool, Payload]],
-    ) -> tuple[list[float], list[tuple[float, Callable[[], list]]]]:
+    ) -> Round:
         """Uplink one API round trip's results — a drained backlog, or one —
-        as ``(charges, landings)``, like :meth:`submit_round`: one landing,
-        when the round's result writes have all landed
-        (:meth:`report_results` lands it).
+        as a :class:`Round` with one landing, when the round's result writes
+        have all landed (:meth:`report_results` lands it).
 
         Pays one auth check and ONE WAL append for the whole call (each
         result doc inside it replays individually) and coalesces the result
-        doorbells per destination client.  A payload the sender marked
-        borrowed rode this message and skips the redis hop if it is small
-        enough; the cloud never decides that itself.  The commit returns a
-        list aligned with ``results``: ``None`` for accepted or
-        duplicate-dropped reports, the per-task :class:`ReproError` (e.g.
-        :class:`LeaseExpiredError` for a stale lease) otherwise.
+        doorbells per destination client.  A payload the sender borrowed
+        rode this message (``inline`` if small enough).  The answer is
+        ``None`` for accepted or duplicate-dropped reports, the per-task
+        :class:`ReproError` (e.g. :class:`LeaseExpiredError` for a stale
+        lease) otherwise.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         outcomes: list = [None] * len(results)
@@ -1495,14 +1391,18 @@ class FaasCloud(_BatchOfOne):
             else:
                 outcomes[i] = self._refusal(verdict, task_id, endpoint_id)
         if not live:
-            return [], [(0.0, lambda: outcomes)]
-        # One pipelined store round for the call's result writes.
-        charges, _landings, land = self.store.plan_write(
+            return Round.settled(outcomes)
+        # One pipelined store round for the call's result writes, filed
+        # together when the slowest has landed.
+        writes = self.store.write_round(
             [(results[i][2], not results[i][1]) for i in live]
         )
 
         def commit() -> list:
-            locators = land(range(len(live)))
+            locators = [None] * len(live)
+            for _at, members, land in writes.landings:
+                for j, locator in zip(members, land()):
+                    locators[j] = locator
             at = self.clock.now()
             record = Result(
                 endpoint_id,
@@ -1527,9 +1427,9 @@ class FaasCloud(_BatchOfOne):
                     outcomes[i] = self._refusal(verdict, results[i][0], endpoint_id)
             self._score_results(effects.completions, endpoint_id)
             self._announce(effects)
-            return outcomes
+            return [outcomes[i] for i in live]
 
-        return charges, [(sum(charges), commit)]
+        return Round(outcomes, writes.charges, [(sum(writes.charges), live, commit)])
 
     # -- dead-letter queue ------------------------------------------------------
     def deadletters(self, tenant: str | None = None) -> list:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.batch.reactor import get_reactor
+from repro.batch.round import Round
 from repro.bench.recording import emit
 from repro.bus import BusConsumer
 from repro.chaos.plan import attempt_from_key, chaos_check, chaos_enabled
@@ -505,20 +506,17 @@ class FaasEndpoint:
         """Download one delivery round's arguments; each task reaches the
         pool when its own argument read lands.
 
-        The cloud reads the round's argument payloads out of its store in
-        one pipelined store round and streams them back in one response: a
-        member lands when its own read does (its own latency draw; the
-        slowest lands when the whole round ends -- ``_draw_round`` in the
-        cloud's store) plus one WAN latency and its own bytes, so no task
-        waits for a slower batch-mate and a round of one charges exactly
-        what a lone task always has.  The landings are handoffs armed on the
-        process reactor, at this agent's site; the poll thread only resolves
-        functions (a cache miss pays an API call here, never on the reactor)
-        and goes straight back to the doorbell.  Everything else stays per
-        member: the store op itself (its counter and ``cloud.store.read``
-        fault hook), the ``endpoint.fetch`` span and ``data_transfer`` event
-        in the task's own trace, and failure — a member whose read or
-        function lookup fails is reported failed alone, when its read lands.
+        The cloud reads the round's argument payloads in one pipelined store
+        round and streams them back in one response: a member lands at its
+        own read plus one WAN latency and its own bytes, so no task waits
+        for a slower batch-mate and a round of one charges exactly what a
+        lone task always has.  The landings are one hand-off :class:`Round`
+        armed on the reactor, at this agent's site; the poll thread only
+        resolves functions (a cache miss pays an API call here, never on the
+        reactor) and goes straight back to the doorbell.  The store op, the
+        ``endpoint.fetch`` span and ``data_transfer`` event, and failure stay
+        per member: a member whose read or function lookup fails is reported
+        failed alone, when its read lands.
         """
         started = self._clock.now()
         size = len(dispatches)
@@ -544,73 +542,46 @@ class FaasEndpoint:
                 except Exception as exc:  # noqa: BLE001 - reported when its read lands
                     fn = exc
             live.append((dispatch, fn))
-        landed = self.cloud.store.read_landings([d.args_locator for d, _ in live])
+        if not live:
+            return
+        reads = self.cloud.store.read_round([d.args_locator for d, _ in live])
         # The round streams back in one response: one WAN latency for the
         # round, then each member's own bytes.
         network = self.cloud.network
         wan = bandwidth = None
-        now = self._clock.now()
-        schedule: list[tuple[float, int, TaskDispatch, object, object]] = []
-        for i, ((dispatch, fn), (landing, read)) in enumerate(zip(live, landed)):
-            outcome = read if isinstance(read, Exception) else fn
-            if not isinstance(outcome, Exception):
+        offsets = reads.offsets()
+        for i, ((_dispatch, fn), read) in enumerate(zip(live, reads.answer)):
+            if not isinstance(read, Exception) and not isinstance(fn, Exception):
                 if wan is None:
                     wan = network.latency(self.cloud.site, self.site)
                     bandwidth = network.bandwidth(self.cloud.site, self.site)
-                landing += wan + read.nominal_size / bandwidth
-            schedule.append((now + landing, i, dispatch, outcome, read))
-        if not schedule:
-            return
-        # Latest first; the member index breaks ties, so no two entries ever
-        # compare past it.
-        schedule.sort(reverse=True)
-        with self._in_flight:
-            self._handoffs += len(schedule)
-        self._arm_handoffs(schedule, now, started, size)
+                offsets[i] += wan + read.nominal_size / bandwidth
 
-    def _arm_handoffs(
-        self, schedule: list, now: float, started: float, size: int
-    ) -> None:
-        """Arm the process reactor for the next landing of a fetched round.
-
-        ``schedule`` holds the round's members not yet landed as ``(due,
-        index, dispatch, fn or failure, payload)``, latest first; ``now`` is
-        when the caller read the clock.  The callback runs at this agent's
-        site and hands every member due by then to the pool (or reports it
-        failed, if its read or function lookup failed), then re-arms for
-        the rest, so a round costs one timer per distinct landing, not one
-        per member.  Unless the agent
-        has crashed by then: a dead process takes its downloads in flight
-        with it, and the lease lapse re-dispatches them.
-        """
-
-        def land() -> None:
+        def hand_off(members: list[int]) -> list:
+            # A dead process takes its downloads in flight with it; the
+            # lease lapse re-dispatches them.
+            if self._crashed.is_set():
+                counter_inc("endpoint.handoffs_dropped", len(members), endpoint=self.name)
+                return []
             now = self._clock.now()
-            landed = [schedule.pop()]
-            while schedule and (schedule[-1][0] <= now or self._crashed.is_set()):
-                landed.append(schedule.pop())
-            try:
-                if self._crashed.is_set():
-                    counter_inc(
-                        "endpoint.handoffs_dropped", len(landed), endpoint=self.name
-                    )
-                    return
-                with at_site(self.site):
-                    for _due, _i, dispatch, outcome, payload in landed:
-                        if isinstance(outcome, Exception):
-                            self._fail_dispatch(dispatch, outcome, started, size)
-                        else:
-                            self._hand_to_pool(
-                                dispatch, outcome, payload, started, size, now
-                            )
-            finally:
-                with self._in_flight:
-                    self._handoffs -= len(landed)
-                    self._in_flight.notify_all()
-                if schedule:
-                    self._arm_handoffs(schedule, now, started, size)
+            with at_site(self.site):
+                for i in members:
+                    (dispatch, fn), read = live[i], reads.answer[i]
+                    failure = read if isinstance(read, Exception) else fn
+                    if isinstance(failure, Exception):
+                        self._fail_dispatch(dispatch, failure, started, size)
+                    else:
+                        self._hand_to_pool(dispatch, fn, read, started, size, now)
+            return []
 
-        get_reactor().call_later(schedule[-1][0] - now, land)
+        def handed_off(_answer: list) -> None:
+            with self._in_flight:
+                self._handoffs -= len(live)
+                self._in_flight.notify_all()
+
+        with self._in_flight:
+            self._handoffs += len(live)
+        Round.grouped([None] * len(live), [], offsets, hand_off).arm(handed_off)
 
     def _hand_to_pool(
         self,

@@ -37,7 +37,7 @@ class HashRing:
     """A consistent-hash ring of named nodes with virtual replicas.
 
     Not thread-safe by itself; the router mutates it only at construction
-    and under its own lock when shards join or leave.
+    and under its own lock when shards join.
     """
 
     def __init__(self, nodes: list[str] | None = None, *, replicas: int = 64) -> None:
@@ -68,16 +68,6 @@ class HashRing:
             if point not in self._owners:
                 self._owners[point] = node
                 bisect.insort(self._points, point)
-
-    def remove_node(self, node: str) -> None:
-        if node not in self._nodes:
-            raise WorkflowError(f"node {node!r} is not on the ring")
-        self._nodes.discard(node)
-        for point, owner in list(self._owners.items()):
-            if owner == node:
-                del self._owners[point]
-                index = bisect.bisect_left(self._points, point)
-                del self._points[index]
 
     def node_for(self, key: str) -> str:
         """The node owning ``key``: the first ring point at or clockwise

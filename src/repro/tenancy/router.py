@@ -33,8 +33,9 @@ import hashlib
 import itertools
 import threading
 import uuid
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
+from repro.batch.round import Round
 from repro.bus import NotificationBus
 from repro.chaos.plan import chaos_check, chaos_enabled
 from repro.exceptions import ReproError, ShardUnavailableError, WorkflowError
@@ -45,6 +46,7 @@ from repro.faas.cloud import (
     TaskSubmission,
     _BatchOfOne,
     _CompletedFeed,
+    sole,
     task_topic,
 )
 from repro.net.clock import Clock, get_clock
@@ -101,40 +103,17 @@ class _RoutedStore:
         return owners
 
     def read(self, locator: str) -> Payload:
-        (owner,) = self._owners([locator])
-        if isinstance(owner, ReproError):
-            raise owner
-        return self._router.shard(owner).store.read(locator)
+        return sole(self.read_round([locator]).wait(self._router.clock))
 
-    def read_round(self, locators: list[str]) -> list:
-        """One store round per owning shard (each shard's store is its own
-        service), merged back into a list aligned with ``locators``."""
+    def read_round(self, locators: list[str]) -> Round:
+        """One store round per owning shard store, paid one after another;
+        a locator no shard owns fails alone, at once."""
         return self._router._scatter(
             self._owners(locators),
             lambda shard_id, indexes: self._router.shard(shard_id).store.read_round(
                 [locators[i] for i in indexes]
             ),
         )
-
-    def read_landings(self, locators: list[str]) -> list[tuple[float, object]]:
-        """Per member ``(landing, outcome)``, like
-        :meth:`_PayloadStore.read_landings`.  The owning shards' rounds run
-        one after another, as :meth:`read_round` pays them, so each shard's
-        landings start where the previous shard's round ended."""
-        ended = 0.0
-
-        def read(shard_id: str, indexes: list[int]) -> list:
-            nonlocal ended
-            charges, landed = self._router.shard(shard_id).store.plan_read(
-                [locators[i] for i in indexes]
-            )
-            landed = [(ended + at, outcome) for at, outcome in landed]
-            ended += sum(charges)
-            return landed
-
-        outcomes = self._router._scatter(self._owners(locators), read)
-        # A locator no shard owns fails alone, at once.
-        return [o if isinstance(o, tuple) else (0.0, o) for o in outcomes]
 
     def write(self, payload: Payload, *, chaos_exempt: bool = False) -> str:
         raise WorkflowError(
@@ -439,52 +418,21 @@ class CloudRouter(_BatchOfOne):
         with self._lock:
             return list(self._shards.values())
 
-    def _scatter(self, owners: list, call) -> list:
-        """Group the members of a batched call by owning shard, make one
-        ``call(shard_id, indexes)`` per group (it returns that group's
-        outcomes in order) and merge them into one list aligned with the
-        members.  ``owners[i]`` names member ``i``'s shard, or is the
+    def _scatter(self, owners: list, plan: Callable[[str, list[int]], Round]) -> Round:
+        """Group the members of a batched call by owning shard, plan one
+        round per group -- ``plan(shard_id, indexes)``, in shard order --
+        and join them (:meth:`Round.join`): the groups are paid one after
+        another.  ``owners[i]`` names member ``i``'s shard, or is the
         :class:`ReproError` that is that member's outcome while its
         batch-mates go on."""
-        _charges, landings = self._scatter_round(
-            owners,
-            lambda shard_id, indexes: ([], [(0.0, lambda: call(shard_id, indexes))]),
-        )
-        for _at, commit in landings:
-            outcomes = commit()
-        return outcomes
-
-    def _scatter_round(self, owners: list, prepare) -> tuple[list[float], list]:
-        """:meth:`_scatter` for a call that is a round: ``prepare(shard_id,
-        indexes)`` returns that group's ``(charges, landings)``, as
-        :meth:`FaasCloud.submit_round` does.  The joined round pays the
-        groups' charges one after another, so each group's landings start
-        where the groups before it ended; every landing merges its group's
-        outcomes into the joined list and returns it."""
-        outcomes: list = [None] * len(owners)
+        answer: list = [None] * len(owners)
         groups: dict[str, list[int]] = {}
         for i, owner in enumerate(owners):
             if isinstance(owner, ReproError):
-                outcomes[i] = owner
+                answer[i] = owner
             else:
                 groups.setdefault(owner, []).append(i)
-        charges: list[float] = []
-        landings: list = []
-
-        def merge(indexes: list[int], commit) -> list:
-            for i, outcome in zip(indexes, commit()):
-                outcomes[i] = outcome
-            return outcomes
-
-        for shard_id in sorted(groups):
-            group_charges, group_landings = prepare(shard_id, groups[shard_id])
-            started = sum(charges)
-            landings += [
-                (started + at, functools.partial(merge, groups[shard_id], commit))
-                for at, commit in group_landings
-            ]
-            charges += group_charges
-        return charges, landings or [(0.0, lambda: outcomes)]
+        return Round.join(answer, [(groups[s], plan(s, groups[s])) for s in sorted(groups)])
 
     # -- client side ----------------------------------------------------------
     def _shard_faults(
@@ -531,10 +479,10 @@ class CloudRouter(_BatchOfOne):
         items: list[TaskSubmission],
         *,
         tenant: str = DEFAULT_TENANT,
-    ) -> tuple[list[float], list]:
+    ) -> Round:
         """Admission: tenant auth → shard health → rate/quota → shard, as
-        one round (``(charges, landings)``, like
-        :meth:`FaasCloud.submit_round`; :meth:`submit_batch` lands it).
+        one :class:`Round` (like :meth:`FaasCloud.submit_round`;
+        :meth:`submit_batch` lands it).
 
         One auth and one ring lookup per partition, then -- with chaos on --
         per member the shard fault hooks (:meth:`_shard_faults`; a member
@@ -543,10 +491,11 @@ class CloudRouter(_BatchOfOne):
         hash to shards, so a mixed batch scatters into per-shard
         sub-batches); members beyond the tenant's
         remaining quota come back throttled.  Each shard queues its members
-        at their own landings; after a group's last landing the reservation
-        of a member the shard rejected is released, so a payload-cap
-        rejection does not leak in-flight headroom.  The answer is task ids
-        or per-task errors aligned with ``items``.
+        at their own landings; at a group's last landing the reservation
+        of every member the shard rejected -- or whose landing failed -- is
+        released, so a payload-cap rejection does not leak in-flight
+        headroom.  The answer is task ids or per-task errors aligned with
+        ``items``.
         """
         self.auth.validate(token, SCOPE_COMPUTE)
         validate_tenant_name(tenant)
@@ -565,7 +514,7 @@ class CloudRouter(_BatchOfOne):
                 except ReproError as exc:
                     owners[i] = exc
 
-        def prepare(shard_id: str, indexes: list[int]):
+        def plan(shard_id: str, indexes: list[int]) -> Round:
             sizes = [items[i].args_payload.nominal_size for i in indexes]
             try:
                 self._check_available(shard_id)
@@ -574,43 +523,53 @@ class CloudRouter(_BatchOfOne):
                 # quotas); the members beyond it come back throttled.
                 admitted, refusal = self.registry.admit_batch(tenant, sizes)
             except ReproError as exc:
-                failed = [exc] * len(indexes)
-                return [], [(0.0, lambda: failed)]
+                return Round.settled([exc] * len(indexes))
             refused = [refusal] * (len(indexes) - admitted)
             if not admitted:
-                return [], [(0.0, lambda: refused)]
+                return Round.settled(refused)
             group_items = [items[i] for i in indexes[:admitted]]
             # A group that fails as a whole fails only its own members, so
             # the other groups of the round still land and settle their
             # reservations.
             try:
-                charges, landings = self.shard(shard_id).submit_round(
+                shard_round = self.shard(shard_id).submit_round(
                     token, client_id, group_items, tenant=tenant
                 )
             except BaseException as exc:
                 self.registry.release_batch(tenant, admitted, sum(sizes[:admitted]))
                 if not isinstance(exc, ReproError):
                     raise
-                failed = [exc] * admitted + refused
-                return [], [(0.0, lambda: failed)]
-            *early, (end, shard_commit) = landings
+                return Round.settled([exc] * admitted + refused)
+            # The group's outcomes as they land; the shard settled its
+            # refusals already.
+            group = shard_round.answer
+            final = shard_round.landings[-1][0]
 
-            def commit() -> list:
-                shard_results = shard_commit()
-                rejected = [
-                    nbytes
-                    for nbytes, res in zip(sizes, shard_results)
-                    if isinstance(res, Exception)
-                ]
-                if rejected:
-                    self.registry.release_batch(tenant, len(rejected), sum(rejected))
-                if chaos_enabled():
-                    self._flush_faults(shard_id, group_items, client_id, tenant)
-                return shard_results + refused
+            def commit(members: list[int], shard_commit, at: float) -> list:
+                try:
+                    landed = shard_commit()
+                except Exception as exc:  # noqa: BLE001 - its reservation is released
+                    landed = [exc] * len(members)
+                for j, outcome in zip(members, landed):
+                    group[j] = outcome
+                if at == final:
+                    rejected = [n for n, o in zip(sizes, group) if isinstance(o, Exception)]
+                    if rejected:
+                        self.registry.release_batch(tenant, len(rejected), sum(rejected))
+                    if chaos_enabled():
+                        self._flush_faults(shard_id, group_items, client_id, tenant)
+                return landed
 
-            return charges, [*early, (end, commit)]
+            return Round(
+                group + refused,
+                shard_round.charges,
+                [
+                    (at, members, functools.partial(commit, members, shard_commit, at))
+                    for at, members, shard_commit in shard_round.landings
+                ],
+            )
 
-        return self._scatter_round(owners, prepare)
+        return self._scatter(owners, plan)
 
     def _flush_faults(
         self, shard_id: str, items: list[TaskSubmission], client_id: str, tenant: str
@@ -635,7 +594,7 @@ class CloudRouter(_BatchOfOne):
     def task(self, task_id: str) -> TaskRecord:
         return self._shard_for_task(task_id).task(task_id)
 
-    def download_round(self, token: Token, task_ids: list[str]) -> tuple[list, list]:
+    def download_round(self, token: Token, task_ids: list[str]) -> Round:
         """Batched result read, like :meth:`FaasCloud.download_round`: one
         round (hence one auth check) per owning shard, paid one after
         another.  An id no shard owns, or a shard whose call fails, fails
@@ -647,20 +606,15 @@ class CloudRouter(_BatchOfOne):
         the data plane stays up while the admission tier restarts.
         """
 
-        charges: list[float] = []
-
-        def read(shard_id: str, indexes: list[int]) -> list:
+        def read(shard_id: str, indexes: list[int]) -> Round:
             try:
-                shard_charges, outcomes = self.shard(shard_id).download_round(
+                return self.shard(shard_id).download_round(
                     token, [task_ids[i] for i in indexes]
                 )
             except ReproError as exc:
-                return [exc] * len(indexes)
-            charges.extend(shard_charges)
-            return outcomes
+                return Round.settled([exc] * len(indexes))
 
-        outcomes = self._scatter(self._task_owners(task_ids), read)
-        return charges, outcomes
+        return self._scatter(self._task_owners(task_ids), read)
 
     # -- endpoint side --------------------------------------------------------
     def fetch_tasks(
@@ -711,14 +665,14 @@ class CloudRouter(_BatchOfOne):
         token: Token,
         endpoint_id: str,
         results: list[tuple[str, bool, Payload]],
-    ) -> tuple[list[float], list]:
+    ) -> Round:
         """Uplink: scatter the results to their owning shards (one shard
-        round per group, landing one after another), merging the per-task
-        outcomes back into a list aligned with ``results``.
+        round per group, landing one after another), joined into one round
+        whose answer is aligned with ``results``.
 
         Like the result read, reporting is never outage-gated: the endpoint
         uplink must keep draining even while admission throttles."""
-        return self._scatter_round(
+        return self._scatter(
             self._task_owners([task_id for task_id, _success, _payload in results]),
             lambda shard_id, indexes: self.shard(shard_id).report_round(
                 token, endpoint_id, [results[i] for i in indexes]

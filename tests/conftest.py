@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import queue
 import threading
 
@@ -176,6 +178,30 @@ class ManualClock(Clock):
         except queue.Empty:
             self.sleep(timeout)
             raise
+
+
+class ManualReactor:
+    """The process reactor under a :class:`ManualClock`: timers fire when
+    the test runs them, each with the clock moved to its deadline.  Patch
+    it in where rounds are armed (``repro.batch.round.get_reactor``) and
+    import it with ``from conftest import ManualReactor``."""
+
+    def __init__(self, clock: ManualClock) -> None:
+        self._clock = clock
+        self._timers: list = []
+        self._seq = itertools.count()
+
+    def now(self) -> float:
+        return self._clock.now()
+
+    def call_later(self, delay, fn):
+        heapq.heappush(self._timers, (self._clock.now() + delay, next(self._seq), fn))
+
+    def run(self) -> None:
+        while self._timers:
+            when, _, fn = heapq.heappop(self._timers)
+            self._clock._now = max(self._clock._now, when)
+            fn()
 
 
 def hardened_router(clock: Clock, *, n_functions: int = 1, n_endpoints: int = 1):

@@ -563,19 +563,21 @@ def test_stale_result_after_rehome_is_refused_in_replay_as_it_was_live(testbed):
     pair = PairRig(testbed)
     task_id = pair.submit(2)
     pair.cloud.fetch_tasks(pair.token, pair.ep_a, 1, timeout=1.0)
-    plan_write = pair.cloud.store.plan_write
+    write_round = pair.cloud.store.write_round
 
     def write_then_lose_the_lease(members):
-        charges, landings, land = plan_write(members)
+        writes = write_round(members)
+        ((at, indexes, land),) = writes.landings
 
-        def land_late(indexes):
-            locators = land(indexes)
+        def land_late():
+            locators = land()
             pair.lapse_a()
             return locators
 
-        return charges, landings, land_late
+        writes.landings = [(at, indexes, land_late)]
+        return writes
 
-    pair.cloud.store.plan_write = write_then_lose_the_lease
+    pair.cloud.store.write_round = write_then_lose_the_lease
     with pytest.raises(LeaseExpiredError):
         pair.cloud.report_result(
             pair.token, pair.ep_a, task_id, True, serialize({"value": 4})

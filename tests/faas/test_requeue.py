@@ -168,25 +168,27 @@ def test_stale_report_racing_a_failover_leaves_the_rehomed_task_queued(testbed):
     task_id = cloud.submit(token, "c", func_id, old, serialize(((1,), {})))
     assert [d.task_id for d in cloud.fetch_tasks(token, old, 1, timeout=0.0)] == [task_id]
 
-    plan_write = cloud.store.plan_write
+    write_round = cloud.store.write_round
 
     def write_then_lose_the_lease(members):
-        charges, landings, land = plan_write(members)
+        writes = write_round(members)
+        ((at, indexes, land),) = writes.landings
 
-        def land_late(indexes):
-            locators = land(indexes)
+        def land_late():
+            locators = land()
             clock.sleep(cloud.constants.endpoint_lease_ttl + 1.0)
             cloud.heartbeat(token, new)  # the survivor's beat reaps `old`
             return locators
 
-        return charges, landings, land_late
+        writes.landings = [(at, indexes, land_late)]
+        return writes
 
-    cloud.store.plan_write = write_then_lose_the_lease
+    cloud.store.write_round = write_then_lose_the_lease
     with pytest.raises(LeaseExpiredError):
         cloud.report_result(
             token, old, task_id, True, serialize({"success": True, "value": 1})
         )
-    cloud.store.plan_write = plan_write
+    cloud.store.write_round = write_round
 
     record = cloud.task(task_id)
     assert (record.status, record.endpoint_id) == (TaskStatus.WAITING, new)

@@ -14,14 +14,13 @@ elapsed time.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 import sys
 import threading
 from dataclasses import replace
 
 import pytest
-from conftest import ManualClock, record_downloads
+from conftest import ManualClock, ManualReactor, record_downloads
 
 from repro.batch import BatchPolicy, get_reactor
 from repro.batch.reactor import reset_reactor
@@ -119,9 +118,13 @@ def _lone_and_round(clock, payloads):
         lone.write(payload)
     one_by_one = clock.charged()
     together = _cloud(clock, PaperConstants(), seed=11).store
-    del clock.charges[:]
-    locators = together.write_round([(payload, False) for payload in payloads])
-    return one_by_one, clock.charged(), together, locators
+    writes = together.write_round([(payload, False) for payload in payloads])
+    return one_by_one, writes.charges, together, writes.wait(clock)
+
+
+def _landings(round_):
+    """Per member ``(offset, outcome)`` of a settled round."""
+    return list(zip(round_.offsets(), round_.answer))
 
 
 def test_redis_round_sleeps_once_for_its_slowest_draw(recording_clock, metrics):
@@ -131,9 +134,9 @@ def test_redis_round_sleeps_once_for_its_slowest_draw(recording_clock, metrics):
     assert written == [max(draws)]
     assert _tier_count(metrics, "faas.store_writes", "redis") == 6  # 3 lone + 3
 
-    del recording_clock.charges[:]
-    assert store.read_round(locators) == payloads
-    (read,) = recording_clock.charged()
+    reads = store.read_round(locators)
+    assert reads.wait(recording_clock) == payloads
+    (read,) = reads.charges
     assert 0 < read <= PaperConstants().faas_redis_latency.cap
     assert _tier_count(metrics, "faas.store_reads", "redis") == 3
 
@@ -152,9 +155,10 @@ def test_s3_round_sleeps_once_plus_the_summed_bytes(recording_clock, metrics):
 def test_mixed_round_sleeps_once_per_tier(recording_clock):
     store = _cloud(recording_clock).store
     members = [_blob(SMALL, "a"), _blob(LARGE, "b"), TINY, _blob(SMALL, "c")]
-    locators = store.write_round([(payload, False) for payload in members])
+    writes = store.write_round([(payload, False) for payload in members])
+    locators = writes.wait(recording_clock)
     s3_op = S3 + members[1].nominal_size / FIXED.faas_s3_bandwidth
-    assert recording_clock.charged() == [REDIS, s3_op]
+    assert writes.charges == [REDIS, s3_op]
     assert [loc.split(":")[0] for loc in locators] == ["redis", "s3", "inline", "redis"]
 
 
@@ -162,13 +166,15 @@ def test_mixed_round_sleeps_once_per_tier(recording_clock):
 def test_store_fault_in_a_round_fires_once_and_fails_only_its_member(recording_clock):
     store = _cloud(recording_clock).store
     payloads = [_blob(SMALL, tag=str(i)) for i in range(3)]
-    locators = store.write_round([(payload, False) for payload in payloads])
+    locators = store.write_round([(payload, False) for payload in payloads]).wait(
+        recording_clock
+    )
     injector = FaultInjector(
         FaultPlan.build(0, [FaultSpec("cloud.store.read", "store_corrupt", max_fires=1)])
     )
     set_injector(injector)
     del recording_clock.charges[:]
-    outcomes = store.read_round(locators + ["redis:ghost"])
+    outcomes = store.read_round(locators + ["redis:ghost"]).wait(recording_clock)
 
     assert injector.fire_count(hook="cloud.store.read") == 1
     failed = [i for i, outcome in enumerate(outcomes[:3]) if isinstance(outcome, Exception)]
@@ -190,7 +196,7 @@ def test_a_member_alone_lands_when_a_lone_op_does(recording_clock):
     for payload, landing in ((TINY, 0.0), (small, REDIS), (large, s3_op)):
         locator = store.write(payload)
         recording_clock.clear()
-        assert store.read_landings([locator]) == [(landing, payload)]
+        assert _landings(store.read_round([locator])) == [(landing, payload)]
         assert recording_clock.charged() == []  # nobody waited for it
 
 
@@ -214,11 +220,11 @@ def test_redis_round_members_land_at_their_own_draws(recording_clock):
     draws = recording_clock.charged()
     assert len(set(draws)) == 3
 
+    reads = barrier.read_round(locators)
+    assert reads.wait(recording_clock) == payloads
+    assert reads.charges == [max(draws)]
     recording_clock.clear()
-    assert barrier.read_round(locators) == payloads
-    assert recording_clock.charged() == [max(draws)]
-    recording_clock.clear()
-    assert landings.read_landings(locators) == list(zip(draws, payloads))
+    assert _landings(landings.read_round(locators)) == list(zip(draws, payloads))
     assert recording_clock.charged() == []
 
     recording_clock.clear()
@@ -231,20 +237,21 @@ def test_redis_round_members_land_at_their_own_draws(recording_clock):
 def test_mixed_round_members_land_on_their_own(recording_clock):
     store = _cloud(recording_clock).store
     members = [_blob(SMALL, "a"), _blob(LARGE, "b"), TINY, _blob(SMALL, "c")]
-    locators = store.write_round([(payload, False) for payload in members])
+    locators = store.write_round([(payload, False) for payload in members]).wait(
+        recording_clock
+    )
     s3_op = S3 + members[1].nominal_size / FIXED.faas_s3_bandwidth
     recording_clock.clear()
-    landed = store.read_landings(locators + ["redis:ghost"])
+    landed = _landings(store.read_round(locators + ["redis:ghost"]))
 
     # Redis members at their draw, the inline one and the unknown locator at
     # once; the S3 member is the slowest, so it lands when the whole round --
-    # the redis wait, then the S3 request -- ends, as read_round charges it.
+    # the redis wait, then the S3 request -- ends, as its charges say.
     assert [at for at, _ in landed] == [REDIS, REDIS + s3_op, 0.0, REDIS, 0.0]
     assert [outcome for _, outcome in landed[:4]] == members
     assert isinstance(landed[4][1], WorkflowError)
     assert recording_clock.charged() == []
-    store.read_round(locators)
-    assert recording_clock.charged() == [REDIS, s3_op]
+    assert store.read_round(locators).charges == [REDIS, s3_op]
 
 
 def test_read_fault_hook_fires_once_per_member_in_member_order(
@@ -252,13 +259,15 @@ def test_read_fault_hook_fires_once_per_member_in_member_order(
 ):
     store = _cloud(recording_clock).store
     payloads = [_blob(SMALL, "a"), _blob(LARGE, "b"), _blob(SMALL, "c")]
-    locators = store.write_round([(payload, False) for payload in payloads])
+    locators = store.write_round([(payload, False) for payload in payloads]).wait(
+        recording_clock
+    )
     checked: list[tuple[str, str]] = []
     monkeypatch.setattr(
         "repro.faas.cloud.chaos_check",
         lambda hook, key, **labels: checked.append((hook, key)),
     )
-    store.read_landings(locators)
+    store.read_round(locators)
     assert checked == [
         ("cloud.store.read", hashlib.sha256(p.data).hexdigest()[:16]) for p in payloads
     ]
@@ -280,25 +289,6 @@ class _Draws(LatencyModel):
         return 0.0
 
 
-class _ManualReactor:
-    """The process reactor under a :class:`ManualClock`: timers fire when
-    the test runs them, each with the clock moved to its deadline."""
-
-    def __init__(self, clock: ManualClock) -> None:
-        self._clock = clock
-        self._timers: list = []
-        self._seq = itertools.count()
-
-    def call_later(self, delay, fn):
-        heapq.heappush(self._timers, (self._clock.now() + delay, next(self._seq), fn))
-
-    def run(self) -> None:
-        while self._timers:
-            when, _, fn = heapq.heappop(self._timers)
-            self._clock._now = max(self._clock._now, when)
-            fn()
-
-
 class _LandingPool:
     """A pool that only notes when each task reached it."""
 
@@ -313,8 +303,8 @@ class _LandingPool:
 
 def test_dispatch_returns_before_its_slowest_member_lands(monkeypatch):
     clock = ManualClock()
-    reactor = _ManualReactor(clock)
-    monkeypatch.setattr("repro.faas.endpoint.get_reactor", lambda: reactor)
+    reactor = ManualReactor(clock)
+    monkeypatch.setattr("repro.batch.round.get_reactor", lambda: reactor)
     draws = (0.3, 0.1, 0.45)
     constants = replace(FIXED, faas_redis_latency=_Draws(*draws))
     testbed = build_paper_testbed(seed=5, constants=constants)
@@ -355,8 +345,8 @@ def test_each_submitted_member_is_queued_at_its_own_write_landing(monkeypatch):
     at its own write landing, fastest first, naming that member alone; the
     client's answer (every id) arrives when the slowest write lands."""
     clock = ManualClock()
-    reactor = _ManualReactor(clock)
-    monkeypatch.setattr("repro.faas.cloud.get_reactor", lambda: reactor)
+    reactor = ManualReactor(clock)
+    monkeypatch.setattr("repro.batch.round.get_reactor", lambda: reactor)
     draws = (0.3, 0.1, 0.45)
     constants = replace(FIXED, faas_redis_latency=_Draws(*draws))
     testbed = build_paper_testbed(seed=5, constants=constants)
@@ -439,21 +429,21 @@ def test_overlapping_rounds_on_one_shard_are_still_a_service_time_apart():
     def items(tag):
         return [TaskSubmission(func_id, ep, _blob(SMALL, tag))]
 
-    first, landings_first = router.submit_round(token, "c", items("a"))
-    second, landings_second = router.submit_round(token, "c", items("b"))
+    first = router.submit_round(token, "c", items("a"))
+    second = router.submit_round(token, "c", items("b"))
     # Both rounds are in flight at once; the second's admission slot starts
     # when the first's ends, and neither holds a thread meanwhile.
-    assert first == [service, REDIS]
-    assert second == [2 * service, REDIS]
-    assert [at for at, _ in landings_first] == [pytest.approx(service + REDIS)]
-    assert [at for at, _ in landings_second] == [pytest.approx(2 * service + REDIS)]
+    assert first.charges == [service, REDIS]
+    assert second.charges == [2 * service, REDIS]
+    assert first.offsets() == [pytest.approx(service + REDIS)]
+    assert second.offsets() == [pytest.approx(2 * service + REDIS)]
 
     # A synchronous caller queues behind the same horizon.
     clock.sleep(service)
     started = clock.now()
     (sync_id,) = router.submit_batch(token, "c", items("c"))
     assert clock.now() - started == pytest.approx(2 * service + REDIS)
-    (_, land_first), (_, land_second) = landings_first + landings_second
+    (_, _, land_first), (_, _, land_second) = first.landings + second.landings
     assert all(isinstance(task_id, str) for task_id in land_first() + land_second())
     assert len({task.task_id for task in router.task_records()}) == 3
 
@@ -600,7 +590,9 @@ def test_round_through_the_routed_store_is_one_round_per_shard(recording_clock):
     ]
     assert [loc.split("/")[0] for loc in locators] == ["s0", "s1", "s0", "s1"]
     del recording_clock.charges[:]
-    outcomes = router.store.read_round(locators + ["redis:no-shard-prefix"])
+    outcomes = router.store.read_round(locators + ["redis:no-shard-prefix"]).wait(
+        recording_clock
+    )
 
     assert outcomes[:4] == payloads  # merged back in the caller's order
     assert isinstance(outcomes[4], WorkflowError)
