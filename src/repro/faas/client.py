@@ -3,9 +3,9 @@
 ``FaasClient.submit`` serializes arguments, parks the submission in the
 client's batch accumulator and returns a ``concurrent.futures.Future`` at
 once — the funcX executor's contract: the caller never waits on the WAN.  A
-flush (inline when a batch fills, otherwise a short adaptive hold on the
-process reactor) pays one HTTPS round trip for everything parked; it sets
-``future.task_id``, and whatever the cloud refused at admission reaches the
+flush (when a batch fills, or after a short adaptive hold) is one submit
+leg on the process reactor, one HTTPS round trip for everything parked; it
+sets ``future.task_id``, and whatever the cloud refused at admission reaches the
 caller through the future.  A per-client notifier thread (modeling the
 SDK's result websocket) blocks on the cloud's completed queue, downloads
 result payloads, and completes futures — including converting remote
@@ -69,7 +69,6 @@ from repro.faas.cloud import (
     TaskStatus,
     TaskSubmission,
     result_topic,
-    sole,
 )
 from repro.tenancy.tenant import DEFAULT_TENANT, validate_function_name
 from repro.net.clock import Clock, get_clock
@@ -215,15 +214,15 @@ class FaasClient:
             max_attempts=10, base_delay=0.1, max_delay=4.0
         )
         # Adaptive batching (DESIGN.md §12): ``submit`` parks submissions in
-        # a per-(tenant, endpoint) accumulator and a flush — inline on a
-        # size/bytes trigger, or an adaptive hold timer on the shared
-        # reactor — pays one API round trip for the whole batch.  An
+        # a per-(tenant, endpoint) accumulator and a flush — on a
+        # size/bytes trigger, or when an adaptive hold timer fires — pays
+        # one API round trip for the whole batch, on the shared reactor.  An
         # explicit policy also opts into zero-copy: members ride the submit
         # message borrowed, so the small ones skip the payload store.  By
         # default every member takes the store tier its size selects.
         self._zero_copy = batch is not None
         self._batcher = BatchAccumulator(batch or BatchPolicy(), clock=self._clock)
-        # Pin the home site now: deadline flushes run on the process reactor
+        # Pin the home site now: flushes run on the process reactor
         # thread, which carries no site context of its own.
         self._site = self._home_site()
         # Flushes begun and not yet settled (``flush_batches`` waits them
@@ -328,9 +327,10 @@ class FaasClient:
         The submission is parked, not sent: ``future.task_id`` is ``None``
         until a flush assigns the real id (``flush_batches()`` forces one
         now), and an admission reject arrives as the future's exception.  A
-        size/bytes trigger flushes inline on this thread; otherwise the
-        accumulator's adaptive hold is armed on the process reactor, so a
-        lone task under an idle batcher still goes out within ``min_hold``.
+        size/bytes trigger flushes at once and otherwise the accumulator's
+        adaptive hold is armed, both on the process reactor, so the caller
+        pays only serialization and a lone task under an idle batcher still
+        goes out within ``min_hold``.
 
         ``_trace_ctx`` (underscored: the name is reserved, never forwarded
         to the function) joins this invocation to an observe trace; the
@@ -373,16 +373,16 @@ class FaasClient:
             self._park(pending)
             return future
 
-    def _park(self, pending: _PendingTask, *, on_reactor: bool = False) -> None:
+    def _park(self, pending: _PendingTask) -> None:
         """Park a submission in its accumulator: a size/bytes trigger
-        flushes the batch now, on this thread; otherwise the first arrival
-        arms the hold timer on the process reactor."""
+        flushes the batch now, on the reactor's submit leg; otherwise the
+        first arrival arms the hold timer on the process reactor."""
         key = (self.tenant, pending.endpoint_id)
         ready, hold, generation = self._batcher.add(
             key, pending, pending.args_payload.nominal_size
         )
         if ready is not None:
-            self._flush_batch(ready, on_reactor=on_reactor)
+            self._flush_batch(ready)
         elif hold is not None:
             get_reactor().call_later(hold, lambda: self._flush_due(key, generation))
 
@@ -435,15 +435,15 @@ class FaasClient:
             return  # close() drains explicitly; kill() drops like a crash
         batch = self._batcher.take(key, generation)
         if batch:
-            self._flush_batch(batch, on_reactor=True)
+            self._flush_batch(batch)
 
     def flush_batches(self) -> int:
-        """Flush every parked batch now, on the calling thread; returns how
-        many tasks that sent.  On return every earlier ``submit`` has been
-        through the cloud — its ``future.task_id`` set, or its rejection
-        handed to the retry path — including batches a hold timer claimed
-        first: flushes still running on the reactor are waited for (up to
-        ``close_timeout`` wall seconds)."""
+        """Flush every parked batch now; returns how many tasks that sent.
+        On return every earlier ``submit`` has been through the cloud — its
+        ``future.task_id`` set, or its rejection handed to the retry path —
+        including batches a hold timer claimed first: every flush round in
+        flight is waited for (up to ``close_timeout`` wall seconds), a retry
+        still backing off is not."""
         flushed = 0
         for _key, items in self._batcher.take_all():
             self._flush_batch(items)
@@ -454,25 +454,30 @@ class FaasClient:
             )
         return flushed
 
-    def _flush_batch(self, items: list[_PendingTask], *, on_reactor: bool = False) -> None:
-        """Submit one accumulated batch in a single cloud round trip.
+    def _flush_batch(self, items: list[_PendingTask]) -> None:
+        """Send an accumulated batch — or one retried task — down the
+        submit leg, in a single cloud round trip; returns at once.
 
-        Per-item rejections split back into singles: each rejected task
-        re-enters the standard retry path (``_finish_attempt`` →
-        ``_resubmit``) under its own future, with its tenant, deadline,
-        prefetch hints, and hedge policy intact.  On the reactor the retry
-        is a timer that parks the task in the accumulator again, never a
-        backoff slept there.
+        Accepted members are bound to their task ids.  Per-item rejections
+        split back into singles: each re-enters the retry path
+        (``_finish_attempt``) under its own future, with its tenant,
+        deadline, prefetch hints, and hedge policy intact.
         """
+        sent = self._clock.now()
         submissions = [
             TaskSubmission(
                 func_id=p.func_id,
                 endpoint_id=p.endpoint_id,
-                # Zero-copy (explicit policy only): the members ride the
-                # batched submit message, so the small ones skip the redis
-                # hop's second (de)serialization (``_submit_round`` charges
-                # their bytes as transfer).
-                args_payload=borrow(p.args_payload) if self._zero_copy else p.args_payload,
+                # Zero-copy (explicit policy only): a flush's members ride
+                # the batched submit message, so the small ones skip the
+                # redis hop's second (de)serialization (``_submit_leg``
+                # charges their bytes as transfer).  A retry sends its
+                # payload as it is.
+                args_payload=(
+                    borrow(p.args_payload)
+                    if self._zero_copy and not p.attempt
+                    else p.args_payload
+                ),
                 trace_ctx=p.trace_ctx,
                 chaos_key=f"{p.chaos_base}#a{p.attempt}",
                 prefetch=p.prefetch,
@@ -486,6 +491,15 @@ class FaasClient:
             accepted: list[tuple[str, _PendingTask]] = []
             rejected: list[tuple[_PendingTask, Exception]] = []
             for pending, outcome in zip(items, outcomes):
+                if pending.attempt:  # a retry: ``submit`` spans the first
+                    record_span(
+                        "cloud.submit",
+                        start=sent,
+                        end=now,
+                        parent=pending.trace_ctx,
+                        endpoint=pending.endpoint_id,
+                        tenant=self.tenant,
+                    )
                 if isinstance(outcome, str):
                     pending.attempt_at = now
                     pending.future.task_id = outcome  # type: ignore[attr-defined]
@@ -500,58 +514,74 @@ class FaasClient:
                     self._flush_cond.notify_all()
             for pending, exc in rejected:
                 if not self._running:
-                    self._abandon(pending)  # closed during a reactor backoff
+                    self._abandon(pending)  # closed while the leg was out
                     continue
                 counter_inc("client.batch_splits", endpoint=pending.endpoint_id)
-                self._finish_attempt(
-                    pending, repr(exc), None, reject=exc, on_reactor=on_reactor
-                )
+                self._finish_attempt(pending, repr(exc), None, reject=exc)
 
         with self._flush_cond:
             self._flushing += 1
-        if on_reactor:
-            self._cloud_submit_batch(submissions, then=settle)
-        else:
-            settle(self._cloud_submit_batch(submissions))
+        self._submit_leg(submissions, settle)
 
-    def _submit_round(
-        self,
-        submissions: list[TaskSubmission],
-        live: list[int],
-        outcomes: list,
-        then: Callable[[tuple[list[int], float]], object] | None = None,
-    ) -> tuple[list[int], float] | None:
-        """One API round trip for the ``live`` members of ``submissions``.
+    def _submit_leg(
+        self, submissions: list[TaskSubmission], then: Callable[[list], object]
+    ) -> None:
+        """One cloud submit — of a batch, or of one task — on the process
+        reactor, with transparent throttle backoff; returns at once, and
+        ``then(outcomes)`` runs on the reactor once the call has settled.
 
-        Stores each member's outcome positionally in ``outcomes``; the
-        verdict is the indexes the service throttled and the longest
-        ``retry_after`` it hinted.  A call that fails as a whole is every
-        member's outcome.  Without ``then`` the round trip is slept on this
-        thread and the verdict returned; with it the request and the
-        service's round are reactor timers and ``then(verdict)`` runs once
-        the round has landed.
+        Each round trip is a timer for the API request and the service's
+        round, landed through ``submit_batch(then=)``; nothing is slept, so
+        no heartbeat, lease renewal or other flush in the process waits on
+        it.  Outcomes are positional: a task id, or the member's rejection
+        (a call that fails as a whole is every member's outcome).  Throttled
+        members are re-sent together under the *same* chaos keys (a
+        throttle retry is the same logical submission — the attempt counter
+        is reserved for failure retries) after a ``max(retry_after,
+        backoff)`` timer, until the throttle policy's budget runs out; what
+        is still throttled then stands as its outcome.
         """
+        outcomes: list = [None] * len(submissions)
+        policy = self._throttle_policy
         small = self.cloud.constants.faas_small_object_threshold
-        batch = [submissions[i] for i in live]
-        counter_inc("faas.api_calls", op="submit")
-        request = [self._api_cost()]
-        # Zero-copy payloads ride the submit message itself, so their
-        # bytes are charged as request transfer, not as store ops.
-        inline_bytes = sum(
-            [
-                s.args_payload.nominal_size
-                for s in batch
-                if s.args_payload.borrowed and s.args_payload.nominal_size < small
-            ]
-        )
-        if inline_bytes:
-            request.append(
-                self.cloud.network.transfer_time(
+        reactor = get_reactor()
+        started = self._clock.now()
+
+        def send(live: list[int], throttle_attempt: int) -> None:
+            if not self._running:
+                then(outcomes)  # closed while backing off
+                return
+            batch = [submissions[i] for i in live]
+            counter_inc("faas.api_calls", op="submit")
+            request = self._api_cost()
+            # Zero-copy payloads ride the submit message itself, so their
+            # bytes are charged as request transfer, not as store ops.
+            inline_bytes = sum(
+                [
+                    s.args_payload.nominal_size
+                    for s in batch
+                    if s.args_payload.borrowed and s.args_payload.nominal_size < small
+                ]
+            )
+            if inline_bytes:
+                request += self.cloud.network.transfer_time(
                     self._home_site(), self.cloud.site, inline_bytes
                 )
-            )
+            reactor.call_later(request, lambda: arrived(live, batch, throttle_attempt))
 
-        def verdict(results: list) -> tuple[list[int], float]:
+        def arrived(live: list[int], batch: list, throttle_attempt: int) -> None:
+            try:
+                self.cloud.submit_batch(
+                    self.token,
+                    self.client_id,
+                    batch,
+                    tenant=self.tenant,
+                    then=lambda results: landed(live, results, throttle_attempt),
+                )
+            except Exception as exc:  # noqa: BLE001 - a reactor round must settle
+                landed(live, [exc] * len(batch), throttle_attempt)
+
+        def landed(live: list[int], results: list, throttle_attempt: int) -> None:
             throttled: list[int] = []
             retry_after = 0.0
             for i, result in zip(live, results):
@@ -559,80 +589,11 @@ class FaasClient:
                 if isinstance(result, ThrottledError):
                     throttled.append(i)
                     retry_after = max(retry_after, result.retry_after)
-            return throttled, retry_after
-
-        if then is None:
-            for charge in request:
-                self._clock.sleep(charge)
-            try:
-                results = self.cloud.submit_batch(
-                    self.token, self.client_id, batch, tenant=self.tenant
-                )
-            except ReproError as exc:
-                results = [exc] * len(batch)
-            return verdict(results)
-
-        def arrived() -> None:
-            try:
-                self.cloud.submit_batch(
-                    self.token,
-                    self.client_id,
-                    batch,
-                    tenant=self.tenant,
-                    then=lambda results: then(verdict(results)),
-                )
-            except Exception as exc:  # noqa: BLE001 - a reactor round must settle
-                then(verdict([exc] * len(batch)))
-
-        get_reactor().call_later(sum(request), arrived)
-        return None
-
-    def _cloud_submit_batch(
-        self, submissions: list[TaskSubmission], *, then: Callable | None = None
-    ) -> list | None:
-        """One cloud submit — of a batch, or of one task — with transparent
-        throttle backoff.
-
-        Throttled members are re-sent together under the *same* chaos keys
-        (a throttle retry is the same logical submission — the attempt
-        counter is reserved for failure retries), waiting at least the
-        server's ``retry_after`` hint, until the throttle policy's budget
-        runs out; other outcomes — task ids and terminal rejections — pass
-        through positionally.
-
-        Without ``then`` the round trips and the backoff are slept on the
-        calling thread and the outcomes are returned.  With it (the
-        reactor's deadline flush) each round trip and each backoff is a
-        reactor timer instead — a sleep there would stall every heartbeat,
-        lease renewal and other flush in the process — and
-        ``then(outcomes)`` runs once the call has settled.
-        """
-        outcomes: list = [None] * len(submissions)
-        policy = self._throttle_policy
-        throttle_started = self._clock.now()
-
-        def send(live: list[int], throttle_attempt: int) -> list | None:
-            if then is None:
-                verdict = self._submit_round(submissions, live, outcomes)
-                return settled(verdict, throttle_attempt)
-            if not self._running:
-                return then(outcomes)  # closed while backing off
-            self._submit_round(
-                submissions,
-                live,
-                outcomes,
-                then=lambda verdict: settled(verdict, throttle_attempt),
-            )
-            return None
-
-        def settled(verdict: tuple[list[int], float], throttle_attempt: int):
-            throttled, retry_after = verdict
-            elapsed = self._clock.now() - throttle_started
             if not throttled or not policy.retries_left(
-                throttle_attempt, elapsed=elapsed
+                throttle_attempt, elapsed=self._clock.now() - started
             ):
-                # Whatever is still throttled stands as its outcome.
-                return outcomes if then is None else then(outcomes)
+                then(outcomes)
+                return
             first = submissions[throttled[0]]
             counter_inc(
                 "client.throttled",
@@ -644,19 +605,11 @@ class FaasClient:
                 retry_after,
                 policy.delay_for(throttle_attempt, key=first.chaos_key or first.func_id),
             )
-            if then is not None:
-                get_reactor().call_later(
-                    delay, lambda: send(throttled, throttle_attempt + 1)
-                )
-                return None
-            self._clock.sleep(delay)
-            return send(throttled, throttle_attempt + 1)
+            reactor.call_later(delay, lambda: send(throttled, throttle_attempt + 1))
 
-        return send(list(range(len(submissions))), 0)
-
-    def _submit_one(self, submission: TaskSubmission) -> str:
-        """The batch of one: same call, the member's error raised."""
-        return sole(self._cloud_submit_batch([submission]))
+        # Even the first request is drawn and armed on the reactor, so a
+        # caller whose submit filled a batch pays none of its flush.
+        reactor.call_later(0.0, lambda: send(list(range(len(submissions))), 0))
 
     def cancel_pending(self, endpoint_id: str | None = None) -> int:
         """Cancel in-flight futures (optionally only those targeting one
@@ -872,9 +825,8 @@ class FaasClient:
 
     def _land_downloads(self) -> None:
         """Settle every download round that has landed, on the notifier
-        thread (settling can sleep -- a retry backoff, a hedge loser's
-        cancel -- and hedge groups have no other mutator), then ack the
-        round's envelopes."""
+        thread (settling pays a hedge loser's cancel, and hedge
+        groups have no other mutator), then ack the round's envelopes."""
         while True:
             with self._futures_lock:
                 if not self._downloads or self._downloads[0][0] > self._clock.now():
@@ -939,8 +891,15 @@ class FaasClient:
         chaos_key = f"{pending.chaos_base}#h{n}#a{pending.attempt}"
         # A hedge leg rides the primary's already-serialized payload too.
         counter_inc("client.serialize_skipped", endpoint=target)
-        try:
-            hedge_id = self._submit_one(
+        landed = threading.Event()
+        answer: list = []
+
+        def answered(outcomes: list) -> None:
+            answer.extend(outcomes)
+            landed.set()
+
+        self._submit_leg(
+            [
                 TaskSubmission(
                     pending.func_id,
                     target,
@@ -950,8 +909,13 @@ class FaasClient:
                     pending.prefetch,
                     pending.deadline_at,
                 )
-            )
-        except ReproError:
+            ],
+            answered,
+        )
+        # Only this thread changes hedge groups, so it waits the leg out.
+        self._clock.wait(landed, None)
+        hedge_id = answer[0]
+        if not isinstance(hedge_id, str):
             # The duplicate was refused (throttle budget, breaker, quota...):
             # the primary keeps racing alone; try again next scan.
             counter_inc("client.hedge_rejected", endpoint=target)
@@ -1186,17 +1150,20 @@ class FaasClient:
         traceback_text: str | None,
         *,
         reject: Exception | None = None,
-        on_reactor: bool = False,
     ) -> None:
         """A task attempt failed: retry under the same future, or give up.
 
         ``reject`` is the cloud's admission rejection when the attempt never
         got in: retrying it counts as ``client.submit_retries`` (nothing ran,
         so ``client.retries`` does not move), and with no retry policy the
-        future raises the rejection itself.  ``on_reactor`` (a rejection
-        settled by a reactor flush round) arms the backoff as a timer that
-        parks the task in its accumulator again (``_repark``) instead of
-        sleeping and resubmitting on the reactor."""
+        future raises the rejection itself.  The backoff is a reactor timer
+        and the retry is sent when it fires (``_retry``): nothing here
+        sleeps, so the notifier goes on settling other results."""
+        if pending.attempt and isinstance(
+            reject, (DeadlineExceededError, TaskQuarantinedError)
+        ):
+            self._terminal(pending, reject)  # a resubmission's verdict
+            return
         if error.startswith("DeadlineExceededError"):
             # The cloud already ruled the work too late (expired in queue,
             # or skipped endpoint-side): retrying cannot beat a deadline
@@ -1204,60 +1171,30 @@ class FaasClient:
             counter_inc("client.deadline_failures", endpoint=pending.endpoint_id)
             pending.future.set_exception(DeadlineExceededError(error))
             return
-        if pending.attempt and isinstance(reject, TaskQuarantinedError):
-            self._terminal(pending, reject)  # a re-parked resubmission's verdict
-            return
         policy = self._retry_policy
         attempt = pending.attempt
-        while policy is not None and policy.retries_left(
+        if policy is None or not policy.retries_left(
             attempt, elapsed=self._clock.now() - pending.started_at
         ):
-            if (
-                pending.deadline_at is not None
-                and self._clock.now() >= pending.deadline_at
-            ):
-                counter_inc(
-                    "client.deadline_abandoned", endpoint=pending.endpoint_id
+            self._give_up(pending, attempt, error, traceback_text, reject)
+            return
+        if pending.deadline_at is not None and self._clock.now() >= pending.deadline_at:
+            counter_inc("client.deadline_abandoned", endpoint=pending.endpoint_id)
+            pending.future.set_exception(
+                DeadlineExceededError(
+                    f"deadline ({pending.deadline_at:.3f}s) passed after "
+                    f"{attempt + 1} attempt(s); last error: {error}"
                 )
-                pending.future.set_exception(
-                    DeadlineExceededError(
-                        f"deadline ({pending.deadline_at:.3f}s) passed after "
-                        f"{attempt + 1} attempt(s); last error: {error}"
-                    )
-                )
-                return
-            counter_inc(
-                "client.retries" if reject is None else "client.submit_retries",
-                endpoint=pending.endpoint_id,
             )
-            delay = policy.delay_for(attempt, key=pending.chaos_base)
-            if on_reactor:
-                get_reactor().call_later(
-                    delay,
-                    lambda: self._repark(pending, attempt, error, traceback_text, reject),
-                )
-                return
-            self._clock.sleep(delay)
-            if not policy.retries_left(
-                attempt, elapsed=self._clock.now() - pending.started_at
-            ):
-                # The backoff sleep itself can blow the ``max_elapsed``
-                # wall-clock budget; re-check *after* sleeping so a retry
-                # never launches past the budget it was granted under.
-                break
-            attempt += 1
-            try:
-                self._resubmit(pending, attempt)
-                return
-            except (DeadlineExceededError, TaskQuarantinedError) as exc:
-                self._terminal(pending, exc)
-                return
-            except ReproError as exc:
-                # The resubmission itself was rejected; burn another attempt.
-                error = repr(exc)
-                traceback_text = None
-                reject = exc
-        self._give_up(pending, attempt, error, traceback_text, reject)
+            return
+        counter_inc(
+            "client.retries" if reject is None else "client.submit_retries",
+            endpoint=pending.endpoint_id,
+        )
+        delay = policy.delay_for(attempt, key=pending.chaos_base)
+        get_reactor().call_later(
+            delay, lambda: self._retry(pending, attempt, error, traceback_text, reject)
+        )
 
     def _terminal(self, pending: _PendingTask, exc: ReproError) -> None:
         """A terminal rejection of a resubmission: the deadline lapsed before
@@ -1266,7 +1203,7 @@ class FaasClient:
         counter_inc("client.terminal_rejections", endpoint=pending.endpoint_id)
         pending.future.set_exception(exc)
 
-    def _repark(
+    def _retry(
         self,
         pending: _PendingTask,
         attempt: int,
@@ -1274,22 +1211,33 @@ class FaasClient:
         traceback_text: str | None,
         reject: Exception | None,
     ) -> None:
-        """A reactor flush's rejected member, its backoff over (reactor
-        thread): park the next attempt in the accumulator, the way
-        ``_resubmit`` sends it on the calling thread."""
+        """A failed attempt's backoff is over (reactor thread): send the
+        next one as a submit leg of its own, under a fresh task id.
+
+        The arguments were serialized (and ``serialize_cost`` paid) exactly
+        once, at first submit; a retry reuses ``pending.args_payload``
+        as-is.  The counter pins that invariant — it must move in lockstep
+        with ``client.retries`` + ``client.submit_retries`` or a
+        double-serialization charge crept in.
+        """
         if not self._running:
             self._abandon(pending)  # closed during the backoff
             return
         if not self._retry_policy.retries_left(
             attempt, elapsed=self._clock.now() - pending.started_at
         ):
+            # The backoff itself can blow the ``max_elapsed`` budget;
+            # re-check after it so a retry never launches past the budget
+            # it was granted under.
             self._give_up(pending, attempt, error, traceback_text, reject)
             return
         counter_inc("client.serialize_skipped", endpoint=pending.endpoint_id)
         pending.attempt = attempt + 1
+        # A fresh attempt races from scratch: no hedge group yet, and the
+        # hedge delay measures from its submission.
         pending.hedge = None
         pending.leg = 0
-        self._park(pending, on_reactor=True)
+        self._flush_batch([pending])
 
     def _give_up(
         self,
@@ -1314,42 +1262,6 @@ class FaasClient:
                     last_error=error,
                 )
             )
-
-    def _resubmit(self, pending: _PendingTask, attempt: int) -> None:
-        """Re-enter the already-serialized payload under a fresh task id.
-
-        The arguments were serialized (and ``serialize_cost`` paid) exactly
-        once, at first submit; a retry reuses ``pending.args_payload``
-        as-is.  The counter pins that invariant — it must move in lockstep
-        with ``client.retries`` + ``client.submit_retries`` or a
-        double-serialization charge crept in.
-        """
-        counter_inc("client.serialize_skipped", endpoint=pending.endpoint_id)
-        with trace_span(
-            "cloud.submit",
-            parent=pending.trace_ctx,
-            endpoint=pending.endpoint_id,
-            tenant=self.tenant,
-        ):
-            task_id = self._submit_one(
-                TaskSubmission(
-                    pending.func_id,
-                    pending.endpoint_id,
-                    pending.args_payload,
-                    pending.trace_ctx,
-                    f"{pending.chaos_base}#a{attempt}",
-                    pending.prefetch,
-                    pending.deadline_at,
-                )
-            )
-        pending.attempt = attempt
-        pending.future.task_id = task_id  # type: ignore[attr-defined]
-        # A fresh attempt races from scratch: no hedge group yet, and the
-        # hedge delay measures from this submission.
-        pending.hedge = None
-        pending.leg = 0
-        pending.attempt_at = self._clock.now()
-        self._register([(task_id, pending)])
 
     def __enter__(self) -> "FaasClient":
         return self

@@ -180,17 +180,30 @@ def test_split_property_no_member_lost(rig, mask):
         # 20 ms of wall, which one garbage-collector pause can outlast.
         policy=BatchPolicy(max_batch=64, flush_deadline=600.0, min_hold=600.0),
     )
+    rejected = len(mask) - sum(mask)
     resubmitted = []
+    all_resubmitted = threading.Event()
     hedge = HedgePolicy(endpoints=(endpoint.endpoint_id,))
 
-    def fake_submit_batch(submissions):
-        return [
-            f"task-fake{i:08d}" if accept else PayloadTooLargeError("rejected")
-            for i, accept in enumerate(mask)
-        ]
+    calls = []
 
-    client._cloud_submit_batch = fake_submit_batch
-    client._resubmit = lambda pending, attempt: resubmitted.append(pending)
+    def fake_submit_batch(token, client_id, batch, *, tenant, then):
+        # The first call is the flushed batch; every later one is a
+        # rejected member's resubmission, sent alone and accepted.
+        if calls:
+            resubmitted.extend(batch)
+            outcomes = [f"task-retry{len(calls):06d}"]
+        else:
+            outcomes = [
+                f"task-fake{i:08d}" if accept else PayloadTooLargeError("rejected")
+                for i, accept in enumerate(mask)
+            ]
+        calls.append(batch)
+        then(outcomes)
+        if len(resubmitted) == rejected:
+            all_resubmitted.set()
+
+    cloud.submit_batch = fake_submit_batch
     try:
         with at_site(testbed.theta_login):
             futures = [
@@ -205,22 +218,31 @@ def test_split_property_no_member_lost(rig, mask):
                 for i in range(len(mask))
             ]
             client.flush_batches()
+        assert all_resubmitted.wait(timeout=10)
         with client._futures_lock:
             in_flight = dict(client._pending)
-        accepted = [p for p in in_flight.values()]
+        accepted = [p for p in in_flight.values() if p.attempt == 0]
+        retried = [p for p in in_flight.values() if p.attempt == 1]
         assert len(accepted) == sum(mask)
-        assert len(resubmitted) == len(mask) - sum(mask)
-        survivors = accepted + resubmitted
+        assert len(resubmitted) == len(retried) == rejected
+        survivors = accepted + retried
         assert len(survivors) == len(futures)
         for pending in survivors:
             index = int(pending.prefetch[0].split("-")[1])
             assert pending.deadline_at is not None
             assert pending.hedge_policy is hedge
             assert futures[index] is pending.future
-        # Accepted members got their lazily-assigned task ids.
+        # The resubmissions carried the rejected members' own metadata.
+        for submission in resubmitted:
+            index = int(submission.prefetch[0].split("-")[1])
+            assert not mask[index]
+            assert submission.chaos_key.endswith("#a1")
+            assert submission.deadline_at is not None
+        # Every member got its lazily-assigned task id.
         for task_id, pending in in_flight.items():
             assert pending.future.task_id == task_id
     finally:
+        del cloud.submit_batch
         with client._futures_lock:
             client._pending.clear()
         client.close()

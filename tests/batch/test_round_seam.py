@@ -4,7 +4,10 @@ A round is slept only by :meth:`Round.wait` and armed only by
 :meth:`Round.arm`, so the cloud and the router -- which plan every store,
 submit, uplink and download round -- hold no sleep and arm no timer of
 their own, and no module brings back one of the hand-built landing
-schedules the type replaced.  This scan keeps it that way: a breach fails
+schedules the type replaced.  The client has one submit leg, on the
+reactor: it sleeps only on a caller's own thread (registration,
+serialization) and in the notifier's wait, and no function takes a flag
+that picks a sleeping twin.  This scan keeps it that way: a breach fails
 here with the file and line to fix.
 """
 
@@ -20,7 +23,8 @@ import repro
 SRC = Path(repro.__file__).parent
 #: Modules that plan rounds and must leave landing them to ``Round``.
 PLANNERS = ("faas/cloud.py", "tenancy/router.py")
-#: The hand-built schedules ``Round`` replaced; no module defines them again.
+#: The hand-built schedules ``Round`` replaced, and the client's sleeping
+#: resubmit; no module defines them again.
 RETIRED = {
     "plan_write",
     "plan_read",
@@ -28,23 +32,51 @@ RETIRED = {
     "_land_round",
     "_scatter_round",
     "_arm_handoffs",
+    "_resubmit",
 }
+CLIENT = "faas/client.py"
+#: The client's only sleepers: what a caller pays on its own thread, and
+#: the notifier's wait for its next landing once closing.
+CLIENT_SLEEPERS = {"register_function", "submit", "_pay_api_call", "_notify_loop"}
+
+
+def _enclosing(node: ast.AST, parents: dict) -> str | None:
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name
+    return None
 
 
 def _violations(source: str, rel: str) -> list[str]:
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in RETIRED:
-            found.append(f"{rel}:{node.lineno}: defines `{node.name}`; build a Round")
-        if (
-            rel in PLANNERS
-            and isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("sleep", "call_later")
-        ):
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in RETIRED:
+                found.append(f"{rel}:{node.lineno}: defines retired `{node.name}`")
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if any(arg.arg == "on_reactor" for arg in args):
+                found.append(
+                    f"{rel}:{node.lineno}: `{node.name}` takes `on_reactor`; "
+                    "the reactor is the one driver"
+                )
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if rel in PLANNERS and node.func.attr in ("sleep", "call_later"):
             found.append(
                 f"{rel}:{node.lineno}: `.{node.func.attr}(`; "
                 "return a Round and land it with Round.wait or Round.arm"
+            )
+        if (
+            rel == CLIENT
+            and node.func.attr == "sleep"
+            and _enclosing(node, parents) not in CLIENT_SLEEPERS
+        ):
+            found.append(
+                f"{rel}:{node.lineno}: `.sleep(`; send it down the submit leg "
+                "or arm a reactor timer"
             )
     return found
 
@@ -69,6 +101,13 @@ def test_src_lands_every_round_through_the_round_type():
         ("def _scatter_round(self, owners, prepare): ...\n", "tenancy/router.py"),
         ("async def _arm_handoffs(self, schedule): ...\n", "faas/endpoint.py"),
         ("def plan_read(locators): ...\n", "proxystore/store.py"),
+        ("def _flush_batch(self, items):\n    self._clock.sleep(api)\n", CLIENT),
+        ("class C:\n    def _finish_attempt(self):\n        self._clock.sleep(1)\n", CLIENT),
+        ("def submit(self):\n    def later():\n        clock.sleep(1)\n", CLIENT),
+        ("self._clock.sleep(delay)\n", CLIENT),
+        ("def _park(self, pending, *, on_reactor=False): ...\n", CLIENT),
+        ("def _flush(self, items, on_reactor): ...\n", "faas/endpoint.py"),
+        ("def _resubmit(self, pending, attempt): ...\n", CLIENT),
     ],
 )
 def test_scan_catches_each_breach(source, rel):
@@ -79,3 +118,9 @@ def test_scan_leaves_other_modules_their_sleeps_and_timers():
     source = "self._clock.sleep(cost)\nget_reactor().call_later(api, arrived)\n"
     assert not _violations(source, "faas/endpoint.py")
     assert not _violations(source, "batch/round.py")
+
+
+def test_scan_lets_the_client_sleep_on_its_callers_and_its_notifier():
+    for name in sorted(CLIENT_SLEEPERS):
+        source = f"class C:\n    def {name}(self):\n        self._clock.sleep(cost)\n"
+        assert not _violations(source, CLIENT)

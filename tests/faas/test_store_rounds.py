@@ -644,20 +644,6 @@ def stack(recording_clock):
     rig.close()
 
 
-class _RecordingReactor:
-    """Stands in for the process reactor: remembers the holds the client
-    arms; given the real reactor it passes them on, otherwise none fires."""
-
-    def __init__(self, reactor=None):
-        self._reactor = reactor
-        self.holds: list[float] = []
-
-    def call_later(self, delay, callback):
-        self.holds.append(delay)
-        if self._reactor is not None:
-            return self._reactor.call_later(delay, callback)
-
-
 def test_lone_default_task_still_pays_the_redis_tier(stack, recording_clock, metrics):
     stack.submit(0).result(timeout=60)  # warm-up: the endpoint caches the function
     before = {
@@ -734,10 +720,11 @@ def test_submitters_on_many_threads_resolve_every_future_once(metrics):
     assert metrics.counter_total("client.notify_errors") == 0
 
 
-def test_back_to_back_default_submits_make_one_submit_call(stack, metrics, monkeypatch):
-    # The hold timer must not claim part of the burst: record it, never fire.
-    reactor = _RecordingReactor()
-    monkeypatch.setattr("repro.faas.client.get_reactor", lambda: reactor)
+def test_back_to_back_default_submits_make_one_submit_call(
+    stack, recording_clock, metrics, monkeypatch
+):
+    # The hold timer must not claim part of the burst: it fires into nothing.
+    monkeypatch.setattr(stack.client, "_flush_due", lambda key, generation: None)
     calls: list[int] = []
     submit_batch = stack.cloud.submit_batch
 
@@ -746,11 +733,14 @@ def test_back_to_back_default_submits_make_one_submit_call(stack, metrics, monke
         return submit_batch(token, client_id, items, **kwargs)
 
     stack.cloud.submit_batch = counting
+    recording_clock.clear()
     n = BatchPolicy().max_batch
     futures = [stack.submit(i) for i in range(n)]
-    assert calls == [n]  # the size trigger, inline on the submitting thread
+    stack.client.flush_batches()  # waits out the size trigger's flush round
+    assert calls == [n]  # the size trigger, one submit leg on the reactor
     assert all(f.task_id is not None for f in futures)
     assert [f.result(timeout=60) for f in futures] == list(range(n))
-    assert len(reactor.holds) == 1  # armed by the first arrival only
+    me = threading.current_thread().name
+    assert len(recording_clock.armed(me)) == 1  # armed by the first arrival only
     # By value: every member took the redis tier, in one pipelined round.
     assert _tier_count(metrics, "faas.store_writes", "redis") == n

@@ -84,9 +84,12 @@ def test_shard_fault_hits_one_member_of_a_batched_submit(rig, hook):
     calls: list[list] = []
     submit_batch = router.submit_batch
 
-    def recording_submit_batch(*args, **kwargs):
-        calls.append(submit_batch(*args, **kwargs))
-        return calls[-1]
+    def recording_submit_batch(*args, then, **kwargs):
+        def recorded(answer):
+            calls.append(list(answer))
+            then(answer)
+
+        return submit_batch(*args, then=recorded, **kwargs)
 
     router.submit_batch = recording_submit_batch
 
