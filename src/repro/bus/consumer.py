@@ -15,10 +15,15 @@ with the receiver half of the at-least-once contract:
   last ack.
 
 The ``bus.notify_latency_s`` histogram records publish-to-receive latency
-for every fresh (non-duplicate) envelope.
+for every fresh (non-duplicate) envelope.  :meth:`done` may run on another
+thread than :meth:`receive` and :meth:`resubscribe` (the client acks from
+the reactor), so the frontier is kept under one lock, never held across the
+broker's blocking receive.
 """
 
 from __future__ import annotations
+
+import threading
 
 from repro.bus.broker import Envelope, NotificationBus, Subscription
 from repro.net.clock import Clock, get_clock
@@ -48,7 +53,9 @@ class BusConsumer:
         self._chaos_label = chaos_label or subscriber_id
         self._clock = clock or get_clock()
         self._max_batch = max_batch
-        # Contiguous-processed frontier plus the out-of-order set beyond it.
+        # Contiguous-processed frontier plus the out-of-order set beyond it
+        # (and the subscription they ack), under ``_lock``.
+        self._lock = threading.Lock()
         self._contiguous = 0
         self._done_ahead: set[int] = set()
         bus.register_subscriber(topic, subscriber_id, chaos_label=self._chaos_label)
@@ -67,35 +74,37 @@ class BusConsumer:
         envelopes = self._sub.receive(self._max_batch, timeout)
         fresh: list[Envelope] = []
         seen_now: set[int] = set()
-        for env in envelopes:
-            if (
-                env.seq <= self._contiguous
-                or env.seq in self._done_ahead
-                or env.seq in seen_now
-            ):
-                counter_inc("bus.duplicates_dropped", role=self._role)
-                continue
-            seen_now.add(env.seq)
-            observe(
-                "bus.notify_latency_s",
-                self._clock.now() - env.published_at,
-                role=self._role,
-            )
-            fresh.append(env)
+        with self._lock:
+            for env in envelopes:
+                if (
+                    env.seq <= self._contiguous
+                    or env.seq in self._done_ahead
+                    or env.seq in seen_now
+                ):
+                    counter_inc("bus.duplicates_dropped", role=self._role)
+                    continue
+                seen_now.add(env.seq)
+                observe(
+                    "bus.notify_latency_s",
+                    self._clock.now() - env.published_at,
+                    role=self._role,
+                )
+                fresh.append(env)
         return fresh
 
     def done(self, envelope: Envelope) -> None:
         """Mark one envelope processed; ack the contiguous prefix."""
-        if envelope.seq <= self._contiguous:
-            return
-        self._done_ahead.add(envelope.seq)
-        advanced = False
-        while self._contiguous + 1 in self._done_ahead:
-            self._contiguous += 1
-            self._done_ahead.remove(self._contiguous)
-            advanced = True
-        if advanced:
-            self._sub.ack(self._contiguous)
+        with self._lock:
+            if envelope.seq <= self._contiguous:
+                return
+            self._done_ahead.add(envelope.seq)
+            advanced = False
+            while self._contiguous + 1 in self._done_ahead:
+                self._contiguous += 1
+                self._done_ahead.remove(self._contiguous)
+                advanced = True
+            if advanced:
+                self._sub.ack(self._contiguous)
 
     def trim_gap(self) -> bool:
         """True when the broker's cumulative ack has advanced past this
@@ -103,14 +112,17 @@ class BusConsumer:
         trim.  The doorbells in that gap are gone for good, so the owner's
         poll fallback must drain the queue to empty before trusting the bus
         for wakeups again."""
-        return self._sub.acked > self._contiguous
+        with self._lock:
+            return self._sub.acked > self._contiguous
 
     def resubscribe(self) -> None:
         """Reactivate after a lapse; the broker replays from the last ack."""
-        self._sub = self._bus.subscribe(
+        sub = self._bus.subscribe(
             self._topic, self._subscriber_id, chaos_label=self._chaos_label
         )
-        self._sync_frontier()
+        with self._lock:
+            self._sub = sub
+            self._sync_frontier()
         counter_inc("bus.resubscribes", role=self._role)
 
     def _sync_frontier(self) -> None:
@@ -118,7 +130,8 @@ class BusConsumer:
 
         A window-overflow trim advances the broker-side ack past sequence
         numbers that will never be delivered; without this sync, ``done``
-        would wait forever for the trimmed seqs and never ack again."""
+        would wait forever for the trimmed seqs and never ack again.
+        The caller holds ``_lock``, or no other thread has the consumer."""
         floor = self._sub.acked
         if floor > self._contiguous:
             self._contiguous = floor

@@ -7,9 +7,10 @@ flush (when a batch fills, or after a short adaptive hold) is one submit
 leg on the process reactor, one HTTPS round trip for everything parked; it
 sets ``future.task_id``, and whatever the cloud refused at admission reaches the
 caller through the future.  A per-client notifier thread (modeling the
-SDK's result websocket) blocks on the cloud's completed queue, downloads
-result payloads, and completes futures — including converting remote
-failures into :class:`repro.exceptions.TaskError` with the remote traceback
+SDK's result websocket) blocks on the client's result stream and plans each
+delivery's download as a :class:`repro.batch.Round` on the reactor, which
+completes the futures when it lands — including converting remote failures
+into :class:`repro.exceptions.TaskError` with the remote traceback
 attached.
 
 Hand the client a :class:`repro.chaos.RetryPolicy` and failed attempts —
@@ -23,7 +24,7 @@ itself, or the remote failure as a ``TaskError``.
 Two resilience hooks ride the submit path (see DESIGN.md §11).  A
 :class:`repro.resilience.HedgePolicy` passed as ``_hedge`` arms *hedged
 execution*: when an attempt outlives the client's p95-derived hedge delay,
-the notifier launches a speculative duplicate on a different endpoint and
+the reactor launches a speculative duplicate on a different endpoint and
 the first successful leg wins — losers are cancelled (or, too late, their
 results dropped), reconciled exactly once in ``client.hedges{outcome=}``.
 A ``_deadline`` becomes an absolute ``deadline_at`` that rides the task
@@ -38,16 +39,16 @@ exposes and Colmena's task server builds on.
 
 from __future__ import annotations
 
+import collections
+import functools
 import hashlib
-import heapq
-import itertools
 import threading
 import uuid
 from concurrent.futures import Executor, Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.batch import BatchAccumulator, BatchPolicy, get_reactor
+from repro.batch import BatchAccumulator, BatchPolicy, Round, get_reactor
 from repro.bench.recording import emit
 from repro.bus import BusConsumer
 from repro.chaos.policy import RetryPolicy
@@ -134,38 +135,19 @@ class _PendingTask:
 
 
 @dataclass
-class _Download:
-    """One result-download round in flight on the notifier's landing
-    schedule: nothing waits for it, and it settles once its last member has
-    landed."""
-
-    started: float
-    #: The round's modelled charges in the order they are paid: the push
-    #: latency, the store reads, the streamed response, then one
-    #: deserialization per delivered result.
-    charges: list[float]
-    #: ``(task_id, pending, outcome, landed)`` per member: ``outcome`` is
-    #: ``(status, payload)`` or the error its read came back with,
-    #: ``landed`` when its own deserialization ends (its span's end).
-    members: list[tuple[str, _PendingTask, object, float]]
-    #: The bus envelopes the round announced; acked once it has settled.
-    envelopes: list = field(default_factory=list)
-
-
-@dataclass
 class _HedgeGroup:
     """Shared race state for one attempt's legs (primary + hedges).
 
     All legs complete the same future; the group tracks who is still in
     flight so the first success can cancel the rest, and so an attempt only
     counts as failed once *every* leg has failed (the last error wins).
-    Only the notifier thread mutates a group, so no extra lock is needed.
+    Only the reactor thread mutates a group, so no extra lock is needed.
     """
 
     primary: _PendingTask
     #: Legs still racing, by task id.
     legs: dict[str, _PendingTask] = field(default_factory=dict)
-    #: Hedge legs launched for this attempt (primary excluded).
+    #: Hedge legs launched (or being sent) for this attempt, primary excluded.
     launched: int = 0
     resolved: bool = False
     last_error: str = "remote task failed"
@@ -225,10 +207,12 @@ class FaasClient:
         # Pin the home site now: flushes run on the process reactor
         # thread, which carries no site context of its own.
         self._site = self._home_site()
-        # Flushes begun and not yet settled (``flush_batches`` waits them
-        # out, so a flush the reactor has in hand is not missed).
-        self._flushing = 0
-        self._flush_cond = threading.Condition()
+        # What the reactor has in hand, by kind: ``flush`` rounds not yet
+        # settled (``flush_batches`` waits them out, so a flush a hold timer
+        # claimed is not missed), and ``landing`` download rounds and
+        # hedge-loser cancels (``close`` waits those out).
+        self._in_flight = collections.Counter()
+        self._in_flight_cond = threading.Condition()
         # In-flight work by task id; a retried attempt re-registers the same
         # _PendingTask (same future) under the new task id.
         self._pending: dict[str, _PendingTask] = {}
@@ -261,12 +245,12 @@ class FaasClient:
             else None
         )
         self._fallback = False
-        # Result downloads in flight, as a heap of ``(due, seq, round)``:
-        # the notifier's landing schedule (see ``_handle_completions``), and
-        # the bus sequence numbers of the envelopes those rounds will ack.
-        self._downloads: list[tuple[float, int, _Download]] = []
-        self._download_seq = itertools.count()
+        # The bus sequence numbers of the envelopes whose download rounds
+        # are still in flight: those rounds ack them when they land.
         self._downloading: set[int] = set()
+        # Whether the overdue-hedge scan is armed on the reactor: only
+        # while a hedge-armed primary is pending.
+        self._hedge_scan = False
         self._running = True
         self._killed = False
         self._notifier = SiteThread(
@@ -400,6 +384,7 @@ class FaasClient:
             early = [task_id for task_id, _ in entries if task_id in self._early]
             for task_id in early:
                 del self._early[task_id]
+        self._watch_hedges([pending for _, pending in entries])
         if early:
             counter_inc("client.early_completions", len(early))
             self._handle_completions(early)
@@ -448,10 +433,7 @@ class FaasClient:
         for _key, items in self._batcher.take_all():
             self._flush_batch(items)
             flushed += len(items)
-        with self._flush_cond:
-            self._flush_cond.wait_for(
-                lambda: not self._flushing, timeout=self._close_timeout
-            )
+        self._drain("flush")
         return flushed
 
     def _flush_batch(self, items: list[_PendingTask]) -> None:
@@ -509,9 +491,7 @@ class FaasClient:
             try:
                 self._register(accepted)
             finally:
-                with self._flush_cond:
-                    self._flushing -= 1
-                    self._flush_cond.notify_all()
+                self._track("flush", -1)
             for pending, exc in rejected:
                 if not self._running:
                     self._abandon(pending)  # closed while the leg was out
@@ -519,8 +499,7 @@ class FaasClient:
                 counter_inc("client.batch_splits", endpoint=pending.endpoint_id)
                 self._finish_attempt(pending, repr(exc), None, reject=exc)
 
-        with self._flush_cond:
-            self._flushing += 1
+        self._track("flush", 1)
         self._submit_leg(submissions, settle)
 
     def _submit_leg(
@@ -648,6 +627,7 @@ class FaasClient:
                 "blocked inside the cloud's completed queue with a stopped "
                 "clock"
             )
+        self._drain("landing")  # download rounds and cancels still land
         if self._consumer is not None:
             self._consumer.close()
         # Nobody is listening for results anymore: fail what is still in
@@ -667,8 +647,9 @@ class FaasClient:
             )
 
     def kill(self) -> None:
-        """Simulate a process crash: stop the notifier but do *not* close
-        the bus subscription or fail the in-flight futures.
+        """Simulate a process crash: stop the notifier, and let download
+        rounds in flight land to nothing (no settle, no ack), but do *not*
+        close the bus subscription or fail the in-flight futures.
 
         A dead process never says goodbye — the broker keeps the
         subscription and its unacked redelivery window, so a successor
@@ -738,38 +719,23 @@ class FaasClient:
 
     # -- result delivery -----------------------------------------------------------
     def _notify_loop(self) -> None:
-        while not self._killed:
-            self._land_downloads()
-            if not self._running:
-                # Closing: let the downloads in flight settle, take no more.
-                wait = self._until_next_landing(None)
-                if wait is None:
-                    return
-                self._clock.sleep(wait)
-                continue
-            # Hedge pass first: each receive/poll interval bounds how stale
-            # the overdue-primary scan can be, so a hedge launches within
-            # one interval of its delay expiring.
-            self._scan_hedges()
+        while self._running:
             consumer = self._consumer
             if consumer is not None and not self._fallback:
                 try:
-                    envelopes = consumer.receive(
-                        timeout=self._until_next_landing(self._receive_interval)
-                    )
+                    envelopes = consumer.receive(timeout=self._receive_interval)
                 except SubscriptionLapsedError:
                     self._fallback = True
                     counter_inc("bus.fallback_engaged", role="client")
                     continue
                 # A round still downloading keeps its envelopes unacked, so
                 # the bus may redeliver them; the round in flight acks them.
-                envelopes = [e for e in envelopes if e.seq not in self._downloading]
+                with self._futures_lock:
+                    envelopes = [e for e in envelopes if e.seq not in self._downloading]
                 if envelopes:
-                    # One round, one download: a doorbell carries one id or
-                    # a comma-joined list, and every id the round announced
-                    # shares the same streamed response.  The envelopes are
-                    # acked only once all their ids have been settled, so a
-                    # crash anywhere before that redelivers the lot.
+                    # One round, one download: every id its doorbells carry
+                    # (one each, or a comma-joined list) shares one streamed
+                    # response, and a crash before it settles redelivers them.
                     task_ids: list[str] = []
                     for envelope in envelopes:
                         if isinstance(envelope.payload, str):
@@ -781,7 +747,7 @@ class FaasClient:
             # Poll fallback (and the only path when the bus is disabled):
             # the completed queue is the ground truth the bus doorbells over.
             task_ids = self.cloud.next_completed_batch(
-                self.client_id, timeout=self._until_next_landing(self._poll_interval)
+                self.client_id, timeout=self._poll_interval
             )
             if task_ids:
                 self._plan_round(task_ids, [])
@@ -795,76 +761,67 @@ class FaasClient:
                 consumer.resubscribe()
                 self._fallback = False
 
-    def _until_next_landing(self, interval: float | None) -> float | None:
-        """How long the notifier may wait: ``interval``, cut short by the
-        earliest download in flight (``None``: none in flight, no
-        interval)."""
-        with self._futures_lock:
-            if not self._downloads:
-                return interval
-            wait = max(0.0, self._downloads[0][0] - self._clock.now())
-        return wait if interval is None else min(wait, interval)
-
     def _plan_round(self, task_ids: list[str], envelopes: list) -> None:
-        """Put one delivery round on the landing schedule, on the notifier
-        thread.  Whatever escapes is counted and the loop goes on: a dead
-        notifier would strand every future of the client, not just this
-        round's.  A round with nothing to download acks its envelopes now;
-        any other acks them when it settles."""
+        """Arm one delivery round's download, on the notifier thread; what
+        escapes is counted, as a dead notifier would strand every future.
+        A round with nothing to download acks its envelopes now."""
         download = None
         try:
-            download = self._handle_completions(task_ids)
+            download = self._handle_completions(task_ids, envelopes)
         except Exception:  # noqa: BLE001 - the notifier must keep running
             counter_inc("client.notify_errors")
         if download is None:
             for envelope in envelopes:
                 self._consumer.done(envelope)
-        else:  # only this thread settles rounds: this one is still pending
-            download.envelopes = envelopes
-            self._downloading.update(envelope.seq for envelope in envelopes)
 
-    def _land_downloads(self) -> None:
-        """Settle every download round that has landed, on the notifier
-        thread (settling pays a hedge loser's cancel, and hedge
-        groups have no other mutator), then ack the round's envelopes."""
-        while True:
-            with self._futures_lock:
-                if not self._downloads or self._downloads[0][0] > self._clock.now():
-                    return
-                _due, _seq, download = heapq.heappop(self._downloads)
-            for member in download.members:
-                try:
-                    self._settle_download(download, *member)
-                except Exception:  # noqa: BLE001 - the notifier must keep running
-                    counter_inc("client.notify_errors")
-            for envelope in download.envelopes:
-                self._downloading.discard(envelope.seq)
-                self._consumer.done(envelope)
+    def _track(self, kind: str, step: int) -> None:
+        """Count a reactor round of ``kind`` into (1) or out of (-1) flight."""
+        with self._in_flight_cond:
+            self._in_flight[kind] += step
+            self._in_flight_cond.notify_all()
+
+    def _drain(self, kind: str) -> None:
+        """Wait up to ``close_timeout`` wall seconds for no ``kind`` round."""
+        with self._in_flight_cond:
+            self._in_flight_cond.wait_for(
+                lambda: not self._in_flight[kind], timeout=self._close_timeout
+            )
 
     # -- hedged execution ------------------------------------------------------
-    def _scan_hedges(self) -> None:
-        """Launch speculative duplicates for overdue hedge-armed primaries.
+    def _watch_hedges(self, pendings: list[_PendingTask]) -> None:
+        """Arm the overdue scan (``_scan_hedges``) unless it is armed, once
+        one of ``pendings`` hedges: a client that never hedges arms nothing."""
+        if all(pending.hedge_policy is None for pending in pendings):
+            return
+        with self._futures_lock:
+            if self._hedge_scan:
+                return
+            self._hedge_scan = True
+        get_reactor().call_every(self._receive_interval, self._scan_hedges)
 
-        Runs on the notifier thread (the same thread that resolves
-        completions), so a candidate collected here cannot race its own
-        resolution — only external pops (``close``, ``cancel_pending``),
-        which the post-submit re-check under the lock covers.
-        """
+    def _scan_hedges(self) -> bool:
+        """Launch speculative duplicates for overdue hedge-armed primaries:
+        a reactor timer every ``receive_interval`` (so a hedge launches
+        within one interval of its delay) that disarms once none is pending.
+        The reactor settles completions too, so only external pops
+        (``close``, ``cancel_pending``) race a candidate; ``_hedge_sent``
+        checks for them."""
         now = self._clock.now()
         with self._futures_lock:
-            candidates = [
+            primaries = [
                 (task_id, pending)
                 for task_id, pending in self._pending.items()
                 if pending.hedge_policy is not None
                 and pending.leg == 0
                 and not pending.future.done()
-                and (
-                    pending.hedge is None
-                    or pending.hedge.launched < pending.hedge_policy.max_hedges
-                )
             ]
-        for task_id, pending in candidates:
+            if not self._running or not primaries:
+                self._hedge_scan = False
+                return False
+        for task_id, pending in primaries:
             policy = pending.hedge_policy
+            if pending.hedge is not None and pending.hedge.launched >= policy.max_hedges:
+                continue  # every leg it may have is out (or being sent)
             delay = policy.hedge_delay(self._latencies)
             if delay is None or now - pending.attempt_at < delay:
                 continue  # not overdue yet (or no latency sample to judge by)
@@ -877,65 +834,47 @@ class FaasClient:
             if target is None:
                 continue  # every candidate endpoint already carries a leg
             self._launch_hedge(task_id, pending, target)
+        return True
 
     def _launch_hedge(self, primary_id: str, pending: _PendingTask, target: str) -> None:
+        """Send a hedge leg down the submit leg; ``_hedge_sent`` races it
+        once the cloud has answered."""
         group = pending.hedge
         if group is None:
             group = _HedgeGroup(primary=pending)
             group.legs[primary_id] = pending
             pending.hedge = group
-        n = group.launched + 1
+        # The leg holds its slot while its submit is out, so the scan sends
+        # no second one meanwhile; a refusal gives the slot back.
+        group.launched += 1
         # ``#h<n>`` keeps the hedge leg's chaos identity distinct from the
         # primary's while preserving the content base (``partition('#')``
         # strips it for poison fingerprints) and the ``#a<attempt>`` suffix.
-        chaos_key = f"{pending.chaos_base}#h{n}#a{pending.attempt}"
+        chaos_key = f"{pending.chaos_base}#h{group.launched}#a{pending.attempt}"
         # A hedge leg rides the primary's already-serialized payload too.
         counter_inc("client.serialize_skipped", endpoint=target)
-        landed = threading.Event()
-        answer: list = []
-
-        def answered(outcomes: list) -> None:
-            answer.extend(outcomes)
-            landed.set()
-
-        self._submit_leg(
-            [
-                TaskSubmission(
-                    pending.func_id,
-                    target,
-                    pending.args_payload,
-                    pending.trace_ctx,
-                    chaos_key,
-                    pending.prefetch,
-                    pending.deadline_at,
-                )
-            ],
-            answered,
+        submission = TaskSubmission(
+            pending.func_id, target, pending.args_payload, pending.trace_ctx,
+            chaos_key, pending.prefetch, pending.deadline_at,
         )
-        # Only this thread changes hedge groups, so it waits the leg out.
-        self._clock.wait(landed, None)
-        hedge_id = answer[0]
+        self._submit_leg(
+            [submission],
+            functools.partial(self._hedge_sent, primary_id, group, target, group.launched),
+        )
+
+    def _hedge_sent(
+        self, primary_id: str, group: _HedgeGroup, target: str, n: int, outcomes: list
+    ) -> None:
+        """The cloud answered hedge leg ``n`` (reactor thread): race it."""
+        hedge_id = outcomes[0]
         if not isinstance(hedge_id, str):
             # The duplicate was refused (throttle budget, breaker, quota...):
             # the primary keeps racing alone; try again next scan.
+            group.launched -= 1
             counter_inc("client.hedge_rejected", endpoint=target)
             return
-        group.launched = n
-        leg = _PendingTask(
-            future=pending.future,
-            trace_ctx=pending.trace_ctx,
-            func_id=pending.func_id,
-            endpoint_id=target,
-            args_payload=pending.args_payload,
-            attempt=pending.attempt,
-            chaos_base=pending.chaos_base,
-            prefetch=pending.prefetch,
-            started_at=pending.started_at,
-            deadline_at=pending.deadline_at,
-            hedge_policy=pending.hedge_policy,
-            hedge=group,
-            leg=n,
-            attempt_at=self._clock.now(),
+        leg = replace(
+            group.primary, endpoint_id=target, hedge=group, leg=n, attempt_at=self._clock.now()
         )
         with self._futures_lock:
             stale = group.resolved or primary_id not in self._pending
@@ -943,28 +882,36 @@ class FaasClient:
                 self._pending[hedge_id] = leg
                 group.legs[hedge_id] = leg
         if stale:
-            # The race resolved (or the caller cancelled) while we paid the
-            # submit round trip; reel the duplicate back in.
-            self._cancel_leg(hedge_id, leg, group)
+            # The race resolved (or the caller cancelled) while the leg's
+            # submit was out; reel the duplicate back in.
+            self._cancel_leg(hedge_id, leg)
             return
         counter_inc("client.hedges_launched", endpoint=target)
 
-    def _cancel_leg(self, task_id: str, leg: _PendingTask, group: _HedgeGroup) -> None:
-        """Cancel one losing leg; reconcile its outcome exactly once.
+    def _cancel_leg(self, task_id: str, leg: _PendingTask) -> None:
+        """Cancel one losing leg once its API request has reached the cloud
+        (a reactor timer); reconcile its outcome exactly once.
 
         A hedge leg cancelled while still queued never executed (``lost``);
         one the cloud could no longer cancel is a duplicate execution whose
         eventual result finds no pending entry and is dropped (``wasted``).
         """
-        self._pay_api_call()
-        counter_inc("faas.api_calls", op="cancel")
-        cancelled = self.cloud.cancel_task(self.token, task_id)
-        if leg.leg > 0:
-            counter_inc(
-                "client.hedges",
-                outcome="lost" if cancelled else "wasted",
-                endpoint=leg.endpoint_id,
-            )
+
+        def arrived() -> None:
+            try:
+                counter_inc("faas.api_calls", op="cancel")
+                cancelled = self.cloud.cancel_task(self.token, task_id)
+                if leg.leg > 0:
+                    counter_inc(
+                        "client.hedges",
+                        outcome="lost" if cancelled else "wasted",
+                        endpoint=leg.endpoint_id,
+                    )
+            finally:
+                self._track("landing", -1)
+
+        self._track("landing", 1)
+        get_reactor().call_later(self._api_cost(), arrived)
 
     def _settle_leg(
         self,
@@ -996,7 +943,7 @@ class FaasClient:
                 for other_id, _ in losers:
                     self._pending.pop(other_id, None)
             for other_id, other in losers:
-                self._cancel_leg(other_id, other, group)
+                self._cancel_leg(other_id, other)
             if pending.leg > 0:
                 counter_inc(
                     "client.hedges", outcome="won", endpoint=pending.endpoint_id
@@ -1019,22 +966,21 @@ class FaasClient:
         group.primary.hedge = None
         self._finish_attempt(group.primary, group.last_error, group.last_traceback)
 
-    def _handle_completions(self, task_ids: list[str]) -> _Download | None:
-        """Plan the download of every announced completion as one round,
-        and put it on the notifier's landing schedule; returns the round.
+    def _handle_completions(
+        self, task_ids: list[str], envelopes: list | tuple = ()
+    ) -> Round | None:
+        """Plan the download of every announced completion as one round
+        and arm it on the reactor; returns the round.
 
         The ids of a delivery round — however many doorbells announced them
         — pay *one* notification-push latency, one ``download_round`` call,
         and one streamed response (a WAN latency plus the summed bytes),
         then each task is deserialized and settled on its own: dedupe,
         retry, and hedge reconciliation are per task, and a member whose
-        read fails burns only its own attempt.  None of it is slept: the
-        round lands when its charges have passed and the notifier settles
-        it then (``_land_downloads``), so several rounds can be in flight.
-        A round of one is charged exactly what a lone completion always
-        has.  Whichever thread plans a round (``_register`` and ``attach``
-        plan completions that arrived before their future), the notifier
-        settles it, at the latest one wait after it lands.
+        read fails burns only its own attempt.  Nothing is slept: the round
+        lands once its charges have passed, and ``_settle_round`` settles
+        it and acks ``envelopes`` then.  A round of one is charged exactly
+        what a lone completion always has.
 
         An id nobody registered is parked (see ``_early``): its submit may
         simply not have returned yet.
@@ -1061,9 +1007,7 @@ class FaasClient:
         try:
             # A download round is settled when it is planned: its answer is
             # the reads, its charges what they cost.
-            reads = self.cloud.download_round(
-                self.token, [task_id for task_id, _ in entries]
-            )
+            reads = self.cloud.download_round(self.token, [t for t, _ in entries])
             charges += reads.charges
             outcomes = reads.answer
         except ReproError as exc:
@@ -1075,29 +1019,55 @@ class FaasClient:
         ]
         if delivered:
             charges.append(network.transfer_time(self.cloud.site, site, sum(delivered)))
-        landed = started + sum(charges)
-        members = []
-        for (task_id, pending), outcome in zip(entries, outcomes):
+        # Each member's span ends with its own deserialization.
+        ended = started + sum(charges)
+        ends = []
+        for outcome in outcomes:
             if not isinstance(outcome, Exception):
                 charges.append(deserialize_cost(outcome[1].nominal_size))
-                landed += charges[-1]
-            members.append((task_id, pending, outcome, landed))
-        download = _Download(started, charges, members)
+                ended += charges[-1]
+            ends.append(ended)
+        download = Round.settled(outcomes, charges)
         with self._futures_lock:
-            heapq.heappush(
-                self._downloads, (landed, next(self._download_seq), download)
-            )
+            self._downloading.update(envelope.seq for envelope in envelopes)
+        self._track("landing", 1)
+        download.arm(
+            functools.partial(self._settle_round, started, entries, ends, envelopes)
+        )
         return download
 
-    def _settle_download(
+    def _settle_round(
         self,
-        download: _Download,
-        task_id: str,
-        pending: _PendingTask,
-        outcome: object,
-        landed: float,
+        started: float,
+        entries: list[tuple[str, _PendingTask]],
+        ends: list[float],
+        envelopes: list,
+        outcomes: list,
     ) -> None:
-        """Settle one member of a landed download round."""
+        """A download round has landed (reactor thread): settle each
+        member, then ack the round's envelopes.  After ``kill()`` it
+        settles and acks nothing: a crashed process never saw the round."""
+        try:
+            if self._killed:
+                return
+            for (task_id, pending), outcome, ended in zip(entries, outcomes, ends):
+                span = {"start": started, "end": ended, "batch_size": len(entries)}
+                try:
+                    self._settle_download(task_id, pending, outcome, span)
+                except Exception:  # noqa: BLE001 - the other members still settle
+                    counter_inc("client.notify_errors")
+            for envelope in envelopes:
+                self._consumer.done(envelope)
+            with self._futures_lock:
+                self._downloading.difference_update(e.seq for e in envelopes)
+        finally:
+            self._track("landing", -1)
+
+    def _settle_download(
+        self, task_id: str, pending: _PendingTask, outcome: object, span: dict
+    ) -> None:
+        """Settle one member of a landed download round (``span``: its
+        ``result.download`` span's start, end and round size)."""
         if isinstance(outcome, ResultNotReadyError):
             # The doorbell outran the durable state (a crash-discarded shard
             # instance rang it): the task is still in flight and its
@@ -1105,28 +1075,23 @@ class FaasClient:
             counter_inc("client.spurious_doorbells")
             with self._futures_lock:
                 self._pending[task_id] = pending
+            self._watch_hedges([pending])
             return
         # A failed download (e.g. the cloud store returned corrupt data)
         # consumes an attempt of its own task like a remote failure.
         failure = outcome if isinstance(outcome, Exception) else None
         if failure is None:
             status, payload = outcome
-            emit(
-                "data_transfer",
-                resource=self._home_site().name,
-                bytes=payload.nominal_size,
-                via="faas-cloud",
-            )
+            site = self._home_site().name
+            emit("data_transfer", resource=site, bytes=payload.nominal_size, via="faas-cloud")
             try:
                 body = deserialize(payload)
             except ReproError as exc:
                 failure = exc
         record_span(
             "result.download",
-            start=download.started,
-            end=landed,
             parent=pending.trace_ctx,
-            batch_size=len(download.members),
+            **span,
             **({} if failure is None else {"error": repr(failure)}),
         )
         if failure is not None:
@@ -1134,14 +1099,8 @@ class FaasClient:
         elif status is TaskStatus.SUCCESS and body.get("success"):
             self._settle_leg(task_id, pending, True, body["value"], "", None)
         else:
-            self._settle_leg(
-                task_id,
-                pending,
-                False,
-                None,
-                body.get("error", "remote task failed"),
-                body.get("traceback"),
-            )
+            error = body.get("error", "remote task failed")
+            self._settle_leg(task_id, pending, False, None, error, body.get("traceback"))
 
     def _finish_attempt(
         self,
@@ -1158,11 +1117,15 @@ class FaasClient:
         so ``client.retries`` does not move), and with no retry policy the
         future raises the rejection itself.  The backoff is a reactor timer
         and the retry is sent when it fires (``_retry``): nothing here
-        sleeps, so the notifier goes on settling other results."""
+        sleeps, so the reactor goes on settling other results."""
         if pending.attempt and isinstance(
             reject, (DeadlineExceededError, TaskQuarantinedError)
         ):
-            self._terminal(pending, reject)  # a resubmission's verdict
+            # A resubmission's terminal verdict: the deadline lapsed before
+            # the cloud accepted it, or the payload was quarantined as
+            # poison.  More attempts cannot change either.
+            counter_inc("client.terminal_rejections", endpoint=pending.endpoint_id)
+            pending.future.set_exception(reject)
             return
         if error.startswith("DeadlineExceededError"):
             # The cloud already ruled the work too late (expired in queue,
@@ -1195,13 +1158,6 @@ class FaasClient:
         get_reactor().call_later(
             delay, lambda: self._retry(pending, attempt, error, traceback_text, reject)
         )
-
-    def _terminal(self, pending: _PendingTask, exc: ReproError) -> None:
-        """A terminal rejection of a resubmission: the deadline lapsed before
-        the cloud accepted it, or the payload was quarantined as poison.
-        More attempts cannot change either verdict."""
-        counter_inc("client.terminal_rejections", endpoint=pending.endpoint_id)
-        pending.future.set_exception(exc)
 
     def _retry(
         self,

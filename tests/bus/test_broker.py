@@ -1,5 +1,9 @@
 """Unit tests for the notification bus broker and consumer."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.bus import BusConsumer, NotificationBus
@@ -206,3 +210,53 @@ def test_bus_rejects_degenerate_parameters():
         NotificationBus(lease_ttl=0.0)
     with pytest.raises(ValueError):
         NotificationBus(window=0)
+
+
+def test_done_from_many_threads_keeps_the_frontier_exact():
+    """``done`` runs on the client's reactor while ``receive`` and
+    ``resubscribe`` stay on its notifier: four threads acking 2,000
+    envelopes out of order, against a resubscribing fifth, still leave the
+    frontier at the last one and nothing unacked."""
+    bus = _bus(window=4096)
+    consumer = BusConsumer(bus, "results/c", "c", role="client", max_batch=2000)
+    for n in range(2000):
+        bus.publish("results/c", str(n))
+    envelopes = consumer.receive(timeout=0.0)
+    assert len(envelopes) == 2000
+    random.Random(0).shuffle(envelopes)
+    errors: list[Exception] = []
+    acking = threading.Event()
+
+    def ack(share):
+        try:
+            for envelope in share:
+                consumer.done(envelope)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    def churn():
+        try:
+            while acking.is_set():
+                consumer.resubscribe()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        acking.set()
+        churner = threading.Thread(target=churn)
+        churner.start()
+        ackers = [threading.Thread(target=ack, args=(envelopes[i::4],)) for i in range(4)]
+        for thread in ackers:
+            thread.start()
+        for thread in ackers:
+            thread.join(30)
+        acking.clear()
+        churner.join(30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in [churner, *ackers])
+    assert errors == []
+    assert consumer._contiguous == 2000
+    assert bus.unacked("results/c", "c") == []

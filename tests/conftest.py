@@ -118,10 +118,10 @@ def recording_clock(clean_state, monkeypatch):
 def record_downloads(client) -> list:
     """Keep every result-download round ``client`` plans, in order.
 
-    A download is not slept on the notifier thread: it is a landing on the
-    notifier's schedule whose ``charges`` are the ones a sleeping notifier
-    paid, in the same order.  Import it with ``from conftest import
-    record_downloads``."""
+    A download is not slept on the notifier thread: it is a
+    :class:`repro.batch.Round` armed on the reactor whose ``charges`` are
+    the ones a sleeping notifier paid, in the same order.  Import it with
+    ``from conftest import record_downloads``."""
     planned: list = []
     plan = client._handle_completions
 

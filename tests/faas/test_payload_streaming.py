@@ -195,23 +195,21 @@ def _wait_for(predicate, wall_seconds=30.0):
 
 
 def _hold_notifier(rig):
-    """Park the client's notifier thread inside a done-callback; returns the
-    event that releases it.  Whatever completes meanwhile is announced by
-    doorbells the notifier picks up together, in one round."""
+    """Park the client's notifier thread once it has planned the next
+    round; returns the event that releases it.  Whatever completes
+    meanwhile is announced by doorbells the notifier picks up together, in
+    one round."""
     gate, parked = threading.Event(), threading.Event()
+    plan = rig.client._plan_round
 
-    def park(_future):
+    def park(*args):
+        plan(*args)
         parked.set()
         gate.wait(30)
 
-    live = rig.endpoint._running
-    if live:
-        rig.endpoint.pause()  # the callback must be on before the result is
-    (sentinel,) = rig.submit_now(-1)
-    sentinel.add_done_callback(park)
-    if live:
-        rig.endpoint.resume()
-    else:
+    rig.client._plan_round = park
+    rig.submit_now(-1)
+    if not rig.endpoint._running:
         (dispatch,) = rig.fetch()
         rig.report(dispatch.task_id)
     assert parked.wait(30)
