@@ -121,7 +121,6 @@ def _run_campaign(resilient: bool) -> dict:
             WorkerPool(testbed.theta_compute, 1, name=f"res-pool-{i}"),
             failover_group="res",
             max_tasks_per_poll=1,
-            poll_interval=0.25,
         ).start()
         for i in range(N_ENDPOINTS)
     ]

@@ -9,8 +9,9 @@ waits on a condition variable, through the clock, until the nearest one.
 Arming, cancelling, or closing wakes it immediately.
 
 Callbacks run on the reactor thread and must be short and non-blocking —
-they typically flip a condition or hand work to an existing worker
-thread.  A periodic callback can cancel itself by returning ``False``.
+they land a modelled charge, hand work to a worker thread, or deliver bus
+envelopes to a listener.  A periodic callback can cancel itself by
+returning ``False``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ class Reactor:
     def call_later(self, delay: float, fn: Callable[[], Any]) -> Timer:
         """Run ``fn`` once, ``delay`` nominal seconds from now."""
         return self._arm(Timer(self._clock.now() + max(0.0, delay), None, fn))
+
+    def call_at(self, when: float, fn: Callable[[], Any]) -> Timer:
+        """Run ``fn`` once at nominal time ``when`` (at once if it has
+        passed): a deadline, where ``call_later`` pays a delay."""
+        return self._arm(Timer(when, None, fn))
 
     def call_every(self, period: float, fn: Callable[[], Any]) -> Timer:
         """Run ``fn`` every ``period`` nominal seconds until it is cancelled

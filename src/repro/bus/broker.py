@@ -12,10 +12,16 @@ reproduces that layer with auditable delivery guarantees:
 * **At-least-once delivery** — an envelope stays in the subscriber's unacked
   window until a cumulative ack covers it; unacked envelopes are redelivered
   after a :class:`~repro.chaos.policy.RetryPolicy`-driven backoff.
-* **Subscription leases** — a subscriber that stops receiving (crash, pause,
-  chaos-injected disconnect) has its subscription lapse; envelopes keep
-  accumulating in its window and are replayed from the last ack on
-  resubscribe, so nothing is lost across the gap.
+* **Push delivery on the reactor** — a subscriber attaches a listener, and
+  whenever it has due envelopes (a publish, a resubscribe replay, an
+  expired redelivery backoff) the broker arms at most one process-reactor
+  call for it, which hands the listener up to its batch of envelopes.  A
+  lapse reaches the listener on the reactor too.
+* **Subscription leases** — an attached listener never lapses on its
+  lease; a detached one (paused, crashed or killed owner), or a subscriber
+  that stopped receiving, lapses ``lease_ttl`` after it went quiet.
+  Envelopes keep accumulating in its window and are replayed from the last
+  ack on resubscribe, so nothing is lost across the gap.
 * **Bounded redelivery window** — a subscriber more than ``window`` envelopes
   behind is force-lapsed and its oldest envelopes trimmed; the poll-fallback
   path (the queues are the ground truth, envelopes are doorbells) covers the
@@ -31,8 +37,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
+from repro.batch.reactor import get_reactor
 from repro.chaos.plan import chaos_check
 from repro.chaos.policy import RetryPolicy
 from repro.exceptions import SubscriptionLapsedError
@@ -78,6 +85,17 @@ class _SubscriberState:
         self.attempts: dict[int, int] = {}
         #: Earliest nominal time each unacked envelope may be (re)delivered.
         self.next_attempt_at: dict[int, float] = {}
+        #: The attached listener, if any, and the one reactor call armed to
+        #: feed it.
+        self.listener: _Listener | None = None
+        self.wake = None
+
+
+@dataclass(frozen=True)
+class _Listener:
+    deliver: Callable[[list[Envelope]], None]
+    lapsed: Callable[[], None]
+    max_n: int
 
 
 class Subscription:
@@ -95,11 +113,23 @@ class Subscription:
     def acked(self) -> int:
         return self._state.acked
 
-    def receive(self, max_n: int, timeout: float | None) -> list[Envelope]:
-        """Block until envelopes are deliverable (or ``timeout`` nominal
-        seconds elapse); raises :class:`SubscriptionLapsedError` once the
-        subscription has been dropped."""
-        return self._bus._receive(self._state, max_n, timeout)
+    def receive(self, max_n: int, timeout: float = 0.0) -> list[Envelope]:
+        """The envelopes due now (waiting is an attached listener's job, so
+        ``timeout`` must be 0); raises :class:`SubscriptionLapsedError` once
+        the subscription has been dropped."""
+        if timeout != 0.0:
+            raise ValueError("receive does not wait; attach a listener instead")
+        return self._bus._receive(self._state, max_n)
+
+    def attach(self, deliver: Callable, lapsed: Callable, max_n: int) -> None:
+        """Push delivery: ``deliver(envelopes)`` (at most ``max_n``) and
+        ``lapsed()`` run on the process reactor and must not block.  The
+        listener belongs to the subscriber: it survives a resubscribe."""
+        self._bus._attach(self._state, _Listener(deliver, lapsed, max_n))
+
+    def detach(self) -> None:
+        """Stop push delivery; the lease runs from now."""
+        self._bus._detach(self._state)
 
     def ack(self, upto_seq: int) -> None:
         """Cumulatively acknowledge every envelope with ``seq <= upto_seq``."""
@@ -133,7 +163,7 @@ class NotificationBus:
         self._window = window
         self._states: dict[tuple[str, str], _SubscriberState] = {}
         self._by_topic: dict[str, list[_SubscriberState]] = {}
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
 
     @classmethod
     def for_cloud(cls, clock: Clock, constants) -> "NotificationBus":
@@ -155,7 +185,7 @@ class NotificationBus:
     ) -> None:
         """Pre-create (inactive) subscriber state so publishes that happen
         before the subscriber's first :meth:`subscribe` are retained."""
-        with self._cond:
+        with self._lock:
             self._state_locked(topic, subscriber_id, chaos_label)
 
     def subscribe(
@@ -167,13 +197,13 @@ class NotificationBus:
         envelope in the window becomes immediately deliverable again, so no
         notification is lost across a lapse.
         """
-        with self._cond:
+        with self._lock:
             state = self._state_locked(topic, subscriber_id, chaos_label)
             state.active = True
             state.lease_expiry = self._clock.now() + self._lease_ttl
             for seq in state.next_attempt_at:
                 state.next_attempt_at[seq] = 0.0
-            self._cond.notify_all()
+            self._arm_locked(state, 0.0)
         return Subscription(self, state)
 
     def _state_locked(
@@ -198,7 +228,7 @@ class NotificationBus:
         whether a resubscribe happened to win a race.
         """
         now = self._clock.now()
-        with self._cond:
+        with self._lock:
             states = list(self._by_topic.get(topic, ()))
             fanout = 0
             for state in states:
@@ -221,12 +251,11 @@ class NotificationBus:
                 fanout += 1
                 if len(state.window) > self._window:
                     self._overflow_locked(state)
-            if fanout:
-                self._cond.notify_all()
+                self._arm_locked(state, 0.0)
             return fanout
 
     def _lapse_if_stale_locked(self, state: _SubscriberState, now: float) -> None:
-        if state.active and state.lease_expiry <= now:
+        if state.active and state.listener is None and state.lease_expiry <= now:
             self._drop_locked(state, "lease")
 
     def _drop_locked(self, state: _SubscriberState, reason: str) -> None:
@@ -234,7 +263,7 @@ class NotificationBus:
         counter_inc(
             "bus.subscription_drops", role=_role(state.topic), reason=reason
         )
-        self._cond.notify_all()
+        self._wake_locked(state, get_reactor().now())
 
     def _overflow_locked(self, state: _SubscriberState) -> None:
         """A subscriber fell more than ``window`` envelopes behind: lapse it
@@ -257,38 +286,76 @@ class NotificationBus:
             counter_inc("bus.window_trimmed", role=_role(state.topic))
 
     # -- consume ----------------------------------------------------------------
-    def _receive(
-        self, state: _SubscriberState, max_n: int, timeout: float | None
-    ) -> list[Envelope]:
-        deadline = None if timeout is None else self._clock.now() + timeout
-        with self._cond:
-            while True:
-                if not state.active:
-                    raise SubscriptionLapsedError(
-                        f"subscription to {state.topic!r} lapsed; poll and "
-                        f"resubscribe to replay from ack {state.acked}"
-                    )
-                now = self._clock.now()
-                state.lease_expiry = now + self._lease_ttl
-                due = sorted(
-                    [seq for seq, at in state.next_attempt_at.items() if at <= now]
+    def _receive(self, state: _SubscriberState, max_n: int) -> list[Envelope]:
+        with self._lock:
+            if not state.active:
+                raise SubscriptionLapsedError(
+                    f"subscription to {state.topic!r} lapsed; poll and "
+                    f"resubscribe to replay from ack {state.acked}"
                 )
-                if due:
-                    return self._deliver_locked(state, due[:max_n], now)
-                if deadline is not None and now >= deadline:
-                    return []
-                wake_at = deadline
-                if state.next_attempt_at:
-                    soonest = min(state.next_attempt_at.values())
-                    wake_at = soonest if wake_at is None else min(wake_at, soonest)
-                self._clock.wait(self._cond, None if wake_at is None else wake_at - now)
+            state.lease_expiry = self._clock.now() + self._lease_ttl
+            return self._deliver_due_locked(state, max_n)
 
-    def _deliver_locked(
-        self, state: _SubscriberState, seqs: list[int], now: float
-    ) -> list[Envelope]:
+    def _attach(self, state: _SubscriberState, listener: _Listener) -> None:
+        with self._lock:
+            state.listener = listener
+            if state.active:
+                self._arm_locked(state)
+            else:  # the owner learns of the lapse
+                self._wake_locked(state, get_reactor().now())
+
+    def _detach(self, state: _SubscriberState) -> None:
+        with self._lock:
+            state.listener = None
+            state.lease_expiry = self._clock.now() + self._lease_ttl
+            self._wake_locked(state, None)
+
+    def _arm_locked(self, state: _SubscriberState, due: float | None = None) -> None:
+        """Have the listener's call armed by the time its next envelope is
+        due (at ``due``, when the caller knows): keep an earlier call,
+        replace a later one."""
+        if state.listener is None or not state.active or not state.next_attempt_at:
+            return
+        if due is None:
+            due = min(state.next_attempt_at.values())
+        # A deadline on the reactor's own timeline.
+        at = get_reactor().now() + max(0.0, due - self._clock.now())
+        if state.wake is None or state.wake.when > at:
+            self._wake_locked(state, at)
+
+    def _wake_locked(self, state: _SubscriberState, at: float | None) -> None:
+        """Replace the subscriber's armed call with one due at reactor time
+        ``at`` (``None``: none at all)."""
+        if state.wake is not None:
+            state.wake.cancel()
+        state.wake = None
+        if at is not None and state.listener is not None:
+            state.wake = get_reactor().call_at(at, lambda: self._pump(state))
+
+    def _pump(self, state: _SubscriberState) -> None:
+        """The subscriber's armed call (reactor): hand its listener the due
+        envelopes, or the news that it lapsed, and arm the next call."""
+        with self._lock:
+            listener = state.listener
+            if listener is None:
+                return
+            state.wake = None
+            envelopes = None
+            if state.active:
+                envelopes = self._deliver_due_locked(state, listener.max_n)
+                self._arm_locked(state)
+        if envelopes is None:
+            listener.lapsed()
+        elif envelopes:
+            listener.deliver(envelopes)
+
+    def _deliver_due_locked(self, state: _SubscriberState, max_n: int) -> list[Envelope]:
+        """Deliver up to ``max_n`` due envelopes, oldest first."""
+        now = self._clock.now()
+        due = sorted(seq for seq, at in state.next_attempt_at.items() if at <= now)
         out: list[Envelope] = []
         policy = self._redelivery
-        for seq in seqs:
+        for seq in due[:max_n]:
             env = state.window[seq]
             attempt = state.attempts[seq]
             state.attempts[seq] = attempt + 1
@@ -319,32 +386,34 @@ class NotificationBus:
         return out
 
     def _ack(self, state: _SubscriberState, upto_seq: int) -> None:
-        with self._cond:
+        with self._lock:
             if upto_seq > state.acked:
                 state.acked = upto_seq
             for seq in [s for s in state.window if s <= upto_seq]:
                 del state.window[seq]
                 del state.attempts[seq]
                 del state.next_attempt_at[seq]
-            self._cond.notify_all()
+            if state.active and not state.window:
+                self._wake_locked(state, None)  # no redelivery left to time
 
     def _close(self, state: _SubscriberState) -> None:
-        with self._cond:
+        with self._lock:
             state.active = False
             state.acked = max(state.acked, state.next_seq - 1)
             state.window.clear()
             state.attempts.clear()
             state.next_attempt_at.clear()
-            self._cond.notify_all()
+            state.listener = None
+            self._wake_locked(state, None)
 
     # -- introspection (tests, audits) ------------------------------------------
     def unacked(self, topic: str, subscriber_id: str) -> list[int]:
-        with self._cond:
+        with self._lock:
             state = self._states.get((topic, subscriber_id))
             return sorted(state.window) if state is not None else []
 
     def is_active(self, topic: str, subscriber_id: str) -> bool:
-        with self._cond:
+        with self._lock:
             state = self._states.get((topic, subscriber_id))
             return state is not None and state.active
 

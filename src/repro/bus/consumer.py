@@ -9,21 +9,22 @@ with the receiver half of the at-least-once contract:
 * **Cumulative acks** — :meth:`done` marks one envelope processed and acks
   the highest *contiguous* prefix, so a lost-in-flight envelope keeps every
   later one unacked-but-processed until its redelivery arrives.
-* **Lapse recovery** — when the subscription is dropped the next
-  :meth:`receive` raises :class:`SubscriptionLapsedError`; the owner engages
-  its poll fallback, then calls :meth:`resubscribe`, which replays from the
-  last ack.
+* **Push delivery** — :meth:`attach` hands the owner's listener to the
+  broker: fresh envelopes reach ``on_delivery`` on the process reactor, and
+  a dropped subscription reaches ``on_lapse`` there; the owner engages its
+  poll fallback, then calls :meth:`resubscribe`, which replays from the
+  last ack.  :meth:`detach` stops delivery (a paused or dead owner).
 
 The ``bus.notify_latency_s`` histogram records publish-to-receive latency
-for every fresh (non-duplicate) envelope.  :meth:`done` may run on another
-thread than :meth:`receive` and :meth:`resubscribe` (the client acks from
-the reactor), so the frontier is kept under one lock, never held across the
-broker's blocking receive.
+for every fresh (non-duplicate) envelope.  :meth:`done` and
+:meth:`resubscribe` may run on other threads than delivery, so the
+frontier is kept under one lock.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Callable
 
 from repro.bus.broker import Envelope, NotificationBus, Subscription
 from repro.net.clock import Clock, get_clock
@@ -68,10 +69,28 @@ class BusConsumer:
     def topic(self) -> str:
         return self._topic
 
-    def receive(self, timeout: float | None) -> list[Envelope]:
-        """Deduplicated envelopes, oldest first; raises
-        :class:`~repro.exceptions.SubscriptionLapsedError` once lapsed."""
-        envelopes = self._sub.receive(self._max_batch, timeout)
+    def attach(self, on_delivery: Callable, on_lapse: Callable[[], None]) -> None:
+        """Push deduplicated envelopes, oldest first, to ``on_delivery`` and
+        a lapse to ``on_lapse``, both on the process reactor: neither may
+        block or raise."""
+
+        def deliver(envelopes: list[Envelope]) -> None:
+            if fresh := self._fresh(envelopes):
+                on_delivery(fresh)
+
+        self._sub.attach(deliver, on_lapse, self._max_batch)
+
+    def detach(self) -> None:
+        """Stop push delivery; the subscription lapses a lease later."""
+        self._sub.detach()
+
+    def receive(self, timeout: float = 0.0) -> list[Envelope]:
+        """The deduplicated envelopes due now, oldest first, without
+        waiting; raises :class:`~repro.exceptions.SubscriptionLapsedError`
+        once lapsed."""
+        return self._fresh(self._sub.receive(self._max_batch, timeout))
+
+    def _fresh(self, envelopes: list[Envelope]) -> list[Envelope]:
         fresh: list[Envelope] = []
         seen_now: set[int] = set()
         with self._lock:
@@ -105,15 +124,6 @@ class BusConsumer:
                 advanced = True
             if advanced:
                 self._sub.ack(self._contiguous)
-
-    def trim_gap(self) -> bool:
-        """True when the broker's cumulative ack has advanced past this
-        consumer's contiguous frontier — the signature of a window-overflow
-        trim.  The doorbells in that gap are gone for good, so the owner's
-        poll fallback must drain the queue to empty before trusting the bus
-        for wakeups again."""
-        with self._lock:
-            return self._sub.acked > self._contiguous
 
     def resubscribe(self) -> None:
         """Reactivate after a lapse; the broker replays from the last ack."""

@@ -526,14 +526,12 @@ def run_cell(
     *,
     seed: int = 0,
     n_tasks: int = 6,
-    use_bus: bool = True,
 ) -> CellResult:
     """Run one campaign cell and audit its invariants.
 
     Invariant violations are collected into ``CellResult.failures`` rather
     than raised, so a sweep reports every broken cell instead of dying on
-    the first one.  ``use_bus=False`` runs the cell polling-only — the
-    baseline the bus's idle-poll reduction is measured against.
+    the first one.
     """
     failures: list[str] = []
     tracer = Tracer()
@@ -640,13 +638,11 @@ def run_cell(
     batching = mode == "batch_flush_loss"
     ep_a = FaasEndpoint(
         "ep-a", cloud, token, rig.agent_site, pool_a,
-        failover_group="chaos-pair", poll_interval=0.25, use_bus=use_bus,
-        uplink_batching=batching,
+        failover_group="chaos-pair", uplink_batching=batching,
     ).start()
     ep_b = FaasEndpoint(
         "ep-b", cloud, token, rig.agent_site, pool_b,
-        failover_group="chaos-pair", poll_interval=0.25, use_bus=use_bus,
-        uplink_batching=batching,
+        failover_group="chaos-pair", uplink_batching=batching,
     ).start()
     if batching:
         from repro.batch import BatchPolicy
@@ -657,8 +653,7 @@ def run_cell(
     else:
         batch_policy = None
     client = FaasClient(
-        cloud, token, site=rig.client_site, retry_policy=policy, use_bus=use_bus,
-        batch=batch_policy,
+        cloud, token, site=rig.client_site, retry_policy=policy, batch=batch_policy,
     )
 
     outcomes: list = []
@@ -669,8 +664,9 @@ def run_cell(
                 key = f"{mode}-{index}"
                 rig.store.put([index, index + 1], key=key)
                 keys.append(key)
-            # All tasks target ep-a; ep-b is the hot standby whose polls
-            # drive lazy lease expiry (failover without client help).
+            # All tasks target ep-a; ep-b is the hot standby whose
+            # heartbeats drive lazy lease expiry (failover without client
+            # help).
             futures = []
             for index, key in enumerate(keys):
                 futures.append(
@@ -699,7 +695,6 @@ def run_cell(
                         token,
                         site=rig.client_site,
                         retry_policy=policy,
-                        use_bus=use_bus,
                         client_id=client.client_id,
                     )
                     futures = [

@@ -520,7 +520,6 @@ def cmd_deadletter(args: argparse.Namespace) -> int:
             testbed.theta_login,
             WorkerPool(testbed.theta_compute, 2, name=f"dlq-pool-{index}"),
             failover_group="dlq-pair",
-            poll_interval=0.25,
         ).start()
         for index in range(2)
     ]

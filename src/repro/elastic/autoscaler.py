@@ -9,11 +9,12 @@ depth, active/idle workers) plus the cloud-side per-tenant backlog
 so the autoscaler never recomputes state the endpoint or control plane
 already knows.
 
-Scale-to-zero is event-driven: when the pool is empty the loop parks on its
-*own* bus subscription to the endpoint's doorbell topic (subscriber id
-``<endpoint>:autoscaler``), so an idle endpoint costs no polls at all.  The
-first doorbell after going dormant re-provisions the pool and arms
-time-to-first-task tracking (``autoscale.time_to_first_task_s``).
+The loop is a periodic timer on the process reactor.  Scale-to-zero is
+event-driven: the autoscaler listens on its *own* bus subscription to the
+endpoint's doorbell topic (subscriber id ``<endpoint>:autoscaler``), so an
+idle endpoint costs no polls at all.  The first doorbell after going
+dormant re-provisions the pool and arms time-to-first-task tracking
+(``autoscale.time_to_first_task_s``).
 
 Every decision is recorded (``autoscale.decisions{action=}``) and kept on
 ``Autoscaler.decisions`` for the CLI and benchmarks.
@@ -22,13 +23,11 @@ Every decision is recorded (``autoscale.decisions{action=}``) and kept on
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.exceptions import SubscriptionLapsedError
+from repro.batch.reactor import get_reactor
 from repro.net.clock import Clock, get_clock
-from repro.net.context import SiteThread
 from repro.observe import counter_inc, gauge_set
 from repro.elastic.pool import ElasticWorkerPool
 
@@ -97,14 +96,13 @@ class Autoscaler:
         self.policy = policy or AutoscalePolicy()
         self._clock = clock or get_clock()
         self._running = False
-        self._thread: SiteThread | None = None
-        self._stop_evt = threading.Event()
+        self._timer = None
         self.decisions: list[AutoscaleDecision] = []
         self._last_grow_at: float | None = None
         self._idle_since: float | None = None
         self._dormant = False
         # A private doorbell subscription: this is what lets a dormant
-        # endpoint cost nothing — no poll loop, just a blocking receive.
+        # endpoint cost nothing — no poll loop, just a listener.
         from repro.bus.consumer import BusConsumer
         from repro.faas.cloud import task_topic
 
@@ -122,23 +120,17 @@ class Autoscaler:
         if self._running:
             return self
         self._running = True
-        self._stop_evt.clear()
-        self._thread = SiteThread(
-            self.endpoint.site,
-            target=self._loop,
-            name=f"autoscaler-{self.endpoint.name}",
-        )
-        self._thread.start()
+        self._consumer.attach(self._on_doorbells, self._consumer.resubscribe)
+        self._timer = get_reactor().call_every(self.policy.interval, self._tick)
         return self
 
     def stop(self) -> None:
         if not self._running:
             return
         self._running = False
-        self._stop_evt.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         self._consumer.close()
 
     @property
@@ -149,47 +141,26 @@ class Autoscaler:
     def wake_latencies(self) -> list[float]:
         return self.pool.wake_latencies
 
-    # -- the loop ------------------------------------------------------------
-    def _loop(self) -> None:
-        while self._running:
-            if self._dormant:
-                woke = self._await_doorbell()
-                if not self._running:
-                    return
-                if woke:
-                    self._wake()
-                    continue
-            else:
-                self._drain_doorbells()
-                self._clock.wait(self._stop_evt, self.policy.interval)
-            if not self._running:
-                return
+    # -- the loop (reactor callbacks) ----------------------------------------
+    def _tick(self) -> bool:
+        """One pass every ``policy.interval``; ``False`` disarms it."""
+        if not self._running:
+            return False
+        if self._dormant and self._demand() > 0:
+            # Belt and braces: demand that slipped past the bus (e.g. a
+            # trimmed window) still wakes the pool via the backlog signal.
+            self._wake()
+        else:
             self._evaluate()
+        return True
 
-    def _receive(self, timeout: float):
-        try:
-            return self._consumer.receive(timeout=timeout)
-        except SubscriptionLapsedError:
-            self._consumer.resubscribe()
-            return []
-
-    def _await_doorbell(self) -> bool:
-        """Dormant wait: block on the bus for up to one interval; True when
-        a doorbell (new work) arrived."""
-        envelopes = self._receive(timeout=self.policy.interval)
+    def _on_doorbells(self, envelopes) -> None:
+        """Doorbell listener: ack (the endpoint consumes its own copy), and
+        wake the pool on the first doorbell after dormancy."""
         for envelope in envelopes:
             self._consumer.done(envelope)
-        if envelopes:
-            return True
-        # Belt and braces: demand that slipped past the bus (e.g. a trimmed
-        # window) still wakes the pool via the polled backlog signal.
-        return self._demand() > 0
-
-    def _drain_doorbells(self) -> None:
-        """While workers exist the endpoint consumes its own doorbells; ack
-        ours without blocking so the redelivery window stays trimmed."""
-        for envelope in self._receive(timeout=0.0):
-            self._consumer.done(envelope)
+        if self._running and self._dormant:
+            self._wake()
 
     def _demand(self) -> int:
         """Outstanding work visible anywhere: local pool queue + active

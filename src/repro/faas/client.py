@@ -6,12 +6,11 @@ once — the funcX executor's contract: the caller never waits on the WAN.  A
 flush (when a batch fills, or after a short adaptive hold) is one submit
 leg on the process reactor, one HTTPS round trip for everything parked; it
 sets ``future.task_id``, and whatever the cloud refused at admission reaches the
-caller through the future.  A per-client notifier thread (modeling the
-SDK's result websocket) blocks on the client's result stream and plans each
-delivery's download as a :class:`repro.batch.Round` on the reactor, which
-completes the futures when it lands — including converting remote failures
-into :class:`repro.exceptions.TaskError` with the remote traceback
-attached.
+caller through the future.  The client's result stream (modeling the SDK's
+result websocket) pushes each delivery onto the reactor too, where its
+download is planned as a :class:`repro.batch.Round` that completes the
+futures when it lands — including converting remote failures into
+:class:`repro.exceptions.TaskError` with the remote traceback attached.
 
 Hand the client a :class:`repro.chaos.RetryPolicy` and failed attempts —
 admission rejects and remote failures alike — are retried transparently: the
@@ -58,7 +57,6 @@ from repro.exceptions import (
     ReproError,
     ResultNotReadyError,
     RetryExhaustedError,
-    SubscriptionLapsedError,
     TaskError,
     TaskQuarantinedError,
     ThrottledError,
@@ -73,12 +71,8 @@ from repro.faas.cloud import (
 )
 from repro.tenancy.tenant import DEFAULT_TENANT, validate_function_name
 from repro.net.clock import Clock, get_clock
-from repro.net.defaults import (
-    CLIENT_CLOSE_TIMEOUT,
-    CLIENT_POLL_INTERVAL,
-    CLIENT_RECEIVE_INTERVAL,
-)
-from repro.net.context import SiteThread, current_site
+from repro.net.defaults import CLIENT_CLOSE_TIMEOUT, CLIENT_RECEIVE_INTERVAL
+from repro.net.context import current_site
 from repro.net.topology import Site
 from repro.observe import TraceContext, counter_inc, observe, record_span, trace_span
 from repro.resilience.hedge import HedgePolicy, LatencyReservoir
@@ -168,11 +162,8 @@ class FaasClient:
         throttle_policy: RetryPolicy | None = None,
         batch: BatchPolicy | None = None,
         tenant: str = DEFAULT_TENANT,
-        use_bus: bool = True,
         chaos_label: str = "client",
         client_id: str | None = None,
-        receive_interval: float = CLIENT_RECEIVE_INTERVAL,
-        poll_interval: float = CLIENT_POLL_INTERVAL,
         close_timeout: float = CLIENT_CLOSE_TIMEOUT,
     ) -> None:
         self.cloud = cloud
@@ -182,8 +173,6 @@ class FaasClient:
         # completed feed / result topic of a crashed predecessor and drain
         # the results it never saw.
         self.client_id = client_id or f"client-{uuid.uuid4().hex[:8]}"
-        self._receive_interval = receive_interval
-        self._poll_interval = poll_interval
         self._close_timeout = close_timeout
         self._site = site
         self._clock = clock or get_clock()
@@ -227,24 +216,17 @@ class FaasClient:
         # identity (``is``) stays valid — caching by bare id() would break
         # when CPython reuses a collected object's address.
         self._registered: list[tuple[Callable, str]] = []
-        # Event-driven result delivery: subscribe before the notifier starts
-        # (and before any submit) so no completion can slip past the stream.
-        # ``_fallback`` flips on when the subscription lapses; the notifier
-        # then drains the cloud's completed queue (the poll path) and hands
-        # back on resubscribe, which replays from the last acked sequence.
-        self._consumer = (
-            BusConsumer(
-                cloud.bus,
-                result_topic(self.client_id),
-                self.client_id,
-                role="client",
-                chaos_label=chaos_label,
-                clock=self._clock,
-            )
-            if use_bus
-            else None
+        # Event-driven result delivery: subscribe before any submit so no
+        # completion can slip past the stream.  Deliveries and a lapse are
+        # pushed onto the reactor (``_on_results``, ``_on_lapse``).
+        self._consumer = BusConsumer(
+            cloud.bus,
+            result_topic(self.client_id),
+            self.client_id,
+            role="client",
+            chaos_label=chaos_label,
+            clock=self._clock,
         )
-        self._fallback = False
         # The bus sequence numbers of the envelopes whose download rounds
         # are still in flight: those rounds ack them when they land.
         self._downloading: set[int] = set()
@@ -253,10 +235,7 @@ class FaasClient:
         self._hedge_scan = False
         self._running = True
         self._killed = False
-        self._notifier = SiteThread(
-            self._home_site(), target=self._notify_loop, name="faas-client-notify"
-        )
-        self._notifier.start()
+        self._consumer.attach(self._on_results, self._on_lapse)
 
     def _home_site(self) -> Site:
         return self._site or current_site() or self.cloud.site
@@ -375,7 +354,7 @@ class FaasClient:
 
         The id only exists once the cloud call returns, and by then the
         task may already have run and its completion been consumed by the
-        notifier, which parked it in ``_early``.  Such a completion is
+        result listener, which parked it in ``_early``.  Such a completion is
         delivered here, on the registering thread, so no future is ever
         stranded behind a doorbell that was already acked.
         """
@@ -613,23 +592,13 @@ class FaasClient:
         return cancelled
 
     def close(self) -> None:
-        # Parked submissions must go out before the notifier stops —
-        # otherwise their futures would be abandoned below.  Stale hold
-        # timers on the reactor no-op: the generation has moved on.
+        # Parked submissions must go out before delivery stops — otherwise
+        # their futures would be abandoned below.  Stale hold timers on the
+        # reactor no-op: the generation has moved on.
         self.flush_batches()
         self._running = False
-        self._notifier.join(timeout=self._close_timeout)
-        if self._notifier.is_alive():
-            counter_inc("client.wedged_threads")
-            raise WorkflowError(
-                f"FaasClient notifier thread was still alive "
-                f"{self._close_timeout} s after close(); it is likely "
-                "blocked inside the cloud's completed queue with a stopped "
-                "clock"
-            )
         self._drain("landing")  # download rounds and cancels still land
-        if self._consumer is not None:
-            self._consumer.close()
+        self._consumer.close()
         # Nobody is listening for results anymore: fail what is still in
         # flight so callers blocked on .result() see the close instead of
         # hanging forever.
@@ -647,9 +616,9 @@ class FaasClient:
             )
 
     def kill(self) -> None:
-        """Simulate a process crash: stop the notifier, and let download
-        rounds in flight land to nothing (no settle, no ack), but do *not*
-        close the bus subscription or fail the in-flight futures.
+        """Simulate a process crash: detach the result listener, and let
+        download rounds in flight land to nothing (no settle, no ack), but
+        do *not* close the bus subscription or fail the in-flight futures.
 
         A dead process never says goodbye — the broker keeps the
         subscription and its unacked redelivery window, so a successor
@@ -660,7 +629,7 @@ class FaasClient:
         """
         self._killed = True
         self._running = False
-        self._notifier.join(timeout=self._close_timeout)
+        self._consumer.detach()
         counter_inc("client.killed")
         with self._futures_lock:
             self._pending.clear()
@@ -680,8 +649,8 @@ class FaasClient:
         have shared this ``client_id`` — the cloud routes the result
         notification by it) and returns a fresh future for it.  If the
         task already completed while nobody was listening, its download is
-        planned at once from the cloud's ledger; otherwise the notifier
-        picks it up from the re-established feed.  Payload-less
+        planned at once from the cloud's ledger; otherwise the result
+        listener picks it up from the re-established feed.  Payload-less
         attaches cannot be retried on failure (there is nothing to
         resubmit), so they surface terminal errors directly.
         """
@@ -718,58 +687,63 @@ class FaasClient:
         return future
 
     # -- result delivery -----------------------------------------------------------
-    def _notify_loop(self) -> None:
-        while self._running:
-            consumer = self._consumer
-            if consumer is not None and not self._fallback:
-                try:
-                    envelopes = consumer.receive(timeout=self._receive_interval)
-                except SubscriptionLapsedError:
-                    self._fallback = True
-                    counter_inc("bus.fallback_engaged", role="client")
-                    continue
-                # A round still downloading keeps its envelopes unacked, so
-                # the bus may redeliver them; the round in flight acks them.
-                with self._futures_lock:
-                    envelopes = [e for e in envelopes if e.seq not in self._downloading]
-                if envelopes:
-                    # One round, one download: every id its doorbells carry
-                    # (one each, or a comma-joined list) shares one streamed
-                    # response, and a crash before it settles redelivers them.
-                    task_ids: list[str] = []
-                    for envelope in envelopes:
-                        if isinstance(envelope.payload, str):
-                            task_ids.extend(envelope.payload.split(","))
-                        else:  # malformed: acked below, never redelivered
-                            counter_inc("client.notify_errors")
-                    self._plan_round(task_ids, envelopes)
-                continue
-            # Poll fallback (and the only path when the bus is disabled):
-            # the completed queue is the ground truth the bus doorbells over.
-            task_ids = self.cloud.next_completed_batch(
-                self.client_id, timeout=self._poll_interval
-            )
-            if task_ids:
+    def _on_results(self, envelopes: list) -> None:
+        """Result listener (reactor): plan one download round for a
+        delivery's doorbells.  A round still downloading keeps its
+        envelopes unacked, so the bus may redeliver them; the round in
+        flight acks them."""
+        if not self._running:
+            return
+        with self._futures_lock:
+            envelopes = [e for e in envelopes if e.seq not in self._downloading]
+        if not envelopes:
+            return
+        # One round, one download: every id its doorbells carry (one each,
+        # or a comma-joined list) shares one streamed response, and a crash
+        # before it settles redelivers them.
+        task_ids: list[str] = []
+        for envelope in envelopes:
+            if isinstance(envelope.payload, str):
+                task_ids.extend(envelope.payload.split(","))
+            else:  # malformed: acked with the round, never redelivered
+                counter_inc("client.notify_errors")
+        self._plan_round(task_ids, envelopes)
+
+    def _on_lapse(self) -> None:
+        """The result subscription lapsed (reactor): fall back to the
+        completed feed, the ground truth the doorbells ring over."""
+        if self._running:
+            counter_inc("bus.fallback_engaged", role="client")
+            self._drain_completed()
+
+    def _drain_completed(self) -> None:
+        """Drain the completed feed until it is empty, then resubscribe,
+        which replays every unacked notification.  Completions whose
+        notifications were trimmed from the redelivery window have no
+        doorbell left, which is why the drain comes first.  A drain that
+        raises is counted and retried after a redelivery backoff."""
+        if not self._running:
+            return
+        try:
+            while task_ids := self.cloud.next_completed_batch(self.client_id, timeout=0.0):
                 self._plan_round(task_ids, [])
-                continue  # keep draining until the queue is confirmed empty
-            if consumer is not None and self._fallback:
-                # Hand back to the bus only after an empty drain: completions
-                # whose notifications were trimmed from the redelivery window
-                # have no doorbell left, so the fallback must empty the queue
-                # before resubscribing.  Resubscription then replays every
-                # unacked notification — nothing from the gap is lost.
-                consumer.resubscribe()
-                self._fallback = False
+        except Exception:  # noqa: BLE001 - a reactor callback must not raise
+            counter_inc("client.notify_errors")
+            get_reactor().call_later(
+                self.cloud.constants.bus_redelivery_base, self._drain_completed
+            )
+            return
+        self._consumer.resubscribe()
 
     def _plan_round(self, task_ids: list[str], envelopes: list) -> None:
-        """Arm one delivery round's download, on the notifier thread; what
-        escapes is counted, as a dead notifier would strand every future.
-        A round with nothing to download acks its envelopes now."""
-        download = None
+        """Arm one delivery round's download; what escapes is counted and
+        its envelopes stay unacked, so the bus redelivers them.  A round
+        with nothing to download acks its envelopes now."""
         try:
             download = self._handle_completions(task_ids, envelopes)
-        except Exception:  # noqa: BLE001 - the notifier must keep running
+        except Exception:  # noqa: BLE001 - a reactor callback must not raise
             counter_inc("client.notify_errors")
+            return
         if download is None:
             for envelope in envelopes:
                 self._consumer.done(envelope)
@@ -797,11 +771,11 @@ class FaasClient:
             if self._hedge_scan:
                 return
             self._hedge_scan = True
-        get_reactor().call_every(self._receive_interval, self._scan_hedges)
+        get_reactor().call_every(CLIENT_RECEIVE_INTERVAL, self._scan_hedges)
 
     def _scan_hedges(self) -> bool:
         """Launch speculative duplicates for overdue hedge-armed primaries:
-        a reactor timer every ``receive_interval`` (so a hedge launches
+        a reactor timer every ``CLIENT_RECEIVE_INTERVAL`` (so a hedge launches
         within one interval of its delay) that disarms once none is pending.
         The reactor settles completions too, so only external pops
         (``close``, ``cancel_pending``) race a candidate; ``_hedge_sent``

@@ -1177,6 +1177,16 @@ class FaasCloud(_BatchOfOne):
         self.auth.validate(token, SCOPE_COMPUTE)
         ledger = self.ledger
         with ledger.lock:
+            if endpoint_id in ledger.leases or endpoint_id in ledger.reaped:
+                # A fetch is proof of life.  Without this, an agent whose
+                # lease lapsed on a stalled host was reaped by its own fetch
+                # and still handed work; a reaped endpoint's later sweeps
+                # move only its queue, so work it then died holding never
+                # moved again.
+                ledger.leases[endpoint_id] = (
+                    self.clock.now() + self.constants.endpoint_lease_ttl
+                )
+                ledger.reaped.discard(endpoint_id)
             self.expire_leases()
             ledger.online[endpoint_id] = True
             if self.health is not None and not self.health.admit(

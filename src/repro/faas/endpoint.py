@@ -1,14 +1,15 @@
 """The user-deployed half of the FaaS platform (the FuncX endpoint).
 
 An endpoint is a lightweight agent a user starts on a resource they can log
-into.  It makes only *outbound* connections: the agent blocks on the cloud
-bus's task-available doorbell stream (``repro.bus``) and fetches dispatches
-only when notified, falling back to the original long-poll loop whenever its
-subscription lapses; workers (provisioned through the local batch scheduler
-via a :class:`~repro.resources.worker.WorkerPool`) execute the dispatches,
-and an uplink thread reports results back.  Pausing an endpoint models the
-network blips §IV-A3 talks about: the cloud keeps queueing tasks and the
-endpoint drains them on reconnect — no work is lost.
+into.  It makes only *outbound* connections and runs on the process reactor:
+the cloud bus's task-available doorbells (``repro.bus``) are pushed onto it
+and each starts a fetch chain, a drain of the task queue stands in whenever
+its subscription lapses, and every result a worker (provisioned through the
+local batch scheduler via a :class:`~repro.resources.worker.WorkerPool`)
+puts in the outbox rings one uplink drain.  The workers are the agent's only
+threads.  Pausing an endpoint models the network blips §IV-A3 talks about:
+the cloud keeps queueing tasks and the endpoint drains them on reconnect —
+no work is lost.
 """
 
 from __future__ import annotations
@@ -22,17 +23,13 @@ from typing import Callable
 from repro.batch.reactor import get_reactor
 from repro.batch.round import Round
 from repro.bench.recording import emit
-from repro.bus import BusConsumer
+from repro.bus import BusConsumer, Envelope
 from repro.chaos.plan import attempt_from_key, chaos_check, chaos_enabled
-from repro.exceptions import (
-    LeaseExpiredError,
-    SubscriptionLapsedError,
-    WorkflowError,
-)
+from repro.exceptions import LeaseExpiredError, WorkflowError
 from repro.faas.auth import Token
 from repro.faas.cloud import FaasCloud, TaskDispatch, task_topic
 from repro.net.clock import Clock, get_clock
-from repro.net.context import SiteThread, at_site
+from repro.net.context import at_site
 from repro.net.topology import Site
 from repro.observe import (
     TraceContext,
@@ -100,19 +97,11 @@ class FaasEndpoint:
         site: Site,
         pool: WorkerPool,
         *,
-        poll_interval: float | None = None,
         max_tasks_per_poll: int = 32,
         clock: Clock | None = None,
         failover_group: str | None = None,
-        use_bus: bool = True,
         uplink_batching: bool = True,
     ) -> None:
-        if poll_interval is not None and poll_interval <= 0:
-            raise WorkflowError(
-                f"poll_interval must be a positive number of seconds, "
-                f"got {poll_interval!r} (the endpoint long-polls the cloud "
-                "with this timeout; zero or negative would spin)"
-            )
         if max_tasks_per_poll <= 0:
             raise WorkflowError(
                 f"max_tasks_per_poll must be a positive integer, got "
@@ -124,16 +113,11 @@ class FaasEndpoint:
         self.token = token
         self.site = site
         self.pool = pool
-        self._poll_interval = (
-            poll_interval
-            if poll_interval is not None
-            else cloud.constants.endpoint_poll_interval
-        )
         self._max_tasks = max_tasks_per_poll
         self._clock = clock or get_clock()
         self._heartbeat_timer = None
         # Opportunistic uplink batching: when results pile up in the outbox
-        # faster than the uplink thread drains them, ship the whole backlog
+        # faster than the uplink drains them, ship the whole backlog
         # in a single ``report_results`` call.  ``False`` keeps one result
         # (and one result doorbell) per call: the batch composition depends
         # on thread timing, so rigs that verify bit-identical chaos ledgers
@@ -143,49 +127,51 @@ class FaasEndpoint:
             token, name, pool.site, failover_group=failover_group
         )
         self._functions: dict[str, Callable] = {}
+        # Results waiting for the uplink; a put rings it (``_post``).
         self._outbox: queue.SimpleQueue[
-            tuple[str, bool, Payload, TraceContext | None] | None
+            tuple[str, bool, Payload, TraceContext | None]
         ] = queue.SimpleQueue()
         self._running = False
-        # Set while connected.  The poll and uplink loops park on it while
-        # the endpoint is paused; stop() and a crash set it too, so a parked
-        # loop wakes to find out why.
+        # Set while connected; cleared by ``pause()``, set again by
+        # ``resume()``, ``stop()`` and a crash.
         self._resumed = threading.Event()
         self._resumed.set()
         self._crashed = threading.Event()
-        # Argument downloads (see ``_dispatch``) and uplink rounds (see
-        # ``_uplink_batch``) armed on the process reactor and not yet landed;
-        # a stop waits for them.
+        # Reactor work in flight, under ``_in_flight``; a stop waits for it:
+        # the fetch chain, argument downloads (see ``_dispatch``), the uplink
+        # (a drain armed or a request out, see ``_ring_uplink``) and uplink
+        # rounds landing (see ``_uplink_batch``).
+        self._fetching = False
         self._handoffs = 0
+        self._uplinking = False
         self._uplinks = 0
         self._in_flight = threading.Condition()
         # What the cloud refused beyond a stale lease; ``stop()`` raises it.
         self._uplink_errors: list[str] = []
-        self._threads: list[SiteThread] = []
-        self._uplink_thread: SiteThread | None = None
-        # Event-driven task pickup: block on the doorbell stream instead of
-        # long-polling the cloud; ``_fallback`` flips on when the
-        # subscription lapses and the long-poll path takes over until the
-        # resubscribe replays the gap.  ``_fetched_tasks`` remembers ids this
-        # agent already pulled so a replayed doorbell for work the fallback
-        # poll caught is acked without an empty fetch.
-        self._consumer = (
-            BusConsumer(
-                cloud.bus,
-                task_topic(self.endpoint_id),
-                self.endpoint_id,
-                role="endpoint",
-                chaos_label=name,
-                clock=self._clock,
-                max_batch=max_tasks_per_poll,
-            )
-            if use_bus
-            else None
+        # Fetches the cloud answered with an error; the doorbell they served
+        # stays unacked and the bus redelivers it.
+        self.fetch_errors = 0
+        # Event-driven task pickup: doorbells are pushed onto the reactor
+        # and wait in ``_doorbells`` (by sequence number) for the fetch
+        # chain; ``_fallback`` flips on when the subscription lapses, and
+        # the chain drains the queue until the resubscribe replays the gap.
+        # ``_fetched_tasks`` remembers ids this agent already pulled so a
+        # replayed doorbell for work a fallback drain caught is acked
+        # without an empty fetch.
+        self._consumer = BusConsumer(
+            cloud.bus,
+            task_topic(self.endpoint_id),
+            self.endpoint_id,
+            role="endpoint",
+            chaos_label=name,
+            clock=self._clock,
+            max_batch=max_tasks_per_poll,
         )
+        self._doorbells: dict[int, Envelope] = {}
         self._fallback = False
-        # Guarded by ``_fetched_lock``: the poll thread adds/reads, the
-        # uplink thread prunes reported ids, and ``resume(reclaim=True)``
-        # clears from whichever thread drives the restart.
+        # Guarded by ``_fetched_lock``: the fetch chain adds/reads, the
+        # uplink prunes reported ids, and ``resume(reclaim=True)`` clears
+        # from whichever thread drives the restart.
         self._fetched_lock = threading.Lock()
         self._fetched_tasks: set[str] = set()
         # Gray degradation (``endpoint.slow`` chaos): decided once per agent
@@ -215,14 +201,8 @@ class FaasEndpoint:
             self.cloud.constants.endpoint_heartbeat_period,
             self._heartbeat_tick,
         )
-        for target, label in ((self._poll_loop, "poll"), (self._uplink_loop, "uplink")):
-            thread = SiteThread(
-                self.site, target=target, name=f"faas-ep-{self.name}-{label}"
-            )
-            thread.start()
-            self._threads.append(thread)
-            if label == "uplink":
-                self._uplink_thread = thread
+        self._consumer.attach(self._on_doorbells, self._on_lapse)
+        self._ring_uplink()  # results put before the start
         return self
 
     def stop(self) -> None:
@@ -232,47 +212,35 @@ class FaasEndpoint:
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
             self._heartbeat_timer = None
+        self._consumer.detach()
         self._resumed.set()
-        wedged = []
-        # Order matters for a graceful drain: silence the poll/heartbeat
-        # loops first (no new dispatches), let every armed argument download
-        # reach the pool, then let the pool run its queue dry *while the
-        # uplink is still alive* so every drained result is reported, and
-        # only then close the outbox and wait out the uplink rounds in
-        # flight.  A crashed endpoint skips the drain: its handoffs drop on
-        # landing, its uplink rounds when they reach the cloud, and its
-        # backlog is the failover group's problem.
-        for thread in self._threads:
-            if thread is self._uplink_thread:
-                continue
-            thread.join(timeout=10)
-            if thread.is_alive():
-                wedged.append(thread.name)
-                counter_inc("endpoint.wedged_threads", endpoint=self.name)
+        wedged: list[str] = []
+        # Order matters for a graceful drain: no fetch chain starts once
+        # stopped, so let the one in flight and every armed argument
+        # download reach the pool, then let the pool run its queue dry
+        # *while the uplink still drains* so every result is reported, and
+        # only then wait out the uplink rounds in flight.  A crashed
+        # endpoint skips the drain: its handoffs drop on landing, its uplink
+        # rounds when they reach the cloud, and its backlog is the failover
+        # group's problem.
         if not self._crashed.is_set():
-            self._wait_in_flight(lambda: self._handoffs, "argument handoffs", wedged)
+            self._wait_in_flight(
+                lambda: self._fetching or self._handoffs,
+                "fetches and argument handoffs",
+                wedged,
+            )
         dropped = self.pool.stop(drain=not self._crashed.is_set())
         if dropped:
             counter_inc("endpoint.closures_dropped", len(dropped), endpoint=self.name)
-        self._outbox.put(None)
-        if self._uplink_thread is not None:
-            self._uplink_thread.join(timeout=10)
-            if self._uplink_thread.is_alive():
-                wedged.append(self._uplink_thread.name)
-                counter_inc("endpoint.wedged_threads", endpoint=self.name)
-        self._wait_in_flight(lambda: self._uplinks, "uplink rounds", wedged)
+        self._ring_uplink()
+        self._wait_in_flight(lambda: self._uplinking or self._uplinks, "uplink rounds", wedged)
         if not self._crashed.is_set():
             self.cloud.release_lease(self.token, self.endpoint_id)
             self.cloud.set_endpoint_online(self.endpoint_id, False)
-            if self._consumer is not None:
-                self._consumer.close()
-        self._threads.clear()
+            self._consumer.close()
         problems = []
         if wedged:
-            problems.append(
-                f"wedged threads {wedged} still alive after a 10 s join; their "
-                "site clocks may be blocked on a dead condition variable"
-            )
+            problems.append(f"{wedged} still in flight after 10 s")
         if self._uplink_errors:
             problems.append(
                 f"{len(self._uplink_errors)} results the cloud refused: "
@@ -290,24 +258,27 @@ class FaasEndpoint:
         counts to land; name what is left in ``wedged`` if it does not."""
         with self._in_flight:
             if not self._in_flight.wait_for(lambda: not count(), timeout=10):
-                wedged.append(f"{count()} {what}")
+                wedged.append(f"{int(count())} {what}")
 
     def simulate_crash(self) -> None:
         """Kill the endpoint process mid-lease (no goodbye to the cloud).
 
-        The agent stops polling, heartbeating, and uploading — exactly what
+        The agent stops fetching, heartbeating, and uploading — exactly what
         the cloud sees when the node is reclaimed or the process dies.  The
         lease lapses after ``endpoint_lease_ttl`` and surviving members of
         the failover group inherit everything this endpoint held.  A crash
-        is terminal for this instance; call :meth:`stop` to reap threads.
+        is terminal for this instance; call :meth:`stop` to reap its pool.
         """
         self._crashed.set()
         self._resumed.set()
+        self._consumer.detach()
         counter_inc("endpoint.crashes", endpoint=self.name)
 
     def pause(self) -> None:
-        """Drop the cloud connection (network outage / restart)."""
+        """Drop the cloud connection (network outage / restart): doorbells
+        wait at the bus, results in the outbox."""
         self._resumed.clear()
+        self._consumer.detach()
         self.cloud.set_endpoint_online(self.endpoint_id, False)
 
     def resume(self, *, reclaim: bool = False) -> None:
@@ -327,6 +298,10 @@ class FaasEndpoint:
         self.cloud.heartbeat(self.token, self.endpoint_id)
         self._resumed.set()
         self.cloud.set_endpoint_online(self.endpoint_id, True)
+        if self._running and not self._crashed.is_set():
+            self._consumer.attach(self._on_doorbells, self._on_lapse)
+            get_reactor().call_later(0.0, self._next_fetch)  # doorbells held
+            self._ring_uplink()
 
     def utilization(self) -> EndpointUtilization:
         """Snapshot worker/queue state and export it as the canonical
@@ -353,17 +328,41 @@ class FaasEndpoint:
     def _pay_api_call(self) -> None:
         self._clock.sleep(self._api_cost())
 
-    def _function(self, func_id: str, tenant: str) -> Callable:
-        fn = self._functions.get(func_id)
-        if fn is None:
-            self._pay_api_call()
-            payload = self.cloud.get_function(self.token, func_id, tenant)
-            self._clock.sleep(deserialize_cost(payload.nominal_size))
-            fn = deserialize(payload)
-            self._functions[func_id] = fn
-        return fn
+    def _resolve_functions(
+        self, dispatches: list[TaskDispatch], then: Callable[[dict], None]
+    ) -> None:
+        """Fetch the functions ``dispatches`` need that are not cached, one
+        after another — each an API call plus its deserialization, paid
+        together as one reactor timer — then ``then(failed)``, ``failed``
+        mapping a function id to why it could not be had."""
+        cost, fetched, failed = 0.0, {}, {}
+        for dispatch in dispatches:
+            func_id = dispatch.func_id
+            if func_id in self._functions or func_id in fetched or func_id in failed:
+                continue
+            cost += self._api_cost()
+            try:
+                fetched[func_id] = self.cloud.get_function(
+                    self.token, func_id, dispatch.tenant
+                )
+                cost += deserialize_cost(fetched[func_id].nominal_size)
+            except Exception as exc:  # noqa: BLE001 - reported per member
+                failed[func_id] = exc
+        if not cost:
+            then(failed)
+            return
 
-    # -- loops ----------------------------------------------------------------------
+        def fetched_all() -> None:
+            for func_id, payload in fetched.items():
+                try:
+                    self._functions[func_id] = deserialize(payload)
+                except Exception as exc:  # noqa: BLE001 - reported per member
+                    failed[func_id] = exc
+            then(failed)
+
+        get_reactor().call_later(cost, fetched_all)
+
+    # -- the reactor's callbacks -----------------------------------------------------
     def _heartbeat_tick(self):
         """One lease renewal, fired by the process reactor: the heartbeat
         call is one more timer, due when its API round trip has been paid,
@@ -381,128 +380,161 @@ class FaasEndpoint:
             get_reactor().call_later(self._api_cost(), beat)
         return True
 
-    def _poll_loop(self) -> None:
-        while self._running:
-            if self._crashed.is_set():
-                return
-            if not self._resumed.is_set():
-                self._clock.wait(self._resumed, None)
-                continue
-            dispatches = self._next_dispatches()
-            if not dispatches:
-                continue
-            # Crash *while holding fetched-but-unfinished tasks* — the case
-            # the lease/failover machinery exists for.
-            if chaos_check("endpoint.crash", self.name, endpoint=self.name):
-                self.simulate_crash()
-                return
-            self._dispatch(dispatches)
+    def _on_doorbells(self, envelopes: list[Envelope]) -> None:
+        """Doorbell listener (reactor): hold the doorbells for the fetch
+        chain, and start one unless it is already in flight — the doorbells
+        that arrive during a fetch are taken when it lands, so one chain at
+        a time composes every delivery round."""
+        for envelope in envelopes:
+            self._doorbells[envelope.seq] = envelope
+        self._next_fetch()
 
-    def _next_dispatches(self) -> list[TaskDispatch]:
-        """One delivery round: bus doorbells when subscribed, the long-poll
-        otherwise (bus disabled, or the subscription lapsed)."""
-        consumer = self._consumer
-        if consumer is not None and not self._fallback:
-            try:
-                envelopes = consumer.receive(timeout=self._poll_interval)
-            except SubscriptionLapsedError:
-                # Missed heartbeat or chaos-injected disconnect: degrade to
-                # the poll path so nothing published during the gap waits on
-                # the (now dead) subscription.
-                self._fallback = True
-                counter_inc(
-                    "bus.fallback_engaged", role="endpoint", endpoint=self.name
-                )
-                return []
-            if not envelopes:
-                return []  # idle: no cloud poll at all — the bus is quiet
-            # A replayed doorbell for work this agent already pulled (via an
-            # earlier fetch or a fallback poll) is acked without a fetch.  A
-            # coalesced (batch) doorbell carries comma-joined ids and is
-            # stale only when *every* member was already pulled.
-            with self._fetched_lock:
-                stale = [
-                    e
-                    for e in envelopes
-                    if self._fetched_tasks.issuperset(e.payload.split(","))
-                ]
-            for envelope in stale:
+    def _on_lapse(self) -> None:
+        """The doorbell subscription lapsed (reactor): missed lease or a
+        chaos-injected disconnect.  Drain the queue with fetches until one
+        comes back empty, then resubscribe (``_fetch_landed``)."""
+        if not self._fallback:
+            self._fallback = True
+            counter_inc("bus.fallback_engaged", role="endpoint", endpoint=self.name)
+        self._next_fetch()
+
+    def _next_fetch(self) -> None:
+        """Start a fetch chain for what is waiting — the fallback's drain,
+        or the held doorbells — unless one is in flight or the agent is
+        stopped, paused or dead."""
+        if (
+            self._fetching
+            or not self._running
+            or self._crashed.is_set()
+            or not self._resumed.is_set()
+        ):
+            return
+        if self._fallback:
+            self._fetch([], [])
+            return
+        # A replayed doorbell for work this agent already pulled (via an
+        # earlier fetch or a fallback drain) is acked without a fetch.
+        live = []
+        for envelope in self._doorbells.values():
+            if self._pulled([envelope]):
                 counter_inc("endpoint.doorbells_stale", endpoint=self.name)
-                consumer.done(envelope)
-            if len(stale) == len(envelopes):
-                return []
-            # One receive round can announce more work than one fetch window
-            # (`_max_tasks`) holds — several coalesced doorbells, or a burst
-            # of singles.  Acking after a single fetch would strand the tail
-            # with no wakeup left, so keep pulling until every announced
-            # member is in hand.  An empty fetch also ends the loop: the
-            # queue is drained, meaning any uncovered member was picked up
-            # by another agent and is no longer this doorbell's problem.
-            live = [e for e in envelopes if e not in stale]
-            dispatches = self._fetch(timeout=0.0, kind="doorbell")
-            pulled = dispatches
-            while pulled and not self._doorbells_covered(live):
-                pulled = self._fetch(timeout=0.0, kind="doorbell")
-                dispatches.extend(pulled)
-            for envelope in live:
-                consumer.done(envelope)
-            return dispatches
-        in_fallback = consumer is not None and self._fallback
-        dispatches = self._fetch(
-            timeout=self._poll_interval, kind="fallback" if in_fallback else "poll"
-        )
-        if in_fallback:
-            if dispatches and consumer.trim_gap():
-                # Doorbells trimmed by window overflow have no wakeup left,
-                # so the backlog they covered must be polled out: stay on
-                # the poll path until an empty fetch confirms the drain.
-                return dispatches
-            # Hand back to the bus: resubscription replays every unacked
-            # doorbell, so no notification is lost across the gap (and when
-            # a trim gap was crossed, the empty fetch above just confirmed
-            # nothing is stranded behind it).
-            consumer.resubscribe()
-            self._fallback = False
-        return dispatches
+                self._consumer.done(envelope)
+            else:
+                live.append(envelope)
+        self._doorbells.clear()
+        if live:
+            self._fetch(live, [])
 
-    def _doorbells_covered(self, envelopes) -> bool:
-        """True when every task id the given doorbells announce has been
-        pulled by this agent."""
+    def _pulled(self, envelopes: list[Envelope]) -> bool:
+        """Whether this agent has pulled every task id the doorbells
+        announce (a coalesced doorbell carries comma-joined ids)."""
         with self._fetched_lock:
             return all(
                 self._fetched_tasks.issuperset(envelope.payload.split(","))
                 for envelope in envelopes
             )
 
-    def _fetch(self, timeout: float, *, kind: str = "poll") -> list[TaskDispatch]:
-        # One-way request; the fetch long-polls server-side.
-        self._clock.sleep(self.cloud.network.latency(self.site, self.cloud.site))
-        dispatches = self.cloud.fetch_tasks(
-            self.token, self.endpoint_id, self._max_tasks, timeout
-        )
-        self._clock.sleep(self.cloud.network.latency(self.cloud.site, self.site))
-        # ``endpoint.polls_empty / endpoint.polls`` is the *idle-spin*
-        # fraction, so only the long-poll loop feeds it.  Fetches mandated
-        # by the bus protocol (a doorbell's pull, the fallback's gap drain —
-        # whose final fetch is empty *by design*, confirming the drain) are
-        # counted separately: bounded per gap, they are work, not idling.
-        if kind == "fallback":
+    def _fetch(self, live: list[Envelope], got: list[TaskDispatch]) -> None:
+        """One fetch round trip of the chain, as reactor timers: the request
+        WAN, a non-blocking ``fetch_tasks``, the response WAN, then
+        ``_fetch_landed``.  ``live`` are the doorbells it serves (none: a
+        fallback drain) and ``got`` what the chain has pulled so far."""
+        with self._in_flight:
+            self._fetching = True
+        network = self.cloud.network
+        reactor = get_reactor()
+
+        def arrived() -> None:
+            try:
+                pulled = self.cloud.fetch_tasks(
+                    self.token, self.endpoint_id, self._max_tasks, 0.0
+                )
+            except Exception:  # noqa: BLE001 - a reactor callback must not raise
+                # The doorbells stay unacked, so the bus redelivers them
+                # after its backoff; what was pulled already is dispatched.
+                # A drain has no doorbell: it retries after that backoff.
+                self.fetch_errors += 1
+                counter_inc("endpoint.fetch_errors", endpoint=self.name)
+                retry = 0.0 if live else self.cloud.constants.bus_redelivery_base
+                reactor.call_later(retry, lambda: self._fetch_done(live, got, acked=False))
+                return
+            reactor.call_later(
+                network.latency(self.cloud.site, self.site),
+                lambda: self._fetch_landed(live, got, pulled),
+            )
+
+        reactor.call_later(network.latency(self.site, self.cloud.site), arrived)
+
+    def _fetch_landed(
+        self, live: list[Envelope], got: list[TaskDispatch], pulled: list[TaskDispatch]
+    ) -> None:
+        # ``endpoint.polls`` counts the fetches a doorbell asked for and
+        # ``endpoint.doorbell_fetches_empty`` those that found nothing;
+        # the fallback's drain — whose final fetch is empty *by design*,
+        # confirming the drain — is counted apart.  Bounded per doorbell
+        # or gap, they are work, not idling.
+        if not live:
             counter_inc("endpoint.fallback_polls", endpoint=self.name)
-            if not dispatches:
+            if not pulled:
                 counter_inc("endpoint.fallback_polls_empty", endpoint=self.name)
         else:
             counter_inc("endpoint.polls", endpoint=self.name)
-            if not dispatches:
-                if kind == "doorbell":
-                    counter_inc("endpoint.doorbell_fetches_empty", endpoint=self.name)
-                else:
-                    counter_inc("endpoint.polls_empty", endpoint=self.name)
+            if not pulled:
+                counter_inc("endpoint.doorbell_fetches_empty", endpoint=self.name)
         with self._fetched_lock:
-            for dispatch in dispatches:
+            for dispatch in pulled:
                 self._fetched_tasks.add(dispatch.task_id)
-        return dispatches
+        got = got + pulled
+        if not live:
+            if not pulled:
+                # Drained: hand back to the bus.  Resubscription replays
+                # every unacked doorbell, so nothing from the gap is lost —
+                # and doorbells a window overflow trimmed had their work
+                # pulled by this drain.
+                self._consumer.resubscribe()
+                self._fallback = False
+        elif pulled and not self._pulled(live):
+            # One delivery can announce more work than one fetch window
+            # holds — several coalesced doorbells, or a burst of singles.
+            # Acking after a single fetch would strand the tail with no
+            # wakeup left, so keep pulling until every announced member is
+            # in hand.  An empty fetch also ends the chain: the queue is
+            # drained, so an uncovered member was picked up by another
+            # agent and is no longer this doorbell's problem.
+            self._fetch(live, got)
+            return
+        self._fetch_done(live, got, acked=True)
 
-    def _dispatch(self, dispatches: list[TaskDispatch]) -> None:
+    def _fetch_done(
+        self, live: list[Envelope], got: list[TaskDispatch], *, acked: bool
+    ) -> None:
+        """End a fetch chain: ack its doorbells (unless the fetch failed),
+        dispatch what it pulled, then take whatever waits next."""
+        if acked:
+            for envelope in live:
+                self._consumer.done(envelope)
+                self._doorbells.pop(envelope.seq, None)  # a redelivery meanwhile
+        # Crash *while holding fetched-but-unfinished tasks* — the case the
+        # lease/failover machinery exists for.
+        if got and not self._crashed.is_set() and chaos_check(
+            "endpoint.crash", self.name, endpoint=self.name
+        ):
+            self.simulate_crash()
+        if self._crashed.is_set():
+            got = []
+        self._resolve_functions(got, lambda failed: self._dispatched(got, failed))
+
+    def _dispatched(self, dispatches: list[TaskDispatch], failed: dict) -> None:
+        if dispatches:
+            self._dispatch(dispatches, failed)
+        with self._in_flight:
+            self._fetching = False
+            self._in_flight.notify_all()
+        self._next_fetch()
+
+    def _dispatch(
+        self, dispatches: list[TaskDispatch], failed: dict[str, Exception] | None = None
+    ) -> None:
         """Download one delivery round's arguments; each task reaches the
         pool when its own argument read lands.
 
@@ -511,13 +543,14 @@ class FaasEndpoint:
         own read plus one WAN latency and its own bytes, so no task waits
         for a slower batch-mate and a round of one charges exactly what a
         lone task always has.  The landings are one hand-off :class:`Round`
-        armed on the reactor, at this agent's site; the poll thread only
-        resolves functions (a cache miss pays an API call here, never on the
-        reactor) and goes straight back to the doorbell.  The store op, the
-        ``endpoint.fetch`` span and ``data_transfer`` event, and failure stay
-        per member: a member whose read or function lookup fails is reported
-        failed alone, when its read lands.
+        armed on the reactor, at this agent's site; the fetch chain has
+        resolved the functions (``_resolve_functions``) and ``failed`` says
+        which could not be.  The store op, the ``endpoint.fetch`` span and
+        ``data_transfer`` event, and failure stay per member: a member whose
+        read or function lookup fails is reported failed alone, when its
+        read lands.
         """
+        failed = failed or {}
         started = self._clock.now()
         size = len(dispatches)
         observe("endpoint.fetch_batch_size", size, endpoint=self.name)
@@ -535,12 +568,10 @@ class FaasEndpoint:
             except Exception as exc:  # noqa: BLE001 - report, don't drop
                 self._fail_dispatch(dispatch, exc, started, size)
                 continue
-            fn: object = self._functions.get(dispatch.func_id)
-            if fn is None:
-                try:
-                    fn = self._function(dispatch.func_id, dispatch.tenant)
-                except Exception as exc:  # noqa: BLE001 - reported when its read lands
-                    fn = exc
+            fn: object = self._functions.get(dispatch.func_id) or failed.get(
+                dispatch.func_id,
+                WorkflowError(f"function {dispatch.func_id!r} was not resolved"),
+            )
             live.append((dispatch, fn))
         if not live:
             return
@@ -642,9 +673,7 @@ class FaasEndpoint:
             "error": repr(exc),
             "traceback": "".join(traceback.format_exception(exc)),
         }
-        self._outbox.put(
-            (dispatch.task_id, False, serialize(body), dispatch.trace_ctx)
-        )
+        self._post((dispatch.task_id, False, serialize(body), dispatch.trace_ctx))
 
     def _make_work(
         self,
@@ -678,7 +707,7 @@ class FaasEndpoint:
                     # burning a worker on it helps nobody.  Report the miss
                     # instead of the (now worthless) value.
                     counter_inc("endpoint.deadline_skips", endpoint=self.name)
-                    self._outbox.put(
+                    self._post(
                         (
                             task_id,
                             False,
@@ -723,7 +752,7 @@ class FaasEndpoint:
                         worker_site, endpoint_site, result_payload.nominal_size
                     )
                 )
-            self._outbox.put((task_id, success, result_payload, trace_ctx))
+            self._post((task_id, success, result_payload, trace_ctx))
 
         return work
 
@@ -757,45 +786,54 @@ class FaasEndpoint:
                 "fails deterministically on every endpoint"
             )
 
-    def _uplink_loop(self) -> None:
-        while True:
-            item = self._outbox.get()
-            if item is None:
+    def _post(self, item: tuple[str, bool, Payload, TraceContext | None]) -> None:
+        """Put a result in the outbox and ring the uplink."""
+        self._outbox.put(item)
+        self._ring_uplink()
+
+    def _ring_uplink(self) -> None:
+        """Arm one outbox drain on the reactor, unless one is armed or an
+        uplink request is out (its arrival drains again).  Results that
+        arrive meanwhile wait and ship together: that is what makes the
+        uplink's batches."""
+        with self._in_flight:
+            if self._uplinking or self._outbox.empty():
                 return
-            items = [item]
-            stopping = False
-            if self._uplink_batching:
-                # Drain whatever else has piled up — the whole backlog ships
-                # in one ``report_results`` call.
-                while len(items) < self._max_tasks:
-                    try:
-                        extra = self._outbox.get_nowait()
-                    except queue.Empty:
-                        break
-                    if extra is None:
-                        stopping = True
-                        break
-                    items.append(extra)
+            self._uplinking = True
+        get_reactor().call_later(0.0, self._drain_outbox)
+
+    def _drain_outbox(self) -> None:
+        """The outbox drain (reactor): ship the backlog as one uplink round
+        of up to a fetch window (one result without uplink batching), or
+        give the uplink back when there is nothing to ship.  Results wait
+        in the outbox while paused (store-and-forward on our side);
+        ``resume()`` rings for them."""
+        limit = self._max_tasks if self._uplink_batching else 1
+        while True:
+            with self._in_flight:
+                items = []
+                while (
+                    len(items) < limit
+                    and self._resumed.is_set()
+                    and not self._outbox.empty()
+                ):
+                    items.append(self._outbox.get_nowait())
+                if not items:
+                    self._uplinking = False
+                    self._in_flight.notify_all()
+                    return
             # The tasks are leaving this agent: their ids no longer need to
             # shadow replayed doorbells, and keeping them would grow the
             # stale-set without bound over the endpoint's life.
             with self._fetched_lock:
                 for task_id, _success, _payload, _ctx in items:
                     self._fetched_tasks.discard(task_id)
-            # Results wait here while paused (store-and-forward on our side).
-            self._clock.wait(self._resumed, None)
-            if self._crashed.is_set():
-                # The dead process takes its unsent results with it; the
-                # cloud re-dispatches the tasks once the lease lapses.
-                counter_inc(
-                    "endpoint.results_lost", len(items), endpoint=self.name
-                )
-                if stopping:
-                    return
-                continue
-            self._uplink_batch(items)
-            if stopping:
+            if not self._crashed.is_set():
+                self._uplink_batch(items)
                 return
+            # The dead process takes its unsent results with it; the cloud
+            # re-dispatches the tasks once the lease lapses.
+            counter_inc("endpoint.results_lost", len(items), endpoint=self.name)
 
     def _uplink_batch(
         self, items: list[tuple[str, bool, Payload, TraceContext | None]]
@@ -805,12 +843,12 @@ class FaasEndpoint:
         Results that share the uplink message ride it inline (borrowed), so
         the small ones skip the redis hop; a lone result takes the store.
         The round is reactor timers, like a client flush round: the request
-        lands at the cloud when its API round trip has been paid, and
-        ``report_results(then=)`` lands its store round and commit, so the
-        uplink thread goes straight back to the outbox and several rounds
-        can be in flight.  A crashed agent's round is dropped when it
-        reaches the cloud.  Every member gets the ``result.uplink`` span in
-        its own trace, and the outcomes are checked when the round lands."""
+        lands at the cloud when its API round trip has been paid, which
+        frees the uplink for the next drain, and ``report_results(then=)``
+        lands its store round and commit.  A crashed agent's round is
+        dropped when it reaches the cloud.  Every member gets the
+        ``result.uplink`` span in its own trace, and the outcomes are checked
+        when the round lands."""
         counter_inc("endpoint.uplink_batches", endpoint=self.name)
         size = len(items)
         results = [
@@ -823,13 +861,14 @@ class FaasEndpoint:
             if self._crashed.is_set():
                 counter_inc("endpoint.results_lost", size, endpoint=self.name)
                 settled()
-                return
-            try:
-                self.cloud.report_results(
-                    self.token, self.endpoint_id, results, then=landed
-                )
-            except Exception as exc:  # noqa: BLE001 - a reactor round must settle
-                landed([exc] * size)
+            else:
+                try:
+                    self.cloud.report_results(
+                        self.token, self.endpoint_id, results, then=landed
+                    )
+                except Exception as exc:  # noqa: BLE001 - a reactor round must settle
+                    landed([exc] * size)
+            self._drain_outbox()
 
         def landed(outcomes: list) -> None:
             try:

@@ -31,22 +31,18 @@ from repro.net.topology import (
 
 __all__ = [
     "CLIENT_CLOSE_TIMEOUT",
-    "CLIENT_POLL_INTERVAL",
     "CLIENT_RECEIVE_INTERVAL",
     "PaperConstants",
     "Testbed",
     "build_paper_testbed",
 ]
 
-# -- client-side loop intervals (module constants, per-client overridable) --
-#: How long a client's notifier blocks on one bus ``receive`` before it
-#: re-checks liveness/fallback state (nominal seconds).
+# -- client-side intervals (module constants) --------------------------------
+#: Period of a client's overdue-hedge scan, a reactor timer (nominal
+#: seconds): a hedge launches within one period of its delay.
 CLIENT_RECEIVE_INTERVAL: float = 0.25
-#: Long-poll interval for the client's ``next_completed`` fallback loop
-#: (nominal seconds).
-CLIENT_POLL_INTERVAL: float = 0.25
-#: Wall-clock seconds ``FaasClient.close()`` waits for its notifier thread
-#: before declaring it wedged.
+#: Wall-clock seconds ``FaasClient.close()`` and ``flush_batches()`` wait
+#: for the reactor rounds in flight (per-client overridable).
 CLIENT_CLOSE_TIMEOUT: float = 10.0
 
 
@@ -96,7 +92,6 @@ class PaperConstants:
     faas_redis_latency: LatencyModel = LogNormalLatency(0.25, 0.30, cap=1.5)
     faas_s3_latency: LatencyModel = LogNormalLatency(0.80, 0.35, cap=4.0)
     faas_s3_bandwidth: float = 20e6
-    endpoint_poll_interval: float = 0.020
     endpoint_heartbeat_period: float = 5.0
     # An endpoint that misses ~3 heartbeats is presumed dead and its lease
     # is reaped (tasks fail over to surviving group members).

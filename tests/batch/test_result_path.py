@@ -157,9 +157,10 @@ def test_a_losing_leg_is_cancelled_on_the_reactor(recording_clock):
     finally:
         rig.close()
     assert recording_clock.charged("faas-client-notify") == []
-    # One API round trip each: the primary's flush, the hedge leg, the cancel.
+    # One API round trip each: the primary's flush, the hedge leg, the cancel
+    # -- and ep-a's result uplink, whose outbox drain runs on the reactor.
     api = 2 * WAN + API
-    assert recording_clock.armed("repro-reactor").count(pytest.approx(api)) == 3
+    assert recording_clock.armed("repro-reactor").count(pytest.approx(api)) == 4
     assert rig.count("resilience.cancels") == 1
     assert rig.count("client.hedges", outcome="lost") == 1
 

@@ -85,7 +85,7 @@ def test_a_cloud_error_fails_the_member_and_no_flush_stays_in_flight(testbed, mo
 
 def test_a_retry_backs_off_on_the_reactor_not_the_notifier(recording_clock, tmp_path):
     """Task A fails once and backs off 5 s; task B completes during that
-    backoff.  B resolves before A's retry is sent, the notifier sleeps
+    backoff.  B resolves before A's retry is sent, the reactor sleeps
     nothing, and the retried attempt still records its own submit span."""
     # 20 ms of wall per nominal second: B's 3 s of slack before A's retry
     # is 60 ms of wall, which host jitter does not eat.
@@ -118,7 +118,7 @@ def test_a_retry_backs_off_on_the_reactor_not_the_notifier(recording_clock, tmp_
             b.add_done_callback(lambda _: b_resolved.append(recording_clock.now()))
         assert b.result(timeout=60) == 7
         assert a.result(timeout=60) == "retried"
-        assert recording_clock.charged("faas-client-notify") == []
+        assert recording_clock.charged("repro-reactor") == []
     finally:
         client.close()
         endpoint.stop()

@@ -129,6 +129,40 @@ def test_lease_expiry_without_survivor_requeues_in_place(cloud_rig):
     assert record.previous_endpoints == []
 
 
+def test_a_fetch_after_a_lapse_renews_the_lease_so_its_work_fails_over():
+    """Both leases of a pair lapse on a stalled host; ``a``'s next fetch
+    used to reap ``a`` inside the fetch and still hand it the task, and
+    once ``a`` died the task stayed DISPATCHED to it for good: a reaped
+    endpoint's later sweeps move only its queue.  A fetch is proof of life,
+    so ``a``'s later lapse is a fresh reap and its task fails over."""
+    from conftest import ManualClock
+
+    constants = PaperConstants(**FAST)
+    testbed = build_paper_testbed(seed=7, constants=constants)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    clock = ManualClock()
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants, clock)
+    ep_a, ep_b = (
+        cloud.register_endpoint(token, name, testbed.theta_compute, failover_group="pair")
+        for name in "ab"
+    )
+    cloud.heartbeat(token, ep_a)
+    cloud.heartbeat(token, ep_b)
+    func_id = cloud.register_function(token, serialize(_add))
+    task_id = cloud.submit(token, "client", func_id, ep_a, serialize(((1, 2), {})))
+    clock.sleep(4.0)  # neither agent beat in time
+    (dispatch,) = cloud.fetch_tasks(token, ep_a, 10, 0.0)
+    assert dispatch.task_id == task_id
+    for _ in range(10):  # a dies holding the task; b beats on
+        clock.sleep(1.0)
+        cloud.heartbeat(token, ep_b)
+    record = cloud.task(task_id)
+    assert record.status is TaskStatus.WAITING
+    assert record.endpoint_id == ep_b
+    assert record.previous_endpoints == [ep_a]
+
+
 def test_report_result_is_idempotent(cloud_rig):
     testbed, cloud, token = cloud_rig
     metrics = MetricsRegistry()
@@ -200,11 +234,11 @@ def test_endpoint_crash_mid_lease_completes_on_survivor_without_client_help():
     pool_b = WorkerPool(testbed.theta_compute, 2, name="pool-b")
     ep_a = FaasEndpoint(
         "ep-a", cloud, token, testbed.theta_login, pool_a,
-        failover_group="pair", poll_interval=0.25,
+        failover_group="pair",
     ).start()
     ep_b = FaasEndpoint(
         "ep-b", cloud, token, testbed.theta_login, pool_b,
-        failover_group="pair", poll_interval=0.25,
+        failover_group="pair",
     ).start()
     client = FaasClient(cloud, token, site=testbed.theta_login)
     try:

@@ -35,18 +35,11 @@ def test_notification_duplicate_is_suppressed_by_sequence_numbers():
 
 def test_subscription_drop_idle_polling_stays_near_zero():
     """The acceptance criterion: even while chaos keeps dropping
-    subscriptions, the endpoint's idle-poll fraction stays below 5% of the
-    polling-only baseline, and the fallback demonstrably caught the gap."""
-    baseline = run_cell("none", "faas-file", seed=3, use_bus=False)
+    subscriptions, no fetch is an idle poll — every one was asked for by a
+    doorbell or drains a lapsed subscription's gap — and the fallback
+    demonstrably caught the gap."""
     cell = run_cell("subscription_drop", "faas-file", seed=3)
-    assert baseline.passed, baseline.failures
     assert cell.passed, cell.failures
-    baseline_fraction = baseline.counters["endpoint.polls_empty"] / max(
-        baseline.counters["endpoint.polls"], 1
-    )
-    bus_fraction = cell.counters["endpoint.polls_empty"] / max(
-        cell.counters["endpoint.polls"], 1
-    )
-    assert baseline_fraction > 0.5  # polling-only endpoints mostly spin
-    assert bus_fraction < 0.05 * baseline_fraction
+    assert cell.counters["endpoint.polls"] >= 1
+    assert cell.counters["endpoint.polls_empty"] == 0
     assert cell.counters["bus.fallback_engaged"] > 0

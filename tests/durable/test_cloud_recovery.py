@@ -697,7 +697,7 @@ def test_endpoint_crash_then_shard_crash_loses_nothing():
         assert held.result(timeout=120) == 9
         assert queued.result(timeout=120) == 16
         _eventually(lambda: all(r.status.terminal for r in router.task_records()))
-        assert ep_b._uplink_thread.is_alive()
+        assert ep_b._uplink_errors == []
         usage = router.registry.get("alice").usage
         assert (usage.in_flight, usage.queued_bytes) == (0, 0)
     finally:

@@ -1,8 +1,8 @@
 """Bus-driven task/result delivery, the poll fallback, and client shutdown.
 
 Covers the event-driven wiring of :mod:`repro.bus` into the FaaS fabric:
-doorbell-driven fetches (no idle polling), polling-only operation when the
-bus is disabled, pause/resume interaction with subscriptions, and the
+doorbell-driven fetches (no idle polling), pause/resume interaction with
+subscriptions, and the
 executor/client shutdown semantics for still-pending futures.
 """
 
@@ -37,16 +37,14 @@ def metrics():
     return registry
 
 
-def _rig(testbed, *, use_bus=True):
+def _rig(testbed):
     auth = AuthServer()
     identity = auth.register_identity("u", "anl")
     token = auth.issue_token(identity, {SCOPE_COMPUTE})
     cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, testbed.constants)
     pool = WorkerPool(testbed.theta_compute, 3, name="bus-pool")
-    endpoint = FaasEndpoint(
-        "theta", cloud, token, testbed.theta_login, pool, use_bus=use_bus
-    ).start()
-    client = FaasClient(cloud, token, site=testbed.theta_login, use_bus=use_bus)
+    endpoint = FaasEndpoint("theta", cloud, token, testbed.theta_login, pool).start()
+    client = FaasClient(cloud, token, site=testbed.theta_login)
     return cloud, endpoint, client
 
 
@@ -69,19 +67,6 @@ def test_bus_delivery_completes_tasks_without_idle_polls(testbed, metrics):
     # doorbell: at least one of each, at most one per task.
     assert 2 <= metrics.counter_total("bus.delivered") <= 8
     assert metrics.counter_total("bus.fallback_engaged") == 0
-
-
-def test_polling_only_mode_still_works(testbed, metrics):
-    cloud, endpoint, client = _rig(testbed, use_bus=False)
-    try:
-        with at_site(testbed.theta_login):
-            future = client.run(_add, endpoint.endpoint_id, 2, b=3)
-        assert future.result(timeout=60) == 5
-    finally:
-        client.close()
-        endpoint.stop()
-    assert metrics.counter_total("bus.delivered") == 0
-    assert metrics.counter_total("endpoint.polls") >= 1
 
 
 def test_pause_resume_replays_unacked_doorbells(testbed, metrics):

@@ -19,11 +19,7 @@ from repro.faas import (
     FaasEndpoint,
 )
 from repro.net.context import at_site
-from repro.net.defaults import (
-    CLIENT_CLOSE_TIMEOUT,
-    CLIENT_POLL_INTERVAL,
-    CLIENT_RECEIVE_INTERVAL,
-)
+from repro.net.defaults import CLIENT_CLOSE_TIMEOUT
 from repro.resources import WorkerPool
 
 
@@ -51,20 +47,9 @@ def rig(testbed):
 
 def test_timeout_constants_are_named_defaults_and_overridable(rig):
     testbed, cloud, _endpoint, client, token = rig
-    assert client._receive_interval == CLIENT_RECEIVE_INTERVAL
-    assert client._poll_interval == CLIENT_POLL_INTERVAL
     assert client._close_timeout == CLIENT_CLOSE_TIMEOUT
-    tuned = FaasClient(
-        cloud,
-        token,
-        site=testbed.theta_login,
-        receive_interval=0.05,
-        poll_interval=0.1,
-        close_timeout=2.0,
-    )
+    tuned = FaasClient(cloud, token, site=testbed.theta_login, close_timeout=2.0)
     try:
-        assert tuned._receive_interval == 0.05
-        assert tuned._poll_interval == 0.1
         assert tuned._close_timeout == 2.0
     finally:
         tuned.close()

@@ -2,18 +2,16 @@
 
 The task id a future is registered under only exists once the cloud's
 submit call returns.  With a fast enough fabric the task has by then run
-and its result doorbell has been consumed — and acked — by the notifier,
-which found nobody waiting for that id.  The client parks such ids and
+and its result doorbell has been consumed — and acked — by the result
+listener, which found nobody waiting for that id.  The client parks such ids and
 ``_register`` delivers them, so the future still resolves.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.batch import BatchPolicy
+from repro.batch import BatchPolicy, get_reactor
 from repro.faas import SCOPE_COMPUTE, AuthServer, FaasClient, FaasCloud
 from repro.faas.client import _EARLY_ARRIVALS_MAX
 from repro.faas.cloud import result_topic
@@ -27,44 +25,35 @@ def _noop():
 
 
 class _InstantCloud(FaasCloud):
-    """Every task completes — and the client's notifier consumes and acks
-    its result doorbell — *inside* the submit call that mints its id."""
+    """Every task completes — and the client's result listener consumes and
+    acks its result doorbell — before the submit round hands the client the
+    id it minted."""
 
-    def _complete_before_returning(self, token, client_id, endpoint_id, task_ids):
-        self.fetch_tasks(token, endpoint_id, len(task_ids), 0.0)
-        for task_id in task_ids:
-            self.report_result(
-                token,
-                endpoint_id,
-                task_id,
-                True,
-                serialize({"success": True, "value": f"early:{task_id}"}),
-            )
-        deadline = time.monotonic() + 30
-        while self.bus.unacked(result_topic(client_id), client_id):
-            assert time.monotonic() < deadline, "the notifier never took the doorbell"
-            time.sleep(0.001)
+    def submit_batch(self, token, client_id, items, *, then, **kwargs):
+        topic = result_topic(client_id)
 
-    def submit(self, token, client_id, func_id, endpoint_id, args_payload, **kwargs):
-        task_id = super().submit(
-            token, client_id, func_id, endpoint_id, args_payload, **kwargs
-        )
-        self._complete_before_returning(token, client_id, endpoint_id, [task_id])
-        return task_id
-
-    def submit_batch(self, token, client_id, items, *, then=None, **kwargs):
         def complete(outcomes):
-            self._complete_before_returning(
-                token, client_id, items[0].endpoint_id, outcomes
-            )
-            return outcomes
+            endpoint_id = items[0].endpoint_id
+            self.fetch_tasks(token, endpoint_id, len(outcomes), 0.0)
+            for task_id in outcomes:
+                self.report_result(
+                    token,
+                    endpoint_id,
+                    task_id,
+                    True,
+                    serialize({"success": True, "value": f"early:{task_id}"}),
+                )
+            hand_back(outcomes)
 
-        if then is None:
-            return complete(super().submit_batch(token, client_id, items, **kwargs))
-        # A round landing on the reactor: complete before handing it back.
-        return super().submit_batch(
-            token, client_id, items, then=lambda outcomes: then(complete(outcomes)), **kwargs
-        )
+        def hand_back(outcomes):
+            # The listener runs on this reactor too: a parked answer lets
+            # it take (and ack) the result doorbells first.
+            if self.bus.unacked(topic, client_id):
+                get_reactor().call_later(0.0, lambda: hand_back(outcomes))
+            else:
+                then(outcomes)
+
+        return super().submit_batch(token, client_id, items, then=complete, **kwargs)
 
 
 @pytest.fixture

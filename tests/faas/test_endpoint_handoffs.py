@@ -1,5 +1,5 @@
 """The endpoint's argument downloads are reactor timers ("handoffs"), and
-its loops park on events instead of polling the clock.
+a paused endpoint charges and arms nothing.
 
 A fetched round's members reach the pool as their own argument reads land,
 so at any moment an endpoint may hold armed handoffs that no thread is
@@ -166,7 +166,7 @@ def test_crashed_endpoint_drops_its_armed_handoffs_and_the_lease_lapse_redispatc
     _wait_for(lambda: rig.usage() == (0, 0))
 
 
-# -- a paused endpoint parks instead of polling ---------------------------------------
+# -- a paused endpoint is quiet -------------------------------------------------------
 def _paused_rig(recording_clock):
     testbed = build_paper_testbed(seed=5)
     auth = AuthServer()
@@ -187,9 +187,9 @@ def test_paused_endpoint_charges_nothing_until_it_resumes(recording_clock):
     try:
         endpoint.pause()
         recording_clock.clear()
-        time.sleep(0.05)  # 25 nominal s: dozens of poll intervals
-        for loop in ("poll", "uplink"):
-            assert recording_clock.charged(f"faas-ep-theta-{loop}") == []
+        time.sleep(0.05)  # 25 nominal s: five heartbeat periods
+        assert recording_clock.charged() == []
+        assert recording_clock.armed() == []
         with at_site(testbed.theta_login):
             future = client.run(_echo, endpoint.endpoint_id, 7, None)
         endpoint.resume()
@@ -203,13 +203,9 @@ def test_paused_endpoint_charges_nothing_until_it_resumes(recording_clock):
 def test_a_paused_endpoint_wakes_for_a_crash_or_a_stop(recording_clock, how):
     _testbed, _cloud, _token, endpoint = _paused_rig(recording_clock)
     endpoint.pause()
-    poll = next(t for t in endpoint._threads if t.name.endswith("-poll"))
     if how == "crash":
         endpoint.simulate_crash()
-        poll.join(timeout=10)
-        assert not poll.is_alive()
     stopper = threading.Thread(target=endpoint.stop)
     stopper.start()
     stopper.join(timeout=10)
     assert not stopper.is_alive()
-    assert not poll.is_alive()

@@ -38,23 +38,6 @@ def rig(testbed):
     return testbed, cloud, token, pool
 
 
-@pytest.mark.parametrize("bad", [0, -1, -0.5])
-def test_poll_interval_must_be_positive(rig, bad):
-    testbed, cloud, token, pool = rig
-    with pytest.raises(WorkflowError, match="poll_interval must be a positive"):
-        FaasEndpoint(
-            "t", cloud, token, testbed.theta_login, pool, poll_interval=bad
-        )
-
-
-def test_poll_interval_none_uses_cloud_default(rig):
-    testbed, cloud, token, pool = rig
-    endpoint = FaasEndpoint(
-        "t", cloud, token, testbed.theta_login, pool, poll_interval=None
-    )
-    assert endpoint._poll_interval == cloud.constants.endpoint_poll_interval
-
-
 @pytest.mark.parametrize("bad", [0, -3])
 def test_max_tasks_per_poll_must_be_positive(rig, bad):
     testbed, cloud, token, pool = rig

@@ -194,18 +194,30 @@ def _wait_for(predicate, wall_seconds=30.0):
         time.sleep(0.001)
 
 
+class _Gate:
+    """Re-attaches a client's result listener on ``set()``."""
+
+    def __init__(self, client):
+        self._client = client
+
+    def set(self):
+        self._client._consumer.attach(self._client._on_results, self._client._on_lapse)
+
+
 def _hold_notifier(rig):
-    """Park the client's notifier thread once it has planned the next
-    round; returns the event that releases it.  Whatever completes
-    meanwhile is announced by doorbells the notifier picks up together, in
-    one round."""
-    gate, parked = threading.Event(), threading.Event()
+    """Detach the client's result listener once it has planned the next
+    round; returns the gate that re-attaches it.  Whatever completes
+    meanwhile is announced by doorbells the broker hands the listener
+    together, in one round.  (Parking inside the listener instead would
+    park the reactor, and every landing with it.)"""
+    parked = threading.Event()
     plan = rig.client._plan_round
 
     def park(*args):
         plan(*args)
-        parked.set()
-        gate.wait(30)
+        if not parked.is_set():
+            rig.client._consumer.detach()
+            parked.set()
 
     rig.client._plan_round = park
     rig.submit_now(-1)
@@ -213,7 +225,7 @@ def _hold_notifier(rig):
         (dispatch,) = rig.fetch()
         rig.report(dispatch.task_id)
     assert parked.wait(30)
-    return gate
+    return _Gate(rig.client)
 
 
 def _all_terminal(rig, futures):
@@ -222,12 +234,12 @@ def _all_terminal(rig, futures):
 
 # -- a round of one is the single path ---------------------------------------------
 def test_lone_task_charges_what_the_single_path_always_has(make_rig):
-    """k=1 on both hops, in the real loops: the poll thread's and the
-    notifier thread's charges are the unbatched path's, number for number.
-    The argument download is a timer the poll thread arms, not a sleep on
-    it: the same redis read plus one streamed response.  The result
-    download is a landing on the notifier's schedule, not a sleep on it:
-    the same push, read, response and deserialization."""
+    """k=1 on both hops, in the real delivery path: the fetch's and the
+    download's charges are the unbatched path's, number for number.  The
+    fetch is timers the reactor arms, not sleeps on an agent thread: a
+    request and a response latency, then the same redis read plus one
+    streamed response.  The result download is a landing on the reactor,
+    not a sleep: the same push, read, response and deserialization."""
     rig = make_rig()
     rig.submit(0).result(timeout=60)  # warm-up: the endpoint caches the function
     rig.clear()
@@ -235,13 +247,6 @@ def test_lone_task_charges_what_the_single_path_always_has(make_rig):
     assert future.result(timeout=60)[0] == 1
     task_id = future.task_id
 
-    assert rig.clock.charged("faas-ep-theta-poll") == [
-        WAN,  # fetch request
-        WAN,  # fetch response
-    ]
-    assert rig.clock.armed("faas-ep-theta-poll") == [
-        pytest.approx(REDIS + rig.transfer(rig.args_size(task_id)))  # argument read
-    ]
     size = rig.result_size(task_id)
     downloaded = [
         WAN,  # notification push
@@ -249,7 +254,13 @@ def test_lone_task_charges_what_the_single_path_always_has(make_rig):
         rig.transfer(size),
         deserialize_cost(size),
     ]
-    assert rig.clock.charged("faas-client-notify") == []
+    assert rig.clock.charged("repro-reactor") == []
+    assert rig.clock.armed("repro-reactor")[2:5] == [
+        WAN,  # fetch request
+        WAN,  # fetch response
+        pytest.approx(REDIS + rig.transfer(rig.args_size(task_id))),  # argument read
+    ]
+    assert rig.clock.armed("repro-reactor")[-1] == pytest.approx(sum(downloaded))
     (download,) = rig.downloads
     assert download.charges == downloaded
 
@@ -260,8 +271,8 @@ def test_lone_task_charges_on_the_submit_and_uplink_hops(make_rig):
     per hop always charged.  The submit's are no longer the caller's: it
     paid for serialization and was handed its future; the hold timer's
     flush pays the WAN and the store, as timers it arms on the reactor.
-    The uplink's are no longer the uplink thread's either: it arms the
-    request, and the reactor the result write."""
+    The uplink's are no thread's sleeps either: the outbox drain arms the
+    request on the reactor, and the landed request the result write."""
     rig = make_rig()
     rig.submit(0).result(timeout=60)  # warm-up
     rig.clear()
@@ -272,13 +283,16 @@ def test_lone_task_charges_on_the_submit_and_uplink_hops(make_rig):
     me = threading.current_thread().name
     assert rig.clock.charged(me) == [serialize_cost(rig.args_size(future.task_id))]
     assert rig.clock.charged("repro-reactor") == []
-    assert rig.clock.armed("repro-reactor") == [
+    armed = rig.clock.armed("repro-reactor")
+    assert armed[:2] == [
         api_call,
         REDIS,  # argument write: 10 kB is not borrowed, it takes the store
+    ]
+    # (between them the fetch's two latencies and the argument read)
+    assert armed[5:7] == [
+        api_call,
         REDIS,  # result write: a lone result is not borrowed either
     ]
-    assert rig.clock.charged("faas-ep-theta-uplink") == []
-    assert rig.clock.armed("faas-ep-theta-uplink") == [api_call]
 
 
 def test_cloud_singular_calls_charge_one_write_and_one_fsync_each(recording_clock):
@@ -320,10 +334,11 @@ def test_cloud_singular_calls_charge_one_write_and_one_fsync_each(recording_cloc
 # -- no loop sleeps through a round trip ---------------------------------------------
 @pytest.mark.parametrize("k", [1, 3])
 def test_the_uplink_thread_sleeps_through_no_round(make_rig, k):
-    """The uplink thread arms its round's API round trip and goes back to
-    the outbox; the reactor arms the result write.  Together the timers are
-    what the thread used to sleep: an API call, plus a redis write for a
-    lone (unborrowed) result."""
+    """The outbox drain — here the one ``start()`` rings — arms its
+    round's API round trip on the reactor, and the landed request the
+    result write.  Together the timers are what an uplink thread used to
+    sleep: an API call, plus a redis write for a lone (unborrowed)
+    result."""
     rig = make_rig(run_endpoint=False)
     futures = rig.submit_now(*range(k))
     result = serialize({"success": True, "value": ("done", Blob(PAD))})
@@ -334,9 +349,12 @@ def test_the_uplink_thread_sleeps_through_no_round(make_rig, k):
     assert [f.result(timeout=60)[0] for f in futures] == ["done"] * k
 
     api_call = WAN + WAN + API
-    assert rig.clock.charged("faas-ep-theta-uplink") == []
-    assert rig.clock.armed("faas-ep-theta-uplink") == [api_call]
-    assert rig.clock.armed("repro-reactor") == ([REDIS] if k == 1 else [])
+    # (The agent's doorbell fetch for the hand-fetched tasks comes back
+    # empty: two WAN timers, and no argument read.)
+    armed = rig.clock.armed("repro-reactor")
+    assert rig.clock.charged("repro-reactor") == []
+    assert armed.count(api_call) == 1
+    assert armed.count(REDIS) == (1 if k == 1 else 0)
 
 
 def test_the_notifier_sleeps_through_no_download(make_rig):
@@ -430,9 +448,10 @@ def test_doorbell_without_a_result_behind_it_is_not_a_failed_attempt(make_rig):
 
 
 def test_malformed_doorbell_does_not_kill_the_notifier(make_rig):
-    """An exception escaping the notifier used to end its thread and strand
-    every future of the client behind it.  A doorbell that is not an id
-    list is counted, acked and skipped; its neighbours are delivered."""
+    """An exception escaping the result listener would reach the reactor
+    (and, when the listener was a thread, ended it and stranded every
+    future of the client behind it).  A doorbell that is not an id list is
+    counted, acked and skipped; its neighbours are delivered."""
     rig = make_rig(run_endpoint=False)
     topic = result_topic(rig.client.client_id)
     first, second = rig.submit_now(0, 1)
@@ -443,7 +462,7 @@ def test_malformed_doorbell_does_not_kill_the_notifier(make_rig):
     assert first.result(timeout=60)[0] == "done"
     assert second.result(timeout=60)[0] == "done"
     _wait_for(lambda: rig.metrics.counter_total("client.notify_errors") == 1)
-    assert rig.client._notifier.is_alive()
+    assert rig.metrics.counter_total("reactor.callback_errors") == 0
     rig.client.close()
     assert rig.cloud.bus.unacked(topic, rig.client.client_id) == []
 
@@ -564,30 +583,26 @@ def test_store_fault_on_a_downloaded_member_fails_only_that_member(make_rig):
 
 # -- delivery guarantees across the merged round ------------------------------------
 class _DiesAfterDownload(FaasCloud):
-    """The client process dies with a round downloading: nothing settled,
-    nothing acked.  (``SystemExit`` ends the notifier thread silently, the
-    way a dead process takes its threads with it.)"""
+    """The client process dies with a round downloading: ``victim`` is
+    killed once its round is planned, so nothing is settled or acked."""
 
-    die = False
+    victim = None
 
     def download_round(self, token, task_ids):
         round_ = super().download_round(token, task_ids)
-        if self.die:
-            raise SystemExit
+        if self.victim is not None:
+            self.victim.kill()
         return round_
 
 
-@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 def test_kill_between_download_and_ack_redelivers_every_unsettled_id(make_rig):
     rig = make_rig(run_endpoint=False, cloud_cls=_DiesAfterDownload, client_id="campaign")
     doomed = rig.submit_now(0, 1, 2)
     task_ids = [d.task_id for d in rig.fetch()]
-    rig.cloud.die = True
+    rig.cloud.victim = rig.client
     rig.report(*task_ids)
-    rig.client._notifier.join(30)
-    assert not rig.client._notifier.is_alive()
-    rig.client.kill()
-    rig.cloud.die = False
+    _wait_for(lambda: rig.client._killed)
+    rig.cloud.victim = None
     assert not any(f.done() for f in doomed)
     # The round's envelope was never acked: the broker still owes it.
     topic = result_topic("campaign")

@@ -667,23 +667,21 @@ def test_lone_default_task_still_pays_the_redis_tier(stack, recording_clock, met
     api_call = WAN + WAN + API
     stream = lambda nbytes: WAN + nbytes / FIXED.cloud_bandwidth  # noqa: E731
     assert recording_clock.charged(me) == [serialize_cost(args)]
-    # The flush round and the argument download are reactor timers now; a
-    # lone task's are the numbers the sleeps always were.
+    # The flush round, the fetch and the argument download are reactor
+    # timers now; a lone task's are the numbers the sleeps always were.
     assert recording_clock.charged("repro-reactor") == []
-    assert recording_clock.armed("repro-reactor") == [api_call, REDIS]
-    assert recording_clock.charged("faas-ep-theta-poll") == [
+    # The uplink and the download are no thread's sleeps either: a timer
+    # the outbox drain arms, and a landing, both on the reactor.
+    (download,) = stack.downloads
+    assert recording_clock.armed("repro-reactor") == [
+        api_call,
+        REDIS,
         WAN,  # fetch request
         WAN,  # fetch response
+        pytest.approx(REDIS + stream(args)),  # argument read
+        api_call,  # the uplink: an inline result, no store write
+        pytest.approx(sum(download.charges)),
     ]
-    assert recording_clock.armed("faas-ep-theta-poll") == [
-        pytest.approx(REDIS + stream(args))  # argument read
-    ]
-    # The uplink and the download are no thread's sleeps either: a timer
-    # the uplink thread arms, and a landing on the notifier's schedule.
-    assert recording_clock.charged("faas-ep-theta-uplink") == []
-    assert recording_clock.armed("faas-ep-theta-uplink") == [api_call]  # inline result
-    assert recording_clock.charged("faas-client-notify") == []
-    (download,) = stack.downloads
     assert download.charges == [
         WAN,  # notification push
         stream(result),

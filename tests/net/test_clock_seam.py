@@ -34,10 +34,7 @@ THREAD_SITES = [
     "core/task_server.py::TaskServer.start",
     "core/task_server.py::TaskServer.start",
     "core/thinker.py::BaseThinker.start",
-    "elastic/autoscaler.py::Autoscaler.start",
     "elastic/pool.py::ElasticWorkerPool.grow",
-    "faas/client.py::FaasClient.__init__",
-    "faas/endpoint.py::FaasEndpoint.start",
     "parsl/dataflow.py::DataFlowKernel.submit",
     "parsl/executors.py::HtexExecutor.start",
     "proxystore/store.py::Store.prefetch",

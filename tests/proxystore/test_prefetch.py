@@ -297,12 +297,8 @@ def test_endpoint_prefetch_warms_worker_site_end_to_end(rig, metrics):
     token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
     cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, testbed.constants)
     pool = WorkerPool(testbed.theta_compute, 3, name="prefetch-pool")
-    endpoint = FaasEndpoint(
-        "theta", cloud, token, testbed.theta_login, pool, use_bus=False
-    ).start()
-    client = FaasClient(
-        cloud, token, site=testbed.theta_login, use_bus=False
-    )
+    endpoint = FaasEndpoint("theta", cloud, token, testbed.theta_login, pool).start()
+    client = FaasClient(cloud, token, site=testbed.theta_login)
     try:
         with at_site(testbed.theta_login):
             futures = [
