@@ -79,13 +79,13 @@ def _run_ledger(cloud, token, endpoint_id, func_id, n_tasks: int, churn: int) ->
     snapshot compaction exists to erase."""
     for i in range(n_tasks):
         cloud.submit(token, "bench-client", func_id, endpoint_id, serialize(((i,), {})))
-    dispatched = cloud.fetch_tasks(token, endpoint_id, n_tasks // 2, timeout=1.0)
+    dispatched = cloud.fetch_tasks(token, endpoint_id, n_tasks // 2)
     for dispatch in dispatched[: n_tasks // 4]:
         cloud.report_result(
             token, endpoint_id, dispatch.task_id, True, serialize({"ok": True})
         )
     for _ in range(churn):
-        cloud.fetch_tasks(token, endpoint_id, n_tasks, timeout=1.0)
+        cloud.fetch_tasks(token, endpoint_id, n_tasks)
         cloud.requeue_dispatched(token, endpoint_id)
 
 

@@ -105,7 +105,6 @@ _REPORT_COUNTERS = (
     "bus.duplicates_dropped",
     "bus.fallback_engaged",
     "endpoint.polls",
-    "endpoint.polls_empty",
     "endpoint.fallback_polls",
     "endpoint.fallback_polls_empty",
     "endpoint.doorbell_fetches_empty",

@@ -725,7 +725,7 @@ class FaasClient:
         if not self._running:
             return
         try:
-            while task_ids := self.cloud.next_completed_batch(self.client_id, timeout=0.0):
+            while task_ids := self.cloud.next_completed_batch(self.client_id):
                 self._plan_round(task_ids, [])
         except Exception:  # noqa: BLE001 - a reactor callback must not raise
             counter_inc("client.notify_errors")

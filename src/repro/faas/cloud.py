@@ -328,47 +328,39 @@ class _CompletedFeed:
     """Per-client completed-task queues (the poll half of result delivery).
 
     Extracted from :class:`FaasCloud` so a router can hand every shard the
-    *same* feed: a client long-polling ``next_completed`` then sees results
-    from all shards through one wait, exactly as if the cloud were one
-    service.  Shards push while holding their ledger lock, so ``cond`` nests
-    inside it and takes no other lock itself.
+    *same* feed: a client draining ``next_completed_batch`` then sees
+    results from all shards in one call, exactly as if the cloud were one
+    service.  Shards push while holding their ledger lock, so ``lock``
+    nests inside it and takes no other lock itself.
 
     A client's queue is an insertion-ordered dict of task ids, so a retire
     and a pop are O(1) however many completions wait uncollected."""
 
-    def __init__(self, clock: Clock) -> None:
-        self._clock = clock
-        self.cond = threading.Condition()
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
         self._queues: dict[str, OrderedDict[str, None]] = {}
 
     def push(self, tasks: list[TaskRecord]) -> None:
         """Append each task's completion to its client's queue."""
-        with self.cond:
+        with self.lock:
             for task in tasks:
                 queue = self._queues.setdefault(task.client_id, OrderedDict())
                 queue[task.task_id] = None
-            self.cond.notify_all()
 
     def retire(self, completions: list[tuple[str, str]]) -> None:
         """Drop ``(client_id, task_id)`` completions that were collected
         through another path."""
-        with self.cond:
+        with self.lock:
             for client_id, task_id in completions:
                 queue = self._queues.get(client_id)
                 if queue is not None:
                     queue.pop(task_id, None)
 
-    def next_completed_batch(
-        self, client_id: str, max_n: int, timeout: float | None
-    ) -> list[str]:
-        """One wait, up to ``max_n`` completions: a storm of results costs
-        the poller one wakeup, not one per task.  A spurious or competing
-        wakeup does not consume the budget: the clock's deadline wait runs
-        until a completion arrives or the full timeout elapses."""
-        with self.cond:
-            queue = self._queues.setdefault(client_id, OrderedDict())
-            if not self._clock.wait_for(self.cond, lambda: queue, timeout):
-                return []
+    def next_completed_batch(self, client_id: str, max_n: int) -> list[str]:
+        """Up to ``max_n`` of the client's completions, oldest first; empty
+        when none wait."""
+        with self.lock:
+            queue = self._queues.get(client_id)
             out: list[str] = []
             while queue and len(out) < max_n:
                 out.append(queue.popitem(last=False)[0])
@@ -480,12 +472,6 @@ class _BatchOfOne:
     ) -> tuple[TaskStatus, Payload]:
         return sole(self.get_result_payloads(token, [task_id]))
 
-    def next_completed(self, client_id: str, timeout: float | None) -> str | None:
-        """Block until some task of ``client_id`` completes; its id, or
-        ``None`` once ``timeout`` has elapsed."""
-        task_ids = self.next_completed_batch(client_id, 1, timeout)
-        return task_ids[0] if task_ids else None
-
 
 class FaasCloud(_BatchOfOne):
     """The hosted service: registry, queues, payload store, delivery."""
@@ -505,7 +491,6 @@ class FaasCloud(_BatchOfOne):
         service_time: float = 0.0,
         store_prefix: str = "",
         task_namespace: str = "",
-        on_enqueue: object | None = None,
         journal: object | None = None,
         health: object | None = None,
         poison: object | None = None,
@@ -554,7 +539,6 @@ class FaasCloud(_BatchOfOne):
         #: When the admission slots taken so far are all served (nominal s).
         self._admitting_until = 0.0
         self._horizon_lock = threading.Lock()
-        self._on_enqueue = on_enqueue
         self.store = _PayloadStore(
             self.constants, network, self.clock, prefix=store_prefix
         )
@@ -572,9 +556,7 @@ class FaasCloud(_BatchOfOne):
         self.ledger = Ledger(
             task_namespace, None if usage is None else usage.weight
         )
-        self._completed = completed if completed is not None else _CompletedFeed(
-            self.clock
-        )
+        self._completed = completed if completed is not None else _CompletedFeed()
         self.health = health
         self.poison = poison
         self.journal = journal
@@ -627,13 +609,10 @@ class FaasCloud(_BatchOfOne):
 
     def _announce(self, effects: Effects) -> None:
         """Ring the doorbells of applied effects: task-available ones per
-        endpoint (and the ``on_enqueue`` hook a router's fetch waits on),
-        result ones coalesced per client — always *after* the apply, so a
-        subscriber that acts on one finds the ledger changed."""
+        endpoint, result ones coalesced per client — always *after* the
+        apply, so a subscriber that acts on one finds the ledger changed."""
         for endpoint_id, tasks in effects.doorbells:
             self._ring(task_topic(endpoint_id), tasks)
-        if effects.doorbells and self._on_enqueue is not None:
-            self._on_enqueue()
         by_client: dict[str, list[TaskRecord]] = {}
         for task in effects.completions:
             by_client.setdefault(task.client_id, []).append(task)
@@ -745,7 +724,6 @@ class FaasCloud(_BatchOfOne):
         self.endpoint_site(endpoint_id)
         with self.ledger.lock:
             self.ledger.online[endpoint_id] = online
-            self.ledger.lock.notify_all()
 
     def endpoint_online(self, endpoint_id: str) -> bool:
         return self.ledger.online.get(endpoint_id, False)
@@ -768,9 +746,9 @@ class FaasCloud(_BatchOfOne):
             self.ledger.online[endpoint_id] = True
             self.ledger.reaped.discard(endpoint_id)
             # The failover sweep rides every heartbeat: with bus-driven
-            # pickup a healthy-but-idle endpoint no longer polls, so a
-            # peer's heartbeat (not its long poll) is what reaps a dead
-            # member, sheds a gray one and drains a reaped one's queue.
+            # pickup a healthy-but-idle endpoint does not fetch, so a
+            # peer's heartbeat is what reaps a dead member, sheds a gray
+            # one and drains a reaped one's queue.
             self.expire_leases()
         if self.health is not None:
             # Heartbeat jitter is a gray-failure signal: a degraded agent
@@ -1144,36 +1122,27 @@ class FaasCloud(_BatchOfOne):
             offsets[i] = at
         return Round.settled(outcomes, reads.charges, offsets)
 
-    def next_completed_batch(
-        self, client_id: str, max_n: int = 32, timeout: float | None = None
-    ) -> list[str]:
-        """Block until some task of ``client_id`` completes, then drain up
-        to ``max_n`` completions in the one wakeup.
+    def next_completed_batch(self, client_id: str, max_n: int = 32) -> list[str]:
+        """Up to ``max_n`` completions of ``client_id`` not yet collected;
+        empty when none wait.  Never blocks.
 
         This is the poll half of the delivery hybrid — the fallback path a
-        client uses while its bus subscription is lapsed (the push half is
+        client drains while its bus subscription is lapsed (the push half is
         the ``results/<client_id>`` bus topic).  When the feed is shared
-        across shards, one wait covers all of them."""
-        return self._completed.next_completed_batch(client_id, max_n, timeout)
+        across shards, one call covers all of them."""
+        return self._completed.next_completed_batch(client_id, max_n)
 
     # -- endpoint side -------------------------------------------------------------
     def fetch_tasks(
-        self,
-        token: Token,
-        endpoint_id: str,
-        max_tasks: int,
-        timeout: float | None,
+        self, token: Token, endpoint_id: str, max_tasks: int
     ) -> list[TaskDispatch]:
-        """Long-poll for work (models the AMQP delivery to the endpoint).
+        """Lease up to ``max_tasks`` of what waits in the endpoint's queue
+        (models the AMQP delivery to the endpoint); empty when nothing
+        does.  Never blocks: an endpoint fetches when a doorbell rings.
 
         Draining is weighted round-robin across the endpoint's tenant
         queues, so a tenant flooding the feed gets at most its weight share
-        of every delivery round while backlogs compete.
-
-        The long poll is the clock's deadline wait: wakeups for *other*
-        endpoints' queues (every enqueue notifies the shared condition)
-        re-enter the wait with whatever budget is left instead of consuming
-        — or overshooting — the whole timeout."""
+        of every delivery round while backlogs compete."""
         self.auth.validate(token, SCOPE_COMPUTE)
         ledger = self.ledger
         with ledger.lock:
@@ -1192,14 +1161,7 @@ class FaasCloud(_BatchOfOne):
             if self.health is not None and not self.health.admit(
                 endpoint_id, self.clock.now()
             ):
-                # Breaker open: nothing for this endpoint this round.  Hold
-                # the long poll open so the agent's cadence is unchanged.
-                if timeout is not None and timeout > 0:
-                    self.clock.wait(ledger.lock, timeout)
-                return []
-            self.clock.wait_for(
-                ledger.lock, lambda: ledger.depth(endpoint_id), timeout
-            )
+                return []  # breaker open: nothing for this endpoint this round
             record = Dispatch(endpoint_id, self.clock.now())
             effects = self._apply(record, limit=max_tasks)
         for task in effects.expired.values():
@@ -1231,12 +1193,8 @@ class FaasCloud(_BatchOfOne):
                 for endpoint_id in self.ledger.queues
                 for task in self.ledger.queued(endpoint_id)
             ]
-            if queued:
-                self.ledger.lock.notify_all()
         for endpoint_id, task in queued:
             self._ring(task_topic(endpoint_id), [task])
-        if queued and self._on_enqueue is not None:
-            self._on_enqueue()
         return len(queued)
 
     def requeue_dispatched(self, token: Token, endpoint_id: str) -> list[str]:

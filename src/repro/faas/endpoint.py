@@ -155,9 +155,11 @@ class FaasEndpoint:
         # and wait in ``_doorbells`` (by sequence number) for the fetch
         # chain; ``_fallback`` flips on when the subscription lapses, and
         # the chain drains the queue until the resubscribe replays the gap.
-        # ``_fetched_tasks`` remembers ids this agent already pulled so a
-        # replayed doorbell for work a fallback drain caught is acked
-        # without an empty fetch.
+        # ``_fetched_tasks`` holds the ids this agent pulled until it
+        # reports them, ``_drained`` those a fallback drain pulled until a
+        # doorbell announcing them is acked (the replay may come after the
+        # report; an id whose doorbell an overflow trimmed waits for a
+        # reclaim): a doorbell for either is acked without a fetch.
         self._consumer = BusConsumer(
             cloud.bus,
             task_topic(self.endpoint_id),
@@ -170,10 +172,12 @@ class FaasEndpoint:
         self._doorbells: dict[int, Envelope] = {}
         self._fallback = False
         # Guarded by ``_fetched_lock``: the fetch chain adds/reads, the
-        # uplink prunes reported ids, and ``resume(reclaim=True)`` clears
-        # from whichever thread drives the restart.
+        # uplink prunes reported ids, an ack prunes the drained ids its
+        # doorbell announced, and ``resume(reclaim=True)`` clears both from
+        # whichever thread drives the restart.
         self._fetched_lock = threading.Lock()
         self._fetched_tasks: set[str] = set()
+        self._drained: set[str] = set()
         # Gray degradation (``endpoint.slow`` chaos): decided once per agent
         # lifetime at ``start()``, then applied to every task this instance
         # executes.  The endpoint stays alive and heartbeating — the failure
@@ -294,6 +298,7 @@ class FaasEndpoint:
             # fresh doorbells: those ids must not be skipped as stale.
             with self._fetched_lock:
                 self._fetched_tasks.clear()
+                self._drained.clear()
             self.cloud.requeue_dispatched(self.token, self.endpoint_id)
         self.cloud.heartbeat(self.token, self.endpoint_id)
         self._resumed.set()
@@ -418,7 +423,7 @@ class FaasEndpoint:
         for envelope in self._doorbells.values():
             if self._pulled([envelope]):
                 counter_inc("endpoint.doorbells_stale", endpoint=self.name)
-                self._consumer.done(envelope)
+                self._ack(envelope)
             else:
                 live.append(envelope)
         self._doorbells.clear()
@@ -430,9 +435,16 @@ class FaasEndpoint:
         announce (a coalesced doorbell carries comma-joined ids)."""
         with self._fetched_lock:
             return all(
-                self._fetched_tasks.issuperset(envelope.payload.split(","))
+                task_id in self._fetched_tasks or task_id in self._drained
                 for envelope in envelopes
+                for task_id in envelope.payload.split(",")
             )
+
+    def _ack(self, envelope: Envelope) -> None:
+        """Ack a doorbell; the drained ids it announced need no shadow."""
+        with self._fetched_lock:
+            self._drained.difference_update(envelope.payload.split(","))
+        self._consumer.done(envelope)
 
     def _fetch(self, live: list[Envelope], got: list[TaskDispatch]) -> None:
         """One fetch round trip of the chain, as reactor timers: the request
@@ -447,7 +459,7 @@ class FaasEndpoint:
         def arrived() -> None:
             try:
                 pulled = self.cloud.fetch_tasks(
-                    self.token, self.endpoint_id, self._max_tasks, 0.0
+                    self.token, self.endpoint_id, self._max_tasks
                 )
             except Exception:  # noqa: BLE001 - a reactor callback must not raise
                 # The doorbells stay unacked, so the bus redelivers them
@@ -482,8 +494,9 @@ class FaasEndpoint:
             if not pulled:
                 counter_inc("endpoint.doorbell_fetches_empty", endpoint=self.name)
         with self._fetched_lock:
-            for dispatch in pulled:
-                self._fetched_tasks.add(dispatch.task_id)
+            (self._fetched_tasks if live else self._drained).update(
+                dispatch.task_id for dispatch in pulled
+            )
         got = got + pulled
         if not live:
             if not pulled:
@@ -512,7 +525,7 @@ class FaasEndpoint:
         dispatch what it pulled, then take whatever waits next."""
         if acked:
             for envelope in live:
-                self._consumer.done(envelope)
+                self._ack(envelope)
                 self._doorbells.pop(envelope.seq, None)  # a redelivery meanwhile
         # Crash *while holding fetched-but-unfinished tasks* — the case the
         # lease/failover machinery exists for.
@@ -823,8 +836,8 @@ class FaasEndpoint:
                     self._in_flight.notify_all()
                     return
             # The tasks are leaving this agent: their ids no longer need to
-            # shadow replayed doorbells, and keeping them would grow the
-            # stale-set without bound over the endpoint's life.
+            # shadow doorbells, and keeping them would grow the stale-set
+            # without bound over the endpoint's life.
             with self._fetched_lock:
                 for task_id, _success, _payload, _ctx in items:
                     self._fetched_tasks.discard(task_id)

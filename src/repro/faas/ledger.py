@@ -386,8 +386,9 @@ class Ledger:
     def __init__(
         self, namespace: str = "", weight: Callable[[str], int] | None = None
     ) -> None:
-        #: The one lock.  A condition, so fetch long-polls can wait on it.
-        self.lock = threading.Condition()
+        #: The one lock.  Re-entrant: a heartbeat holds it across the
+        #: ``expire_leases`` sweep, which takes it again.
+        self.lock = threading.RLock()
         self.namespace = namespace
         self._weight = weight
         self.functions: dict[str, Func] = {}
@@ -460,7 +461,6 @@ class Ledger:
             for endpoint_id in sorted(rings):
                 effects.doorbells.append((endpoint_id, rings[endpoint_id]))
                 self._note_depth(effects, endpoint_id)
-            self.lock.notify_all()
         return effects
 
     def apply_dispatch(self, record: Dispatch, limit: int = 0) -> Effects:
@@ -604,7 +604,6 @@ class Ledger:
                 effects.doorbells = [(target, [task]) for task in effects.tasks]
                 self._note_depth(effects, source)
                 self._note_depth(effects, target)
-                self.lock.notify_all()
         return effects
 
     # -- queues ---------------------------------------------------------------

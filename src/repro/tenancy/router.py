@@ -35,6 +35,7 @@ import threading
 import uuid
 from typing import TYPE_CHECKING, Callable
 
+from repro.batch.reactor import get_reactor
 from repro.batch.round import Round
 from repro.bus import NotificationBus
 from repro.chaos.plan import chaos_check, chaos_enabled
@@ -161,12 +162,9 @@ class CloudRouter(_BatchOfOne):
         # One delivery fabric for every shard: a single bus (doorbells,
         # result notifications) and a single completed feed (client polls).
         self.bus = NotificationBus.for_cloud(self.clock, self.constants)
-        self._completed = _CompletedFeed(self.clock)
+        self._completed = _CompletedFeed()
         self.store = _RoutedStore(self)
         self._lock = threading.Lock()
-        # Doorbell for fetch long-polls: bumped whenever any shard enqueues.
-        self._wake = threading.Condition()
-        self._wake_seq = 0
         self._fetch_rotation = itertools.count()
         self._ring = HashRing()
         self._shards: dict[str, CloudShard] = {}
@@ -202,7 +200,6 @@ class CloudRouter(_BatchOfOne):
             bus=self.bus,
             completed=self._completed,
             registry=self.registry,
-            on_enqueue=self._notify_enqueue,
             journal=journal,
             health=self.health,
             poison=self.poison,
@@ -239,9 +236,6 @@ class CloudRouter(_BatchOfOne):
         report = recover_cloud(fresh)
         with self._lock:
             self._shards[shard_id] = fresh
-        # Re-leased doorbells were published during replay; wake any fetch
-        # long-polls so they notice the rebuilt queues immediately.
-        self._notify_enqueue()
         return report
 
     def add_shard(self) -> str:
@@ -308,11 +302,6 @@ class CloudRouter(_BatchOfOne):
             raise owner
         return self.shard(owner)
 
-    def _notify_enqueue(self) -> None:
-        with self._wake:
-            self._wake_seq += 1
-            self._wake.notify_all()
-
     # -- tenants --------------------------------------------------------------
     def create_tenant(self, name: str, **settings) -> Tenant:
         """See :meth:`TenantRegistry.create`."""
@@ -320,35 +309,38 @@ class CloudRouter(_BatchOfOne):
 
     # -- outages --------------------------------------------------------------
     def _begin_outage(self, shard_id: str) -> float:
+        """Darken ``shard_id``'s admission for one outage window, ended by
+        a reactor timer at its deadline (:meth:`_end_outage`)."""
         window = self.constants.shard_outage_window
+        until = self.clock.now() + window
         with self._lock:
-            self._outages[shard_id] = self.clock.now() + window
+            self._outages[shard_id] = until
+        get_reactor().call_at(
+            until, functools.partial(self._end_outage, shard_id, until)
+        )
         return window
 
-    def _recover_outages(self) -> dict[str, float]:
-        """Clear elapsed outage windows; a recovering shard re-rings the
-        doorbells for its queued backlog (the originals were acked against
-        empty fetches while the router skipped the dark shard).  Returns
-        the shards still dark and when each comes back."""
-        now = self.clock.now()
+    def _end_outage(self, shard_id: str, until: float) -> None:
+        """Clear the window ending at ``until`` -- unless a later drop has
+        extended it, whose own timer clears it -- and re-ring the doorbells
+        of the backlog the shard queued meanwhile (the originals were acked
+        against empty fetches while the router skipped the dark shard).
+        The shard is looked up now, so a rebuilt one is the one that rings."""
         with self._lock:
-            recovered = [
-                shard_id
-                for shard_id, until in self._outages.items()
-                if until <= now
-            ]
-            for shard_id in recovered:
-                del self._outages[shard_id]
-            dark = dict(self._outages)
-        for shard_id in recovered:
-            counter_inc("cloud.shard_recoveries", shard=shard_id)
-            self.shard(shard_id).republish_doorbells()
-        return dark
+            if self._outages.get(shard_id) != until:
+                return
+            del self._outages[shard_id]
+        counter_inc("cloud.shard_recoveries", shard=shard_id)
+        self.shard(shard_id).republish_doorbells()
+
+    def _outage_left(self, shard_id: str) -> float:
+        """Nominal seconds until ``shard_id``'s outage ends; not positive
+        once it is up, even before the timer has cleared the window."""
+        return self._outages.get(shard_id, 0.0) - self.clock.now()
 
     def _check_available(self, shard_id: str) -> None:
-        until = self._recover_outages().get(shard_id)
-        if until is not None:
-            remaining = until - self.clock.now()
+        remaining = self._outage_left(shard_id)
+        if remaining > 0:
             raise ShardUnavailableError(
                 f"shard {shard_id} is restarting; retry in {remaining:.3f}s",
                 retry_after=remaining,
@@ -501,7 +493,6 @@ class CloudRouter(_BatchOfOne):
         validate_tenant_name(tenant)
         if tenant != DEFAULT_TENANT:
             self.auth.validate(token, tenant_scope(tenant))
-        self._recover_outages()
         routes = {
             func_id: self._shard_for_partition(tenant, func_id)
             for func_id in {item.func_id for item in items}
@@ -618,47 +609,25 @@ class CloudRouter(_BatchOfOne):
 
     # -- endpoint side --------------------------------------------------------
     def fetch_tasks(
-        self,
-        token: Token,
-        endpoint_id: str,
-        max_tasks: int,
-        timeout: float | None,
+        self, token: Token, endpoint_id: str, max_tasks: int
     ) -> list[TaskDispatch]:
-        """Scatter-gather long-poll across the shard set.
-
-        Each round drains shards non-blockingly, starting from a rotating
-        offset so no shard's queues get systematic priority; shards inside
-        an outage window are skipped (their backlog is re-announced on
-        recovery).  Between rounds the call waits on the router doorbell,
-        which every task doorbell any shard rings bumps, until the caller's
-        budget runs out or the nearest outage ends, whichever is first."""
-        deadline = None if timeout is None else self.clock.now() + timeout
+        """Scatter-gather fetch across the shard set, once and without
+        blocking: shards are drained starting from a rotating offset so no
+        shard's queues get systematic priority, and shards inside an outage
+        window are skipped (their backlog is re-announced when it ends)."""
+        live = [sid for sid in self.shard_ids if self._outage_left(sid) <= 0]
         out: list[TaskDispatch] = []
-        while True:
-            with self._wake:
-                seq = self._wake_seq
-            dark = self._recover_outages()
-            live = [sid for sid in self.shard_ids if sid not in dark]
-            if live:
-                offset = next(self._fetch_rotation) % len(live)
-                for shard_id in live[offset:] + live[:offset]:
-                    got = self.shard(shard_id).fetch_tasks(
-                        token, endpoint_id, max_tasks - len(out), 0.0
+        if live:
+            offset = next(self._fetch_rotation) % len(live)
+            for shard_id in live[offset:] + live[:offset]:
+                out.extend(
+                    self.shard(shard_id).fetch_tasks(
+                        token, endpoint_id, max_tasks - len(out)
                     )
-                    out.extend(got)
-                    if len(out) >= max_tasks:
-                        break
-            if out:
-                return out
-            now = self.clock.now()
-            waits = [until - now for until in dark.values()]
-            if deadline is not None:
-                if deadline <= now:
-                    return out
-                waits.append(deadline - now)
-            with self._wake:
-                if self._wake_seq == seq:
-                    self.clock.wait(self._wake, min(waits, default=None))
+                )
+                if len(out) >= max_tasks:
+                    break
+        return out
 
     def report_round(
         self,

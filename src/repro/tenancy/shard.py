@@ -6,7 +6,7 @@ result reporting) — wired into the fabric the router shares across shards:
 
 * the common :class:`~repro.bus.NotificationBus`, so doorbells and result
   notifications from every shard reach the same subscribers;
-* the common ``_CompletedFeed``, so one client long-poll observes
+* the common ``_CompletedFeed``, so one client drain collects
   completions from all shards;
 * the router's :class:`~repro.tenancy.TenantRegistry`, so dispatches and
   terminal transitions inside the shard release the usage the router
@@ -50,7 +50,6 @@ class CloudShard(FaasCloud):
         bus: NotificationBus,
         completed: _CompletedFeed,
         registry: TenantRegistry,
-        on_enqueue: object | None = None,
         journal: object | None = None,
         health: object | None = None,
         poison: object | None = None,
@@ -68,7 +67,6 @@ class CloudShard(FaasCloud):
             service_time=constants.faas_shard_service_time,
             store_prefix=f"{shard_id}/",
             task_namespace=f"{shard_id}-",
-            on_enqueue=on_enqueue,
             journal=journal,
             health=health,
             poison=poison,

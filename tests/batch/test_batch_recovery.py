@@ -88,12 +88,12 @@ def test_mid_batch_dispatch_crash_releases_exactly_once(rig):
     """A batch partially dispatched at the crash: the leased members are
     re-leased (front of queue), the rest stay WAITING — nothing double."""
     task_ids = rig.submit_batch([5, 6, 7])
-    dispatched = rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 2, timeout=1.0)
+    dispatched = rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 2)
     assert [d.task_id for d in dispatched] == task_ids[:2]
     fresh = rig.crash()
     report = recover_cloud(fresh)
     assert report.released == 2
-    redelivered = fresh.fetch_tasks(rig.token, rig.endpoint_id, 10, timeout=1.0)
+    redelivered = fresh.fetch_tasks(rig.token, rig.endpoint_id, 10)
     assert sorted(d.task_id for d in redelivered) == sorted(task_ids)
 
 
@@ -102,7 +102,7 @@ def test_result_batch_record_replays_and_dedupes(rig):
     tasks come back terminal with readable payloads and one notification
     each."""
     task_ids = rig.submit_batch([3, 4])
-    rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 2, timeout=1.0)
+    rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 2)
     outcomes = rig.cloud.report_results(
         rig.token,
         rig.endpoint_id,

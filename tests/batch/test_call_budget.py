@@ -37,7 +37,7 @@ def _round_trip(router, token, tenant, func_id, endpoint_id, first: int) -> None
     ]
     task_ids = router.submit_batch(token, "client", items, tenant=tenant)
     assert all(isinstance(task_id, str) for task_id in task_ids), task_ids
-    dispatches = router.fetch_tasks(token, endpoint_id, MEMBERS, 0.0)
+    dispatches = router.fetch_tasks(token, endpoint_id, MEMBERS)
     assert len(dispatches) == MEMBERS
     result = serialize({"success": True, "value": 1})
     reports = [(dispatch.task_id, True, result) for dispatch in dispatches]

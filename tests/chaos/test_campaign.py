@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.chaos.campaign import (
+    _REPORT_COUNTERS,
     CONFIGS,
     FAULT_MODES,
     fault_specs,
@@ -65,3 +70,18 @@ def test_run_campaign_renders_a_verdict_table():
 
 def test_configs_constant_matches_rig_builders():
     assert set(CONFIGS) == {"faas-file", "faas-redis", "faas-globus"}
+
+
+def test_every_report_counter_is_emitted_somewhere():
+    """A reported counter no module names any more reads 0 in every cell
+    and passes any ``== 0`` check without checking anything.  Counters
+    emitted through a table (``_STEERED``, ``_SWEPT``) are still literals."""
+    src = Path(repro.__file__).parent
+    literals = {
+        node.value
+        for path in src.rglob("*.py")
+        if path.relative_to(src).as_posix() != "chaos/campaign.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert [name for name in _REPORT_COUNTERS if name not in literals] == []

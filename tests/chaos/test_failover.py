@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import ManualClock
 
 from repro.exceptions import LeaseExpiredError, WorkflowError
 from repro.faas import (
@@ -30,12 +31,14 @@ FAST = dict(endpoint_heartbeat_period=1.0, endpoint_lease_ttl=3.0)
 
 @pytest.fixture
 def cloud_rig():
+    """A bare cloud on a :class:`ManualClock`: a lease lapses when a test
+    sleeps ``cloud.clock`` past the TTL, never because the host stalled."""
     constants = PaperConstants(**FAST)
     testbed = build_paper_testbed(seed=7, constants=constants)
     auth = AuthServer()
     identity = auth.register_identity("u", "anl")
     token = auth.issue_token(identity, {SCOPE_COMPUTE})
-    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants)
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants, ManualClock())
     return testbed, cloud, token
 
 
@@ -45,11 +48,11 @@ def test_heartbeat_renews_and_ttl_lapses(cloud_rig):
     assert not cloud.lease_valid(ep)  # never heartbeated
     cloud.heartbeat(token, ep)
     assert cloud.lease_valid(ep)
-    get_clock().sleep(2.0)
+    cloud.clock.sleep(2.0)
     cloud.heartbeat(token, ep)  # renewal pushes expiry out again
-    get_clock().sleep(2.0)
+    cloud.clock.sleep(2.0)
     assert cloud.lease_valid(ep)
-    get_clock().sleep(2.0)  # 4s since last beat > ttl of 3
+    cloud.clock.sleep(2.0)  # 4s since last beat > ttl of 3
     assert not cloud.lease_valid(ep)
 
 
@@ -70,7 +73,7 @@ def test_expire_leases_reaps_and_reports(cloud_rig):
     testbed, cloud, token = cloud_rig
     ep = cloud.register_endpoint(token, "solo", testbed.theta_login)
     cloud.heartbeat(token, ep)
-    get_clock().sleep(4.0)
+    cloud.clock.sleep(4.0)
     assert cloud.expire_leases() == [ep]
     assert cloud.expire_leases() == []  # idempotent: already reaped
 
@@ -91,11 +94,11 @@ def test_lease_expiry_fails_queued_work_over_to_group_survivor(cloud_rig):
         func_id = cloud.register_function(token, serialize(_add))
         task_id = cloud.submit(token, "client", func_id, ep_a, serialize(((1, 2), {})))
         # ep_a fetches the task, then goes silent; ep_b keeps heartbeating.
-        dispatched = cloud.fetch_tasks(token, ep_a, 10, timeout=1.0)
+        dispatched = cloud.fetch_tasks(token, ep_a, 10)
     assert [d.task_id for d in dispatched] == [task_id]
-    get_clock().sleep(2.0)
+    cloud.clock.sleep(2.0)
     cloud.heartbeat(token, ep_b)
-    get_clock().sleep(2.0)
+    cloud.clock.sleep(2.0)
     # ep_b's heartbeat doubles as the liveness sweep (bus-mode endpoints
     # don't poll while idle), so ep_a is reaped by it, not by our call.
     cloud.heartbeat(token, ep_b)
@@ -109,7 +112,7 @@ def test_lease_expiry_fails_queued_work_over_to_group_survivor(cloud_rig):
     assert metrics.counter_total("faas.failovers") == 1
     # The survivor now sees the task on its own queue.
     with at_site(testbed.theta_login):
-        refetched = cloud.fetch_tasks(token, ep_b, 10, timeout=1.0)
+        refetched = cloud.fetch_tasks(token, ep_b, 10)
     assert [d.task_id for d in refetched] == [task_id]
 
 
@@ -120,8 +123,8 @@ def test_lease_expiry_without_survivor_requeues_in_place(cloud_rig):
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
         task_id = cloud.submit(token, "client", func_id, ep, serialize(((1, 2), {})))
-        cloud.fetch_tasks(token, ep, 10, timeout=1.0)
-    get_clock().sleep(4.0)
+        cloud.fetch_tasks(token, ep, 10)
+    cloud.clock.sleep(4.0)
     assert cloud.expire_leases() == [ep]
     record = cloud.task(task_id)
     assert record.status is TaskStatus.WAITING
@@ -135,8 +138,6 @@ def test_a_fetch_after_a_lapse_renews_the_lease_so_its_work_fails_over():
     once ``a`` died the task stayed DISPATCHED to it for good: a reaped
     endpoint's later sweeps move only its queue.  A fetch is proof of life,
     so ``a``'s later lapse is a fresh reap and its task fails over."""
-    from conftest import ManualClock
-
     constants = PaperConstants(**FAST)
     testbed = build_paper_testbed(seed=7, constants=constants)
     auth = AuthServer()
@@ -152,7 +153,7 @@ def test_a_fetch_after_a_lapse_renews_the_lease_so_its_work_fails_over():
     func_id = cloud.register_function(token, serialize(_add))
     task_id = cloud.submit(token, "client", func_id, ep_a, serialize(((1, 2), {})))
     clock.sleep(4.0)  # neither agent beat in time
-    (dispatch,) = cloud.fetch_tasks(token, ep_a, 10, 0.0)
+    (dispatch,) = cloud.fetch_tasks(token, ep_a, 10)
     assert dispatch.task_id == task_id
     for _ in range(10):  # a dies holding the task; b beats on
         clock.sleep(1.0)
@@ -172,7 +173,7 @@ def test_report_result_is_idempotent(cloud_rig):
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
         task_id = cloud.submit(token, "client", func_id, ep, serialize(((1, 2), {})))
-        cloud.fetch_tasks(token, ep, 10, timeout=1.0)
+        cloud.fetch_tasks(token, ep, 10)
         cloud.report_result(token, ep, task_id, True, serialize({"value": 3}))
         # A second report (crash-requeued duplicate) is dropped, not an error.
         cloud.report_result(token, ep, task_id, True, serialize({"value": 3}))
@@ -193,10 +194,10 @@ def test_stale_report_after_failover_raises_lease_expired(cloud_rig):
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
         task_id = cloud.submit(token, "client", func_id, ep_a, serialize(((1, 2), {})))
-        cloud.fetch_tasks(token, ep_a, 10, timeout=1.0)
-    get_clock().sleep(2.0)
+        cloud.fetch_tasks(token, ep_a, 10)
+    cloud.clock.sleep(2.0)
     cloud.heartbeat(token, ep_b)
-    get_clock().sleep(2.0)
+    cloud.clock.sleep(2.0)
     cloud.heartbeat(token, ep_b)
     cloud.expire_leases()  # task now belongs to ep_b
     with at_site(testbed.theta_login):
@@ -212,7 +213,7 @@ def test_report_for_task_never_owned_is_a_protocol_violation(cloud_rig):
     with at_site(testbed.theta_login):
         func_id = cloud.register_function(token, serialize(_add))
         task_id = cloud.submit(token, "client", func_id, ep_a, serialize(((1, 2), {})))
-        cloud.fetch_tasks(token, ep_a, 10, timeout=1.0)
+        cloud.fetch_tasks(token, ep_a, 10)
         with pytest.raises(WorkflowError):
             cloud.report_result(token, ep_b, task_id, True, serialize({"value": 3}))
 

@@ -183,8 +183,9 @@ class ManualClock(Clock):
 class ManualReactor:
     """The process reactor under a :class:`ManualClock`: timers fire when
     the test runs them, each with the clock moved to its deadline.  Patch
-    it in where rounds are armed (``repro.batch.round.get_reactor``) and
-    import it with ``from conftest import ManualReactor``."""
+    it in where rounds are armed (``repro.batch.round.get_reactor``) or
+    outages end (``repro.tenancy.router.get_reactor``) and import it with
+    ``from conftest import ManualReactor``."""
 
     def __init__(self, clock: ManualClock) -> None:
         self._clock = clock
@@ -195,7 +196,10 @@ class ManualReactor:
         return self._clock.now()
 
     def call_later(self, delay, fn):
-        heapq.heappush(self._timers, (self._clock.now() + delay, next(self._seq), fn))
+        self.call_at(self._clock.now() + delay, fn)
+
+    def call_at(self, when, fn):
+        heapq.heappush(self._timers, (when, next(self._seq), fn))
 
     def run(self) -> None:
         while self._timers:

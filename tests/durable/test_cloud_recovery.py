@@ -98,12 +98,12 @@ def test_recovery_rebuilds_every_task_state(rig):
     done = _submit(rig, 2)
     inflight = _submit(rig, 3)
     waiting = _submit(rig, 4)
-    dispatched = rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 2, timeout=1.0)
+    dispatched = rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 2)
     assert [d.task_id for d in dispatched] == [done, inflight]
     rig.cloud.report_result(
         rig.token, rig.endpoint_id, done, True, serialize({"value": 4})
     )
-    assert rig.cloud.next_completed("client-1", timeout=1.0) == done
+    assert rig.cloud.next_completed_batch("client-1", 1) == [done]
 
     fresh = rig.crash()
     report = recover_cloud(fresh)
@@ -118,7 +118,7 @@ def test_recovery_rebuilds_every_task_state(rig):
     assert fresh.task(waiting).status is TaskStatus.WAITING
 
     # The re-leased task jumps the queue: it was dispatched first pre-crash.
-    redelivered = fresh.fetch_tasks(rig.token, rig.endpoint_id, 10, timeout=1.0)
+    redelivered = fresh.fetch_tasks(rig.token, rig.endpoint_id, 10)
     assert [d.task_id for d in redelivered] == [inflight, waiting]
     # The adopted argument payload round-trips through the journal.
     (value,), _ = deserialize(fresh.store.read(redelivered[0].args_locator))
@@ -160,7 +160,7 @@ def test_crash_between_result_write_and_bus_notification(rig):
     push / bus publish ever happened.  Recovery expands the record and
     renotifies every member exactly once."""
     task_ids = [_submit(rig, value) for value in (5, 6, 7)]
-    rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 3, timeout=1.0)
+    rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 3)
     # Emulate the crash window: append the fsync'd result record by hand —
     # the in-memory transitions, feed pushes, and bus publish all died with
     # the process.  Mirrors the record `report_results` writes.
@@ -187,8 +187,8 @@ def test_crash_between_result_write_and_bus_notification(rig):
     assert report.released == 0  # the terminal records supersede the leases
     assert report.deduped == 0
     # Exactly once into the completed feed: three deliveries, then silence.
-    assert fresh.next_completed_batch("client-1", timeout=1.0) == task_ids
-    assert fresh.next_completed("client-1", timeout=0.5) is None
+    assert fresh.next_completed_batch("client-1") == task_ids
+    assert fresh.next_completed_batch("client-1") == []
     for task_id, value in zip(task_ids, (25, 36, 49)):
         assert fresh.task(task_id).status is TaskStatus.SUCCESS
         status, payload = fresh.get_result_payload(rig.token, task_id)
@@ -217,14 +217,14 @@ def test_crash_mid_admission_enqueues_the_journaled_task(rig):
 
     assert report.deduped == 0
     assert fresh.task(task_id).status is TaskStatus.WAITING
-    dispatched = fresh.fetch_tasks(rig.token, rig.endpoint_id, 10, timeout=1.0)
+    dispatched = fresh.fetch_tasks(rig.token, rig.endpoint_id, 10)
     assert [d.task_id for d in dispatched] == [task_id]
     (value,), _ = deserialize(fresh.store.read(dispatched[0].args_locator))
     assert value == 6
     fresh.report_result(
         rig.token, rig.endpoint_id, task_id, True, serialize({"value": 36})
     )
-    assert fresh.next_completed("client-1", timeout=1.0) == task_id
+    assert fresh.next_completed_batch("client-1", 1) == [task_id]
     # New admissions never reuse the replayed id.
     assert FaasCloud.task_id_index(_submit(rig, 7)) > 41
 
@@ -232,7 +232,7 @@ def test_crash_mid_admission_enqueues_the_journaled_task(rig):
 def test_double_replay_of_the_same_segment_dedupes(rig):
     done = _submit(rig, 2)
     inflight = _submit(rig, 3)
-    rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 2, timeout=1.0)
+    rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 2)
     rig.cloud.report_result(
         rig.token, rig.endpoint_id, done, True, serialize({"value": 4})
     )
@@ -247,7 +247,7 @@ def test_double_replay_of_the_same_segment_dedupes(rig):
     assert {r.task_id for r in fresh.task_records()} == {done, inflight}
     assert fresh.task(done).status is TaskStatus.SUCCESS
     # The re-leased task still sits in its queue exactly once.
-    redelivered = fresh.fetch_tasks(rig.token, rig.endpoint_id, 10, timeout=1.0)
+    redelivered = fresh.fetch_tasks(rig.token, rig.endpoint_id, 10)
     assert [d.task_id for d in redelivered] == [inflight]
     status, payload = fresh.get_result_payload(rig.token, done)
     assert status is TaskStatus.SUCCESS and deserialize(payload)["value"] == 4
@@ -258,7 +258,7 @@ def test_recovery_replays_snapshot_plus_suffix_after_compaction(testbed):
     done = _submit(rig, 2)
     _submit(rig, 3)
     waiting = _submit(rig, 4)
-    rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 1, timeout=1.0)
+    rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 1)
     rig.cloud.report_result(
         rig.token, rig.endpoint_id, done, True, serialize({"value": 4})
     )
@@ -294,13 +294,13 @@ def test_recovered_dispatch_equals_the_pre_crash_one(testbed, compact_every):
         prefetch=(PrefetchHint("weights", ("k1", "k2"), pin=True),),
         deadline_at=rig.cloud.clock.now() + 1e6,
     )
-    (before,) = rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 1, timeout=1.0)
+    (before,) = rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 1)
     assert before.trace_ctx and before.prefetch and before.deadline_at
 
     fresh = rig.crash()
     recover_cloud(fresh)
 
-    (after,) = fresh.fetch_tasks(rig.token, rig.endpoint_id, 1, timeout=1.0)
+    (after,) = fresh.fetch_tasks(rig.token, rig.endpoint_id, 1)
     assert after == before
 
 
@@ -360,7 +360,7 @@ def _move_off_a(pair, how):
     by a lease lapse, or by the breaker shed that one very slow result from
     ``a`` sets off."""
     probe, held, queued = (pair.submit(value) for value in (1, 2, 3))
-    fetched = pair.cloud.fetch_tasks(pair.token, pair.ep_a, 2, timeout=1.0)
+    fetched = pair.cloud.fetch_tasks(pair.token, pair.ep_a, 2)
     assert [d.task_id for d in fetched] == [probe, held]
     if how == "shed":
         pair.cloud.clock.sleep(10.0)  # the dispatch -> result latency sample
@@ -397,7 +397,7 @@ def test_rehomed_tasks_stay_rehomed_across_a_crash(testbed, how):
         assert record.endpoint_id == pair.ep_b
         assert record.previous_endpoints == [pair.ep_a]
     assert fresh.queue_depth(pair.ep_a) == 0
-    fetched = fresh.fetch_tasks(pair.token, pair.ep_b, 10, timeout=1.0)
+    fetched = fresh.fetch_tasks(pair.token, pair.ep_b, 10)
     assert [d.task_id for d in fetched] == [held, queued]
 
 
@@ -408,7 +408,7 @@ def test_new_owner_reports_after_a_crash_and_the_old_one_is_stale(testbed, how):
     WAITING."""
     pair = _pair(testbed, how)
     held, queued = _move_off_a(pair, how)
-    fetched = pair.cloud.fetch_tasks(pair.token, pair.ep_b, 1, timeout=1.0)
+    fetched = pair.cloud.fetch_tasks(pair.token, pair.ep_b, 1)
     assert [d.task_id for d in fetched] == [held]
 
     fresh, report = pair.crash_and_recover()
@@ -420,9 +420,9 @@ def test_new_owner_reports_after_a_crash_and_the_old_one_is_stale(testbed, how):
     with pytest.raises(LeaseExpiredError):
         fresh.report_result(pair.token, pair.ep_a, queued, True, serialize({}))
     # Exactly once: one completion for `held`, none for `queued`.
-    done = fresh.next_completed_batch("client-1", 32, timeout=0.5)
+    done = fresh.next_completed_batch("client-1", 32)
     assert done.count(held) == 1 and queued not in done
-    assert fresh.next_completed("client-1", timeout=0.5) is None
+    assert fresh.next_completed_batch("client-1") == []
 
 
 def test_lease_failover_publishes_the_source_depth(testbed):
@@ -441,7 +441,7 @@ def test_leases_survive_recovery(testbed):
     over."""
     pair = PairRig(testbed)
     held, queued = pair.submit(2), pair.submit(3)
-    pair.cloud.fetch_tasks(pair.token, pair.ep_a, 1, timeout=1.0)
+    pair.cloud.fetch_tasks(pair.token, pair.ep_a, 1)
 
     fresh, _ = pair.crash_and_recover()
 
@@ -455,7 +455,7 @@ def test_leases_survive_recovery(testbed):
         record = fresh.task(task_id)
         assert record.endpoint_id == pair.ep_b
         assert record.previous_endpoints == [pair.ep_a]
-    fetched = fresh.fetch_tasks(pair.token, pair.ep_b, 10, timeout=1.0)
+    fetched = fresh.fetch_tasks(pair.token, pair.ep_b, 10)
     assert [d.task_id for d in fetched] == [held, queued]
 
 
@@ -494,7 +494,7 @@ def test_a_reaped_endpoint_stays_reaped_across_a_shard_crash(testbed):
     router.crash_shard(router._shard_for_partition("default", func_id))
     task_id = router.submit(token, "c", func_id, ep_a, serialize(((3,), {})))
     lapse_a()
-    (dispatch,) = router.fetch_tasks(token, ep_b, 10, timeout=0.0)
+    (dispatch,) = router.fetch_tasks(token, ep_b, 10)
     assert dispatch.task_id == task_id
     router.report_result(token, ep_b, task_id, True, serialize({"value": 9}))
     record = router.task(task_id)
@@ -562,7 +562,7 @@ def test_stale_result_after_rehome_is_refused_in_replay_as_it_was_live(testbed):
     set_metrics(metrics)
     pair = PairRig(testbed)
     task_id = pair.submit(2)
-    pair.cloud.fetch_tasks(pair.token, pair.ep_a, 1, timeout=1.0)
+    pair.cloud.fetch_tasks(pair.token, pair.ep_a, 1)
     write_round = pair.cloud.store.write_round
 
     def write_then_lose_the_lease(members):
@@ -601,7 +601,7 @@ def test_stale_result_after_rehome_is_refused_in_replay_as_it_was_live(testbed):
     assert state(fresh) == live
     assert (report.deduped, report.renotified, report.released) == (1, 0, 0)
     assert metrics.counter_total("durable.deduped") == 1
-    assert fresh.next_completed("client-1", timeout=0.2) is None
+    assert fresh.next_completed_batch("client-1") == []
 
 
 def test_double_replayed_rehome_is_deduped(testbed):

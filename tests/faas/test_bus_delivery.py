@@ -19,6 +19,7 @@ from repro.faas import (
     FaasEndpoint,
     FaasExecutor,
 )
+from repro.batch.reactor import get_reactor
 from repro.faas.cloud import task_topic
 from repro.net.clock import get_clock
 from repro.net.context import at_site
@@ -59,9 +60,10 @@ def test_bus_delivery_completes_tasks_without_idle_polls(testbed, metrics):
     finally:
         client.close()
         endpoint.stop()
-    # Every fetch was doorbell-driven, so none came back empty; results
-    # arrived as bus notifications, not poll hits.
-    assert metrics.counter_total("endpoint.polls_empty") == 0
+    # Every fetch was doorbell-driven and pulled what its doorbell
+    # announced, so none came back empty; results arrived as bus
+    # notifications, not poll hits.
+    assert metrics.counter_total("endpoint.doorbell_fetches_empty") == 0
     assert metrics.counter_total("endpoint.polls") >= 1
     # Coalesced submits share a task doorbell and drained uplinks a result
     # doorbell: at least one of each, at most one per task.
@@ -190,14 +192,40 @@ def test_client_close_fails_in_flight_futures(testbed, metrics):
     endpoint.stop()
 
 
-def test_next_completed_waits_out_its_full_deadline(testbed):
-    """Satellite: ``next_completed`` loops on a deadline — a timeout with no
-    completion returns ``None`` only after the window genuinely elapses."""
-    auth = AuthServer()
-    identity = auth.register_identity("u", "anl")
-    token = auth.issue_token(identity, {SCOPE_COMPUTE})
-    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, testbed.constants)
+def test_a_replay_of_drained_work_is_acked_without_a_fetch(testbed, metrics):
+    """A fallback drain pulls work whose doorbells are still unacked; they
+    are replayed on the resubscribe, which may come after that work was
+    run and reported.  Each replayed doorbell is stale and acked as such:
+    no fetch comes back empty for work the drain already caught."""
+    cloud, endpoint, client = _rig(testbed)
+    topic = task_topic(endpoint.endpoint_id)
+    resubscribes = []
+    resubscribe = endpoint._consumer.resubscribe
+    endpoint._consumer.resubscribe = lambda: resubscribes.append(resubscribe)
     clock = get_clock()
-    start = clock.now()
-    assert cloud.next_completed("nobody", timeout=0.5) is None
-    assert clock.now() - start >= 0.5
+    try:
+        endpoint.pause()
+        clock.sleep(testbed.constants.bus_lease_ttl + 1.0)
+        with at_site(testbed.theta_login):
+            futures = []
+            for i in range(3):
+                futures.append(client.run(_add, endpoint.endpoint_id, i, b=1))
+                client.flush_batches()  # one doorbell per task
+        endpoint.resume()  # the subscription lapsed meanwhile: a drain
+        assert [f.result(timeout=60) for f in futures] == [1, 2, 3]
+        deadline = clock.now() + 30.0
+        while not resubscribes and clock.now() < deadline:
+            clock.sleep(0.1)
+        assert resubscribes, "the drain never handed back to the bus"
+        # Every drained task is reported by now; the replay comes after.
+        get_reactor().call_later(0.0, resubscribes[0])
+        deadline = clock.now() + 30.0
+        while cloud.bus.unacked(topic, endpoint.endpoint_id) and clock.now() < deadline:
+            clock.sleep(0.1)
+        assert cloud.bus.unacked(topic, endpoint.endpoint_id) == []
+    finally:
+        client.close()
+        endpoint.stop()
+    assert metrics.counter_total("endpoint.fallback_polls") >= 1
+    assert metrics.counter_total("endpoint.doorbells_stale") == 3
+    assert metrics.counter_total("endpoint.doorbell_fetches_empty") == 0

@@ -81,7 +81,7 @@ def test_task_lifecycle(rig):
     func_id = cloud.register_function(token, serialize(_square))
     task_id = cloud.submit(token, "client-1", func_id, endpoint_id, serialize(((2,), {})))
 
-    dispatches = cloud.fetch_tasks(token, endpoint_id, 10, timeout=1.0)
+    dispatches = cloud.fetch_tasks(token, endpoint_id, 10)
     assert [d.task_id for d in dispatches] == [task_id]
     assert cloud.task(task_id).status is TaskStatus.DISPATCHED
 
@@ -94,7 +94,7 @@ def test_task_lifecycle(rig):
     cloud.report_result(token, endpoint_id, task_id, True, serialize({"success": True, "value": 4}))
     record = cloud.task(task_id)
     assert record.status is TaskStatus.SUCCESS
-    assert cloud.next_completed("client-1", timeout=1.0) == task_id
+    assert cloud.next_completed_batch("client-1", 1) == [task_id]
     status, payload = cloud.get_result_payload(token, task_id)
     assert status is TaskStatus.SUCCESS
     assert deserialize(payload)["value"] == 4
@@ -110,7 +110,7 @@ def test_batched_result_read_fails_per_member(rig):
         cloud.submit(token, "c", func_id, endpoint_id, serialize(((n,), {})))
         for n in (2, 3)
     )
-    cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
+    cloud.fetch_tasks(token, endpoint_id, 1)
     cloud.report_result(token, endpoint_id, done, True, serialize({"value": 4}))
 
     outcomes = cloud.get_result_payloads(token, [waiting, done, "task-ghost", done])
@@ -139,7 +139,7 @@ def test_wrong_endpoint_cannot_report(rig, testbed):
     other = cloud.register_endpoint(token, "venti", testbed.venti)
     func_id = cloud.register_function(token, serialize(_square))
     task_id = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
-    cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
+    cloud.fetch_tasks(token, endpoint_id, 1)
     with pytest.raises(WorkflowError):
         cloud.report_result(token, other, task_id, True, serialize({}))
 
@@ -152,7 +152,7 @@ def test_store_and_forward_while_endpoint_offline(rig):
         cloud.submit(token, "c", func_id, endpoint_id, serialize(((i,), {})))
         for i in range(3)
     ]
-    dispatches = cloud.fetch_tasks(token, endpoint_id, 10, timeout=1.0)
+    dispatches = cloud.fetch_tasks(token, endpoint_id, 10)
     assert [d.task_id for d in dispatches] == ids
 
 
@@ -161,20 +161,15 @@ def test_fetch_respects_max_tasks(rig):
     func_id = cloud.register_function(token, serialize(_square))
     for i in range(5):
         cloud.submit(token, "c", func_id, endpoint_id, serialize(((i,), {})))
-    first = cloud.fetch_tasks(token, endpoint_id, 2, timeout=1.0)
+    first = cloud.fetch_tasks(token, endpoint_id, 2)
     assert len(first) == 2
-    rest = cloud.fetch_tasks(token, endpoint_id, 10, timeout=1.0)
+    rest = cloud.fetch_tasks(token, endpoint_id, 10)
     assert len(rest) == 3
 
 
-def test_next_completed_timeout(rig):
-    cloud, *_ = rig
-    assert cloud.next_completed("nobody", timeout=0.2) is None
-
-
-def test_long_polls_time_out_on_a_manual_clock(testbed):
-    """On a clock that only moves when told, an empty long poll must jump
-    to its deadline and return, not spin at ``now() == 0``."""
+def test_an_empty_fetch_and_feed_answer_at_once(testbed):
+    """Nothing waits, so the calls return empty without moving a clock
+    that only moves when told: the cloud never parks its caller."""
     clock = ManualClock()
     auth = AuthServer()
     token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
@@ -182,10 +177,9 @@ def test_long_polls_time_out_on_a_manual_clock(testbed):
         testbed.faas_cloud, testbed.network, auth, testbed.constants, clock
     )
     endpoint_id = cloud.register_endpoint(token, "theta", testbed.theta_compute)
-    assert cloud.fetch_tasks(token, endpoint_id, 10, timeout=5.0) == []
-    assert clock.now() == 5.0
-    assert cloud.next_completed_batch("nobody", timeout=5.0) == []
-    assert clock.now() == 10.0
+    assert cloud.fetch_tasks(token, endpoint_id, 10) == []
+    assert cloud.next_completed_batch("nobody") == []
+    assert clock.now() == 0.0
 
 
 def test_payload_store_tiers(rig):
@@ -207,7 +201,7 @@ def test_unknown_locator(rig):
 def test_endpoint_online_tracking(rig):
     cloud, token, endpoint_id = rig
     assert not cloud.endpoint_online(endpoint_id)
-    cloud.fetch_tasks(token, endpoint_id, 1, timeout=0.1)
+    cloud.fetch_tasks(token, endpoint_id, 1)
     assert cloud.endpoint_online(endpoint_id)
     cloud.set_endpoint_online(endpoint_id, False)
     assert not cloud.endpoint_online(endpoint_id)
@@ -228,11 +222,11 @@ class _CountingId(str):
 def test_retiring_a_completion_is_o1_in_the_uncollected_backlog():
     """A completion nobody downloads stays queued (a hedged client's late
     primaries), so a retire must not scan the client's backlog."""
-    feed = _CompletedFeed(ManualClock())
+    feed = _CompletedFeed()
     ids = [_CountingId(f"task-{i:05d}") for i in range(10_000)]
     feed.push([SimpleNamespace(client_id="c", task_id=task_id) for task_id in ids])
     _CountingId.compared = 0
     feed.retire([("c", _CountingId("task-05000")), ("ghost", _CountingId("task-1"))])
     assert _CountingId.compared < 10  # a dict lookup or two, not 5000 scans
-    rest = feed.next_completed_batch("c", 10_000, timeout=0.0)
+    rest = feed.next_completed_batch("c", 10_000)
     assert rest == ids[:5000] + ids[5001:]  # push order, the retired one gone

@@ -34,7 +34,7 @@ class _InstantCloud(FaasCloud):
 
         def complete(outcomes):
             endpoint_id = items[0].endpoint_id
-            self.fetch_tasks(token, endpoint_id, len(outcomes), 0.0)
+            self.fetch_tasks(token, endpoint_id, len(outcomes))
             for task_id in outcomes:
                 self.report_result(
                     token,

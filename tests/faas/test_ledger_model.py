@@ -202,7 +202,7 @@ def test_every_journal_prefix_replays_to_the_live_ledger(ops):
             task_ids += cloud.submit_batch(token, "client", items)
         elif op == "fetch":
             name, n = args
-            cloud.fetch_tasks(token, endpoints[name], n, timeout=0.0)
+            cloud.fetch_tasks(token, endpoints[name], n)
         elif op == "report" and task_ids:
             who, picks, success = args
             picked = [task_ids[i % len(task_ids)] for i in picks]
@@ -232,7 +232,7 @@ def test_every_journal_prefix_replays_to_the_live_ledger(ops):
         history.append((journal.appends, released(cloud.ledger)))
 
     # Exactly-once delivery: every settled task is in the feed once.
-    assert sorted(cloud.next_completed_batch("client", 10_000, timeout=0.0)) == sorted(
+    assert sorted(cloud.next_completed_batch("client", 10_000)) == sorted(
         settled
     )
     _, log = journal.records()

@@ -140,7 +140,7 @@ class Rig:
 
     # -- the endpoint side of the cloud API, by hand -------------------------
     def fetch(self):
-        return self.cloud.fetch_tasks(self.token, self.ep_id, 32, 0.0)
+        return self.cloud.fetch_tasks(self.token, self.ep_id, 32)
 
     def report(self, *task_ids, value="done", coalesced=True):
         """Report results as the endpoint would: in ONE batched uplink (one
@@ -321,14 +321,14 @@ def test_cloud_singular_calls_charge_one_write_and_one_fsync_each(recording_cloc
     assert recording_clock.charged() == [REDIS, fsync(submitted - before)]
     assert cloud.task(task_id).args_locator.startswith("redis:")
 
-    (dispatch,) = cloud.fetch_tasks(token, ep_id, 32, 0.0)  # journals the lease
+    (dispatch,) = cloud.fetch_tasks(token, ep_id, 32)  # journals the lease
     del recording_clock.charges[:]
     before = journal.log_bytes()
     result = serialize({"success": True, "value": (1, Blob(PAD))})
     cloud.report_result(token, ep_id, dispatch.task_id, True, result)
     assert recording_clock.charged() == [REDIS, fsync(journal.log_bytes() - before)]
     assert cloud.task(task_id).result_locator.startswith("redis:")
-    assert cloud.next_completed("client-1", 0.0) == task_id
+    assert cloud.next_completed_batch("client-1", 1) == [task_id]
 
 
 # -- no loop sleeps through a round trip ---------------------------------------------
@@ -633,7 +633,7 @@ def test_hedge_winner_and_loser_in_one_round_resolve_the_future_once(make_rig):
         rig.client.flush_batches()
     _wait_for(lambda: rig.metrics.counter_total("client.hedges_launched") == 1)
     (primary,) = rig.fetch()
-    (hedge,) = rig.cloud.fetch_tasks(rig.token, other, 32, 0.0)
+    (hedge,) = rig.cloud.fetch_tasks(rig.token, other, 32)
     gate = _hold_notifier(rig)
     # Both legs finish while the notifier is away; the hedge reports first.
     rig.cloud.report_result(

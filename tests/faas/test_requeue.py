@@ -29,21 +29,21 @@ def test_requeue_restores_fetched_tasks_in_order(rig):
         cloud.submit(token, "c", func_id, endpoint_id, serialize(((i,), {})))
         for i in range(3)
     ]
-    fetched = cloud.fetch_tasks(token, endpoint_id, 10, timeout=1.0)
+    fetched = cloud.fetch_tasks(token, endpoint_id, 10)
     assert len(fetched) == 3
     # "Crash": nothing reported.  Requeue puts them back, oldest first.
     requeued = cloud.requeue_dispatched(token, endpoint_id)
     assert requeued == ids
     for task_id in ids:
         assert cloud.task(task_id).status is TaskStatus.WAITING
-    refetched = cloud.fetch_tasks(token, endpoint_id, 10, timeout=1.0)
+    refetched = cloud.fetch_tasks(token, endpoint_id, 10)
     assert [d.task_id for d in refetched] == ids
 
 
 def test_requeue_skips_completed_tasks(rig):
     cloud, token, endpoint_id, func_id = rig
     task_id = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
-    cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
+    cloud.fetch_tasks(token, endpoint_id, 1)
     cloud.report_result(
         token, endpoint_id, task_id, True, serialize({"success": True, "value": 1})
     )
@@ -65,7 +65,7 @@ def test_requeue_racing_report_result_keeps_exactly_one_outcome(rig):
     the requeued queue copy is dropped so the work is not run a second time."""
     cloud, token, endpoint_id, func_id = rig
     task_id = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
-    cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
+    cloud.fetch_tasks(token, endpoint_id, 1)
     # The reclaim races the in-flight result: requeue first, report second.
     assert cloud.requeue_dispatched(token, endpoint_id) == [task_id]
     cloud.report_result(
@@ -73,7 +73,7 @@ def test_requeue_racing_report_result_keeps_exactly_one_outcome(rig):
     )
     assert cloud.task(task_id).status is TaskStatus.SUCCESS
     # The stale queue copy is gone: nothing left to fetch.
-    assert cloud.fetch_tasks(token, endpoint_id, 10, timeout=0.5) == []
+    assert cloud.fetch_tasks(token, endpoint_id, 10) == []
 
 
 def test_requeue_then_duplicate_execution_drops_second_result(rig):
@@ -86,9 +86,9 @@ def test_requeue_then_duplicate_execution_drops_second_result(rig):
     set_metrics(metrics)
     cloud, token, endpoint_id, func_id = rig
     task_id = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
-    cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
+    cloud.fetch_tasks(token, endpoint_id, 1)
     cloud.requeue_dispatched(token, endpoint_id)
-    cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)  # second execution
+    cloud.fetch_tasks(token, endpoint_id, 1)  # second execution
     cloud.report_result(
         token, endpoint_id, task_id, True, serialize({"success": True, "value": 1})
     )
@@ -108,10 +108,10 @@ def test_requeue_unknown_endpoint(rig):
 def test_requeue_preserves_queued_tasks_behind_reclaimed(rig):
     cloud, token, endpoint_id, func_id = rig
     first = cloud.submit(token, "c", func_id, endpoint_id, serialize(((1,), {})))
-    cloud.fetch_tasks(token, endpoint_id, 1, timeout=1.0)
+    cloud.fetch_tasks(token, endpoint_id, 1)
     later = cloud.submit(token, "c", func_id, endpoint_id, serialize(((2,), {})))
     cloud.requeue_dispatched(token, endpoint_id)
-    order = [d.task_id for d in cloud.fetch_tasks(token, endpoint_id, 10, timeout=1.0)]
+    order = [d.task_id for d in cloud.fetch_tasks(token, endpoint_id, 10)]
     assert order == [first, later]  # reclaimed work resumes ahead of new work
 
 
@@ -134,7 +134,7 @@ def test_endpoint_resume_with_reclaim_end_to_end(testbed):
             future = client.run(_fn, endpoint.endpoint_id, 7)
         # Simulate a crash *after fetch, before execution*: fetch directly,
         # discarding the dispatch (the worker never sees it).
-        cloud.fetch_tasks(token, endpoint.endpoint_id, 10, timeout=1.0)
+        cloud.fetch_tasks(token, endpoint.endpoint_id, 10)
         assert not future.done()
         # Restart with reclamation: the endpoint re-fetches and executes.
         endpoint.start()
@@ -166,7 +166,7 @@ def test_stale_report_racing_a_failover_leaves_the_rehomed_task_queued(testbed):
     func_id = cloud.register_function(token, serialize(_fn))
     cloud.heartbeat(token, old)
     task_id = cloud.submit(token, "c", func_id, old, serialize(((1,), {})))
-    assert [d.task_id for d in cloud.fetch_tasks(token, old, 1, timeout=0.0)] == [task_id]
+    assert [d.task_id for d in cloud.fetch_tasks(token, old, 1)] == [task_id]
 
     write_round = cloud.store.write_round
 
@@ -192,7 +192,7 @@ def test_stale_report_racing_a_failover_leaves_the_rehomed_task_queued(testbed):
 
     record = cloud.task(task_id)
     assert (record.status, record.endpoint_id) == (TaskStatus.WAITING, new)
-    assert [d.task_id for d in cloud.fetch_tasks(token, new, 1, timeout=0.0)] == [task_id]
+    assert [d.task_id for d in cloud.fetch_tasks(token, new, 1)] == [task_id]
 
 
 class _Usage:
@@ -237,7 +237,7 @@ def test_report_racing_requeue_sweep_stays_terminal(testbed, sweep):
     func_id = cloud.register_function(token, serialize(_fn))
     cloud.heartbeat(token, old)
     task_id = cloud.submit(token, "c", func_id, old, serialize(((1,), {})))
-    assert [d.task_id for d in cloud.fetch_tasks(token, old, 1, timeout=0.0)] == [task_id]
+    assert [d.task_id for d in cloud.fetch_tasks(token, old, 1)] == [task_id]
 
     parked, release = threading.Event(), threading.Event()
     apply = cloud._apply
@@ -277,14 +277,14 @@ def test_report_racing_requeue_sweep_stays_terminal(testbed, sweep):
         assert (record.status, record.endpoint_id) == (TaskStatus.WAITING, new)
         assert (cloud.queue_depth(old), cloud.queue_depth(new)) == (0, 1)
         assert usage.calls.count("tasks_finished") == 0
-        assert cloud.next_completed_batch("c", 32, timeout=0.0) == []
+        assert cloud.next_completed_batch("c", 32) == []
         # The peer runs it: exactly one terminal, one feed entry.
-        cloud.fetch_tasks(token, new, 1, timeout=0.0)
+        cloud.fetch_tasks(token, new, 1)
         cloud.report_result(token, new, task_id, True, serialize({"value": 1}))
     else:
         assert outcome == [None]
     assert record.status is TaskStatus.SUCCESS
     assert (cloud.queue_depth(old), cloud.queue_depth(new)) == (0, 0)
     assert usage.calls.count("tasks_finished") == 1
-    assert cloud.next_completed_batch("c", 32, timeout=0.0) == [task_id]
-    assert cloud.fetch_tasks(token, record.endpoint_id, 10, timeout=0.0) == []
+    assert cloud.next_completed_batch("c", 32) == [task_id]
+    assert cloud.fetch_tasks(token, record.endpoint_id, 10) == []

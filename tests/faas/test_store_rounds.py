@@ -322,7 +322,7 @@ def test_dispatch_returns_before_its_slowest_member_lands(monkeypatch):
         for i in range(3)
     ]
     task_ids = cloud.submit_batch(token, "client", items)  # its writes draw 0.3, 0.1, 0.45
-    dispatches = cloud.fetch_tasks(token, endpoint.endpoint_id, 32, 0.0)
+    dispatches = cloud.fetch_tasks(token, endpoint.endpoint_id, 32)
     started = clock.now()
 
     endpoint._dispatch(dispatches)
@@ -448,10 +448,13 @@ def test_overlapping_rounds_on_one_shard_are_still_a_service_time_apart():
     assert len({task.task_id for task in router.task_records()}) == 3
 
 
-def test_a_dark_shard_fails_only_its_group_of_a_round():
+def test_a_dark_shard_fails_only_its_group_of_a_round(monkeypatch):
     """A round spanning two shards while one restarts: that shard's group
     fails alone, when the round lands, and the other group is admitted."""
     clock = ManualClock()
+    # The outage ends on a timer of the manual clock's reactor, not the
+    # process reactor's (whose clock is already past the deadline).
+    monkeypatch.setattr("repro.tenancy.router.get_reactor", lambda: ManualReactor(clock))
     testbed = build_paper_testbed(seed=5, constants=FIXED)
     auth = AuthServer()
     identity = auth.register_identity("u", "anl")

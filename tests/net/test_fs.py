@@ -229,7 +229,7 @@ def test_recovery_replays_a_buffered_journal_like_a_copied_one(testbed):
         cloud.submit(token, "c", func_id, endpoint_id, serialize((("x" * i,), {})))
         for i in range(40)
     ]
-    for dispatch in cloud.fetch_tasks(token, endpoint_id, 30, timeout=1.0)[:20]:
+    for dispatch in cloud.fetch_tasks(token, endpoint_id, 30)[:20]:
         cloud.report_result(
             token, endpoint_id, dispatch.task_id, True, serialize({"value": 1})
         )

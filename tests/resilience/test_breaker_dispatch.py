@@ -65,7 +65,7 @@ def _gray_out(testbed, cloud, token, ep_a, extra_tasks=2):
             cloud.submit(token, "client", func_id, ep_a, serialize(((i, i), {})))
             for i in range(1 + extra_tasks)
         ]
-        dispatched = cloud.fetch_tasks(token, ep_a, 1, timeout=1.0)
+        dispatched = cloud.fetch_tasks(token, ep_a, 1)
         assert [d.task_id for d in dispatched] == task_ids[:1]
         get_clock().sleep(10.0)  # the dispatch -> result latency sample
         cloud.report_result(
@@ -82,7 +82,7 @@ def test_healthy_peer_fetch_sheds_a_gray_endpoints_backlog():
     # ep_b's next fetch runs the shed sweep: it opens ep_a's breaker and
     # pulls the two queued tasks over in the same call.
     with at_site(testbed.theta_login):
-        refetched = cloud.fetch_tasks(token, ep_b, 10, timeout=1.0)
+        refetched = cloud.fetch_tasks(token, ep_b, 10)
     assert sorted(d.task_id for d in refetched) == sorted(task_ids[1:])
     assert metrics.counter_total("resilience.breaker_opens") == 1
     assert metrics.counter_total("resilience.sheds") == 2
@@ -113,7 +113,7 @@ def test_shed_moves_in_flight_work_and_stales_the_gray_report():
         straggler = cloud.submit(
             token, "client", func_id, ep_a, serialize(((2, 2), {}))
         )
-        cloud.fetch_tasks(token, ep_a, 2, timeout=1.0)  # both now DISPATCHED
+        cloud.fetch_tasks(token, ep_a, 2)  # both now DISPATCHED
         get_clock().sleep(10.0)
         cloud.heartbeat(token, ep_a)
         cloud.report_result(
@@ -152,9 +152,9 @@ def test_open_breaker_gates_fetch_without_breaking_cadence():
     with at_site(testbed.theta_login):
         queued = cloud.submit(token, "client", func_id, ep_b, serialize(((3, 3), {})))
         # ep_a is refused work while open, even with backlog elsewhere.
-        assert cloud.fetch_tasks(token, ep_a, 10, timeout=0.5) == []
+        assert cloud.fetch_tasks(token, ep_a, 10) == []
         assert cloud.health.evaluate(ep_a, get_clock().now()) == BREAKER_OPEN
-        refetched = cloud.fetch_tasks(token, ep_b, 10, timeout=1.0)
+        refetched = cloud.fetch_tasks(token, ep_b, 10)
     assert [d.task_id for d in refetched] == [queued]
 
 
@@ -172,7 +172,7 @@ def test_half_open_probe_closes_the_breaker_through_dispatch():
         probe = cloud.submit(token, "client", func_id, ep_a, serialize(((5, 5), {})))
         assert cloud.task(probe).endpoint_id == ep_a
         # ...and the fetch admits exactly the probe budget.
-        dispatched = cloud.fetch_tasks(token, ep_a, 10, timeout=1.0)
+        dispatched = cloud.fetch_tasks(token, ep_a, 10)
         assert [d.task_id for d in dispatched] == [probe]
         get_clock().sleep(0.5)  # a healthy latency this time
         cloud.report_result(

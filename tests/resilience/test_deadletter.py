@@ -154,7 +154,7 @@ class DurableRig:
                 serialize(((1, 2), {})),
             )
             self.cloud.heartbeat(self.token, endpoint_id)
-            dispatched = self.cloud.fetch_tasks(self.token, endpoint_id, 10, 1.0)
+            dispatched = self.cloud.fetch_tasks(self.token, endpoint_id, 10)
             assert task_id in [d.task_id for d in dispatched]
             self.cloud.report_result(
                 self.token,

@@ -96,7 +96,7 @@ def test_queued_task_expires_at_fetch_instead_of_shipping(cloud_rig):
             deadline_at=get_clock().now() + 1.0,
         )
         get_clock().sleep(2.0)  # the endpoint shows up too late
-        assert cloud.fetch_tasks(token, ep, 10, timeout=0.0) == []
+        assert cloud.fetch_tasks(token, ep, 10) == []
         record = cloud.task(task_id)
         assert record.status is TaskStatus.FAILED
         status, payload = cloud.get_result_payload(token, task_id)

@@ -96,7 +96,7 @@ class Group:
         return self.name(self.cloud.task(task_id).endpoint_id)
 
     def fetch(self, name):
-        fetched = self.cloud.fetch_tasks(self.token, self.ep[name], 10, timeout=0.0)
+        fetched = self.cloud.fetch_tasks(self.token, self.ep[name], 10)
         return [d.task_id for d in fetched]
 
     def run_slowly(self, name, value, seconds):

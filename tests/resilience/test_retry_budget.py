@@ -1,17 +1,9 @@
-"""Regressions for the two wait-budget defects fixed alongside resilience:
-
-* ``RetryPolicy.max_elapsed`` is re-checked *after* the backoff sleep, so a
-  long backoff can never launch a retry past the budget it was granted
-  under;
-* ``FaasCloud.fetch_tasks`` / ``next_completed`` long-polls are deadline
-  loops clamped to the remaining budget — spurious condition-variable
-  wakeups (other endpoints' enqueues) neither cut the wait short nor
-  stretch it past the timeout.
+"""Regressions for the retry budget: ``RetryPolicy.max_elapsed`` is
+re-checked *after* the backoff sleep, so a long backoff can never launch a
+retry past the budget it was granted under.
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -24,15 +16,8 @@ from repro.faas import (
     FaasCloud,
     FaasEndpoint,
 )
-from repro.net.clock import get_clock
 from repro.net.context import at_site
-from repro.net.defaults import PaperConstants, build_paper_testbed
 from repro.resources import WorkerPool
-from repro.serialize import serialize
-
-
-def _add(a, b):
-    return a + b
 
 
 def _fail():
@@ -82,56 +67,3 @@ def test_backoff_sleep_cannot_blow_the_elapsed_budget(testbed):
     finally:
         client.close()
         endpoint.stop()
-
-
-@pytest.fixture
-def noisy_cloud():
-    """A cloud with a background submitter hammering a *different*
-    endpoint's queue, so the shared condition variable fires constantly."""
-    constants = PaperConstants(endpoint_heartbeat_period=1.0, endpoint_lease_ttl=30.0)
-    testbed = build_paper_testbed(seed=13, constants=constants)
-    auth = AuthServer()
-    identity = auth.register_identity("u", "anl")
-    token = auth.issue_token(identity, {SCOPE_COMPUTE})
-    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants)
-    quiet = cloud.register_endpoint(token, "quiet", testbed.theta_login)
-    busy = cloud.register_endpoint(token, "busy", testbed.theta_login)
-    with at_site(testbed.theta_login):
-        func_id = cloud.register_function(token, serialize(_add))
-    stop = threading.Event()
-
-    def hammer():
-        with at_site(testbed.theta_login):
-            for i in range(40):
-                if stop.is_set():
-                    return
-                cloud.submit(token, "noise", func_id, busy, serialize(((i, i), {})))
-                get_clock().sleep(0.25)
-
-    thread = threading.Thread(target=hammer, daemon=True)
-    thread.start()
-    yield testbed, cloud, token, quiet
-    stop.set()
-    thread.join(timeout=10)
-
-
-def test_fetch_long_poll_holds_its_deadline_under_spurious_wakeups(noisy_cloud):
-    testbed, cloud, token, quiet = noisy_cloud
-    clock = get_clock()
-    started = clock.now()
-    with at_site(testbed.theta_login):
-        fetched = cloud.fetch_tasks(token, quiet, 10, timeout=3.0)
-    elapsed = clock.now() - started
-    assert fetched == []  # the noise belongs to the other endpoint
-    # Every wakeup re-enters the wait with the *remaining* budget: the
-    # poll neither returns early nor overshoots by a full interval.
-    assert 3.0 <= elapsed < 4.5
-
-
-def test_next_completed_holds_its_deadline_under_spurious_wakeups(noisy_cloud):
-    testbed, cloud, token, quiet = noisy_cloud
-    clock = get_clock()
-    started = clock.now()
-    assert cloud.next_completed("lonely-client", timeout=2.0) is None
-    elapsed = clock.now() - started
-    assert 2.0 <= elapsed < 3.5

@@ -61,7 +61,7 @@ def test_hot_tenant_bounded_to_its_weight_share_per_window(rig):
     _flood(cloud, token, endpoint_id, funcs, {"hot": 40, "quiet": 40})
     windows = []
     while True:
-        batch = cloud.fetch_tasks(token, endpoint_id, 8, 0.0)
+        batch = cloud.fetch_tasks(token, endpoint_id, 8)
         if not batch:
             break
         windows.append([dispatch.tenant for dispatch in batch])
@@ -81,7 +81,7 @@ def test_lone_backlog_gets_the_full_feed(rig):
     cloud, token, endpoint_id, funcs = rig
     # No competition: WRR must not idle capacity on absent tenants.
     _flood(cloud, token, endpoint_id, funcs, {"hot": 12})
-    batch = cloud.fetch_tasks(token, endpoint_id, 12, 0.0)
+    batch = cloud.fetch_tasks(token, endpoint_id, 12)
     assert [dispatch.tenant for dispatch in batch] == ["hot"] * 12
 
 
@@ -90,7 +90,7 @@ def test_rotation_resumes_after_quiet_drains(rig):
     _flood(cloud, token, endpoint_id, funcs, {"hot": 20, "quiet": 4})
     seen = []
     while True:
-        batch = cloud.fetch_tasks(token, endpoint_id, 4, 0.0)
+        batch = cloud.fetch_tasks(token, endpoint_id, 4)
         if not batch:
             break
         seen.extend(dispatch.tenant for dispatch in batch)

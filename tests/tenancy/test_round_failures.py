@@ -63,7 +63,7 @@ def test_a_raising_report_landing_fails_only_its_shard_group(driver):
         for i, shard_id in enumerate(("s0", "s1"))
     ]
     task_ids = router.submit_batch(token, "client", items, tenant=tenant)
-    assert len(router.fetch_tasks(token, endpoint_id, 2, 0.0)) == 2
+    assert len(router.fetch_tasks(token, endpoint_id, 2)) == 2
     router.shard("s1")._journal = _refuse
     result = serialize({"success": True, "value": 1})
 

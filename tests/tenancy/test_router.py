@@ -211,7 +211,7 @@ def test_batched_result_read_scatters_by_shard_and_survives_a_dark_one(testbed):
         router.submit(token, "c", owners[shard_id], endpoint_id, serialize(((n, n), {})))
         for n, shard_id in enumerate(["s0", "s1", "s0", "s1"])
     ]
-    for dispatch in router.fetch_tasks(token, endpoint_id, 10, timeout=1.0):
+    for dispatch in router.fetch_tasks(token, endpoint_id, 10):
         router.report_result(
             token, endpoint_id, dispatch.task_id, True, serialize({"id": dispatch.task_id})
         )
@@ -246,84 +246,26 @@ def test_batched_result_read_scatters_by_shard_and_survives_a_dark_one(testbed):
         router.get_result_payload(token, task_ids[1])
 
 
-def _manual_router(testbed, **kwargs):
+def test_an_idle_fetch_sweeps_each_shard_once_and_answers_at_once(testbed):
+    """Nothing is queued: the fetch asks every live shard once and returns
+    empty without moving a clock that only moves when told."""
     clock = ManualClock()
     auth = AuthServer()
     token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
     router = CloudRouter(
-        testbed.faas_cloud, testbed.network, auth, testbed.constants, clock, **kwargs
+        testbed.faas_cloud, testbed.network, auth, testbed.constants, clock, n_shards=2
     )
-    return clock, token, router
-
-
-def _count_shard_fetches(router) -> list[str]:
+    endpoint_id = router.register_endpoint(token, "idle", testbed.theta_compute)
     swept = []
     for shard_id in router.shard_ids:
         shard = router.shard(shard_id)
         fetch = shard.fetch_tasks
 
-        def counted(*args, shard_id=shard_id, fetch=fetch, **kwargs):
+        def counted(*args, shard_id=shard_id, fetch=fetch):
             swept.append(shard_id)
-            return fetch(*args, **kwargs)
+            return fetch(*args)
 
         shard.fetch_tasks = counted
-    return swept
-
-
-def test_an_idle_fetch_waits_on_the_doorbell_instead_of_polling(testbed):
-    """Nothing arrives, so the long poll sweeps the shards once, waits out
-    its whole budget on the doorbell, and sweeps once more.  A re-poll every
-    0.25 nominal s would sweep them 41 times in this budget."""
-    clock, token, router = _manual_router(testbed, n_shards=2)
-    endpoint_id = router.register_endpoint(token, "idle", testbed.theta_compute)
-    swept = _count_shard_fetches(router)
-    assert router.fetch_tasks(token, endpoint_id, 10, timeout=10.0) == []
-    assert clock.now() == pytest.approx(10.0)
-    assert sorted(swept) == ["s0", "s0", "s1", "s1"]
-
-
-def test_a_fetch_waits_no_longer_than_the_nearest_outage(testbed):
-    """Work queued on a dark shard is fetched the moment its outage ends."""
-    clock, token, router = _manual_router(testbed, n_shards=2)
-    endpoint_id = router.register_endpoint(token, "theta", testbed.theta_compute)
-    func_id = router.register_function(token, serialize(_add))
-    task_id = router.submit(token, "c", func_id, endpoint_id, serialize(((1, 1), {})))
-    window = router._begin_outage(router._shard_for_task(task_id).shard_id)
-    start = clock.now()
-    fetched = router.fetch_tasks(token, endpoint_id, 10, timeout=10.0)
-    assert [d.task_id for d in fetched] == [task_id]
-    assert clock.now() - start == pytest.approx(window)
-
-
-def test_a_rehome_rings_the_enqueue_hook(testbed):
-    """A failover re-queues work as surely as a submit, so a router's fetch
-    must hear of it: ``on_enqueue`` fires for every task doorbell."""
-    from repro.faas import FaasCloud
-
-    clock = ManualClock()
-    auth = AuthServer()
-    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
-    rings = []
-    cloud = FaasCloud(
-        testbed.faas_cloud,
-        testbed.network,
-        auth,
-        testbed.constants,
-        clock,
-        on_enqueue=lambda: rings.append(clock.now()),
-    )
-    ep_a, ep_b = (
-        cloud.register_endpoint(token, name, testbed.theta_compute, failover_group="g")
-        for name in "ab"
-    )
-    func_id = cloud.register_function(token, serialize(_add))
-    cloud.heartbeat(token, ep_a)
-    cloud.heartbeat(token, ep_b)
-    cloud.submit(token, "c", func_id, ep_a, serialize(((1, 1), {})))
-    assert len(rings) == 1
-    assert len(cloud.fetch_tasks(token, ep_a, 10, timeout=0.0)) == 1
-    for _ in range(2):  # a goes silent for over a TTL; b's beat fails it over
-        clock.sleep(0.6 * testbed.constants.endpoint_lease_ttl)
-        cloud.heartbeat(token, ep_b)
-    assert len(rings) == 2
-    assert len(cloud.fetch_tasks(token, ep_b, 10, timeout=0.0)) == 1
+    assert router.fetch_tasks(token, endpoint_id, 10) == []
+    assert clock.now() == 0.0
+    assert sorted(swept) == ["s0", "s1"]
