@@ -99,6 +99,7 @@ _REPORT_COUNTERS = (
     "endpoint.crashes",
     "faas.lease_expiries",
     "faas.failovers",
+    "faas.requeues",
     "faas.duplicate_results",
     "bus.delivered",
     "bus.redelivered",

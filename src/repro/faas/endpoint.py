@@ -155,11 +155,13 @@ class FaasEndpoint:
         # and wait in ``_doorbells`` (by sequence number) for the fetch
         # chain; ``_fallback`` flips on when the subscription lapses, and
         # the chain drains the queue until the resubscribe replays the gap.
-        # ``_fetched_tasks`` holds the ids this agent pulled until it
-        # reports them, ``_drained`` those a fallback drain pulled until a
-        # doorbell announcing them is acked (the replay may come after the
-        # report; an id whose doorbell an overflow trimmed waits for a
-        # reclaim): a doorbell for either is acked without a fetch.
+        # ``_fetched_tasks`` holds the ids this agent pulled for the
+        # doorbells that announced them, until it reports them; ``_ahead``
+        # those pulled ahead of their own doorbell — by a fallback drain, or
+        # by a fetch serving other doorbells — until a doorbell announcing
+        # them is acked (it may come after the report; an id whose doorbell
+        # an overflow trimmed waits for a reclaim): a doorbell for either is
+        # acked without a fetch.
         self._consumer = BusConsumer(
             cloud.bus,
             task_topic(self.endpoint_id),
@@ -172,12 +174,12 @@ class FaasEndpoint:
         self._doorbells: dict[int, Envelope] = {}
         self._fallback = False
         # Guarded by ``_fetched_lock``: the fetch chain adds/reads, the
-        # uplink prunes reported ids, an ack prunes the drained ids its
-        # doorbell announced, and ``resume(reclaim=True)`` clears both from
-        # whichever thread drives the restart.
+        # uplink prunes reported ids, an ack prunes the ids pulled ahead
+        # that its doorbell announced, and ``resume(reclaim=True)`` clears
+        # both from whichever thread drives the restart.
         self._fetched_lock = threading.Lock()
         self._fetched_tasks: set[str] = set()
-        self._drained: set[str] = set()
+        self._ahead: set[str] = set()
         # Gray degradation (``endpoint.slow`` chaos): decided once per agent
         # lifetime at ``start()``, then applied to every task this instance
         # executes.  The endpoint stays alive and heartbeating — the failure
@@ -298,7 +300,7 @@ class FaasEndpoint:
             # fresh doorbells: those ids must not be skipped as stale.
             with self._fetched_lock:
                 self._fetched_tasks.clear()
-                self._drained.clear()
+                self._ahead.clear()
             self.cloud.requeue_dispatched(self.token, self.endpoint_id)
         self.cloud.heartbeat(self.token, self.endpoint_id)
         self._resumed.set()
@@ -435,15 +437,16 @@ class FaasEndpoint:
         announce (a coalesced doorbell carries comma-joined ids)."""
         with self._fetched_lock:
             return all(
-                task_id in self._fetched_tasks or task_id in self._drained
+                task_id in self._fetched_tasks or task_id in self._ahead
                 for envelope in envelopes
                 for task_id in envelope.payload.split(",")
             )
 
     def _ack(self, envelope: Envelope) -> None:
-        """Ack a doorbell; the drained ids it announced need no shadow."""
+        """Ack a doorbell; the ids it announced that were pulled ahead of it
+        need no shadow."""
         with self._fetched_lock:
-            self._drained.difference_update(envelope.payload.split(","))
+            self._ahead.difference_update(envelope.payload.split(","))
         self._consumer.done(envelope)
 
     def _fetch(self, live: list[Envelope], got: list[TaskDispatch]) -> None:
@@ -493,10 +496,13 @@ class FaasEndpoint:
             counter_inc("endpoint.polls", endpoint=self.name)
             if not pulled:
                 counter_inc("endpoint.doorbell_fetches_empty", endpoint=self.name)
+        announced = {t for envelope in live for t in envelope.payload.split(",")}
         with self._fetched_lock:
-            (self._fetched_tasks if live else self._drained).update(
-                dispatch.task_id for dispatch in pulled
-            )
+            for dispatch in pulled:
+                if dispatch.task_id in announced:
+                    self._fetched_tasks.add(dispatch.task_id)
+                else:
+                    self._ahead.add(dispatch.task_id)
         got = got + pulled
         if not live:
             if not pulled:

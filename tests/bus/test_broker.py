@@ -5,6 +5,7 @@ import sys
 import threading
 
 import pytest
+from conftest import ManualClock
 
 from repro.bus import BusConsumer, NotificationBus
 from repro.chaos.policy import RetryPolicy
@@ -216,9 +217,14 @@ def test_done_from_many_threads_keeps_the_frontier_exact():
     """``done`` runs on the client's reactor while ``receive`` and
     ``resubscribe`` stay on its notifier: four threads acking 2,000
     envelopes out of order, against a resubscribing fifth, still leave the
-    frontier at the last one and nothing unacked."""
-    bus = _bus(window=4096)
-    consumer = BusConsumer(bus, "results/c", "c", role="client", max_batch=2000)
+    frontier at the last one and nothing unacked.  The bus keeps time on a
+    clock only the test moves, so its lease cannot run out while a loaded
+    host publishes the 2,000."""
+    clock = ManualClock()
+    bus = _bus(window=4096, clock=clock)
+    consumer = BusConsumer(
+        bus, "results/c", "c", role="client", clock=clock, max_batch=2000
+    )
     for n in range(2000):
         bus.publish("results/c", str(n))
     envelopes = consumer.receive(timeout=0.0)

@@ -37,11 +37,20 @@ def test_subscription_drop_idle_polling_stays_near_zero():
     """The acceptance criterion: even while chaos keeps dropping
     subscriptions, no fetch is an idle poll — every one was asked for by a
     doorbell or drains a lapsed subscription's gap — and the fallback
-    demonstrably caught the gap.  No doorbell fetch comes back empty: the
-    resubscribe replays the gap's doorbells after the drain pulled (and
-    often reported) their work, and the endpoint acks each as stale."""
+    demonstrably caught the gap.  No doorbell fetch comes back empty for
+    work this endpoint already pulled: the resubscribe replays the gap's
+    doorbells after the drain pulled (and often reported) their work, and
+    the endpoint acks each as stale.  Only work a lease sweep took back
+    first — a loaded host can reap a lease — leaves a doorbell that finds
+    nothing, one per task taken at most: moved to a peer, it is not here to
+    fetch; requeued in place, its first lease may report it before the
+    fresh doorbell's fetch."""
     cell = run_cell("subscription_drop", "faas-file", seed=3)
     assert cell.passed, cell.failures
     assert cell.counters["endpoint.polls"] >= 1
-    assert cell.counters["endpoint.doorbell_fetches_empty"] == 0
+    swept = sum(
+        cell.counters[name]
+        for name in ("faas.failovers", "faas.requeues", "resilience.sheds")
+    )
+    assert cell.counters["endpoint.doorbell_fetches_empty"] <= swept
     assert cell.counters["bus.fallback_engaged"] > 0

@@ -229,3 +229,52 @@ def test_a_replay_of_drained_work_is_acked_without_a_fetch(testbed, metrics):
     assert metrics.counter_total("endpoint.fallback_polls") >= 1
     assert metrics.counter_total("endpoint.doorbells_stale") == 3
     assert metrics.counter_total("endpoint.doorbell_fetches_empty") == 0
+
+
+def test_a_late_doorbell_for_work_pulled_ahead_is_acked_without_a_fetch(
+    testbed, metrics
+):
+    """A fetch serving one doorbell can pull work whose own doorbell has
+    not come yet; that doorbell may arrive after the work was run and
+    reported.  It is stale and acked as such: no fetch comes back empty for
+    work a fetch already caught."""
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    # The subscription outlives the pause: doorbells only, no drain.
+    constants = replace(testbed.constants, bus_lease_ttl=1e9)
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants)
+    pool = WorkerPool(testbed.theta_compute, 3, name="ahead-pool")
+    endpoint = FaasEndpoint("theta", cloud, token, testbed.theta_login, pool)
+    held, deliver = [], endpoint._on_doorbells
+
+    def holding_back_the_second(envelopes):
+        held.extend(envelope for envelope in envelopes if envelope.seq == 2)
+        if rest := [envelope for envelope in envelopes if envelope.seq != 2]:
+            deliver(rest)
+
+    endpoint._on_doorbells = holding_back_the_second
+    endpoint.start()
+    client = FaasClient(cloud, token, site=testbed.theta_login)
+    topic = task_topic(endpoint.endpoint_id)
+    clock = get_clock()
+    try:
+        endpoint.pause()
+        with at_site(testbed.theta_login):
+            futures = []
+            for i in range(2):
+                futures.append(client.run(_add, endpoint.endpoint_id, i, b=1))
+                client.flush_batches()  # one doorbell per task
+        endpoint.resume()  # the first doorbell's fetch pulls both tasks
+        assert [f.result(timeout=60) for f in futures] == [1, 2]
+        assert held, "the second doorbell was never delivered"
+        get_reactor().call_later(0.0, lambda: deliver(held[:1]))  # after the report
+        deadline = clock.now() + 30.0
+        while cloud.bus.unacked(topic, endpoint.endpoint_id) and clock.now() < deadline:
+            clock.sleep(0.1)
+        assert cloud.bus.unacked(topic, endpoint.endpoint_id) == []
+    finally:
+        client.close()
+        endpoint.stop()
+    assert metrics.counter_total("endpoint.fallback_polls") == 0
+    assert metrics.counter_total("endpoint.doorbells_stale") == 1
+    assert metrics.counter_total("endpoint.doorbell_fetches_empty") == 0

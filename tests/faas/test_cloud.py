@@ -182,6 +182,14 @@ def test_an_empty_fetch_and_feed_answer_at_once(testbed):
     assert clock.now() == 0.0
 
 
+def test_an_empty_completed_feed_answers_none_at_once(rig):
+    """A client with nothing completed gets an empty batch straight back,
+    and asking again changes nothing: the feed holds no waiter."""
+    cloud, *_ = rig
+    assert cloud.next_completed_batch("nobody") == []
+    assert cloud.next_completed_batch("nobody", max_n=1) == []
+
+
 def test_payload_store_tiers(rig):
     cloud, token, endpoint_id = rig
     tiny = cloud.store.write(serialize("tiny"))

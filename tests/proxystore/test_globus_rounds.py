@@ -5,6 +5,7 @@ import threading
 from contextlib import contextmanager
 
 import pytest
+from conftest import ManualClock
 
 from repro.batch.reactor import get_reactor, reset_reactor
 from repro.exceptions import StoreError
@@ -319,7 +320,11 @@ def test_a_read_with_nothing_inbound_waits_for_the_landing(rig, monkeypatch):
 
 def test_a_read_spanning_two_shipments_keeps_one_deadline(rig, monkeypatch):
     """``timeout`` bounds the whole read: every wait in it, for either
-    shipment's submission or task, ends by the same deadline."""
+    shipment's submission or task, ends by the same deadline.
+
+    The reader keeps its own time, which only what it pays and the waits
+    it times out move: a loaded host that stalls it between two clock
+    readings cannot shift the deadline the waits are checked against."""
     testbed, service, connector = rig
     service.pause_endpoint("r-venti")  # neither shipment can land
     with at_site(testbed.theta_login), submissions_held():
@@ -328,15 +333,22 @@ def test_a_read_spanning_two_shipments_keeps_one_deadline(rig, monkeypatch):
     venti = testbed.venti.name
     tasks = {connector.transfer_task_ids(k)[venti] for k in ("first", "second")}
     assert len(tasks) == 2
-    me, ends = threading.current_thread(), []
-    wait = Clock.wait
+    me, ends, reader = threading.current_thread(), [], ManualClock()
+    shared = {name: getattr(Clock, name) for name in ("now", "sleep", "wait")}
 
-    def recording_wait(clock, waitable, timeout):
-        if threading.current_thread() is me:
-            ends.append(None if timeout is None else clock.now() + timeout)
-        return wait(clock, waitable, timeout)
+    def on_reader(name):
+        def method(clock, *args):
+            if threading.current_thread() is not me:
+                return shared[name](clock, *args)
+            if name == "wait":
+                timeout = args[1]
+                ends.append(None if timeout is None else reader.now() + timeout)
+            return getattr(reader, name)(*args)
 
-    monkeypatch.setattr(Clock, "wait", recording_wait)
+        return method
+
+    for name in shared:
+        monkeypatch.setattr(Clock, name, on_reader(name))
     start = get_clock().now()
     with at_site(testbed.venti), pytest.raises(StoreError):
         connector.get_batch(["first", "second"], timeout=1.0)
