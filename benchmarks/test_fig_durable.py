@@ -106,8 +106,7 @@ def _recovery_time(
         testbed.network,
         auth,
         testbed.constants,
-        bus=cloud.bus,
-        completed=cloud._completed,
+        fabric=cloud.fabric,
         journal=journal,
     )
     report = recover_cloud(fresh)

@@ -10,14 +10,12 @@ no longer owned the task) — and drops the rest: the bus, the completed feed
 and the usage registry are shared fabric that outlived the crash and saw the
 live move.  DESIGN.md §10 has the per-kind table.
 
-The tail then reconciles what no record carries:
+Endpoint state is not in the log at all: registrations, leases and reaps
+live in the fabric's :class:`~repro.faas.cloud.EndpointTable`, which the
+crash did not touch, so the rebuilt instance sees every endpoint as the
+fleet last saw it — a reaped one stays reaped.  The tail then reconciles
+what no record carries:
 
-* **Leases survive** — every endpoint that owns non-terminal work, and
-  every failover-group member, holds a lease of one ``endpoint_lease_ttl``
-  from the recovery instant (a live agent renews it, a dead one lapses into
-  the ordinary failover sweep).  Which members were reaped is not in the
-  log; leasing them all lets a dead one be reaped again instead of passing
-  for one that never heartbeat, whose work would wait for it.
 * **In-flight work is re-leased** — tasks DISPATCHED at the crash go back
   to the front of their owner's queue with a fresh doorbell, through the
   same un-journaled in-place ``rehome`` an endpoint restart uses (and, like
@@ -61,8 +59,6 @@ def _snapshot_records(state: dict):
     log suffix replay through one loop."""
     for doc in state.get("functions", []):
         yield {"type": "func", **doc}
-    for doc in state.get("endpoints", []):
-        yield {"type": "endpoint", **doc}
     yield {"type": "submit", "tasks": state.get("tasks", [])}
     for doc in state.get("deadletters", []):
         yield {"type": "deadletter", "op": "add", "entry": doc}
@@ -72,7 +68,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     """Replay ``journal`` into a freshly constructed ``cloud``.
 
     ``cloud`` must be empty (no tasks) and share the pre-crash instance's
-    delivery fabric: the same bus, completed feed, usage registry, network,
+    fabric (bus, completed feed, endpoint table), usage registry, network
     and id namespace.  Replay drives the ledger directly — it never
     re-enters the journaling API paths, so recovering with the same journal
     attached does not re-append what it reads.
@@ -108,13 +104,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
             cloud.poison.restore(DeadLetterEntry.from_record(entry))
     with ledger.lock:
         tasks = list(ledger.tasks.values())
-        lease = cloud.clock.now() + cloud.constants.endpoint_lease_ttl
         owners = {task.endpoint_id for task in tasks if not task.status.terminal}
-        grouped = {
-            e for e, ep in ledger.endpoints.items() if ep.failover_group is not None
-        }
-        for endpoint_id in sorted(owners | grouped):
-            ledger.leases[endpoint_id] = lease
         for endpoint_id in sorted(owners):
             report.released += len(
                 cloud._requeue(endpoint_id, None, "durable.releases")
@@ -122,7 +112,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     renotify = sorted(
         (task for task in tasks if task.status.terminal), key=lambda t: t.task_id
     )
-    cloud._completed.push(renotify)
+    cloud.fabric.completed.push(renotify)
     for task in renotify:
         cloud._ring(result_topic(task.client_id), [task])
 

@@ -1045,11 +1045,11 @@ class FaasClient:
         if isinstance(outcome, ResultNotReadyError):
             # The doorbell outran the durable state (a crash-discarded shard
             # instance rang it): the task is still in flight and its
-            # re-leased copy rings again, so keep waiting on it.
+            # re-leased copy rings again, so keep waiting on it.  A real
+            # completion announced while this round landed was parked as
+            # early: re-registering delivers it.
             counter_inc("client.spurious_doorbells")
-            with self._futures_lock:
-                self._pending[task_id] = pending
-            self._watch_hedges([pending])
+            self._register([(task_id, pending)])
             return
         # A failed download (e.g. the cloud store returned corrupt data)
         # consumes an attempt of its own task like a remote failure.

@@ -21,9 +21,9 @@ the caller is blocked on the HTTPS response.
 Multi-tenancy (``repro.tenancy``): a :class:`FaasCloud` doubles as the
 **shard engine** behind :class:`repro.tenancy.CloudRouter`.  The hooks that
 make one instance shardable are all constructor keywords with single-node
-defaults — a shared :class:`~repro.bus.NotificationBus`, a shared
-:class:`_CompletedFeed`, a locator prefix on the payload store, a task-id
-namespace, a serialized per-shard admission slot, and a
+defaults — a shared :class:`Fabric` (the bus, the completed feed and the
+one :class:`EndpointTable`), a locator prefix on the payload store, a
+task-id namespace, a serialized per-shard admission slot, and a
 :class:`~repro.tenancy.TenantRegistry` that usage events are reported to.
 Task queues are per ``(endpoint, tenant)`` and drained weighted-round-robin
 so one hot tenant cannot starve the rest of an endpoint's feed.
@@ -37,8 +37,8 @@ import itertools
 import threading
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from repro.batch.round import Round
 from repro.bus import NotificationBus
@@ -59,7 +59,6 @@ from repro.faas.ledger import (
     Deadletter,
     Dispatch,
     Effects,
-    Endpoint,
     Func,
     Ledger,
     Rehome,
@@ -89,6 +88,8 @@ __all__ = [
     "TaskRecord",
     "TaskDispatch",
     "TaskSubmission",
+    "EndpointTable",
+    "Fabric",
     "FaasCloud",
     "task_topic",
     "result_topic",
@@ -367,6 +368,103 @@ class _CompletedFeed:
             return out
 
 
+class Registration(NamedTuple):
+    site: str  # the site's name
+    failover_group: str | None
+
+
+class EndpointTable:
+    """The fleet's endpoint state, held once: each endpoint's registration,
+    heartbeat lease and reap.  funcX holds these service-wide and
+    partitions only the task queues; here every shard of a router reads
+    this one table, and a shard crash cannot destroy it, so a rebuilt shard
+    sees it as it was.  Nothing in it is journaled.
+
+    Only endpoints that ever heartbeat hold a lease, so direct-API rigs
+    without an agent process are never reaped.  ``lock`` is a leaf: a shard
+    reads the table holding its ledger lock, and the table calls nothing."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self._registrations: dict[str, Registration] = {}
+        self._leases: dict[str, float] = {}
+        #: Reaped endpoint -> the serial of its reap: its lease lapsed and it
+        #: has not heartbeat or fetched since.  A lease given back by a
+        #: graceful stop is gone, not lapsed: not here.
+        self.reaps: dict[str, int] = {}
+        self._serial = itertools.count(1)
+
+    def register(self, endpoint_id: str, site: str, failover_group: str | None) -> None:
+        with self.lock:
+            self._registrations[endpoint_id] = Registration(site, failover_group)
+
+    def registration(self, endpoint_id: str) -> Registration | None:
+        return self._registrations.get(endpoint_id)
+
+    def ids(self) -> list[str]:
+        """Every registered endpoint, in registration order."""
+        with self.lock:
+            return list(self._registrations)
+
+    def lease(self, endpoint_id: str) -> float | None:
+        """When ``endpoint_id``'s lease expires (nominal s); ``None`` if it
+        holds none."""
+        return self._leases.get(endpoint_id)
+
+    def renew(self, endpoint_id: str, expiry: float, held_only: bool = False) -> None:
+        """Lease ``endpoint_id`` until ``expiry``; it is reaped no longer.
+        ``held_only`` renews only an endpoint that holds or held a lease."""
+        with self.lock:
+            held = endpoint_id in self._leases or endpoint_id in self.reaps
+            if held_only and not held:
+                return
+            self._leases[endpoint_id] = expiry
+            self.reaps.pop(endpoint_id, None)
+
+    def release(self, endpoint_id: str) -> None:
+        with self.lock:
+            self._leases.pop(endpoint_id, None)
+            self.reaps.pop(endpoint_id, None)
+
+    def reap(self, now: float) -> list[str]:
+        """Drop every lapsed lease, each a new reap; returns the endpoints
+        that held them."""
+        with self.lock:
+            lapsed = [e for e, expiry in self._leases.items() if expiry <= now]
+            for endpoint_id in lapsed:
+                del self._leases[endpoint_id]
+                self.reaps[endpoint_id] = next(self._serial)
+            return lapsed
+
+    def live_peers(self, endpoint_id: str, now: float) -> list[str]:
+        """Same-failover-group peers with live leases, sorted (self excluded)."""
+        with self.lock:
+            me = self._registrations.get(endpoint_id)
+            group = None if me is None else me.failover_group
+            if group is None:
+                return []
+            return sorted(
+                other_id
+                for other_id, other in self._registrations.items()
+                if other_id != endpoint_id
+                and other.failover_group == group
+                and self._leases.get(other_id, now) > now
+            )
+
+
+@dataclass(frozen=True)
+class Fabric:
+    """What every shard of a fleet shares and no shard crash destroys: the
+    bus (doorbells, result notifications), the completed feed (client
+    polls) and the endpoint table, so endpoints and clients subscribe once
+    and an endpoint is registered, leased and reaped once, however many
+    shards exist."""
+
+    bus: NotificationBus
+    completed: _CompletedFeed = field(default_factory=_CompletedFeed)
+    endpoints: EndpointTable = field(default_factory=EndpointTable)
+
+
 def sole(outcomes: list):
     """The only member's outcome of a batch of one, its error raised."""
     (outcome,) = outcomes
@@ -473,7 +571,47 @@ class _BatchOfOne:
         return sole(self.get_result_payloads(token, [task_id]))
 
 
-class FaasCloud(_BatchOfOne):
+class _EndpointCalls:
+    """The endpoint registry's calls, answered alike by :class:`FaasCloud`
+    and :class:`repro.tenancy.CloudRouter` from the fabric's one
+    :class:`EndpointTable`."""
+
+    def register_endpoint(
+        self,
+        token: Token,
+        name: str,
+        site: Site,
+        *,
+        failover_group: str | None = None,
+    ) -> str:
+        """Register an endpoint; endpoints sharing a ``failover_group`` are
+        interchangeable targets, so tasks stranded on one whose lease
+        expires are re-dispatched to a surviving member of the group."""
+        self.auth.validate(token, SCOPE_COMPUTE)
+        endpoint_id = f"ep-{name}-{uuid.uuid4().hex[:8]}"
+        self.fabric.endpoints.register(endpoint_id, site.name, failover_group)
+        # Pre-create the bus stream so doorbells published before the agent
+        # first connects are retained and replayed on its subscribe.  The
+        # chaos label is the (stable) endpoint *name*, not the run-local id.
+        self.bus.register_subscriber(
+            task_topic(endpoint_id), endpoint_id, chaos_label=name
+        )
+        return endpoint_id
+
+    def endpoint_site(self, endpoint_id: str) -> Site:
+        registration = self.fabric.endpoints.registration(endpoint_id)
+        if registration is None:
+            raise EndpointUnavailableError(f"unknown endpoint {endpoint_id!r}")
+        return self.network.site(registration.site)
+
+    def release_lease(self, token: Token, endpoint_id: str) -> None:
+        """Graceful shutdown: surrender the lease so the stop is not later
+        mistaken for a crash (no failover is triggered)."""
+        self.auth.validate(token, SCOPE_COMPUTE)
+        self.fabric.endpoints.release(endpoint_id)
+
+
+class FaasCloud(_BatchOfOne, _EndpointCalls):
     """The hosted service: registry, queues, payload store, delivery."""
 
     def __init__(
@@ -484,8 +622,7 @@ class FaasCloud(_BatchOfOne):
         constants: PaperConstants | None = None,
         clock: Clock | None = None,
         *,
-        bus: NotificationBus | None = None,
-        completed: "_CompletedFeed | None" = None,
+        fabric: Fabric | None = None,
         usage: object | None = None,
         shard_id: str = "",
         service_time: float = 0.0,
@@ -498,10 +635,12 @@ class FaasCloud(_BatchOfOne):
         """Single-node cloud by default; the keyword block turns one
         instance into a shard behind :class:`repro.tenancy.CloudRouter`:
 
-        ``bus`` / ``completed``
-            Shared delivery fabric — all shards publish doorbells and
-            completions into the same streams, so endpoints and clients
-            subscribe once no matter how many shards exist.
+        ``fabric``
+            What the shards share and a shard crash leaves standing: every
+            shard publishes doorbells and completions into the same bus and
+            completed feed, so endpoints and clients subscribe once, and
+            reads and writes the same :class:`EndpointTable`, so an endpoint
+            is registered, leased and reaped once for the whole fleet.
         ``usage``
             A :class:`repro.tenancy.TenantRegistry`; dispatch / requeue /
             terminal transitions release the reservations the router made
@@ -542,21 +681,21 @@ class FaasCloud(_BatchOfOne):
         self.store = _PayloadStore(
             self.constants, network, self.clock, prefix=store_prefix
         )
+        self.fabric = fabric or Fabric(
+            NotificationBus.for_cloud(self.clock, self.constants)
+        )
         # Push-notification bus: result notifications to clients, task-
         # available doorbells to endpoints.  The ledger's queues stay the
         # ground truth; the bus only carries acked wakeups, so the poll
         # paths remain correct as a degraded fallback.
-        self.bus = (
-            bus
-            if bus is not None
-            else NotificationBus.for_cloud(self.clock, self.constants)
-        )
-        #: Tasks, queues, ownership and leases — changed only by the records
+        self.bus = self.fabric.bus
+        #: Tasks, queues and ownership — changed only by the records
         #: :meth:`_commit` hands it (see :mod:`repro.faas.ledger`).
         self.ledger = Ledger(
             task_namespace, None if usage is None else usage.weight
         )
-        self._completed = completed if completed is not None else _CompletedFeed()
+        #: Endpoint -> the reap whose fetched work this instance has moved.
+        self._moved: dict[str, int] = {}
         self.health = health
         self.poison = poison
         self.journal = journal
@@ -596,7 +735,7 @@ class FaasCloud(_BatchOfOne):
                         shard=self._shard_label,
                     )
             if effects.completions:
-                self._completed.push(effects.completions)
+                self.fabric.completed.push(effects.completions)
         return effects
 
     def _ring(self, topic: str, tasks: list[TaskRecord]) -> None:
@@ -679,55 +818,6 @@ class FaasCloud(_BatchOfOne):
         self.auth.validate(token, SCOPE_COMPUTE)
         return self._function(func_id, tenant)
 
-    def register_endpoint(
-        self,
-        token: Token,
-        name: str,
-        site: Site,
-        *,
-        failover_group: str | None = None,
-    ) -> str:
-        """Register an endpoint; endpoints sharing a ``failover_group`` are
-        interchangeable targets, so tasks stranded on one whose lease
-        expires are re-dispatched to a surviving member of the group."""
-        self.auth.validate(token, SCOPE_COMPUTE)
-        endpoint_id = f"ep-{name}-{uuid.uuid4().hex[:8]}"
-        self.adopt_endpoint(endpoint_id, site, failover_group=failover_group)
-        # Pre-create the bus stream so doorbells published before the agent
-        # first connects are retained and replayed on its subscribe.  The
-        # chaos label is the (stable) endpoint *name*, not the run-local id.
-        self.bus.register_subscriber(
-            task_topic(endpoint_id), endpoint_id, chaos_label=name
-        )
-        return endpoint_id
-
-    def adopt_endpoint(
-        self,
-        endpoint_id: str,
-        site: Site,
-        *,
-        failover_group: str | None = None,
-    ) -> None:
-        """Create queue/lease structures for an endpoint id assigned
-        elsewhere.  A router adopts each endpoint into *every* shard (any
-        partition may dispatch to any endpoint) while registering the bus
-        subscriber exactly once itself."""
-        self._commit(Endpoint(endpoint_id, site.name, failover_group))
-
-    def endpoint_site(self, endpoint_id: str) -> Site:
-        endpoint = self.ledger.endpoints.get(endpoint_id)
-        if endpoint is None:
-            raise EndpointUnavailableError(f"unknown endpoint {endpoint_id!r}")
-        return self.network.site(endpoint.site)
-
-    def set_endpoint_online(self, endpoint_id: str, online: bool) -> None:
-        self.endpoint_site(endpoint_id)
-        with self.ledger.lock:
-            self.ledger.online[endpoint_id] = online
-
-    def endpoint_online(self, endpoint_id: str) -> bool:
-        return self.ledger.online.get(endpoint_id, False)
-
     # -- heartbeats and leases ------------------------------------------------
     def heartbeat(self, token: Token, endpoint_id: str) -> float:
         """Renew an endpoint's lease; returns the new expiry (nominal s).
@@ -741,15 +831,12 @@ class FaasCloud(_BatchOfOne):
         self.auth.validate(token, SCOPE_COMPUTE)
         self.endpoint_site(endpoint_id)
         expiry = self.clock.now() + self.constants.endpoint_lease_ttl
-        with self.ledger.lock:
-            self.ledger.leases[endpoint_id] = expiry
-            self.ledger.online[endpoint_id] = True
-            self.ledger.reaped.discard(endpoint_id)
-            # The failover sweep rides every heartbeat: with bus-driven
-            # pickup a healthy-but-idle endpoint does not fetch, so a
-            # peer's heartbeat is what reaps a dead member, sheds a gray
-            # one and drains a reaped one's queue.
-            self.expire_leases()
+        self.fabric.endpoints.renew(endpoint_id, expiry)
+        # The failover sweep rides every heartbeat: with bus-driven pickup a
+        # healthy-but-idle endpoint does not fetch, so a peer's heartbeat is
+        # what reaps a dead member, sheds a gray one and drains a reaped
+        # one's queue.
+        self.expire_leases()
         if self.health is not None:
             # Heartbeat jitter is a gray-failure signal: a degraded agent
             # beats late long before it stops beating entirely.
@@ -760,18 +847,6 @@ class FaasCloud(_BatchOfOne):
             )
         counter_inc("faas.heartbeats", endpoint=endpoint_id)
         return expiry
-
-    def lease_valid(self, endpoint_id: str) -> bool:
-        expiry = self.ledger.leases.get(endpoint_id)
-        return expiry is not None and expiry > self.clock.now()
-
-    def release_lease(self, token: Token, endpoint_id: str) -> None:
-        """Graceful shutdown: surrender the lease so the stop is not later
-        mistaken for a crash (no failover is triggered)."""
-        self.auth.validate(token, SCOPE_COMPUTE)
-        with self.ledger.lock:
-            self.ledger.leases.pop(endpoint_id, None)
-            self.ledger.reaped.discard(endpoint_id)
 
     def _place(
         self, endpoint_id: str, now: float, strikes: tuple[str, ...] = ()
@@ -794,11 +869,11 @@ class FaasCloud(_BatchOfOne):
         The sweeps hold the ledger lock across placing and moving.
         Admission does not: a member reaped between its placement and its
         commit leaves a queue the next sweep drains."""
-        ledger, health = self.ledger, self.health
+        table, health = self.fabric.endpoints, self.health
 
         def rank(candidate: str) -> tuple[bool, bool, bool]:
             return (
-                candidate in ledger.reaped,
+                candidate in table.reaps,
                 health is not None and health.evaluate(candidate, now) == BREAKER_OPEN,
                 candidate in strikes,
             )
@@ -806,7 +881,7 @@ class FaasCloud(_BatchOfOne):
         target, here = endpoint_id, rank(endpoint_id)
         best = here
         if any(here):
-            for peer in ledger.live_peers(endpoint_id, now):
+            for peer in table.live_peers(endpoint_id, now):
                 if (score := rank(peer)) < best:
                     target, best = peer, score
                     if not any(best):
@@ -817,18 +892,25 @@ class FaasCloud(_BatchOfOne):
 
     def expire_leases(self) -> list[str]:
         """The failover sweep, run by every submit, fetch and heartbeat (no
-        reaper thread); returns the endpoints whose lease it reaped.  Each
-        endpoint's work goes where :meth:`_place` puts it, as one ``rehome``;
-        a fresh reap with no live peer requeues its fetched work in place."""
+        reaper thread); returns the endpoints whose lease it reaped.  The
+        fleet's table reaps each lapse once; this instance then moves its
+        own share of each endpoint's work where :meth:`_place` puts it, as
+        one ``rehome``.  The first sweep to see a reap moves the fetched
+        work too (in place when no peer is live), a later one only a queue.
+        """
         now = self.clock.now()
-        ledger = self.ledger
+        ledger, table = self.ledger, self.fabric.endpoints
         with ledger.lock:
-            reaped = ledger.reap_leases(now)
-            for source in list(ledger.endpoints):
+            reaped = table.reap(now)
+            for source in table.ids():
                 target, why = self._place(source, now)
+                reap = table.reaps.get(source)
+                fresh = reap is not None and self._moved.get(source) != reap
+                if fresh:
+                    self._moved[source] = reap
                 # An earlier reap moves only a queue: a depth is O(1), a walk
                 # for fetched work is O(tasks).
-                if why == "open" or source in reaped or (why and ledger.depth(source)):
+                if why == "open" or fresh or (why and ledger.depth(source)):
                     self._requeue(source, target, _SWEPT[why])
         for endpoint_id in reaped:
             counter_inc("faas.lease_expiries", endpoint=endpoint_id)
@@ -865,8 +947,6 @@ class FaasCloud(_BatchOfOne):
     def queue_depth(self, endpoint_id: str) -> int:
         """Tasks waiting in this cloud's queues for ``endpoint_id``, summed
         over tenants — the cloud half of the autoscaler's demand signal."""
-        if endpoint_id not in self.ledger.queues:
-            return 0
         return self.ledger.depth(endpoint_id)
 
     def tenant_backlog(self, endpoint_id: str) -> dict[str, int]:
@@ -1111,7 +1191,7 @@ class FaasCloud(_BatchOfOne):
         # The results are being collected: retire their poll-fallback entries
         # so a client that was notified over the bus never re-sees them while
         # draining the completed queue in fallback mode.
-        self._completed.retire(
+        self.fabric.completed.retire(
             [(record.client_id, record.task_id) for _, record in ready]
         )
         # One pipelined store round for the call's result reads.
@@ -1130,7 +1210,7 @@ class FaasCloud(_BatchOfOne):
         client drains while its bus subscription is lapsed (the push half is
         the ``results/<client_id>`` bus topic).  When the feed is shared
         across shards, one call covers all of them."""
-        return self._completed.next_completed_batch(client_id, max_n)
+        return self.fabric.completed.next_completed_batch(client_id, max_n)
 
     # -- endpoint side -------------------------------------------------------------
     def fetch_tasks(
@@ -1146,18 +1226,14 @@ class FaasCloud(_BatchOfOne):
         self.auth.validate(token, SCOPE_COMPUTE)
         ledger = self.ledger
         with ledger.lock:
-            if endpoint_id in ledger.leases or endpoint_id in ledger.reaped:
-                # A fetch is proof of life.  Without this, an agent whose
-                # lease lapsed on a stalled host was reaped by its own fetch
-                # and still handed work; a reaped endpoint's later sweeps
-                # move only its queue, so work it then died holding never
-                # moved again.
-                ledger.leases[endpoint_id] = (
-                    self.clock.now() + self.constants.endpoint_lease_ttl
-                )
-                ledger.reaped.discard(endpoint_id)
+            # A fetch is proof of life for an endpoint that holds or held a
+            # lease.  Without this, an agent whose lease lapsed on a stalled
+            # host was reaped by its own fetch and still handed work; a
+            # reaped endpoint's later sweeps move only its queue, so work it
+            # then died holding never moved again.
+            expiry = self.clock.now() + self.constants.endpoint_lease_ttl
+            self.fabric.endpoints.renew(endpoint_id, expiry, held_only=True)
             self.expire_leases()
-            ledger.online[endpoint_id] = True
             if self.health is not None and not self.health.admit(
                 endpoint_id, self.clock.now()
             ):
@@ -1452,14 +1528,13 @@ class FaasCloud(_BatchOfOne):
 
     def journal_state(self) -> dict:
         """A full-state snapshot document for journal compaction: the
-        ledger's registrations, quarantine verdicts and every task, plus the
+        ledger's functions, quarantine verdicts and every task, plus the
         stored argument and result bytes those tasks point at.
         :func:`repro.durable.recover_cloud` applies it before the log suffix.
         """
         ledger = self.ledger
         with ledger.lock:  # payload bytes are encoded outside
             functions = [ledger.functions[k] for k in sorted(ledger.functions)]
-            endpoints = [ledger.endpoints[k].to_doc() for k in sorted(ledger.endpoints)]
             deadletters = [ledger.deadletters[k] for k in sorted(ledger.deadletters)]
             tasks = [ledger.tasks[k].to_doc() for k in sorted(ledger.tasks)]
         payloads = []
@@ -1476,7 +1551,6 @@ class FaasCloud(_BatchOfOne):
                     )
         return {
             "functions": [func.to_doc() for func in functions],
-            "endpoints": endpoints,
             "deadletters": deadletters,
             "tasks": tasks,
             "payloads": payloads,

@@ -196,7 +196,6 @@ class FaasEndpoint:
             self._gray_delay = spec.delay
             counter_inc("endpoint.gray_degraded", endpoint=self.name)
         self.pool.start()
-        self.cloud.set_endpoint_online(self.endpoint_id, True)
         # Establish the lease before the first fetch so a crash at any
         # point of the endpoint's life is observable as a lease lapse.
         self.cloud.heartbeat(self.token, self.endpoint_id)
@@ -242,7 +241,6 @@ class FaasEndpoint:
         self._wait_in_flight(lambda: self._uplinking or self._uplinks, "uplink rounds", wedged)
         if not self._crashed.is_set():
             self.cloud.release_lease(self.token, self.endpoint_id)
-            self.cloud.set_endpoint_online(self.endpoint_id, False)
             self._consumer.close()
         problems = []
         if wedged:
@@ -285,7 +283,6 @@ class FaasEndpoint:
         wait at the bus, results in the outbox."""
         self._resumed.clear()
         self._consumer.detach()
-        self.cloud.set_endpoint_online(self.endpoint_id, False)
 
     def resume(self, *, reclaim: bool = False) -> None:
         """Reconnect to the cloud.
@@ -304,7 +301,6 @@ class FaasEndpoint:
             self.cloud.requeue_dispatched(self.token, self.endpoint_id)
         self.cloud.heartbeat(self.token, self.endpoint_id)
         self._resumed.set()
-        self.cloud.set_endpoint_online(self.endpoint_id, True)
         if self._running and not self._crashed.is_set():
             self._consumer.attach(self._on_doorbells, self._on_lapse)
             get_reactor().call_later(0.0, self._next_fetch)  # doorbells held

@@ -1,17 +1,17 @@
 """The task ledger: one state machine, one lock, one transition per record kind.
 
-Everything the hosted service must not lose — registered functions, adopted
-endpoints, every task with its owner and status, the per-endpoint per-tenant
-queues, leases and the id counter — lives in a :class:`Ledger` behind
-:attr:`Ledger.lock`.  It changes only through ``apply_<kind>``, one per WAL
-record kind (``func``, ``endpoint``, ``submit``, ``dispatch``, ``result``,
-``rehome``, ``deadletter``).  Each is a function of (ledger state, typed
-record): it takes its own verdict — unknown id, already terminal, not the
-owner, no longer queued — and returns :class:`Effects` for the caller to
-perform.  It reads no clock beyond the record's own ``at`` and touches no
-bus, store, metric or network, so :class:`~repro.faas.cloud.FaasCloud`'s
-live calls and :func:`repro.durable.recover_cloud`'s replay drive the same
-code and cannot disagree about a rule (DESIGN.md §10 has the table).
+Everything a shard must not lose — registered functions, every task with its
+owner and status, the per-endpoint per-tenant queues and the id counter —
+lives in a :class:`Ledger` behind :attr:`Ledger.lock`.  It changes only
+through ``apply_<kind>``, one per WAL record kind (``func``, ``submit``,
+``dispatch``, ``result``, ``rehome``, ``deadletter``).  Each is a function
+of (ledger state, typed record): it takes its own verdict — unknown id,
+already terminal, not the owner, no longer queued — and returns
+:class:`Effects` for the caller to perform.  It reads no clock beyond the
+record's own ``at`` and touches no bus, store, metric or network, so
+:class:`~repro.faas.cloud.FaasCloud`'s live calls and
+:func:`repro.durable.recover_cloud`'s replay drive the same code and cannot
+disagree about a rule (DESIGN.md §10 has the table).
 
 Invariant the single lock buys: a task is ``WAITING`` if and only if its id
 sits in exactly one queue, its owner's.
@@ -38,7 +38,6 @@ __all__ = [
     "TaskRecord",
     "TaskDispatch",
     "Func",
-    "Endpoint",
     "Submit",
     "Dispatch",
     "ResultDoc",
@@ -218,16 +217,6 @@ class Func(_Record):
 
 
 @dataclass
-class Endpoint(_Record):
-    """An endpoint's queue/lease structures; ``site`` is the site's name."""
-
-    endpoint_id: str
-    site: str
-    failover_group: str | None = None
-    kind = "endpoint"
-
-
-@dataclass
 class Submit(_Record):
     """One admission call's tasks, each with its argument payload (``None``
     in a snapshot, which carries tasks in any status and stored bytes apart).
@@ -326,7 +315,7 @@ class Deadletter(_Record):
 
 
 _KINDS = {
-    cls.kind: cls for cls in (Func, Endpoint, Submit, Dispatch, Result, Rehome, Deadletter)
+    cls.kind: cls for cls in (Func, Submit, Dispatch, Result, Rehome, Deadletter)
 }
 
 
@@ -386,26 +375,20 @@ class Ledger:
     def __init__(
         self, namespace: str = "", weight: Callable[[str], int] | None = None
     ) -> None:
-        #: The one lock.  Re-entrant: a heartbeat holds it across the
-        #: ``expire_leases`` sweep, which takes it again.
+        #: The one lock.  Re-entrant: a sweep holds it across each requeue
+        #: it commits, which takes it again.  A heartbeat does not hold it
+        #: across the sweep: leases live in the fleet's endpoint table.
         self.lock = threading.RLock()
         self.namespace = namespace
         self._weight = weight
         self.functions: dict[str, Func] = {}
-        self.endpoints: dict[str, Endpoint] = {}
         self.tasks: dict[str, TaskRecord] = {}
         # endpoint id -> tenant -> FIFO of waiting task ids, drained
-        # weighted-round-robin (the per-endpoint fair-dequeue guarantee).
+        # weighted-round-robin (the per-endpoint fair-dequeue guarantee);
+        # created when an endpoint's first task is queued.
         self.queues: dict[str, dict[str, deque[str]]] = {}
         self._wrr_tenant: dict[str, str] = {}
         self._wrr_credit: dict[str, int] = {}
-        # Heartbeat leases: only endpoints that ever heartbeat hold one, so
-        # direct-API test rigs without an agent process are never reaped.
-        self.leases: dict[str, float] = {}
-        #: Endpoints whose lease lapsed and that have not heartbeat since.  A
-        #: lease given back by a graceful stop is gone, not lapsed: not here.
-        self.reaped: set[str] = set()
-        self.online: dict[str, bool] = {}
         self.deadletters: dict[tuple[str, str], dict] = {}
         self.next_id = 0
 
@@ -420,13 +403,6 @@ class Ledger:
     def apply_func(self, record: Func) -> Effects:
         with self.lock:
             self.functions[record.func_id] = record
-        return Effects()
-
-    def apply_endpoint(self, record: Endpoint) -> Effects:
-        with self.lock:
-            self.endpoints[record.endpoint_id] = record
-            self.queues.setdefault(record.endpoint_id, {})
-            self.online.setdefault(record.endpoint_id, False)
         return Effects()
 
     def apply_deadletter(self, record: Deadletter) -> Effects:
@@ -608,11 +584,14 @@ class Ledger:
 
     # -- queues ---------------------------------------------------------------
     def _queue(self, task: TaskRecord) -> deque[str]:
-        return self.queues[task.endpoint_id].setdefault(task.tenant, deque())
+        return self.queues.setdefault(task.endpoint_id, {}).setdefault(
+            task.tenant, deque()
+        )
 
     def _note_depth(self, effects: Effects, endpoint_id: str) -> None:
         effects.depths[endpoint_id] = [
-            (tenant, len(queue)) for tenant, queue in self.queues[endpoint_id].items()
+            (tenant, len(queue))
+            for tenant, queue in self.queues.get(endpoint_id, {}).items()
         ]
 
     def _take(self, queue: deque[str], at: float, expired: dict) -> TaskRecord | None:
@@ -638,7 +617,7 @@ class Ledger:
         most ``weight / sum(weights of backlogged tenants)`` of the feed —
         the starvation bound the noisy-neighbor benchmark asserts.
         ``weights`` caches each tenant's weight for the caller's drain."""
-        queues = self.queues[endpoint_id]
+        queues = self.queues.get(endpoint_id, {})
         current = self._wrr_tenant.get(endpoint_id)
         if self._wrr_credit.get(endpoint_id, 0) > 0 and queues.get(current):
             task = self._take(queues[current], at, expired)
@@ -668,13 +647,14 @@ class Ledger:
     def depth(self, endpoint_id: str) -> int:
         """Tasks waiting for ``endpoint_id``, summed over tenants."""
         with self.lock:
-            return sum(len(queue) for queue in self.queues[endpoint_id].values())
+            queues = self.queues.get(endpoint_id, {})
+            return sum(len(queue) for queue in queues.values())
 
     def queued(self, endpoint_id: str) -> list[TaskRecord]:
         """Every task queued at an endpoint, per-tenant FIFO order, tenants
         in sorted order."""
         with self.lock:
-            queues = self.queues[endpoint_id]
+            queues = self.queues.get(endpoint_id, {})
             return [self.tasks[tid] for tenant in sorted(queues) for tid in queues[tenant]]
 
     def held_by(self, source: str, rehome: bool) -> list[str]:
@@ -700,30 +680,3 @@ class Ledger:
             start = self.next_id
             self.next_id += n
         return [f"task-{self.namespace}{i:08d}" for i in range(start, start + n)]
-
-    # -- leases (derived from heartbeats, never journaled) ----------------------
-    def reap_leases(self, now: float) -> list[str]:
-        """Drop every lapsed lease; returns the endpoints that held them,
-        which stay :attr:`reaped` until they heartbeat again."""
-        with self.lock:
-            reaped = [e for e, expiry in self.leases.items() if expiry <= now]
-            for endpoint_id in reaped:
-                del self.leases[endpoint_id]
-                self.online[endpoint_id] = False
-            self.reaped.update(reaped)
-            return reaped
-
-    def live_peers(self, endpoint_id: str, now: float) -> list[str]:
-        """Same-failover-group peers with live leases, sorted (self excluded)."""
-        with self.lock:
-            me = self.endpoints.get(endpoint_id)
-            group = None if me is None else me.failover_group
-            if group is None:
-                return []
-            return sorted(
-                other_id
-                for other_id, other in self.endpoints.items()
-                if other_id != endpoint_id
-                and other.failover_group == group
-                and self.leases.get(other_id, now) > now
-            )

@@ -42,13 +42,13 @@ from repro.chaos.plan import chaos_check, chaos_enabled
 from repro.exceptions import ReproError, ShardUnavailableError, WorkflowError
 from repro.faas.auth import SCOPE_COMPUTE, AuthServer, Token
 from repro.faas.cloud import (
+    Fabric,
     TaskDispatch,
     TaskRecord,
     TaskSubmission,
     _BatchOfOne,
-    _CompletedFeed,
+    _EndpointCalls,
     sole,
-    task_topic,
 )
 from repro.net.clock import Clock, get_clock
 from repro.net.defaults import PaperConstants
@@ -123,7 +123,7 @@ class _RoutedStore:
         )
 
 
-class CloudRouter(_BatchOfOne):
+class CloudRouter(_BatchOfOne, _EndpointCalls):
     """N shards behind one ``FaasCloud``-shaped API."""
 
     def __init__(
@@ -159,10 +159,10 @@ class CloudRouter(_BatchOfOne):
         self.constants = constants or PaperConstants()
         self.clock = clock or get_clock()
         self.registry = registry if registry is not None else TenantRegistry(self.clock)
-        # One delivery fabric for every shard: a single bus (doorbells,
-        # result notifications) and a single completed feed (client polls).
-        self.bus = NotificationBus.for_cloud(self.clock, self.constants)
-        self._completed = _CompletedFeed()
+        # One fabric for every shard: a single bus, completed feed and
+        # endpoint table, none of which a shard crash destroys.
+        self.fabric = Fabric(NotificationBus.for_cloud(self.clock, self.constants))
+        self.bus = self.fabric.bus
         self.store = _RoutedStore(self)
         self._lock = threading.Lock()
         self._fetch_rotation = itertools.count()
@@ -171,7 +171,6 @@ class CloudRouter(_BatchOfOne):
         #: func_id -> (tenant, payload); kept so registrations can follow
         #: their partition when the ring changes (see :meth:`add_shard`).
         self._registrations: dict[str, tuple[str, Payload]] = {}
-        self._endpoints: dict[str, tuple[Site, str | None]] = {}
         #: ``(tenant, func_id) -> shard id`` for registered partitions: a
         #: submit routes each partition once, by dict read after its first.
         #: Only :meth:`add_shard` changes the ring, and it clears this.
@@ -197,8 +196,7 @@ class CloudRouter(_BatchOfOne):
             self.auth,
             self.constants,
             self.clock,
-            bus=self.bus,
-            completed=self._completed,
+            fabric=self.fabric,
             registry=self.registry,
             journal=journal,
             health=self.health,
@@ -221,7 +219,8 @@ class CloudRouter(_BatchOfOne):
 
         Unlike an outage window — where the old instance's state survives
         untouched — nothing of the old object is reused except the journal
-        itself and the shared fabric (bus, completed feed, usage registry).
+        itself, the fabric (bus, completed feed, endpoint table) and the
+        usage registry.
         Returns the replay's :class:`~repro.durable.RecoveryReport`.
         """
         from repro.durable import recover_cloud
@@ -256,10 +255,6 @@ class CloudRouter(_BatchOfOne):
                 if owner != before[func_id]:
                     self._shards[owner].adopt_function(func_id, tenant, payload)
                     moved += 1
-            for endpoint_id, (site, group) in self._endpoints.items():
-                self._shards[shard_id].adopt_endpoint(
-                    endpoint_id, site, failover_group=group
-                )
         counter_inc("cloud.shards_added", shard=shard_id, moved=moved)
         return shard_id
 
@@ -384,27 +379,16 @@ class CloudRouter(_BatchOfOne):
         return self.shard(shard_id).get_function(token, func_id, tenant)
 
     # -- endpoints ------------------------------------------------------------
-    def register_endpoint(
-        self,
-        token: Token,
-        name: str,
-        site: Site,
-        *,
-        failover_group: str | None = None,
-    ) -> str:
-        """Adopt the endpoint into *every* shard (any partition may
-        dispatch to any endpoint) with one shared bus subscription."""
-        self.auth.validate(token, SCOPE_COMPUTE)
-        endpoint_id = f"ep-{name}-{uuid.uuid4().hex[:8]}"
-        with self._lock:
-            self._endpoints[endpoint_id] = (site, failover_group)
-            shards = list(self._shards.values())
-        for shard in shards:
-            shard.adopt_endpoint(endpoint_id, site, failover_group=failover_group)
-        self.bus.register_subscriber(
-            task_topic(endpoint_id), endpoint_id, chaos_label=name
-        )
-        return endpoint_id
+    def heartbeat(self, token: Token, endpoint_id: str) -> float:
+        """One shard takes the beat -- it validates, renews the lease in
+        the fleet's one table, records health and counts, once -- and every
+        other shard then sweeps, so a dead endpoint's work moves within one
+        heartbeat whichever shard holds it.  Returns the new expiry."""
+        first, *rest = self._all_shards()
+        expiry = first.heartbeat(token, endpoint_id)
+        for shard in rest:
+            shard.expire_leases()
+        return expiry
 
     def _all_shards(self) -> list[CloudShard]:
         with self._lock:
@@ -690,18 +674,10 @@ def _sum_counts(answers: list[dict[str, int]]) -> dict[str, int]:
 
 #: The ``FaasCloud`` calls the router answers by asking its shards and doing
 #: nothing else: name -> how the shards' answers reduce to one.  ``None``
-#: asks any one shard — endpoint state every shard holds alike, because
-#: registration, heartbeats and online flags are broadcast to all of them.
+#: asks any one shard, for state every shard shares.
 _DELEGATED = {
-    "endpoint_site": None,
-    "endpoint_online": None,
-    "lease_valid": None,
     "deadletters": None,  # one tracker, shared by every shard
     "next_completed_batch": None,  # one completed feed, likewise
-    "set_endpoint_online": lambda answers: None,
-    "release_lease": lambda answers: None,
-    "heartbeat": max,  # the latest expiry any shard granted
-    "expire_leases": lambda answers: sorted(set(_concat(answers))),
     "requeue_dispatched": _concat,
     "task_records": _concat,
     "queue_depth": sum,

@@ -1,13 +1,18 @@
 """One partition of the sharded control plane.
 
 A :class:`CloudShard` *is* a :class:`repro.faas.cloud.FaasCloud` — the whole
-single-node engine (registry, queues, payload store, leases, exactly-once
-result reporting) — wired into the fabric the router shares across shards:
+single-node engine (function registry, task ledger and queues, payload
+store, failover sweep, exactly-once result reporting) — wired into the
+:class:`~repro.faas.cloud.Fabric` the router shares across shards, which no
+shard crash destroys:
 
 * the common :class:`~repro.bus.NotificationBus`, so doorbells and result
   notifications from every shard reach the same subscribers;
-* the common ``_CompletedFeed``, so one client drain collects
-  completions from all shards;
+* the common completed feed, so one client drain collects completions from
+  all shards;
+* the one :class:`~repro.faas.cloud.EndpointTable`: registrations, leases
+  and reaps live once for the fleet, and each shard's sweep moves only its
+  own share of a reaped endpoint's work;
 * the router's :class:`~repro.tenancy.TenantRegistry`, so dispatches and
   terminal transitions inside the shard release the usage the router
   reserved at admission;
@@ -23,9 +28,8 @@ shard count — the scaling property the tenancy benchmark measures.
 
 from __future__ import annotations
 
-from repro.bus import NotificationBus
 from repro.faas.auth import AuthServer
-from repro.faas.cloud import FaasCloud, _CompletedFeed
+from repro.faas.cloud import Fabric, FaasCloud
 from repro.net.clock import Clock
 from repro.net.defaults import PaperConstants
 from repro.net.topology import Network, Site
@@ -47,8 +51,7 @@ class CloudShard(FaasCloud):
         constants: PaperConstants,
         clock: Clock,
         *,
-        bus: NotificationBus,
-        completed: _CompletedFeed,
+        fabric: Fabric,
         registry: TenantRegistry,
         journal: object | None = None,
         health: object | None = None,
@@ -60,8 +63,7 @@ class CloudShard(FaasCloud):
             auth,
             constants,
             clock,
-            bus=bus,
-            completed=completed,
+            fabric=fabric,
             usage=registry,
             shard_id=shard_id,
             service_time=constants.faas_shard_service_time,

@@ -54,8 +54,7 @@ class Rig:
             self.testbed.network,
             self.auth,
             self.testbed.constants,
-            bus=self.cloud.bus,
-            completed=self.cloud._completed,
+            fabric=self.cloud.fabric,
             journal=self.journal,
         )
         self.cloud = fresh
@@ -73,7 +72,7 @@ def test_submit_batch_record_replays_every_member(rig):
     task_ids = rig.submit_batch([2, 3, 4])
     fresh = rig.crash()
     report = recover_cloud(fresh)
-    assert report.replayed >= 3
+    assert report.replayed >= 2  # the function, then the batch's submit
     assert report.deduped == 0
     for task_id in task_ids:
         record = fresh.task(task_id)

@@ -29,6 +29,13 @@ def _add(a, b):
 FAST = dict(endpoint_heartbeat_period=1.0, endpoint_lease_ttl=3.0)
 
 
+def leased(cloud, endpoint_id):
+    """Whether ``endpoint_id`` holds a live lease in the fleet's endpoint
+    table."""
+    expiry = cloud.fabric.endpoints.lease(endpoint_id)
+    return expiry is not None and expiry > cloud.clock.now()
+
+
 @pytest.fixture
 def cloud_rig():
     """A bare cloud on a :class:`ManualClock`: a lease lapses when a test
@@ -45,15 +52,15 @@ def cloud_rig():
 def test_heartbeat_renews_and_ttl_lapses(cloud_rig):
     testbed, cloud, token = cloud_rig
     ep = cloud.register_endpoint(token, "solo", testbed.theta_login)
-    assert not cloud.lease_valid(ep)  # never heartbeated
+    assert not leased(cloud, ep)  # never heartbeated
     cloud.heartbeat(token, ep)
-    assert cloud.lease_valid(ep)
+    assert leased(cloud, ep)
     cloud.clock.sleep(2.0)
     cloud.heartbeat(token, ep)  # renewal pushes expiry out again
     cloud.clock.sleep(2.0)
-    assert cloud.lease_valid(ep)
+    assert leased(cloud, ep)
     cloud.clock.sleep(2.0)  # 4s since last beat > ttl of 3
-    assert not cloud.lease_valid(ep)
+    assert not leased(cloud, ep)
 
 
 def test_release_lease_is_a_graceful_goodbye(cloud_rig):
@@ -63,7 +70,7 @@ def test_release_lease_is_a_graceful_goodbye(cloud_rig):
     ep = cloud.register_endpoint(token, "solo", testbed.theta_login)
     cloud.heartbeat(token, ep)
     cloud.release_lease(token, ep)
-    assert not cloud.lease_valid(ep)
+    assert not leased(cloud, ep)
     # A released lease is gone, not expired: no reap, no counter.
     assert cloud.expire_leases() == []
     assert metrics.counter_total("faas.lease_expiries") == 0
@@ -102,7 +109,7 @@ def test_lease_expiry_fails_queued_work_over_to_group_survivor(cloud_rig):
     # ep_b's heartbeat doubles as the liveness sweep (bus-mode endpoints
     # don't poll while idle), so ep_a is reaped by it, not by our call.
     cloud.heartbeat(token, ep_b)
-    assert not cloud.lease_valid(ep_a)
+    assert not leased(cloud, ep_a)
     assert cloud.expire_leases() == []
     record = cloud.task(task_id)
     assert record.status is TaskStatus.WAITING
@@ -283,7 +290,7 @@ def test_work_submitted_to_a_reaped_endpoint_completes_on_its_survivor():
         ep_a.simulate_crash()
         clock = get_clock()
         deadline = clock.now() + 60.0
-        while cloud.lease_valid(ep_a.endpoint_id):  # ep-b's beats reap it next
+        while leased(cloud, ep_a.endpoint_id):  # ep-b's beats reap it next
             assert clock.now() < deadline
             clock.sleep(0.5)
         with at_site(testbed.theta_login):

@@ -61,14 +61,14 @@ class Rig:
 
     def crash(self) -> FaasCloud:
         """Discard the in-memory instance; rebuild an empty one sharing the
-        surviving fabric (bus, completed feed) and the durable journal."""
+        surviving fabric (bus, completed feed, endpoint table) and the
+        durable journal."""
         fresh = FaasCloud(
             self.testbed.faas_cloud,
             self.testbed.network,
             self.auth,
             self.testbed.constants,
-            bus=self.cloud.bus,
-            completed=self.cloud._completed,
+            fabric=self.cloud.fabric,
             journal=self.journal,
         )
         self.cloud = fresh
@@ -438,17 +438,18 @@ def test_lease_failover_publishes_the_source_depth(testbed):
 def test_leases_survive_recovery(testbed):
     """Probe 3: ``a`` dies shortly before the crash.  The rebuilt instance
     used to hold no lease for it, so the reaper never failed its queue
-    over."""
+    over.  Leases live in the fabric's endpoint table, which the crash
+    leaves standing: the rebuilt instance sees each one as it was."""
     pair = PairRig(testbed)
     held, queued = pair.submit(2), pair.submit(3)
     pair.cloud.fetch_tasks(pair.token, pair.ep_a, 1)
+    table = pair.cloud.fabric.endpoints
+    leases = {e: table.lease(e) for e in (pair.ep_a, pair.ep_b)}
 
     fresh, _ = pair.crash_and_recover()
 
-    assert fresh.lease_valid(pair.ep_a)  # it owns work: one TTL to show up
-    # ``b`` owns nothing but is a group member: it gets the same TTL, so a
-    # member that is in fact dead is reaped again instead of never leased.
-    assert fresh.lease_valid(pair.ep_b)
+    assert None not in leases.values()
+    assert {e: fresh.fabric.endpoints.lease(e) for e in leases} == leases
     fresh.heartbeat(pair.token, pair.ep_b)
     pair.lapse_a()
     for task_id in (held, queued):
@@ -459,11 +460,20 @@ def test_leases_survive_recovery(testbed):
     assert [d.task_id for d in fetched] == [held, queued]
 
 
-def test_a_reaped_endpoint_stays_reaped_across_a_shard_crash(testbed):
-    """``a`` is reaped holding nothing, then its shard crashes.  Leases are
-    not journaled, so the rebuilt shard re-leases every group member; ``a``
-    lapses one TTL later, and work submitted to it meanwhile completes on
-    ``b`` instead of waiting for an endpoint that never comes back."""
+@pytest.mark.parametrize(
+    "n_shards, crashed",
+    [(1, "s0"), (2, "s0"), (2, "s1")],
+    ids=["s0-of-1", "s0-of-2", "s1-of-2"],
+)
+def test_a_reaped_endpoint_stays_reaped_across_a_shard_crash(testbed, n_shards, crashed):
+    """``a`` is reaped holding nothing, then the shard that owns the next
+    submit's function crashes and is rebuilt.  The reap lives in the
+    fleet's endpoint table, which the crash leaves standing, so that submit
+    lands on ``b`` at once: no second lapse, no wait for an endpoint that
+    never comes back.  (The rebuilt shard used to re-lease every group
+    member, so the submit landed on ``a`` until ``a`` lapsed again.)"""
+    metrics = MetricsRegistry()
+    set_metrics(metrics)
     clock = ManualClock()
     auth = AuthServer()
     token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
@@ -474,32 +484,35 @@ def test_a_reaped_endpoint_stays_reaped_across_a_shard_crash(testbed):
         auth,
         testbed.constants,
         clock,
-        n_shards=2,
+        n_shards=n_shards,
         journal_factory=lambda shard_id: Journal(FileJournalBackend(wal, shard_id)),
     )
     ep_a, ep_b = (
         router.register_endpoint(token, name, testbed.theta_compute, failover_group="g")
         for name in "ab"
     )
-    func_id = router.register_function(token, serialize(_square))
+    func_id = next(
+        f"fn-{n}"
+        for n in range(64)
+        if router._shard_for_partition("default", f"fn-{n}") == crashed
+    )
+    router.register_function(token, serialize(_square), func_id=func_id)
     ttl = testbed.constants.endpoint_lease_ttl
 
-    def lapse_a():
-        for _ in range(2):
-            clock.sleep(0.6 * ttl)
-            router.heartbeat(token, ep_b)
-
     router.heartbeat(token, ep_a)
-    lapse_a()
-    router.crash_shard(router._shard_for_partition("default", func_id))
+    for _ in range(2):  # `a` goes silent for over a TTL while `b` beats on
+        clock.sleep(0.6 * ttl)
+        router.heartbeat(token, ep_b)
+    router.crash_shard(crashed)
     task_id = router.submit(token, "c", func_id, ep_a, serialize(((3,), {})))
-    lapse_a()
+    record = router.task(task_id)
+    assert task_id.startswith(f"task-{crashed}-")
+    assert (record.endpoint_id, record.previous_endpoints) == (ep_b, [])
     (dispatch,) = router.fetch_tasks(token, ep_b, 10)
     assert dispatch.task_id == task_id
     router.report_result(token, ep_b, task_id, True, serialize({"value": 9}))
-    record = router.task(task_id)
-    assert record.status is TaskStatus.SUCCESS
-    assert (record.endpoint_id, record.previous_endpoints) == (ep_b, [ep_a])
+    assert router.task(task_id).status is TaskStatus.SUCCESS
+    assert metrics.counter_total("faas.lease_expiries") == 1
 
 
 def _ledger(cloud):
@@ -550,7 +563,8 @@ def test_rehome_replays_the_same_in_either_order_with_the_dispatch(testbed):
         )
     assert ledgers[0] == ledgers[1]
     assert ledgers[0][0] == [("WAITING", "b", ["a"])]
-    assert ledgers[0][1] == {"a": 0, "b": 1, "theta": 0}
+    # Queues are created by a task's first enqueue: `theta` never had one.
+    assert ledgers[0][1] == {"a": 0, "b": 1}
 
 
 def test_stale_result_after_rehome_is_refused_in_replay_as_it_was_live(testbed):

@@ -206,15 +206,6 @@ def test_unknown_locator(rig):
         cloud.store.read("s3:ghost")
 
 
-def test_endpoint_online_tracking(rig):
-    cloud, token, endpoint_id = rig
-    assert not cloud.endpoint_online(endpoint_id)
-    cloud.fetch_tasks(token, endpoint_id, 1)
-    assert cloud.endpoint_online(endpoint_id)
-    cloud.set_endpoint_online(endpoint_id, False)
-    assert not cloud.endpoint_online(endpoint_id)
-
-
 class _CountingId(str):
     """A task id that counts the equality comparisons made against it."""
 

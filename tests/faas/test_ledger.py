@@ -8,7 +8,6 @@ from pathlib import Path
 from repro.faas.ledger import (
     Deadletter,
     Dispatch,
-    Endpoint,
     Func,
     Ledger,
     Rehome,
@@ -30,7 +29,7 @@ def _task(n, endpoint_id="a", **fields):
 
 def _ledger(*records):
     ledger = Ledger()
-    for record in (Endpoint("a", "site-a", "pair"), Endpoint("b", "site-b", "pair")) + records:
+    for record in records:
         ledger.apply(record)
     return ledger
 

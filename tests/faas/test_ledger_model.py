@@ -76,7 +76,6 @@ def canonical(ledger):
         tasks,
         queues,
         sorted(ledger.functions),
-        sorted(ledger.endpoints),
         sorted(ledger.deadletters),
         ledger.next_id,
     )
@@ -103,7 +102,9 @@ def check_invariants(cloud, settled, beaten):
     queued = [tid for queues in ledger.queues.values() for q in queues.values() for tid in q]
     assert len(queued) == len(set(queued)), "an id sits in two queues"
     for task_id, task in ledger.tasks.items():
-        in_own_queue = task_id in ledger.queues[task.endpoint_id].get(task.tenant, ())
+        in_own_queue = task_id in ledger.queues.get(task.endpoint_id, {}).get(
+            task.tenant, ()
+        )
         waiting = task.status is TaskStatus.WAITING
         assert waiting == in_own_queue == (task_id in queued), f"{task_id}: {task.status}"
         if task.status.terminal:  # first terminal wins, and keeps its result
@@ -114,16 +115,17 @@ def check_invariants(cloud, settled, beaten):
     assert cloud.usage.finished == len(settled)
     # No task waits on a reaped endpoint (one that heartbeat once and whose
     # lease lapsed since) while a member of its group is live to take it.
-    now = cloud.clock.now()
+    now, table = cloud.clock.now(), cloud.fabric.endpoints
     live_groups = {
-        ledger.endpoints[e].failover_group
-        for e, expiry in ledger.leases.items()
-        if expiry > now
+        table.registration(e).failover_group
+        for e in table.ids()
+        if (table.lease(e) or now) > now
     } - {None}
     for task in ledger.tasks.values():
         owner = task.endpoint_id
-        if task.status is TaskStatus.WAITING and owner in beaten - ledger.leases.keys():
-            group = ledger.endpoints[owner].failover_group
+        unleased = owner in beaten and table.lease(owner) is None
+        if task.status is TaskStatus.WAITING and unleased:
+            group = table.registration(owner).failover_group
             assert group not in live_groups, f"{task.task_id} waits on reaped {owner}"
 
 

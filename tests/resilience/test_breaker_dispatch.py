@@ -1,17 +1,19 @@
 """Breaker-aware dispatch: shedding, submit steering, and the admit gate.
 
 Drives the cloud API directly (the ``tests/chaos/test_failover.py`` idiom)
-so each latency sample and breaker transition happens at a known instant.
+on a :class:`ManualClock`, so each latency sample and breaker transition
+happens at a known instant and a host stall cannot stretch a "healthy"
+latency into a slow one.
 """
 
 from __future__ import annotations
 
 import pytest
+from conftest import ManualClock
 
 from repro.exceptions import LeaseExpiredError
 from repro.faas import SCOPE_COMPUTE, AuthServer, FaasCloud
 from repro.faas.cloud import TaskStatus
-from repro.net.clock import get_clock
 from repro.net.context import at_site
 from repro.net.defaults import PaperConstants, build_paper_testbed
 from repro.observe import MetricsRegistry, set_metrics
@@ -47,7 +49,7 @@ def _rig(open_duration=600.0):
         HealthPolicy(open_duration=open_duration, **POLICY)
     )
     cloud = FaasCloud(
-        testbed.faas_cloud, testbed.network, auth, constants, health=health
+        testbed.faas_cloud, testbed.network, auth, constants, ManualClock(), health=health
     )
     ep_a = cloud.register_endpoint(token, "a", testbed.theta_login, failover_group="pair")
     ep_b = cloud.register_endpoint(token, "b", testbed.theta_login, failover_group="pair")
@@ -67,7 +69,7 @@ def _gray_out(testbed, cloud, token, ep_a, extra_tasks=2):
         ]
         dispatched = cloud.fetch_tasks(token, ep_a, 1)
         assert [d.task_id for d in dispatched] == task_ids[:1]
-        get_clock().sleep(10.0)  # the dispatch -> result latency sample
+        cloud.clock.sleep(10.0)  # the dispatch -> result latency sample
         cloud.report_result(
             token, ep_a, task_ids[0], True, serialize({"success": True, "value": 0})
         )
@@ -114,7 +116,7 @@ def test_shed_moves_in_flight_work_and_stales_the_gray_report():
             token, "client", func_id, ep_a, serialize(((2, 2), {}))
         )
         cloud.fetch_tasks(token, ep_a, 2)  # both now DISPATCHED
-        get_clock().sleep(10.0)
+        cloud.clock.sleep(10.0)
         cloud.heartbeat(token, ep_a)
         cloud.report_result(
             token, ep_a, first, True, serialize({"success": True, "value": 2})
@@ -153,7 +155,7 @@ def test_open_breaker_gates_fetch_without_breaking_cadence():
         queued = cloud.submit(token, "client", func_id, ep_b, serialize(((3, 3), {})))
         # ep_a is refused work while open, even with backlog elsewhere.
         assert cloud.fetch_tasks(token, ep_a, 10) == []
-        assert cloud.health.evaluate(ep_a, get_clock().now()) == BREAKER_OPEN
+        assert cloud.health.evaluate(ep_a, cloud.clock.now()) == BREAKER_OPEN
         refetched = cloud.fetch_tasks(token, ep_b, 10)
     assert [d.task_id for d in refetched] == [queued]
 
@@ -164,7 +166,7 @@ def test_half_open_probe_closes_the_breaker_through_dispatch():
     set_metrics(metrics)
     func_id, _ = _gray_out(testbed, cloud, token, ep_a, extra_tasks=0)
     cloud.heartbeat(token, ep_b)  # trips the breaker
-    get_clock().sleep(6.0)  # past the cool-down: next evaluate is half-open
+    cloud.clock.sleep(6.0)  # past the cool-down: next evaluate is half-open
     cloud.heartbeat(token, ep_a)
     cloud.heartbeat(token, ep_b)
     with at_site(testbed.theta_login):
@@ -174,7 +176,7 @@ def test_half_open_probe_closes_the_breaker_through_dispatch():
         # ...and the fetch admits exactly the probe budget.
         dispatched = cloud.fetch_tasks(token, ep_a, 10)
         assert [d.task_id for d in dispatched] == [probe]
-        get_clock().sleep(0.5)  # a healthy latency this time
+        cloud.clock.sleep(0.5)  # a healthy latency this time
         cloud.report_result(
             token, ep_a, probe, True, serialize({"success": True, "value": 10})
         )

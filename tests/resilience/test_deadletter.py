@@ -124,20 +124,19 @@ class DurableRig:
         )
         self.func_id = self.cloud.register_function(self.token, serialize(_add))
 
-    def _build(self, bus=None, completed=None):
+    def _build(self, fabric=None):
         return FaasCloud(
             self.testbed.faas_cloud,
             self.testbed.network,
             self.auth,
             self.testbed.constants,
-            bus=bus,
-            completed=completed,
+            fabric=fabric,
             journal=self.journal,
             poison=PoisonTracker(PoisonPolicy(quorum=2)),
         )
 
     def crash(self):
-        fresh = self._build(bus=self.cloud.bus, completed=self.cloud._completed)
+        fresh = self._build(fabric=self.cloud.fabric)
         recover_cloud(fresh)
         self.cloud = fresh
         return fresh

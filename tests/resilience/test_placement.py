@@ -141,7 +141,7 @@ def test_submit_after_a_reap_is_admitted_to_the_live_peer():
     group.lapse("b")
     task_id = group.submit("a")
     assert group.owner(task_id) == "b"
-    assert group.cloud.ledger.reaped == {group.ep["a"]}
+    assert set(group.cloud.fabric.endpoints.reaps) == {group.ep["a"]}
     assert metrics.counter_total("faas.failovers") == 1
     assert group.fetch("b") == [task_id]
 
