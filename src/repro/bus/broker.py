@@ -23,9 +23,9 @@ reproduces that layer with auditable delivery guarantees:
   Envelopes keep accumulating in its window and are replayed from the last
   ack on resubscribe, so nothing is lost across the gap.
 * **Bounded redelivery window** — a subscriber more than ``window`` envelopes
-  behind is force-lapsed and its oldest envelopes trimmed; the poll-fallback
-  path (the queues are the ground truth, envelopes are doorbells) covers the
-  trimmed gap.
+  behind is force-lapsed and its oldest envelopes trimmed; the client's
+  poll fallback covers the trimmed gap.  A task topic never gets there:
+  an endpoint's unacked pushes never exceed its credit window.
 
 Chaos hooks (``bus.deliver``, ``bus.duplicate``, ``bus.subscription.drop``)
 are keyed by envelope *content* (the task's chaos key) plus the subscriber's
@@ -268,7 +268,7 @@ class NotificationBus:
     def _overflow_locked(self, state: _SubscriberState) -> None:
         """A subscriber fell more than ``window`` envelopes behind: lapse it
         and trim the oldest overflow (the poll fallback covers the trim —
-        envelopes are doorbells, the queues hold the actual work).
+        result envelopes are doorbells over the completed feed).
 
         Trimmed sequence numbers will never be delivered, so the cumulative
         ack is advanced past them; otherwise the consumer's contiguous
@@ -395,6 +395,13 @@ class NotificationBus:
                 del state.next_attempt_at[seq]
             if state.active and not state.window:
                 self._wake_locked(state, None)  # no redelivery left to time
+
+    def discard(self, topic: str, subscriber_id: str) -> None:
+        """Ack, on the subscriber's behalf, everything published to it so
+        far, delivered or not: the publisher took back what it carried."""
+        state = self._states.get((topic, subscriber_id))
+        if state is not None:
+            self._ack(state, state.next_seq - 1)
 
     def _close(self, state: _SubscriberState) -> None:
         with self._lock:

@@ -114,6 +114,7 @@ class BusConsumer:
     def done(self, envelope: Envelope) -> None:
         """Mark one envelope processed; ack the contiguous prefix."""
         with self._lock:
+            self._sync_frontier()  # the broker may have acked for us
             if envelope.seq <= self._contiguous:
                 return
             self._done_ahead.add(envelope.seq)
@@ -138,9 +139,10 @@ class BusConsumer:
     def _sync_frontier(self) -> None:
         """Adopt the broker's cumulative ack as the contiguous frontier.
 
-        A window-overflow trim advances the broker-side ack past sequence
-        numbers that will never be delivered; without this sync, ``done``
-        would wait forever for the trimmed seqs and never ack again.
+        A window-overflow trim or a publisher's discard advances the
+        broker-side ack past sequence numbers that will never be delivered;
+        without this sync, ``done`` would wait forever for them and never
+        ack again.
         The caller holds ``_lock``, or no other thread has the consumer."""
         floor = self._sub.acked
         if floor > self._contiguous:

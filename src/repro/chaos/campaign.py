@@ -105,10 +105,6 @@ _REPORT_COUNTERS = (
     "bus.redelivered",
     "bus.duplicates_dropped",
     "bus.fallback_engaged",
-    "endpoint.polls",
-    "endpoint.fallback_polls",
-    "endpoint.fallback_polls_empty",
-    "endpoint.doorbell_fetches_empty",
     "cloud.shard_outages",
     "cloud.shard_crashes",
     "cloud.batch_submits",
@@ -163,15 +159,17 @@ def fault_specs(mode: str) -> tuple[FaultSpec, ...]:
     if mode == "transfer_fault":
         return (FaultSpec("transfer.attempt", mode, rate=0.6, match={"attempt": 0}),)
     if mode == "notification_loss":
-        # First-delivery doorbells vanish in flight; the bus redelivers after
-        # backoff, so tasks complete with zero client-side retries.
+        # First deliveries (pushed tasks, result doorbells) vanish in flight;
+        # the bus redelivers after backoff, so tasks complete with zero
+        # client-side retries.
         return (FaultSpec("bus.deliver", mode, rate=0.6, match={"attempt": 0}),)
     if mode == "notification_duplicate":
-        # Doorbells arrive twice; consumer-side sequence dedup drops the copy.
+        # Envelopes arrive twice; consumer-side sequence dedup drops the copy.
         return (FaultSpec("bus.duplicate", mode, rate=0.6, match={"attempt": 0}),)
     if mode == "subscription_drop":
         # Subscriptions are force-lapsed at publish time; the subscriber must
-        # notice, engage the poll fallback, and resubscribe (replay from ack).
+        # notice and resubscribe (replay from ack) -- the client after
+        # draining the completed feed, its poll fallback.
         return (FaultSpec("bus.subscription.drop", mode, rate=0.5),)
     if mode == "shard_outage":
         # The owning shard restarts at admission.  Keyed on the submission's
@@ -402,8 +400,8 @@ _RECONCILE: dict[str, tuple] = {
         ("seen", "faas.failovers", ": no task failed over to the survivor"),
         ("exact", "client.retries", "fires-1"),
     ),
-    # Every lost doorbell must come back via bus redelivery (never via
-    # client retries — the task queues are untouched by bus loss).
+    # Every lost envelope must come back via bus redelivery (never via
+    # client retries — a lost push stays leased and unacked).
     "notification_loss": (
         _FIRES,
         ("at_least", "bus.redelivered", "fires"),

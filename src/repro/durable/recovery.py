@@ -17,14 +17,14 @@ fleet last saw it — a reaped one stays reaped.  The tail then reconciles
 what no record carries:
 
 * **In-flight work is re-leased** — tasks DISPATCHED at the crash go back
-  to the front of their owner's queue with a fresh doorbell, through the
-  same un-journaled in-place ``rehome`` an endpoint restart uses (and, like
-  it, their queued bytes re-enter the tenant's usage).
+  to the front of their owner's queue, through the same un-journaled
+  in-place ``rehome`` an endpoint restart uses (and, like it, their queued
+  bytes re-enter the tenant's usage), for the router's next push.
 * **Terminal results are re-notified** (``durable.renotified``) into the
   feed and the bus, closing the window where a crash fell between the result
   fsync and the publish; clients drop duplicates via their pending table.
   A report already inside the discarded instance appends after replay's
-  read and still rings its doorbell; the rebuilt instance answers that
+  read and still rings its result doorbell; the rebuilt instance answers that
   download with :class:`~repro.exceptions.ResultNotReadyError`, which
   clients take as "still in flight", and the re-leased task completes.
 

@@ -11,8 +11,8 @@ already knows.
 
 The loop is a periodic timer on the process reactor.  Scale-to-zero is
 event-driven: the autoscaler listens on its *own* bus subscription to the
-endpoint's doorbell topic (subscriber id ``<endpoint>:autoscaler``), so an
-idle endpoint costs no polls at all.  The first doorbell after going
+endpoint's task topic (subscriber id ``<endpoint>:autoscaler``), so an
+idle endpoint costs no polls at all.  The first task pushed after going
 dormant re-provisions the pool and arms time-to-first-task tracking
 (``autoscale.time_to_first_task_s``).
 
@@ -56,7 +56,7 @@ class AutoscalePolicy:
     #: Loop period and the minimum spacing between grow decisions.
     interval: float = 2.0
     cooldown: float = 4.0
-    #: Workers provisioned on the first doorbell after going dormant.
+    #: Workers provisioned on the first push after going dormant.
     wake_workers: int = 1
 
     def __post_init__(self) -> None:
@@ -101,7 +101,7 @@ class Autoscaler:
         self._last_grow_at: float | None = None
         self._idle_since: float | None = None
         self._dormant = False
-        # A private doorbell subscription: this is what lets a dormant
+        # A private task subscription: this is what lets a dormant
         # endpoint cost nothing — no poll loop, just a listener.
         from repro.bus.consumer import BusConsumer
         from repro.faas.cloud import task_topic
@@ -120,7 +120,7 @@ class Autoscaler:
         if self._running:
             return self
         self._running = True
-        self._consumer.attach(self._on_doorbells, self._consumer.resubscribe)
+        self._consumer.attach(self._on_push, self._consumer.resubscribe)
         self._timer = get_reactor().call_every(self.policy.interval, self._tick)
         return self
 
@@ -154,9 +154,10 @@ class Autoscaler:
             self._evaluate()
         return True
 
-    def _on_doorbells(self, envelopes) -> None:
-        """Doorbell listener: ack (the endpoint consumes its own copy), and
-        wake the pool on the first doorbell after dormancy."""
+    def _on_push(self, envelopes) -> None:
+        """Push listener: ack (the endpoint consumes its own copy, and only
+        its acks return credit), and wake the pool on the first push after
+        dormancy."""
         for envelope in envelopes:
             self._consumer.done(envelope)
         if self._running and self._dormant:
@@ -215,7 +216,7 @@ class Autoscaler:
             self._record("shrink", f"idle {idle_for:.1f}s workers={current}->{current - step}")
 
     def _wake(self) -> None:
-        """First doorbell after dormancy: re-provision and arm TTFT."""
+        """First push after dormancy: re-provision and arm TTFT."""
         woke_at = self._clock.now()
         self._dormant = False
         self._idle_since = None
@@ -224,7 +225,7 @@ class Autoscaler:
         self.pool.grow(step)
         self._last_grow_at = woke_at
         counter_inc("autoscale.wakes", endpoint=self.endpoint.name)
-        self._record("wake", f"doorbell after dormancy, provisioning {step}")
+        self._record("wake", f"push after dormancy, provisioning {step}")
 
     def _record(self, action: str, reason: str) -> None:
         decision = AutoscaleDecision(

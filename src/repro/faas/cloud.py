@@ -88,6 +88,7 @@ __all__ = [
     "TaskRecord",
     "TaskDispatch",
     "TaskSubmission",
+    "Push",
     "EndpointTable",
     "Fabric",
     "FaasCloud",
@@ -97,7 +98,7 @@ __all__ = [
 
 
 def task_topic(endpoint_id: str) -> str:
-    """Bus topic carrying task-available doorbells for one endpoint."""
+    """Bus topic carrying the tasks pushed to one endpoint."""
     return f"tasks/{endpoint_id}"
 
 
@@ -123,7 +124,7 @@ class TaskSubmission:
     """One task inside a batched submit (client → cloud).
 
     The batch-level call carries the shared tenant and pays the shared
-    costs (auth, admission, WAL append, doorbell); everything per-task —
+    costs (auth, admission, WAL append, push); everything per-task —
     deadline, chaos key, prefetch hints — rides here so batching never
     erases per-task semantics."""
 
@@ -134,6 +135,14 @@ class TaskSubmission:
     chaos_key: str | None = None
     prefetch: tuple = ()
     deadline_at: float | None = None
+
+
+class Push(NamedTuple):
+    """One task envelope: dispatches leased to an endpoint, and the credit
+    epoch they were leased under (see :class:`EndpointTable`)."""
+
+    epoch: int
+    dispatches: list[TaskDispatch]
 
 
 @dataclass
@@ -373,16 +382,28 @@ class Registration(NamedTuple):
     failover_group: str | None
 
 
+@dataclass
+class _Credit:
+    """At most ``window`` dispatches pushed and not returned, ``held`` now;
+    a reset starts a new ``epoch``, and what an older one returns is void."""
+
+    token: Token
+    window: int
+    held: int
+    epoch: int
+
+
 class EndpointTable:
     """The fleet's endpoint state, held once: each endpoint's registration,
-    heartbeat lease and reap.  funcX holds these service-wide and
-    partitions only the task queues; here every shard of a router reads
+    heartbeat lease, reap and push credit.  funcX holds these service-wide
+    and partitions only the task queues; here every shard of a router reads
     this one table, and a shard crash cannot destroy it, so a rebuilt shard
     sees it as it was.  Nothing in it is journaled.
 
-    Only endpoints that ever heartbeat hold a lease, so direct-API rigs
-    without an agent process are never reaped.  ``lock`` is a leaf: a shard
-    reads the table holding its ledger lock, and the table calls nothing."""
+    Only endpoints that ever heartbeat hold a lease and only attached agents
+    grant credit, so direct-API rigs are never reaped or pushed to.
+    ``lock`` is a leaf: a shard reads the table holding its ledger lock, and
+    the table calls nothing."""
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
@@ -392,6 +413,7 @@ class EndpointTable:
         #: has not heartbeat or fetched since.  A lease given back by a
         #: graceful stop is gone, not lapsed: not here.
         self.reaps: dict[str, int] = {}
+        self._credit: dict[str, _Credit] = {}
         self._serial = itertools.count(1)
 
     def register(self, endpoint_id: str, site: str, failover_group: str | None) -> None:
@@ -411,13 +433,9 @@ class EndpointTable:
         holds none."""
         return self._leases.get(endpoint_id)
 
-    def renew(self, endpoint_id: str, expiry: float, held_only: bool = False) -> None:
-        """Lease ``endpoint_id`` until ``expiry``; it is reaped no longer.
-        ``held_only`` renews only an endpoint that holds or held a lease."""
+    def renew(self, endpoint_id: str, expiry: float) -> None:
+        """Lease ``endpoint_id`` until ``expiry``; it is reaped no longer."""
         with self.lock:
-            held = endpoint_id in self._leases or endpoint_id in self.reaps
-            if held_only and not held:
-                return
             self._leases[endpoint_id] = expiry
             self.reaps.pop(endpoint_id, None)
 
@@ -425,6 +443,7 @@ class EndpointTable:
         with self.lock:
             self._leases.pop(endpoint_id, None)
             self.reaps.pop(endpoint_id, None)
+            self._credit.pop(endpoint_id, None)
 
     def reap(self, now: float) -> list[str]:
         """Drop every lapsed lease, each a new reap; returns the endpoints
@@ -435,6 +454,49 @@ class EndpointTable:
                 del self._leases[endpoint_id]
                 self.reaps[endpoint_id] = next(self._serial)
             return lapsed
+
+    # -- push credit ----------------------------------------------------------------
+    def grant(self, endpoint_id: str, token: Token, window: int) -> None:
+        """An agent attached with a credit window of ``window`` dispatches
+        (``0`` withdraws it)."""
+        with self.lock:
+            credit = self._credit.setdefault(
+                endpoint_id, _Credit(token, window, 0, next(self._serial))
+            )
+            credit.token, credit.window = token, window
+
+    def credit(self, endpoint_id: str) -> int:
+        """How many dispatches may be pushed to ``endpoint_id`` now (none
+        while it is reaped)."""
+        credit = self._credit.get(endpoint_id)
+        if credit is None or endpoint_id in self.reaps:
+            return 0
+        return max(0, credit.window - credit.held)
+
+    def reserve(self, endpoint_id: str) -> tuple[Token, int, int] | None:
+        """Take all of ``endpoint_id``'s credit for one push: ``(token, n,
+        epoch)``, or ``None`` when it has none."""
+        with self.lock:
+            if not (n := self.credit(endpoint_id)):
+                return None
+            credit = self._credit[endpoint_id]
+            credit.held += n
+            return credit.token, n, credit.epoch
+
+    def settle(self, endpoint_id: str, n: int, epoch: int) -> None:
+        """``n`` credit of ``epoch`` is free again (void if the epoch has
+        been reset since)."""
+        with self.lock:
+            credit = self._credit.get(endpoint_id)
+            if credit is not None and credit.epoch == epoch:
+                credit.held -= n
+
+    def reset(self, endpoint_id: str) -> None:
+        """Void everything pushed to ``endpoint_id`` so far."""
+        with self.lock:
+            credit = self._credit.get(endpoint_id)
+            if credit is not None:
+                credit.held, credit.epoch = 0, next(self._serial)
 
     def live_peers(self, endpoint_id: str, now: float) -> list[str]:
         """Same-failover-group peers with live leases, sorted (self excluded)."""
@@ -455,14 +517,17 @@ class EndpointTable:
 @dataclass(frozen=True)
 class Fabric:
     """What every shard of a fleet shares and no shard crash destroys: the
-    bus (doorbells, result notifications), the completed feed (client
+    bus (task envelopes, result notifications), the completed feed (client
     polls) and the endpoint table, so endpoints and clients subscribe once
-    and an endpoint is registered, leased and reaped once, however many
-    shards exist."""
+    and an endpoint is registered, leased, reaped and credited once,
+    however many shards exist.  ``front`` is the API the fleet's agents
+    talk to (a router; ``None``: each cloud is its own), whose
+    ``fetch_tasks`` every push leases through."""
 
     bus: NotificationBus
     completed: _CompletedFeed = field(default_factory=_CompletedFeed)
     endpoints: EndpointTable = field(default_factory=EndpointTable)
+    front: object | None = None
 
 
 def sole(outcomes: list):
@@ -572,9 +637,9 @@ class _BatchOfOne:
 
 
 class _EndpointCalls:
-    """The endpoint registry's calls, answered alike by :class:`FaasCloud`
-    and :class:`repro.tenancy.CloudRouter` from the fabric's one
-    :class:`EndpointTable`."""
+    """The endpoint registry's calls and the task push, answered alike by
+    :class:`FaasCloud` and :class:`repro.tenancy.CloudRouter` from the
+    fabric's one :class:`EndpointTable`."""
 
     def register_endpoint(
         self,
@@ -590,9 +655,9 @@ class _EndpointCalls:
         self.auth.validate(token, SCOPE_COMPUTE)
         endpoint_id = f"ep-{name}-{uuid.uuid4().hex[:8]}"
         self.fabric.endpoints.register(endpoint_id, site.name, failover_group)
-        # Pre-create the bus stream so doorbells published before the agent
-        # first connects are retained and replayed on its subscribe.  The
-        # chaos label is the (stable) endpoint *name*, not the run-local id.
+        # Pre-create the bus stream so tasks pushed before the agent first
+        # connects are retained and replayed on its subscribe.  The chaos
+        # label is the (stable) endpoint *name*, not the run-local id.
         self.bus.register_subscriber(
             task_topic(endpoint_id), endpoint_id, chaos_label=name
         )
@@ -605,10 +670,79 @@ class _EndpointCalls:
         return self.network.site(registration.site)
 
     def release_lease(self, token: Token, endpoint_id: str) -> None:
-        """Graceful shutdown: surrender the lease so the stop is not later
-        mistaken for a crash (no failover is triggered)."""
+        """Graceful shutdown: surrender the lease (so the stop is not later
+        mistaken for a crash) and the credit; what never reached the agent
+        is requeued."""
         self.auth.validate(token, SCOPE_COMPUTE)
         self.fabric.endpoints.release(endpoint_id)
+        self.requeue_dispatched(token, endpoint_id)
+
+    # -- the task push ------------------------------------------------------------
+    def grant_credit(self, token: Token, endpoint_id: str, window: int) -> None:
+        """An agent attaches with a credit window of ``window`` dispatches
+        and what waits is pushed at once; ``0`` withdraws it (a paused or
+        stopping agent)."""
+        self.auth.validate(token, SCOPE_COMPUTE)
+        self.fabric.endpoints.grant(endpoint_id, token, window)
+        self._push(endpoint_id)
+
+    def return_credit(self, token: Token, endpoint_id: str, n: int, epoch: int) -> None:
+        """The agent has ``n`` dispatches of credit ``epoch`` in hand: that
+        credit is free again, and what waits is pushed."""
+        self.auth.validate(token, SCOPE_COMPUTE)
+        self.fabric.endpoints.settle(endpoint_id, n, epoch)
+        self._push(endpoint_id)
+
+    def _push(self, endpoint_id: str) -> None:
+        """When ``endpoint_id`` has credit and work waits, lease the next
+        tasks (``fetch_tasks``, journaled before it is visible) and publish
+        them on its task topic as one :class:`Push`.  A dequeue that raises
+        leaves the tasks waiting for the next push."""
+        table = self.fabric.endpoints
+        if not self.queue_depth(endpoint_id) or not (grant := table.reserve(endpoint_id)):
+            return
+        token, n, epoch = grant
+        dispatches: list[TaskDispatch] = []
+        try:
+            dispatches = self.fetch_tasks(token, endpoint_id, n)
+        except Exception:  # noqa: BLE001 - the tasks stay WAITING
+            counter_inc("faas.push_errors", endpoint=endpoint_id)
+        table.settle(endpoint_id, n - len(dispatches), epoch)
+        if dispatches:
+            first = dispatches[0]
+            self.bus.publish(
+                task_topic(endpoint_id),
+                Push(epoch, dispatches),
+                chaos_key=first.chaos_key or first.task_id,
+            )
+
+    def requeue_dispatched(self, token: Token, endpoint_id: str) -> list[str]:
+        """Re-queue tasks leased to an endpoint that it never finished.
+
+        Called when an endpoint restarts after a crash, and when one stops:
+        what was pushed to it is void (:meth:`_void`), and what it held in
+        DISPATCHED state, on every shard, goes back to the front of its
+        queue (or to a peer, where ``_place`` says so) and is pushed again,
+        preserving the store-and-forward guarantee of §IV-A3 even across
+        endpoint process loss.  Returns the re-queued task ids, oldest first
+        per shard.
+        """
+        self.auth.validate(token, SCOPE_COMPUTE)
+        self.endpoint_site(endpoint_id)
+        self._void(endpoint_id)
+        moved: list[str] = []
+        for shard in self._all_shards():  # each places it alike, from one table
+            task_ids, target = shard._requeue_held(endpoint_id)
+            moved += task_ids
+        if moved:
+            self._push(target)
+        return moved
+
+    def _void(self, endpoint_id: str) -> None:
+        """Take back everything pushed to ``endpoint_id``: reset its credit
+        and discard its unacked pushes (the requeue and reap own them)."""
+        self.fabric.endpoints.reset(endpoint_id)
+        self.bus.discard(task_topic(endpoint_id), endpoint_id)
 
 
 class FaasCloud(_BatchOfOne, _EndpointCalls):
@@ -637,10 +771,11 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
 
         ``fabric``
             What the shards share and a shard crash leaves standing: every
-            shard publishes doorbells and completions into the same bus and
-            completed feed, so endpoints and clients subscribe once, and
+            shard pushes tasks and publishes completions into the same bus
+            and completed feed, so endpoints and clients subscribe once, and
             reads and writes the same :class:`EndpointTable`, so an endpoint
-            is registered, leased and reaped once for the whole fleet.
+            is registered, leased, reaped and credited once for the whole
+            fleet.
         ``usage``
             A :class:`repro.tenancy.TenantRegistry`; dispatch / requeue /
             terminal transitions release the reservations the router made
@@ -684,11 +819,11 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
         self.fabric = fabric or Fabric(
             NotificationBus.for_cloud(self.clock, self.constants)
         )
-        # Push-notification bus: result notifications to clients, task-
-        # available doorbells to endpoints.  The ledger's queues stay the
-        # ground truth; the bus only carries acked wakeups, so the poll
-        # paths remain correct as a degraded fallback.
+        # Push-notification bus: result notifications to clients, leased
+        # tasks to endpoints.  The ledger stays the ground truth.
         self.bus = self.fabric.bus
+        #: Whose ``fetch_tasks`` a push leases through (see :class:`Fabric`).
+        self._front = self.fabric.front or self
         #: Tasks, queues and ownership — changed only by the records
         #: :meth:`_commit` hands it (see :mod:`repro.faas.ledger`).
         self.ledger = Ledger(
@@ -747,11 +882,9 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
         )
 
     def _announce(self, effects: Effects) -> None:
-        """Ring the doorbells of applied effects: task-available ones per
-        endpoint, result ones coalesced per client — always *after* the
-        apply, so a subscriber that acts on one finds the ledger changed."""
-        for endpoint_id, tasks in effects.doorbells:
-            self._ring(task_topic(endpoint_id), tasks)
+        """Ring the result doorbells of applied effects, coalesced per
+        client — always *after* the apply, so a subscriber that acts on one
+        finds the ledger changed."""
         by_client: dict[str, list[TaskRecord]] = {}
         for task in effects.completions:
             by_client.setdefault(task.client_id, []).append(task)
@@ -832,10 +965,9 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
         self.endpoint_site(endpoint_id)
         expiry = self.clock.now() + self.constants.endpoint_lease_ttl
         self.fabric.endpoints.renew(endpoint_id, expiry)
-        # The failover sweep rides every heartbeat: with bus-driven pickup a
-        # healthy-but-idle endpoint does not fetch, so a peer's heartbeat is
-        # what reaps a dead member, sheds a gray one and drains a reaped
-        # one's queue.
+        # The failover sweep rides every heartbeat: an idle endpoint calls
+        # nothing else, so a peer's heartbeat is what reaps a dead member,
+        # sheds a gray one and drains a reaped one's queue.
         self.expire_leases()
         if self.health is not None:
             # Heartbeat jitter is a gray-failure signal: a degraded agent
@@ -846,6 +978,9 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
                 self.constants.endpoint_heartbeat_period,
             )
         counter_inc("faas.heartbeats", endpoint=endpoint_id)
+        # The beat is a push too: an endpoint back from a reap, a half-open
+        # breaker's probe, work a raising dequeue left behind.
+        self._front._push(endpoint_id)
         return expiry
 
     def _place(
@@ -893,15 +1028,20 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
     def expire_leases(self) -> list[str]:
         """The failover sweep, run by every submit, fetch and heartbeat (no
         reaper thread); returns the endpoints whose lease it reaped.  The
-        fleet's table reaps each lapse once; this instance then moves its
-        own share of each endpoint's work where :meth:`_place` puts it, as
-        one ``rehome``.  The first sweep to see a reap moves the fetched
-        work too (in place when no peer is live), a later one only a queue.
+        fleet's table reaps each lapse once, and the reaping sweep voids
+        what was pushed to the endpoint; this instance then moves its own
+        share of each endpoint's work where :meth:`_place` puts it, as one
+        ``rehome``, and pushes it there.  The first sweep to see a reap
+        moves the leased work too (in place when no peer is live), a later
+        one only a queue.
         """
         now = self.clock.now()
         ledger, table = self.ledger, self.fabric.endpoints
+        moved_to: list[str] = []
         with ledger.lock:
             reaped = table.reap(now)
+            for endpoint_id in reaped:
+                self._void(endpoint_id)
             for source in table.ids():
                 target, why = self._place(source, now)
                 reap = table.reaps.get(source)
@@ -909,11 +1049,14 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
                 if fresh:
                     self._moved[source] = reap
                 # An earlier reap moves only a queue: a depth is O(1), a walk
-                # for fetched work is O(tasks).
+                # for leased work is O(tasks).
                 if why == "open" or fresh or (why and ledger.depth(source)):
-                    self._requeue(source, target, _SWEPT[why])
+                    if self._requeue(source, target, _SWEPT[why]):
+                        moved_to.append(target)
         for endpoint_id in reaped:
             counter_inc("faas.lease_expiries", endpoint=endpoint_id)
+        for endpoint_id in moved_to:
+            self._front._push(endpoint_id)
         return reaped
 
     def _requeue(self, source: str, target: str | None, counter: str) -> list[str]:
@@ -924,7 +1067,8 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
         A re-home changes who may report the task, so it is journaled — its
         fsync paid under the ledger lock, before the move is visible.  The
         no-fault sweep that runs on every submit, fetch and heartbeat holds
-        nothing and commits nothing."""
+        nothing and commits nothing.  The caller pushes the moved work once
+        the ledger lock is released."""
         target = target or source
         with self.ledger.lock:
             record = Rehome(
@@ -1074,8 +1218,8 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
         members share; a refused member is settled now.  Each member is
         queued when its own argument write lands, after the admission slot:
         the members that land together commit as one ``submit`` record --
-        WAL append, queue, one coalesced doorbell per destination endpoint
-        -- so no task waits for a slower batch-mate.  A payload the sender
+        WAL append, queue, then a push to each destination endpoint -- so
+        no task waits for a slower batch-mate.  A payload the sender
         borrowed rode this message (``inline`` if small enough).  The answer
         is a task id where admission succeeded, the raising
         :class:`ReproError` where it did not, so the client can split
@@ -1142,8 +1286,12 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
             # becomes visible in a queue; a crash between its append and its
             # apply leaves journaled-but-never-queued tasks, which replay
             # admits exactly once.
-            self._commit(Submit(tasks, [admitted[j][1].args_payload for j in members]))
+            effects = self._commit(
+                Submit(tasks, [admitted[j][1].args_payload for j in members])
+            )
             counter_inc("cloud.submits", len(tasks), tenant=tenant, shard=self._shard_label)
+            for endpoint_id, _queued in effects.queued:
+                self._front._push(endpoint_id)
             return [task.task_id for task in tasks]
 
         landings = []
@@ -1216,24 +1364,21 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
     def fetch_tasks(
         self, token: Token, endpoint_id: str, max_tasks: int
     ) -> list[TaskDispatch]:
-        """Lease up to ``max_tasks`` of what waits in the endpoint's queue
-        (models the AMQP delivery to the endpoint); empty when nothing
-        does.  Never blocks: an endpoint fetches when a doorbell rings.
+        """Lease up to ``max_tasks`` of what waits in the endpoint's queue;
+        empty when nothing does.  Never blocks.  This is the dequeue every
+        push (:meth:`_push`) runs; an attached agent never calls it.
 
         Draining is weighted round-robin across the endpoint's tenant
         queues, so a tenant flooding the feed gets at most its weight share
-        of every delivery round while backlogs compete."""
+        of every delivery round while backlogs compete.  A reaped endpoint
+        gets nothing until it heartbeats again: only a heartbeat renews a
+        lease."""
         self.auth.validate(token, SCOPE_COMPUTE)
+        self.expire_leases()
         ledger = self.ledger
         with ledger.lock:
-            # A fetch is proof of life for an endpoint that holds or held a
-            # lease.  Without this, an agent whose lease lapsed on a stalled
-            # host was reaped by its own fetch and still handed work; a
-            # reaped endpoint's later sweeps move only its queue, so work it
-            # then died holding never moved again.
-            expiry = self.clock.now() + self.constants.endpoint_lease_ttl
-            self.fabric.endpoints.renew(endpoint_id, expiry, held_only=True)
-            self.expire_leases()
+            if endpoint_id in self.fabric.endpoints.reaps:
+                return []
             if self.health is not None and not self.health.admit(
                 endpoint_id, self.clock.now()
             ):
@@ -1251,43 +1396,20 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
                 counter_inc("resilience.deadline_expired", endpoint=endpoint_id)
         # Dispatch fsync point (outside the ledger lock: the charge must not
         # serialize other endpoints' fetches): the lease is durable before
-        # the endpoint receives the batch, so a crash-rebuilt shard re-leases
-        # these tasks instead of losing track of who holds them.
+        # the push publishes it, so a crash-rebuilt shard re-leases these
+        # tasks instead of losing track of who holds them.
         self._journal(record)
         return [task.dispatch() for task in effects.tasks]
 
-    def republish_doorbells(self) -> int:
-        """Re-ring the doorbell for every task still queued at this shard.
+    def _all_shards(self) -> list["FaasCloud"]:
+        return [self]
 
-        Used after a shard outage: doorbells delivered while the admission
-        tier was down were acked against empty fetches (the router skipped
-        the dark shard), so the queued backlog has no wakeup left.  Returns
-        the number of doorbells published."""
-        with self.ledger.lock:
-            queued = [
-                (endpoint_id, task)
-                for endpoint_id in self.ledger.queues
-                for task in self.ledger.queued(endpoint_id)
-            ]
-        for endpoint_id, task in queued:
-            self._ring(task_topic(endpoint_id), [task])
-        return len(queued)
-
-    def requeue_dispatched(self, token: Token, endpoint_id: str) -> list[str]:
-        """Re-queue tasks an endpoint fetched but never finished.
-
-        Called when an endpoint restarts after a crash: anything it held in
-        DISPATCHED state goes back to the front of its queue, preserving
-        the store-and-forward guarantee of §IV-A3 even across endpoint
-        process loss (the argument payloads still live in the cloud store).
-        Where a peer must take it instead, :meth:`_place` says so, as for
-        the sweep.  Returns the re-queued task ids, oldest first.
-        """
-        self.auth.validate(token, SCOPE_COMPUTE)
-        self.endpoint_site(endpoint_id)
+    def _requeue_held(self, endpoint_id: str) -> tuple[list[str], str]:
+        """Move what ``endpoint_id`` holds here where :meth:`_place` puts
+        it, in place when it stays; returns the moved ids and where."""
         with self.ledger.lock:
             target, why = self._place(endpoint_id, self.clock.now())
-            return self._requeue(endpoint_id, target, _SWEPT[why])
+            return self._requeue(endpoint_id, target, _SWEPT[why]), target
 
     def _fail_queued(self, task: TaskRecord, message: str) -> bool:
         """Terminally fail a still-queued task from inside the cloud

@@ -2,18 +2,19 @@
 
 An endpoint is a lightweight agent a user starts on a resource they can log
 into.  It makes only *outbound* connections and runs on the process reactor:
-the cloud bus's task-available doorbells (``repro.bus``) are pushed onto it
-and each starts a fetch chain, a drain of the task queue stands in whenever
-its subscription lapses, and every result a worker (provisioned through the
-local batch scheduler via a :class:`~repro.resources.worker.WorkerPool`)
-puts in the outbox rings one uplink drain.  The workers are the agent's only
-threads.  Pausing an endpoint models the network blips §IV-A3 talks about:
-the cloud keeps queueing tasks and the endpoint drains them on reconnect —
-no work is lost.
+it grants the cloud a credit window, the cloud pushes leased tasks down its
+task subscription on the bus (``repro.bus``) as credit allows, and every
+result a worker (provisioned through the local batch scheduler via a
+:class:`~repro.resources.worker.WorkerPool`) puts in the outbox rings one
+uplink drain.  The workers are the agent's only threads.  Pausing an
+endpoint models the network blips §IV-A3 talks about: the cloud keeps
+queueing tasks, what it pushed waits unacked at the bus, and the endpoint
+takes both on reconnect — no work is lost.
 """
 
 from __future__ import annotations
 
+import functools
 import queue
 import threading
 import traceback
@@ -27,7 +28,7 @@ from repro.bus import BusConsumer, Envelope
 from repro.chaos.plan import attempt_from_key, chaos_check, chaos_enabled
 from repro.exceptions import LeaseExpiredError, WorkflowError
 from repro.faas.auth import Token
-from repro.faas.cloud import FaasCloud, TaskDispatch, task_topic
+from repro.faas.cloud import FaasCloud, Push, TaskDispatch, task_topic
 from repro.net.clock import Clock, get_clock
 from repro.net.context import at_site
 from repro.net.topology import Site
@@ -87,6 +88,9 @@ class FaasEndpoint:
         Endpoints registered under the same group name are interchangeable:
         if this endpoint's heartbeat lease expires, the cloud re-dispatches
         its tasks to a surviving group member.
+    max_tasks_per_poll:
+        The credit window: how many pushed tasks may be on their way to
+        this agent, not yet in hand, at once.
     """
 
     def __init__(
@@ -105,8 +109,8 @@ class FaasEndpoint:
         if max_tasks_per_poll <= 0:
             raise WorkflowError(
                 f"max_tasks_per_poll must be a positive integer, got "
-                f"{max_tasks_per_poll!r} (each poll must be allowed to "
-                "fetch at least one task)"
+                f"{max_tasks_per_poll!r} (the credit window must let at "
+                "least one task be pushed)"
             )
         self.name = name
         self.cloud = cloud
@@ -138,30 +142,17 @@ class FaasEndpoint:
         self._resumed.set()
         self._crashed = threading.Event()
         # Reactor work in flight, under ``_in_flight``; a stop waits for it:
-        # the fetch chain, argument downloads (see ``_dispatch``), the uplink
-        # (a drain armed or a request out, see ``_ring_uplink``) and uplink
-        # rounds landing (see ``_uplink_batch``).
-        self._fetching = False
+        # pushes on their way in (see ``_on_tasks``) and argument downloads
+        # (see ``_dispatch``), the uplink (a drain armed or a request out,
+        # see ``_ring_uplink``) and uplink rounds landing (``_uplink_batch``).
         self._handoffs = 0
         self._uplinking = False
         self._uplinks = 0
         self._in_flight = threading.Condition()
         # What the cloud refused beyond a stale lease; ``stop()`` raises it.
         self._uplink_errors: list[str] = []
-        # Fetches the cloud answered with an error; the doorbell they served
-        # stays unacked and the bus redelivers it.
-        self.fetch_errors = 0
-        # Event-driven task pickup: doorbells are pushed onto the reactor
-        # and wait in ``_doorbells`` (by sequence number) for the fetch
-        # chain; ``_fallback`` flips on when the subscription lapses, and
-        # the chain drains the queue until the resubscribe replays the gap.
-        # ``_fetched_tasks`` holds the ids this agent pulled for the
-        # doorbells that announced them, until it reports them; ``_ahead``
-        # those pulled ahead of their own doorbell — by a fallback drain, or
-        # by a fetch serving other doorbells — until a doorbell announcing
-        # them is acked (it may come after the report; an id whose doorbell
-        # an overflow trimmed waits for a reclaim): a doorbell for either is
-        # acked without a fetch.
+        # The task subscription: the cloud publishes each push of leased
+        # tasks on it, and the bus replays what is unacked after a lapse.
         self._consumer = BusConsumer(
             cloud.bus,
             task_topic(self.endpoint_id),
@@ -171,15 +162,6 @@ class FaasEndpoint:
             clock=self._clock,
             max_batch=max_tasks_per_poll,
         )
-        self._doorbells: dict[int, Envelope] = {}
-        self._fallback = False
-        # Guarded by ``_fetched_lock``: the fetch chain adds/reads, the
-        # uplink prunes reported ids, an ack prunes the ids pulled ahead
-        # that its doorbell announced, and ``resume(reclaim=True)`` clears
-        # both from whichever thread drives the restart.
-        self._fetched_lock = threading.Lock()
-        self._fetched_tasks: set[str] = set()
-        self._ahead: set[str] = set()
         # Gray degradation (``endpoint.slow`` chaos): decided once per agent
         # lifetime at ``start()``, then applied to every task this instance
         # executes.  The endpoint stays alive and heartbeating — the failure
@@ -196,9 +178,6 @@ class FaasEndpoint:
             self._gray_delay = spec.delay
             counter_inc("endpoint.gray_degraded", endpoint=self.name)
         self.pool.start()
-        # Establish the lease before the first fetch so a crash at any
-        # point of the endpoint's life is observable as a lease lapse.
-        self.cloud.heartbeat(self.token, self.endpoint_id)
         # Renewals ride the shared process reactor: one scheduler thread
         # multiplexes every endpoint's heartbeat deadline instead of
         # each agent parking a thread in a sleep loop.
@@ -206,40 +185,43 @@ class FaasEndpoint:
             self.cloud.constants.endpoint_heartbeat_period,
             self._heartbeat_tick,
         )
-        self._consumer.attach(self._on_doorbells, self._on_lapse)
-        self._ring_uplink()  # results put before the start
+        # Connect: the first beat leases the endpoint before the first push,
+        # so a crash at any point of its life is observable as a lease
+        # lapse, and results put before the start ship.
+        self.resume()
         return self
 
     def stop(self) -> None:
         if not self._running:
             return
         self._running = False
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-            self._heartbeat_timer = None
+        crashed = self._crashed.is_set()
+        if not crashed:
+            self.cloud.grant_credit(self.token, self.endpoint_id, 0)
         self._consumer.detach()
         self._resumed.set()
         wedged: list[str] = []
-        # Order matters for a graceful drain: no fetch chain starts once
-        # stopped, so let the one in flight and every armed argument
-        # download reach the pool, then let the pool run its queue dry
-        # *while the uplink still drains* so every result is reported, and
-        # only then wait out the uplink rounds in flight.  A crashed
-        # endpoint skips the drain: its handoffs drop on landing, its uplink
-        # rounds when they reach the cloud, and its backlog is the failover
-        # group's problem.
-        if not self._crashed.is_set():
-            self._wait_in_flight(
-                lambda: self._fetching or self._handoffs,
-                "fetches and argument handoffs",
-                wedged,
-            )
-        dropped = self.pool.stop(drain=not self._crashed.is_set())
+        # Order matters for a graceful drain: nothing more is pushed once
+        # the credit is withdrawn, so let the pushes on their way in and
+        # every armed argument download reach the pool, then let the pool
+        # run its queue dry *while the uplink still drains* so every result
+        # is reported, and only then wait out the uplink rounds in flight.
+        # The heartbeat keeps the lease all along: a stop is not a death.
+        # A crashed endpoint skips the drain: its handoffs drop on landing,
+        # its uplink rounds when they reach the cloud, and its backlog is
+        # the failover group's problem.
+        if not crashed:
+            self._wait_in_flight(lambda: self._handoffs, "argument handoffs", wedged)
+        dropped = self.pool.stop(drain=not crashed)
         if dropped:
             counter_inc("endpoint.closures_dropped", len(dropped), endpoint=self.name)
         self._ring_uplink()
         self._wait_in_flight(lambda: self._uplinking or self._uplinks, "uplink rounds", wedged)
-        if not self._crashed.is_set():
+        with self._in_flight:  # a beat in flight lands before the release
+            timer, self._heartbeat_timer = self._heartbeat_timer, None
+        if timer is not None:
+            timer.cancel()
+        if not crashed:
             self.cloud.release_lease(self.token, self.endpoint_id)
             self._consumer.close()
         problems = []
@@ -267,7 +249,7 @@ class FaasEndpoint:
     def simulate_crash(self) -> None:
         """Kill the endpoint process mid-lease (no goodbye to the cloud).
 
-        The agent stops fetching, heartbeating, and uploading — exactly what
+        The agent stops taking pushes, heartbeating, and uploading — exactly what
         the cloud sees when the node is reclaimed or the process dies.  The
         lease lapses after ``endpoint_lease_ttl`` and surviving members of
         the failover group inherit everything this endpoint held.  A crash
@@ -279,31 +261,29 @@ class FaasEndpoint:
         counter_inc("endpoint.crashes", endpoint=self.name)
 
     def pause(self) -> None:
-        """Drop the cloud connection (network outage / restart): doorbells
-        wait at the bus, results in the outbox."""
+        """Drop the cloud connection (network outage / restart): the cloud
+        pushes nothing more, so new tasks wait in its queue, pushes already
+        on their way wait unacked at the bus, and results in the outbox."""
         self._resumed.clear()
+        self.cloud.grant_credit(self.token, self.endpoint_id, 0)
         self._consumer.detach()
 
     def resume(self, *, reclaim: bool = False) -> None:
         """Reconnect to the cloud.
 
         ``reclaim=True`` models a restart after a *crash* (rather than a
-        network blip): any task this endpoint had fetched but not finished
-        is asked back from the cloud and will be re-dispatched.
+        network blip): any task this endpoint was pushed but did not finish
+        is asked back from the cloud (what is still on its way is voided)
+        and pushed again.
         """
         if reclaim:
             self._pay_api_call()
-            # Forget what the dead process held *before* the requeue emits
-            # fresh doorbells: those ids must not be skipped as stale.
-            with self._fetched_lock:
-                self._fetched_tasks.clear()
-                self._ahead.clear()
             self.cloud.requeue_dispatched(self.token, self.endpoint_id)
         self.cloud.heartbeat(self.token, self.endpoint_id)
         self._resumed.set()
         if self._running and not self._crashed.is_set():
-            self._consumer.attach(self._on_doorbells, self._on_lapse)
-            get_reactor().call_later(0.0, self._next_fetch)  # doorbells held
+            self._consumer.attach(self._on_tasks, self._on_lapse)
+            self.cloud.grant_credit(self.token, self.endpoint_id, self._max_tasks)
             self._ring_uplink()
 
     def utilization(self) -> EndpointUtilization:
@@ -370,166 +350,53 @@ class FaasEndpoint:
         """One lease renewal, fired by the process reactor: the heartbeat
         call is one more timer, due when its API round trip has been paid,
         so the tick sleeps nothing on the reactor.  Returning ``False``
-        cancels the periodic timer (endpoint stopped or crashed — a crash
-        must look exactly like a dead process: no more beats)."""
-        if not self._running or self._crashed.is_set():
+        cancels the periodic timer (a crash must look exactly like a dead
+        process: no more beats).  A stopping agent beats on until ``stop``
+        has drained and cancels the timer."""
+        if self._crashed.is_set():
             return False
         if self._resumed.is_set():
 
             def beat() -> None:
-                if self._running and not self._crashed.is_set():
-                    self.cloud.heartbeat(self.token, self.endpoint_id)
+                with self._in_flight:  # ``stop`` takes the timer under it
+                    if self._heartbeat_timer is not None and not self._crashed.is_set():
+                        self.cloud.heartbeat(self.token, self.endpoint_id)
 
             get_reactor().call_later(self._api_cost(), beat)
         return True
 
-    def _on_doorbells(self, envelopes: list[Envelope]) -> None:
-        """Doorbell listener (reactor): hold the doorbells for the fetch
-        chain, and start one unless it is already in flight — the doorbells
-        that arrive during a fetch are taken when it lands, so one chain at
-        a time composes every delivery round."""
+    def _on_tasks(self, envelopes: list[Envelope]) -> None:
+        """Task listener (reactor): ack each push and take its dispatches in
+        hand one cloud-to-agent latency later (``_in_hand``), the push's one
+        WAN leg.  Acked on receipt, a push replayed or duplicated during
+        that leg is dropped by the bus's sequence dedup."""
         for envelope in envelopes:
-            self._doorbells[envelope.seq] = envelope
-        self._next_fetch()
+            self._consumer.done(envelope)
+        with self._in_flight:
+            self._handoffs += 1
+        get_reactor().call_later(
+            self.cloud.network.latency(self.cloud.site, self.site),
+            functools.partial(self._in_hand, [envelope.payload for envelope in envelopes]),
+        )
 
     def _on_lapse(self) -> None:
-        """The doorbell subscription lapsed (reactor): missed lease or a
-        chaos-injected disconnect.  Drain the queue with fetches until one
-        comes back empty, then resubscribe (``_fetch_landed``)."""
-        if not self._fallback:
-            self._fallback = True
-            counter_inc("bus.fallback_engaged", role="endpoint", endpoint=self.name)
-        self._next_fetch()
+        """The task subscription lapsed (reactor): missed lease or a
+        chaos-injected disconnect.  Resubscribe; the bus replays every push
+        not yet acked."""
+        counter_inc("bus.fallback_engaged", role="endpoint", endpoint=self.name)
+        self._consumer.resubscribe()
 
-    def _next_fetch(self) -> None:
-        """Start a fetch chain for what is waiting — the fallback's drain,
-        or the held doorbells — unless one is in flight or the agent is
-        stopped, paused or dead."""
-        if (
-            self._fetching
-            or not self._running
-            or self._crashed.is_set()
-            or not self._resumed.is_set()
-        ):
-            return
-        if self._fallback:
-            self._fetch([], [])
-            return
-        # A replayed doorbell for work this agent already pulled (via an
-        # earlier fetch or a fallback drain) is acked without a fetch.
-        live = []
-        for envelope in self._doorbells.values():
-            if self._pulled([envelope]):
-                counter_inc("endpoint.doorbells_stale", endpoint=self.name)
-                self._ack(envelope)
-            else:
-                live.append(envelope)
-        self._doorbells.clear()
-        if live:
-            self._fetch(live, [])
-
-    def _pulled(self, envelopes: list[Envelope]) -> bool:
-        """Whether this agent has pulled every task id the doorbells
-        announce (a coalesced doorbell carries comma-joined ids)."""
-        with self._fetched_lock:
-            return all(
-                task_id in self._fetched_tasks or task_id in self._ahead
-                for envelope in envelopes
-                for task_id in envelope.payload.split(",")
+    def _in_hand(self, pushes: list[Push]) -> None:
+        """The pushed dispatches are in hand: their credit goes back to the
+        cloud one agent-to-cloud latency later, and they are dispatched once
+        their functions are resolved."""
+        got = [dispatch for push in pushes for dispatch in push.dispatches]
+        for push in pushes:
+            get_reactor().call_later(
+                self.cloud.network.latency(self.site, self.cloud.site),
+                functools.partial(self._return_credit, len(push.dispatches), push.epoch),
             )
-
-    def _ack(self, envelope: Envelope) -> None:
-        """Ack a doorbell; the ids it announced that were pulled ahead of it
-        need no shadow."""
-        with self._fetched_lock:
-            self._ahead.difference_update(envelope.payload.split(","))
-        self._consumer.done(envelope)
-
-    def _fetch(self, live: list[Envelope], got: list[TaskDispatch]) -> None:
-        """One fetch round trip of the chain, as reactor timers: the request
-        WAN, a non-blocking ``fetch_tasks``, the response WAN, then
-        ``_fetch_landed``.  ``live`` are the doorbells it serves (none: a
-        fallback drain) and ``got`` what the chain has pulled so far."""
-        with self._in_flight:
-            self._fetching = True
-        network = self.cloud.network
-        reactor = get_reactor()
-
-        def arrived() -> None:
-            try:
-                pulled = self.cloud.fetch_tasks(
-                    self.token, self.endpoint_id, self._max_tasks
-                )
-            except Exception:  # noqa: BLE001 - a reactor callback must not raise
-                # The doorbells stay unacked, so the bus redelivers them
-                # after its backoff; what was pulled already is dispatched.
-                # A drain has no doorbell: it retries after that backoff.
-                self.fetch_errors += 1
-                counter_inc("endpoint.fetch_errors", endpoint=self.name)
-                retry = 0.0 if live else self.cloud.constants.bus_redelivery_base
-                reactor.call_later(retry, lambda: self._fetch_done(live, got, acked=False))
-                return
-            reactor.call_later(
-                network.latency(self.cloud.site, self.site),
-                lambda: self._fetch_landed(live, got, pulled),
-            )
-
-        reactor.call_later(network.latency(self.site, self.cloud.site), arrived)
-
-    def _fetch_landed(
-        self, live: list[Envelope], got: list[TaskDispatch], pulled: list[TaskDispatch]
-    ) -> None:
-        # ``endpoint.polls`` counts the fetches a doorbell asked for and
-        # ``endpoint.doorbell_fetches_empty`` those that found nothing;
-        # the fallback's drain — whose final fetch is empty *by design*,
-        # confirming the drain — is counted apart.  Bounded per doorbell
-        # or gap, they are work, not idling.
-        if not live:
-            counter_inc("endpoint.fallback_polls", endpoint=self.name)
-            if not pulled:
-                counter_inc("endpoint.fallback_polls_empty", endpoint=self.name)
-        else:
-            counter_inc("endpoint.polls", endpoint=self.name)
-            if not pulled:
-                counter_inc("endpoint.doorbell_fetches_empty", endpoint=self.name)
-        announced = {t for envelope in live for t in envelope.payload.split(",")}
-        with self._fetched_lock:
-            for dispatch in pulled:
-                if dispatch.task_id in announced:
-                    self._fetched_tasks.add(dispatch.task_id)
-                else:
-                    self._ahead.add(dispatch.task_id)
-        got = got + pulled
-        if not live:
-            if not pulled:
-                # Drained: hand back to the bus.  Resubscription replays
-                # every unacked doorbell, so nothing from the gap is lost —
-                # and doorbells a window overflow trimmed had their work
-                # pulled by this drain.
-                self._consumer.resubscribe()
-                self._fallback = False
-        elif pulled and not self._pulled(live):
-            # One delivery can announce more work than one fetch window
-            # holds — several coalesced doorbells, or a burst of singles.
-            # Acking after a single fetch would strand the tail with no
-            # wakeup left, so keep pulling until every announced member is
-            # in hand.  An empty fetch also ends the chain: the queue is
-            # drained, so an uncovered member was picked up by another
-            # agent and is no longer this doorbell's problem.
-            self._fetch(live, got)
-            return
-        self._fetch_done(live, got, acked=True)
-
-    def _fetch_done(
-        self, live: list[Envelope], got: list[TaskDispatch], *, acked: bool
-    ) -> None:
-        """End a fetch chain: ack its doorbells (unless the fetch failed),
-        dispatch what it pulled, then take whatever waits next."""
-        if acked:
-            for envelope in live:
-                self._ack(envelope)
-                self._doorbells.pop(envelope.seq, None)  # a redelivery meanwhile
-        # Crash *while holding fetched-but-unfinished tasks* — the case the
+        # Crash *while holding pushed-but-unfinished tasks* — the case the
         # lease/failover machinery exists for.
         if got and not self._crashed.is_set() and chaos_check(
             "endpoint.crash", self.name, endpoint=self.name
@@ -537,15 +404,19 @@ class FaasEndpoint:
             self.simulate_crash()
         if self._crashed.is_set():
             got = []
-        self._resolve_functions(got, lambda failed: self._dispatched(got, failed))
 
-    def _dispatched(self, dispatches: list[TaskDispatch], failed: dict) -> None:
-        if dispatches:
-            self._dispatch(dispatches, failed)
-        with self._in_flight:
-            self._fetching = False
-            self._in_flight.notify_all()
-        self._next_fetch()
+        def resolved(failed: dict) -> None:
+            if got:
+                self._dispatch(got, failed)
+            with self._in_flight:
+                self._handoffs -= 1
+                self._in_flight.notify_all()
+
+        self._resolve_functions(got, resolved)
+
+    def _return_credit(self, n: int, epoch: int) -> None:
+        if not self._crashed.is_set():
+            self.cloud.return_credit(self.token, self.endpoint_id, n, epoch)
 
     def _dispatch(
         self, dispatches: list[TaskDispatch], failed: dict[str, Exception] | None = None
@@ -558,7 +429,7 @@ class FaasEndpoint:
         own read plus one WAN latency and its own bytes, so no task waits
         for a slower batch-mate and a round of one charges exactly what a
         lone task always has.  The landings are one hand-off :class:`Round`
-        armed on the reactor, at this agent's site; the fetch chain has
+        armed on the reactor, at this agent's site; the push's receipt has
         resolved the functions (``_resolve_functions``) and ``failed`` says
         which could not be.  The store op, the ``endpoint.fetch`` span and
         ``data_transfer`` event, and failure stay per member: a member whose
@@ -819,7 +690,7 @@ class FaasEndpoint:
 
     def _drain_outbox(self) -> None:
         """The outbox drain (reactor): ship the backlog as one uplink round
-        of up to a fetch window (one result without uplink batching), or
+        of up to a credit window (one result without uplink batching), or
         give the uplink back when there is nothing to ship.  Results wait
         in the outbox while paused (store-and-forward on our side);
         ``resume()`` rings for them."""
@@ -837,12 +708,6 @@ class FaasEndpoint:
                     self._uplinking = False
                     self._in_flight.notify_all()
                     return
-            # The tasks are leaving this agent: their ids no longer need to
-            # shadow doorbells, and keeping them would grow the stale-set
-            # without bound over the endpoint's life.
-            with self._fetched_lock:
-                for task_id, _success, _payload, _ctx in items:
-                    self._fetched_tasks.discard(task_id)
             if not self._crashed.is_set():
                 self._uplink_batch(items)
                 return

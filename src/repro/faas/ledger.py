@@ -337,7 +337,7 @@ class Effects:
         "verdicts",
         "tasks",
         "expired",
-        "doorbells",
+        "queued",
         "completions",
         "usage",
         "depths",
@@ -355,8 +355,9 @@ class Effects:
         #: ``dispatch`` only: queued tasks found past their deadline, by id
         #: (left queued; the caller fails them with a ``queued_only`` result).
         self.expired: dict[str, TaskRecord] = {}
-        #: ``(endpoint_id, tasks)``: one task-available doorbell each.
-        self.doorbells: list[tuple[str, list[TaskRecord]]] = []
+        #: ``(endpoint_id, tasks)``: work newly waiting in that endpoint's
+        #: queue, which the cloud then pushes.
+        self.queued: list[tuple[str, list[TaskRecord]]] = []
         #: Tasks that went terminal: completed-feed push + result doorbell.
         self.completions: list[TaskRecord] = []
         #: ``(TenantRegistry method name, args)`` usage deltas; ``dispatch``
@@ -418,9 +419,9 @@ class Ledger:
     # -- the task state machine -----------------------------------------------
     def apply_submit(self, record: Submit) -> Effects:
         """Admit tasks: unknown ids enter the ledger, WAITING ones at the
-        back of their owner's queue with one doorbell per endpoint."""
+        back of their owner's queue, noted once per endpoint."""
         effects = Effects()
-        rings: dict[str, list[TaskRecord]] = {}
+        queued: dict[str, list[TaskRecord]] = {}
         with self.lock:
             for task, args in zip(record.tasks, record.args):
                 if task.task_id in self.tasks:
@@ -431,11 +432,11 @@ class Ledger:
                 effects.tasks.append(task)
                 if task.status is TaskStatus.WAITING:
                     self._queue(task).append(task.task_id)
-                    rings.setdefault(task.endpoint_id, []).append(task)
+                    queued.setdefault(task.endpoint_id, []).append(task)
                 if args is not None:
                     effects.adopt.append((task.args_locator, args, False))
-            for endpoint_id in sorted(rings):
-                effects.doorbells.append((endpoint_id, rings[endpoint_id]))
+            for endpoint_id in sorted(queued):
+                effects.queued.append((endpoint_id, queued[endpoint_id]))
                 self._note_depth(effects, endpoint_id)
         return effects
 
@@ -546,8 +547,7 @@ class Ledger:
         first; otherwise to the *back* of ``target``'s, and ``source`` joins
         ``previous_endpoints`` so its late report reads as a stale lease.
         Copies that were DISPATCHED re-enter the tenant's queued-bytes
-        quota; every moved task gets a fresh doorbell (the agent that lost
-        it acked the original)."""
+        quota; the moved tasks are pushed again."""
         effects = Effects()
         source, target = record.source, record.target
         rehome = target != source
@@ -577,7 +577,7 @@ class Ledger:
                 else:
                     self._queue(task).appendleft(task.task_id)
             if effects.tasks:
-                effects.doorbells = [(target, [task]) for task in effects.tasks]
+                effects.queued = [(target, effects.tasks)]
                 self._note_depth(effects, source)
                 self._note_depth(effects, target)
         return effects

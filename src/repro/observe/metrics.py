@@ -1,7 +1,7 @@
 """Process-wide metrics: counters, gauges, histograms with labels.
 
 Service-side telemetry the Result ledger cannot express: queue depths at
-the FaaS cloud, the endpoint's fetches per doorbell, result-store tier
+the FaaS cloud, the endpoint's dispatch round sizes, result-store tier
 hits, proxy cache hit rates, transfer concurrency-limit stalls.  Components
 update metrics through the module-level helpers (:func:`counter_inc`,
 :func:`gauge_set`, :func:`observe`), which are one-global-read no-ops when

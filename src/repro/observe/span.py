@@ -2,7 +2,7 @@
 
 The :class:`~repro.core.result.Result` ledger sees a task only at its
 endpoints; everything in between — queue hops, the FaaS cloud round trip,
-the endpoint's doorbell fetch, proxy resolution on a worker, a Globus
+the push of a task to its endpoint, proxy resolution on a worker, a Globus
 transfer — is invisible to it.  A :class:`Span` names one such interval:
 it carries a ``trace_id`` (shared by every span of one task), its own
 ``span_id``, an optional ``parent_id``, nominal start/end timestamps from

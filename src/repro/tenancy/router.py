@@ -161,7 +161,8 @@ class CloudRouter(_BatchOfOne, _EndpointCalls):
         self.registry = registry if registry is not None else TenantRegistry(self.clock)
         # One fabric for every shard: a single bus, completed feed and
         # endpoint table, none of which a shard crash destroys.
-        self.fabric = Fabric(NotificationBus.for_cloud(self.clock, self.constants))
+        bus = NotificationBus.for_cloud(self.clock, self.constants)
+        self.fabric = Fabric(bus, front=self)
         self.bus = self.fabric.bus
         self.store = _RoutedStore(self)
         self._lock = threading.Lock()
@@ -235,6 +236,8 @@ class CloudRouter(_BatchOfOne, _EndpointCalls):
         report = recover_cloud(fresh)
         with self._lock:
             self._shards[shard_id] = fresh
+        for endpoint_id in self.fabric.endpoints.ids():  # the re-leased work
+            self._push(endpoint_id)
         return report
 
     def add_shard(self) -> str:
@@ -317,16 +320,15 @@ class CloudRouter(_BatchOfOne, _EndpointCalls):
 
     def _end_outage(self, shard_id: str, until: float) -> None:
         """Clear the window ending at ``until`` -- unless a later drop has
-        extended it, whose own timer clears it -- and re-ring the doorbells
-        of the backlog the shard queued meanwhile (the originals were acked
-        against empty fetches while the router skipped the dark shard).
-        The shard is looked up now, so a rebuilt one is the one that rings."""
+        extended it, whose own timer clears it -- and push every endpoint
+        what waits (pushes skipped the dark shard meanwhile)."""
         with self._lock:
             if self._outages.get(shard_id) != until:
                 return
             del self._outages[shard_id]
         counter_inc("cloud.shard_recoveries", shard=shard_id)
-        self.shard(shard_id).republish_doorbells()
+        for endpoint_id in self.fabric.endpoints.ids():
+            self._push(endpoint_id)
 
     def _outage_left(self, shard_id: str) -> float:
         """Nominal seconds until ``shard_id``'s outage ends; not positive
@@ -380,10 +382,10 @@ class CloudRouter(_BatchOfOne, _EndpointCalls):
 
     # -- endpoints ------------------------------------------------------------
     def heartbeat(self, token: Token, endpoint_id: str) -> float:
-        """One shard takes the beat -- it validates, renews the lease in
-        the fleet's one table, records health and counts, once -- and every
-        other shard then sweeps, so a dead endpoint's work moves within one
-        heartbeat whichever shard holds it.  Returns the new expiry."""
+        """One shard takes the beat -- it validates, renews the lease in the
+        fleet's one table, records health, counts and pushes, once -- and
+        every other shard then sweeps, so a dead endpoint's work moves within
+        one heartbeat whichever shard holds it.  Returns the new expiry."""
         first, *rest = self._all_shards()
         expiry = first.heartbeat(token, endpoint_id)
         for shard in rest:
@@ -598,7 +600,7 @@ class CloudRouter(_BatchOfOne, _EndpointCalls):
         """Scatter-gather fetch across the shard set, once and without
         blocking: shards are drained starting from a rotating offset so no
         shard's queues get systematic priority, and shards inside an outage
-        window are skipped (their backlog is re-announced when it ends)."""
+        window are skipped (their backlog is pushed when it ends)."""
         live = [sid for sid in self.shard_ids if self._outage_left(sid) <= 0]
         out: list[TaskDispatch] = []
         if live:
@@ -678,7 +680,6 @@ def _sum_counts(answers: list[dict[str, int]]) -> dict[str, int]:
 _DELEGATED = {
     "deadletters": None,  # one tracker, shared by every shard
     "next_completed_batch": None,  # one completed feed, likewise
-    "requeue_dispatched": _concat,
     "task_records": _concat,
     "queue_depth": sum,
     "tenant_backlog": _sum_counts,

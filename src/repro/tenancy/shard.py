@@ -6,13 +6,14 @@ store, failover sweep, exactly-once result reporting) — wired into the
 :class:`~repro.faas.cloud.Fabric` the router shares across shards, which no
 shard crash destroys:
 
-* the common :class:`~repro.bus.NotificationBus`, so doorbells and result
-  notifications from every shard reach the same subscribers;
+* the common :class:`~repro.bus.NotificationBus`, so pushed tasks and
+  result notifications from every shard reach the same subscribers;
 * the common completed feed, so one client drain collects completions from
   all shards;
-* the one :class:`~repro.faas.cloud.EndpointTable`: registrations, leases
-  and reaps live once for the fleet, and each shard's sweep moves only its
-  own share of a reaped endpoint's work;
+* the one :class:`~repro.faas.cloud.EndpointTable`: registrations, leases,
+  reaps and push credit live once for the fleet, each shard's sweep moves
+  only its own share of a reaped endpoint's work, and every push leases
+  through the router's rotating ``fetch_tasks``;
 * the router's :class:`~repro.tenancy.TenantRegistry`, so dispatches and
   terminal transitions inside the shard release the usage the router
   reserved at admission;

@@ -26,9 +26,18 @@ SRC = Path(repro.__file__).parent
 #: Modules that plan rounds and must leave landing them to ``Round``.
 PLANNERS = ("faas/cloud.py", "tenancy/router.py")
 #: The hand-built schedules ``Round`` replaced, the client's sleeping
-#: resubmit and its notifier's download heap, and the loops that blocked on
-#: the bus; no module defines them again.
+#: resubmit and its notifier's download heap, the loops that blocked on the
+#: bus, and the endpoint's doorbell-then-fetch chain the task push replaced;
+#: no module defines them again.
 RETIRED = {
+    "_on_doorbells",
+    "_next_fetch",
+    "_pulled",
+    "_fetch",
+    "_fetch_landed",
+    "_fetch_done",
+    "_dispatched",
+    "republish_doorbells",
     "plan_write",
     "plan_read",
     "read_landings",
@@ -159,6 +168,8 @@ def test_src_lands_every_round_through_the_round_type():
         ("def _poll_loop(self): ...\n", ENDPOINT),
         ("class E:\n    def _uplink_loop(self): ...\n", ENDPOINT),
         ("def _fetch(self):\n    self._clock.sleep(wan)\n", ENDPOINT),
+        ("def _on_doorbells(self, envelopes): ...\n", ENDPOINT),
+        ("class C:\n    def republish_doorbells(self): ...\n", "faas/cloud.py"),
         ("class E:\n    def _dispatch(self):\n        clock.sleep(api)\n", ENDPOINT),
         ("self._clock.sleep(api)\n", ENDPOINT),
         ("self._clock.wait(self._resumed, None)\n", ENDPOINT),

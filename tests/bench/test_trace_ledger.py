@@ -131,7 +131,13 @@ def test_metrics_count_the_campaign(testbed):
     assert registry.counter_total("server.tasks_dispatched") == N_TASKS
     assert registry.counter_total("faas.api_calls") >= N_TASKS
     assert registry.histogram("task.lifetime_s", topic="bench").count == N_TASKS
-    # Every fetch was asked for by the doorbell of a task still queued, so
-    # none came back empty.
-    assert registry.counter_total("endpoint.polls") >= 1
-    assert registry.counter_total("endpoint.doorbell_fetches_empty") == 0
+    # Every task reached its endpoint in a push, and no push was empty:
+    # the dispatch rounds carried the tasks once each.
+    rounds = [
+        size
+        for name, _labels, hist in registry.histograms()
+        if name == "endpoint.fetch_batch_size"
+        for size in hist.values()
+    ]
+    assert sum(rounds) == N_TASKS and min(rounds) >= 1
+    assert 1 <= registry.counter("bus.published", role="endpoint").value <= N_TASKS

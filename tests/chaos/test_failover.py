@@ -139,12 +139,13 @@ def test_lease_expiry_without_survivor_requeues_in_place(cloud_rig):
     assert record.previous_endpoints == []
 
 
-def test_a_fetch_after_a_lapse_renews_the_lease_so_its_work_fails_over():
+def test_a_fetch_after_a_lapse_gets_nothing_so_its_work_fails_over():
     """Both leases of a pair lapse on a stalled host; ``a``'s next fetch
     used to reap ``a`` inside the fetch and still hand it the task, and
     once ``a`` died the task stayed DISPATCHED to it for good: a reaped
-    endpoint's later sweeps move only its queue.  A fetch is proof of life,
-    so ``a``'s later lapse is a fresh reap and its task fails over."""
+    endpoint's later sweeps move only its queue.  Only a heartbeat renews a
+    lease, and a reaped endpoint is handed nothing, so the task waits in
+    ``a``'s queue until ``b``'s beat moves it."""
     constants = PaperConstants(**FAST)
     testbed = build_paper_testbed(seed=7, constants=constants)
     auth = AuthServer()
@@ -160,9 +161,9 @@ def test_a_fetch_after_a_lapse_renews_the_lease_so_its_work_fails_over():
     func_id = cloud.register_function(token, serialize(_add))
     task_id = cloud.submit(token, "client", func_id, ep_a, serialize(((1, 2), {})))
     clock.sleep(4.0)  # neither agent beat in time
-    (dispatch,) = cloud.fetch_tasks(token, ep_a, 10)
-    assert dispatch.task_id == task_id
-    for _ in range(10):  # a dies holding the task; b beats on
+    assert cloud.fetch_tasks(token, ep_a, 10) == []  # the fetch reaps both
+    assert cloud.task(task_id).status is TaskStatus.WAITING
+    for _ in range(10):  # a dies; b beats on
         clock.sleep(1.0)
         cloud.heartbeat(token, ep_b)
     record = cloud.task(task_id)
@@ -303,3 +304,53 @@ def test_work_submitted_to_a_reaped_endpoint_completes_on_its_survivor():
     (record,) = cloud.task_records()
     assert record.endpoint_id == ep_b.endpoint_id
     assert metrics.counter_total("faas.failovers") == 1
+
+
+def _slow_add(a, b):
+    get_clock().sleep(150.0)  # more than twice the lease TTL below
+    return a + b
+
+
+def test_a_graceful_stop_keeps_its_lease_until_it_has_drained():
+    """Stopping an agent mid-task waits for the pool to run the task and
+    the uplink to report it.  The heartbeat used to be cancelled before
+    that drain, so the peer's sweep reaped the stopping agent a TTL later
+    and failed its task over although nothing had died; now it beats until
+    the release, and the task's result is accepted from the agent that
+    ran it."""
+    constants = PaperConstants(endpoint_heartbeat_period=2.0, endpoint_lease_ttl=60.0)
+    testbed = build_paper_testbed(seed=7, constants=constants)
+    metrics = MetricsRegistry()
+    set_metrics(metrics)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants)
+    ep_a, ep_b = (
+        FaasEndpoint(
+            name, cloud, token, testbed.theta_login,
+            WorkerPool(testbed.theta_compute, 1, name=f"pool-{name}"),
+            failover_group="pair",
+        ).start()
+        for name in ("ep-a", "ep-b")
+    )
+    client = FaasClient(cloud, token, site=testbed.theta_login)
+    try:
+        with at_site(testbed.theta_login):
+            future = client.run(_slow_add, ep_a.endpoint_id, 1, b=2)
+        clock = get_clock()
+        deadline = clock.now() + 60.0
+        while not metrics.counter_total("endpoint.executions"):  # running on ep-a
+            assert clock.now() < deadline
+            clock.sleep(0.5)
+        ep_a.stop()  # returns once the task has run and been reported
+        assert future.result(timeout=60) == 3
+    finally:
+        client.close()
+        ep_a.stop()
+        ep_b.stop()
+    (record,) = cloud.task_records()
+    assert (record.status, record.endpoint_id) == (TaskStatus.SUCCESS, ep_a.endpoint_id)
+    assert record.previous_endpoints == []
+    assert metrics.counter_total("faas.lease_expiries") == 0
+    assert metrics.counter_total("faas.failovers") == 0
+    assert metrics.counter_total("endpoint.stale_results") == 0

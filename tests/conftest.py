@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import itertools
 import queue
 import threading
 
@@ -77,7 +76,7 @@ class RecordingClock:
     def __init__(self) -> None:
         self._clock = get_clock()
         self.charges: list[tuple[str, float]] = []
-        self.timers: list[tuple[str, float]] = []
+        self.timers: list[tuple[str, float, str]] = []
 
     def clear(self) -> None:
         """Forget every charge and timer recorded so far."""
@@ -86,7 +85,12 @@ class RecordingClock:
 
     def armed(self, thread: str | None = None) -> list[float]:
         """The reactor timers armed so far, optionally by one thread."""
-        return [s for name, s in list(self.timers) if thread in (None, name)]
+        return [s for name, s, _fn in list(self.timers) if thread in (None, name)]
+
+    def armed_calls(self, thread: str | None = None) -> list[tuple[str, float]]:
+        """Like :meth:`armed`, each timer with the qualified name of the
+        callback it fires (a ``functools.partial``'s function's)."""
+        return [(fn, s) for name, s, fn in list(self.timers) if thread in (None, name)]
 
     def sleep(self, nominal_seconds: float) -> None:
         if nominal_seconds > 0:
@@ -108,7 +112,8 @@ def recording_clock(clean_state, monkeypatch):
 
     def recording_call_later(reactor, delay, fn):
         if delay > 0:
-            clock.timers.append((threading.current_thread().name, delay))
+            name = getattr(getattr(fn, "func", fn), "__qualname__", "")
+            clock.timers.append((threading.current_thread().name, delay, name))
         return call_later(reactor, delay, fn)
 
     monkeypatch.setattr(Reactor, "call_later", recording_call_later)
@@ -180,32 +185,39 @@ class ManualClock(Clock):
             raise
 
 
-class ManualReactor:
+class ManualReactor(Reactor):
     """The process reactor under a :class:`ManualClock`: timers fire when
     the test runs them, each with the clock moved to its deadline.  Patch
     it in where rounds are armed (``repro.batch.round.get_reactor``) or
     outages end (``repro.tenancy.router.get_reactor``) and import it with
-    ``from conftest import ManualReactor``."""
+    ``from conftest import ManualReactor``.  Its timers are the reactor's
+    own (``cancel``, ``call_every``), but a callback that raises fails the
+    test instead of being counted."""
 
     def __init__(self, clock: ManualClock) -> None:
-        self._clock = clock
-        self._timers: list = []
-        self._seq = itertools.count()
+        super().__init__(clock)
 
-    def now(self) -> float:
-        return self._clock.now()
+    def _ensure_thread_locked(self) -> None:
+        """No thread: :meth:`run` fires the timers."""
 
-    def call_later(self, delay, fn):
-        self.call_at(self._clock.now() + delay, fn)
-
-    def call_at(self, when, fn):
-        heapq.heappush(self._timers, (when, next(self._seq), fn))
-
-    def run(self) -> None:
-        while self._timers:
-            when, _, fn = heapq.heappop(self._timers)
+    def run(self, until: float | None = None) -> None:
+        """Fire every live timer in deadline order -- only those due by
+        ``until`` (then move the clock there), if given; a periodic timer
+        keeps firing, so a reactor with one needs ``until``."""
+        while True:
+            with self._cond:
+                while self._heap and self._heap[0][2].cancelled:
+                    heapq.heappop(self._heap)
+                if not self._heap or (until is not None and self._heap[0][0] > until):
+                    break
+                when, _, timer = heapq.heappop(self._heap)
             self._clock._now = max(self._clock._now, when)
-            fn()
+            keep = timer.fn()
+            if timer.period is not None and keep is not False and not timer.cancelled:
+                timer.when = self._clock.now() + timer.period
+                self._arm(timer)
+        if until is not None:
+            self._clock._now = max(self._clock._now, until)
 
 
 def hardened_router(clock: Clock, *, n_functions: int = 1, n_endpoints: int = 1):

@@ -1,8 +1,8 @@
-"""Bus-driven task/result delivery, the poll fallback, and client shutdown.
+"""Bus-driven task/result delivery and client shutdown.
 
 Covers the event-driven wiring of :mod:`repro.bus` into the FaaS fabric:
-doorbell-driven fetches (no idle polling), pause/resume interaction with
-subscriptions, and the
+tasks pushed down the endpoint's subscription as credit allows (no idle
+polling), pause/resume interaction with subscriptions, and the
 executor/client shutdown semantics for still-pending futures.
 """
 
@@ -20,6 +20,7 @@ from repro.faas import (
     FaasExecutor,
 )
 from repro.batch.reactor import get_reactor
+from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
 from repro.faas.cloud import task_topic
 from repro.net.clock import get_clock
 from repro.net.context import at_site
@@ -51,6 +52,9 @@ def _rig(testbed):
 
 def test_bus_delivery_completes_tasks_without_idle_polls(testbed, metrics):
     cloud, endpoint, client = _rig(testbed)
+    fetches = []
+    fetch_tasks = cloud.fetch_tasks
+    cloud.fetch_tasks = lambda *args: fetches.append(args) or fetch_tasks(*args)
     try:
         with at_site(testbed.theta_login):
             futures = [
@@ -60,20 +64,22 @@ def test_bus_delivery_completes_tasks_without_idle_polls(testbed, metrics):
     finally:
         client.close()
         endpoint.stop()
-    # Every fetch was doorbell-driven and pulled what its doorbell
-    # announced, so none came back empty; results arrived as bus
-    # notifications, not poll hits.
-    assert metrics.counter_total("endpoint.doorbell_fetches_empty") == 0
-    assert metrics.counter_total("endpoint.polls") >= 1
-    # Coalesced submits share a task doorbell and drained uplinks a result
-    # doorbell: at least one of each, at most one per task.
+    # Tasks were pushed as they landed: every dequeue is one a push ran for
+    # work waiting in the queue, at most one per task, and each carried
+    # tasks; results arrived as bus notifications, not poll hits.
+    assert 1 <= len(fetches) <= 4
+    assert 1 <= metrics.counter("bus.published", role="endpoint").value <= len(fetches)
+    assert metrics.counter_total("faas.push_errors") == 0
+    # Coalesced submits share a push and drained uplinks a result doorbell:
+    # at least one of each, at most one per task.
     assert 2 <= metrics.counter_total("bus.delivered") <= 8
     assert metrics.counter_total("bus.fallback_engaged") == 0
 
 
-def test_pause_resume_replays_unacked_doorbells(testbed, metrics):
-    """Satellite: doorbells published while the endpoint is paused stay in
-    its unacked window and are replayed on resume — no task event is lost."""
+def test_a_paused_endpoint_is_pushed_nothing_until_it_resumes(testbed, metrics):
+    """Tasks submitted while the endpoint is paused wait in the cloud's
+    queue: a dropped connection withdraws the credit, so nothing is leased
+    or published to it, and resume pushes them all — no task is lost."""
     cloud, endpoint, client = _rig(testbed)
     try:
         endpoint.pause()
@@ -81,11 +87,11 @@ def test_pause_resume_replays_unacked_doorbells(testbed, metrics):
             futures = []
             for i in range(3):
                 futures.append(client.run(_add, endpoint.endpoint_id, i, b=1))
-                client.flush_batches()  # one submit call, one doorbell, each
+                client.flush_batches()  # one submit call each
         get_clock().sleep(1.0)
         assert not any(f.done() for f in futures)
-        # The doorbells are parked, unacked, in the endpoint's window.
-        assert len(cloud.bus.unacked(task_topic(endpoint.endpoint_id), endpoint.endpoint_id)) == 3
+        assert cloud.queue_depth(endpoint.endpoint_id) == 3
+        assert cloud.bus.unacked(task_topic(endpoint.endpoint_id), endpoint.endpoint_id) == []
         endpoint.resume()
         assert [f.result(timeout=60) for f in futures] == [1, 2, 3]
     finally:
@@ -94,8 +100,8 @@ def test_pause_resume_replays_unacked_doorbells(testbed, metrics):
 
 
 def test_resume_with_reclaim_requeues_and_replays(testbed, metrics):
-    """Satellite: ``resume(reclaim=True)`` republishes doorbells for
-    requeued work and must not skip them as stale."""
+    """``resume(reclaim=True)`` takes back what was pushed and pushes the
+    requeued work again; every task completes."""
     cloud, endpoint, client = _rig(testbed)
     try:
         with at_site(testbed.theta_login):
@@ -116,11 +122,11 @@ def test_resume_with_reclaim_requeues_and_replays(testbed, metrics):
     assert cloud.bus.unacked(task_topic(endpoint.endpoint_id), endpoint.endpoint_id) == []
 
 
-def test_trimmed_doorbell_backlog_is_drained_and_acks_recover(testbed, metrics):
-    """A backlog deeper than the redelivery window trims doorbells for good.
-    The poll fallback must drain the queue to empty before handing back to
-    the bus (no task stranded without a wakeup), and the ack frontier must
-    cross the trimmed gap instead of wedging into perpetual redelivery."""
+def test_a_backlog_deeper_than_the_bus_window_is_never_trimmed(testbed, metrics):
+    """A backlog deeper than the redelivery window, queued while paused,
+    waits in the cloud's queue and reaches the endpoint a credit window at
+    a time: no task envelope is ever trimmed, nothing lapses, and every
+    push is acked."""
     auth = AuthServer()
     identity = auth.register_identity("u", "anl")
     token = auth.issue_token(identity, {SCOPE_COMPUTE})
@@ -138,25 +144,24 @@ def test_trimmed_doorbell_backlog_is_drained_and_acks_recover(testbed, metrics):
             futures = []
             for i in range(8):
                 futures.append(client.run(_add, endpoint.endpoint_id, i, b=1))
-                client.flush_batches()  # one doorbell per task
+                client.flush_batches()  # one submit call per task
         get_clock().sleep(1.0)
-        # More doorbells than the window fit: the oldest were trimmed and
-        # the subscription force-lapsed.
-        assert metrics.counter_total("bus.window_trimmed") >= 4
+        assert cloud.queue_depth(endpoint.endpoint_id) == 8
         endpoint.resume()
         assert [f.result(timeout=120) for f in futures] == list(range(1, 9))
-        # Replayed doorbells must all get acked (the frontier crossed the
-        # trimmed gap) within a bounded nominal window — a wedged frontier
-        # would redeliver the surviving envelopes forever.
-        clock = get_clock()
-        deadline = clock.now() + 30.0
-        while cloud.bus.unacked(topic, endpoint.endpoint_id) and clock.now() < deadline:
-            clock.sleep(0.5)
         assert cloud.bus.unacked(topic, endpoint.endpoint_id) == []
     finally:
         client.close()
         endpoint.stop()
-    assert metrics.counter_total("bus.fallback_engaged") >= 1
+    assert metrics.counter("bus.window_trimmed", role="endpoint").value == 0
+    assert metrics.counter_total("bus.fallback_engaged") == 0
+    rounds = [
+        size
+        for name, _labels, hist in metrics.histograms()
+        if name == "endpoint.fetch_batch_size"
+        for size in hist.values()
+    ]
+    assert sum(rounds) == 8 and max(rounds) <= 2  # never beyond the credit
 
 
 def test_executor_shutdown_cancels_pending_futures(testbed, metrics):
@@ -192,89 +197,53 @@ def test_client_close_fails_in_flight_futures(testbed, metrics):
     endpoint.stop()
 
 
-def test_a_replay_of_drained_work_is_acked_without_a_fetch(testbed, metrics):
-    """A fallback drain pulls work whose doorbells are still unacked; they
-    are replayed on the resubscribe, which may come after that work was
-    run and reported.  Each replayed doorbell is stale and acked as such:
-    no fetch comes back empty for work the drain already caught."""
+def test_a_replayed_or_duplicated_push_runs_its_tasks_once(testbed, metrics):
+    """Every first delivery of a push arrives twice, the endpoint's
+    subscription is dropped once, and once all is done it resubscribes
+    again, replaying from its last ack: each task still runs once, on its
+    one agent, and is reported once."""
+    set_injector(
+        FaultInjector(
+            FaultPlan.build(
+                0,
+                [
+                    FaultSpec(
+                        "bus.duplicate",
+                        "notification_duplicate",
+                        rate=1.0,
+                        match={"role": "endpoint", "attempt": 0},
+                    ),
+                    FaultSpec(
+                        "bus.subscription.drop",
+                        "subscription_drop",
+                        match={"role": "endpoint"},
+                        max_fires=1,
+                    ),
+                ],
+            )
+        )
+    )
     cloud, endpoint, client = _rig(testbed)
     topic = task_topic(endpoint.endpoint_id)
-    resubscribes = []
-    resubscribe = endpoint._consumer.resubscribe
-    endpoint._consumer.resubscribe = lambda: resubscribes.append(resubscribe)
     clock = get_clock()
     try:
-        endpoint.pause()
-        clock.sleep(testbed.constants.bus_lease_ttl + 1.0)
         with at_site(testbed.theta_login):
             futures = []
             for i in range(3):
                 futures.append(client.run(_add, endpoint.endpoint_id, i, b=1))
-                client.flush_batches()  # one doorbell per task
-        endpoint.resume()  # the subscription lapsed meanwhile: a drain
+                client.flush_batches()  # one push per task
         assert [f.result(timeout=60) for f in futures] == [1, 2, 3]
+        get_reactor().call_later(0.0, endpoint._consumer.resubscribe)  # a replay
         deadline = clock.now() + 30.0
-        while not resubscribes and clock.now() < deadline:
+        while metrics.counter_total("bus.resubscribes") < 2 and clock.now() < deadline:
             clock.sleep(0.1)
-        assert resubscribes, "the drain never handed back to the bus"
-        # Every drained task is reported by now; the replay comes after.
-        get_reactor().call_later(0.0, resubscribes[0])
-        deadline = clock.now() + 30.0
-        while cloud.bus.unacked(topic, endpoint.endpoint_id) and clock.now() < deadline:
-            clock.sleep(0.1)
+        clock.sleep(1.0)
         assert cloud.bus.unacked(topic, endpoint.endpoint_id) == []
     finally:
         client.close()
         endpoint.stop()
-    assert metrics.counter_total("endpoint.fallback_polls") >= 1
-    assert metrics.counter_total("endpoint.doorbells_stale") == 3
-    assert metrics.counter_total("endpoint.doorbell_fetches_empty") == 0
-
-
-def test_a_late_doorbell_for_work_pulled_ahead_is_acked_without_a_fetch(
-    testbed, metrics
-):
-    """A fetch serving one doorbell can pull work whose own doorbell has
-    not come yet; that doorbell may arrive after the work was run and
-    reported.  It is stale and acked as such: no fetch comes back empty for
-    work a fetch already caught."""
-    auth = AuthServer()
-    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
-    # The subscription outlives the pause: doorbells only, no drain.
-    constants = replace(testbed.constants, bus_lease_ttl=1e9)
-    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants)
-    pool = WorkerPool(testbed.theta_compute, 3, name="ahead-pool")
-    endpoint = FaasEndpoint("theta", cloud, token, testbed.theta_login, pool)
-    held, deliver = [], endpoint._on_doorbells
-
-    def holding_back_the_second(envelopes):
-        held.extend(envelope for envelope in envelopes if envelope.seq == 2)
-        if rest := [envelope for envelope in envelopes if envelope.seq != 2]:
-            deliver(rest)
-
-    endpoint._on_doorbells = holding_back_the_second
-    endpoint.start()
-    client = FaasClient(cloud, token, site=testbed.theta_login)
-    topic = task_topic(endpoint.endpoint_id)
-    clock = get_clock()
-    try:
-        endpoint.pause()
-        with at_site(testbed.theta_login):
-            futures = []
-            for i in range(2):
-                futures.append(client.run(_add, endpoint.endpoint_id, i, b=1))
-                client.flush_batches()  # one doorbell per task
-        endpoint.resume()  # the first doorbell's fetch pulls both tasks
-        assert [f.result(timeout=60) for f in futures] == [1, 2]
-        assert held, "the second doorbell was never delivered"
-        get_reactor().call_later(0.0, lambda: deliver(held[:1]))  # after the report
-        deadline = clock.now() + 30.0
-        while cloud.bus.unacked(topic, endpoint.endpoint_id) and clock.now() < deadline:
-            clock.sleep(0.1)
-        assert cloud.bus.unacked(topic, endpoint.endpoint_id) == []
-    finally:
-        client.close()
-        endpoint.stop()
-    assert metrics.counter_total("endpoint.fallback_polls") == 0
-    assert metrics.counter_total("endpoint.doorbells_stale") == 1
-    assert metrics.counter_total("endpoint.doorbell_fetches_empty") == 0
+        set_injector(None)
+    assert metrics.counter_total("bus.duplicates_dropped") >= 3
+    assert metrics.counter_total("bus.resubscribes") == 2
+    assert metrics.counter_total("endpoint.executions") == 3
+    assert metrics.counter_total("faas.duplicate_results") == 0

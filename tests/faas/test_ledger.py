@@ -66,7 +66,7 @@ def test_submit_dispatch_rehome_result_and_replay():
             effects.append(live.apply(record))
 
     assert [t.task_id for t in effects[1].tasks] == ["task-00000000", "task-00000001"]
-    assert [(e, [t.task_id for t in ts]) for e, ts in effects[1].doorbells] == [
+    assert [(e, [t.task_id for t in ts]) for e, ts in effects[1].queued] == [
         ("a", ["task-00000000", "task-00000001"])
     ]
     assert records[2].task_ids == ["task-00000000"]  # the ledger's own pick
@@ -148,7 +148,9 @@ def test_in_place_requeue_goes_to_the_front_and_is_not_journaled():
     assert not record.journaled and Rehome("a", "b", []).journaled
     effects = ledger.apply(record)
     assert list(ledger.queues["a"]["default"]) == [f"task-{n:08d}" for n in range(3)]
-    assert [e for e, _ in effects.doorbells] == ["a", "a"]
+    assert [(e, [t.task_id for t in ts]) for e, ts in effects.queued] == [
+        ("a", record.task_ids)
+    ]
     assert {ledger.tasks[t].requeues for t in record.task_ids} == {1}
 
 

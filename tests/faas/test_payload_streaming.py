@@ -234,12 +234,15 @@ def _all_terminal(rig, futures):
 
 # -- a round of one is the single path ---------------------------------------------
 def test_lone_task_charges_what_the_single_path_always_has(make_rig):
-    """k=1 on both hops, in the real delivery path: the fetch's and the
-    download's charges are the unbatched path's, number for number.  The
-    fetch is timers the reactor arms, not sleeps on an agent thread: a
-    request and a response latency, then the same redis read plus one
-    streamed response.  The result download is a landing on the reactor,
-    not a sleep: the same push, read, response and deserialization."""
+    """k=1 on both hops, in the real delivery path: the task's way to the
+    worker and the download's charges, number for number.  The task is
+    pushed when its submit lands, so its way to the agent is one WAN leg
+    (the push), where a fetch paid two (a request and a response); then
+    the same redis read plus one streamed response, all timers the reactor
+    arms, not sleeps on an agent thread.  The agent's credit comes back one
+    more WAN leg after the push lands, which no task waits on.  The result
+    download is a landing on the reactor, not a sleep: the same push, read,
+    response and deserialization."""
     rig = make_rig()
     rig.submit(0).result(timeout=60)  # warm-up: the endpoint caches the function
     rig.clear()
@@ -255,10 +258,13 @@ def test_lone_task_charges_what_the_single_path_always_has(make_rig):
         deserialize_cost(size),
     ]
     assert rig.clock.charged("repro-reactor") == []
-    assert rig.clock.armed("repro-reactor")[2:5] == [
-        WAN,  # fetch request
-        WAN,  # fetch response
-        pytest.approx(REDIS + rig.transfer(rig.args_size(task_id))),  # argument read
+    assert rig.clock.armed_calls("repro-reactor")[2:5] == [
+        ("FaasEndpoint._in_hand", WAN),  # the push
+        ("FaasEndpoint._return_credit", WAN),  # off the task's path
+        (
+            "Round._step",
+            pytest.approx(REDIS + rig.transfer(rig.args_size(task_id))),
+        ),  # argument read
     ]
     assert rig.clock.armed("repro-reactor")[-1] == pytest.approx(sum(downloaded))
     (download,) = rig.downloads
@@ -288,7 +294,7 @@ def test_lone_task_charges_on_the_submit_and_uplink_hops(make_rig):
         api_call,
         REDIS,  # argument write: 10 kB is not borrowed, it takes the store
     ]
-    # (between them the fetch's two latencies and the argument read)
+    # (between them the push, the credit return and the argument read)
     assert armed[5:7] == [
         api_call,
         REDIS,  # result write: a lone result is not borrowed either

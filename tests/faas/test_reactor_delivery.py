@@ -1,8 +1,8 @@
 """Bus delivery is a reactor callback: no control-plane thread blocks on it.
 
-Doorbells and result notifications are pushed onto the process reactor,
-which starts the endpoint's fetch chain and plans the client's download
-rounds; a lapsed subscription reaches its owner there too.  A running stack
+Pushed tasks and result notifications are delivered on the process
+reactor, which hands the endpoint its dispatches and plans the client's
+download rounds; a lapsed subscription reaches its owner there too.  A running stack
 therefore has one control-plane thread, and a delivery callback that fails
 is counted and retried instead of silently ending a loop.
 """
@@ -18,7 +18,7 @@ from repro.batch import BatchPolicy
 from repro.batch.reactor import Reactor
 from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
 from repro.faas import SCOPE_COMPUTE, AuthServer, FaasClient, FaasCloud, FaasEndpoint
-from repro.faas.cloud import result_topic, task_topic
+from repro.faas.cloud import TaskStatus, result_topic, task_topic
 from repro.net.clock import get_clock
 from repro.net.context import at_site
 from repro.observe import MetricsRegistry, set_metrics
@@ -66,21 +66,23 @@ def _raising_once(fn, error):
 def test_a_raising_fetch_does_not_strand_the_endpoint(testbed):
     """One ``fetch_tasks`` that raises used to end the poll thread while
     the heartbeats went on: the lease stayed valid, nothing failed over,
-    and the task was never fetched.  The fetch chain counts the error and
-    leaves the doorbell unacked; the bus redelivers it."""
+    and the task was never fetched.  A push whose dequeue raises counts the
+    error and leaves the task WAITING; the next push (the endpoint's next
+    heartbeat) delivers it."""
     metrics = _metrics()
     cloud, endpoint, client = _stack(testbed)
     cloud.fetch_tasks = _raising_once(cloud.fetch_tasks, ConnectionError("reset"))
     try:
         with at_site(testbed.theta_login):
             future = client.run(_add, endpoint.endpoint_id, 2, b=3)
+        client.flush_batches()  # the submit has landed and its push raised
+        assert metrics.counter_total("faas.push_errors") == 1
+        assert cloud.task(future.task_id).status is TaskStatus.WAITING
         assert future.result(timeout=30) == 5
-        assert endpoint.fetch_errors == 1
     finally:
         client.close()
         endpoint.stop()
-    assert metrics.counter_total("endpoint.fetch_errors") == 1
-    assert metrics.counter_total("bus.redelivered") >= 1
+    assert metrics.counter_total("faas.push_errors") == 1
     assert metrics.counter_total("reactor.callback_errors") == 0
 
 
@@ -187,11 +189,12 @@ def test_an_idle_stack_polls_nothing(testbed, monkeypatch):
     assert all(name.startswith("FaasEndpoint._heartbeat_tick") for name in fired), fired
 
 
-def test_a_pause_past_the_lease_lapses_and_resume_replays(testbed):
-    """A paused endpoint's listener is detached, so its subscription lapses
-    a lease after the pause; on resume the lapse reaches the endpoint on
-    the reactor, the drain and the replay deliver every task.  The client's
-    listener, attached and idle all along, never lapses."""
+def test_a_pause_past_the_lease_pushes_nothing_and_resume_delivers(testbed):
+    """A paused endpoint's listener is detached and its credit withdrawn,
+    so however long the pause nothing is published to it: its
+    subscription never lapses, and on resume the push delivers every task
+    that waited in the cloud's queue.  The client's listener, attached and
+    idle all along, never lapses either."""
     metrics = _metrics()
     cloud, endpoint, client = _stack(testbed)
     topic = task_topic(endpoint.endpoint_id)
@@ -200,16 +203,17 @@ def test_a_pause_past_the_lease_lapses_and_resume_replays(testbed):
         get_clock().sleep(testbed.constants.bus_lease_ttl + 1.0)
         with at_site(testbed.theta_login):
             futures = [client.run(_add, endpoint.endpoint_id, i, b=1) for i in range(3)]
-        client.flush_batches()  # the publish finds the lease expired
-        assert not cloud.bus.is_active(topic, endpoint.endpoint_id)
+        client.flush_batches()
+        assert cloud.queue_depth(endpoint.endpoint_id) == 3
         endpoint.resume()
         assert [f.result(timeout=60) for f in futures] == [1, 2, 3]
+        assert cloud.bus.is_active(topic, endpoint.endpoint_id)
         assert cloud.bus.is_active(result_topic(client.client_id), client.client_id)
     finally:
         client.close()
         endpoint.stop()
-    assert metrics.counter_total("bus.fallback_engaged") == 1
-    assert metrics.counter_total("bus.resubscribes") == 1
+    assert metrics.counter_total("bus.fallback_engaged") == 0
+    assert metrics.counter_total("bus.resubscribes") == 0
 
 
 def test_results_from_many_workers_are_all_uplinked(testbed):

@@ -341,9 +341,10 @@ def test_dispatch_returns_before_its_slowest_member_lands(monkeypatch):
 
 # -- a submitted member is queued when its own write lands -------------------------------
 def test_each_submitted_member_is_queued_at_its_own_write_landing(monkeypatch):
-    """A 3-member redis round on the reactor: each member's doorbell rings
-    at its own write landing, fastest first, naming that member alone; the
-    client's answer (every id) arrives when the slowest write lands."""
+    """A 3-member redis round on the reactor: each member is pushed to its
+    endpoint at its own write landing, fastest first, alone in its
+    envelope; the client's answer (every id) arrives when the slowest write
+    lands."""
     clock = ManualClock()
     reactor = ManualReactor(clock)
     monkeypatch.setattr("repro.batch.round.get_reactor", lambda: reactor)
@@ -355,11 +356,12 @@ def test_each_submitted_member_is_queued_at_its_own_write_landing(monkeypatch):
     cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants, clock)
     ep = cloud.register_endpoint(token, "theta", testbed.theta_compute)
     func_id = cloud.register_function(token, serialize(_index_of))
-    rung: list[tuple[float, str]] = []
+    cloud.grant_credit(token, ep, 32)  # an attached agent: work is pushed
+    rung: list[tuple[float, list[str]]] = []
     publish = cloud.bus.publish
 
     def recording(topic, payload, **kwargs):
-        rung.append((clock.now(), payload))
+        rung.append((clock.now(), [d.task_id for d in payload.dispatches]))
         return publish(topic, payload, **kwargs)
 
     cloud.bus.publish = recording
@@ -374,7 +376,7 @@ def test_each_submitted_member_is_queued_at_its_own_write_landing(monkeypatch):
     ((at, ids),) = answered
     assert at == pytest.approx(max(draws))
     assert rung == [
-        (pytest.approx(draw), ids[i]) for draw, i in sorted(zip(draws, range(3)))
+        (pytest.approx(draw), [ids[i]]) for draw, i in sorted(zip(draws, range(3)))
     ]
     assert [cloud.task(task_id).submitted_at for task_id in ids] == [
         pytest.approx(draw) for draw in draws
@@ -670,20 +672,22 @@ def test_lone_default_task_still_pays_the_redis_tier(stack, recording_clock, met
     api_call = WAN + WAN + API
     stream = lambda nbytes: WAN + nbytes / FIXED.cloud_bandwidth  # noqa: E731
     assert recording_clock.charged(me) == [serialize_cost(args)]
-    # The flush round, the fetch and the argument download are reactor
-    # timers now; a lone task's are the numbers the sleeps always were.
+    # The flush round, the push and the argument download are reactor
+    # timers; a lone task's are the numbers the sleeps always were, but for
+    # its way to the agent: one WAN leg, the push, where a fetch's request
+    # and response were two.  The credit coming back is off its path.
     assert recording_clock.charged("repro-reactor") == []
     # The uplink and the download are no thread's sleeps either: a timer
     # the outbox drain arms, and a landing, both on the reactor.
     (download,) = stack.downloads
-    assert recording_clock.armed("repro-reactor") == [
-        api_call,
-        REDIS,
-        WAN,  # fetch request
-        WAN,  # fetch response
-        pytest.approx(REDIS + stream(args)),  # argument read
-        api_call,  # the uplink: an inline result, no store write
-        pytest.approx(sum(download.charges)),
+    assert recording_clock.armed_calls("repro-reactor") == [
+        ("FaasClient._submit_leg.<locals>.send.<locals>.<lambda>", api_call),
+        ("Round._step", REDIS),
+        ("FaasEndpoint._in_hand", WAN),  # the push
+        ("FaasEndpoint._return_credit", WAN),
+        ("Round._step", pytest.approx(REDIS + stream(args))),  # argument read
+        ("FaasEndpoint._uplink_batch.<locals>.arrived", api_call),  # inline result
+        ("Round._step", pytest.approx(sum(download.charges))),
     ]
     assert download.charges == [
         WAN,  # notification push

@@ -16,7 +16,7 @@ import threading
 from conftest import ManualClock
 
 from repro.faas import SCOPE_COMPUTE, AuthServer
-from repro.faas.cloud import TaskStatus
+from repro.faas.cloud import TaskStatus, task_topic
 from repro.net.defaults import build_paper_testbed
 from repro.observe import MetricsRegistry, set_metrics
 from repro.serialize import serialize
@@ -117,17 +117,19 @@ def test_one_lapse_is_one_reap_and_each_moved_task_counts_once():
     assert sorted(d.task_id for d in refetched) == sorted(task_ids)
 
 
-def test_a_fetch_renews_the_one_lease_however_many_shards_it_drains():
+def test_a_fetch_renews_no_lease_however_many_shards_it_drains():
+    """Only a heartbeat keeps an agent alive: a fetch that sweeps all four
+    shards leaves the one lease where the beat put it."""
     fleet = Fleet()
     table = fleet.router.fabric.endpoints
-    fleet.beat("a")
+    expiry = fleet.beat("a")
     fleet.clock.sleep(0.6 * fleet.ttl)
     fleet.router.fetch_tasks(fleet.token, fleet.ep["a"], 10)
-    assert table.lease(fleet.ep["a"]) == fleet.clock.now() + fleet.ttl
+    assert table.lease(fleet.ep["a"]) == expiry
     fleet.clock.sleep(0.6 * fleet.ttl)
-    fleet.beat("b")  # past the first beat's TTL, inside the fetch's
-    assert table.reaps == {}
-    assert fleet.count("faas.lease_expiries") == 0
+    fleet.beat("b")  # past the beat's TTL
+    assert list(table.reaps) == [fleet.ep["a"]]
+    assert fleet.count("faas.lease_expiries") == 1
 
 
 def test_racing_sweeps_move_each_task_once_and_count_one_reap():
@@ -174,3 +176,39 @@ def test_racing_sweeps_move_each_task_once_and_count_one_reap():
     for task_id in task_ids:
         record = router.task(task_id)
         assert (record.endpoint_id, record.requeues) == (fleet.ep["b"], 1)
+
+
+def test_racing_pushes_never_overdraw_the_credit():
+    """Eight threads push ``a`` at once while forty tasks wait across the
+    four shards and ``a`` has a credit window of ten: exactly ten tasks
+    are leased and published, each once, and no credit is left."""
+    fleet = Fleet()
+    router, endpoint_id = fleet.router, fleet.ep["a"]
+    for n in range(40):
+        func_id = list(fleet.func_ids.values())[n % N_SHARDS]
+        router.submit(fleet.token, "c", func_id, endpoint_id, serialize(((n,), {})))
+    table = router.fabric.endpoints
+    table.grant(endpoint_id, fleet.token, 10)  # the window, not yet pushed
+    start = threading.Barrier(8)
+
+    def worker():
+        start.wait(timeout=10)
+        for _ in range(5):
+            router._push(endpoint_id)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    pushes = router.bus.subscribe(task_topic(endpoint_id), endpoint_id).receive(100)
+    pushed = [d.task_id for push in pushes for d in push.payload.dispatches]
+    assert len(pushed) == len(set(pushed)) == 10
+    assert table.credit(endpoint_id) == 0
+    assert router.queue_depth(endpoint_id) == 30

@@ -2,7 +2,8 @@
 
 A shard restarting at admission is a *control-plane* fault: the submit is
 rejected with a retryable throttle, the client backs off, and once the
-outage window lapses the shard re-rings any acked doorbells.  The cell must
+outage window lapses every endpoint is pushed the backlog the dark shard
+held.  The cell must
 satisfy the standard campaign invariants — no lost tasks, counters
 reconciling with the injected-fault ledger — and produce bit-identical
 ledger digests across reruns of the same seed.
@@ -58,9 +59,9 @@ def test_shard_outage_digest_varies_with_seed():
 
 
 def test_a_dark_shards_backlog_is_rerung_when_its_window_ends(testbed, monkeypatch):
-    """The window's own timer clears it and re-rings the dark shard's
-    queued backlog at its deadline, with no call into the router after
-    the fetch the dark shard sat out."""
+    """The window's own timer clears it and pushes the dark shard's queued
+    backlog at its deadline, with no call into the router after the push
+    the dark shard sat out."""
     clock = ManualClock()
     reactor = ManualReactor(clock)
     monkeypatch.setattr("repro.tenancy.router.get_reactor", lambda: reactor)
@@ -77,48 +78,50 @@ def test_a_dark_shards_backlog_is_rerung_when_its_window_ends(testbed, monkeypat
     shard_id = router._shard_for_task(task_id).shard_id
     start = clock.now()
     window = router._begin_outage(shard_id)
-    assert router.fetch_tasks(token, endpoint_id, 10) == []  # dark
+    router.grant_credit(token, endpoint_id, 32)  # an agent attaches: a push
     topic = task_topic(endpoint_id)
-    rung = len(router.bus.unacked(topic, endpoint_id))
+    assert router.bus.unacked(topic, endpoint_id) == []  # the shard is dark
 
     reactor.run()
 
     assert clock.now() == pytest.approx(start + window)
-    assert len(router.bus.unacked(topic, endpoint_id)) == rung + 1
     assert metrics.counter_total("cloud.shard_recoveries") == 1
-    assert [d.task_id for d in router.fetch_tasks(token, endpoint_id, 10)] == [task_id]
+    assert len(router.bus.unacked(topic, endpoint_id)) == 1
+    (envelope,) = router.bus.subscribe(topic, endpoint_id).receive(10)
+    assert [d.task_id for d in envelope.payload.dispatches] == [task_id]
 
 
 def test_an_extended_window_is_cleared_only_by_its_own_timer(testbed, monkeypatch):
     """A second drop moves the deadline: the first timer leaves the window
-    alone, and the backlog is re-rung once, when the extended one ends."""
+    alone, and the backlog is pushed once, when the extended one ends."""
     clock = ManualClock()
     reactor = ManualReactor(clock)
     monkeypatch.setattr("repro.tenancy.router.get_reactor", lambda: reactor)
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
     router = CloudRouter(
-        testbed.faas_cloud, testbed.network, AuthServer(), testbed.constants, clock
+        testbed.faas_cloud, testbed.network, auth, testbed.constants, clock
     )
-    rung = []
-    monkeypatch.setattr(
-        router.shard("s0"), "republish_doorbells", lambda: rung.append(clock.now())
-    )
+    endpoint_id = router.register_endpoint(token, "theta", testbed.theta_compute)
+    pushed = []
+    monkeypatch.setattr(router, "_push", lambda e: pushed.append((clock.now(), e)))
     window = router._begin_outage("s0")
     clock.sleep(window / 2)
     router._begin_outage("s0")
     reactor.run()
-    assert rung == [pytest.approx(1.5 * window)]
+    assert pushed == [(pytest.approx(1.5 * window), endpoint_id)]
     assert router._outages == {}
 
 
 def test_a_dark_shards_task_completes_with_no_further_submit(testbed):
-    """Threaded: the endpoint's doorbell fetch lands while the task's shard
-    is dark, comes back empty and is acked; the window's end re-rings the
-    doorbell and the task runs with nothing else submitted."""
+    """Threaded: the push at the endpoint's resume finds the task's shard
+    dark and publishes nothing; the window's end pushes the task and it
+    runs with nothing else submitted."""
     metrics = MetricsRegistry()
     set_metrics(metrics)
     auth = AuthServer()
     token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
-    # A window long enough that the resumed endpoint's fetch lands in it.
+    # A window long enough that the resumed endpoint's push falls in it.
     constants = replace(testbed.constants, shard_outage_window=100.0)
     router = CloudRouter(
         testbed.faas_cloud, testbed.network, auth, constants, n_shards=2
@@ -137,5 +140,5 @@ def test_a_dark_shards_task_completes_with_no_further_submit(testbed):
     finally:
         client.close()
         endpoint.stop()
-    assert metrics.counter_total("endpoint.doorbell_fetches_empty") >= 1
+    assert metrics.counter("bus.published", role="endpoint").value == 1  # at the end
     assert metrics.counter_total("cloud.shard_recoveries") == 1
