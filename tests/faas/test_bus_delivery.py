@@ -197,22 +197,25 @@ def test_client_close_fails_in_flight_futures(testbed, metrics):
     endpoint.stop()
 
 
-def test_a_replayed_or_duplicated_push_runs_its_tasks_once(testbed, metrics):
-    """Every first delivery of a push arrives twice, the endpoint's
-    subscription is dropped once, and once all is done it resubscribes
-    again, replaying from its last ack: each task still runs once, on its
-    one agent, and is reported once."""
+def _counting_fetches(cloud):
+    """Record each lease the cloud takes for a push."""
+    fetches = []
+    fetch_tasks = cloud.fetch_tasks
+    cloud.fetch_tasks = lambda *args: fetches.append(args) or fetch_tasks(*args)
+    return fetches
+
+
+def test_a_replay_of_drained_work_is_acked_without_a_fetch(testbed, metrics):
+    """The endpoint's subscription is dropped once while work is pushed,
+    and once every task is run and reported it resubscribes again,
+    replaying from its last ack.  Each replayed push is dropped by the
+    sequence dedup and acked: the replay leases nothing, and each task
+    runs once and is reported once."""
     set_injector(
         FaultInjector(
             FaultPlan.build(
                 0,
                 [
-                    FaultSpec(
-                        "bus.duplicate",
-                        "notification_duplicate",
-                        rate=1.0,
-                        match={"role": "endpoint", "attempt": 0},
-                    ),
                     FaultSpec(
                         "bus.subscription.drop",
                         "subscription_drop",
@@ -224,6 +227,7 @@ def test_a_replayed_or_duplicated_push_runs_its_tasks_once(testbed, metrics):
         )
     )
     cloud, endpoint, client = _rig(testbed)
+    fetches = _counting_fetches(cloud)
     topic = task_topic(endpoint.endpoint_id)
     clock = get_clock()
     try:
@@ -233,17 +237,93 @@ def test_a_replayed_or_duplicated_push_runs_its_tasks_once(testbed, metrics):
                 futures.append(client.run(_add, endpoint.endpoint_id, i, b=1))
                 client.flush_batches()  # one push per task
         assert [f.result(timeout=60) for f in futures] == [1, 2, 3]
+        leased = len(fetches)
         get_reactor().call_later(0.0, endpoint._consumer.resubscribe)  # a replay
         deadline = clock.now() + 30.0
         while metrics.counter_total("bus.resubscribes") < 2 and clock.now() < deadline:
             clock.sleep(0.1)
         clock.sleep(1.0)
         assert cloud.bus.unacked(topic, endpoint.endpoint_id) == []
+        assert len(fetches) == leased
     finally:
         client.close()
         endpoint.stop()
         set_injector(None)
-    assert metrics.counter_total("bus.duplicates_dropped") >= 3
     assert metrics.counter_total("bus.resubscribes") == 2
     assert metrics.counter_total("endpoint.executions") == 3
+    assert metrics.counter_total("faas.duplicate_results") == 0
+
+
+def test_a_late_doorbell_for_work_pulled_ahead_is_acked_without_a_fetch(
+    testbed, metrics
+):
+    """Every first delivery of a push arrives twice, and one more copy of a
+    push reaches the endpoint late: after the tasks it carried were run and
+    reported.  The sequence dedup drops every copy, so the late one leases
+    nothing, no task runs twice, and nothing is left unacked."""
+    set_injector(
+        FaultInjector(
+            FaultPlan.build(
+                0,
+                [
+                    FaultSpec(
+                        "bus.duplicate",
+                        "notification_duplicate",
+                        rate=1.0,
+                        match={"role": "endpoint", "attempt": 0},
+                    ),
+                ],
+            )
+        )
+    )
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, testbed.constants)
+    fetches = _counting_fetches(cloud)
+    pool = WorkerPool(testbed.theta_compute, 3, name="late-pool")
+    endpoint = FaasEndpoint("theta", cloud, token, testbed.theta_login, pool)
+    # Keep a copy of what the bus delivers, and the consumer's delivery
+    # path (dedup included) to hand a copy to again later.
+    subscription, held, deliveries = endpoint._consumer._sub, [], []
+    attach = subscription.attach
+
+    def attach_keeping_copies(deliver, on_lapse, max_n):
+        def keeping_copies(envelopes):
+            held.extend(envelopes)
+            deliver(envelopes)
+
+        deliveries.append(deliver)
+        attach(keeping_copies, on_lapse, max_n)
+
+    subscription.attach = attach_keeping_copies
+    endpoint.start()
+    client = FaasClient(cloud, token, site=testbed.theta_login)
+    topic = task_topic(endpoint.endpoint_id)
+    clock = get_clock()
+    try:
+        with at_site(testbed.theta_login):
+            futures = []
+            for i in range(2):
+                futures.append(client.run(_add, endpoint.endpoint_id, i, b=1))
+                client.flush_batches()  # one push per task
+        assert [f.result(timeout=60) for f in futures] == [1, 2]
+        assert held, "no push was ever delivered"
+        leased, dropped = len(fetches), metrics.counter_total("bus.duplicates_dropped")
+        get_reactor().call_later(0.0, lambda: deliveries[-1](held[:1]))  # after the report
+        deadline = clock.now() + 30.0
+        while (
+            metrics.counter_total("bus.duplicates_dropped") == dropped
+            and clock.now() < deadline
+        ):
+            clock.sleep(0.1)
+        clock.sleep(1.0)
+        assert metrics.counter_total("bus.duplicates_dropped") == dropped + 1
+        assert cloud.bus.unacked(topic, endpoint.endpoint_id) == []
+        assert len(fetches) == leased
+    finally:
+        client.close()
+        endpoint.stop()
+        set_injector(None)
+    assert dropped >= 2
+    assert metrics.counter_total("endpoint.executions") == 2
     assert metrics.counter_total("faas.duplicate_results") == 0
