@@ -240,14 +240,14 @@ class FaasClient:
     def _home_site(self) -> Site:
         return self._site or current_site() or self.cloud.site
 
-    def _api_cost(self) -> float:
-        """One HTTPS round trip to the service: the RTT plus a drawn
-        processing latency."""
-        cost = self.cloud.network.rtt(self._home_site(), self.cloud.site)
-        return cost + self.cloud.network._sample(self.cloud.constants.faas_api_latency)
+    def _api_legs(self) -> tuple[float, float]:
+        """One HTTPS call's ``(request, response)`` legs (``Network.api_legs``)."""
+        return self.cloud.network.api_legs(
+            self._home_site(), self.cloud.site, self.cloud.constants.faas_api_latency
+        )
 
     def _pay_api_call(self) -> None:
-        self._clock.sleep(self._api_cost())
+        self._clock.sleep(sum(self._api_legs()))
 
     # -- API ------------------------------------------------------------------
     def register_function(self, fn: Callable, *, name: str | None = None) -> str:
@@ -488,16 +488,17 @@ class FaasClient:
         reactor, with transparent throttle backoff; returns at once, and
         ``then(outcomes)`` runs on the reactor once the call has settled.
 
-        Each round trip is a timer for the API request and the service's
-        round, landed through ``submit_batch(then=)``; nothing is slept, so
-        no heartbeat, lease renewal or other flush in the process waits on
-        it.  Outcomes are positional: a task id, or the member's rejection
-        (a call that fails as a whole is every member's outcome).  Throttled
-        members are re-sent together under the *same* chaos keys (a
-        throttle retry is the same logical submission — the attempt counter
-        is reserved for failure retries) after a ``max(retry_after,
-        backoff)`` timer, until the throttle policy's budget runs out; what
-        is still throttled then stands as its outcome.
+        Each round trip is a timer for the API request leg, the service's
+        round, landed through ``submit_batch(then=)``, and a timer for the
+        response leg; nothing is slept, so no heartbeat, lease renewal or
+        other flush in the process waits on it.  Outcomes are positional: a
+        task id, or the member's rejection (a call that fails as a whole is
+        every member's outcome).  Throttled members are re-sent together
+        under the *same* chaos keys (a throttle retry is the same logical
+        submission — the attempt counter is reserved for failure retries)
+        after a ``max(retry_after, backoff)`` timer, until the throttle
+        policy's budget runs out; what is still throttled then stands as its
+        outcome.
         """
         outcomes: list = [None] * len(submissions)
         policy = self._throttle_policy
@@ -511,7 +512,7 @@ class FaasClient:
                 return
             batch = [submissions[i] for i in live]
             counter_inc("faas.api_calls", op="submit")
-            request = self._api_cost()
+            request, response = self._api_legs()
             # Zero-copy payloads ride the submit message itself, so their
             # bytes are charged as request transfer, not as store ops.
             inline_bytes = sum(
@@ -522,22 +523,24 @@ class FaasClient:
                 ]
             )
             if inline_bytes:
-                request += self.cloud.network.transfer_time(
-                    self._home_site(), self.cloud.site, inline_bytes
+                request += inline_bytes / self.cloud.network.bandwidth(
+                    self._home_site(), self.cloud.site
                 )
-            reactor.call_later(request, lambda: arrived(live, batch, throttle_attempt))
 
-        def arrived(live: list[int], batch: list, throttle_attempt: int) -> None:
+            # The cloud acts when the request arrives; its answer reaches
+            # the caller one response leg after the round lands.
+            def answer(results: list) -> None:
+                reactor.call_later(response, lambda: landed(live, results, throttle_attempt))
+
+            reactor.call_later(request, lambda: arrived(batch, answer))
+
+        def arrived(batch: list, answer: Callable[[list], None]) -> None:
             try:
                 self.cloud.submit_batch(
-                    self.token,
-                    self.client_id,
-                    batch,
-                    tenant=self.tenant,
-                    then=lambda results: landed(live, results, throttle_attempt),
+                    self.token, self.client_id, batch, tenant=self.tenant, then=answer
                 )
             except Exception as exc:  # noqa: BLE001 - a reactor round must settle
-                landed(live, [exc] * len(batch), throttle_attempt)
+                answer([exc] * len(batch))
 
         def landed(live: list[int], results: list, throttle_attempt: int) -> None:
             throttled: list[int] = []
@@ -885,7 +888,7 @@ class FaasClient:
                 self._track("landing", -1)
 
         self._track("landing", 1)
-        get_reactor().call_later(self._api_cost(), arrived)
+        get_reactor().call_later(self._api_legs()[0], arrived)
 
     def _settle_leg(
         self,

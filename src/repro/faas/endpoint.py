@@ -302,14 +302,14 @@ class FaasEndpoint:
         )
 
     # -- cloud communication helpers ---------------------------------------------
-    def _api_cost(self) -> float:
-        """One HTTPS round trip to the service: the RTT plus a drawn
-        processing latency."""
-        cost = self.cloud.network.rtt(self.site, self.cloud.site)
-        return cost + self.cloud.network._sample(self.cloud.constants.faas_api_latency)
+    def _api_legs(self) -> tuple[float, float]:
+        """One HTTPS call's ``(request, response)`` legs (``Network.api_legs``)."""
+        return self.cloud.network.api_legs(
+            self.site, self.cloud.site, self.cloud.constants.faas_api_latency
+        )
 
     def _pay_api_call(self) -> None:
-        self._clock.sleep(self._api_cost())
+        self._clock.sleep(sum(self._api_legs()))
 
     def _resolve_functions(
         self, dispatches: list[TaskDispatch], then: Callable[[dict], None]
@@ -323,7 +323,7 @@ class FaasEndpoint:
             func_id = dispatch.func_id
             if func_id in self._functions or func_id in fetched or func_id in failed:
                 continue
-            cost += self._api_cost()
+            cost += sum(self._api_legs())
             try:
                 fetched[func_id] = self.cloud.get_function(
                     self.token, func_id, dispatch.tenant
@@ -348,11 +348,11 @@ class FaasEndpoint:
     # -- the reactor's callbacks -----------------------------------------------------
     def _heartbeat_tick(self):
         """One lease renewal, fired by the process reactor: the heartbeat
-        call is one more timer, due when its API round trip has been paid,
-        so the tick sleeps nothing on the reactor.  Returning ``False``
-        cancels the periodic timer (a crash must look exactly like a dead
-        process: no more beats).  A stopping agent beats on until ``stop``
-        has drained and cancels the timer."""
+        call is one more timer, due when its request leg reaches the cloud
+        (nothing waits on the answer), so the tick sleeps nothing on the
+        reactor.  Returning ``False`` cancels the periodic timer (a crash
+        must look exactly like a dead process: no more beats).  A stopping
+        agent beats on until ``stop`` has drained and cancels the timer."""
         if self._crashed.is_set():
             return False
         if self._resumed.is_set():
@@ -362,7 +362,7 @@ class FaasEndpoint:
                     if self._heartbeat_timer is not None and not self._crashed.is_set():
                         self.cloud.heartbeat(self.token, self.endpoint_id)
 
-            get_reactor().call_later(self._api_cost(), beat)
+            get_reactor().call_later(self._api_legs()[0], beat)
         return True
 
     def _on_tasks(self, envelopes: list[Envelope]) -> None:
@@ -723,12 +723,12 @@ class FaasEndpoint:
         Results that share the uplink message ride it inline (borrowed), so
         the small ones skip the redis hop; a lone result takes the store.
         The round is reactor timers, like a client flush round: the request
-        lands at the cloud when its API round trip has been paid, which
-        frees the uplink for the next drain, and ``report_results(then=)``
-        lands its store round and commit.  A crashed agent's round is
-        dropped when it reaches the cloud.  Every member gets the
-        ``result.uplink`` span in its own trace, and the outcomes are checked
-        when the round lands."""
+        lands at the cloud one request leg after the drain, where
+        ``report_results(then=)`` lands its store round and commit, and the
+        uplink is free for the next drain one response leg later.  A
+        crashed agent's round is dropped when it reaches the cloud.  Every
+        member gets the ``result.uplink`` span in its own trace, and the
+        outcomes are checked when the round lands."""
         counter_inc("endpoint.uplink_batches", endpoint=self.name)
         size = len(items)
         results = [
@@ -736,6 +736,7 @@ class FaasEndpoint:
             for task_id, success, payload, _ in items
         ]
         started = self._clock.now()
+        request, response = self._api_legs()
 
         def arrived() -> None:
             if self._crashed.is_set():
@@ -748,7 +749,7 @@ class FaasEndpoint:
                     )
                 except Exception as exc:  # noqa: BLE001 - a reactor round must settle
                     landed([exc] * size)
-            self._drain_outbox()
+            get_reactor().call_later(response, self._drain_outbox)
 
         def landed(outcomes: list) -> None:
             try:
@@ -784,7 +785,7 @@ class FaasEndpoint:
 
         with self._in_flight:
             self._uplinks += 1
-        get_reactor().call_later(self._api_cost(), arrived)
+        get_reactor().call_later(request, arrived)
 
     def __enter__(self) -> "FaasEndpoint":
         return self.start()

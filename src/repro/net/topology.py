@@ -244,6 +244,17 @@ class Network:
         """Sampled round-trip time (two independent one-way samples)."""
         return self.latency(a, b) + self.latency(b, a)
 
+    def api_legs(
+        self, caller: Site | str, service: Site | str, processing: LatencyModel
+    ) -> tuple[float, float]:
+        """One API call's ``(request, response)`` legs, drawn as an ``rtt``
+        and then a ``processing`` sample: the request is the one-way latency
+        to ``service`` plus the processing, paid before the service acts;
+        the response is the latency back, paid before the caller acts on
+        the answer.  A synchronous call pays their sum."""
+        out, back = self.latency(caller, service), self.latency(service, caller)
+        return out + self._sample(processing), back
+
     def bandwidth(self, a: Site | str, b: Site | str) -> float:
         """Bytes/second between two sites (effectively infinite locally)."""
         a_name, b_name = getattr(a, "name", a), getattr(b, "name", b)

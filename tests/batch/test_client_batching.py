@@ -219,6 +219,9 @@ def test_split_property_no_member_lost(rig, mask):
             ]
             client.flush_batches()
         assert all_resubmitted.wait(timeout=10)
+        # A member registers one response leg after the cloud answers: wait
+        # for the resubmissions' rounds to settle, not for the fake's call.
+        client.flush_batches()
         with client._futures_lock:
             in_flight = dict(client._pending)
         accepted = [p for p in in_flight.values() if p.attempt == 0]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import threading
 
+from conftest import ManualClock
+
 from repro.batch.reactor import Reactor, get_reactor, reset_reactor
 from repro.net.clock import get_clock
 from repro.observe import MetricsRegistry, set_metrics
@@ -18,7 +20,9 @@ def test_call_later_fires_once():
 
 
 def test_timers_fire_in_deadline_order():
-    reactor = Reactor()
+    # Time moves only when the reactor's thread waits for its nearest
+    # deadline, so the three are due exactly 2, 4 and 6 s after arming.
+    reactor = Reactor(ManualClock())
     order: list[str] = []
     done = threading.Event()
     lock = threading.Lock()
@@ -29,11 +33,12 @@ def test_timers_fire_in_deadline_order():
             if len(order) == 3:
                 done.set()
 
-    # Delays far above the test time scale, so all three are registered
-    # before the earliest can fire.
-    reactor.call_later(6.0, lambda: record("c"))
-    reactor.call_later(2.0, lambda: record("a"))
-    reactor.call_later(4.0, lambda: record("b"))
+    # Armed under the reactor's condition, so its thread can neither fire
+    # nor move the clock until all three are registered.
+    with reactor._cond:
+        reactor.call_later(6.0, lambda: record("c"))
+        reactor.call_later(2.0, lambda: record("a"))
+        reactor.call_later(4.0, lambda: record("b"))
     assert done.wait(timeout=5.0)
     assert order == ["a", "b", "c"]
     reactor.close()

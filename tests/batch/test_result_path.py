@@ -146,7 +146,7 @@ def test_a_throttled_hedge_leg_holds_back_no_other_result():
 
 def test_a_losing_leg_is_cancelled_on_the_reactor(recording_clock):
     """The primary wins while its hedge leg is still queued: the loser's
-    cancel is a reactor timer behind its API call, not a sleep on the
+    cancel is a reactor timer behind its API request, not a sleep on the
     notifier, and ``close`` waits it out before the counters are read."""
     rig = Rig(specs=[_gray("ep-a", 4.0)], failover_group=None, clock=recording_clock)
     rig.endpoints[1].pause()  # the hedge target parks the duplicate
@@ -157,10 +157,13 @@ def test_a_losing_leg_is_cancelled_on_the_reactor(recording_clock):
     finally:
         rig.close()
     assert recording_clock.charged("faas-client-notify") == []
-    # One API round trip each: the primary's flush, the hedge leg, the cancel
-    # -- and ep-a's result uplink, whose outbox drain runs on the reactor.
-    api = 2 * WAN + API
-    assert recording_clock.armed("repro-reactor").count(pytest.approx(api)) == 4
+    # One API request leg each: the primary's flush, the hedge leg, the
+    # cancel -- and ep-a's result uplink, whose outbox drain runs on the
+    # reactor.  The cancel acts when its request reaches the cloud.
+    request = WAN + API
+    armed = recording_clock.armed_calls("repro-reactor")
+    assert [s for _fn, s in armed].count(pytest.approx(request)) == 4
+    assert ("FaasClient._cancel_leg.<locals>.arrived", pytest.approx(request)) in armed
     assert rig.count("resilience.cancels") == 1
     assert rig.count("client.hedges", outcome="lost") == 1
 

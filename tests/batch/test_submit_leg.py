@@ -132,7 +132,7 @@ def test_a_retry_backs_off_on_the_reactor_not_the_notifier(recording_clock, tmp_
 
 def test_a_size_triggered_flush_does_not_block_submit(recording_clock):
     """The submit that fills a batch pays its serialization on the caller;
-    the flush's API round trip is a timer on the reactor."""
+    the flush's API request leg is a timer on the reactor."""
     testbed = build_paper_testbed(seed=5, constants=FIXED)
     cloud, token, endpoint = _rig(testbed, recording_clock)
     client = FaasClient(
@@ -158,10 +158,11 @@ def test_a_size_triggered_flush_does_not_block_submit(recording_clock):
         client.close()
         endpoint.stop()
     # The members ride the submit message (zero-copy), so their bytes are
-    # part of the request.
+    # part of the request leg: its one WAN latency, the API's processing and
+    # the bytes at the link's bandwidth, with no latency of their own.
     inline = sum(serialize(((i, i), {})).nominal_size for i in (1, 2))
-    request = 2 * WAN + API + testbed.network.transfer_time(
-        testbed.theta_login, testbed.faas_cloud, inline
+    request = WAN + API + inline / testbed.network.bandwidth(
+        testbed.theta_login, testbed.faas_cloud
     )
     assert recording_clock.armed("repro-reactor")[0] == pytest.approx(request)
     assert recording_clock.charged("repro-reactor") == []

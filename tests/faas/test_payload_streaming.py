@@ -57,6 +57,10 @@ FIXED = PaperConstants(
 )
 #: Lands every argument and result payload in the redis tier (4 kB..20 kB).
 PAD = 10_000
+#: The timer that carries a submit's answer back to the client.
+SUBMIT_RESPONSE = (
+    "FaasClient._submit_leg.<locals>.send.<locals>.answer.<locals>.<lambda>"
+)
 
 
 def _echo(index, pad):
@@ -239,7 +243,9 @@ def test_lone_task_charges_what_the_single_path_always_has(make_rig):
     pushed when its submit lands, so its way to the agent is one WAN leg
     (the push), where a fetch paid two (a request and a response); then
     the same redis read plus one streamed response, all timers the reactor
-    arms, not sleeps on an agent thread.  The agent's credit comes back one
+    arms, not sleeps on an agent thread.  The push goes out when the
+    submit lands at the cloud, while the submit's response leg is still on
+    its way back to the client.  The agent's credit comes back one
     more WAN leg after the push lands, which no task waits on.  The result
     download is a landing on the reactor, not a sleep: the same push, read,
     response and deserialization."""
@@ -258,7 +264,8 @@ def test_lone_task_charges_what_the_single_path_always_has(make_rig):
         deserialize_cost(size),
     ]
     assert rig.clock.charged("repro-reactor") == []
-    assert rig.clock.armed_calls("repro-reactor")[2:5] == [
+    assert rig.clock.armed_calls("repro-reactor")[2:6] == [
+        (SUBMIT_RESPONSE, WAN),  # the submit's answer, off the task's path
         ("FaasEndpoint._in_hand", WAN),  # the push
         ("FaasEndpoint._return_credit", WAN),  # off the task's path
         (
@@ -274,30 +281,34 @@ def test_lone_task_charges_what_the_single_path_always_has(make_rig):
 def test_lone_task_charges_on_the_submit_and_uplink_hops(make_rig):
     """k=1 on the other two hops: a lone submit and a lone uplink each pay
     one API round trip and one redis write — the numbers the singular path
-    per hop always charged.  The submit's are no longer the caller's: it
-    paid for serialization and was handed its future; the hold timer's
-    flush pays the WAN and the store, as timers it arms on the reactor.
-    The uplink's are no thread's sleeps either: the outbox drain arms the
-    request on the reactor, and the landed request the result write."""
+    per hop always charged — but the cloud acts when the request arrives:
+    the request leg (one WAN plus the API's processing) comes before the
+    store write, the response leg (one WAN) after it.  The submit's are no
+    longer the caller's: it paid for serialization and was handed its
+    future; the hold timer's flush pays the WAN and the store, as timers it
+    arms on the reactor.  The uplink's are no thread's sleeps either: the
+    outbox drain arms the request on the reactor, the landed request the
+    result write, and the next drain waits out the response."""
     rig = make_rig()
     rig.submit(0).result(timeout=60)  # warm-up
     rig.clear()
     future = rig.submit(1)
     assert future.result(timeout=60)[0] == 1
 
-    api_call = WAN + WAN + API
     me = threading.current_thread().name
     assert rig.clock.charged(me) == [serialize_cost(rig.args_size(future.task_id))]
     assert rig.clock.charged("repro-reactor") == []
-    armed = rig.clock.armed("repro-reactor")
-    assert armed[:2] == [
-        api_call,
-        REDIS,  # argument write: 10 kB is not borrowed, it takes the store
+    armed = rig.clock.armed_calls("repro-reactor")
+    assert armed[:3] == [
+        ("FaasClient._submit_leg.<locals>.send.<locals>.<lambda>", WAN + API),
+        ("Round._step", REDIS),  # argument write: 10 kB is not borrowed
+        (SUBMIT_RESPONSE, WAN),
     ]
     # (between them the push, the credit return and the argument read)
-    assert armed[5:7] == [
-        api_call,
-        REDIS,  # result write: a lone result is not borrowed either
+    assert armed[6:9] == [
+        ("FaasEndpoint._uplink_batch.<locals>.arrived", WAN + API),
+        ("Round._step", REDIS),  # result write: a lone result is not borrowed
+        ("FaasEndpoint._drain_outbox", WAN),
     ]
 
 
@@ -341,10 +352,10 @@ def test_cloud_singular_calls_charge_one_write_and_one_fsync_each(recording_cloc
 @pytest.mark.parametrize("k", [1, 3])
 def test_the_uplink_thread_sleeps_through_no_round(make_rig, k):
     """The outbox drain — here the one ``start()`` rings — arms its
-    round's API round trip on the reactor, and the landed request the
-    result write.  Together the timers are what an uplink thread used to
-    sleep: an API call, plus a redis write for a lone (unborrowed)
-    result."""
+    round's request leg on the reactor, the landed request the result
+    write and the next drain one response leg later.  Together the timers
+    are what an uplink thread used to sleep: an API call, plus a redis
+    write for a lone (unborrowed) result."""
     rig = make_rig(run_endpoint=False)
     futures = rig.submit_now(*range(k))
     result = serialize({"success": True, "value": ("done", Blob(PAD))})
@@ -354,13 +365,11 @@ def test_the_uplink_thread_sleeps_through_no_round(make_rig, k):
     rig.endpoint.start()
     assert [f.result(timeout=60)[0] for f in futures] == ["done"] * k
 
-    api_call = WAN + WAN + API
-    # (The agent's doorbell fetch for the hand-fetched tasks comes back
-    # empty: two WAN timers, and no argument read.)
-    armed = rig.clock.armed("repro-reactor")
+    armed = rig.clock.armed_calls("repro-reactor")
     assert rig.clock.charged("repro-reactor") == []
-    assert armed.count(api_call) == 1
-    assert armed.count(REDIS) == (1 if k == 1 else 0)
+    assert armed.count(("FaasEndpoint._uplink_batch.<locals>.arrived", WAN + API)) == 1
+    assert armed.count(("FaasEndpoint._drain_outbox", WAN)) == 1
+    assert [s for _fn, s in armed].count(REDIS) == (1 if k == 1 else 0)
 
 
 def test_the_notifier_sleeps_through_no_download(make_rig):
@@ -385,16 +394,16 @@ def test_the_notifier_sleeps_through_no_download(make_rig):
 
 
 def test_a_heartbeat_tick_sleeps_nothing_on_the_reactor(make_rig):
-    """The tick arms the heartbeat call behind its API round trip instead of
+    """The tick arms the heartbeat call behind its request leg instead of
     sleeping the round trip on the thread every timer in the process
-    shares."""
+    shares: the lease renews when the beat reaches the cloud."""
     rig = make_rig()
     expiry = rig.cloud.fabric.endpoints.lease(rig.ep_id)
     rig.clear()
     assert rig.endpoint._heartbeat_tick() is True  # as the reactor fires it
     me = threading.current_thread().name
     assert rig.clock.charged(me) == []
-    assert rig.clock.armed(me) == [WAN + WAN + API]
+    assert rig.clock.armed(me) == [WAN + API]
     _wait_for(lambda: rig.cloud.fabric.endpoints.lease(rig.ep_id) > expiry)
 
 

@@ -669,24 +669,26 @@ def test_lone_default_task_still_pays_the_redis_tier(stack, recording_clock, met
     record = stack.cloud.task(future.task_id)
     args = stack.cloud.store.raw(record.args_locator).payload.nominal_size
     result = stack.cloud.store.raw(record.result_locator).payload.nominal_size
-    api_call = WAN + WAN + API
     stream = lambda nbytes: WAN + nbytes / FIXED.cloud_bandwidth  # noqa: E731
     assert recording_clock.charged(me) == [serialize_cost(args)]
     # The flush round, the push and the argument download are reactor
     # timers; a lone task's are the numbers the sleeps always were, but for
     # its way to the agent: one WAN leg, the push, where a fetch's request
-    # and response were two.  The credit coming back is off its path.
+    # and response were two.  The credit coming back is off its path, and
+    # so is each API call's response leg: the cloud acts on the request.
     assert recording_clock.charged("repro-reactor") == []
     # The uplink and the download are no thread's sleeps either: a timer
     # the outbox drain arms, and a landing, both on the reactor.
     (download,) = stack.downloads
     assert recording_clock.armed_calls("repro-reactor") == [
-        ("FaasClient._submit_leg.<locals>.send.<locals>.<lambda>", api_call),
+        ("FaasClient._submit_leg.<locals>.send.<locals>.<lambda>", WAN + API),
         ("Round._step", REDIS),
+        ("FaasClient._submit_leg.<locals>.send.<locals>.answer.<locals>.<lambda>", WAN),
         ("FaasEndpoint._in_hand", WAN),  # the push
         ("FaasEndpoint._return_credit", WAN),
         ("Round._step", pytest.approx(REDIS + stream(args))),  # argument read
-        ("FaasEndpoint._uplink_batch.<locals>.arrived", api_call),  # inline result
+        ("FaasEndpoint._uplink_batch.<locals>.arrived", WAN + API),  # inline result
+        ("FaasEndpoint._drain_outbox", WAN),
         ("Round._step", pytest.approx(sum(download.charges))),
     ]
     assert download.charges == [

@@ -5,9 +5,9 @@ import threading
 from contextlib import contextmanager
 
 import pytest
-from conftest import ManualClock
+from conftest import ManualClock, ManualReactor
 
-from repro.batch.reactor import get_reactor, reset_reactor
+from repro.batch.reactor import get_reactor
 from repro.exceptions import StoreError
 from repro.net.clock import Clock, get_clock
 from repro.net.context import at_site
@@ -218,9 +218,11 @@ def test_close_drains_what_is_parked(rig):
 def test_close_fails_readers_of_a_shipment_that_will_never_go_out(rig, monkeypatch):
     testbed, service, connector = rig
     monkeypatch.setattr(GlobusConnector, "_DRAIN_WALL_S", 0.05)
+    # The submission's timer goes to a reactor nobody runs: it never lands.
+    stalled = ManualReactor(ManualClock())
+    monkeypatch.setattr("repro.transfer.client.get_reactor", lambda: stalled)
     with at_site(testbed.theta_login):
         connector.put("stranded", serialize("x"))
-    reset_reactor()  # the submission timer dies with the reactor
     errors: list[Exception] = []
 
     def reader():
