@@ -120,7 +120,7 @@ def _run_campaign(resilient: bool) -> dict:
             testbed.theta_login,
             WorkerPool(testbed.theta_compute, 1, name=f"res-pool-{i}"),
             failover_group="res",
-            max_tasks_per_poll=1,
+            credit_window=1,
         ).start()
         for i in range(N_ENDPOINTS)
     ]

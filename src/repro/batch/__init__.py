@@ -16,7 +16,7 @@ This package amortizes both:
   at the last, landed by ``wait`` on the caller or ``arm`` on the reactor.
 
 The cloud-side counterparts (`submit_batch`, `report_results`,
-`next_completed_batch`) live on `FaasCloud`/`CloudRouter`; the zero-copy
+`download_round`) live on `FaasCloud`/`CloudRouter`; the zero-copy
 payload mode lives in `repro.serialize.borrow`.
 """
 

@@ -1,9 +1,9 @@
 """The acknowledged push-notification bus (broker side).
 
-The paper's cloud fabric delivers result notifications over a
-websocket/polling hybrid and task dispatches over AMQP; both are *push*
-channels layered over durable server-side queues.  :class:`NotificationBus`
-reproduces that layer with auditable delivery guarantees:
+The paper's cloud fabric delivers result notifications over a websocket
+and task dispatches over AMQP; both are *push* channels layered over
+durable server-side queues.  :class:`NotificationBus` reproduces that
+layer with auditable delivery guarantees:
 
 * **Per-subscriber monotonic sequence numbers** — every envelope published
   to a ``(topic, subscriber)`` pair gets the next sequence number in that
@@ -11,21 +11,21 @@ reproduces that layer with auditable delivery guarantees:
   cumulatively.
 * **At-least-once delivery** — an envelope stays in the subscriber's unacked
   window until a cumulative ack covers it; unacked envelopes are redelivered
-  after a :class:`~repro.chaos.policy.RetryPolicy`-driven backoff.
+  after a :class:`~repro.chaos.policy.RetryPolicy`-driven backoff.  The
+  window is the one record of what a subscriber has not collected: nothing
+  is ever trimmed from it.
 * **Push delivery on the reactor** — a subscriber attaches a listener, and
   whenever it has due envelopes (a publish, a resubscribe replay, an
   expired redelivery backoff) the broker arms at most one process-reactor
   call for it, which hands the listener up to its batch of envelopes.  A
   lapse reaches the listener on the reactor too.
 * **Subscription leases** — an attached listener never lapses on its
-  lease; a detached one (paused, crashed or killed owner), or a subscriber
-  that stopped receiving, lapses ``lease_ttl`` after it went quiet.
-  Envelopes keep accumulating in its window and are replayed from the last
-  ack on resubscribe, so nothing is lost across the gap.
-* **Bounded redelivery window** — a subscriber more than ``window`` envelopes
-  behind is force-lapsed and its oldest envelopes trimmed; the client's
-  poll fallback covers the trimmed gap.  A task topic never gets there:
-  an endpoint's unacked pushes never exceed its credit window.
+  lease; a detached one (paused, crashed or killed owner) lapses
+  ``lease_ttl`` after it went quiet.  Envelopes keep accumulating in its
+  window and are replayed from the last ack on resubscribe, so nothing is
+  lost across the gap.  A live subscriber's window stays bounded by what
+  it has in flight: an endpoint's by its credit window, a client's by its
+  downloads.
 
 Chaos hooks (``bus.deliver``, ``bus.duplicate``, ``bus.subscription.drop``)
 are keyed by envelope *content* (the task's chaos key) plus the subscriber's
@@ -42,7 +42,6 @@ from typing import Any, Callable
 from repro.batch.reactor import get_reactor
 from repro.chaos.plan import chaos_check
 from repro.chaos.policy import RetryPolicy
-from repro.exceptions import SubscriptionLapsedError
 from repro.net.clock import Clock, get_clock
 from repro.observe import counter_inc
 
@@ -99,7 +98,7 @@ class _Listener:
 
 
 class Subscription:
-    """A consumer's handle on its subscriber state: receive, ack, close."""
+    """A consumer's handle on its subscriber state: attach, ack, close."""
 
     def __init__(self, bus: "NotificationBus", state: _SubscriberState) -> None:
         self._bus = bus
@@ -112,14 +111,6 @@ class Subscription:
     @property
     def acked(self) -> int:
         return self._state.acked
-
-    def receive(self, max_n: int, timeout: float = 0.0) -> list[Envelope]:
-        """The envelopes due now (waiting is an attached listener's job, so
-        ``timeout`` must be 0); raises :class:`SubscriptionLapsedError` once
-        the subscription has been dropped."""
-        if timeout != 0.0:
-            raise ValueError("receive does not wait; attach a listener instead")
-        return self._bus._receive(self._state, max_n)
 
     def attach(self, deliver: Callable, lapsed: Callable, max_n: int) -> None:
         """Push delivery: ``deliver(envelopes)`` (at most ``max_n``) and
@@ -149,18 +140,14 @@ class NotificationBus:
         clock: Clock | None = None,
         redelivery: RetryPolicy | None = None,
         lease_ttl: float = 30.0,
-        window: int = 256,
     ) -> None:
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self._clock = clock or get_clock()
         self._redelivery = redelivery or RetryPolicy(
             max_attempts=6, base_delay=0.5, max_delay=4.0
         )
         self._lease_ttl = lease_ttl
-        self._window = window
         self._states: dict[tuple[str, str], _SubscriberState] = {}
         self._by_topic: dict[str, list[_SubscriberState]] = {}
         self._lock = threading.Lock()
@@ -176,7 +163,6 @@ class NotificationBus:
                 max_delay=constants.bus_redelivery_max,
             ),
             lease_ttl=constants.bus_lease_ttl,
-            window=constants.bus_redelivery_window,
         )
 
     # -- registration / subscription ------------------------------------------
@@ -249,8 +235,6 @@ class NotificationBus:
                 state.next_attempt_at[seq] = 0.0
                 counter_inc("bus.published", role=_role(topic))
                 fanout += 1
-                if len(state.window) > self._window:
-                    self._overflow_locked(state)
                 self._arm_locked(state, 0.0)
             return fanout
 
@@ -265,37 +249,7 @@ class NotificationBus:
         )
         self._wake_locked(state, get_reactor().now())
 
-    def _overflow_locked(self, state: _SubscriberState) -> None:
-        """A subscriber fell more than ``window`` envelopes behind: lapse it
-        and trim the oldest overflow (the poll fallback covers the trim —
-        result envelopes are doorbells over the completed feed).
-
-        Trimmed sequence numbers will never be delivered, so the cumulative
-        ack is advanced past them; otherwise the consumer's contiguous
-        frontier could never cross the gap and the window would stay wedged
-        at capacity forever (every later publish re-trimming and the
-        surviving envelopes redelivering without end)."""
-        if state.active:
-            self._drop_locked(state, "overflow")
-        for seq in sorted(state.window)[: len(state.window) - self._window]:
-            del state.window[seq]
-            del state.attempts[seq]
-            del state.next_attempt_at[seq]
-            if seq > state.acked:
-                state.acked = seq
-            counter_inc("bus.window_trimmed", role=_role(state.topic))
-
     # -- consume ----------------------------------------------------------------
-    def _receive(self, state: _SubscriberState, max_n: int) -> list[Envelope]:
-        with self._lock:
-            if not state.active:
-                raise SubscriptionLapsedError(
-                    f"subscription to {state.topic!r} lapsed; poll and "
-                    f"resubscribe to replay from ack {state.acked}"
-                )
-            state.lease_expiry = self._clock.now() + self._lease_ttl
-            return self._deliver_due_locked(state, max_n)
-
     def _attach(self, state: _SubscriberState, listener: _Listener) -> None:
         with self._lock:
             state.listener = listener

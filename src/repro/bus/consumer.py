@@ -11,9 +11,9 @@ with the receiver half of the at-least-once contract:
   later one unacked-but-processed until its redelivery arrives.
 * **Push delivery** — :meth:`attach` hands the owner's listener to the
   broker: fresh envelopes reach ``on_delivery`` on the process reactor, and
-  a dropped subscription reaches ``on_lapse`` there; the owner engages its
-  poll fallback, then calls :meth:`resubscribe`, which replays from the
-  last ack.  :meth:`detach` stops delivery (a paused or dead owner).
+  a dropped subscription reaches ``on_lapse`` there; the owner calls
+  :meth:`resubscribe`, which replays from the last ack.  :meth:`detach`
+  stops delivery (a paused or dead owner).
 
 The ``bus.notify_latency_s`` histogram records publish-to-receive latency
 for every fresh (non-duplicate) envelope.  :meth:`done` and
@@ -84,12 +84,6 @@ class BusConsumer:
         """Stop push delivery; the subscription lapses a lease later."""
         self._sub.detach()
 
-    def receive(self, timeout: float = 0.0) -> list[Envelope]:
-        """The deduplicated envelopes due now, oldest first, without
-        waiting; raises :class:`~repro.exceptions.SubscriptionLapsedError`
-        once lapsed."""
-        return self._fresh(self._sub.receive(self._max_batch, timeout))
-
     def _fresh(self, envelopes: list[Envelope]) -> list[Envelope]:
         fresh: list[Envelope] = []
         seen_now: set[int] = set()
@@ -139,10 +133,9 @@ class BusConsumer:
     def _sync_frontier(self) -> None:
         """Adopt the broker's cumulative ack as the contiguous frontier.
 
-        A window-overflow trim or a publisher's discard advances the
-        broker-side ack past sequence numbers that will never be delivered;
-        without this sync, ``done`` would wait forever for them and never
-        ack again.
+        A publisher's discard advances the broker-side ack past sequence
+        numbers that will never be delivered; without this sync, ``done``
+        would wait forever for them and never ack again.
         The caller holds ``_lock``, or no other thread has the consumer."""
         floor = self._sub.acked
         if floor > self._contiguous:

@@ -104,7 +104,7 @@ _REPORT_COUNTERS = (
     "bus.delivered",
     "bus.redelivered",
     "bus.duplicates_dropped",
-    "bus.fallback_engaged",
+    "bus.resubscribes",
     "cloud.shard_outages",
     "cloud.shard_crashes",
     "cloud.batch_submits",
@@ -168,8 +168,7 @@ def fault_specs(mode: str) -> tuple[FaultSpec, ...]:
         return (FaultSpec("bus.duplicate", mode, rate=0.6, match={"attempt": 0}),)
     if mode == "subscription_drop":
         # Subscriptions are force-lapsed at publish time; the subscriber must
-        # notice and resubscribe (replay from ack) -- the client after
-        # draining the completed feed, its poll fallback.
+        # notice and resubscribe, which replays everything after its ack.
         return (FaultSpec("bus.subscription.drop", mode, rate=0.5),)
     if mode == "shard_outage":
         # The owning shard restarts at admission.  Keyed on the submission's
@@ -414,7 +413,7 @@ _RECONCILE: dict[str, tuple] = {
     ),
     "subscription_drop": (
         _FIRES,
-        ("within_1", "bus.fallback_engaged", "fires"),
+        ("within_1", "bus.resubscribes", "fires"),
         _NO_CLIENT_RETRIES,
     ),
     # A shard restart is recovered entirely inside the submit path: the

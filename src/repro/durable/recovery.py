@@ -6,9 +6,9 @@ to the typed record the live call built and handed to the same
 not here.  Of the effects it returns replay keeps two — the payloads to
 re-adopt into the store and the refused count (``durable.deduped``:
 double-replayed segments, duplicate reports, records from an endpoint that
-no longer owned the task) — and drops the rest: the bus, the completed feed
-and the usage registry are shared fabric that outlived the crash and saw the
-live move.  DESIGN.md §10 has the per-kind table.
+no longer owned the task) — and drops the rest: the bus and the usage
+registry are shared fabric that outlived the crash and saw the live move.
+DESIGN.md §10 has the per-kind table.
 
 Endpoint state is not in the log at all: registrations, leases and reaps
 live in the fabric's :class:`~repro.faas.cloud.EndpointTable`, which the
@@ -20,8 +20,8 @@ what no record carries:
   to the front of their owner's queue, through the same un-journaled
   in-place ``rehome`` an endpoint restart uses (and, like it, their queued
   bytes re-enter the tenant's usage), for the router's next push.
-* **Terminal results are re-notified** (``durable.renotified``) into the
-  feed and the bus, closing the window where a crash fell between the result
+* **Terminal results are re-notified** (``durable.renotified``): one result
+  doorbell each, closing the window where a crash fell between the result
   fsync and the publish; clients drop duplicates via their pending table.
   A report already inside the discarded instance appends after replay's
   read and still rings its result doorbell; the rebuilt instance answers that
@@ -50,7 +50,7 @@ class RecoveryReport:
     replayed: int = 0  # records applied (a snapshot counts as its records)
     deduped: int = 0  # members the ledger's verdict refused
     released: int = 0  # in-flight-at-crash tasks re-leased to queues
-    renotified: int = 0  # terminal results re-pushed to feed + bus
+    renotified: int = 0  # terminal results whose doorbells rang again
     recovery_s: float = 0.0  # nominal seconds the replay took
 
 
@@ -68,7 +68,7 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     """Replay ``journal`` into a freshly constructed ``cloud``.
 
     ``cloud`` must be empty (no tasks) and share the pre-crash instance's
-    fabric (bus, completed feed, endpoint table), usage registry, network
+    fabric (bus, endpoint table), usage registry, network
     and id namespace.  Replay drives the ledger directly — it never
     re-enters the journaling API paths, so recovering with the same journal
     attached does not re-append what it reads.
@@ -112,7 +112,6 @@ def recover_cloud(cloud, journal=None) -> RecoveryReport:
     renotify = sorted(
         (task for task in tasks if task.status.terminal), key=lambda t: t.task_id
     )
-    cloud.fabric.completed.push(renotify)
     for task in renotify:
         cloud._ring(result_topic(task.client_id), [task])
 

@@ -10,10 +10,10 @@ so the autoscaler never recomputes state the endpoint or control plane
 already knows.
 
 The loop is a periodic timer on the process reactor.  Scale-to-zero is
-event-driven: the autoscaler listens on its *own* bus subscription to the
-endpoint's task topic (subscriber id ``<endpoint>:autoscaler``), so an
-idle endpoint costs no polls at all.  The first task pushed after going
-dormant re-provisions the pool and arms time-to-first-task tracking
+event-driven: the endpoint's own push receipt calls the autoscaler
+(``FaasEndpoint.on_push``), so an idle endpoint costs nothing and no push
+is delivered twice.  The first push received after going dormant
+re-provisions the pool and arms time-to-first-task tracking
 (``autoscale.time_to_first_task_s``).
 
 Every decision is recorded (``autoscale.decisions{action=}``) and kept on
@@ -101,26 +101,13 @@ class Autoscaler:
         self._last_grow_at: float | None = None
         self._idle_since: float | None = None
         self._dormant = False
-        # A private task subscription: this is what lets a dormant
-        # endpoint cost nothing — no poll loop, just a listener.
-        from repro.bus.consumer import BusConsumer
-        from repro.faas.cloud import task_topic
-
-        self._consumer = BusConsumer(
-            endpoint.cloud.bus,
-            task_topic(endpoint.endpoint_id),
-            f"{endpoint.endpoint_id}:autoscaler",
-            role="autoscaler",
-            chaos_label=f"{endpoint.name}:autoscaler",
-            clock=self._clock,
-        )
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "Autoscaler":
         if self._running:
             return self
         self._running = True
-        self._consumer.attach(self._on_push, self._consumer.resubscribe)
+        self.endpoint.on_push = self._on_push
         self._timer = get_reactor().call_every(self.policy.interval, self._tick)
         return self
 
@@ -131,7 +118,7 @@ class Autoscaler:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self._consumer.close()
+        self.endpoint.on_push = None
 
     @property
     def last_decision(self) -> AutoscaleDecision | None:
@@ -146,20 +133,12 @@ class Autoscaler:
         """One pass every ``policy.interval``; ``False`` disarms it."""
         if not self._running:
             return False
-        if self._dormant and self._demand() > 0:
-            # Belt and braces: demand that slipped past the bus (e.g. a
-            # trimmed window) still wakes the pool via the backlog signal.
-            self._wake()
-        else:
-            self._evaluate()
+        self._evaluate()
         return True
 
-    def _on_push(self, envelopes) -> None:
-        """Push listener: ack (the endpoint consumes its own copy, and only
-        its acks return credit), and wake the pool on the first push after
-        dormancy."""
-        for envelope in envelopes:
-            self._consumer.done(envelope)
+    def _on_push(self) -> None:
+        """The endpoint received a push (reactor): wake the pool if it is
+        dormant."""
         if self._running and self._dormant:
             self._wake()
 

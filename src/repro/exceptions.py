@@ -139,12 +139,6 @@ class EndpointUnavailableError(ReproError):
     """A FaaS endpoint was offline and the operation could not be queued."""
 
 
-class SubscriptionLapsedError(ReproError):
-    """A bus subscription was dropped (missed heartbeat, forced disconnect,
-    redelivery-window overflow); the subscriber must fall back to polling
-    and resubscribe, which replays everything after its last ack."""
-
-
 class TransferError(ReproError):
     """A managed data transfer failed terminally."""
 

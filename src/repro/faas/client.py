@@ -170,8 +170,8 @@ class FaasClient:
         self.token = token
         self.tenant = tenant
         # A stable ``client_id`` lets a resumed campaign reconnect to the
-        # completed feed / result topic of a crashed predecessor and drain
-        # the results it never saw.
+        # result topic of a crashed predecessor and collect the results it
+        # never saw.
         self.client_id = client_id or f"client-{uuid.uuid4().hex[:8]}"
         self._close_timeout = close_timeout
         self._site = site
@@ -653,7 +653,7 @@ class FaasClient:
         notification by it) and returns a fresh future for it.  If the
         task already completed while nobody was listening, its download is
         planned at once from the cloud's ledger; otherwise the result
-        listener picks it up from the re-established feed.  Payload-less
+        listener picks it up from the replayed doorbells.  Payload-less
         attaches cannot be retried on failure (there is nothing to
         resubmit), so they surface terminal errors directly.
         """
@@ -713,30 +713,10 @@ class FaasClient:
         self._plan_round(task_ids, envelopes)
 
     def _on_lapse(self) -> None:
-        """The result subscription lapsed (reactor): fall back to the
-        completed feed, the ground truth the doorbells ring over."""
+        """The result subscription lapsed (reactor): resubscribe, which
+        replays every doorbell not yet acked."""
         if self._running:
-            counter_inc("bus.fallback_engaged", role="client")
-            self._drain_completed()
-
-    def _drain_completed(self) -> None:
-        """Drain the completed feed until it is empty, then resubscribe,
-        which replays every unacked notification.  Completions whose
-        notifications were trimmed from the redelivery window have no
-        doorbell left, which is why the drain comes first.  A drain that
-        raises is counted and retried after a redelivery backoff."""
-        if not self._running:
-            return
-        try:
-            while task_ids := self.cloud.next_completed_batch(self.client_id):
-                self._plan_round(task_ids, [])
-        except Exception:  # noqa: BLE001 - a reactor callback must not raise
-            counter_inc("client.notify_errors")
-            get_reactor().call_later(
-                self.cloud.constants.bus_redelivery_base, self._drain_completed
-            )
-            return
-        self._consumer.resubscribe()
+            self._consumer.resubscribe()
 
     def _plan_round(self, task_ids: list[str], envelopes: list) -> None:
         """Arm one delivery round's download; what escapes is counted and

@@ -6,7 +6,7 @@ Responsibilities reproduced from §IV-B and §V-C1:
   referenced by id in every invocation.
 * **Task queues per endpoint** — store-and-forward: tasks submitted while an
   endpoint is offline wait in its queue; results reported while the client
-  is away wait in the client's completed queue.
+  is away wait as unacked doorbells on the client's result topic.
 * **Split payload store** — function arguments and results below 20 kB live
   in an ElastiCache-Redis-like store, larger ones in an S3-like store with
   higher latency and limited bandwidth.  This is why "Task Server-to-worker
@@ -21,8 +21,8 @@ the caller is blocked on the HTTPS response.
 Multi-tenancy (``repro.tenancy``): a :class:`FaasCloud` doubles as the
 **shard engine** behind :class:`repro.tenancy.CloudRouter`.  The hooks that
 make one instance shardable are all constructor keywords with single-node
-defaults — a shared :class:`Fabric` (the bus, the completed feed and the
-one :class:`EndpointTable`), a locator prefix on the payload store, a
+defaults — a shared :class:`Fabric` (the bus and the one
+:class:`EndpointTable`), a locator prefix on the payload store, a
 task-id namespace, a serialized per-shard admission slot, and a
 :class:`~repro.tenancy.TenantRegistry` that usage events are reported to.
 Task queues are per ``(endpoint, tenant)`` and drained weighted-round-robin
@@ -36,7 +36,6 @@ import hashlib
 import itertools
 import threading
 import uuid
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -334,49 +333,6 @@ class _PayloadStore:
             return self._objects.get(locator)
 
 
-class _CompletedFeed:
-    """Per-client completed-task queues (the poll half of result delivery).
-
-    Extracted from :class:`FaasCloud` so a router can hand every shard the
-    *same* feed: a client draining ``next_completed_batch`` then sees
-    results from all shards in one call, exactly as if the cloud were one
-    service.  Shards push while holding their ledger lock, so ``lock``
-    nests inside it and takes no other lock itself.
-
-    A client's queue is an insertion-ordered dict of task ids, so a retire
-    and a pop are O(1) however many completions wait uncollected."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self._queues: dict[str, OrderedDict[str, None]] = {}
-
-    def push(self, tasks: list[TaskRecord]) -> None:
-        """Append each task's completion to its client's queue."""
-        with self.lock:
-            for task in tasks:
-                queue = self._queues.setdefault(task.client_id, OrderedDict())
-                queue[task.task_id] = None
-
-    def retire(self, completions: list[tuple[str, str]]) -> None:
-        """Drop ``(client_id, task_id)`` completions that were collected
-        through another path."""
-        with self.lock:
-            for client_id, task_id in completions:
-                queue = self._queues.get(client_id)
-                if queue is not None:
-                    queue.pop(task_id, None)
-
-    def next_completed_batch(self, client_id: str, max_n: int) -> list[str]:
-        """Up to ``max_n`` of the client's completions, oldest first; empty
-        when none wait."""
-        with self.lock:
-            queue = self._queues.get(client_id)
-            out: list[str] = []
-            while queue and len(out) < max_n:
-                out.append(queue.popitem(last=False)[0])
-            return out
-
-
 class Registration(NamedTuple):
     site: str  # the site's name
     failover_group: str | None
@@ -517,15 +473,13 @@ class EndpointTable:
 @dataclass(frozen=True)
 class Fabric:
     """What every shard of a fleet shares and no shard crash destroys: the
-    bus (task envelopes, result notifications), the completed feed (client
-    polls) and the endpoint table, so endpoints and clients subscribe once
-    and an endpoint is registered, leased, reaped and credited once,
-    however many shards exist.  ``front`` is the API the fleet's agents
+    bus (task envelopes, result doorbells) and the endpoint table, so
+    endpoints and clients subscribe once and an endpoint is registered,
+    leased, reaped and credited once, however many shards exist.  ``front`` is the API the fleet's agents
     talk to (a router; ``None``: each cloud is its own), whose
     ``fetch_tasks`` every push leases through."""
 
     bus: NotificationBus
-    completed: _CompletedFeed = field(default_factory=_CompletedFeed)
     endpoints: EndpointTable = field(default_factory=EndpointTable)
     front: object | None = None
 
@@ -771,8 +725,8 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
 
         ``fabric``
             What the shards share and a shard crash leaves standing: every
-            shard pushes tasks and publishes completions into the same bus
-            and completed feed, so endpoints and clients subscribe once, and
+            shard pushes tasks and rings completions on the same bus, so
+            endpoints and clients subscribe once, and
             reads and writes the same :class:`EndpointTable`, so an endpoint
             is registered, leased, reaped and credited once for the whole
             fleet.
@@ -848,8 +802,8 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
 
     def _apply(self, record, **live) -> Effects:
         """Apply ``record`` and mirror what must stay ordered with the
-        ledger — usage deltas, depth gauges, completed-feed pushes — before
-        the lock is released."""
+        ledger — usage deltas and depth gauges — before the lock is
+        released."""
         with self.ledger.lock:
             effects = self.ledger.apply(record, **live)
             if self.usage is not None:
@@ -869,8 +823,6 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
                         endpoint=endpoint_id,
                         shard=self._shard_label,
                     )
-            if effects.completions:
-                self.fabric.completed.push(effects.completions)
         return effects
 
     def _ring(self, topic: str, tasks: list[TaskRecord]) -> None:
@@ -1336,12 +1288,6 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
                 outcomes[i] = ResultNotReadyError(f"task {task_id} has no result yet")
             else:
                 ready.append((i, record))
-        # The results are being collected: retire their poll-fallback entries
-        # so a client that was notified over the bus never re-sees them while
-        # draining the completed queue in fallback mode.
-        self.fabric.completed.retire(
-            [(record.client_id, record.task_id) for _, record in ready]
-        )
         # One pipelined store round for the call's result reads.
         reads = self.store.read_round([record.result_locator for _, record in ready])
         offsets = [0.0] * len(task_ids)
@@ -1349,16 +1295,6 @@ class FaasCloud(_BatchOfOne, _EndpointCalls):
             outcomes[i] = read if isinstance(read, Exception) else (record.status, read)
             offsets[i] = at
         return Round.settled(outcomes, reads.charges, offsets)
-
-    def next_completed_batch(self, client_id: str, max_n: int = 32) -> list[str]:
-        """Up to ``max_n`` completions of ``client_id`` not yet collected;
-        empty when none wait.  Never blocks.
-
-        This is the poll half of the delivery hybrid — the fallback path a
-        client drains while its bus subscription is lapsed (the push half is
-        the ``results/<client_id>`` bus topic).  When the feed is shared
-        across shards, one call covers all of them."""
-        return self.fabric.completed.next_completed_batch(client_id, max_n)
 
     # -- endpoint side -------------------------------------------------------------
     def fetch_tasks(

@@ -88,9 +88,9 @@ class FaasEndpoint:
         Endpoints registered under the same group name are interchangeable:
         if this endpoint's heartbeat lease expires, the cloud re-dispatches
         its tasks to a surviving group member.
-    max_tasks_per_poll:
-        The credit window: how many pushed tasks may be on their way to
-        this agent, not yet in hand, at once.
+    credit_window:
+        How many pushed tasks may be on their way to this agent, not yet in
+        hand, at once.
     """
 
     def __init__(
@@ -101,23 +101,22 @@ class FaasEndpoint:
         site: Site,
         pool: WorkerPool,
         *,
-        max_tasks_per_poll: int = 32,
+        credit_window: int = 32,
         clock: Clock | None = None,
         failover_group: str | None = None,
         uplink_batching: bool = True,
     ) -> None:
-        if max_tasks_per_poll <= 0:
+        if credit_window <= 0:
             raise WorkflowError(
-                f"max_tasks_per_poll must be a positive integer, got "
-                f"{max_tasks_per_poll!r} (the credit window must let at "
-                "least one task be pushed)"
+                f"credit_window must be a positive integer, got "
+                f"{credit_window!r} (it must let at least one task be pushed)"
             )
         self.name = name
         self.cloud = cloud
         self.token = token
         self.site = site
         self.pool = pool
-        self._max_tasks = max_tasks_per_poll
+        self._max_tasks = credit_window
         self._clock = clock or get_clock()
         self._heartbeat_timer = None
         # Opportunistic uplink batching: when results pile up in the outbox
@@ -160,8 +159,11 @@ class FaasEndpoint:
             role="endpoint",
             chaos_label=name,
             clock=self._clock,
-            max_batch=max_tasks_per_poll,
+            max_batch=credit_window,
         )
+        #: Called on the reactor at each push's receipt: an autoscaler wakes
+        #: a dormant pool from it (``None``: nobody listens).
+        self.on_push: Callable[[], None] | None = None
         # Gray degradation (``endpoint.slow`` chaos): decided once per agent
         # lifetime at ``start()``, then applied to every task this instance
         # executes.  The endpoint stays alive and heartbeating — the failure
@@ -378,12 +380,13 @@ class FaasEndpoint:
             self.cloud.network.latency(self.cloud.site, self.site),
             functools.partial(self._in_hand, [envelope.payload for envelope in envelopes]),
         )
+        if self.on_push is not None:
+            self.on_push()
 
     def _on_lapse(self) -> None:
         """The task subscription lapsed (reactor): missed lease or a
         chaos-injected disconnect.  Resubscribe; the bus replays every push
         not yet acked."""
-        counter_inc("bus.fallback_engaged", role="endpoint", endpoint=self.name)
         self._consumer.resubscribe()
 
     def _in_hand(self, pushes: list[Push]) -> None:
@@ -439,7 +442,7 @@ class FaasEndpoint:
         failed = failed or {}
         started = self._clock.now()
         size = len(dispatches)
-        observe("endpoint.fetch_batch_size", size, endpoint=self.name)
+        observe("endpoint.push_size", size, endpoint=self.name)
         live: list[tuple[TaskDispatch, object]] = []
         for dispatch in dispatches:
             try:

@@ -329,8 +329,8 @@ def decode_record(doc: dict) -> _Record:
 
 class Effects:
     """What one ``apply`` leaves for its caller to do.  Replay keeps
-    ``refused`` and ``adopt`` and drops the rest: the bus, the completed
-    feed and the usage registry outlived the crash and saw the live move."""
+    ``refused`` and ``adopt`` and drops the rest: the bus and the usage
+    registry outlived the crash and saw the live move."""
 
     __slots__ = (
         "refused",
@@ -358,7 +358,7 @@ class Effects:
         #: ``(endpoint_id, tasks)``: work newly waiting in that endpoint's
         #: queue, which the cloud then pushes.
         self.queued: list[tuple[str, list[TaskRecord]]] = []
-        #: Tasks that went terminal: completed-feed push + result doorbell.
+        #: Tasks that went terminal: each rings its client's result doorbell.
         self.completions: list[TaskRecord] = []
         #: ``(TenantRegistry method name, args)`` usage deltas; ``dispatch``
         #: and ``result`` fold their members into one per tenant and kind.

@@ -107,15 +107,12 @@ class PaperConstants:
     shard_outage_window: float = 1.0
 
     # -- push-notification bus -------------------------------------------------
-    # A subscriber that neither receives nor acks for this long is presumed
-    # disconnected; its subscription lapses and the poll fallback takes over
-    # until it resubscribes (replaying from the last ack).
+    # A subscriber detached for this long is presumed disconnected; its
+    # subscription lapses until it resubscribes (replaying from the last
+    # ack).
     bus_lease_ttl: float = 30.0
     bus_redelivery_base: float = 0.5
     bus_redelivery_max: float = 4.0
-    # Unacked envelopes retained per subscriber before the bus force-lapses
-    # it and trims the overflow (the poll path covers the trimmed gap).
-    bus_redelivery_window: int = 256
 
     # -- Globus-Transfer-like service -----------------------------------------
     globus_request_latency: LatencyModel = LogNormalLatency(0.45, 0.35, cap=2.5)

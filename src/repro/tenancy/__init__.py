@@ -9,7 +9,7 @@ campaigns.  This package reproduces that multi-tenancy on top of
   ``FaasEndpoint`` work against a router or a bare cloud interchangeably.
 * :class:`CloudShard` — one partition of control-plane state (function
   registry, task queues, payload store), a thin specialization of
-  ``FaasCloud`` wired into the shared bus/completed-feed fabric.
+  ``FaasCloud`` wired into the shared bus/endpoint-table fabric.
 * :class:`HashRing` / :func:`partition_key` — consistent hashing over
   ``(tenant, function)`` that assigns every partition to exactly one shard.
 * :class:`TenantRegistry` and friends — tenant directory, quotas,

@@ -159,8 +159,8 @@ class CloudRouter(_BatchOfOne, _EndpointCalls):
         self.constants = constants or PaperConstants()
         self.clock = clock or get_clock()
         self.registry = registry if registry is not None else TenantRegistry(self.clock)
-        # One fabric for every shard: a single bus, completed feed and
-        # endpoint table, none of which a shard crash destroys.
+        # One fabric for every shard: a single bus and endpoint table,
+        # neither of which a shard crash destroys.
         bus = NotificationBus.for_cloud(self.clock, self.constants)
         self.fabric = Fabric(bus, front=self)
         self.bus = self.fabric.bus
@@ -220,8 +220,7 @@ class CloudRouter(_BatchOfOne, _EndpointCalls):
 
         Unlike an outage window — where the old instance's state survives
         untouched — nothing of the old object is reused except the journal
-        itself, the fabric (bus, completed feed, endpoint table) and the
-        usage registry.
+        itself, the fabric (bus, endpoint table) and the usage registry.
         Returns the replay's :class:`~repro.durable.RecoveryReport`.
         """
         from repro.durable import recover_cloud
@@ -679,7 +678,6 @@ def _sum_counts(answers: list[dict[str, int]]) -> dict[str, int]:
 #: asks any one shard, for state every shard shares.
 _DELEGATED = {
     "deadletters": None,  # one tracker, shared by every shard
-    "next_completed_batch": None,  # one completed feed, likewise
     "task_records": _concat,
     "queue_depth": sum,
     "tenant_backlog": _sum_counts,

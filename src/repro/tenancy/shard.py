@@ -7,9 +7,7 @@ store, failover sweep, exactly-once result reporting) — wired into the
 shard crash destroys:
 
 * the common :class:`~repro.bus.NotificationBus`, so pushed tasks and
-  result notifications from every shard reach the same subscribers;
-* the common completed feed, so one client drain collects completions from
-  all shards;
+  result doorbells from every shard reach the same subscribers;
 * the one :class:`~repro.faas.cloud.EndpointTable`: registrations, leases,
   reaps and push credit live once for the fleet, each shard's sweep moves
   only its own share of a reaped endpoint's work, and every push leases

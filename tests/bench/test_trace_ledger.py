@@ -136,7 +136,7 @@ def test_metrics_count_the_campaign(testbed):
     rounds = [
         size
         for name, _labels, hist in registry.histograms()
-        if name == "endpoint.fetch_batch_size"
+        if name == "endpoint.push_size"
         for size in hist.values()
     ]
     assert sum(rounds) == N_TASKS and min(rounds) >= 1

@@ -220,6 +220,58 @@ class ManualReactor(Reactor):
             self._clock._now = max(self._clock._now, until)
 
 
+class Inbox:
+    """A bus listener that keeps what it is pushed, oldest first, and
+    counts the lapses it is told of; ``Inbox.on(subscription)`` attaches
+    one, ``consumer.attach(inbox.deliver, inbox.lapsed)`` hands one to a
+    :class:`~repro.bus.BusConsumer`.  Under a :class:`ManualClock`, patch
+    ``repro.bus.broker.get_reactor`` with a :class:`ManualReactor` and
+    ``run(until=clock.now())`` it to deliver.  Import it with ``from
+    conftest import Inbox``."""
+
+    def __init__(self) -> None:
+        self.envelopes: list = []
+        self.lapses = 0
+
+    @classmethod
+    def on(cls, subscription, max_n: int = 100) -> "Inbox":
+        inbox = cls()
+        subscription.attach(inbox.deliver, inbox.lapsed, max_n)
+        return inbox
+
+    def deliver(self, envelopes) -> None:
+        self.envelopes.extend(envelopes)
+
+    def lapsed(self) -> None:
+        self.lapses += 1
+
+    def take(self) -> list:
+        """What was pushed since the last ``take``."""
+        taken, self.envelopes = self.envelopes, []
+        return taken
+
+
+class Doorbells:
+    """A client's result topic, read without a client.  Build it before the
+    completions (the bus keeps envelopes only for registered subscribers);
+    ``take()`` returns the task ids rung since the last take, oldest first,
+    and acks them on the client's behalf.  Import it with ``from conftest
+    import Doorbells``."""
+
+    def __init__(self, bus, client_id: str) -> None:
+        from repro.faas.cloud import result_topic
+
+        self.bus = bus
+        self.key = (result_topic(client_id), client_id)
+        bus.register_subscriber(*self.key)
+
+    def take(self) -> list[str]:
+        window = self.bus._states[self.key].window
+        rung = [task_id for seq in sorted(window) for task_id in window[seq].payload.split(",")]
+        self.bus.discard(*self.key)
+        return rung
+
+
 def hardened_router(clock: Clock, *, n_functions: int = 1, n_endpoints: int = 1):
     """A journaled 2-shard :class:`~repro.tenancy.CloudRouter` with health
     and poison tracking on ``clock``, driven through its API with no agent

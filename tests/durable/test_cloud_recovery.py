@@ -1,7 +1,7 @@
 """Crash recovery: rebuild a journaled FaasCloud from snapshot + replay.
 
-The fresh instance shares the crashed one's delivery fabric (bus, completed
-feed, network) — those outlive the process — while every in-memory ledger
+The fresh instance shares the crashed one's delivery fabric (bus, endpoint
+table, network) — those outlive the process — while every in-memory ledger
 (tasks, queues, payload store, registries) is rebuilt from the journal.
 Covers the three crash-point edge cases: a crash between the result fsync
 and the bus notification, a crash mid-admission (journaled but never
@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 
 import pytest
-from conftest import ManualClock
+from conftest import Doorbells, ManualClock
 
 from repro.durable import FileJournalBackend, Journal, recover_cloud
 from repro.exceptions import LeaseExpiredError, WorkflowError
@@ -58,10 +58,12 @@ class Rig:
             self.token, "theta", testbed.theta_compute
         )
         self.func_id = self.cloud.register_function(self.token, serialize(_square))
+        #: The result topic of ``client-1``, which every test's tasks ring.
+        self.doorbells = Doorbells(self.cloud.bus, "client-1")
 
     def crash(self) -> FaasCloud:
         """Discard the in-memory instance; rebuild an empty one sharing the
-        surviving fabric (bus, completed feed, endpoint table) and the
+        surviving fabric (bus, endpoint table) and the
         durable journal."""
         fresh = FaasCloud(
             self.testbed.faas_cloud,
@@ -103,7 +105,7 @@ def test_recovery_rebuilds_every_task_state(rig):
     rig.cloud.report_result(
         rig.token, rig.endpoint_id, done, True, serialize({"value": 4})
     )
-    assert rig.cloud.next_completed_batch("client-1", 1) == [done]
+    assert rig.doorbells.take() == [done]
 
     fresh = rig.crash()
     report = recover_cloud(fresh)
@@ -156,13 +158,13 @@ def test_recovered_payload_locators_do_not_collide(rig):
 
 
 def test_crash_between_result_write_and_bus_notification(rig):
-    """One ``result`` record of three members hit the journal but no feed
-    push / bus publish ever happened.  Recovery expands the record and
+    """One ``result`` record of three members hit the journal but no bus
+    publish ever happened.  Recovery expands the record and
     renotifies every member exactly once."""
     task_ids = [_submit(rig, value) for value in (5, 6, 7)]
     rig.cloud.fetch_tasks(rig.token, rig.endpoint_id, 3)
     # Emulate the crash window: append the fsync'd result record by hand —
-    # the in-memory transitions, feed pushes, and bus publish all died with
+    # the in-memory transitions and the bus publish all died with
     # the process.  Mirrors the record `report_results` writes.
     at = rig.cloud.clock.now()
     record = Result(
@@ -186,9 +188,9 @@ def test_crash_between_result_write_and_bus_notification(rig):
     assert report.renotified == 3
     assert report.released == 0  # the terminal records supersede the leases
     assert report.deduped == 0
-    # Exactly once into the completed feed: three deliveries, then silence.
-    assert fresh.next_completed_batch("client-1") == task_ids
-    assert fresh.next_completed_batch("client-1") == []
+    # Exactly once on the result topic: three doorbells, then silence.
+    assert rig.doorbells.take() == task_ids
+    assert rig.doorbells.take() == []
     for task_id, value in zip(task_ids, (25, 36, 49)):
         assert fresh.task(task_id).status is TaskStatus.SUCCESS
         status, payload = fresh.get_result_payload(rig.token, task_id)
@@ -224,7 +226,7 @@ def test_crash_mid_admission_enqueues_the_journaled_task(rig):
     fresh.report_result(
         rig.token, rig.endpoint_id, task_id, True, serialize({"value": 36})
     )
-    assert fresh.next_completed_batch("client-1", 1) == [task_id]
+    assert rig.doorbells.take() == [task_id]
     # New admissions never reuse the replayed id.
     assert FaasCloud.task_id_index(_submit(rig, 7)) > 41
 
@@ -420,9 +422,9 @@ def test_new_owner_reports_after_a_crash_and_the_old_one_is_stale(testbed, how):
     with pytest.raises(LeaseExpiredError):
         fresh.report_result(pair.token, pair.ep_a, queued, True, serialize({}))
     # Exactly once: one completion for `held`, none for `queued`.
-    done = fresh.next_completed_batch("client-1", 32)
+    done = pair.doorbells.take()
     assert done.count(held) == 1 and queued not in done
-    assert fresh.next_completed_batch("client-1") == []
+    assert pair.doorbells.take() == []
 
 
 def test_lease_failover_publishes_the_source_depth(testbed):
@@ -615,7 +617,7 @@ def test_stale_result_after_rehome_is_refused_in_replay_as_it_was_live(testbed):
     assert state(fresh) == live
     assert (report.deduped, report.renotified, report.released) == (1, 0, 0)
     assert metrics.counter_total("durable.deduped") == 1
-    assert fresh.next_completed_batch("client-1") == []
+    assert pair.doorbells.take() == []
 
 
 def test_double_replayed_rehome_is_deduped(testbed):

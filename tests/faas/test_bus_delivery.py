@@ -2,11 +2,13 @@
 
 Covers the event-driven wiring of :mod:`repro.bus` into the FaaS fabric:
 tasks pushed down the endpoint's subscription as credit allows (no idle
-polling), pause/resume interaction with subscriptions, and the
-executor/client shutdown semantics for still-pending futures.
+polling), pause/resume interaction with subscriptions, the client's
+result topic as the one record of its uncollected completions (across a
+lapse, and across a kill), and the executor/client shutdown semantics for
+still-pending futures.
 """
 
-from dataclasses import replace
+from collections import Counter
 
 import pytest
 
@@ -21,7 +23,7 @@ from repro.faas import (
 )
 from repro.batch.reactor import get_reactor
 from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
-from repro.faas.cloud import task_topic
+from repro.faas.cloud import result_topic, task_topic
 from repro.net.clock import get_clock
 from repro.net.context import at_site
 from repro.observe import MetricsRegistry, set_metrics
@@ -73,7 +75,7 @@ def test_bus_delivery_completes_tasks_without_idle_polls(testbed, metrics):
     # Coalesced submits share a push and drained uplinks a result doorbell:
     # at least one of each, at most one per task.
     assert 2 <= metrics.counter_total("bus.delivered") <= 8
-    assert metrics.counter_total("bus.fallback_engaged") == 0
+    assert metrics.counter_total("bus.resubscribes") == 0
 
 
 def test_a_paused_endpoint_is_pushed_nothing_until_it_resumes(testbed, metrics):
@@ -123,18 +125,16 @@ def test_resume_with_reclaim_requeues_and_replays(testbed, metrics):
 
 
 def test_a_backlog_deeper_than_the_bus_window_is_never_trimmed(testbed, metrics):
-    """A backlog deeper than the redelivery window, queued while paused,
-    waits in the cloud's queue and reaches the endpoint a credit window at
-    a time: no task envelope is ever trimmed, nothing lapses, and every
-    push is acked."""
+    """A backlog four times the credit window, queued while paused, waits in
+    the cloud's queue and reaches the endpoint a credit window at a time:
+    nothing lapses, and every push is acked."""
     auth = AuthServer()
     identity = auth.register_identity("u", "anl")
     token = auth.issue_token(identity, {SCOPE_COMPUTE})
-    constants = replace(testbed.constants, bus_redelivery_window=4)
-    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, constants)
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, testbed.constants)
     pool = WorkerPool(testbed.theta_compute, 3, name="trim-pool")
     endpoint = FaasEndpoint(
-        "theta", cloud, token, testbed.theta_login, pool, max_tasks_per_poll=2
+        "theta", cloud, token, testbed.theta_login, pool, credit_window=2
     ).start()
     client = FaasClient(cloud, token, site=testbed.theta_login)
     topic = task_topic(endpoint.endpoint_id)
@@ -153,15 +153,127 @@ def test_a_backlog_deeper_than_the_bus_window_is_never_trimmed(testbed, metrics)
     finally:
         client.close()
         endpoint.stop()
-    assert metrics.counter("bus.window_trimmed", role="endpoint").value == 0
-    assert metrics.counter_total("bus.fallback_engaged") == 0
+    assert metrics.counter_total("bus.subscription_drops") == 0
+    assert metrics.counter_total("bus.resubscribes") == 0
     rounds = [
         size
         for name, _labels, hist in metrics.histograms()
-        if name == "endpoint.fetch_batch_size"
+        if name == "endpoint.push_size"
         for size in hist.values()
     ]
     assert sum(rounds) == 8 and max(rounds) <= 2  # never beyond the credit
+
+
+def _wait_terminal(cloud, futures, timeout=120.0):
+    """Sleep until the cloud holds a terminal record for every future."""
+    clock = get_clock()
+    deadline = clock.now() + timeout
+    while not all(cloud.task(f.task_id).status.terminal for f in futures):
+        assert clock.now() < deadline, "tasks never finished"
+        clock.sleep(0.1)
+
+
+def _counting_downloads(cloud):
+    """Count each task id the cloud is asked to download."""
+    downloads = Counter()
+    download_round = cloud.download_round
+    cloud.download_round = lambda token, ids: (
+        downloads.update(ids) or download_round(token, ids)
+    )
+    return downloads
+
+
+def test_each_completion_is_planned_once_after_a_lapse(testbed, metrics):
+    """Completions wait on the result topic of a client whose listener is
+    detached, and the first doorbell drops its subscription.  Reattached,
+    the client learns of the lapse and resubscribes; the replayed
+    doorbells are its one record of the completions, so every future
+    resolves once, each id is downloaded once, and no id is parked as an
+    early arrival."""
+    set_injector(
+        FaultInjector(
+            FaultPlan.build(
+                0,
+                [
+                    FaultSpec(
+                        "bus.subscription.drop",
+                        "subscription_drop",
+                        match={"role": "client"},
+                        max_fires=1,
+                    ),
+                ],
+            )
+        )
+    )
+    cloud, endpoint, client = _rig(testbed)
+    downloads = _counting_downloads(cloud)
+    topic = result_topic(client.client_id)
+    resolved = []
+    try:
+        client._consumer.detach()
+        with at_site(testbed.theta_login):
+            futures = [client.run(_add, endpoint.endpoint_id, i, b=1) for i in range(8)]
+        client.flush_batches()
+        for future in futures:
+            future.add_done_callback(resolved.append)
+        _wait_terminal(cloud, futures)
+        assert not cloud.bus.is_active(topic, client.client_id)
+        client._consumer.attach(client._on_results, client._on_lapse)
+        assert [f.result(timeout=60) for f in futures] == list(range(1, 9))
+    finally:
+        client.close()
+        endpoint.stop()
+    assert sorted(resolved, key=futures.index) == futures  # each once
+    assert downloads == Counter(f.task_id for f in futures)
+    assert client._early == {}
+    assert metrics.counter_total("bus.resubscribes") == 1
+    assert metrics.counter_total("client.notify_errors") == 0
+
+
+def test_a_killed_client_catches_up_on_a_deep_backlog(testbed, metrics):
+    """A client is killed with 300 tasks in flight, each of which rings its
+    own doorbell (no uplink batching) while nobody listens: more than the
+    256 envelopes a subscriber's window used to be trimmed to.  A
+    successor with the same client id resolves every one exactly once, and
+    no subscription is dropped for overflow."""
+    auth = AuthServer()
+    token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
+    cloud = FaasCloud(testbed.faas_cloud, testbed.network, auth, testbed.constants)
+    pool = WorkerPool(testbed.theta_compute, 4, name="backlog-pool")
+    endpoint = FaasEndpoint(
+        "theta", cloud, token, testbed.theta_login, pool, uplink_batching=False
+    ).start()
+    client = FaasClient(cloud, token, site=testbed.theta_login)
+    downloads = _counting_downloads(cloud)
+    successor = None
+    try:
+        endpoint.pause()  # every completion lands after the kill
+        with at_site(testbed.theta_login):
+            orphans = [client.run(_add, endpoint.endpoint_id, i, b=1) for i in range(300)]
+        client.flush_batches()
+        client.kill()
+        endpoint.resume()
+        _wait_terminal(cloud, orphans)
+        topic = result_topic(client.client_id)
+        assert len(cloud.bus.unacked(topic, client.client_id)) == 300
+        successor = FaasClient(
+            cloud, token, site=testbed.theta_login, client_id=client.client_id
+        )
+        resolved = []
+        futures = []
+        for orphan in orphans:
+            future = successor.attach(orphan.task_id, endpoint_id=endpoint.endpoint_id)
+            future.add_done_callback(resolved.append)
+            futures.append(future)
+        assert [f.result(timeout=60) for f in futures] == list(range(1, 301))
+    finally:
+        if successor is not None:
+            successor.close()
+        endpoint.stop()
+    assert sorted(resolved, key=futures.index) == futures  # each once
+    assert downloads == Counter(f.task_id for f in futures)
+    assert metrics.counter("bus.subscription_drops", role="client", reason="overflow").value == 0
+    assert cloud.bus.unacked(topic, client.client_id) == []
 
 
 def test_executor_shutdown_cancels_pending_futures(testbed, metrics):

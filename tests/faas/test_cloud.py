@@ -1,9 +1,7 @@
 """Tests for the FaaS cloud service semantics."""
 
-from types import SimpleNamespace
-
 import pytest
-from conftest import ManualClock
+from conftest import Doorbells, ManualClock
 
 from repro.exceptions import (
     AuthenticationError,
@@ -13,7 +11,7 @@ from repro.exceptions import (
     WorkflowError,
 )
 from repro.faas.auth import SCOPE_COMPUTE, AuthServer
-from repro.faas.cloud import FaasCloud, TaskStatus, _CompletedFeed
+from repro.faas.cloud import FaasCloud, TaskStatus
 from repro.serialize import Blob, serialize
 
 
@@ -80,6 +78,7 @@ def test_task_lifecycle(rig):
     cloud, token, endpoint_id = rig
     func_id = cloud.register_function(token, serialize(_square))
     task_id = cloud.submit(token, "client-1", func_id, endpoint_id, serialize(((2,), {})))
+    doorbells = Doorbells(cloud.bus, "client-1")
 
     dispatches = cloud.fetch_tasks(token, endpoint_id, 10)
     assert [d.task_id for d in dispatches] == [task_id]
@@ -94,7 +93,7 @@ def test_task_lifecycle(rig):
     cloud.report_result(token, endpoint_id, task_id, True, serialize({"success": True, "value": 4}))
     record = cloud.task(task_id)
     assert record.status is TaskStatus.SUCCESS
-    assert cloud.next_completed_batch("client-1", 1) == [task_id]
+    assert doorbells.take() == [task_id]
     status, payload = cloud.get_result_payload(token, task_id)
     assert status is TaskStatus.SUCCESS
     assert deserialize(payload)["value"] == 4
@@ -168,8 +167,9 @@ def test_fetch_respects_max_tasks(rig):
 
 
 def test_an_empty_fetch_and_feed_answer_at_once(testbed):
-    """Nothing waits, so the calls return empty without moving a clock
-    that only moves when told: the cloud never parks its caller."""
+    """Nothing waits, so the fetch returns empty and no doorbell rings,
+    without moving a clock that only moves when told: the cloud never
+    parks its caller."""
     clock = ManualClock()
     auth = AuthServer()
     token = auth.issue_token(auth.register_identity("u", "anl"), {SCOPE_COMPUTE})
@@ -177,17 +177,19 @@ def test_an_empty_fetch_and_feed_answer_at_once(testbed):
         testbed.faas_cloud, testbed.network, auth, testbed.constants, clock
     )
     endpoint_id = cloud.register_endpoint(token, "theta", testbed.theta_compute)
+    doorbells = Doorbells(cloud.bus, "nobody")
     assert cloud.fetch_tasks(token, endpoint_id, 10) == []
-    assert cloud.next_completed_batch("nobody") == []
+    assert doorbells.take() == []
     assert clock.now() == 0.0
 
 
 def test_an_empty_completed_feed_answers_none_at_once(rig):
-    """A client with nothing completed gets an empty batch straight back,
-    and asking again changes nothing: the feed holds no waiter."""
+    """A client with nothing completed has no doorbell on its result topic,
+    and asking again changes nothing: the bus holds no waiter."""
     cloud, *_ = rig
-    assert cloud.next_completed_batch("nobody") == []
-    assert cloud.next_completed_batch("nobody", max_n=1) == []
+    doorbells = Doorbells(cloud.bus, "nobody")
+    assert doorbells.take() == []
+    assert doorbells.take() == []
 
 
 def test_payload_store_tiers(rig):
@@ -204,28 +206,3 @@ def test_unknown_locator(rig):
     cloud, *_ = rig
     with pytest.raises(WorkflowError):
         cloud.store.read("s3:ghost")
-
-
-class _CountingId(str):
-    """A task id that counts the equality comparisons made against it."""
-
-    compared = 0
-
-    def __eq__(self, other):
-        _CountingId.compared += 1
-        return str.__eq__(self, other)
-
-    __hash__ = str.__hash__
-
-
-def test_retiring_a_completion_is_o1_in_the_uncollected_backlog():
-    """A completion nobody downloads stays queued (a hedged client's late
-    primaries), so a retire must not scan the client's backlog."""
-    feed = _CompletedFeed()
-    ids = [_CountingId(f"task-{i:05d}") for i in range(10_000)]
-    feed.push([SimpleNamespace(client_id="c", task_id=task_id) for task_id in ids])
-    _CountingId.compared = 0
-    feed.retire([("c", _CountingId("task-05000")), ("ghost", _CountingId("task-1"))])
-    assert _CountingId.compared < 10  # a dict lookup or two, not 5000 scans
-    rest = feed.next_completed_batch("c", 10_000)
-    assert rest == ids[:5000] + ids[5001:]  # push order, the retired one gone

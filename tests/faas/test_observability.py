@@ -40,11 +40,11 @@ def rig(testbed):
 
 @pytest.mark.parametrize("bad", [0, -3])
 def test_max_tasks_per_poll_must_be_positive(rig, bad):
+    """The credit window (``credit_window``, the keyword once named
+    ``max_tasks_per_poll``) must let at least one task be pushed."""
     testbed, cloud, token, pool = rig
-    with pytest.raises(WorkflowError, match="max_tasks_per_poll must be a positive"):
-        FaasEndpoint(
-            "t", cloud, token, testbed.theta_login, pool, max_tasks_per_poll=bad
-        )
+    with pytest.raises(WorkflowError, match="credit_window must be a positive"):
+        FaasEndpoint("t", cloud, token, testbed.theta_login, pool, credit_window=bad)
 
 
 def test_spans_survive_outage_and_reconnect(rig):

@@ -14,7 +14,7 @@ import threading
 import time
 
 import pytest
-from conftest import ManualClock, ManualReactor, record_downloads
+from conftest import Doorbells, ManualClock, ManualReactor, record_downloads
 
 from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
 from repro.chaos.policy import RetryPolicy
@@ -327,6 +327,7 @@ def test_cloud_singular_calls_charge_one_write_and_one_fsync_each(recording_cloc
     )
     ep_id = cloud.register_endpoint(token, "theta", testbed.theta_compute)
     func_id = cloud.register_function(token, serialize(_echo))
+    doorbells = Doorbells(cloud.bus, "client-1")
 
     def fsync(grew_by):
         return wal.op_latency + grew_by / wal.write_bandwidth
@@ -345,7 +346,7 @@ def test_cloud_singular_calls_charge_one_write_and_one_fsync_each(recording_cloc
     cloud.report_result(token, ep_id, dispatch.task_id, True, result)
     assert recording_clock.charged() == [REDIS, fsync(journal.log_bytes() - before)]
     assert cloud.task(task_id).result_locator.startswith("redis:")
-    assert cloud.next_completed_batch("client-1", 1) == [task_id]
+    assert doorbells.take() == [task_id]
 
 
 # -- no loop sleeps through a round trip ---------------------------------------------
@@ -526,7 +527,7 @@ def test_fetched_round_pays_one_latency_for_all_arguments(make_rig):
     assert rig.clock.charged(me) == []
     assert len(set(sizes)) == 1
     assert rig.clock.armed(me) == [pytest.approx(REDIS + rig.transfer(sizes[0]))]
-    assert rig.histogram("endpoint.fetch_batch_size") == [3]
+    assert rig.histogram("endpoint.push_size") == [3]
 
 
 def test_store_fault_on_a_fetched_member_fails_only_that_member(make_rig):
@@ -541,7 +542,7 @@ def test_store_fault_on_a_fetched_member_fails_only_that_member(make_rig):
     rig.endpoint.resume()
     assert [f.result(timeout=60)[0] for f in futures] == [0, 1, 2]
 
-    assert 3 in rig.histogram("endpoint.fetch_batch_size")
+    assert 3 in rig.histogram("endpoint.push_size")
     assert injector.fire_count(hook="cloud.store.read") == 1
     # One member's download failed: one dispatch error, one burned attempt,
     # and nobody else in the round was touched or re-executed.

@@ -166,7 +166,7 @@ class Fleet:
                 self.token,
                 testbed.theta_login,
                 StepPool(testbed.theta_compute),
-                max_tasks_per_poll=WINDOW,
+                credit_window=WINDOW,
                 clock=clock,
                 failover_group="pair",
             )

@@ -16,7 +16,6 @@ from conftest import hardened_router
 
 from repro.batch import BatchPolicy
 from repro.batch.reactor import Reactor
-from repro.chaos.plan import FaultInjector, FaultPlan, FaultSpec, set_injector
 from repro.faas import SCOPE_COMPUTE, AuthServer, FaasClient, FaasCloud, FaasEndpoint
 from repro.faas.cloud import TaskStatus, result_topic, task_topic
 from repro.net.clock import get_clock
@@ -86,42 +85,6 @@ def test_a_raising_fetch_does_not_strand_the_endpoint(testbed):
     assert metrics.counter_total("reactor.callback_errors") == 0
 
 
-def test_a_raising_fallback_drain_does_not_strand_the_client(testbed):
-    """The client's subscription is dropped at its first result, and the
-    first drain of the completed feed raises: the error is counted, the
-    drain retried, and the future still resolves."""
-    metrics = _metrics()
-    set_injector(
-        FaultInjector(
-            FaultPlan.build(
-                0,
-                [
-                    FaultSpec(
-                        "bus.subscription.drop",
-                        "subscription_drop",
-                        match={"role": "client"},
-                        max_fires=1,
-                    )
-                ],
-            )
-        )
-    )
-    cloud, endpoint, client = _stack(testbed)
-    cloud.next_completed_batch = _raising_once(
-        cloud.next_completed_batch, ConnectionError("reset")
-    )
-    try:
-        with at_site(testbed.theta_login):
-            future = client.run(_add, endpoint.endpoint_id, 2, b=3)
-        assert future.result(timeout=30) == 5
-    finally:
-        client.close()
-        endpoint.stop()
-    assert metrics.counter_total("bus.fallback_engaged") == 1
-    assert metrics.counter_total("client.notify_errors") == 1
-    assert metrics.counter_total("reactor.callback_errors") == 0
-
-
 # -- the traffic the reactor carries ------------------------------------------------
 def test_a_hardened_stack_runs_one_control_plane_thread(testbed):
     """A 2-shard journaled router with health and poison tracking, an
@@ -159,8 +122,8 @@ def test_a_hardened_stack_runs_one_control_plane_thread(testbed):
 
 
 def test_an_idle_stack_polls_nothing(testbed, monkeypatch):
-    """Ten idle nominal seconds: no fetch, no drain of the completed feed,
-    and the reactor fires nothing but the endpoint's heartbeats."""
+    """Ten idle nominal seconds: no fetch, no result download, and the
+    reactor fires nothing but the endpoint's heartbeats."""
     fired: list[str] = []
     fire = Reactor._fire
 
@@ -170,7 +133,7 @@ def test_an_idle_stack_polls_nothing(testbed, monkeypatch):
 
     monkeypatch.setattr(Reactor, "_fire", recording_fire)
     cloud, endpoint, client = _stack(testbed)
-    calls = {"fetch_tasks": 0, "next_completed_batch": 0}
+    calls = {"fetch_tasks": 0, "download_round": 0}
     for name in calls:
         original = getattr(cloud, name)
 
@@ -184,7 +147,7 @@ def test_an_idle_stack_polls_nothing(testbed, monkeypatch):
     finally:
         client.close()
         endpoint.stop()
-    assert calls == {"fetch_tasks": 0, "next_completed_batch": 0}
+    assert calls == {"fetch_tasks": 0, "download_round": 0}
     assert fired, "no heartbeat in ten seconds"
     assert all(name.startswith("FaasEndpoint._heartbeat_tick") for name in fired), fired
 
@@ -212,7 +175,6 @@ def test_a_pause_past_the_lease_pushes_nothing_and_resume_delivers(testbed):
     finally:
         client.close()
         endpoint.stop()
-    assert metrics.counter_total("bus.fallback_engaged") == 0
     assert metrics.counter_total("bus.resubscribes") == 0
 
 

@@ -1,7 +1,7 @@
 """Tests for crash recovery: re-queueing tasks stranded on a dead endpoint."""
 
 import pytest
-from conftest import ManualClock
+from conftest import Doorbells, ManualClock
 
 from repro.exceptions import EndpointUnavailableError
 from repro.faas import SCOPE_COMPUTE, AuthServer, FaasCloud
@@ -229,6 +229,7 @@ def test_report_racing_requeue_sweep_stays_terminal(testbed, sweep):
     cloud = FaasCloud(
         testbed.faas_cloud, testbed.network, auth, testbed.constants, clock, usage=usage
     )
+    doorbells = Doorbells(cloud.bus, "c")
     group = "pair" if sweep == "failover" else None
     old, new = (
         cloud.register_endpoint(token, name, testbed.theta_compute, failover_group=group)
@@ -277,8 +278,8 @@ def test_report_racing_requeue_sweep_stays_terminal(testbed, sweep):
         assert (record.status, record.endpoint_id) == (TaskStatus.WAITING, new)
         assert (cloud.queue_depth(old), cloud.queue_depth(new)) == (0, 1)
         assert usage.calls.count("tasks_finished") == 0
-        assert cloud.next_completed_batch("c", 32) == []
-        # The peer runs it: exactly one terminal, one feed entry.
+        assert doorbells.take() == []
+        # The peer runs it: exactly one terminal, one doorbell.
         cloud.fetch_tasks(token, new, 1)
         cloud.report_result(token, new, task_id, True, serialize({"value": 1}))
     else:
@@ -286,5 +287,5 @@ def test_report_racing_requeue_sweep_stays_terminal(testbed, sweep):
     assert record.status is TaskStatus.SUCCESS
     assert (cloud.queue_depth(old), cloud.queue_depth(new)) == (0, 0)
     assert usage.calls.count("tasks_finished") == 1
-    assert cloud.next_completed_batch("c", 32) == [task_id]
+    assert doorbells.take() == [task_id]
     assert cloud.fetch_tasks(token, record.endpoint_id, 10) == []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 import threading
 
-from conftest import ManualClock
+from conftest import Inbox, ManualClock, ManualReactor
 
 from repro.faas import SCOPE_COMPUTE, AuthServer
 from repro.faas.cloud import TaskStatus, task_topic
@@ -178,7 +178,7 @@ def test_racing_sweeps_move_each_task_once_and_count_one_reap():
         assert (record.endpoint_id, record.requeues) == (fleet.ep["b"], 1)
 
 
-def test_racing_pushes_never_overdraw_the_credit():
+def test_racing_pushes_never_overdraw_the_credit(monkeypatch):
     """Eight threads push ``a`` at once while forty tasks wait across the
     four shards and ``a`` has a credit window of ten: exactly ten tasks
     are leased and published, each once, and no credit is left."""
@@ -207,7 +207,11 @@ def test_racing_pushes_never_overdraw_the_credit():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    pushes = router.bus.subscribe(task_topic(endpoint_id), endpoint_id).receive(100)
+    reactor = ManualReactor(fleet.clock)
+    monkeypatch.setattr("repro.bus.broker.get_reactor", lambda: reactor)
+    inbox = Inbox.on(router.bus.subscribe(task_topic(endpoint_id), endpoint_id))
+    reactor.run(until=fleet.clock.now())
+    pushes = inbox.take()
     pushed = [d.task_id for push in pushes for d in push.payload.dispatches]
     assert len(pushed) == len(set(pushed)) == 10
     assert table.credit(endpoint_id) == 0

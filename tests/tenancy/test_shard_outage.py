@@ -15,7 +15,7 @@ dark shard holds moves with no later submit, fetch or heartbeat.
 from dataclasses import replace
 
 import pytest
-from conftest import ManualClock, ManualReactor
+from conftest import Inbox, ManualClock, ManualReactor
 
 from repro.chaos.campaign import FAULT_MODES, run_cell
 from repro.faas import SCOPE_COMPUTE, AuthServer, FaasClient, FaasEndpoint
@@ -65,6 +65,7 @@ def test_a_dark_shards_backlog_is_rerung_when_its_window_ends(testbed, monkeypat
     clock = ManualClock()
     reactor = ManualReactor(clock)
     monkeypatch.setattr("repro.tenancy.router.get_reactor", lambda: reactor)
+    monkeypatch.setattr("repro.bus.broker.get_reactor", lambda: reactor)
     metrics = MetricsRegistry()
     set_metrics(metrics)
     auth = AuthServer()
@@ -87,7 +88,9 @@ def test_a_dark_shards_backlog_is_rerung_when_its_window_ends(testbed, monkeypat
     assert clock.now() == pytest.approx(start + window)
     assert metrics.counter_total("cloud.shard_recoveries") == 1
     assert len(router.bus.unacked(topic, endpoint_id)) == 1
-    (envelope,) = router.bus.subscribe(topic, endpoint_id).receive(10)
+    inbox = Inbox.on(router.bus.subscribe(topic, endpoint_id))
+    reactor.run(until=clock.now())
+    (envelope,) = inbox.take()
     assert [d.task_id for d in envelope.payload.dispatches] == [task_id]
 
 
